@@ -5,14 +5,13 @@ build-once/evaluate-many steady state) of the same walk under each
 kernel tier:
 
 * ``numpy`` — the serial chunked numpy loop (the reference tier).
-* ``numpy-threaded`` — the slot-deterministic threaded numpy loop.
 * ``numba`` — the fused compiled kernels (skipped, honestly, when the
   ``[perf]`` extra is not installed).
 
-The bench *validates before it reports*: every tier's values must match
-the serial numpy reference to 1e-12 (relative to the largest value) in
+The bench *validates before it reports*: the numba tier's values must
+match the numpy reference to 1e-12 (relative to the largest value) in
 both modes, the interaction counters must be exactly equal, and the
-slotted tiers must be bitwise invariant to the thread count (1, 2 and 8
+results must be bitwise invariant to the thread count (1, 2 and 8
 threads) — else it exits nonzero without writing a result.
 
 The acceptance target (>= 5x warm evaluation at n=50,000) needs real
@@ -52,8 +51,8 @@ TARGET_CPUS = 4
 
 
 def _best_of(fn, reps: int) -> tuple[float, object]:
-    # wall clock, not process time: the threaded/compiled tiers spend
-    # CPU on many cores at once and process_time would punish them.
+    # wall clock, not process time: the compiled tier spends CPU on
+    # many cores at once and process_time would punish it.
     best = float("inf")
     out = None
     for _ in range(reps):
@@ -112,7 +111,6 @@ def bench_one(n: int, reps: int, threads: int,
 
     tiers: list[tuple[str, str, int | None]] = [
         ("numpy", "numpy", None),
-        ("numpy-threaded", "numpy", threads),
     ]
     if numba_ok:
         compiled.warm_up("force")
@@ -192,7 +190,7 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=int, default=3,
                     help="repetitions per timing (best-of, default 3)")
     ap.add_argument("--threads", type=int, default=None,
-                    help="thread count for the threaded tiers "
+                    help="thread count for the numba tier "
                          "(default: cpu count)")
     ap.add_argument("--seed", type=int, default=1994)
     args = ap.parse_args(argv)

@@ -15,7 +15,7 @@ Two sections, both *validating before they report*:
 * ``sim`` entries run the same SPSA/SPDA/DPDA demo configuration twice
   end-to-end — once with the whole vectorized pipeline, once with every
   piece patched back to the reference path (recursive builder, scalar
-  upward passes, depth-first walk, no Morton-key carrying) — and report
+  upward passes, depth-first walk) — and report
   the host wall-clock per step.  Virtual times, interaction counts, and
   forces (to 1e-9, fp accumulation order) must agree.
 
@@ -33,7 +33,6 @@ import time
 import numpy as np
 
 import repro.bh.interaction_lists as il
-import repro.core.simulation as simulation
 import repro.core.tree_build as tree_build
 from repro.bh.distributions import plummer
 from repro.bh.interaction_lists import build_interaction_lists
@@ -181,11 +180,10 @@ def bench_pipeline(n: int, reps: int, seed: int) -> dict:
 def legacy_pipeline():
     """Patch every vectorized piece back to the reference path: the
     recursive builder (ignoring precomputed key slices, as the seed
-    re-quantized per cell), the scalar multipole pass, the depth-first
-    walk, and per-phase Morton re-quantization."""
+    re-quantized per cell), the scalar multipole pass and the
+    depth-first walk."""
     saved = (tree_build.build_tree, TreeMultipoles._build,
-             il.FRONTIER_AUTO_NODE_TARGET_RATIO,
-             simulation.CARRY_MORTON_KEYS)
+             il.FRONTIER_AUTO_NODE_TARGET_RATIO)
 
     def reference_build(sub, box=None, leaf_capacity=8, max_depth=None,
                         keys=None, **kw):
@@ -196,13 +194,11 @@ def legacy_pipeline():
     tree_build.build_tree = reference_build
     TreeMultipoles._build = TreeMultipoles._build_reference
     il.FRONTIER_AUTO_NODE_TARGET_RATIO = float("inf")   # always DFS
-    simulation.CARRY_MORTON_KEYS = False
     try:
         yield
     finally:
         (tree_build.build_tree, TreeMultipoles._build,
-         il.FRONTIER_AUTO_NODE_TARGET_RATIO,
-         simulation.CARRY_MORTON_KEYS) = saved
+         il.FRONTIER_AUTO_NODE_TARGET_RATIO) = saved
 
 
 def bench_sim(scheme: str, n: int, p: int, steps: int, seed: int) -> dict:

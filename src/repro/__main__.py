@@ -343,9 +343,9 @@ def _add_sim_args(cmd: argparse.ArgumentParser) -> None:
                           "(numba when available)")
     cmd.add_argument("--kernel-threads", type=int, default=None,
                      metavar="N",
-                     help="evaluation threads per rank; results are "
-                          "bitwise independent of N (default: serial "
-                          "numpy loop)")
+                     help="thread clamp of the numba tier per rank; "
+                          "results are bitwise independent of N "
+                          "(ignored by the numpy tier)")
     cmd.add_argument("--steps", type=int, default=1)
     cmd.add_argument("--dt", type=float, default=None, metavar="DT",
                      help="advance particles by DT per step (default: "

@@ -51,18 +51,71 @@ def assign_rungs(accel: np.ndarray, dt: float, eta: float,
                  softening: float, max_rungs: int) -> np.ndarray:
     """Deterministic power-of-two bin assignment: the smallest rung
     whose ``dt / 2^r`` does not exceed ``eta * sqrt(softening/|a|)``,
-    clipped to ``[0, max_rungs)``."""
+    clipped to ``[0, max_rungs)``.  ``max_rungs == 1`` (fixed-dt KDK)
+    needs no criterion, so softening may be 0 there."""
+    if not 0 < max_rungs <= 16:
+        raise ValueError(f"max_rungs must be in [1, 16], got {max_rungs}")
+    if max_rungs == 1:
+        return np.zeros(accel.shape[0], dtype=np.int64)
     if softening <= 0.0:
         raise ValueError("block timesteps need softening > 0 (the rung "
                          "criterion is eta * sqrt(softening / |a|))")
-    if not 0 < max_rungs <= 16:
-        raise ValueError(f"max_rungs must be in [1, 16], got {max_rungs}")
     a = np.sqrt(np.einsum("ij,ij->i", accel, accel))
     with np.errstate(divide="ignore"):
         dt_i = eta * np.sqrt(softening / np.where(a > 0.0, a, np.inf))
         r = np.ceil(np.log2(dt / dt_i))
     r = np.where(np.isfinite(r), r, 0.0)
     return np.clip(r, 0, max_rungs - 1).astype(np.int64)
+
+
+def rung_period(rungs: np.ndarray, R: int) -> np.ndarray:
+    """Substeps between a particle's step starts in a macro step whose
+    deepest occupied rung is ``R - 1`` (``2^(R-1)`` substeps)."""
+    return (1 << (R - 1 - np.minimum(rungs, R - 1))).astype(np.int64)
+
+
+def starters(rungs: np.ndarray, R: int, j: int) -> np.ndarray:
+    """Particles that open a step (half-kick + drift) at substep ``j``."""
+    return np.flatnonzero(j % rung_period(rungs, R) == 0)
+
+
+def finishers(rungs: np.ndarray, R: int, j: int) -> np.ndarray:
+    """Particles that close a step (force + half-kick) after substep
+    ``j``."""
+    return np.flatnonzero((j + 1) % rung_period(rungs, R) == 0)
+
+
+def open_steps(p: ParticleSet, accel: np.ndarray, rungs: np.ndarray,
+               idx: np.ndarray, dt: float, lo, hi) -> None:
+    """Starters ``idx``: opening half-kick with the stored acceleration,
+    then a full ``dt / 2^r`` drift, positions clipped to ``[lo, hi]``."""
+    dt_r = dt / (1 << rungs[idx]).astype(np.float64)
+    p.velocities[idx] += (0.5 * dt_r)[:, None] * accel[idx]
+    p.positions[idx] = np.clip(
+        p.positions[idx] + dt_r[:, None] * p.velocities[idx], lo, hi)
+
+
+def close_steps(p: ParticleSet, accel: np.ndarray, rungs: np.ndarray,
+                idx: np.ndarray, dt: float, a_new: np.ndarray) -> None:
+    """Finishers ``idx``: store the fresh acceleration and apply the
+    closing half-kick with it."""
+    dt_r = dt / (1 << rungs[idx]).astype(np.float64)
+    accel[idx] = a_new
+    p.velocities[idx] += (0.5 * dt_r)[:, None] * a_new
+
+
+def next_rungs(want: np.ndarray, cur: np.ndarray, R: int,
+               j: int) -> np.ndarray:
+    """Rung transition of substep ``j``'s finishers from ``cur`` toward
+    the criterion's ``want``: at the macro step's closing sync point
+    every move is allowed; before it, a smaller dt anytime (bounded by
+    this macro's subdivision), a longer dt only at a boundary aligned
+    with the longer period."""
+    if j + 1 == 1 << (R - 1):
+        return want
+    aligned = (j + 1) % rung_period(want, R) == 0
+    return np.where(want >= cur, np.minimum(want, R - 1),
+                    np.where(aligned, want, cur))
 
 
 class BlockTimestepper:
@@ -79,9 +132,7 @@ class BlockTimestepper:
                  alpha: float = 0.8, leaf_capacity: int = 16,
                  box: Box | None = None, max_depth: int | None = None,
                  tree_mode: str = "repair", dirty_threshold: float = 0.25,
-                 collapse_chains: bool = True, walk_method: str = "auto",
-                 kernel_tier: str = "numpy",
-                 kernel_threads: int | None = None):
+                 collapse_chains: bool = True):
         if dt <= 0:
             raise ValueError(f"time-step must be positive, got {dt}")
         if tree_mode not in ("repair", "rebuild"):
@@ -104,9 +155,6 @@ class BlockTimestepper:
         limit = morton.MAX_BITS_2D if d == 2 else morton.MAX_BITS_3D
         self.bits = limit if max_depth is None else int(max_depth)
         self.mac = BarnesHutMAC(alpha=float(alpha))
-        self._engine_opts = dict(walk_method=walk_method,
-                                 kernel_tier=kernel_tier,
-                                 kernel_threads=kernel_threads)
         self.stats: dict[str, int] = {
             "timestep.macro_steps": 0, "timestep.substeps": 0,
             "timestep.force_targets": 0, "timestep.drifted": 0,
@@ -134,8 +182,7 @@ class BlockTimestepper:
 
     def _new_engine(self, tree) -> TraversalEngine:
         return TraversalEngine(tree, sources=self.particles, mac=self.mac,
-                               softening=self.softening,
-                               **self._engine_opts)
+                               softening=self.softening)
 
     def _forces(self, idx: np.ndarray) -> np.ndarray:
         """Accelerations at the current positions of particles ``idx``."""
@@ -180,46 +227,23 @@ class BlockTimestepper:
         p = self.particles
         rungs = self.rungs
         R = int(rungs.max()) + 1
-        nsub = 1 << (R - 1)
-        period = (1 << (R - 1 - rungs)).astype(np.int64)
         lo = self.box.lo + 1e-12 * self.box.side
         hi = self.box.lo + self.box.side * (1 - 1e-12)
 
-        for j in range(nsub):
-            starters = np.flatnonzero(j % period == 0)
-            if starters.size:
-                dt_r = self.dt / (1 << rungs[starters]).astype(np.float64)
-                p.velocities[starters] += \
-                    (0.5 * dt_r)[:, None] * self.accel[starters]
-                p.positions[starters] = np.clip(
-                    p.positions[starters]
-                    + dt_r[:, None] * p.velocities[starters],
-                    lo, hi)
-                self.stats["timestep.drifted"] += int(starters.size)
-                self._update_tree(starters)
+        for j in range(1 << (R - 1)):
+            start = starters(rungs, R, j)
+            if start.size:
+                open_steps(p, self.accel, rungs, start, self.dt, lo, hi)
+                self.stats["timestep.drifted"] += int(start.size)
+                self._update_tree(start)
 
-            finishers = np.flatnonzero((j + 1) % period == 0)
-            if finishers.size:
-                dt_f = self.dt / (1 << rungs[finishers]).astype(np.float64)
-                a_new = self._forces(finishers)
-                self.accel[finishers] = a_new
-                p.velocities[finishers] += (0.5 * dt_f)[:, None] * a_new
+            fin = finishers(rungs, R, j)
+            if fin.size:
+                a_new = self._forces(fin)
+                close_steps(p, self.accel, rungs, fin, self.dt, a_new)
                 want = assign_rungs(a_new, self.dt, self.eta,
                                     self.softening, self.max_rungs)
-                cur = rungs[finishers]
-                if j + 1 == nsub:
-                    new = want          # sync point: all moves allowed
-                else:
-                    # smaller dt anytime (bounded by this macro's
-                    # subdivision); longer dt only at aligned boundaries
-                    up = np.minimum(want, R - 1)
-                    aligned = ((j + 1)
-                               % (1 << (R - 1 - np.minimum(want, R - 1)))
-                               ) == 0
-                    down = np.where(aligned, want, cur)
-                    new = np.where(want >= cur, up, down)
-                rungs[finishers] = new
-                period[finishers] = 1 << (R - 1 - np.minimum(new, R - 1))
+                rungs[fin] = next_rungs(want, rungs[fin], R, j)
             self.stats["timestep.substeps"] += 1
         self.stats["timestep.macro_steps"] += 1
         for r in range(self.max_rungs):

@@ -13,8 +13,8 @@ them:
 2. :func:`evaluate_interaction_lists` consumes the lists with fused,
    chunked kernels: a single grouped gather per evaluator over *all*
    accepted cluster interactions, and a flat pair-expansion of the
-   particle-particle work whose temporaries are bounded by a
-   configurable working-set size.
+   particle-particle work whose temporaries are bounded by a fixed
+   working-set size.
 
 Because the lists depend only on the tree geometry, the MAC, and the
 target positions — never on the evaluator or the evaluation mode — one
@@ -37,7 +37,6 @@ perturbs values at the 1e-15 level.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +135,7 @@ class InteractionLists:
     _p2p_groups: list | None = None
     _cluster_per_target: np.ndarray | None = None
     _p2p_src_per_target: np.ndarray | None = None
-    # P2P kernel scratch, keyed by (slot, ns, chunk): buffers persist
+    # P2P kernel scratch, keyed by (ns, chunk): buffers persist
     # across evaluate calls on a cached walk instead of being
     # reallocated per pass.  Bitwise-neutral — every buffer is fully
     # overwritten before it is read within a chunk.
@@ -216,15 +215,13 @@ def _concat(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _walk_dfs(tree: Tree, targets: np.ndarray, mac, cls: np.ndarray,
-              start: int, fast_mac: bool):
+def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
+              cls: np.ndarray, start: int):
     """The classical batched depth-first descent: a Python stack of
-    (node, target-index-array) pairs, node data kept scalar.  Handles
-    any MAC object (only this walk can call a custom ``accept``)."""
+    (node, target-index-array) pairs, node data kept scalar."""
     nt = targets.shape[0]
     children = tree.children
     com, center, half = tree.com, tree.center, tree.half
-    alpha = getattr(mac, "alpha", None)
 
     cl_nodes: list[int] = []
     cl_idx: list[np.ndarray] = []
@@ -251,17 +248,14 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, mac, cls: np.ndarray,
         mac_tests += idx.size
         mac_per_target[idx] += 1
         t = targets[idx]
-        if fast_mac:
-            # Bit-for-bit the expressions of BarnesHutMAC.accept.
-            diff = t - com[node]
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            ok = (2.0 * half[node] < alpha * dist) \
-                & ~np.all(np.abs(t - center[node]) < half[node], axis=1)
-        else:
-            ok = mac.accept(tree, node, t)
+        # Bit-for-bit the expressions of BarnesHutMAC.accept.
+        diff = t - com[node]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        ok = (2.0 * half[node] < alpha * dist) \
+            & ~np.all(np.abs(t - center[node]) < half[node], axis=1)
         tested_nodes.append(node)
         tested_idx.append(idx)
-        tested_ok.append(np.asarray(ok, dtype=bool))
+        tested_ok.append(ok)
         far = idx[ok]
         if far.size:
             cl_nodes.append(node)
@@ -403,17 +397,25 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     Two walks produce the same interaction *sets*: the classical batched
     depth-first descent (``method="dfs"``) and a level-synchronous
     frontier walk (``method="frontier"``) that advances every live
-    (node, target) pair at once per tree level.  ``"auto"`` picks the
-    frontier walk under the stock :class:`BarnesHutMAC` (whose criterion
-    it inlines) when the tree is large relative to the target batch
-    (see :data:`FRONTIER_AUTO_NODE_TARGET_RATIO`), and the depth-first
-    walk for large batches or MAC subclasses with a custom ``accept``.
-    Both apply the MAC with the
-    identical floating-point expressions as the classical traversal, so
-    every accept/refine decision — and hence all interaction counters,
-    per-node DPDA counts, and remote bins — match it exactly; only list
-    entry order (fp accumulation order) differs between walks.
+    (node, target) pair at once per tree level.  ``"auto"`` — the only
+    production choice; the explicit names are the tests' handle — picks
+    the frontier walk when the tree is large relative to the target
+    batch (see :data:`FRONTIER_AUTO_NODE_TARGET_RATIO`) and the
+    depth-first walk for large batches.  Both inline the stock
+    :class:`BarnesHutMAC` criterion with the identical floating-point
+    expressions as the classical traversal, so every accept/refine
+    decision — and hence all interaction counters, per-node DPDA
+    counts, and remote bins — match it exactly; only list entry order
+    (fp accumulation order) differs between walks.  Any other MAC
+    object (a subclass included: its ``accept`` would never be called)
+    is a ``TypeError``.
     """
+    if type(mac) is not BarnesHutMAC:
+        raise TypeError(
+            "the list-building walks inline the stock BarnesHutMAC "
+            f"criterion; got {type(mac).__name__}")
+    if method not in ("auto", "frontier", "dfs"):
+        raise ValueError(f"unknown walk method {method!r}")
     targets = np.atleast_2d(np.asarray(target_positions, dtype=np.float64))
     nt, d = targets.shape
     empty = InteractionLists(
@@ -442,29 +444,16 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     cls[(children == NO_CHILD).all(axis=1)] = 1       # leaf
     cls[counts == 0] = 3                              # empty: skipped
     cls[tree.remote_owner >= 0] = 2                   # remote
-    # Inline the MAC for the stock criterion; any subclass that overrides
-    # accept() goes through its own method (depth-first walk only).
-    fast_mac = (type(mac) is BarnesHutMAC)
-    if method not in ("auto", "frontier", "dfs"):
-        raise ValueError(f"unknown walk method {method!r}")
-    if method == "frontier" and not fast_mac:
-        raise ValueError("the frontier walk inlines the stock "
-                         "BarnesHutMAC; use method='dfs' for custom MACs")
     if method == "auto":
-        use_frontier = (fast_mac and tree.nnodes
-                        >= FRONTIER_AUTO_NODE_TARGET_RATIO * nt)
+        use_frontier = tree.nnodes >= FRONTIER_AUTO_NODE_TARGET_RATIO * nt
     else:
         use_frontier = method == "frontier"
 
-    start = tree.ROOT if root is None else root
-    if use_frontier:
-        (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
-         mac_tests, mac_per_target, tested) = _walk_frontier(
-            tree, targets, mac.alpha, cls, start)
-    else:
-        (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
-         mac_tests, mac_per_target, tested) = _walk_dfs(
-            tree, targets, mac, cls, start, fast_mac)
+    walk = _walk_frontier if use_frontier else _walk_dfs
+    (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
+     mac_tests, mac_per_target, tested) = walk(
+        tree, targets, mac.alpha, cls,
+        tree.ROOT if root is None else root)
 
     # Sorted keys and sorted contents: bin composition is independent of
     # the walk and of its visit order.
@@ -542,27 +531,6 @@ def _accumulate(values: np.ndarray, tgt: np.ndarray,
                                         minlength=nt)
 
 
-def _run_slots(run_slot, threads: int) -> None:
-    """Execute the ``ACCUM_SLOTS`` slot workers, serially or on a thread
-    pool.  Results are bitwise independent of ``threads``: each slot
-    owns a private accumulation buffer and a fixed chunk subsequence
-    (chunk ``c`` belongs to slot ``c % ACCUM_SLOTS``), and the caller
-    reduces slot buffers in slot order."""
-    slots = compiled.ACCUM_SLOTS
-    if threads <= 1:
-        for s in range(slots):
-            run_slot(s)
-        return
-    with ThreadPoolExecutor(max_workers=min(threads, slots)) as ex:
-        list(ex.map(run_slot, range(slots)))  # list() surfaces errors
-
-
-def _reduce_slots(values: np.ndarray, bufs: list) -> None:
-    for b in bufs:                 # slot order — part of the sum tree
-        if b is not None:
-            values += b
-
-
 def _cluster_pass(lists: InteractionLists, values: np.ndarray,
                   evaluator, mode: str, chunk_bytes: int,
                   tier: str = "numpy", threads: int | None = None) -> None:
@@ -580,64 +548,27 @@ def _cluster_pass(lists: InteractionLists, values: np.ndarray,
             return
         # Evaluator is not compiled-eligible for this mode (degree >= 1
         # multipole potentials): fall through to the numpy batch path.
-    batch = getattr(evaluator,
-                    "batch_potential" if mode == "potential"
-                    else "batch_force", None)
+    name = "batch_potential" if mode == "potential" else "batch_force"
+    batch = getattr(evaluator, name, None)
     if batch is None:
-        _cluster_pass_grouped(lists, values, evaluator, mode)
-        return
+        raise TypeError(f"{type(evaluator).__name__} lacks the batch "
+                        f"evaluator interface ({name})")
     row = int(getattr(evaluator, "batch_row_bytes", 8 * (6 * lists.d + 8)))
     chunk = max(1, chunk_bytes // max(row, 1))
-
-    def do_chunk(out, lo, hi):
-        tgt = lists.cluster_tgt[lo:hi]
-        contrib = batch(lists.cluster_node[lo:hi], lists.targets[tgt])
-        _accumulate(out, tgt, contrib, lists.nt)
-
-    if threads is None:            # legacy serial path, bit for bit
-        for lo in range(0, n, chunk):
-            do_chunk(values, lo, min(lo + chunk, n))
-        return
-
-    nchunks = -(-n // chunk)
-    bufs: list = [None] * compiled.ACCUM_SLOTS
-
-    def run_slot(s):
-        out = None
-        for ci in range(s, nchunks, compiled.ACCUM_SLOTS):
-            if out is None:
-                out = np.zeros_like(values)
-                bufs[s] = out
-            lo = ci * chunk
-            do_chunk(out, lo, min(lo + chunk, n))
-
-    _run_slots(run_slot, threads)
-    _reduce_slots(values, bufs)
+    for lo in range(0, n, chunk):
+        tgt = lists.cluster_tgt[lo:lo + chunk]
+        contrib = batch(lists.cluster_node[lo:lo + chunk],
+                        lists.targets[tgt])
+        _accumulate(values, tgt, contrib, lists.nt)
 
 
-def _cluster_pass_grouped(lists: InteractionLists, values: np.ndarray,
-                          evaluator, mode: str) -> None:
-    """Fallback for evaluators without a batch interface: group the
-    accepted pairs by node and make one vectorized call per node."""
-    order = np.argsort(lists.cluster_node, kind="stable")
-    nodes = lists.cluster_node[order]
-    tgts = lists.cluster_tgt[order]
-    bounds = np.flatnonzero(np.diff(nodes)) + 1
-    fn_name = "node_potential" if mode == "potential" else "node_force"
-    fn = getattr(evaluator, fn_name)
-    for seg_tgt, node in zip(np.split(tgts, bounds),
-                             nodes[np.concatenate(([0], bounds))]):
-        values[seg_tgt] += fn(int(node), lists.targets[seg_tgt])
-
-
-def _p2p_scratch(lists: InteractionLists, slot: int, ns: int,
-                 chunk: int) -> tuple:
+def _p2p_scratch(lists: InteractionLists, ns: int, chunk: int) -> tuple:
     """Reusable P2P chunk buffers (diff tensor, squared distances,
     per-pair weights, gathered masses), cached on the lists so repeated
     evaluations over a cached walk allocate nothing."""
     if lists._scratch is None:
         lists._scratch = {}
-    key = (slot, ns, chunk)
+    key = (ns, chunk)
     bufs = lists._scratch.get(key)
     if bufs is None:
         d = lists.d
@@ -706,49 +637,19 @@ def _p2p_pass(lists: InteractionLists, values: np.ndarray, tree: Tree,
     d = lists.d
     soft2 = softening ** 2
     force = mode == "force"
-    groups = lists.p2p_groups(tree, sources)
-
-    def plan(n, ns):
+    for tgt, tpos, row_entry, sp, sm in lists.p2p_groups(tree, sources):
+        n, ns = tgt.size, sp.shape[1]
+        if n == 0:
+            continue
         # live temporaries per target row: the (chunk, ns, d) source
         # gather + diff blocks and a few (chunk, ns) scalars
         row = 8 * (2 * ns * d + 4 * ns + 2 * d + 4)
-        return min(n, max(1, chunk_bytes // row))
-
-    if threads is None:            # legacy serial path, bit for bit
-        for tgt, tpos, row_entry, sp, sm in groups:
-            n = tgt.size
-            if n == 0:
-                continue
-            chunk = plan(n, sp.shape[1])
-            scratch = _p2p_scratch(lists, 0, sp.shape[1], chunk)
-            for lo in range(0, n, chunk):
-                _p2p_chunk(lists, values, tgt, tpos, row_entry, sp, sm,
-                           lo, min(lo + chunk, n), force, soft2, scale,
-                           scratch)
-        return
-
-    bufs: list = [None] * compiled.ACCUM_SLOTS
-
-    def run_slot(s):
-        out = None
-        for tgt, tpos, row_entry, sp, sm in groups:
-            n = tgt.size
-            if n == 0:
-                continue
-            chunk = plan(n, sp.shape[1])
-            nchunks = -(-n // chunk)
-            for ci in range(s, nchunks, compiled.ACCUM_SLOTS):
-                if out is None:
-                    out = np.zeros_like(values)
-                    bufs[s] = out
-                scratch = _p2p_scratch(lists, s, sp.shape[1], chunk)
-                lo = ci * chunk
-                _p2p_chunk(lists, out, tgt, tpos, row_entry, sp, sm,
-                           lo, min(lo + chunk, n), force, soft2, scale,
-                           scratch)
-
-    _run_slots(run_slot, threads)
-    _reduce_slots(values, bufs)
+        chunk = min(n, max(1, chunk_bytes // row))
+        scratch = _p2p_scratch(lists, ns, chunk)
+        for lo in range(0, n, chunk):
+            _p2p_chunk(lists, values, tgt, tpos, row_entry, sp, sm,
+                       lo, min(lo + chunk, n), force, soft2, scale,
+                       scratch)
 
 
 def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
@@ -771,16 +672,14 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
     ``kernel_tier`` selects the arithmetic backend (see
     :mod:`repro.bh.compiled`); counters, DPDA counts and weights come
     from the walk and are tier-independent by construction.
-    ``kernel_threads=None`` keeps the original serial numpy loop bit
-    for bit; any explicit thread count (including 1) switches to the
-    slot-deterministic evaluator whose results are bitwise independent
-    of the count.
+    ``kernel_threads`` clamps the numba tier's thread pool (results
+    are bitwise independent of it); the numpy tier is one serial
+    chunked loop and ignores it.
     """
     if mode not in ("potential", "force"):
         raise ValueError(f"mode must be 'potential' or 'force', got {mode!r}")
     if kernel_threads is not None and int(kernel_threads) < 1:
-        raise ValueError("kernel_threads must be >= 1 (or None for the "
-                         "serial path)")
+        raise ValueError("kernel_threads must be >= 1 (or None)")
     tier = compiled.resolve_tier(kernel_tier)
     nt, d = lists.nt, lists.d
     values = np.zeros(nt) if mode == "potential" else np.zeros((nt, d))
@@ -834,22 +733,17 @@ class TraversalEngine:
     def __init__(self, tree: Tree, sources=None, mac=None,
                  root: int | None = None, softening: float = 0.0,
                  cache_size: int = 8,
-                 working_set_bytes: int | None = None,
-                 walk_method: str = "auto",
                  kernel_tier: str = "numpy",
                  kernel_threads: int | None = None):
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         if kernel_threads is not None and int(kernel_threads) < 1:
-            raise ValueError("kernel_threads must be >= 1 (or None for "
-                             "the serial path)")
+            raise ValueError("kernel_threads must be >= 1 (or None)")
         self.tree = tree
         self.sources = sources
         self.mac = mac
         self.root = root
         self.softening = softening
-        self.working_set_bytes = working_set_bytes
-        self.walk_method = walk_method
         # resolved once: "auto" pins to the tier that will actually run
         self.kernel_tier = compiled.resolve_tier(kernel_tier)
         self.kernel_threads = kernel_threads
@@ -875,8 +769,7 @@ class TraversalEngine:
             self.walks_reused += 1
             return hit
         lists = build_interaction_lists(self.tree, targets, self.mac,
-                                        root=self.root,
-                                        method=self.walk_method)
+                                        root=self.root)
         self.walks_built += 1
         if len(self._cache) >= self._cache_size:
             # evict the oldest entry (dict preserves insertion order)
@@ -904,7 +797,6 @@ class TraversalEngine:
             softening=self.softening,
             count_node_interactions=count_node_interactions,
             target_weights=target_weights,
-            working_set_bytes=self.working_set_bytes,
             kernel_tier=self.kernel_tier,
             kernel_threads=self.kernel_threads,
         )
@@ -935,7 +827,6 @@ class TraversalEngine:
         cc = repair.children_changed
         ctc = repair.count_changed
         vd = repair.value_dirty
-        fast_mac = type(self.mac) is BarnesHutMAC
         tree = repair.tree
         kept: dict[tuple, InteractionLists] = {}
         for key, lists in self._cache.items():
@@ -958,9 +849,6 @@ class TraversalEngine:
                 continue
             stale = np.flatnonzero(vd[tn]) if tn.size else tn
             if stale.size:
-                if not fast_mac:
-                    self.walks_invalidated += 1
-                    continue
                 nid = id_map[tn[stale]]
                 t = lists.targets[tt[stale]]
                 h = tree.half[nid]

@@ -51,8 +51,8 @@ def traverse(tree: Tree, sources: ParticleSet | None,
              count_node_interactions: bool = False,
              softening: float = 0.0,
              root: int | None = None,
-             target_weights: np.ndarray | None = None,
-             working_set_bytes: int | None = None) -> TraversalResult:
+             target_weights: np.ndarray | None = None
+             ) -> TraversalResult:
     """Batched Barnes-Hut traversal from ``root`` (default: tree root).
 
     Parameters
@@ -77,17 +77,12 @@ def traverse(tree: Tree, sources: ParticleSet | None,
         traversal cost in model flops is added to it.  The load balancers
         use this to attribute *requester-side* work (top-tree walking)
         to the particles that caused it.
-    working_set_bytes:
-        Bound on the fused kernels' temporary arrays (default 16 MB).
     """
-    if mode not in ("potential", "force"):
-        raise ValueError(f"mode must be 'potential' or 'force', got {mode!r}")
     lists = build_interaction_lists(tree, target_positions, mac, root=root)
     return evaluate_interaction_lists(
         tree, lists, sources, evaluator, mode=mode, softening=softening,
         count_node_interactions=count_node_interactions,
         target_weights=target_weights,
-        working_set_bytes=working_set_bytes,
     )
 
 

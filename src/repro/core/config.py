@@ -47,12 +47,6 @@ class SchemeConfig:
         studies).
     max_depth:
         Tree refinement limit; ``None`` = Morton key limit.
-    working_set_bytes:
-        Bound on the fused evaluation kernels' live temporaries (the
-        interaction-list engine's chunk size).  ``None`` uses the
-        engine default (cache-resident chunks); the value affects speed
-        and peak memory only — results stay within the engine's 1e-12
-        contract and the interaction counters are unchanged.
     kernel_tier:
         Arithmetic backend of the evaluation pass: ``"numpy"`` (the
         reference tier), ``"numba"`` (compiled kernels, falls back to
@@ -60,9 +54,9 @@ class SchemeConfig:
         (numba when available).  Values stay within the engine's 1e-12
         contract; interaction counters are tier-independent.
     kernel_threads:
-        ``None`` keeps the original serial numpy loop bit for bit; any
-        explicit count (including 1) selects the slot-deterministic
-        evaluator whose results are bitwise independent of the count.
+        Thread clamp of the numba tier (``None`` = numba's default
+        pool); results are bitwise independent of it.  The numpy tier
+        is one serial loop and ignores it.
     integrator:
         Particle advance: ``"euler"`` (semi-implicit Euler, the
         original loop — bitwise default) or ``"kdk"`` (kick-drift-kick
@@ -93,7 +87,6 @@ class SchemeConfig:
     branch_lookup: str = "hashed"
     softening: float = 0.0
     max_depth: int | None = None
-    working_set_bytes: int | None = None
     kernel_tier: str = "numpy"
     kernel_threads: int | None = None
     integrator: str = "euler"
@@ -128,14 +121,11 @@ class SchemeConfig:
             raise ValueError(f"branch_lookup must be one of {LOOKUP_KINDS}")
         if self.softening < 0:
             raise ValueError("softening must be >= 0")
-        if self.working_set_bytes is not None and self.working_set_bytes < 4096:
-            raise ValueError("working_set_bytes must be >= 4096 (or None)")
         if self.kernel_tier not in KERNEL_TIERS:
             raise ValueError(f"kernel_tier must be one of {KERNEL_TIERS}, "
                              f"got {self.kernel_tier!r}")
         if self.kernel_threads is not None and self.kernel_threads < 1:
-            raise ValueError("kernel_threads must be >= 1 (or None for "
-                             "the serial path)")
+            raise ValueError("kernel_threads must be >= 1 (or None)")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, "
                              f"got {self.integrator!r}")

@@ -218,11 +218,6 @@ class DataShippingEngine:
             self.cache.put(cn)
 
     # ------------------------------------------------------- evaluation
-    @property
-    def _working_set(self) -> int:
-        ws = self.config.working_set_bytes
-        return DEFAULT_WORKING_SET_BYTES if ws is None else ws
-
     def _eval_far(self, values: np.ndarray, targets: np.ndarray,
                   nodes: list[CachedNode],
                   idx_lists: list[np.ndarray]) -> None:
@@ -260,7 +255,7 @@ class DataShippingEngine:
                     self.config.kernel_threads)
                 mono = []
         if mono:
-            chunk = max(1, self._working_set // (8 * (3 * d + 6)))
+            chunk = max(1, DEFAULT_WORKING_SET_BYTES // (8 * (3 * d + 6)))
             for lo in range(0, tgt.size, chunk):
                 hi = min(lo + chunk, tgt.size)
                 tg = tgt[lo:hi]
@@ -291,7 +286,7 @@ class DataShippingEngine:
                                sizes, axis=0)
             coeffs = np.repeat(np.stack([nodes[i].coeffs for i in multi]),
                                sizes, axis=0)
-            chunk = max(1, self._working_set
+            chunk = max(1, DEFAULT_WORKING_SET_BYTES
                         // (16 * exp.nterms * 4 + 8 * 3 * d))
             for lo in range(0, tgt.size, chunk):
                 hi = min(lo + chunk, tgt.size)
@@ -333,7 +328,7 @@ class DataShippingEngine:
                     self.config.kernel_threads)
                 continue
             row_bytes = 8 * (2 * ns * d + 4 * ns + 2 * d + 4)
-            chunk = max(1, self._working_set // row_bytes)
+            chunk = max(1, DEFAULT_WORKING_SET_BYTES // row_bytes)
             for lo in range(0, tgt.size, chunk):
                 hi = min(lo + chunk, tgt.size)
                 r, tg = rows[lo:hi], tgt[lo:hi]

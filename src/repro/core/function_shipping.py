@@ -75,7 +75,6 @@ class FunctionShippingEngine:
         # A target batch seen twice against the same tree (e.g. the same
         # bin of coordinates requesting both phases, or a re-run over an
         # unchanged tree) reuses the cached interaction lists.
-        ws = config.working_set_bytes
         # One resolution per engine: "auto" pins to the tier that runs
         # (the ParallelBarnesHut constructor already warned if a numba
         # request fell back).
@@ -83,29 +82,27 @@ class FunctionShippingEngine:
         kt = config.kernel_threads
         self._top_engine = TraversalEngine(
             top.tree, None, self.mac, softening=config.softening,
-            working_set_bytes=ws, kernel_tier=self.kernel_tier,
-            kernel_threads=kt,
+            kernel_tier=self.kernel_tier, kernel_threads=kt,
         )
         # ``subtree_engines`` adopts persistent per-subtree engines whose
         # walk caches survive across engine instances (the block-timestep
         # loop repairs trees between substeps and carries the engines
-        # through :meth:`TraversalEngine.apply_repair`).
-        if subtree_engines is not None:
-            self._subtree_engines = subtree_engines
-        else:
-            self._subtree_engines = {
-                st.key: TraversalEngine(
+        # through :meth:`TraversalEngine.apply_repair`); subtrees it has
+        # no engine for get a fresh one.
+        self.subtree_engines = ({} if subtree_engines is None
+                                else subtree_engines)
+        for st in subtrees:
+            if st.key not in self.subtree_engines:
+                self.subtree_engines[st.key] = TraversalEngine(
                     st.tree, st.particles, self.mac,
-                    softening=config.softening, working_set_bytes=ws,
+                    softening=config.softening,
                     kernel_tier=self.kernel_tier, kernel_threads=kt,
                 )
-                for st in subtrees
-            }
 
     def _walk_counts(self) -> tuple[int, int]:
         built = self._top_engine.walks_built
         reused = self._top_engine.walks_reused
-        for eng in self._subtree_engines.values():
+        for eng in self.subtree_engines.values():
             built += eng.walks_built
             reused += eng.walks_reused
         return built, reused
@@ -133,25 +130,32 @@ class FunctionShippingEngine:
             )
         return self.subtree_by_key[int(key)]
 
+    def _descend(self, key: int, coords: np.ndarray) -> np.ndarray:
+        """Evaluate the whole local subtree rooted at branch ``key`` for
+        a batch of target coordinates, charging the clock and the step's
+        counters; the one body behind own-branch descents and served
+        request bins."""
+        st = self._lookup_subtree(key)
+        res = self.subtree_engines[key].compute(
+            coords, self._local_evaluator(st), mode=self._mode,
+            count_node_interactions=True,
+        )
+        if res.remote_targets:
+            raise RuntimeError("local subtree contains remote leaves")
+        self._charge(res)
+        self._result.mac_tests += res.mac_tests
+        self._result.cluster_interactions += res.cluster_interactions
+        self._result.p2p_interactions += res.p2p_interactions
+        return res.values
+
     def _serve(self, bin_: RequestBin) -> np.ndarray:
         """Owner-side service: evaluate whole subtrees for a request bin."""
         d = self.particles.dims if self.particles.n else bin_.coords.shape[1]
         values = (np.zeros(bin_.n) if self._mode == "potential"
                   else np.zeros((bin_.n, d)))
         for key in np.unique(bin_.keys):
-            st = self._lookup_subtree(int(key))
             sel = np.flatnonzero(bin_.keys == key)
-            res = self._subtree_engines[int(key)].compute(
-                bin_.coords[sel], self._local_evaluator(st),
-                mode=self._mode, count_node_interactions=True,
-            )
-            if res.remote_targets:
-                raise RuntimeError("local subtree contains remote leaves")
-            values[sel] = res.values
-            self._charge(res)
-            self._result.mac_tests += res.mac_tests
-            self._result.cluster_interactions += res.cluster_interactions
-            self._result.p2p_interactions += res.p2p_interactions
+            values[sel] = self._descend(int(key), bin_.coords[sel])
         return values
 
     # ------------------------------------------------------------- main run
@@ -207,10 +211,6 @@ class FunctionShippingEngine:
                 self._result.mac_tests += top_res.mac_tests
                 self._result.cluster_interactions += \
                     top_res.cluster_interactions
-            else:
-                top_res = None
-
-            if top_res is not None:
                 # Local branches: descend into own subtrees.  Remote
                 # branches: bin the records, serving opportunistically.
                 for node, sub in sorted(top_res.remote_targets.items()):
@@ -218,18 +218,8 @@ class FunctionShippingEngine:
                     key = int(self.top.tree.remote_key[node])
                     idx = tidx[sub]
                     if owner == comm.rank:
-                        st = self._lookup_subtree(key)
-                        res = self._subtree_engines[key].compute(
-                            self.particles.positions[idx],
-                            self._local_evaluator(st), mode=self._mode,
-                            count_node_interactions=True,
-                        )
-                        values[idx] += res.values
-                        self._charge(res)
-                        self._result.mac_tests += res.mac_tests
-                        self._result.cluster_interactions += \
-                            res.cluster_interactions
-                        self._result.p2p_interactions += res.p2p_interactions
+                        values[idx] += self._descend(
+                            key, self.particles.positions[idx])
                     else:
                         bins.add_requests(
                             owner, idx,

@@ -37,12 +37,9 @@ import numpy as np
 
 from repro.bh import compiled as _compiled
 from repro.bh import morton as _morton
-from repro.bh.blockstep import assign_rungs
-from repro.bh.interaction_lists import TraversalEngine
-from repro.bh.mac import BarnesHutMAC
+from repro.bh import blockstep
 from repro.bh.morton import morton_keys
 from repro.bh.particles import Box, ParticleSet
-from repro.bh.tree import build_tree
 from repro.bh.tree_repair import repair_tree
 from repro.core.assignment import clusters_of_rank, spsa_assignment
 from repro.core.branch_nodes import branch_key
@@ -61,7 +58,8 @@ from repro.core.load_model import cluster_loads, particle_loads
 from repro.core.morton_assign import balance_clusters
 from repro.core.partition import Cell, cover_cells
 from repro.core.tree_build import LocalSubtree, assign_to_cells, \
-    build_local_trees, local_branch_infos, tree_build_flops
+    build_cell_subtree, build_local_trees, local_branch_infos, \
+    subtree_keys, tree_build_flops
 from repro.core.tree_merge import merge_broadcast, merge_nonreplicated
 from repro.machine import mailbox as _mailbox_mod
 from repro.machine.clock import PhaseTimings
@@ -81,13 +79,6 @@ PHASE_REPAIR = "tree repair"
 
 #: flops charged per particle for balance bookkeeping / binning.
 BALANCE_FLOPS_PER_PARTICLE = 5.0
-
-#: Carry Morton keys across phases and through the balancing exchange
-#: instead of re-quantizing positions in every phase that needs them.
-#: Keys are pure derived data (bitwise recomputable from positions and
-#: the fixed root grid), so flipping this changes no simulation output —
-#: it exists as a debugging escape hatch and for the equivalence test.
-CARRY_MORTON_KEYS = True
 
 
 @dataclass
@@ -199,7 +190,7 @@ class _Shard:
 
     __slots__ = ("particles", "keys", "rungs", "accel")
 
-    def __init__(self, particles: ParticleSet, keys: np.ndarray | None,
+    def __init__(self, particles: ParticleSet, keys: np.ndarray,
                  rungs: np.ndarray | None = None,
                  accel: np.ndarray | None = None):
         self.particles = particles
@@ -218,16 +209,15 @@ class _Shard:
 
 
 def _exchange(comm: Comm, particles: ParticleSet, owners: np.ndarray,
-              keys: np.ndarray | None = None,
-              rungs: np.ndarray | None = None,
+              keys: np.ndarray, rungs: np.ndarray | None = None,
               accel: np.ndarray | None = None):
     """All-to-all personalized particle movement to new owners.
 
-    With ``keys`` given, every chunk carries its particles' Morton keys
-    and the matching concatenated key array is returned (else None).
-    With ``rungs``/``accel`` given (block timesteps), the per-particle
-    bin state rides the same shards — their bytes charged — and the
-    return grows to ``(particles, keys, rungs, accel)``.
+    Every chunk carries its particles' Morton ``keys``; with
+    ``rungs``/``accel`` given (block timesteps), the per-particle bin
+    state rides the same shards — their bytes charged.  Returns the
+    received ``(particles, keys, rungs, accel)``, the last two ``None``
+    when no bin state was sent.
     """
     extras = rungs is not None
     outgoing = []
@@ -238,38 +228,25 @@ def _exchange(comm: Comm, particles: ParticleSet, owners: np.ndarray,
             shipped += idx.size
         if idx.size == 0:
             outgoing.append(None)
-        elif keys is None and not extras:
-            outgoing.append(particles.subset(idx))
         else:
             outgoing.append(_Shard(
-                particles.subset(idx),
-                None if keys is None else keys[idx],
+                particles.subset(idx), keys[idx],
                 rungs[idx] if extras else None,
                 accel[idx] if extras else None))
     comm.metrics.counter("sim.particles_shipped").inc(shipped)
     comm.compute(BALANCE_FLOPS_PER_PARTICLE * particles.n)
     incoming = comm.alltoall(outgoing)
-    if keys is None and not extras:
-        non_empty = [ps for ps in incoming if ps is not None and ps.n]
-        if not non_empty:
-            return ParticleSet.empty(particles.dims), None
-        return ParticleSet.concatenate(non_empty), None
     shards = [sh for sh in incoming if sh is not None and sh.particles.n]
     d = particles.dims
     if not shards:
-        out_p = ParticleSet.empty(d)
-        out_k = None if keys is None else np.zeros(0, dtype=np.int64)
-        if not extras:
-            return out_p, out_k
-        return out_p, out_k, np.zeros(0, dtype=np.int64), np.zeros((0, d))
-    out_p = ParticleSet.concatenate([sh.particles for sh in shards])
-    out_k = (None if keys is None
-             else np.concatenate([sh.keys for sh in shards]))
-    if not extras:
-        return out_p, out_k
-    return (out_p, out_k,
-            np.concatenate([sh.rungs for sh in shards]),
-            np.concatenate([sh.accel for sh in shards], axis=0))
+        return (ParticleSet.empty(d), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int64) if extras else None,
+                np.zeros((0, d)) if extras else None)
+    return (ParticleSet.concatenate([sh.particles for sh in shards]),
+            np.concatenate([sh.keys for sh in shards]),
+            np.concatenate([sh.rungs for sh in shards]) if extras else None,
+            np.concatenate([sh.accel for sh in shards], axis=0)
+            if extras else None)
 
 
 @dataclass
@@ -277,15 +254,14 @@ class _Forest:
     """One rank's forest of owned-cell subtrees plus the force engine,
     carried across the substeps of a block-timestep macro step.
 
-    ``engines`` is the *persistent* per-subtree-key dict of
-    :class:`TraversalEngine` objects: forest refreshes hand it to each
-    fresh :class:`FunctionShippingEngine` so walk caches survive tree
+    Forest refreshes hand the still-valid per-subtree
+    :class:`TraversalEngine` objects of ``fs`` to the next
+    :class:`FunctionShippingEngine`, so walk caches survive tree
     repairs.  ``keys`` snapshots the rank's depth-``bits`` Morton keys
     the trees were built from (the ``old_keys`` of the next repair).
     """
 
     subtrees: list[LocalSubtree]
-    engines: dict[int, TraversalEngine]
     fs: FunctionShippingEngine
     keys: np.ndarray
 
@@ -402,18 +378,12 @@ class _RankState:
             _mailbox_mod._seq_counter.value = ckpt.seq_next
 
     # ------------------------------------------------------- exchange
-    def _do_exchange(self, owners: np.ndarray,
-                     keys: np.ndarray | None) -> None:
-        """Run the balancing exchange, threading block-timestep bin
-        state (rungs / stored accelerations) through the shards whenever
-        it exists."""
-        if self.rungs is not None:
-            self.particles, self._keys, self.rungs, self.accel = \
-                _exchange(self.comm, self.particles, owners, keys,
-                          rungs=self.rungs, accel=self.accel)
-        else:
-            self.particles, self._keys = _exchange(
-                self.comm, self.particles, owners, keys)
+    def _do_exchange(self, owners: np.ndarray, keys: np.ndarray) -> None:
+        """Run the balancing exchange; block-timestep bin state (rungs /
+        stored accelerations) rides the shards whenever it exists."""
+        self.particles, self._keys, self.rungs, self.accel = _exchange(
+            self.comm, self.particles, owners, keys, self.rungs,
+            self.accel)
 
     # ------------------------------------------------------ morton keys
     def _rank_keys(self) -> np.ndarray:
@@ -423,9 +393,6 @@ class _RankState:
         on positions and the fixed root grid, and the cache is dropped
         whenever positions change.
         """
-        if not CARRY_MORTON_KEYS:
-            return morton_keys(self.particles.positions, self.root.lo,
-                               self.root.side, self.bits)
         if self._keys is None or self._keys.size != self.particles.n:
             self._keys = morton_keys(self.particles.positions,
                                      self.root.lo, self.root.side,
@@ -458,8 +425,7 @@ class _RankState:
                     )
                 keys = self._rank_keys()
                 owners = self.cluster_owners[self._cluster_keys_from(keys)]
-                self._do_exchange(owners,
-                                  keys if CARRY_MORTON_KEYS else None)
+                self._do_exchange(owners, keys)
             return [Cell(cfg.grid_level, int(k)) for k in
                     clusters_of_rank(self.cluster_owners, comm.rank)]
 
@@ -480,8 +446,7 @@ class _RankState:
                 )
                 comm.compute(2.0 * r)  # prefix scan over the sorted list
                 owners = self.cluster_owners[ckeys]
-                self._do_exchange(owners,
-                                  keys if CARRY_MORTON_KEYS else None)
+                self._do_exchange(owners, keys)
             return [Cell(cfg.grid_level, int(k)) for k in
                     clusters_of_rank(self.cluster_owners, comm.rank)]
 
@@ -535,8 +500,7 @@ class _RankState:
             owners = np.searchsorted(self.key_boundaries, keys,
                                      side="right")
             comm.compute(BALANCE_FLOPS_PER_PARTICLE * keys.size)
-            self._do_exchange(owners,
-                              keys if CARRY_MORTON_KEYS else None)
+            self._do_exchange(owners, keys)
         bounds = np.concatenate(([0], self.key_boundaries, [span]))
         lo, hi = int(bounds[comm.rank]), int(bounds[comm.rank + 1])
         return cover_cells(lo, hi, self.bits, self.dims)
@@ -550,48 +514,6 @@ class _RankState:
             return self.cluster_owners[self._cluster_keys_from(keys)]
         return np.searchsorted(self.key_boundaries, keys, side="right")
 
-    def _sub_keys_for(self, cell: Cell, idx: np.ndarray,
-                      keys: np.ndarray) -> np.ndarray | None:
-        """Bit slice of global depth-``bits`` keys for a cell-rooted
-        subtree — the same arithmetic as :func:`build_local_trees`, so
-        repaired and rebuilt subtrees follow one consistent grid."""
-        cfg, dims = self.config, self.dims
-        depth_budget = (cfg.max_depth if cfg.max_depth is not None
-                        else self.bits) - cell.depth
-        budget = max(1, depth_budget)
-        rem = self.bits - cell.depth
-        if not 0 < budget <= rem:
-            return None
-        mask = np.int64((1 << (dims * rem)) - 1)
-        return (keys[idx] & mask) >> (dims * (rem - budget))
-
-    def _subtree_budget(self, cell: Cell) -> int:
-        cfg = self.config
-        return max(1, (cfg.max_depth if cfg.max_depth is not None
-                       else self.bits) - cell.depth)
-
-    def _make_subtree(self, cell: Cell, idx: np.ndarray,
-                      keys: np.ndarray) -> LocalSubtree:
-        """Build one owned-cell subtree (mirrors ``build_local_trees``'s
-        per-cell body; degree is 0 in force mode so no multipoles)."""
-        sub = self.particles.subset(idx)
-        tree = build_tree(sub, box=cell.box(self.root),
-                          leaf_capacity=self.config.leaf_capacity,
-                          max_depth=self._subtree_budget(cell),
-                          keys=self._sub_keys_for(cell, idx, keys))
-        return LocalSubtree(cell=cell, key=branch_key(cell, self.dims),
-                            particles=sub, local_idx=idx, tree=tree)
-
-    def _new_sub_engine(self, st: LocalSubtree) -> TraversalEngine:
-        cfg = self.config
-        return TraversalEngine(
-            st.tree, st.particles, BarnesHutMAC(cfg.alpha),
-            softening=cfg.softening,
-            working_set_bytes=cfg.working_set_bytes,
-            kernel_tier=_compiled.resolve_tier(cfg.kernel_tier),
-            kernel_threads=cfg.kernel_threads,
-        )
-
     def _merge_top(self, branches):
         cfg = self.config
         if cfg.merge == "broadcast":
@@ -599,6 +521,15 @@ class _RankState:
                                    cfg.degree, cfg.branch_lookup)
         return merge_nonreplicated(self.comm, branches, self.root,
                                    cfg.degree, cfg.branch_lookup)
+
+    def _merged_forest(self, subtrees, branches, keys,
+                       engines=None) -> _Forest:
+        """Branch exchange + top-tree merge, and the force engine over
+        the result (adopting the surviving subtree ``engines``)."""
+        fs = FunctionShippingEngine(self.comm, self.config,
+                                    self._merge_top(branches), subtrees,
+                                    self.particles, subtree_engines=engines)
+        return _Forest(subtrees=subtrees, fs=fs, keys=keys.copy())
 
     def _build_forest(self, cells: list[Cell]) -> _Forest:
         """Full forest (re)build: trees, branch exchange, merge, fresh
@@ -613,11 +544,7 @@ class _RankState:
             comm.compute(tree_build_flops(self.particles.n, depth))
             branches = local_branch_infos(subtrees, comm.rank, self.root,
                                           cfg.degree)
-        top = self._merge_top(branches)
-        fs = FunctionShippingEngine(comm, cfg, top, subtrees,
-                                    self.particles)
-        return _Forest(subtrees=subtrees, engines=fs._subtree_engines,
-                       fs=fs, keys=keys.copy())
+        return self._merged_forest(subtrees, branches, keys)
 
     def _refresh_forest(self, forest: _Forest, cells: list[Cell],
                         starters: np.ndarray) -> _Forest:
@@ -630,7 +557,8 @@ class _RankState:
         comm, cfg = self.comm, self.config
         n = self.particles.n
         keys = self._rank_keys()
-        engines = forest.engines
+        old_engines = forest.fs.subtree_engines
+        engines = {}        # survivors; the new engine fills in the rest
         metrics = comm.metrics
         with comm.clock.phase(PHASE_REPAIR):
             old_map = {st.key: st for st in forest.subtrees}
@@ -639,7 +567,6 @@ class _RankState:
             starter_mask = np.zeros(n, dtype=bool)
             starter_mask[starters] = True
             subtrees: list[LocalSubtree] = []
-            live_keys: set[int] = set()
             touched = 0
             depth = 1
             for i, cell in enumerate(cells):
@@ -647,7 +574,6 @@ class _RankState:
                 if idx.size == 0:
                     continue
                 bkey = branch_key(cell, self.dims)
-                live_keys.add(bkey)
                 old = old_map.get(bkey)
                 same_members = (old is not None
                                 and old.local_idx.size == idx.size
@@ -660,11 +586,14 @@ class _RankState:
                         # frozen this substep — tree, monopoles and
                         # cached walks all stay valid.
                         subtrees.append(old)
+                        engines[bkey] = old_engines[bkey]
                         metrics.counter("repair.nodes_reused").inc(
                             old.tree.nnodes)
                         continue
-                    old_sk = self._sub_keys_for(cell, idx, forest.keys)
-                    new_sk = self._sub_keys_for(cell, idx, keys)
+                    _, old_sk = subtree_keys(cell, forest.keys[idx], cfg,
+                                             self.bits, self.dims)
+                    _, new_sk = subtree_keys(cell, keys[idx], cfg,
+                                             self.bits, self.dims)
                     if old_sk is not None and new_sk is not None:
                         sub = self.particles.subset(idx)
                         res = repair_tree(old.tree, sub, old_sk, new_sk,
@@ -673,21 +602,16 @@ class _RankState:
                                           particles=sub, local_idx=idx,
                                           tree=res.tree)
                         subtrees.append(st)
-                        eng = engines.get(bkey)
-                        if eng is not None:
-                            w0 = (eng.walks_retained,
-                                  eng.walks_invalidated,
-                                  eng.walks_retested)
-                            eng.apply_repair(res, sources=sub)
-                            metrics.counter("repair.walks_retained").inc(
-                                eng.walks_retained - w0[0])
-                            metrics.counter(
-                                "repair.walks_invalidated").inc(
-                                eng.walks_invalidated - w0[1])
-                            metrics.counter("repair.walks_retested").inc(
-                                eng.walks_retested - w0[2])
-                        else:
-                            engines[bkey] = self._new_sub_engine(st)
+                        eng = engines[bkey] = old_engines[bkey]
+                        w0 = (eng.walks_retained, eng.walks_invalidated,
+                              eng.walks_retested)
+                        eng.apply_repair(res, sources=sub)
+                        metrics.counter("repair.walks_retained").inc(
+                            eng.walks_retained - w0[0])
+                        metrics.counter("repair.walks_invalidated").inc(
+                            eng.walks_invalidated - w0[1])
+                        metrics.counter("repair.walks_retested").inc(
+                            eng.walks_retested - w0[2])
                         if res.rebuilt:
                             metrics.counter("repair.full_rebuilds").inc()
                         else:
@@ -703,25 +627,17 @@ class _RankState:
                         continue
                 # Membership changed (or the cell has no key budget):
                 # rebuild this subtree from scratch.
-                st = self._make_subtree(cell, idx, keys)
+                st = build_cell_subtree(self.particles, cell, idx, keys,
+                                        self.root, cfg, self.bits)
                 subtrees.append(st)
-                engines[bkey] = self._new_sub_engine(st)
                 metrics.counter("repair.full_rebuilds").inc()
                 metrics.counter("repair.nodes_rebuilt").inc(st.tree.nnodes)
                 touched += int(idx.size)
                 depth = max(depth, st.tree.node_depth_max())
-            # Cells that emptied out: drop their stale engines.
-            for k in [k for k in engines if k not in live_keys]:
-                del engines[k]
             comm.compute(tree_build_flops(touched, depth))
             branches = local_branch_infos(subtrees, comm.rank, self.root,
                                           cfg.degree)
-        top = self._merge_top(branches)
-        fs = FunctionShippingEngine(comm, cfg, top, subtrees,
-                                    self.particles,
-                                    subtree_engines=engines)
-        return _Forest(subtrees=subtrees, engines=engines, fs=fs,
-                       keys=keys.copy())
+        return self._merged_forest(subtrees, branches, keys, engines)
 
     @staticmethod
     def _merge_force(agg: ForceResult, res: ForceResult) -> None:
@@ -739,19 +655,15 @@ class _RankState:
         s.result_records_returned += t.result_records_returned
         s.flow_control_stalls += t.flow_control_stalls
 
-    def _assign_rungs(self, accel: np.ndarray, dt: float,
-                      max_rungs: int) -> np.ndarray:
-        """Rung criterion; ``max_rungs == 1`` (fixed-dt KDK) short-
-        circuits to rung 0 so softening may be 0 there."""
-        if max_rungs == 1:
-            return np.zeros(accel.shape[0], dtype=np.int64)
-        cfg = self.config
-        return assign_rungs(accel, dt, cfg.dt_eta, cfg.softening,
-                            max_rungs)
-
-    def _step_block(self, step_no: int, dt: float) -> StepResult:
+    def _block_schedule(self, forest: _Forest, cells: list[Cell],
+                        dt: float):
         """One KDK macro step of ``dt`` over the block-timestep rung
-        hierarchy (``timestep="fixed"`` runs it with a single rung).
+        hierarchy (``timestep="fixed"`` runs it with a single rung),
+        from a freshly built ``forest``.  Returns the aggregated
+        :class:`ForceResult`, the final forest's subtrees and the
+        requester-side cost per particle accumulated over the substeps
+        (reset on a mid-macro exchange — a lossy but safe approximation
+        of a rare event).
 
         Every substep is collective on every rank — the R allreduce,
         the stray allreduce, the branch merge and the function-shipping
@@ -759,12 +671,7 @@ class _RankState:
         so the virtual machine's collectives stay aligned.
         """
         comm, cfg = self.comm, self.config
-        if cfg.mode != "force":
-            raise ValueError("advancing particles requires mode='force'")
-        before = self.particles.n
-        cells = self.decompose(step_no)
         max_rungs = 1 if cfg.timestep == "fixed" else cfg.max_rungs
-        forest = self._build_forest(cells)
         agg = ForceResult(values=np.zeros(0))
         requester = np.zeros(self.particles.n)
 
@@ -782,28 +689,21 @@ class _RankState:
             # before the first macro step and ride every exchange and
             # checkpoint afterwards — so the extra collective is aligned.
             self.accel = run_forces(None)
-            self.rungs = self._assign_rungs(self.accel, dt, max_rungs)
+            self.rungs = blockstep.assign_rungs(
+                self.accel, dt, cfg.dt_eta, cfg.softening, max_rungs)
             comm.metrics.counter("timestep.bootstraps").inc()
         R_local = (int(self.rungs.max()) + 1 if self.rungs.size else 1)
         R = int(comm.allreduce(R_local, max))
-        nsub = 1 << (R - 1)
         hi_clip = self.root.hi - 1e-9 * self.root.side
 
-        for j in range(nsub):
+        for j in range(1 << (R - 1)):
             rungs = self.rungs
-            period = (1 << (R - 1 - np.minimum(rungs, R - 1))) \
-                .astype(np.int64)
-            starters = np.flatnonzero(j % period == 0)
+            starters = blockstep.starters(rungs, R, j)
             with comm.clock.phase(PHASE_ADVANCE):
                 if starters.size:
                     p = self.particles
-                    dt_r = dt / (1 << rungs[starters]).astype(np.float64)
-                    p.velocities[starters] += \
-                        (0.5 * dt_r)[:, None] * self.accel[starters]
-                    p.positions[starters] = np.clip(
-                        p.positions[starters]
-                        + dt_r[:, None] * p.velocities[starters],
-                        self.root.lo, hi_clip)
+                    blockstep.open_steps(p, self.accel, rungs, starters,
+                                         dt, self.root.lo, hi_clip)
                     comm.compute(6.0 * self.dims * starters.size)
                     if self._keys is not None:
                         # Incremental re-key: only movers re-quantize.
@@ -822,39 +722,23 @@ class _RankState:
                 # forest.  Walk caches and requester-side load
                 # attribution reset — both are observability, not state.
                 with comm.clock.phase(PHASE_BALANCE):
-                    self._do_exchange(owners,
-                                      keys if CARRY_MORTON_KEYS else None)
+                    self._do_exchange(owners, keys)
                 comm.metrics.counter("timestep.midmacro_exchanges").inc()
                 forest = self._build_forest(cells)
                 requester = np.zeros(self.particles.n)
             else:
                 forest = self._refresh_forest(forest, cells, starters)
             rungs = self.rungs          # exchange may have permuted them
-            period = (1 << (R - 1 - np.minimum(rungs, R - 1))) \
-                .astype(np.int64)
-            finishers = np.flatnonzero((j + 1) % period == 0)
+            finishers = blockstep.finishers(rungs, R, j)
             vals = run_forces(finishers)
             if finishers.size:
                 a_new = vals[finishers]
-                dt_f = dt / (1 << rungs[finishers]).astype(np.float64)
-                self.accel[finishers] = a_new
-                self.particles.velocities[finishers] += \
-                    (0.5 * dt_f)[:, None] * a_new
-                want = self._assign_rungs(a_new, dt, max_rungs)
-                cur = rungs[finishers]
-                if j + 1 == nsub:
-                    new = want          # sync point: all moves allowed
-                else:
-                    # Smaller dt anytime (bounded by this macro's
-                    # subdivision); longer dt only at aligned
-                    # boundaries.
-                    up = np.minimum(want, R - 1)
-                    aligned = ((j + 1)
-                               % (1 << (R - 1
-                                        - np.minimum(want, R - 1)))) == 0
-                    new = np.where(want >= cur, up,
-                                   np.where(aligned, want, cur))
-                rungs[finishers] = new
+                blockstep.close_steps(self.particles, self.accel, rungs,
+                                      finishers, dt, a_new)
+                want = blockstep.assign_rungs(a_new, dt, cfg.dt_eta,
+                                              cfg.softening, max_rungs)
+                rungs[finishers] = blockstep.next_rungs(
+                    want, rungs[finishers], R, j)
                 with comm.clock.phase(PHASE_ADVANCE):
                     comm.compute((3.0 * self.dims + 10.0)
                                  * finishers.size)
@@ -866,71 +750,18 @@ class _RankState:
         for r in range(max_rungs):
             comm.metrics.counter(f"timestep.bin_{r}").inc(
                 int((self.rungs == r).sum()))
-
-        # Measured loads feed the next macro step's balancer, exactly
-        # like the fixed path: owner-side subtree counters plus the
-        # accumulated requester-side cost (reset on mid-macro exchange —
-        # a lossy but safe approximation of a rare event).
-        from repro.analysis.flops import interaction_flops
-        per_int = interaction_flops(cfg.degree)
-        slow = comm.slowdown
-        if cfg.scheme == "spda":
-            r = cfg.clusters(self.dims)
-            arr = np.zeros(r)
-            for key, load in cluster_loads(forest.subtrees).items():
-                arr[key] = load * per_int
-            if self.particles.n:
-                ckeys = self._cluster_keys_from(self._rank_keys())
-                np.add.at(arr, ckeys, requester)
-            self.cluster_load = arr * slow
-        elif cfg.scheme == "dpda":
-            self.my_particle_loads = (
-                particle_loads(forest.subtrees, self.particles.n)
-                * per_int + requester
-            ) * slow
-
         agg.values = self.accel.copy()
-        self._last_values = agg.values
-        return StepResult(n_local=self.particles.n, force=agg,
-                          moved_in=self.particles.n - before)
+        return agg, forest.subtrees, requester
 
-    # ------------------------------------------------------- one step
-    def step(self, step_no: int, dt: float | None) -> StepResult:
-        comm, cfg = self.comm, self.config
-        if dt is not None and cfg.integrator == "kdk":
-            # KDK / block-timestep macro step.  ``dt is None`` (pure
-            # force computation) and the euler default stay on the
-            # original path below, bitwise.
-            return self._step_block(step_no, dt)
-        # Count before the balancing exchange inside decompose() so
-        # moved_in reports the net particles gained by this rank.
-        before = self.particles.n
-        cells = self.decompose(step_no)
-
-        with comm.clock.phase(PHASE_TREE):
-            subtrees = build_local_trees(self.particles, cells, self.root,
-                                         cfg, self.bits, keys=self._keys)
-            depth = max((st.tree.node_depth_max() for st in subtrees
-                         if st.tree is not None), default=1)
-            comm.compute(tree_build_flops(self.particles.n, depth))
-            branches = local_branch_infos(subtrees, comm.rank, self.root,
-                                          cfg.degree)
-
-        if cfg.merge == "broadcast":
-            top = merge_broadcast(comm, branches, self.root, cfg.degree,
-                                  cfg.branch_lookup)
-        else:
-            top = merge_nonreplicated(comm, branches, self.root,
-                                      cfg.degree, cfg.branch_lookup)
-
-        engine = FunctionShippingEngine(comm, cfg, top, subtrees,
-                                        self.particles)
-        force = engine.run()
-
-        # Measured loads feed the *next* step's balancer: subtree
-        # interaction counters (owner-side work, in model flops) plus the
-        # requester-side top-tree cost attributed to each local particle.
+    def _record_loads(self, subtrees: list[LocalSubtree],
+                      requester_flops: np.ndarray) -> None:
+        """Measured loads feed the *next* step's balancer: subtree
+        interaction counters (owner-side work, in model flops) plus the
+        requester-side top-tree cost attributed to each local particle
+        (binned by the particles' *current* cluster keys, so it must run
+        before an advance moves them)."""
         from repro.analysis.flops import interaction_flops
+        comm, cfg = self.comm, self.config
         per_int = interaction_flops(cfg.degree)
         # Loads are scaled by this rank's measured effective slowdown so
         # they are expressed in *time*, not flops: a degraded rank reports
@@ -945,28 +776,40 @@ class _RankState:
                 arr[key] = load * per_int
             if self.particles.n:
                 ckeys = self._cluster_keys_from(self._rank_keys())
-                np.add.at(arr, ckeys, engine.requester_flops)
+                np.add.at(arr, ckeys, requester_flops)
             self.cluster_load = arr * slow
         elif cfg.scheme == "dpda":
             self.my_particle_loads = (
                 particle_loads(subtrees, self.particles.n) * per_int
-                + engine.requester_flops
+                + requester_flops
             ) * slow
 
-        if dt is not None and self.particles.n:
-            with comm.clock.phase(PHASE_ADVANCE):
-                if cfg.mode != "force":
-                    raise ValueError(
-                        "advancing particles requires mode='force'"
-                    )
-                self.particles.velocities += dt * force.values
-                self.particles.positions += dt * self.particles.velocities
-                np.clip(self.particles.positions, self.root.lo,
-                        self.root.hi - 1e-9 * self.root.side,
-                        out=self.particles.positions)
-                comm.compute(6.0 * self.dims * self.particles.n)
-                self._keys = None    # positions moved: keys are stale
-
+    # ------------------------------------------------------- one step
+    def step(self, step_no: int, dt: float | None) -> StepResult:
+        comm, cfg = self.comm, self.config
+        if dt is not None and cfg.mode != "force":
+            raise ValueError("advancing particles requires mode='force'")
+        # Count before the balancing exchange inside decompose() so
+        # moved_in reports the net particles gained by this rank.
+        before = self.particles.n
+        cells = self.decompose(step_no)
+        forest = self._build_forest(cells)
+        if dt is not None and cfg.integrator == "kdk":
+            force, subtrees, requester = self._block_schedule(forest, cells,
+                                                              dt)
+            self._record_loads(subtrees, requester)
+        else:
+            force = forest.fs.run()
+            self._record_loads(forest.subtrees, forest.fs.requester_flops)
+            if dt is not None and self.particles.n:
+                with comm.clock.phase(PHASE_ADVANCE):
+                    self.particles.velocities += dt * force.values
+                    self.particles.positions += dt * self.particles.velocities
+                    np.clip(self.particles.positions, self.root.lo,
+                            self.root.hi - 1e-9 * self.root.side,
+                            out=self.particles.positions)
+                    comm.compute(6.0 * self.dims * self.particles.n)
+                    self._keys = None    # positions moved: keys are stale
         self._last_values = force.values
         return StepResult(n_local=self.particles.n, force=force,
                           moved_in=self.particles.n - before)
@@ -1206,6 +1049,10 @@ class ParallelBarnesHut:
         chunks = np.array_split(order, self.p)
         return [self.particles.subset(c) for c in chunks]
 
+    def _initial_args(self) -> list[tuple]:
+        """Per-rank ``(shard, resume_from)`` of a run from step 0."""
+        return [(shard, None) for shard in self._shards()]
+
     def _make_store(self) -> tuple[CheckpointStore | None, str | None]:
         """Build the checkpoint store; returns ``(store, tmp_dir)`` with
         ``tmp_dir`` set when a throwaway directory must be removed after
@@ -1286,7 +1133,7 @@ class ParallelBarnesHut:
                     f"requested {steps} step(s); raise steps to resume"
                 )
         else:
-            rank_args = [(shard, None) for shard in self._shards()]
+            rank_args = self._initial_args()
         recoveries = 0
         restarts = 0
         if self.backend == "process":
@@ -1357,9 +1204,11 @@ class ParallelBarnesHut:
                     if store is None:
                         raise
                     t_rec = time.monotonic()
-                    recovered = self._recovery_args(store)
-                    if recovered is None:
-                        raise
+                    # No common checkpoint yet — a rank failed before
+                    # every rank had durably written step 0: the host
+                    # still holds the initial deal, so roll back to it.
+                    recovered = (self._recovery_args(store)
+                                 or (0, self._initial_args()))
                     if isinstance(failure, RankCrashedError):
                         # Replace the failed node; its planned crash is
                         # spent and must not fire in the re-execution.

@@ -68,6 +68,50 @@ def assign_to_cells(positions: np.ndarray, cells: list[Cell],
     return out.astype(np.int64)
 
 
+def subtree_keys(cell: Cell, keys: np.ndarray, config: SchemeConfig,
+                 bits: int, dims: int) -> tuple[int, np.ndarray | None]:
+    """Depth budget of the subtree rooted at ``cell`` and its members'
+    subtree-local Morton keys, sliced out of their global depth-``bits``
+    ``keys`` (``None`` when the cell leaves no key budget).
+
+    The cell's particles share the top ``dims * cell.depth`` key bits;
+    the remainder is the subtree's own Morton key, truncated to its
+    depth budget.  Exact: quantization at b bits right-shifted to g < b
+    bits equals quantization at g bits (both floor the same
+    power-of-two scaling).
+    """
+    budget = max(1, (config.max_depth if config.max_depth is not None
+                     else bits) - cell.depth)
+    rem = bits - cell.depth
+    if not 0 < budget <= rem:
+        return budget, None
+    mask = np.int64((1 << (dims * rem)) - 1)
+    return budget, (keys & mask) >> (dims * (rem - budget))
+
+
+def build_cell_subtree(particles: ParticleSet, cell: Cell, idx: np.ndarray,
+                       keys: np.ndarray, root: Box, config: SchemeConfig,
+                       bits: int) -> LocalSubtree:
+    """The subtree of one owned cell over its members ``idx`` (rank-local
+    particle indices; ``keys`` are the rank's depth-``bits`` keys).  The
+    one per-cell body behind full builds and block-timestep rebuilds."""
+    dims = root.dims
+    sub = particles.subset(idx)
+    budget, sub_keys = subtree_keys(cell, keys[idx], config, bits, dims)
+    tree = build_tree(
+        sub, box=cell.box(root),
+        leaf_capacity=config.leaf_capacity,
+        max_depth=budget,
+        keys=sub_keys,
+    )
+    multipoles = None
+    if config.degree > 0:
+        multipoles = TreeMultipoles(tree, sub, config.degree)
+    return LocalSubtree(cell=cell, key=branch_key(cell, dims),
+                        particles=sub, local_idx=idx, tree=tree,
+                        multipoles=multipoles)
+
+
 def build_local_trees(particles: ParticleSet, cells: list[Cell],
                       root: Box, config: SchemeConfig, bits: int,
                       keys: np.ndarray | None = None) -> list[LocalSubtree]:
@@ -80,15 +124,13 @@ def build_local_trees(particles: ParticleSet, cells: list[Cell],
     Positions are quantized against the *global* root exactly once (or
     not at all when the caller hands in the rank's cached depth-``bits``
     ``keys``); each subtree build receives its particles' keys as a bit
-    slice of the global keys — the low ``dims * (bits - cell.depth)``
-    bits — instead of re-quantizing against the cell's rounded box, so
-    cell ownership and in-cell refinement always follow one consistent
-    grid.
+    slice of the global keys (:func:`subtree_keys`) instead of
+    re-quantizing against the cell's rounded box, so cell ownership and
+    in-cell refinement always follow one consistent grid.
 
     Raises if any particle falls outside every owned cell — that means
     the particle exchange that should precede construction was wrong.
     """
-    dims = root.dims
     if keys is None:
         keys = morton_keys(particles.positions, root.lo, root.side, bits)
     slots = assign_to_cells(particles.positions, cells, root, bits,
@@ -101,34 +143,9 @@ def build_local_trees(particles: ParticleSet, cells: list[Cell],
     out: list[LocalSubtree] = []
     for i, cell in enumerate(cells):
         idx = np.flatnonzero(slots == i)
-        if idx.size == 0:
-            continue
-        sub = particles.subset(idx)
-        depth_budget = (config.max_depth if config.max_depth is not None
-                        else bits) - cell.depth
-        budget = max(1, depth_budget)
-        rem = bits - cell.depth
-        sub_keys = None
-        if 0 < budget <= rem:
-            # The cell's particles share the top dims*cell.depth key
-            # bits; the remainder is the subtree's own Morton key,
-            # truncated to its depth budget.  Exact: quantization at b
-            # bits right-shifted to g < b bits equals quantization at g
-            # bits (both floor the same power-of-two scaling).
-            mask = np.int64((1 << (dims * rem)) - 1)
-            sub_keys = (keys[idx] & mask) >> (dims * (rem - budget))
-        tree = build_tree(
-            sub, box=cell.box(root),
-            leaf_capacity=config.leaf_capacity,
-            max_depth=budget,
-            keys=sub_keys,
-        )
-        multipoles = None
-        if config.degree > 0:
-            multipoles = TreeMultipoles(tree, sub, config.degree)
-        out.append(LocalSubtree(cell=cell, key=branch_key(cell, dims),
-                                particles=sub, local_idx=idx, tree=tree,
-                                multipoles=multipoles))
+        if idx.size:
+            out.append(build_cell_subtree(particles, cell, idx, keys, root,
+                                          config, bits))
     return out
 
 

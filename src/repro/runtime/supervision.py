@@ -56,6 +56,7 @@ PHASE_NAMES: tuple[str, ...] = (
     "all-to-all broadcast",
     "force computation",
     "particle advance",
+    "tree repair",
 )
 
 _PHASE_IDS = {name: i for i, name in enumerate(PHASE_NAMES)}

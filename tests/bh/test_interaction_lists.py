@@ -224,6 +224,35 @@ class TestEvaluateDirect:
         assert big.p2p_interactions == tiny.p2p_interactions
 
 
+class TestOnePath:
+    """The walks inline the stock MAC and the cluster pass needs the
+    batch interface; anything else is refused, not walked differently."""
+
+    def test_custom_mac_rejected(self):
+        class EagerMAC(BarnesHutMAC):
+            def accept(self, tree, node, targets):
+                return np.ones(len(targets), dtype=bool)
+
+        ps = INSTANCES["plummer"]
+        tree = build_tree(ps, leaf_capacity=8)
+        for mac in (EagerMAC(0.67), None):
+            with pytest.raises(TypeError, match="BarnesHutMAC"):
+                build_interaction_lists(tree, ps.positions[:8], mac)
+
+    def test_evaluator_without_batch_interface_rejected(self):
+        class PerNodeOnly:
+            def node_force(self, node, targets):
+                return np.zeros_like(targets)
+
+        ps = INSTANCES["plummer"]
+        tree = build_tree(ps, leaf_capacity=8)
+        lists = build_interaction_lists(tree, ps.positions,
+                                        BarnesHutMAC(0.67))
+        with pytest.raises(TypeError, match="batch_force"):
+            evaluate_interaction_lists(tree, lists, ps, PerNodeOnly(),
+                                       mode="force")
+
+
 class TestKernelChunking:
     def test_chunked_matches_unchunked(self):
         rng = np.random.default_rng(17)

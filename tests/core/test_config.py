@@ -28,7 +28,6 @@ class TestSchemeConfig:
         ("merge", "gather"),
         ("branch_lookup", "btree"),
         ("softening", -0.1),
-        ("working_set_bytes", 1024),
         ("kernel_tier", "cuda"),
         ("kernel_threads", 0),
         ("kernel_threads", -2),

@@ -4,22 +4,23 @@ Quantization happens once per rank per step; every later consumer —
 cluster binning, cell assignment, per-cell subtree construction, and the
 keys carried through the particle exchange — derives its keys by bit
 arithmetic on that one array.  These tests pin the identities that make
-the reuse exact and check that carrying keys is bitwise-neutral
-end-to-end.
+the reuse exact and check that the carried keys are the keys of the
+received positions.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.simulation as simulation
 from repro.bh.distributions import plummer
 from repro.bh.morton import morton_keys
 from repro.bh.particles import Box
 from repro.core.config import SchemeConfig
 from repro.core.partition import Cell
-from repro.core.simulation import ParallelBarnesHut, _Shard
+from repro.core.simulation import _RankState, _Shard
 from repro.core.tree_build import build_local_trees
 from repro.machine.comm import estimate_nbytes
+from repro.machine.engine import Engine
+from repro.machine.profiles import ZERO_COST
 
 ROOT3 = Box(np.full(3, 50.0), 50.0)
 
@@ -75,23 +76,34 @@ class TestShard:
         assert estimate_nbytes(shard) == estimate_nbytes(ps)
 
 
-class TestCarryToggle:
+class TestCarriedKeys:
+    """Keys always ride the exchange shards; what a rank holds
+    afterwards must be what re-quantizing its received positions would
+    give (the property the old carry on/off toggle stood for)."""
+
     @pytest.mark.parametrize("scheme", ["spsa", "spda", "dpda"])
-    def test_bitwise_neutral_end_to_end(self, scheme, monkeypatch):
+    def test_keys_after_exchange_match_received_positions(self, scheme):
+        p, bits = 4, 10
         ps = plummer(600, seed=4)
+        root = ps.bounding_box()
         cfg = SchemeConfig(scheme=scheme, alpha=0.7, mode="force",
                            degree=0, leaf_capacity=8)
+        # A round-robin deal, so the exchange really moves particles.
+        shards = [ps.subset(np.arange(r, ps.n, p)) for r in range(p)]
 
-        def run():
-            sim = ParallelBarnesHut(ps, cfg, p=4)
-            return sim.run(steps=2, dt=0.005)
+        def main(comm, shard):
+            state = _RankState(comm, cfg, root, bits, shard)
+            state.decompose(0)           # balancing _do_exchange inside
+            fresh = morton_keys(state.particles.positions, root.lo,
+                                root.side, bits)
+            return (state._keys, fresh, state.particles.ids,
+                    comm.metrics.counter("sim.particles_shipped").value)
 
-        monkeypatch.setattr(simulation, "CARRY_MORTON_KEYS", True)
-        on = run()
-        monkeypatch.setattr(simulation, "CARRY_MORTON_KEYS", False)
-        off = run()
-
-        np.testing.assert_array_equal(on.values, off.values)
-        np.testing.assert_array_equal(on.positions, off.positions)
-        assert on.parallel_time == off.parallel_time
-        assert on.force_computations() == off.force_computations()
+        out = Engine(p, ZERO_COST, recv_timeout=30.0).run(
+            main, rank_args=[(s,) for s in shards]).values
+        for held, fresh, _, _ in out:
+            np.testing.assert_array_equal(held, fresh)
+        assert sum(shipped for *_, shipped in out) > ps.n // 2
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([ids for _, _, ids, _ in out])),
+            np.sort(ps.ids))

@@ -229,6 +229,18 @@ def test_phase_name_table_round_trips():
     assert phase_name(999) is None                 # out of table range
 
 
+def test_every_simulation_phase_has_a_board_id():
+    """A phase missing from the table is reported as "other" by live
+    telemetry and worker-lost diagnostics ("tree repair" once was)."""
+    import repro.core.simulation as simulation
+    from repro.core.function_shipping import PHASE_FORCE
+    names = [value for key, value in vars(simulation).items()
+             if key.startswith("PHASE_")] + [PHASE_FORCE]
+    assert "tree repair" in names
+    for name in names:
+        assert phase_id(name) != 0, name
+
+
 def test_board_telemetry_round_trip():
     ctx = multiprocessing.get_context("spawn")
     board = HeartbeatBoard(ctx, 2)

@@ -11,11 +11,14 @@ into ``/dev/shm``, and watchdog errors carry per-rank diagnostics.
 """
 
 import os
+import signal
 
 import numpy as np
 import pytest
 
+import repro.core.simulation as simulation
 from repro import ParallelBarnesHut, SchemeConfig, plummer
+from repro.core.checkpoint import DiskCheckpointStore
 from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.profiles import NCUBE2
 from repro.runtime.process_engine import WorkerLostError
@@ -117,6 +120,54 @@ def test_virtual_crash_recovers_on_process_backend(tmp_path):
                 plan=FaultPlan(seed=7, crash={1: 1e-9}))
     assert hurt.recoveries >= 1
     assert_bitwise_equal(baseline, hurt)
+
+
+class _FailsBeforeFirstSave(DiskCheckpointStore):
+    """Rank 1 dies inside its very first ``save``, before anything is
+    written, so the failing attempt deterministically leaves *no*
+    common checkpoint — the ordering CPU contention used to produce by
+    crashing rank 1 while slower ranks had not yet saved step 0.  A
+    marker file makes it once-only across restarts and processes."""
+
+    how = "crash"
+
+    def save(self, ckpt):
+        marker = os.path.join(self.root, "failed-once")
+        if ckpt.rank == 1 and not os.path.exists(marker):
+            open(marker, "w").close()
+            if self.how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RankCrashedError(1, ckpt.clock_now)
+        super().save(ckpt)
+
+
+@pytest.mark.parametrize("backend,how", [("virtual", "crash"),
+                                         ("process", "crash"),
+                                         ("process", "kill")])
+def test_failure_before_first_checkpoint_restarts_from_initial_deal(
+        backend, how, tmp_path, monkeypatch):
+    """No common checkpoint yet is not fatal: the host still holds the
+    initial deal and restarts from step 0, with the usual budget,
+    spent-fault removal and ``recovery.*`` accounting."""
+    monkeypatch.setattr(_FailsBeforeFirstSave, "how", how)
+    monkeypatch.setattr(simulation, "DiskCheckpointStore",
+                        _FailsBeforeFirstSave)
+    baseline = _run("spda", backend=backend)
+    # The planned crash is what a RankCrashedError spends on restart;
+    # the store fires it early (a killed worker needs no plan).
+    plan = FaultPlan(seed=7, crash={1: 1e-9}) if how == "crash" else None
+    hurt = _run("spda", ckpt_dir=tmp_path / "early", plan=plan,
+                backend=backend)
+    assert os.path.exists(tmp_path / "early" / "failed-once")
+    assert hurt.recoveries == 1
+    snap = hurt.metrics_summary().snapshot()
+    assert snap["recovery.restarts"]["value"] == 1
+    assert snap["recovery.wall_seconds"]["count"] == 1
+    assert_bitwise_equal(baseline, hurt)
+    if how == "kill":
+        with pytest.raises(WorkerLostError):
+            _run("spda", ckpt_dir=tmp_path / "early-budget",
+                 backend=backend, max_restarts=0)
 
 
 def test_restart_budget_bounds_recovery(tmp_path):
