@@ -15,12 +15,12 @@ results must be bitwise invariant to the thread count (1, 2 and 8
 threads) — else it exits nonzero without writing a result.
 
 The acceptance target (>= 5x warm evaluation at n=50,000) needs real
-cores and numba; entries record ``cpu_count``, ``kernel_tier`` and
-``numba_version`` so a single-core or numba-less host reports honestly
-instead of failing spuriously, and so the trajectory never compares
-numpy numbers against numba numbers.
+cores and numba; every row records the cpu count and the numba version
+so a single-core or numba-less host reports honestly instead of failing
+spuriously.  No ``benchmarks/e2e`` workload runs the numba tier, so this
+is the one place numba is timed against numpy.
 
-Emits ``BENCH_compiled_kernels.json``.
+Writes ``results/compiled_kernels.txt``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion
 from repro.bh.tree import build_tree
 
-from bench_util import bench_case, emit_bench_json
+from bench_util import table
 
 ALPHA = 0.67
 LEAF_CAPACITY = 8
@@ -102,7 +102,9 @@ def _check_thread_invariance(label: str, tree, particles, tier: str
 
 
 def bench_one(n: int, reps: int, threads: int,
-              seed: int = 1994) -> list[dict]:
+              seed: int = 1994) -> list[list]:
+    """Rows of the result table for one ``n``; the last column is the
+    acceptance-target state."""
     particles = plummer(n, seed=seed)
     tree = build_tree(particles, leaf_capacity=LEAF_CAPACITY)
     evaluator = MonopoleExpansion(tree, softening=SOFTENING)
@@ -136,7 +138,7 @@ def bench_one(n: int, reps: int, threads: int,
         _check_thread_invariance(f"n={n} {label}", tree, particles, tier)
 
     # ---- warm evaluation timings (lists cached, arithmetic only)
-    entries = []
+    rows = []
     t_base = None
     for label, tier, t in tiers:
         eng = _engine(tree, particles, tier, t)
@@ -152,32 +154,11 @@ def bench_one(n: int, reps: int, threads: int,
         speedup = t_base / t_eval if t_eval > 0 else float("inf")
         eligible = (label == "numba" and cpu_count >= TARGET_CPUS
                     and n >= TARGET_N)
-        met = bool(eligible and speedup >= TARGET_SPEEDUP)
-        entries.append(bench_case(
-            f"n{n}/{label}",
-            params={"n": n, "tier": label, "mode": "force",
-                    "alpha": ALPHA, "leaf_capacity": LEAF_CAPACITY,
-                    "threads": 0 if t is None else t, "reps": reps},
-            metrics={
-                "seconds_eval_warm": t_eval,
-                "speedup_vs_numpy": speedup,
-            },
-            validated=True,     # values + counters + invariance above
-            context={
-                "kernel_tier": tier,
-                "numba_version": compiled.numba_version(),
-                "cpu_count": cpu_count,
-                "target_speedup": TARGET_SPEEDUP,
-                "target_eligible": eligible,
-                "target_met": met,
-            },
-        ))
-        state = ("target met" if met else
-                 "target missed" if eligible else
-                 "target not eligible on this host")
-        print(f"n={n:>7} {label:<15} warm {t_eval:.3f}s "
-              f"({speedup:.2f}x vs numpy, cpus={cpu_count}, {state})")
-    return entries
+        state = ("not eligible on this host" if not eligible else
+                 "met" if speedup >= TARGET_SPEEDUP else "missed")
+        rows.append([n, label, 0 if t is None else t, t_eval, speedup,
+                     cpu_count, compiled.numba_version() or "-", state])
+    return rows
 
 
 def main(argv=None) -> int:
@@ -200,17 +181,21 @@ def main(argv=None) -> int:
     threads = args.threads if args.threads is not None else \
         (os.cpu_count() or 1)
 
-    entries = []
+    rows = []
     for n in ns:
-        entries.extend(bench_one(n, reps, threads, args.seed))
-    path = emit_bench_json("compiled_kernels", entries)
-    print(f"wrote {path}")
+        rows.extend(bench_one(n, reps, threads, args.seed))
+    table("compiled_kernels",
+          ["n", "tier", "threads", "warm eval (s)", "x vs numpy", "cpus",
+           "numba", f">={TARGET_SPEEDUP:g}x target"],
+          rows,
+          title=f"Compiled kernel tier: warm force evaluation, validated "
+                f"(alpha={ALPHA}, s={LEAF_CAPACITY}, best of {reps})",
+          precision=3)
     # The speedup gate only binds where it is physically measurable.
-    missed = [e for e in entries if e["context"]["target_eligible"]
-              and not e["context"]["target_met"]]
+    missed = [row for row in rows if row[-1] == "missed"]
     if missed:
         print(f"speedup target missed for "
-              f"{[e['case'] for e in missed]}", file=sys.stderr)
+              f"{[(row[0], row[1]) for row in missed]}", file=sys.stderr)
         return 1
     return 0
 

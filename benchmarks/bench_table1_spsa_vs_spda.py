@@ -15,7 +15,7 @@ iterations, the processor subdomains change gradually").
 import pytest
 
 from repro import NCUBE2
-from bench_util import bench_entry, emit_bench_json, instance, run_sim, table
+from bench_util import instance, run_sim, table
 
 CASES = [
     # (instance, per-instance scale, alpha, processor counts)
@@ -30,7 +30,6 @@ STEPS = 3
 def _run_all():
     rows = []
     times = {}
-    entries = []
     for name, scale, alpha, ps in CASES:
         ps_set = instance(name, scale)
         for p in ps:
@@ -42,18 +41,12 @@ def _run_all():
                 times[(name, scheme, p)] = t
                 rows.append([name, ps_set.n, scheme, p, t,
                              res.force_computations() // STEPS])
-                entries.append(bench_entry(
-                    instance=name, scheme=scheme, p=p, result=res,
-                    scale=scale, machine="ncube2", alpha=alpha,
-                ))
-    return rows, times, entries
+    return rows, times
 
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_spsa_vs_spda(benchmark):
-    rows, times, entries = benchmark.pedantic(_run_all, rounds=1,
-                                              iterations=1)
-    emit_bench_json("table1", entries)
+    rows, times = benchmark.pedantic(_run_all, rounds=1, iterations=1)
     table("table1",
           ["instance", "n (scaled)", "scheme", "p", "T_p (s)", "F/step"],
           rows,

@@ -10,7 +10,7 @@ import pytest
 
 from repro import NCUBE2
 from repro.analysis.metrics import TABLE3_PHASES, phase_table
-from bench_util import bench_entry, emit_bench_json, instance, run_sim, table
+from bench_util import instance, run_sim, table
 
 INSTANCES = [("g_1192768", 1.0, 0.006), ("g_326214", 1.0, 0.0125)]
 P = 256
@@ -19,7 +19,6 @@ P = 256
 def _run_all():
     rows = []
     phases = {}
-    entries = []
     for name, alpha, scale in INSTANCES:
         ps_set = instance(name, scale)
         for scheme in ("spsa", "spda"):
@@ -36,19 +35,12 @@ def _run_all():
                 rows.append([name, scheme, phase_name,
                              ph.get(phase_name, 0.0)])
             rows.append([name, scheme, "total", res.last_step_time])
-            entries.append(bench_entry(
-                instance=name, scheme=scheme, p=P, result=res,
-                scale=scale, machine="ncube2", alpha=alpha,
-                phase_seconds_per_step=ph,
-            ))
-    return rows, phases, entries
+    return rows, phases
 
 
 @pytest.mark.benchmark(group="table3")
 def test_table3_phase_breakdown(benchmark):
-    rows, phases, entries = benchmark.pedantic(_run_all, rounds=1,
-                                               iterations=1)
-    emit_bench_json("table3", entries)
+    rows, phases = benchmark.pedantic(_run_all, rounds=1, iterations=1)
     table("table3",
           ["instance", "scheme", "phase", "seconds/step"],
           rows,

@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-table and ablation benches.
 
 Every bench regenerates one of the paper's tables or figures on scaled
 instances (pure-Python traversal cannot reach 1.2M particles in bench
@@ -8,11 +8,9 @@ is scaled, and every emitted table header repeats it).
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 
-from repro import make_instance, ParallelBarnesHut, SchemeConfig, __version__
+from repro import make_instance, ParallelBarnesHut, SchemeConfig
 from repro.analysis import (
     efficiency as _efficiency,
     serial_time_estimate,
@@ -90,92 +88,3 @@ def table(name: str, headers, rows, title: str, precision: int = 2) -> str:
     text = format_table(headers, rows, title=title, precision=precision)
     emit(name, text)
     return text
-
-
-# ------------------------------------------------- perf trajectory (JSON)
-def bench_case(case: str, params: dict, metrics: dict, *,
-               validated: bool = True,
-               context: dict | None = None) -> dict:
-    """One schema-v1 entry for :func:`emit_bench_json`.
-
-    ``params`` identify the configuration (scalars only: two results
-    compare only when params match), ``metrics`` are the measured
-    numbers, ``validated`` records that the bench's correctness
-    cross-checks passed, and ``context`` carries host facts that are
-    neither (cpu counts, acceptance-target bookkeeping).  See
-    ``harness.py`` for the full schema.
-    """
-    entry = {
-        "case": case,
-        "params": params,
-        "metrics": metrics,
-        "validated": bool(validated),
-    }
-    if context:
-        entry["context"] = context
-    return entry
-
-
-def bench_entry(*, instance: str, scheme: str, p: int, result,
-                scale: float | None = None, **extra) -> dict:
-    """One schema-v1 perf-trajectory entry for a parallel run.
-
-    Captures the quantities every perf PR is judged on: the steady-state
-    virtual step time, the whole-run makespan, the force-phase load
-    imbalance, and communication volume.  Scalar ``extra`` kwargs land
-    in ``params``; dict-valued ones (e.g. per-phase breakdowns) land in
-    ``context``.
-    """
-    params = {
-        "instance": instance,
-        "scheme": scheme,
-        "p": p,
-        "n": int(sum(sr.n_local for sr in result.steps[0])),
-        "steps": len(result.steps),
-    }
-    if scale is not None:
-        params["scale"] = scale
-    context = {}
-    for key, value in extra.items():
-        (params if isinstance(value, (str, int, float, bool, type(None)))
-         else context)[key] = value
-    return bench_case(
-        f"{instance}/{scheme}/p{p}", params,
-        metrics={
-            "step_time": result.last_step_time,
-            "parallel_time": result.parallel_time,
-            "load_imbalance": result.load_imbalance(),
-            "total_messages": result.run.total_messages,
-            "total_bytes": result.run.total_bytes,
-        },
-        context=context or None,
-    )
-
-
-def emit_bench_json(name: str, entries: list[dict]) -> str:
-    """Persist schema-v1 ``BENCH_<name>.json`` under benchmarks/results/.
-
-    The file feeds the repo's perf trajectory: per-configuration
-    records plus enough provenance (version, python) to compare entries
-    across PRs.  The document is validated against the harness schema
-    before it is written — a bench emitting malformed results fails
-    here, not later in CI.  Returns the written path.
-    """
-    import harness
-
-    doc = {
-        "schema_version": harness.SCHEMA_VERSION,
-        "bench": name,
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "entries": entries,
-    }
-    errors = harness.validate_doc(doc, f"BENCH_{name}.json")
-    if errors:
-        raise SystemExit("refusing to write schema-invalid bench "
-                         "result:\n  " + "\n  ".join(errors))
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    return path

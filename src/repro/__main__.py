@@ -18,10 +18,6 @@ Commands
     src x dst traffic matrix and — on the process backend, where the
     trace carries wall tracks — the virtual-vs-wall skew report;
     optionally write the trace file.
-``bench``
-    Run the registered performance benchmarks through
-    ``benchmarks/harness.py``: execute, schema-validate, append to the
-    results trajectory and print a regression comparison.
 
 Examples
 --------
@@ -34,7 +30,6 @@ Examples
         --events-out events.jsonl --trace-out trace.json
     python -m repro trace --scheme dpda --procs 8 --steps 2 \\
         --out trace.json
-    python -m repro bench --smoke --report-only
 """
 
 from __future__ import annotations
@@ -81,6 +76,11 @@ def _cmd_profiles(args) -> int:
     return 0
 
 
+class _InputError(Exception):
+    """An option combination ``SchemeConfig`` or ``ParallelBarnesHut``
+    refused: ``main`` reports it as one line, not a traceback."""
+
+
 def _build_sim(args):
     """Shared setup for ``run`` and ``trace``: instance, config, sim."""
     from repro import ParallelBarnesHut, SchemeConfig, make_instance
@@ -89,30 +89,33 @@ def _build_sim(args):
 
     particles = make_instance(args.instance, scale=args.scale,
                               seed=args.seed)
-    config = SchemeConfig(
-        scheme=args.scheme, alpha=args.alpha, degree=args.degree,
-        mode=args.mode, grid_level=args.grid_level,
-        leaf_capacity=args.leaf_capacity,
-        kernel_tier=args.kernels, kernel_threads=args.kernel_threads,
-        softening=args.softening, integrator=args.integrator,
-        timestep=args.timestep, dt_eta=args.dt_eta,
-        max_rungs=args.max_rungs,
-    )
     profile = get_profile(args.machine)
     fault_plan = (FaultPlan.load(getattr(args, "fault_plan", None))
                   if getattr(args, "fault_plan", None) else None)
-    sim = ParallelBarnesHut(
-        particles, config, p=args.procs, profile=profile,
-        fault_plan=fault_plan,
-        reliable=getattr(args, "reliable", False),
-        checkpoint_every=getattr(args, "checkpoint_every", None),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        max_restarts=getattr(args, "max_restarts", 3),
-        resume=getattr(args, "resume", False),
-        backend=args.backend,
-        events_out=getattr(args, "events_out", None),
-        live=getattr(args, "live", False),
-    )
+    try:
+        config = SchemeConfig(
+            scheme=args.scheme, alpha=args.alpha, degree=args.degree,
+            mode=args.mode, grid_level=args.grid_level,
+            leaf_capacity=args.leaf_capacity,
+            kernel_tier=args.kernels, kernel_threads=args.kernel_threads,
+            softening=args.softening, integrator=args.integrator,
+            timestep=args.timestep, dt_eta=args.dt_eta,
+            max_rungs=args.max_rungs,
+        )
+        sim = ParallelBarnesHut(
+            particles, config, p=args.procs, profile=profile,
+            fault_plan=fault_plan,
+            reliable=getattr(args, "reliable", False),
+            checkpoint_every=getattr(args, "checkpoint_every", None),
+            checkpoint_dir=getattr(args, "checkpoint_dir", None),
+            max_restarts=getattr(args, "max_restarts", 3),
+            resume=getattr(args, "resume", False),
+            backend=args.backend,
+            events_out=getattr(args, "events_out", None),
+            live=getattr(args, "live", False),
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     return particles, profile, fault_plan, sim
 
 
@@ -272,42 +275,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Delegate to ``benchmarks/harness.py run`` in the repo checkout.
-
-    The harness lives beside the benches (it shells out to them with
-    relative paths), so it is not part of the installed package; this
-    subcommand just finds it and forwards the flags.
-    """
-    import subprocess
-    from pathlib import Path
-
-    import repro
-
-    candidates = [
-        Path.cwd() / "benchmarks",
-        Path(repro.__file__).resolve().parents[2] / "benchmarks",
-    ]
-    bench_dir = next(
-        (c for c in candidates if (c / "harness.py").is_file()), None)
-    if bench_dir is None:
-        print("error: benchmarks/harness.py not found; run from the "
-              "repository checkout", file=sys.stderr)
-        return 2
-    argv = [sys.executable, str(bench_dir / "harness.py"), "run"]
-    if args.smoke:
-        argv.append("--smoke")
-    for name in args.bench or []:
-        argv += ["--bench", name]
-    if args.threshold is not None:
-        argv += ["--threshold", str(args.threshold)]
-    if args.report_only:
-        argv.append("--report-only")
-    if args.no_append:
-        argv.append("--no-append")
-    return subprocess.call(argv, cwd=str(bench_dir))
-
-
 def _add_sim_args(cmd: argparse.ArgumentParser) -> None:
     """Simulation options shared by ``run`` and ``trace``."""
     cmd.add_argument("--instance", default="g_160535",
@@ -429,25 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chain segments to print")
     trace.add_argument("--waterfall-width", type=int, default=72,
                        help="time bins per waterfall row")
-
-    bench = sub.add_parser(
-        "bench", help="run the registered benchmarks via "
-                      "benchmarks/harness.py (validate, append to the "
-                      "trajectory, compare against previous results)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="tiny problem sizes (CI-friendly)")
-    bench.add_argument("--bench", action="append", metavar="NAME",
-                       help="run only this registered bench "
-                            "(repeatable; default: all)")
-    bench.add_argument("--threshold", type=float, metavar="PCT",
-                       help="regression threshold in percent "
-                            "(default: harness default)")
-    bench.add_argument("--report-only", action="store_true",
-                       help="print regressions without failing the exit "
-                            "status")
-    bench.add_argument("--no-append", action="store_true",
-                       help="do not append results to "
-                            "benchmarks/results/trajectory.jsonl")
     return parser
 
 
@@ -457,12 +405,14 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_instances(args)
     if args.command == "profiles":
         return _cmd_profiles(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "trace":
+            return _cmd_trace(args)
+    except _InputError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -1,4 +1,4 @@
-"""Paper-style plain-text tables for the benchmark harness output."""
+"""Paper-style plain-text tables for bench and CLI output."""
 
 from __future__ import annotations
 

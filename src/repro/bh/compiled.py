@@ -28,8 +28,8 @@ evaluation pass silently falls back per pass when it returns ``None``.
 
 Determinism
 -----------
-Results must be bitwise independent of the thread count (cross-backend
-bitwise contracts and the perf-regression trajectory both depend on it).
+Results must be bitwise independent of the thread count (the
+cross-backend bitwise contracts depend on it).
 Every kernel therefore uses *fixed chunk-to-slot ownership*: the flat
 pair range is cut into fixed-size chunks, chunk ``c`` is owned by
 accumulation slot ``c % ACCUM_SLOTS``, each slot owns a private

@@ -53,18 +53,6 @@ from repro.bh.tree import NO_CHILD, Tree
 #: 4 MiB beats 16 MiB by ~15%.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
 
-#: ``method="auto"`` picks the frontier walk when the tree has at least
-#: this many nodes per target.  The depth-first walk's cost is per-node
-#: Python overhead (it shares one target array across all children of a
-#: node and broadcasts scalar node data), so it loses exactly when
-#: per-node target batches are small: many nodes, few targets.  The
-#: frontier pays per-pair gathers instead, which large batches amortise
-#: worse.  Measured on Plummer trees: at 64 targets the frontier is
-#: 4.2x faster against a 4200-node tree and 1.5x against 470 nodes,
-#: while at 1024 targets it is ~2x *slower* everywhere; the win/loss
-#: boundary tracks the nodes-per-target ratio at about 5.
-FRONTIER_AUTO_NODE_TARGET_RATIO = 6
-
 
 @dataclass
 class TraversalResult:
@@ -284,138 +272,24 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
             remote_pairs, mac_tests, mac_per_target, tested)
 
 
-def _walk_frontier(tree: Tree, targets: np.ndarray, alpha: float,
-                   cls: np.ndarray, start: int):
-    """Level-synchronous MAC walk: one flat (node, target) pair frontier
-    advanced per wave instead of a per-node Python stack.
-
-    Applies the MAC with the same floating-point expressions as
-    :meth:`BarnesHutMAC.accept`, gathered per pair — elementwise
-    identical values, so every accept/refine decision matches the
-    depth-first walk bit for bit; only the order of entries in the
-    emitted lists differs (fp accumulation order in the fused kernels,
-    within the module's exactness contract).
-    """
-    nt, d = targets.shape
-    children = tree.children
-    # One packed per-node row (com | center | half) turns the three
-    # per-pair geometry gathers of a wave into one.  Column slices of
-    # the gathered block hold the same doubles, so the MAC arithmetic
-    # below is unchanged bit for bit.
-    geom = np.concatenate(
-        [tree.com, tree.center, tree.half[:, None]], axis=1)
-
-    node = np.full(nt, start, dtype=np.int32)
-    tgt = np.arange(nt, dtype=np.int32)
-    cl_n: list[np.ndarray] = []
-    cl_t: list[np.ndarray] = []
-    lf_n: list[np.ndarray] = []
-    lf_t: list[np.ndarray] = []
-    rm_n: list[np.ndarray] = []
-    rm_t: list[np.ndarray] = []
-    tested_n: list[np.ndarray] = []    # MAC-tested pairs, per wave
-    tested_t: list[np.ndarray] = []
-    tested_o: list[np.ndarray] = []
-    mac_tests = 0
-
-    while node.size:
-        c = cls[node]
-        internal = c == 0
-        if not internal.all():
-            on, ot, oc = node[~internal], tgt[~internal], c[~internal]
-            leaf = oc == 1
-            if leaf.any():
-                lf_n.append(on[leaf])
-                lf_t.append(ot[leaf])
-            rem = oc == 2
-            if rem.any():
-                rm_n.append(on[rem])
-                rm_t.append(ot[rem])
-            node, tgt = node[internal], tgt[internal]
-        if node.size == 0:
-            break
-        mac_tests += node.size
-        tested_n.append(node)
-        tested_t.append(tgt)
-        g = geom[node]
-        t = targets[tgt]
-        h = g[:, 2 * d]
-        # Bit-for-bit the expressions of BarnesHutMAC.accept.
-        diff = t - g[:, :d]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        ok = (2.0 * h < alpha * dist) \
-            & ~np.all(np.abs(t - g[:, d:2 * d]) < h[:, None], axis=1)
-        tested_o.append(ok)
-        if ok.any():
-            cl_n.append(node[ok])
-            cl_t.append(tgt[ok])
-        near = ~ok
-        rows = children[node[near]]
-        valid = rows != NO_CHILD
-        tgt = np.repeat(tgt[near], valid.sum(axis=1))
-        node = rows[valid]                    # per pair, octant order
-
-    if tested_t:
-        mac_per_target = np.bincount(np.concatenate(tested_t),
-                                     minlength=nt).astype(np.int64)
-    else:
-        mac_per_target = np.zeros(nt, dtype=np.int64)
-    remote_pairs: dict[int, np.ndarray] = {}
-    if rm_n:
-        rn = np.concatenate(rm_n)
-        rt = np.concatenate(rm_t)
-        for r in np.unique(rn):
-            remote_pairs[int(r)] = rt[rn == r].astype(np.int64)
-    # Wave order interleaves nodes, which would scatter the evaluators'
-    # per-chunk node gathers; regroup each list by node id so entries
-    # for one node are contiguous, like the depth-first walk's output.
-    # (List entry order is outside the exactness contract.)  The walk
-    # runs on 32-bit pair indices; the published lists are int64 like
-    # the depth-first walk's.
-    def _grouped(nodes_chunks, tgt_chunks):
-        nodes, tgts = _concat(nodes_chunks), _concat(tgt_chunks)
-        if nodes.size:
-            o = np.argsort(nodes, kind="stable")
-            nodes, tgts = nodes[o], tgts[o]
-        return nodes.astype(np.int64), tgts.astype(np.int64)
-
-    cluster_node, cluster_tgt = _grouped(cl_n, cl_t)
-    p2p_leaf, p2p_tgt = _grouped(lf_n, lf_t)
-    tested = (_concat(tested_n).astype(np.int64),
-              _concat(tested_t).astype(np.int64),
-              (np.concatenate(tested_o) if tested_o
-               else np.zeros(0, dtype=bool)))
-    return (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt,
-            remote_pairs, mac_tests, mac_per_target, tested)
-
-
 def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
-                            mac, root: int | None = None,
-                            method: str = "auto") -> InteractionLists:
+                            mac, root: int | None = None
+                            ) -> InteractionLists:
     """The list-building pass: one MAC walk, no kernel evaluation.
 
-    Two walks produce the same interaction *sets*: the classical batched
-    depth-first descent (``method="dfs"``) and a level-synchronous
-    frontier walk (``method="frontier"``) that advances every live
-    (node, target) pair at once per tree level.  ``"auto"`` — the only
-    production choice; the explicit names are the tests' handle — picks
-    the frontier walk when the tree is large relative to the target
-    batch (see :data:`FRONTIER_AUTO_NODE_TARGET_RATIO`) and the
-    depth-first walk for large batches.  Both inline the stock
-    :class:`BarnesHutMAC` criterion with the identical floating-point
-    expressions as the classical traversal, so every accept/refine
-    decision — and hence all interaction counters, per-node DPDA
-    counts, and remote bins — match it exactly; only list entry order
-    (fp accumulation order) differs between walks.  Any other MAC
+    The walk is the classical batched depth-first descent with the
+    stock :class:`BarnesHutMAC` criterion inlined, using the identical
+    floating-point expressions as the classical traversal, so every
+    accept/refine decision — and hence all interaction counters,
+    per-node DPDA counts, and remote bins — match it exactly; only the
+    fp accumulation order of the fused kernels differs.  Any other MAC
     object (a subclass included: its ``accept`` would never be called)
     is a ``TypeError``.
     """
     if type(mac) is not BarnesHutMAC:
         raise TypeError(
-            "the list-building walks inline the stock BarnesHutMAC "
+            "the list-building walk inlines the stock BarnesHutMAC "
             f"criterion; got {type(mac).__name__}")
-    if method not in ("auto", "frontier", "dfs"):
-        raise ValueError(f"unknown walk method {method!r}")
     targets = np.atleast_2d(np.asarray(target_positions, dtype=np.float64))
     nt, d = targets.shape
     empty = InteractionLists(
@@ -444,14 +318,8 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     cls[(children == NO_CHILD).all(axis=1)] = 1       # leaf
     cls[counts == 0] = 3                              # empty: skipped
     cls[tree.remote_owner >= 0] = 2                   # remote
-    if method == "auto":
-        use_frontier = tree.nnodes >= FRONTIER_AUTO_NODE_TARGET_RATIO * nt
-    else:
-        use_frontier = method == "frontier"
-
-    walk = _walk_frontier if use_frontier else _walk_dfs
     (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
-     mac_tests, mac_per_target, tested) = walk(
+     mac_tests, mac_per_target, tested) = _walk_dfs(
         tree, targets, mac.alpha, cls,
         tree.ROOT if root is None else root)
 

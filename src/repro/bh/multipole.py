@@ -389,9 +389,10 @@ class TreeMultipoles:
                nodes: np.ndarray | None = None) -> None:
         """Level-batched upward pass: grouped P2M over all leaves of one
         slice length, grouped M2M shifts per (level, child-count) bucket.
-        Bitwise equal to :meth:`_build_reference` — batched ``matmul``
-        and row-major ``add.at`` reproduce the per-node reductions
-        exactly.  ``nodes`` restricts the pass (see :meth:`refresh`)."""
+        Bitwise equal to the per-node reverse scan it replaced —
+        batched ``matmul`` and row-major ``add.at`` reproduce the
+        per-node reductions exactly.  ``nodes`` restricts the pass (see
+        :meth:`refresh`)."""
         tree = self.tree
         nterms = self.expansion.nterms
         pos, masses = particles.positions, particles.masses
@@ -430,25 +431,6 @@ class TreeMultipoles:
             for j in range(c):
                 acc = acc + shifted[:, j, :]
             self.coeffs[nodes] = acc
-
-    def _build_reference(self, particles: ParticleSet) -> None:
-        """Per-node reverse-scan P2M/M2M pass — the oracle
-        :meth:`_build` is validated against."""
-        tree, exp = self.tree, self.expansion
-        for node in range(tree.nnodes - 1, -1, -1):
-            if tree.is_remote(node):
-                continue
-            if tree.is_leaf(node):
-                idx = tree.particle_indices(node)
-                if idx.size:
-                    rel = particles.positions[idx] - tree.center[node]
-                    self.coeffs[node] = exp.p2m(rel, particles.masses[idx])
-            else:
-                kids = tree.children[node]
-                kids = kids[kids != NO_CHILD]
-                for c in kids:
-                    shift = tree.center[c] - tree.center[node]
-                    self.coeffs[node] += exp.m2m(self.coeffs[c], shift)
 
     def node_potential(self, node: int, targets: np.ndarray) -> np.ndarray:
         """Gravitational potential (-G q / r convention) of the node's

@@ -12,10 +12,11 @@ is collapsed, emitted, and split per wave with array operations (the
 style of Warren-Salmon hashed treecodes and Dubinski's parallel tree
 code, which derive the tree from sorted keys rather than per-particle
 insertion).  The classical node-at-a-time recursion is kept as
-:func:`build_tree_reference` — the oracle the vectorized builder is
-tested against for exact array equality.  Node ids are identical
-between the two: the recursion numbers nodes in depth-first pre-order,
-and because every node's particle slice nests inside its parent's and
+:func:`build_tree_reference`: :func:`build_tree` dispatches to it for
+inputs below :data:`SMALL_BUILD_CUTOFF`, and the tests hold the
+vectorized builder to exact array equality with it.  Node ids are
+identical between the two: the recursion numbers nodes in depth-first
+pre-order, and because every node's particle slice nests inside its parent's and
 siblings partition the parent slice in Morton order, pre-order is
 exactly the lexicographic order on ``(start, depth)`` — so the
 level-synchronous emission is renumbered with one ``lexsort``.
@@ -276,8 +277,10 @@ class Tree:
                                        self.center[nodes])
 
     def compute_monopoles_reference(self, particles: ParticleSet) -> None:
-        """Per-node reverse-scan monopole pass — the oracle
-        :meth:`compute_monopoles` is validated against."""
+        """Per-node reverse-scan monopole pass: what
+        :func:`build_tree_reference` (and so every small-input
+        :func:`build_tree`) runs, and what :meth:`compute_monopoles` is
+        tested bitwise against."""
         pos, m = particles.positions, particles.masses
         for node in range(self.nnodes - 1, -1, -1):
             if self.is_remote(node):
@@ -311,7 +314,7 @@ class Tree:
         Level-batched child→parent scatters, deepest level first, so
         every node's count already includes its whole subtree when its
         parent reads it.  Counters are integers, so the result is
-        exactly :meth:`sum_interactions_up_reference`.
+        exactly that of a per-node reverse scan.
         """
         for _, ids in reversed(self.nodes_by_level()):
             kids = self.children[ids]
@@ -321,15 +324,6 @@ class Tree:
             vals = np.where(valid, self.interactions[np.where(valid, kids, 0)],
                             0)
             self.interactions[ids] += vals.sum(axis=1)
-
-    def sum_interactions_up_reference(self) -> None:
-        """Per-node reverse scan (relies on every child id being greater
-        than its parent id) — the oracle for the level-batched pass."""
-        for node in range(self.nnodes - 1, -1, -1):
-            kids = self.children[node]
-            kids = kids[kids != NO_CHILD]
-            if kids.size:
-                self.interactions[node] += self.interactions[kids].sum()
 
 
 @dataclass
@@ -653,8 +647,10 @@ def build_tree_reference(particles: ParticleSet, box: Box | None = None,
                          collapse_chains: bool = True,
                          compute_monopoles: bool = True,
                          keys: np.ndarray | None = None) -> Tree:
-    """Node-at-a-time recursive tree construction — the oracle and bench
-    baseline for :func:`build_tree`.  Same signature, same output."""
+    """Node-at-a-time recursive tree construction: the production path
+    of :func:`build_tree` below :data:`SMALL_BUILD_CUTOFF`, and the
+    reference the level-synchronous path is tested against.  Same
+    signature, same output."""
     box, bits, sorted_keys, order = _prepare(particles, box, leaf_capacity,
                                              max_depth, keys)
     builder = _Builder(keys=sorted_keys, order=order, dims=particles.dims,

@@ -787,8 +787,6 @@ class _RankState:
     # ------------------------------------------------------- one step
     def step(self, step_no: int, dt: float | None) -> StepResult:
         comm, cfg = self.comm, self.config
-        if dt is not None and cfg.mode != "force":
-            raise ValueError("advancing particles requires mode='force'")
         # Count before the balancing exchange inside decompose() so
         # moved_in reports the net particles gained by this rank.
         before = self.particles.n
@@ -1105,6 +1103,8 @@ class ParallelBarnesHut:
         the virtual backend.  Requires ``trace=True``."""
         if steps < 1:
             raise ValueError("need at least one step")
+        if dt is not None and self.config.mode != "force":
+            raise ValueError("advancing particles requires mode='force'")
         if wall_trace is None:
             wall_trace = trace and self.backend == "process"
         if wall_trace and not trace:

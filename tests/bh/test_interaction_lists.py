@@ -1,7 +1,7 @@
 """Tests for the interaction-list traversal engine.
 
 The engine must be *observationally identical* to the classical
-single-pass traversal (kept as :func:`traverse_reference`): values to
+single-pass traversal (``tests/oracles``' ``traverse_reference``): values to
 1e-12, interaction counters exactly, per-node interaction counts
 exactly, per-target weights exactly, remote-target sets element-for-
 element.  Plus the build-once/evaluate-many behaviour the two-phase
@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from repro.bh import kernels
-from repro.bh.distributions import gaussian_blobs, plummer, random_centers
+from repro.bh.distributions import (
+    gaussian_blobs,
+    plummer,
+    random_centers,
+    uniform_cube,
+)
 from repro.bh.interaction_lists import (
     TraversalEngine,
     build_interaction_lists,
@@ -20,9 +25,9 @@ from repro.bh.interaction_lists import (
 )
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
-from repro.bh.traversal import compute_forces, compute_potentials, \
-    traverse, traverse_reference
-from repro.bh.tree import build_tree
+from repro.bh.traversal import compute_forces, compute_potentials, traverse
+from repro.bh.tree import NO_CHILD, build_tree
+from tests.oracles.traversal import traverse_reference
 
 N = 800
 
@@ -35,6 +40,14 @@ def _instances():
 
 
 INSTANCES = _instances()
+
+
+def _mark_two_remote(tree):
+    """Turn the root's first two children into remote leaves."""
+    kids = tree.children[0][tree.children[0] != NO_CHILD]
+    for i, child in enumerate(kids[:2]):
+        tree.remote_owner[int(child)] = i + 1
+        tree.remote_key[int(child)] = 100 + i
 
 
 def _evaluator(tree, particles, degree):
@@ -100,15 +113,53 @@ class TestMatchesReference:
                        softening=0.05)
         assert np.max(np.abs(res.values - ref.values)) < 1e-12
 
+    @pytest.mark.parametrize("dims,alpha", [(2, 0.5), (3, 0.67), (3, 1.2)])
+    def test_small_batch_against_large_tree(self, dims, alpha):
+        """150 targets against a 2,000-particle tree with two remote
+        leaves — many nodes per target, the shape of a served request
+        bin.  Pair sets and per-target MAC counts come from the
+        reference walking one target at a time."""
+        ps = (plummer(2000, seed=13) if dims == 3
+              else uniform_cube(2000, dims=dims, seed=13))
+        tree = build_tree(ps, leaf_capacity=8)
+        _mark_two_remote(tree)
+        tg = ps.positions[:150]
+        mac = BarnesHutMAC(alpha)
+        ev = MonopoleExpansion(tree)
+
+        lists = build_interaction_lists(tree, tg, mac)
+        res = evaluate_interaction_lists(tree, lists, ps, ev)
+        ref = traverse_reference(tree, ps, tg, mac, ev)
+        assert np.max(np.abs(res.values - ref.values)) < 1e-12
+        assert lists.mac_tests == ref.mac_tests
+        assert lists.cluster_interactions == ref.cluster_interactions
+        assert lists.p2p_interactions == ref.p2p_interactions
+        assert list(lists.remote_targets) == sorted(ref.remote_targets)
+        for node, idx in lists.remote_targets.items():
+            np.testing.assert_array_equal(idx,
+                                          np.sort(ref.remote_targets[node]))
+
+        leaf = (tree.children == NO_CHILD).all(axis=1)
+        cluster, p2p = set(), set()
+        for t in range(tg.shape[0]):
+            tree.interactions[:] = 0
+            one = traverse_reference(tree, ps, tg[t:t + 1], mac, ev,
+                                     count_node_interactions=True)
+            assert lists.mac_per_target[t] == one.mac_tests
+            hit = np.flatnonzero(tree.interactions)
+            cluster.update((int(n), t) for n in hit[~leaf[hit]])
+            p2p.update((int(n), t) for n in hit[leaf[hit]])
+        assert set(zip(lists.cluster_node.tolist(),
+                       lists.cluster_tgt.tolist())) == cluster
+        assert set(zip(lists.p2p_leaf.tolist(),
+                       lists.p2p_tgt.tolist())) == p2p
+
 
 class TestRemoteTargets:
     def _remote_tree(self):
         ps = plummer(300, seed=21)
         tree = build_tree(ps, leaf_capacity=8)
-        kids = tree.children[0][tree.children[0] >= 0]
-        for i, child in enumerate(kids[:2]):
-            tree.remote_owner[int(child)] = i + 1
-            tree.remote_key[int(child)] = 100 + i
+        _mark_two_remote(tree)
         return ps, tree
 
     def test_matches_reference(self):
@@ -225,7 +276,7 @@ class TestEvaluateDirect:
 
 
 class TestOnePath:
-    """The walks inline the stock MAC and the cluster pass needs the
+    """The walk inlines the stock MAC and the cluster pass needs the
     batch interface; anything else is refused, not walked differently."""
 
     def test_custom_mac_rejected(self):

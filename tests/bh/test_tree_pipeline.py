@@ -1,11 +1,10 @@
 """Equivalence suite for the level-synchronous tree pipeline.
 
-The vectorized builder, the level-batched upward passes, and the
-frontier MAC walk each have a node-at-a-time reference kept verbatim
-from the seed.  These tests pin the contract the benchmarks rely on:
-*exact* array equality for construction and upward passes, and
-identical interaction sets/counters for the walk (entry order and
-therefore fp accumulation order may differ there).
+The vectorized builder and the level-batched upward passes each have a
+node-at-a-time reference kept verbatim from the seed (in ``repro.bh.tree``
+where production still dispatches to it, in ``tests/oracles`` otherwise).
+These tests pin *exact* array equality for construction and upward
+passes.
 """
 
 import numpy as np
@@ -17,8 +16,6 @@ from repro.bh.distributions import (
     random_centers,
     uniform_cube,
 )
-from repro.bh.interaction_lists import build_interaction_lists
-from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import (
@@ -28,6 +25,10 @@ from repro.bh.tree import (
     build_tree_reference,
     cell_box,
     cell_boxes,
+)
+from tests.oracles.upward import (
+    build_multipoles_reference,
+    sum_interactions_up_reference,
 )
 
 #: Large enough that build_tree takes the level-synchronous path rather
@@ -113,7 +114,7 @@ class TestUpwardPasses:
 
         base = (np.arange(tree.nnodes, dtype=np.int64) * 7919) % 1013
         tree.interactions[:] = base
-        tree.sum_interactions_up_reference()
+        sum_interactions_up_reference(tree)
         ref = tree.interactions.copy()
         tree.interactions[:] = base
         tree.sum_interactions_up()
@@ -124,7 +125,7 @@ class TestUpwardPasses:
         ps = plummer(1500, seed=5)
         tree = build_tree(ps, leaf_capacity=8)
         ref = TreeMultipoles(tree, None, degree)
-        ref._build_reference(ps)
+        build_multipoles_reference(ref, ps)
         vec = TreeMultipoles(tree, None, degree)
         vec._build(ps)
         np.testing.assert_array_equal(vec.coeffs, ref.coeffs)
@@ -169,52 +170,3 @@ class TestCellBoxes:
             np.testing.assert_array_equal(center[i], b.center)
             assert half[i] == b.half
 
-
-class TestFrontierWalk:
-    def _remote_tree(self, dims):
-        ps = cloud(2000, dims, seed=13)
-        tree = build_tree(ps, leaf_capacity=8)
-        kids = tree.children[0][tree.children[0] != NO_CHILD]
-        for i, child in enumerate(kids[:2]):
-            tree.remote_owner[int(child)] = i + 1
-            tree.remote_key[int(child)] = 100 + i
-        return ps, tree
-
-    @pytest.mark.parametrize("dims,alpha", [(2, 0.5), (3, 0.67), (3, 1.2)])
-    def test_matches_dfs(self, dims, alpha):
-        ps, tree = self._remote_tree(dims)
-        tg = ps.positions[:150]
-        mac = BarnesHutMAC(alpha)
-        dfs = build_interaction_lists(tree, tg, mac, method="dfs")
-        fr = build_interaction_lists(tree, tg, mac, method="frontier")
-
-        assert fr.mac_tests == dfs.mac_tests
-        np.testing.assert_array_equal(fr.mac_per_target,
-                                      dfs.mac_per_target)
-        assert (set(zip(fr.cluster_node.tolist(),
-                        fr.cluster_tgt.tolist()))
-                == set(zip(dfs.cluster_node.tolist(),
-                           dfs.cluster_tgt.tolist())))
-        assert (set(zip(fr.p2p_leaf.tolist(), fr.p2p_tgt.tolist()))
-                == set(zip(dfs.p2p_leaf.tolist(), dfs.p2p_tgt.tolist())))
-        assert fr.p2p_interactions == dfs.p2p_interactions
-        assert list(fr.remote_targets) == list(dfs.remote_targets)
-        for node, idx in fr.remote_targets.items():
-            np.testing.assert_array_equal(idx, dfs.remote_targets[node])
-
-    def test_auto_matches_both(self):
-        ps, tree = self._remote_tree(3)
-        mac = BarnesHutMAC(0.7)
-        tg = ps.positions[:64]
-        auto = build_interaction_lists(tree, tg, mac)  # method="auto"
-        dfs = build_interaction_lists(tree, tg, mac, method="dfs")
-        assert auto.mac_tests == dfs.mac_tests
-        assert auto.cluster_interactions == dfs.cluster_interactions
-        assert auto.p2p_interactions == dfs.p2p_interactions
-
-    def test_unknown_method_rejected(self):
-        ps = plummer(200, seed=1)
-        tree = build_tree(ps, leaf_capacity=8)
-        with pytest.raises(ValueError):
-            build_interaction_lists(tree, ps.positions[:8],
-                                    BarnesHutMAC(0.7), method="bogus")

@@ -36,21 +36,19 @@ def counters(r):
 
 
 class TestSubsetEvaluation:
-    @pytest.mark.parametrize("method", ["dfs", "frontier"])
     @pytest.mark.parametrize("mode", ["force", "potential"])
-    def test_subset_matches_fresh_subset_walk(self, method, mode):
+    def test_subset_matches_fresh_subset_walk(self, mode):
         ps, box = make()
         tree = build_tree(ps, box=box, leaf_capacity=8)
         mac = BarnesHutMAC(alpha=1.2)
         idx = np.sort(np.random.default_rng(1).choice(ps.n, 150,
                                                       replace=False))
-        full = build_interaction_lists(tree, ps.positions, mac,
-                                       method=method)
+        full = build_interaction_lists(tree, ps.positions, mac)
         sub = subset_interaction_lists(full, idx)
         ev = MonopoleExpansion(tree)
         got = evaluate_interaction_lists(tree, sub, ps, ev, mode=mode)
         fresh_lists = build_interaction_lists(tree, ps.positions[idx],
-                                              mac, method=method)
+                                              mac)
         want = evaluate_interaction_lists(tree, fresh_lists, ps, ev,
                                           mode=mode)
         assert counters(got) == counters(want)
@@ -177,13 +175,11 @@ class TestApplyRepair:
         np.testing.assert_allclose(got.values, want.values,
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("method", ["dfs", "frontier"])
-    def test_walks_record_decisions(self, method):
+    def test_walks_record_decisions(self):
         ps, box = make(400)
         tree = build_tree(ps, box=box, leaf_capacity=8)
         lists = build_interaction_lists(tree, ps.positions[:64],
-                                        BarnesHutMAC(alpha=1.0),
-                                        method=method)
+                                        BarnesHutMAC(alpha=1.0))
         assert lists.tested_node.size == lists.mac_tests
         assert lists.tested_ok.size == lists.mac_tests
         # accepted pairs are exactly the ok-flagged tested pairs

@@ -138,9 +138,14 @@ class TestMultiStep:
         assert np.isfinite(res.values).all()
         assert res.positions.shape == ps.positions.shape
 
-    def test_advance_requires_force_mode(self):
-        with pytest.raises(RuntimeError, match="force"):
-            run(mode="potential", p=2, steps=1, dt=0.01)
+    @pytest.mark.parametrize("backend", ["virtual", "process"])
+    def test_advance_requires_force_mode(self, backend):
+        """Refused on the host, before any rank exists — not as a
+        rank's failure wrapped in RuntimeError / RemoteRankError."""
+        sim = ParallelBarnesHut(PS, SchemeConfig(mode="potential"), p=2,
+                                profile=ZERO_COST, backend=backend)
+        with pytest.raises(ValueError, match="mode='force'"):
+            sim.run(dt=0.01)
 
     def test_spda_rebalances_after_first_step(self):
         ps = make_instance("s_1g_a", scale=0.05, seed=8)

@@ -20,6 +20,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "hashed"])
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--timestep", "block"], "integrator='kdk'"),
+        (["--resume"], "checkpoint_dir"),
+        (["--scheme", "spsa", "--grid-level", "0", "--procs", "4"],
+         "SPSA needs r >= p"),
+    ], ids=["block-without-kdk", "resume-without-dir", "spsa-r-below-p"])
+    def test_bad_option_combination_is_one_line(self, capsys, flags,
+                                                message):
+        """What argparse cannot see, ``SchemeConfig`` and
+        ``ParallelBarnesHut`` refuse: same exit status, no traceback."""
+        assert main(["run", "--scale", "0.001", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and message in err
+        assert err.count("\n") == 1
+
 
 class TestCommands:
     def test_instances(self, capsys):
