@@ -21,9 +21,10 @@ target positions — never on the evaluator or the evaluation mode — one
 walk serves potentials *and* forces, every multipole degree, and any
 number of re-evaluations.  :class:`TraversalEngine` adds a small cache
 keyed by target fingerprint so repeated evaluations against an unchanged
-tree (the function-shipping server answering many requests within a
-step, load-measurement reruns, degree sweeps over one tree) skip the
-walk entirely.
+tree (a rank's own batches across block-timestep substeps,
+load-measurement reruns, degree sweeps over one tree) skip the walk
+entirely; one-off batches (a function-shipping owner's drain of served
+requests) walk and evaluate without touching the cache.
 
 Exactness contract: the walk applies the MAC with the same
 floating-point operations as :class:`~repro.bh.mac.BarnesHutMAC.accept`,
@@ -645,6 +646,18 @@ class TraversalEngine:
         self._cache[key] = lists
         return lists
 
+    def _evaluate(self, lists: InteractionLists, evaluator, mode: str,
+                  count_node_interactions: bool,
+                  target_weights: np.ndarray | None) -> TraversalResult:
+        return evaluate_interaction_lists(
+            self.tree, lists, self.sources, evaluator, mode=mode,
+            softening=self.softening,
+            count_node_interactions=count_node_interactions,
+            target_weights=target_weights,
+            kernel_tier=self.kernel_tier,
+            kernel_threads=self.kernel_threads,
+        )
+
     def compute(self, target_positions: np.ndarray, evaluator,
                 mode: str = "potential",
                 count_node_interactions: bool = False,
@@ -660,14 +673,24 @@ class TraversalEngine:
         lists = self.lists_for(target_positions)
         if target_subset is not None:
             lists = subset_interaction_lists(lists, target_subset)
-        return evaluate_interaction_lists(
-            self.tree, lists, self.sources, evaluator, mode=mode,
-            softening=self.softening,
-            count_node_interactions=count_node_interactions,
-            target_weights=target_weights,
-            kernel_tier=self.kernel_tier,
-            kernel_threads=self.kernel_threads,
-        )
+        return self._evaluate(lists, evaluator, mode,
+                              count_node_interactions, target_weights)
+
+    def compute_once(self, target_positions: np.ndarray, evaluator,
+                     mode: str = "potential",
+                     count_node_interactions: bool = False,
+                     target_weights: np.ndarray | None = None
+                     ) -> TraversalResult:
+        """Walk, evaluate and drop the lists: for a batch nobody will
+        present again (a drain's worth of served requests), whose lists
+        would only hold memory in the cache and push out walks that
+        *are* re-evaluated.  The cache is neither probed nor filled;
+        the walk still counts in ``walks_built``."""
+        lists = build_interaction_lists(self.tree, target_positions,
+                                        self.mac, root=self.root)
+        self.walks_built += 1
+        return self._evaluate(lists, evaluator, mode,
+                              count_node_interactions, target_weights)
 
     def apply_repair(self, repair, sources=None) -> None:
         """Carry the engine across a tree repair

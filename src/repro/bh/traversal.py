@@ -4,9 +4,10 @@ The traversal is *batched*: a whole array of target points walks the tree
 together, the MAC is applied to all of them at once per node, and the
 accepted subset gets a vectorized particle-cluster interaction while the
 rest descends.  This is how a pure-numpy treecode stays tractable, and it
-maps one-to-one onto the paper's function-shipping protocol: a received
-bin of ~100 particle coordinates is exactly such a batch evaluated
-against the subtree rooted at a branch node.
+maps one-to-one onto the paper's function-shipping protocol: the
+particle coordinates an owner received for one branch key, in however
+many ~100-particle bins, are exactly such a batch evaluated against the
+subtree rooted at that branch node.
 
 Remote leaves (placeholders for subtrees owned by other virtual
 processors) never contribute locally; the traversal returns, per remote

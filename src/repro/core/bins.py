@@ -12,15 +12,23 @@ nodes and process outstanding nodes received from other processors."
 Sends are buffered (eager protocol), so the rule is modelled rather than
 enforced by blocking: every oversubscribed send is counted as a
 flow-control stall, and the round-trip latency of each bin is folded into
-the requester's clock when its result is received.  The service and
-collection loops run in a fixed rank order, which keeps every virtual
-clock fully deterministic regardless of real thread scheduling.
+the requester's clock when its result is received.
+
+The bin is the unit of the *wire* and of flow control, not of compute.
+A rank has every incoming request bin in hand before it answers the
+first, so the owner's ``serve`` callable is handed the whole *drain* —
+all request bins in virtual-arrival order — and may evaluate them
+together; the virtual machine still sees one receive, that bin's own
+service charges and one result send per bin, in arrival order.  The
+service and collection loops run in a fixed rank order, which keeps
+every virtual clock fully deterministic regardless of real thread
+scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -86,14 +94,19 @@ class BinManager:
     """Accumulates, ships, serves and drains function-shipping bins."""
 
     def __init__(self, comm: Comm, capacity: int, dims: int,
-                 serve: Callable[[RequestBin], np.ndarray],
+                 serve: Callable[[list[RequestBin]], Iterable[np.ndarray]],
                  accumulate: Callable[[np.ndarray, np.ndarray], None]):
         """
         Parameters
         ----------
         serve:
-            Computes interaction values for a request bin's records
-            (owner-side work: the entire-subtree evaluation).
+            Owner-side work for one drain: called once with every
+            incoming request bin in virtual-arrival order, returns one
+            values array per bin in the same order.  :meth:`complete`
+            pulls bin ``i``'s values after charging that bin's receive
+            and before sending its result, so a generator that charges
+            the clock just before each ``yield`` bills every bin its
+            own service time however the values were computed.
         accumulate:
             Called with (slots, values) when a result bin returns.
         """
@@ -188,12 +201,6 @@ class BinManager:
         return dict(self._sent_records_to)
 
     # ------------------------------------------------------------ receiving
-    def _serve_one(self, src: int, bin_: RequestBin) -> None:
-        values = self._serve(bin_)
-        result = ResultBin(slots=bin_.slots, values=values)
-        self.comm.send(result, src, tag=TAG_RESULT, nbytes=result.nbytes)
-        self.records_served += bin_.n
-
     def _accept_result(self, src: int, rbin: ResultBin) -> None:
         self._accumulate(rbin.slots, rbin.values)
         self.records_received_back += rbin.n
@@ -204,14 +211,16 @@ class BinManager:
         """Finish the exchange: flush, swap bin counts, serve every
         incoming request, collect every result.
 
-        Requests are served in virtual-arrival order (FIFO by arrival,
+        Requests are answered in virtual-arrival order (FIFO by arrival,
         as the paper's polling loop would), which is deterministic
-        because sender clocks are.  Per-pair sentinel markers replace a
-        terminating collective, so a rank starts serving from its *own*
-        clock — service overlaps other ranks' traversal exactly as on
-        the real machine.  Deadlock-free by construction: all requests
-        and sentinels are buffered on the wire before any rank blocks,
-        and all results are sent during the service pass.
+        because sender clocks are; ``serve`` sees the whole drain at
+        once, but each bin's receive, service charges and result send
+        reach the clock in that order.  Per-pair sentinel markers
+        replace a terminating collective, so a rank starts serving from
+        its *own* clock — service overlaps other ranks' traversal
+        exactly as on the real machine.  Deadlock-free by construction:
+        all requests and sentinels are buffered on the wire before any
+        rank blocks, and all results are sent during the service pass.
         """
         self.flush()
         comm = self.comm
@@ -245,11 +254,16 @@ class BinManager:
                     got += 1
                 raw.extend(msgs)
         raw.sort()
+        served = iter(self._serve([m.payload for m in raw
+                                   if not is_sentinel(m.payload)]))
         for msg in raw:
             comm.charge_recv(msg)
-            if isinstance(msg.payload, dict) and "sentinel" in msg.payload:
+            if is_sentinel(msg.payload):
                 continue
-            self._serve_one(msg.src, msg.payload)
+            bin_ = msg.payload
+            result = ResultBin(slots=bin_.slots, values=next(served))
+            comm.send(result, msg.src, tag=TAG_RESULT, nbytes=result.nbytes)
+            self.records_served += bin_.n
         to_collect = {dst: n for dst, n in self._bins_sent_to.items() if n}
         for msg in comm.recv_sorted(to_collect, TAG_RESULT):
             self._accept_result(msg.src, msg.payload)

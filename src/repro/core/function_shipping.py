@@ -10,11 +10,16 @@ Per time-step, per rank:
 2. Bins ship as they fill; the one-outstanding-bin rule is tracked as
    flow-control stalls (see :mod:`repro.core.bins`).
 3. Per-pair sentinel markers announce each sender's bin counts; every
-   rank then serves incoming request bins in virtual-arrival order
-   (evaluating the entire subtree rooted at the requested branch,
-   vectorized over the bin) and finally collects its own results.
+   rank then has its whole *drain* — all incoming request bins — in
+   hand, evaluates the entire subtree rooted at each requested branch
+   once for all of the drain's records that name it, answers the bins
+   in virtual-arrival order, each charged exactly the work its own
+   records caused, and finally collects its own results.
 
-All treecode work is charged to the virtual clock with the paper's own
+The bin is the wire and flow-control unit, the drain the compute unit:
+the walk's accept/open decisions are per target, so how targets are
+batched moves no interaction counter and no virtual clock.  All
+treecode work is charged to the virtual clock with the paper's own
 instruction counts (13 + 16 k^2 per interaction, 14 per MAC).
 """
 
@@ -72,9 +77,9 @@ class FunctionShippingEngine:
         self._mode = config.mode
         self._degree = config.degree
         # Build-once/evaluate-many: one engine per tree this rank walks.
-        # A target batch seen twice against the same tree (e.g. the same
-        # bin of coordinates requesting both phases, or a re-run over an
-        # unchanged tree) reuses the cached interaction lists.
+        # The rank's own target batches (top-tree walk, own-branch
+        # descents) seen again against an unchanged tree reuse the
+        # cached interaction lists; served drains are never cached.
         # One resolution per engine: "auto" pins to the tier that runs
         # (the ParallelBarnesHut constructor already warned if a numba
         # request fell back).
@@ -88,14 +93,18 @@ class FunctionShippingEngine:
         # walk caches survive across engine instances (the block-timestep
         # loop repairs trees between substeps and carries the engines
         # through :meth:`TraversalEngine.apply_repair`); subtrees it has
-        # no engine for get a fresh one.
+        # no engine for get a fresh one.  A subtree engine caches one
+        # batch per ``run`` — the rank's own targets that reached its
+        # branch — so it keeps one walk: the latest.  Walks of earlier
+        # substeps are for particles that have moved since, and each
+        # holds its P2P scratch (MBs for a rank-sized batch).
         self.subtree_engines = ({} if subtree_engines is None
                                 else subtree_engines)
         for st in subtrees:
             if st.key not in self.subtree_engines:
                 self.subtree_engines[st.key] = TraversalEngine(
                     st.tree, st.particles, self.mac,
-                    softening=config.softening,
+                    softening=config.softening, cache_size=1,
                     kernel_tier=self.kernel_tier, kernel_threads=kt,
                 )
 
@@ -130,33 +139,77 @@ class FunctionShippingEngine:
             )
         return self.subtree_by_key[int(key)]
 
+    def _count(self, res: TraversalResult) -> None:
+        if res.remote_targets:
+            raise RuntimeError("local subtree contains remote leaves")
+        self._result.mac_tests += res.mac_tests
+        self._result.cluster_interactions += res.cluster_interactions
+        self._result.p2p_interactions += res.p2p_interactions
+
     def _descend(self, key: int, coords: np.ndarray) -> np.ndarray:
-        """Evaluate the whole local subtree rooted at branch ``key`` for
-        a batch of target coordinates, charging the clock and the step's
-        counters; the one body behind own-branch descents and served
-        request bins."""
+        """Evaluate the rank's own subtree rooted at branch ``key`` for
+        its own targets that reached it, charging the clock and the
+        step's counters.  One call per own subtree per run (each
+        top-tree branch leaf is a distinct key), on the requester's
+        clock between its bin sends."""
         st = self._lookup_subtree(key)
         res = self.subtree_engines[key].compute(
             coords, self._local_evaluator(st), mode=self._mode,
             count_node_interactions=True,
         )
-        if res.remote_targets:
-            raise RuntimeError("local subtree contains remote leaves")
+        self._count(res)
         self._charge(res)
-        self._result.mac_tests += res.mac_tests
-        self._result.cluster_interactions += res.cluster_interactions
-        self._result.p2p_interactions += res.p2p_interactions
         return res.values
 
-    def _serve(self, bin_: RequestBin) -> np.ndarray:
-        """Owner-side service: evaluate whole subtrees for a request bin."""
-        d = self.particles.dims if self.particles.n else bin_.coords.shape[1]
-        values = (np.zeros(bin_.n) if self._mode == "potential"
-                  else np.zeros((bin_.n, d)))
-        for key in np.unique(bin_.keys):
-            sel = np.flatnonzero(bin_.keys == key)
-            values[sel] = self._descend(int(key), bin_.coords[sel])
-        return values
+    def _serve(self, bins: list[RequestBin]):
+        """Owner-side service of one drain: ``bins`` is every incoming
+        request bin in virtual-arrival order; yields each bin's values
+        in that order (the :class:`BinManager` ``serve`` contract).
+
+        All records naming one branch key are walked and evaluated
+        together, once, whichever bins carried them.  Nothing reaches
+        the clock until a bin's values are pulled: then, per key of
+        that bin in ascending order, the index lookup and one separate
+        compute charge of the model flops of *that bin's* records —
+        the per-target weights are integer-valued, so their sum is
+        exactly what walking the bin alone would have charged.
+        """
+        if not bins:
+            return
+        keys = np.concatenate([b.keys for b in bins])
+        coords = np.concatenate([b.coords for b in bins])
+        n = keys.size
+        by_key = np.argsort(keys, kind="stable")
+        groups = np.split(by_key, np.flatnonzero(np.diff(keys[by_key])) + 1)
+        wanted = [int(keys[sel[0]]) for sel in groups]
+        for key in wanted:
+            if key not in self.subtree_by_key:
+                # Not this rank's branch: fail through the index, whose
+                # error names the true owner, before any walk starts.
+                self._lookup_subtree(key)
+        values = (np.zeros(n) if self._mode == "potential"
+                  else np.zeros((n, coords.shape[1])))
+        flops = np.zeros(n)
+        for key, sel in zip(wanted, groups):
+            weights = np.zeros(sel.size)
+            res = self.subtree_engines[key].compute_once(
+                coords[sel], self._local_evaluator(self.subtree_by_key[key]),
+                mode=self._mode, count_node_interactions=True,
+                target_weights=weights,
+            )
+            self._count(res)
+            values[sel] = res.values
+            flops[sel] = weights
+        lo = 0
+        for b in bins:
+            hi = lo + b.n
+            bin_keys, inverse = np.unique(b.keys, return_inverse=True)
+            charges = np.bincount(inverse, weights=flops[lo:hi])
+            for key, charge in zip(bin_keys, charges):
+                self._lookup_subtree(int(key))
+                self.comm.compute(float(charge))
+            yield values[lo:hi]
+            lo = hi
 
     # ------------------------------------------------------------- main run
     def run(self, targets_idx: np.ndarray | None = None) -> ForceResult:
@@ -177,15 +230,10 @@ class FunctionShippingEngine:
         self._result = ForceResult(values=values)
         built0, reused0 = self._walk_counts()
 
-        def accumulate(slots: np.ndarray, vals: np.ndarray) -> None:
-            # One result bin may carry several records for the same local
-            # particle (one per branch key shipped to that owner), so the
-            # unbuffered scatter-add is required — plain fancy-index +=
-            # would collapse duplicate slots to a single addition.
-            np.add.at(values, slots, vals)
-
-        bins = BinManager(comm, cfg.bin_capacity, d,
-                          serve=self._serve, accumulate=accumulate)
+        returned: list[tuple[np.ndarray, np.ndarray]] = []
+        bins = BinManager(
+            comm, cfg.bin_capacity, d, serve=self._serve,
+            accumulate=lambda slots, vals: returned.append((slots, vals)))
 
         #: requester-side cost (model flops) attributed to each local
         #: particle by the top-tree walk; load balancers add it to the
@@ -227,6 +275,15 @@ class FunctionShippingEngine:
                             self.particles.positions[idx],
                         )
             bins.complete()
+            if returned:
+                # Result bins in the order they were received.  A local
+                # particle has one record per branch key it shipped, in
+                # one bin or several, so the unbuffered scatter-add is
+                # required — plain fancy-index += would collapse
+                # duplicate slots to a single addition.
+                np.add.at(values,
+                          np.concatenate([s for s, _ in returned]),
+                          np.concatenate([v for _, v in returned]))
 
         self._result.records_shipped = bins.records_sent
         self._result.records_served = bins.records_served

@@ -1,7 +1,10 @@
 """Tests for the function-shipping bin protocol."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bins import BinManager, RequestBin, ResultBin
 from repro.machine.costmodel import PARTICLE_RECORD_BYTES
@@ -31,14 +34,19 @@ def run(p, main, profile=ZERO_COST):
     return Engine(p, profile, recv_timeout=30.0).run(main)
 
 
+def zeros(bins):
+    """A per-drain ``serve``: one values array per request bin."""
+    return [np.zeros(b.n) for b in bins]
+
+
 class TestBinManagerProtocol:
     def test_round_trip_two_ranks(self):
         """Rank 0 ships requests; rank 1 serves with value = slot * 10."""
         def main(comm):
             got = {}
 
-            def serve(bin_):
-                return bin_.slots.astype(float) * 10.0
+            def serve(bins):
+                return [b.slots.astype(float) * 10.0 for b in bins]
 
             def accumulate(slots, vals):
                 for s, v in zip(slots, vals):
@@ -59,8 +67,7 @@ class TestBinManagerProtocol:
     def test_bins_ship_at_capacity(self):
         def main(comm):
             mgr = BinManager(comm, capacity=3, dims=3,
-                             serve=lambda b: np.zeros(b.n),
-                             accumulate=lambda s, v: None)
+                             serve=zeros, accumulate=lambda s, v: None)
             sent_bins = None
             if comm.rank == 0:
                 s, k, c = records(7)
@@ -76,8 +83,7 @@ class TestBinManagerProtocol:
     def test_flow_control_stalls_counted(self):
         def main(comm):
             mgr = BinManager(comm, capacity=2, dims=3,
-                             serve=lambda b: np.zeros(b.n),
-                             accumulate=lambda s, v: None)
+                             serve=zeros, accumulate=lambda s, v: None)
             if comm.rank == 0:
                 s, k, c = records(8)
                 mgr.add_requests(1, s, k, c)  # 4 bins to same dst
@@ -92,8 +98,8 @@ class TestBinManagerProtocol:
         def main(comm):
             total = [0.0]
 
-            def serve(bin_):
-                return np.full(bin_.n, float(comm.rank))
+            def serve(bins):
+                return [np.full(b.n, float(comm.rank)) for b in bins]
 
             def accumulate(slots, vals):
                 total[0] += vals.sum()
@@ -114,9 +120,12 @@ class TestBinManagerProtocol:
 
     def test_deterministic_virtual_time(self):
         def main(comm):
-            def serve(bin_):
-                comm.compute(float(100 * (comm.rank + 1)))
-                return np.zeros(bin_.n)
+            def serve(bins):
+                # a generator: each bin's service time reaches the
+                # clock when complete() pulls that bin's values
+                for b in bins:
+                    comm.compute(float(100 * (comm.rank + 1)))
+                    yield np.zeros(b.n)
 
             mgr = BinManager(comm, capacity=3, dims=3, serve=serve,
                              accumulate=lambda s, v: None)
@@ -133,8 +142,7 @@ class TestBinManagerProtocol:
     def test_self_shipping_rejected(self):
         def main(comm):
             mgr = BinManager(comm, capacity=2, dims=3,
-                             serve=lambda b: np.zeros(b.n),
-                             accumulate=lambda s, v: None)
+                             serve=zeros, accumulate=lambda s, v: None)
             s, k, c = records(1)
             mgr.add_requests(comm.rank, s, k, c)
 
@@ -144,8 +152,7 @@ class TestBinManagerProtocol:
     def test_mismatched_arrays_rejected(self):
         def main(comm):
             mgr = BinManager(comm, capacity=2, dims=3,
-                             serve=lambda b: np.zeros(b.n),
-                             accumulate=lambda s, v: None)
+                             serve=zeros, accumulate=lambda s, v: None)
             mgr.add_requests(1, np.arange(3), np.arange(2), np.zeros((3, 3)))
 
         with pytest.raises(RuntimeError, match="disagree"):
@@ -154,8 +161,7 @@ class TestBinManagerProtocol:
     def test_invalid_capacity(self):
         def main(comm):
             BinManager(comm, capacity=0, dims=3,
-                       serve=lambda b: np.zeros(b.n),
-                       accumulate=lambda s, v: None)
+                       serve=zeros, accumulate=lambda s, v: None)
 
         with pytest.raises(RuntimeError, match="capacity"):
             run(1, main)
@@ -163,8 +169,7 @@ class TestBinManagerProtocol:
     def test_empty_add_is_noop(self):
         def main(comm):
             mgr = BinManager(comm, capacity=2, dims=3,
-                             serve=lambda b: np.zeros(b.n),
-                             accumulate=lambda s, v: None)
+                             serve=zeros, accumulate=lambda s, v: None)
             mgr.add_requests(1, np.zeros(0, dtype=np.int64),
                              np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
             mgr.complete()
@@ -178,8 +183,8 @@ class TestBinManagerProtocol:
         def main(comm):
             seen = {}
 
-            def serve(bin_):
-                return bin_.keys.astype(float)
+            def serve(bins):
+                return [b.keys.astype(float) for b in bins]
 
             def accumulate(slots, vals):
                 for s, v in zip(slots, vals):
@@ -200,8 +205,7 @@ class TestBinManagerProtocol:
     def test_request_bytes_follow_record_size(self):
         def main(comm):
             mgr = BinManager(comm, capacity=10, dims=3,
-                             serve=lambda b: np.zeros(b.n),
-                             accumulate=lambda s, v: None)
+                             serve=zeros, accumulate=lambda s, v: None)
             if comm.rank == 0:
                 mgr.add_requests(1, *records(25))
             mgr.complete()
@@ -209,3 +213,67 @@ class TestBinManagerProtocol:
 
         rep = run(2, main)
         assert rep.values[0] == 25 * PARTICLE_RECORD_BYTES
+
+
+P = 3
+# what rank ``src`` asks rank ``dst`` for: distinct (slot, key) records
+# and where the list is cut into two add_requests calls
+_pairs = st.lists(st.tuples(st.integers(0, 19), st.integers(0, 9)),
+                  unique=True, max_size=30)
+_traffic = st.fixed_dictionaries({
+    (src, dst): st.tuples(_pairs, st.integers(0, 30))
+    for src in range(P) for dst in range(P) if src != dst
+})
+
+
+class TestBinAccounting:
+    """Every record shipped is served once and comes back once, whatever
+    the capacity, the record counts and the key mix per pair."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(capacity=st.integers(1, 8), traffic=_traffic)
+    def test_records_bins_and_stalls_add_up(self, capacity, traffic):
+        def main(comm):
+            back = []
+
+            def serve(bins):
+                for b in bins:
+                    comm.compute(float(b.n))      # 1 s per record here
+                    yield b.slots * 10.0 + b.keys
+
+            mgr = BinManager(
+                comm, capacity=capacity, dims=3, serve=serve,
+                accumulate=lambda s, v: back.extend(
+                    zip(s.tolist(), v.tolist())))
+            comm.compute(float(comm.rank + 1))    # staggered arrivals
+            for dst in range(comm.size):
+                if dst == comm.rank:
+                    continue
+                pairs, cut = traffic[comm.rank, dst]
+                for part in (pairs[:cut], pairs[cut:]):
+                    mgr.add_requests(
+                        dst,
+                        np.array([s for s, _ in part], dtype=np.int64),
+                        np.array([k for _, k in part], dtype=np.int64),
+                        np.zeros((len(part), 3)))
+            mgr.complete()
+            return (back, mgr.records_sent, mgr.records_received_back,
+                    mgr.records_served, mgr.stats.request_bins_sent,
+                    mgr.stats.flow_control_stalls)
+
+        first, second = run(P, main), run(P, main)
+        assert [r.time for r in first.ranks] \
+            == [r.time for r in second.ranks]
+        assert first.values == second.values
+        n = {pair: len(pairs) for pair, (pairs, _) in traffic.items()}
+        for rank, (back, sent, received, served, nbins,
+                   stalls) in enumerate(first.values):
+            others = [r for r in range(P) if r != rank]
+            asked = [(s, s * 10.0 + k) for dst in others
+                     for s, k in traffic[rank, dst][0]]
+            assert Counter(back) == Counter(asked)
+            assert sent == received == len(asked)
+            assert served == sum(n[src, rank] for src in others)
+            bins_to = [-(-n[rank, dst] // capacity) for dst in others]
+            assert nbins == sum(bins_to)
+            assert stalls == sum(max(b - 1, 0) for b in bins_to)
