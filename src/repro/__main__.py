@@ -200,7 +200,6 @@ def _cmd_run(args) -> int:
         print(f"  {'rung occupancy':<26s} {bins}")
         for name in ("repair.repairs", "repair.full_rebuilds",
                      "repair.nodes_reused", "repair.nodes_rebuilt",
-                     "repair.walks_retained", "repair.walks_invalidated",
                      "timestep.midmacro_exchanges"):
             print(f"  {name:<26s} {counter(name):10d}")
     faults = result.fault_summary()

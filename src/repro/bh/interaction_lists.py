@@ -1,4 +1,4 @@
-"""Interaction-list traversal engine: build once, evaluate many.
+"""Interaction-list traversal engine: build, evaluate, drop.
 
 The classical Barnes-Hut hot loop interleaves two very different kinds
 of work: *deciding* which (node, target) pairs interact (the MAC walk)
@@ -16,28 +16,30 @@ them:
    particle-particle work whose temporaries are bounded by a fixed
    working-set size.
 
-Because the lists depend only on the tree geometry, the MAC, and the
-target positions — never on the evaluator or the evaluation mode — one
-walk serves potentials *and* forces, every multipole degree, and any
-number of re-evaluations.  :class:`TraversalEngine` adds a small cache
-keyed by target fingerprint so repeated evaluations against an unchanged
-tree (a rank's own batches across block-timestep substeps,
-load-measurement reruns, degree sweeps over one tree) skip the walk
-entirely; one-off batches (a function-shipping owner's drain of served
-requests) walk and evaluate without touching the cache.
+:class:`TraversalEngine` pairs the two over one tree, two ways.
+:meth:`~TraversalEngine.compute_once` *streams*: each chunk of
+:data:`STREAM_CHUNK_TARGETS` targets is walked, evaluated and dropped
+before the next is walked, so a batch holds one chunk's lists whatever
+its size — every force evaluation of a simulation step goes this way,
+none is ever presented again.  :meth:`~TraversalEngine.compute` caches
+the whole batch's lists by target fingerprint: they depend only on tree
+geometry, MAC and target positions, so one walk serves both modes, every
+multipole degree and any number of re-evaluations (the serial helpers).
 
 Exactness contract: the walk applies the MAC with the same
 floating-point operations as :class:`~repro.bh.mac.BarnesHutMAC.accept`,
-so the interaction *sets* — and therefore ``mac_tests``,
+and per-target decisions are independent of how targets are batched, so
+the interaction *sets* — and therefore ``mac_tests``,
 ``cluster_interactions``, ``p2p_interactions``, the per-node DPDA
 counters, and the per-target weight attribution — are identical to the
-classical traversal.  Only the accumulation order of floating-point sums
-differs (fused kernels sum per-pair contributions in list order), which
-perturbs values at the 1e-15 level.
+classical traversal, streamed or not.  Only the accumulation order of
+floating-point sums differs (fused kernels sum per-pair contributions
+in list order), which perturbs values at the 1e-15 level.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +55,13 @@ from repro.bh.tree import NO_CHILD, Tree
 #: the later passes cache hits.  Measured on the serial n=10k benchmark,
 #: 4 MiB beats 16 MiB by ~15%.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
+
+#: Targets per streamed chunk of :meth:`TraversalEngine.compute_once`.
+#: Measured on the serial n=10k benchmark: 512 costs +35 % wall over
+#: whole-batch walks (the Python descent is paid per chunk), 2048 +5 %,
+#: 4096 nothing; at n=100k chunking beats merely not retaining the
+#: whole-batch lists (197 vs 471 MiB, 15.5 vs 21.3 s).
+STREAM_CHUNK_TARGETS = 4096
 
 
 @dataclass
@@ -124,15 +133,20 @@ class InteractionLists:
     _p2p_groups: list | None = None
     _cluster_per_target: np.ndarray | None = None
     _p2p_src_per_target: np.ndarray | None = None
-    # P2P kernel scratch, keyed by (ns, chunk): buffers persist
-    # across evaluate calls on a cached walk instead of being
-    # reallocated per pass.  Bitwise-neutral — every buffer is fully
-    # overwritten before it is read within a chunk.
-    _scratch: dict | None = None
 
     @property
     def cluster_interactions(self) -> int:
         return int(self.cluster_tgt.size)
+
+    def nbytes(self) -> int:
+        """Bytes held: list arrays plus, once evaluated, P2P blocks."""
+        arrays = [self.cluster_node, self.cluster_tgt, self.p2p_leaf,
+                  self.p2p_tgt, self.p2p_sizes, self.mac_per_target,
+                  self.tested_node, self.tested_tgt, self.tested_ok,
+                  *self.remote_targets.values()]
+        for group in self._p2p_groups or ():
+            arrays.extend(a for a in group if a is not None)
+        return sum(a.nbytes for a in arrays)
 
     def p2p_groups(self, tree: Tree, sources
                    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -171,10 +185,6 @@ class InteractionLists:
                                None if uniform else mass[src_mat]))
             self._p2p_groups = groups
         return self._p2p_groups
-
-    def mac_tests_per_target(self) -> np.ndarray:
-        """MAC tests charged to each target (14 model flops apiece)."""
-        return self.mac_per_target
 
     def cluster_per_target(self) -> np.ndarray:
         if self._cluster_per_target is None:
@@ -431,20 +441,21 @@ def _cluster_pass(lists: InteractionLists, values: np.ndarray,
         _accumulate(values, tgt, contrib, lists.nt)
 
 
-def _p2p_scratch(lists: InteractionLists, ns: int, chunk: int) -> tuple:
-    """Reusable P2P chunk buffers (diff tensor, squared distances,
-    per-pair weights, gathered masses), cached on the lists so repeated
-    evaluations over a cached walk allocate nothing."""
-    if lists._scratch is None:
-        lists._scratch = {}
-    key = (ns, chunk)
-    bufs = lists._scratch.get(key)
-    if bufs is None:
-        d = lists.d
-        bufs = (np.empty((chunk, ns, d)), np.empty((chunk, ns)),
-                np.empty((chunk, ns)), np.empty((chunk, ns)))
-        lists._scratch[key] = bufs
-    return bufs
+#: One flat scratch buffer per thread (rank threads evaluate at once):
+#: lazily allocated, grown on demand, never beyond the working set.
+_thread_scratch = threading.local()
+
+
+def _p2p_scratch(ns: int, chunk: int, d: int) -> tuple:
+    """P2P chunk buffers (diff tensor, squared distances, per-pair
+    weights, gathered masses) carved out of the thread's scratch; every
+    view is fully overwritten before it is read within a chunk."""
+    rows = chunk * ns
+    buf = getattr(_thread_scratch, "buf", None)
+    if buf is None or buf.size < rows * (d + 3):
+        buf = _thread_scratch.buf = np.empty(rows * (d + 3))
+    flat = buf[rows * d:rows * (d + 3)].reshape(3, chunk, ns)
+    return (buf[:rows * d].reshape(chunk, ns, d), *flat)
 
 
 def _p2p_chunk(lists: InteractionLists, out: np.ndarray,
@@ -514,7 +525,7 @@ def _p2p_pass(lists: InteractionLists, values: np.ndarray, tree: Tree,
         # gather + diff blocks and a few (chunk, ns) scalars
         row = 8 * (2 * ns * d + 4 * ns + 2 * d + 4)
         chunk = min(n, max(1, chunk_bytes // row))
-        scratch = _p2p_scratch(lists, ns, chunk)
+        scratch = _p2p_scratch(ns, chunk, d)
         for lo in range(0, n, chunk):
             _p2p_chunk(lists, values, tgt, tpos, row_entry, sp, sm,
                        lo, min(lo + chunk, n), force, soft2, scale,
@@ -583,7 +594,7 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
         per_cluster = 13.0 + 16.0 * max(degree, 1) ** 2
         # All three contributions are integer-valued floats, so this is
         # exactly equal to the classical per-visit accumulation.
-        target_weights += (14.0 * lists.mac_tests_per_target()
+        target_weights += (14.0 * lists.mac_per_target
                            + per_cluster * lists.cluster_per_target()
                            + 29.0 * lists.p2p_sources_per_target())
     return result
@@ -591,12 +602,13 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
 
 # ------------------------------------------------------------------ engine
 class TraversalEngine:
-    """Build-once/evaluate-many traversal over one tree.
+    """Streamed (:meth:`compute_once`) or build-once/evaluate-many
+    (:meth:`compute`) traversal over one tree.
 
-    Interaction lists are cached under a fingerprint of the target
+    :meth:`compute` caches lists under a fingerprint of the target
     positions; any evaluation against targets already walked (same
-    positions, any evaluator, any mode) reuses the lists and skips the
-    walk.  ``walks_built`` / ``walks_reused`` count the cache traffic.
+    positions, any evaluator, any mode) reuses them and skips the walk.
+    ``walks_built`` / ``walks_reused`` count the cache traffic.
     """
 
     def __init__(self, tree: Tree, sources=None, mac=None,
@@ -620,6 +632,8 @@ class TraversalEngine:
         self._cache_size = cache_size
         self.walks_built = 0
         self.walks_reused = 0
+        self.stream_chunks = 0          # chunks compute_once evaluated
+        self.lists_peak_bytes = 0       # most list bytes one chunk held
         self.walks_retained = 0
         self.walks_invalidated = 0
         self.walks_retested = 0
@@ -681,16 +695,37 @@ class TraversalEngine:
                      count_node_interactions: bool = False,
                      target_weights: np.ndarray | None = None
                      ) -> TraversalResult:
-        """Walk, evaluate and drop the lists: for a batch nobody will
-        present again (a drain's worth of served requests), whose lists
-        would only hold memory in the cache and push out walks that
-        *are* re-evaluated.  The cache is neither probed nor filled;
-        the walk still counts in ``walks_built``."""
-        lists = build_interaction_lists(self.tree, target_positions,
-                                        self.mac, root=self.root)
+        """For a batch nobody will present again: per chunk of
+        :data:`STREAM_CHUNK_TARGETS` targets, walk, evaluate, drop the
+        lists.  The cache is neither probed nor filled; the batch
+        counts once in ``walks_built``.  Per-target decisions are
+        independent, so chunks merge exactly (remote indices re-based,
+        chunks ascending); only fp summation order differs."""
+        targets = np.atleast_2d(
+            np.asarray(target_positions, dtype=np.float64))
+        nt, d = targets.shape
+        result = TraversalResult(
+            values=np.zeros(nt) if mode == "potential" else np.zeros((nt, d)))
+        remote: dict[int, list[np.ndarray]] = {}
+        # an empty batch still makes one (empty) pass: same validation
+        for lo in range(0, max(nt, 1), STREAM_CHUNK_TARGETS):
+            chunk = slice(lo, lo + STREAM_CHUNK_TARGETS)
+            lists = build_interaction_lists(self.tree, targets[chunk],
+                                            self.mac, root=self.root)
+            res = self._evaluate(
+                lists, evaluator, mode, count_node_interactions,
+                None if target_weights is None else target_weights[chunk])
+            self.stream_chunks += 1
+            self.lists_peak_bytes = max(self.lists_peak_bytes, lists.nbytes())
+            result.values[chunk] = res.values
+            result.merge_counters(res)
+            for node, tgts in res.remote_targets.items():
+                remote.setdefault(node, []).append(tgts + lo)
+            del lists, res      # dropped before the next chunk is walked
+        result.remote_targets = {n: np.concatenate(remote[n])
+                                 for n in sorted(remote)}
         self.walks_built += 1
-        return self._evaluate(lists, evaluator, mode,
-                              count_node_interactions, target_weights)
+        return result
 
     def apply_repair(self, repair, sources=None) -> None:
         """Carry the engine across a tree repair

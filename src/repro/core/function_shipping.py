@@ -21,6 +21,10 @@ the walk's accept/open decisions are per target, so how targets are
 batched moves no interaction counter and no virtual clock.  All
 treecode work is charged to the virtual clock with the paper's own
 instruction counts (13 + 16 k^2 per interaction, 14 per MAC).
+
+Interaction lists are single-use: every walk here streams through
+``TraversalEngine.compute_once`` (build a chunk's lists, evaluate,
+drop) and none outlives ``run`` — Section 4.2.4's working-set argument.
 """
 
 from __future__ import annotations
@@ -59,15 +63,14 @@ class ForceResult:
     records_served: int = 0
     ship: ShipStats = field(default_factory=ShipStats)
     walks_built: int = 0        # interaction-list walks performed
-    walks_reused: int = 0       # evaluations served from cached lists
+    walks_reused: int = 0       # always 0: the lists are single-use
 
 
 class FunctionShippingEngine:
     """Binds one rank's trees and particles for the force phase."""
 
     def __init__(self, comm: Comm, config: SchemeConfig, top: TopTree,
-                 subtrees: list[LocalSubtree], particles: ParticleSet,
-                 subtree_engines: dict[int, TraversalEngine] | None = None):
+                 subtrees: list[LocalSubtree], particles: ParticleSet):
         self.comm = comm
         self.config = config
         self.top = top
@@ -76,45 +79,27 @@ class FunctionShippingEngine:
         self.subtree_by_key = {st.key: st for st in subtrees}
         self._mode = config.mode
         self._degree = config.degree
-        # Build-once/evaluate-many: one engine per tree this rank walks.
-        # The rank's own target batches (top-tree walk, own-branch
-        # descents) seen again against an unchanged tree reuse the
-        # cached interaction lists; served drains are never cached.
-        # One resolution per engine: "auto" pins to the tier that runs
-        # (the ParallelBarnesHut constructor already warned if a numba
-        # request fell back).
+        # One engine per tree this rank walks, each resolving the tier
+        # once: "auto" pins to the tier that runs (the ParallelBarnesHut
+        # constructor already warned if a numba request fell back).
         self.kernel_tier = compiled.resolve_tier(config.kernel_tier)
         kt = config.kernel_threads
         self._top_engine = TraversalEngine(
             top.tree, None, self.mac, softening=config.softening,
             kernel_tier=self.kernel_tier, kernel_threads=kt,
         )
-        # ``subtree_engines`` adopts persistent per-subtree engines whose
-        # walk caches survive across engine instances (the block-timestep
-        # loop repairs trees between substeps and carries the engines
-        # through :meth:`TraversalEngine.apply_repair`); subtrees it has
-        # no engine for get a fresh one.  A subtree engine caches one
-        # batch per ``run`` — the rank's own targets that reached its
-        # branch — so it keeps one walk: the latest.  Walks of earlier
-        # substeps are for particles that have moved since, and each
-        # holds its P2P scratch (MBs for a rank-sized batch).
-        self.subtree_engines = ({} if subtree_engines is None
-                                else subtree_engines)
-        for st in subtrees:
-            if st.key not in self.subtree_engines:
-                self.subtree_engines[st.key] = TraversalEngine(
-                    st.tree, st.particles, self.mac,
-                    softening=config.softening, cache_size=1,
-                    kernel_tier=self.kernel_tier, kernel_threads=kt,
-                )
+        self.subtree_engines = {
+            st.key: TraversalEngine(
+                st.tree, st.particles, self.mac, softening=config.softening,
+                kernel_tier=self.kernel_tier, kernel_threads=kt)
+            for st in subtrees}
 
-    def _walk_counts(self) -> tuple[int, int]:
-        built = self._top_engine.walks_built
-        reused = self._top_engine.walks_reused
-        for eng in self.subtree_engines.values():
-            built += eng.walks_built
-            reused += eng.walks_reused
-        return built, reused
+    def _walk_stats(self) -> tuple[int, int, int]:
+        """Walks built, chunks streamed, most list bytes one chunk held."""
+        engines = (self._top_engine, *self.subtree_engines.values())
+        return (sum(eng.walks_built for eng in engines),
+                sum(eng.stream_chunks for eng in engines),
+                max(eng.lists_peak_bytes for eng in engines))
 
     # ----------------------------------------------------------- evaluators
     def _local_evaluator(self, st: LocalSubtree):
@@ -153,7 +138,7 @@ class FunctionShippingEngine:
         top-tree branch leaf is a distinct key), on the requester's
         clock between its bin sends."""
         st = self._lookup_subtree(key)
-        res = self.subtree_engines[key].compute(
+        res = self.subtree_engines[key].compute_once(
             coords, self._local_evaluator(st), mode=self._mode,
             count_node_interactions=True,
         )
@@ -228,7 +213,7 @@ class FunctionShippingEngine:
         nt = tidx.size
         values = np.zeros(n) if self._mode == "potential" else np.zeros((n, d))
         self._result = ForceResult(values=values)
-        built0, reused0 = self._walk_counts()
+        built0, chunks0, _ = self._walk_stats()
 
         returned: list[tuple[np.ndarray, np.ndarray]] = []
         bins = BinManager(
@@ -249,7 +234,7 @@ class FunctionShippingEngine:
                 pass
             if nt:
                 weights = np.zeros(nt)
-                top_res = self._top_engine.compute(
+                top_res = self._top_engine.compute_once(
                     self.particles.positions[tidx], self.top,
                     mode=self._mode, target_weights=weights,
                 )
@@ -288,12 +273,11 @@ class FunctionShippingEngine:
         self._result.records_shipped = bins.records_sent
         self._result.records_served = bins.records_served
         self._result.ship = bins.stats
-        built, reused = self._walk_counts()
-        built -= built0
-        reused -= reused0
-        self._result.walks_built = built
-        self._result.walks_reused = reused
-        comm.metrics.counter("force.walks_built").inc(built)
-        comm.metrics.counter("force.walks_reused").inc(reused)
+        built, chunks, peak = self._walk_stats()
+        self._result.walks_built = built - built0
+        comm.metrics.counter("force.walks_built").inc(built - built0)
+        comm.metrics.counter("force.stream_chunks").inc(chunks - chunks0)
+        held = comm.metrics.gauge("force.lists_peak_bytes")
+        held.set(max(held.value, peak))
         comm.metrics.counter(f"force.kernel_tier.{self.kernel_tier}").inc()
         return self._result

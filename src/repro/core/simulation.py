@@ -153,7 +153,7 @@ class SimulationResult:
     def walk_reuse(self) -> tuple[int, int]:
         """Interaction-list traffic: total (walks_built, walks_reused)
         across all steps and ranks.  Reused walks are evaluations served
-        from cached interaction lists without re-walking the tree."""
+        from cached lists — none: the force phase's are single-use."""
         built = sum(sr.force.walks_built
                     for step in self.steps for sr in step)
         reused = sum(sr.force.walks_reused
@@ -251,14 +251,10 @@ def _exchange(comm: Comm, particles: ParticleSet, owners: np.ndarray,
 
 @dataclass
 class _Forest:
-    """One rank's forest of owned-cell subtrees plus the force engine,
-    carried across the substeps of a block-timestep macro step.
-
-    Forest refreshes hand the still-valid per-subtree
-    :class:`TraversalEngine` objects of ``fs`` to the next
-    :class:`FunctionShippingEngine`, so walk caches survive tree
-    repairs.  ``keys`` snapshots the rank's depth-``bits`` Morton keys
-    the trees were built from (the ``old_keys`` of the next repair).
+    """One rank's forest of owned-cell subtrees plus the force engine
+    over them; a block-timestep macro step refreshes it every substep,
+    reusing or repairing the trees.  ``keys`` snapshots the depth-``bits``
+    Morton keys the trees were built from (the next repair's ``old_keys``).
     """
 
     subtrees: list[LocalSubtree]
@@ -522,13 +518,12 @@ class _RankState:
         return merge_nonreplicated(self.comm, branches, self.root,
                                    cfg.degree, cfg.branch_lookup)
 
-    def _merged_forest(self, subtrees, branches, keys,
-                       engines=None) -> _Forest:
+    def _merged_forest(self, subtrees, branches, keys) -> _Forest:
         """Branch exchange + top-tree merge, and the force engine over
-        the result (adopting the surviving subtree ``engines``)."""
+        the result."""
         fs = FunctionShippingEngine(self.comm, self.config,
                                     self._merge_top(branches), subtrees,
-                                    self.particles, subtree_engines=engines)
+                                    self.particles)
         return _Forest(subtrees=subtrees, fs=fs, keys=keys.copy())
 
     def _build_forest(self, cells: list[Cell]) -> _Forest:
@@ -557,8 +552,6 @@ class _RankState:
         comm, cfg = self.comm, self.config
         n = self.particles.n
         keys = self._rank_keys()
-        old_engines = forest.fs.subtree_engines
-        engines = {}        # survivors; the new engine fills in the rest
         metrics = comm.metrics
         with comm.clock.phase(PHASE_REPAIR):
             old_map = {st.key: st for st in forest.subtrees}
@@ -583,10 +576,9 @@ class _RankState:
                     movers = np.flatnonzero(starter_mask[idx])
                     if movers.size == 0:
                         # Untouched: positions of every member are
-                        # frozen this substep — tree, monopoles and
-                        # cached walks all stay valid.
+                        # frozen this substep — tree and monopoles stay
+                        # valid.
                         subtrees.append(old)
-                        engines[bkey] = old_engines[bkey]
                         metrics.counter("repair.nodes_reused").inc(
                             old.tree.nnodes)
                         continue
@@ -602,16 +594,6 @@ class _RankState:
                                           particles=sub, local_idx=idx,
                                           tree=res.tree)
                         subtrees.append(st)
-                        eng = engines[bkey] = old_engines[bkey]
-                        w0 = (eng.walks_retained, eng.walks_invalidated,
-                              eng.walks_retested)
-                        eng.apply_repair(res, sources=sub)
-                        metrics.counter("repair.walks_retained").inc(
-                            eng.walks_retained - w0[0])
-                        metrics.counter("repair.walks_invalidated").inc(
-                            eng.walks_invalidated - w0[1])
-                        metrics.counter("repair.walks_retested").inc(
-                            eng.walks_retested - w0[2])
                         if res.rebuilt:
                             metrics.counter("repair.full_rebuilds").inc()
                         else:
@@ -637,7 +619,7 @@ class _RankState:
             comm.compute(tree_build_flops(touched, depth))
             branches = local_branch_infos(subtrees, comm.rank, self.root,
                                           cfg.degree)
-        return self._merged_forest(subtrees, branches, keys, engines)
+        return self._merged_forest(subtrees, branches, keys)
 
     @staticmethod
     def _merge_force(agg: ForceResult, res: ForceResult) -> None:
@@ -647,7 +629,6 @@ class _RankState:
         agg.records_shipped += res.records_shipped
         agg.records_served += res.records_served
         agg.walks_built += res.walks_built
-        agg.walks_reused += res.walks_reused
         s, t = agg.ship, res.ship
         s.request_bins_sent += t.request_bins_sent
         s.request_records_sent += t.request_records_sent
@@ -719,8 +700,8 @@ class _RankState:
             if comm.allreduce(stray, lambda a, b: a or b):
                 # A drift crossed a domain boundary mid-macro: move the
                 # strays (bin state rides the shards) and rebuild the
-                # forest.  Walk caches and requester-side load
-                # attribution reset — both are observability, not state.
+                # forest.  Requester-side load attribution resets — it
+                # is observability, not state.
                 with comm.clock.phase(PHASE_BALANCE):
                     self._do_exchange(owners, keys)
                 comm.metrics.counter("timestep.midmacro_exchanges").inc()

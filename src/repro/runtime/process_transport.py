@@ -31,6 +31,10 @@ from repro.runtime import shm as _shm_codec
 #: watchdog deadline (real seconds; never charges any virtual clock).
 _POLL_SECONDS = 0.05
 
+#: Wall bound on the end-of-run handshake (:meth:`ProcessEndpoint.finish`):
+#: a rank that returned long before a peer does not wait for it.
+_FIN_SECONDS = 1.0
+
 
 class ProcessTransport:
     """Host-side factory for the per-rank queues of one run.
@@ -66,6 +70,8 @@ class ProcessTransport:
                     src, data, block_info = q.get_nowait()
                 except (_queue.Empty, OSError, EOFError):
                     break
+                if data is None:        # a fin marker owns no block
+                    continue
                 try:
                     _shm_codec.decode(data, block_info)
                 except Exception:
@@ -102,6 +108,8 @@ class ProcessEndpoint(Endpoint):
         #: Decoded-message store: supplies matching, ordering and
         #: reliable-layer dedup, identical to the local transport.
         self._box = Mailbox(rank)
+        #: Peers whose fin marker has arrived (see :meth:`finish`).
+        self._fins: set[int] = set()
         #: Optional :class:`~repro.machine.trace.WallRecorder`: when set
         #: (by the worker body), queue puts, blocking queue reads and
         #: shared-memory decodes show up as ``wall:transport`` spans.
@@ -129,6 +137,9 @@ class ProcessEndpoint(Endpoint):
     # ----------------------------------------------------------- receiving
     def _accept(self, item: Any) -> None:
         src, data, block_info = item
+        if data is None:                # src's fin marker (see finish)
+            self._fins.add(src)
+            return
         wall = self.wall_tracer if block_info else None
         w0 = wall.now() if wall is not None else 0.0
         arrival, seq, tag, nbytes, xmit_id, payload = \
@@ -185,6 +196,32 @@ class ProcessEndpoint(Endpoint):
             except _queue.Empty:
                 continue
             self._accept(item)
+
+    def finish(self) -> None:
+        """End-of-run handshake, after the rank program has returned and
+        before the mailbox counters are read: put a fin marker on every
+        peer's queue, then keep accepting until a fin from every peer is
+        in hand (or :data:`_FIN_SECONDS` pass).
+
+        A message the program never received — the second copy of a
+        duplicated transmission is the usual one — can still be in its
+        sender's queue feeder when the receiver returns.  Queues are
+        FIFO per producer, so a peer's fin proves everything that peer
+        put before it has been accepted, and the counters then read as
+        on the thread engine, where every ``put`` has completed by the
+        time they are read.  Transport-level only: no clock is charged.
+        """
+        for dst in range(self.size):
+            if dst != self.rank:
+                self._queues[dst].put((self.rank, None, None))
+        deadline = time.monotonic() + _FIN_SECONDS
+        q = self._queues[self.rank]
+        while len(self._fins) < self.size - 1:
+            try:
+                self._accept(q.get(
+                    timeout=max(deadline - time.monotonic(), 0.0)))
+            except _queue.Empty:
+                return
 
     def poll(self, src: int, tag: int) -> Message | None:
         self._drain_pending()

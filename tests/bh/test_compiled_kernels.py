@@ -18,10 +18,13 @@ The numba-gated classes run only when the ``[perf]`` extra is
 installed (CI exercises both matrix legs).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.bh import compiled
+from repro.bh import interaction_lists as il
 from repro.bh.distributions import plummer
 from repro.bh.interaction_lists import (
     TraversalEngine,
@@ -130,30 +133,49 @@ class TestThreadedNumpy:
 
 
 class TestScratchReuse:
+    """The P2P kernel scratch is one flat buffer per thread
+    (``interaction_lists._thread_scratch``), shared by cached and
+    streamed evaluations and never attached to the lists."""
+
     def test_p2p_scratch_reused_across_evaluations(self):
-        """Warm evaluations on a cached walk must reuse the P2P scratch
-        buffers instead of reallocating them each call."""
+        """Warm evaluations on a cached walk must reuse the thread's
+        P2P scratch buffer instead of reallocating it each call."""
         eng = _engine(threads=2)
         first = eng.compute(PS.positions, _evaluator(), mode="force")
-        lists = eng.lists_for(PS.positions)
-        assert lists._scratch, "the P2P pass should build scratch"
-        ids = {k: tuple(id(b) for b in bufs)
-               for k, bufs in lists._scratch.items()}
+        buf = il._thread_scratch.buf
+        assert buf.size, "the P2P pass should build scratch"
+        assert buf.nbytes <= il.DEFAULT_WORKING_SET_BYTES
         second = eng.compute(PS.positions, _evaluator(), mode="force")
-        assert {k: tuple(id(b) for b in bufs)
-                for k, bufs in lists._scratch.items()} == ids
+        assert il._thread_scratch.buf is buf
         assert np.array_equal(first.values, second.values)
-        assert eng.walks_built == 1 and eng.walks_reused >= 2
+        assert eng.walks_built == 1 and eng.walks_reused == 1
+        assert not hasattr(eng.lists_for(PS.positions), "_scratch")
 
     def test_serial_path_also_reuses_scratch(self):
         eng = _engine(threads=None)
         eng.compute(PS.positions, _evaluator(), mode="potential")
-        lists = eng.lists_for(PS.positions)
-        ids = {k: tuple(id(b) for b in bufs)
-               for k, bufs in (lists._scratch or {}).items()}
+        buf = il._thread_scratch.buf
         eng.compute(PS.positions, _evaluator(), mode="potential")
-        assert {k: tuple(id(b) for b in bufs)
-                for k, bufs in lists._scratch.items()} == ids
+        eng.compute_once(PS.positions, _evaluator(), mode="potential")
+        assert il._thread_scratch.buf is buf
+
+    def test_scratch_is_per_thread_and_lazy(self):
+        """Rank threads evaluate concurrently, so each gets its own
+        buffer, allocated by its first P2P pass (none at import)."""
+        seen = {}
+
+        def worker():
+            seen["before"] = hasattr(il._thread_scratch, "buf")
+            _engine().compute_once(PS.positions, _evaluator())
+            seen["buf"] = il._thread_scratch.buf
+
+        _engine().compute_once(PS.positions, _evaluator())
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert seen["before"] is False
+        assert seen["buf"] is not il._thread_scratch.buf
 
 
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed "

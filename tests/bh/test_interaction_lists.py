@@ -4,13 +4,16 @@ The engine must be *observationally identical* to the classical
 single-pass traversal (``tests/oracles``' ``traverse_reference``): values to
 1e-12, interaction counters exactly, per-node interaction counts
 exactly, per-target weights exactly, remote-target sets element-for-
-element.  Plus the build-once/evaluate-many behaviour the two-phase
-split exists for.
+element.  Plus the two ways the engine pairs the phases: streamed in
+target chunks (equal to one whole-batch walk in every observable) and
+build-once/evaluate-many.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bh import interaction_lists as il
 from repro.bh import kernels
 from repro.bh.distributions import (
     gaussian_blobs,
@@ -240,6 +243,88 @@ class TestBuildOnceEvaluateMany:
         ref_f = compute_forces(ps, tree=build_tree(ps, leaf_capacity=8))
         assert np.max(np.abs(pot.values - ref_p.values)) < 1e-12
         assert np.max(np.abs(frc.values - ref_f.values)) < 1e-12
+
+
+STREAM_CASES = {
+    # name: (particles, degree, mode) — TreeMultipoles is 3-D only
+    "force-monopole-2d": (uniform_cube(400, dims=2, seed=13), 0, "force"),
+    "force-monopole-3d": (INSTANCES["plummer"], 0, "force"),
+    "potential-deg3-3d": (INSTANCES["gaussian"], 3, "potential"),
+}
+
+
+def _assert_streamed_equals_whole_batch(case, remote, nt, chunk):
+    """``compute_once`` in chunks of ``chunk`` targets against
+    ``build_interaction_lists`` + ``evaluate_interaction_lists`` over
+    the whole batch: everything equal, values to summation order."""
+    ps, degree, mode = STREAM_CASES[case]
+    mac = BarnesHutMAC(0.67)
+    targets = ps.positions[np.random.default_rng(nt).permutation(ps.n)[:nt]]
+    trees = [build_tree(ps, leaf_capacity=8) for _ in range(2)]
+    if remote:                  # a top tree's shape: remote leaves
+        for tree in trees:
+            _mark_two_remote(tree)
+    weights = [np.zeros(nt), np.zeros(nt)]
+    lists = build_interaction_lists(trees[0], targets, mac)
+    whole = evaluate_interaction_lists(
+        trees[0], lists, ps, _evaluator(trees[0], ps, degree), mode=mode,
+        count_node_interactions=True, target_weights=weights[0])
+    engine = TraversalEngine(trees[1], ps, mac)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(il, "STREAM_CHUNK_TARGETS", chunk)
+        streamed = engine.compute_once(
+            targets, _evaluator(trees[1], ps, degree), mode=mode,
+            count_node_interactions=True, target_weights=weights[1])
+
+    assert engine.walks_built == 1 and not engine._cache
+    assert engine.stream_chunks == max(1, -(-nt // chunk))
+    for name in ("mac_tests", "cluster_interactions", "p2p_interactions"):
+        assert getattr(streamed, name) == getattr(whole, name), name
+    assert streamed.flops(degree) == whole.flops(degree)
+    # integer-valued floats: bitwise
+    np.testing.assert_array_equal(weights[1], weights[0])
+    np.testing.assert_array_equal(trees[1].interactions,
+                                  trees[0].interactions)
+    assert list(streamed.remote_targets) == list(whole.remote_targets)
+    assert bool(streamed.remote_targets) == (remote and nt > 0)
+    for node, idx in whole.remote_targets.items():
+        assert streamed.remote_targets[node].dtype == idx.dtype
+        np.testing.assert_array_equal(streamed.remote_targets[node], idx)
+    assert streamed.values.shape == whole.values.shape
+    assert streamed.values.dtype == whole.values.dtype
+    if nt:
+        scale = np.abs(whole.values).max()
+        assert np.abs(streamed.values - whole.values).max() <= 1e-12 * scale
+
+
+class TestStreamedEqualsWholeBatch:
+    @pytest.mark.parametrize("nt", [0, 1, 63, 64, 65, 3 * 64 + 7])
+    @pytest.mark.parametrize("remote", [False, True],
+                             ids=["subtree", "top-tree"])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_every_observable(self, case, remote, nt):
+        _assert_streamed_equals_whole_batch(case, remote, nt, chunk=64)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nt=st.integers(0, 400), chunk=st.integers(1, 450),
+           remote=st.booleans())
+    def test_any_batch_and_chunk_size(self, nt, chunk, remote):
+        _assert_streamed_equals_whole_batch("force-monopole-3d", remote,
+                                            nt, chunk)
+
+    def test_walks_built_rises_by_one_per_call(self):
+        ps, _, _ = STREAM_CASES["force-monopole-3d"]
+        tree = build_tree(ps, leaf_capacity=8)
+        engine = TraversalEngine(tree, ps, BarnesHutMAC(0.67))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(il, "STREAM_CHUNK_TARGETS", 64)
+            for calls, nt in enumerate((0, 65, 300), start=1):
+                engine.compute_once(ps.positions[:nt],
+                                    MonopoleExpansion(tree), "force")
+                assert engine.walks_built == calls
+        assert engine.stream_chunks == 1 + 2 + 5
+        assert engine.walks_reused == 0 and not engine._cache
+        assert engine.lists_peak_bytes > 0
 
 
 class TestEvaluateDirect:

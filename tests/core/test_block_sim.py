@@ -123,8 +123,7 @@ class TestDeterminism:
     def test_repair_path_fires_distributed(self):
         """Clusters sitting inside their own octants keep domain
         membership stable across substeps, so the per-subtree repair
-        (not the stray-exchange rebuild) carries the forest — and the
-        walk-cache invalidation counters move with it."""
+        (not the stray-exchange rebuild) carries the forest."""
         from repro.bh.particles import Box, ParticleSet
 
         rng = np.random.default_rng(1)
@@ -151,7 +150,8 @@ class TestDeterminism:
 
         assert counter("repair.repairs") > 0
         assert counter("repair.nodes_reused") > 0
-        assert counter("repair.walks_retained") > 0
+        # nothing carries walks across substeps, so nothing counts them
+        assert not any(name.startswith("repair.walks_") for name in snap)
         # several rungs occupied: the active-subset machinery was real
         occupied = sum(counter(f"timestep.bin_{r}") > 0 for r in range(5))
         assert occupied >= 2

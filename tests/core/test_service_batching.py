@@ -85,8 +85,8 @@ def _rank_main(comm, cfg, root, bits, steps, dt, shard):
 def _two_clusters(n=400):
     """Two tight clusters, each inside its own octant of a fixed root:
     membership of the owned cells is stable across substeps, so block
-    stepping repairs subtrees and carries their engines (and cached
-    own-branch walks) from one substep's forest to the next."""
+    stepping repairs subtrees from one substep's forest to the next
+    instead of rebuilding them."""
     rng = np.random.default_rng(1)
     pos = np.vstack([rng.normal(size=(n // 2, 3)) * 0.3 + 2.5,
                      rng.normal(size=(n - n // 2, 3)) * 0.3 + 7.5])
@@ -182,8 +182,7 @@ def test_batch_equals_oracle_under_block_timesteps(monkeypatch):
     batch, _ = _vs_oracle(monkeypatch, _run_block)
     summary = batch.metrics_summary().snapshot()
     assert _bins(batch) > 100
-    for fired in ("repair.repairs", "repair.walks_retained",
-                  "repair.walks_invalidated"):
+    for fired in ("repair.repairs", "repair.nodes_reused"):
         assert summary[fired]["value"] > 0, fired
 
 
@@ -261,9 +260,9 @@ def test_one_walk_per_requested_subtree_and_none_retained(scheme, p):
         assert requested > 0
         # top-tree walk + own-branch descents + one per requested key
         assert first == (1 + own + requested, 0)
-        # unchanged forest: the rank's own walks come back from the
-        # cache, the served ones were not kept and are walked again
-        assert second == (requested, 1 + own)
+        # unchanged forest, same targets: nothing was kept, so every
+        # walk is made again
+        assert second == first
 
 
 def _rogue_request(comm, cfg, root, bits, pick_key, shard):

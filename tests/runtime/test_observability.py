@@ -353,3 +353,8 @@ def test_metrics_snapshot_is_deterministically_ordered():
     dumped = json.dumps(snap, indent=2, sort_keys=True)
     assert dumped == json.dumps(json.loads(dumped), indent=2,
                                 sort_keys=True)
+    # "how much did the force phase hold?": every batch was streamed
+    # (a walk is at least one chunk) and the largest chunk is on record
+    assert (snap["force.stream_chunks"]["value"]
+            >= snap["force.walks_built"]["value"] > 0
+            and snap["force.lists_peak_bytes"]["value"] > 0)
