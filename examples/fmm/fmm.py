@@ -6,7 +6,7 @@ potentials) and notes that "parallel formulations of FMM and the
 Barnes-Hut method are similar...  the techniques can be extended to
 FMM".  This module provides the serial FMM those extensions would build
 on, assembled from the operator set in :mod:`repro.bh.multipole` (P2M,
-M2M) and :mod:`repro.bh.local_expansion` (M2L, L2L, L2P):
+M2M) and :mod:`local_expansion` beside this file (M2L, L2L, L2P):
 
 1. *upward pass* — leaf P2M, M2M to ancestors (``TreeMultipoles``);
 2. *interaction pass* — a dual tree walk pairs cells; well-separated
@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bh import kernels
-from repro.bh.local_expansion import l2l, l2p, m2l
 from repro.bh.multipole import TreeMultipoles, n_terms
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, Tree, build_tree
+
+from .local_expansion import l2l, l2p, m2l
 
 
 @dataclass
@@ -55,7 +56,7 @@ def _batched_m2l(tree: Tree, tm: TreeMultipoles,
     and the translation applied as one gather/scatter — two orders of
     magnitude faster than per-pair calls in Python.
     """
-    from repro.bh.local_expansion import _m2l_tables
+    from .local_expansion import _m2l_tables
     from repro.bh.multipole import spherical_coords, spherical_harmonics
 
     if not pairs:

@@ -6,8 +6,8 @@ well-separated clusters...  uses cluster-cluster interactions in
 addition to particle-cluster interactions") and whose parallelization
 the conclusion claims "the techniques can be extended to".  Together
 with :mod:`repro.bh.multipole`'s P2M/M2M they complete the operator set
-of Greengard & Rokhlin (1987); :mod:`repro.bh.fmm` assembles them into a
-serial FMM evaluator over the same trees.
+of Greengard & Rokhlin (1987); :mod:`fmm` beside this file assembles
+them into a serial FMM evaluator over the same trees.
 
 Conventions continue :mod:`repro.bh.multipole`'s: Greengard-normalized
 spherical harmonics, shift vectors always "old center relative to new

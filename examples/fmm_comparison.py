@@ -23,7 +23,8 @@ from repro import (
     fractional_percent_error,
     plummer,
 )
-from repro.bh.fmm import fmm_potentials
+
+from fmm import fmm_potentials      # the package beside this script
 
 
 def main(n: int = 2000) -> None:

@@ -41,8 +41,6 @@ from repro.bh.multipole import (
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.traversal import TraversalResult, compute_forces, compute_potentials
 from repro.bh.direct import direct_forces, direct_potentials
-from repro.bh.fmm import fmm_potentials
-from repro.bh.local_expansion import l2l, l2p, m2l, p2l
 from repro.bh.integrator import leapfrog_step, total_energy
 
 __all__ = [
@@ -70,11 +68,6 @@ __all__ = [
     "compute_potentials",
     "direct_forces",
     "direct_potentials",
-    "fmm_potentials",
-    "m2l",
-    "l2l",
-    "l2p",
-    "p2l",
     "leapfrog_step",
     "total_energy",
 ]

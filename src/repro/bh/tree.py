@@ -11,15 +11,15 @@ Construction is *level-synchronous*: a whole frontier of pending cells
 is collapsed, emitted, and split per wave with array operations (the
 style of Warren-Salmon hashed treecodes and Dubinski's parallel tree
 code, which derive the tree from sorted keys rather than per-particle
-insertion).  The classical node-at-a-time recursion is kept as
-:func:`build_tree_reference`: :func:`build_tree` dispatches to it for
-inputs below :data:`SMALL_BUILD_CUTOFF`, and the tests hold the
-vectorized builder to exact array equality with it.  Node ids are
-identical between the two: the recursion numbers nodes in depth-first
-pre-order, and because every node's particle slice nests inside its parent's and
-siblings partition the parent slice in Morton order, pre-order is
-exactly the lexicographic order on ``(start, depth)`` — so the
-level-synchronous emission is renumbered with one ``lexsort``.
+insertion).  The frontier starts with one entry per tree root, so
+:func:`build_forest` builds all of a rank's owned-cell subtrees in one
+pass and :func:`build_tree` is a forest of one.  Node ids are
+depth-first pre-order: every node's particle slice nests inside its
+parent's and siblings partition the parent slice in Morton order, so
+pre-order is exactly the lexicographic order on ``(start, depth)`` and
+the breadth-first emission is renumbered with one ``lexsort``.  The
+classical node-at-a-time recursion lives in ``tests/oracles/tree.py``;
+the tests hold this builder to exact array equality with it.
 
 Cell identity: every node corresponds to a spatial cell addressed by
 ``(depth, path_key)`` where ``path_key`` is the node's Morton prefix (the
@@ -34,11 +34,11 @@ creates those; the distributed top-tree merge does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bh.morton import morton_keys
+from repro.bh.morton import MAX_BITS_2D, MAX_BITS_3D, morton_keys
 from repro.bh.particles import Box, ParticleSet
 
 NO_CHILD = -1
@@ -224,8 +224,8 @@ class Tree:
         Level-batched: leaves are grouped by slice length and reduced as
         contiguous (g, L) blocks, internal nodes per level grouped by
         child count — both reductions use the same pairwise-summation
-        order as the per-node reference scan, so the results are bitwise
-        identical to :meth:`compute_monopoles_reference`.
+        order as a per-node reverse scan, so the results are bitwise
+        identical to one (the oracle in ``tests/oracles/tree.py``).
 
         ``nodes`` restricts the pass to a subset (tree repair: only
         nodes on dirty root-paths).  Restricted results are bitwise
@@ -276,37 +276,6 @@ class Tree:
                                        weighted / safe[:, None],
                                        self.center[nodes])
 
-    def compute_monopoles_reference(self, particles: ParticleSet) -> None:
-        """Per-node reverse-scan monopole pass: what
-        :func:`build_tree_reference` (and so every small-input
-        :func:`build_tree`) runs, and what :meth:`compute_monopoles` is
-        tested bitwise against."""
-        pos, m = particles.positions, particles.masses
-        for node in range(self.nnodes - 1, -1, -1):
-            if self.is_remote(node):
-                continue
-            lo, hi = self.start[node], self.end[node]
-            if self.is_leaf(node):
-                idx = self.order[lo:hi]
-                mm = m[idx]
-                total = mm.sum()
-                self.mass[node] = total
-                if total > 0:
-                    self.com[node] = (mm[:, None] * pos[idx]).sum(axis=0) / total
-                else:
-                    self.com[node] = self.center[node]
-            else:
-                kids = self.children[node]
-                kids = kids[kids != NO_CHILD]
-                total = self.mass[kids].sum()
-                self.mass[node] = total
-                if total > 0:
-                    self.com[node] = (
-                        self.mass[kids, None] * self.com[kids]
-                    ).sum(axis=0) / total
-                else:
-                    self.com[node] = self.center[node]
-
     def sum_interactions_up(self) -> None:
         """Propagate per-node interaction counts to ancestors (DPDA:
         "this variable is summed up along the tree").
@@ -326,101 +295,53 @@ class Tree:
             self.interactions[ids] += vals.sum(axis=1)
 
 
-@dataclass
-class _Builder:
-    keys: np.ndarray       # Morton keys in sorted order
-    order: np.ndarray      # particle indices in Morton order
-    dims: int
-    bits: int
-    leaf_capacity: int
-    collapse_chains: bool
-    root_box: Box
-    children: list = field(default_factory=list)
-    depth: list = field(default_factory=list)
-    path_key: list = field(default_factory=list)
-    center: list = field(default_factory=list)
-    half: list = field(default_factory=list)
-    start: list = field(default_factory=list)
-    end: list = field(default_factory=list)
-
-    def build(self, lo: int, hi: int, depth: int, path_key: int,
-              box: Box) -> int:
-        d = self.dims
-        nkids = 1 << d
-        # Chain collapsing: while every particle falls in a single child,
-        # descend without materialising the chain node (bounds tree size
-        # for pathological pairs, as in Callahan-Kosaraju).
-        if self.collapse_chains:
-            while hi - lo > self.leaf_capacity and depth < self.bits:
-                shift = (self.bits - depth - 1) * d
-                first = (int(self.keys[lo]) >> shift) & (nkids - 1)
-                last = (int(self.keys[hi - 1]) >> shift) & (nkids - 1)
-                if first != last:
-                    break
-                depth += 1
-                path_key = (path_key << d) | first
-                box = box.child(first)
-
-        node = len(self.children)
-        self.children.append(np.full(nkids, NO_CHILD, dtype=np.int32))
-        self.depth.append(depth)
-        self.path_key.append(path_key)
-        self.center.append(box.center)
-        self.half.append(box.half)
-        self.start.append(lo)
-        self.end.append(hi)
-
-        if hi - lo > self.leaf_capacity and depth < self.bits:
-            shift = (self.bits - depth - 1) * d
-            groups = (self.keys[lo:hi] >> shift) & (nkids - 1)
-            bounds = np.searchsorted(groups, np.arange(nkids + 1)) + lo
-            for c in range(nkids):
-                clo, chi = int(bounds[c]), int(bounds[c + 1])
-                if chi > clo:
-                    self.children[node][c] = self.build(
-                        clo, chi, depth + 1, (path_key << d) | c,
-                        box.child(c)
-                    )
-        return node
-
-
-def _emit_levels(keys: np.ndarray, dims: int, bits: int,
-                 leaf_capacity: int, collapse_chains: bool,
-                 root_box: Box,
+def _emit_levels(keys: np.ndarray, dims: int, leaf_capacity: int,
+                 collapse_chains: bool, lo: np.ndarray, hi: np.ndarray,
+                 center: np.ndarray, half: np.ndarray, bits: np.ndarray,
                  stop_cells: dict[int, np.ndarray] | None = None) -> dict:
     """Level-synchronous cell emission over sorted Morton keys.
 
+    The initial frontier is one entry per tree root: entry ``t`` owns
+    the key slice ``[lo[t], hi[t])`` (sorted, at ``bits[t]`` bits — its
+    depth budget) and the root cell ``(center[t], half[t])``.  A lone
+    tree is a frontier of one; a rank's forest of owned-cell subtrees is
+    the same call with k entries.  Children inherit their root's budget,
+    so trees of different budgets refine side by side.
+
     Processes a frontier of pending cells per wave: batched chain
     collapsing (masked per-level iteration, the same fp update sequence
-    as the recursive descent), one node emission per frontier entry, and
+    as a recursive descent), one node emission per frontier entry, and
     a grouped octant split via per-entry key histograms.  Emission order
     is breadth-first; arrays come back *unnumbered* (``parent``/``slot``
-    refer to emission indices) so callers can renumber, or splice in
-    grafted subtrees first (tree repair).
+    refer to emission indices, roots have ``parent == -1``) so callers
+    can renumber, or splice in grafted subtrees first (tree repair).
 
-    ``stop_cells`` (depth -> sorted path keys) marks cells whose old
-    subtrees the repair path wants to reuse: an emission whose
-    post-collapse cell matches a stop cell is not split (``stopped``
-    flags it).  The check runs only *after* collapse settles, so a stop
-    cell grafts only when the normal build would materialise exactly
-    that cell — a clean old cell that a full rebuild would skip (e.g.
-    departures shrank an ancestor under the leaf capacity) is simply
-    never matched, keeping grafted output bitwise equal to a rebuild.
+    ``stop_cells`` (depth -> sorted path keys; cells are addressed
+    relative to their root, so this is for a frontier of one) marks
+    cells whose old subtrees the repair path wants to reuse: an emission
+    whose post-collapse cell matches a stop cell is not split
+    (``stopped`` flags it).  The check runs only *after* collapse
+    settles, so a stop cell grafts only when the normal build would
+    materialise exactly that cell — a clean old cell that a full rebuild
+    would skip (e.g. departures shrank an ancestor under the leaf
+    capacity) is simply never matched, keeping grafted output bitwise
+    equal to a rebuild.
     """
     d = dims
     nkids = 1 << d
     kmask = nkids - 1
-    n = keys.shape[0]
     offsets = _child_offsets(d)
 
-    lo = np.array([0], dtype=np.int64)
-    hi = np.array([n], dtype=np.int64)
-    depth = np.zeros(1, dtype=np.int64)
-    path = np.zeros(1, dtype=np.int64)
-    center = np.asarray(root_box.center, dtype=np.float64)[None, :].copy()
-    half = np.array([float(root_box.half)])
-    parent = np.array([-1], dtype=np.int64)   # emission index of parent
-    slot = np.array([-1], dtype=np.int64)
+    k = lo.shape[0]
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.int64)
+    depth = np.zeros(k, dtype=np.int64)
+    path = np.zeros(k, dtype=np.int64)
+    center = np.array(center, dtype=np.float64)     # updated in place
+    half = np.array(half, dtype=np.float64)
+    parent = np.full(k, -1, dtype=np.int64)   # emission index of parent
+    slot = np.full(k, -1, dtype=np.int64)
 
     e_lo, e_hi, e_depth, e_path = [], [], [], []
     e_center, e_half, e_parent, e_slot, e_stop = [], [], [], [], []
@@ -433,7 +354,7 @@ def _emit_levels(keys: np.ndarray, dims: int, bits: int,
             # collapses further (slice bounds are fixed within a wave).
             cand = np.flatnonzero((hi - lo > leaf_capacity) & (depth < bits))
             while cand.size:
-                shift = (bits - depth[cand] - 1) * d
+                shift = (bits[cand] - depth[cand] - 1) * d
                 first = (keys[lo[cand]] >> shift) & kmask
                 last = (keys[hi[cand] - 1] >> shift) & kmask
                 same = first == last
@@ -445,7 +366,7 @@ def _emit_levels(keys: np.ndarray, dims: int, bits: int,
                 path[cand] = (path[cand] << d) | octant
                 center[cand] += (0.5 * half[cand])[:, None] * offsets[octant]
                 half[cand] *= 0.5
-                cand = cand[depth[cand] < bits]
+                cand = cand[depth[cand] < bits[cand]]
 
         stopped = np.zeros(lo.size, dtype=bool)
         if stop_cells:
@@ -477,7 +398,7 @@ def _emit_levels(keys: np.ndarray, dims: int, bits: int,
             break
         slo, shi = lo[split], hi[split]
         sdepth, spath = depth[split], path[split]
-        shift = (bits - sdepth - 1) * d
+        shift = (bits[split] - sdepth - 1) * d
         lens = shi - slo
         total = int(lens.sum())
         seg = np.repeat(np.arange(split.size), lens)
@@ -496,6 +417,7 @@ def _emit_levels(keys: np.ndarray, dims: int, bits: int,
         scenter, shalf = center[split], half[split]
         center = scenter[pe] + (0.5 * shalf[pe])[:, None] * offsets[ce]
         half = 0.5 * shalf[pe]
+        bits = bits[split][pe]
         parent = emit_base + split[pe]
         slot = ce.astype(np.int64)
 
@@ -512,41 +434,114 @@ def _emit_levels(keys: np.ndarray, dims: int, bits: int,
     )
 
 
-def _build_levels(keys: np.ndarray, dims: int, bits: int,
-                  leaf_capacity: int, collapse_chains: bool,
-                  root_box: Box) -> dict:
-    """Level-synchronous tree construction: :func:`_emit_levels` plus
-    renumbering by ``lexsort((depth, start))``, which recovers the
-    recursion's depth-first pre-order exactly, because sibling slices
-    partition their parent's slice in Morton order and a node shares its
-    ``start`` only with first-child descendants (which are strictly
-    deeper)."""
-    raw = _emit_levels(keys, dims, bits, leaf_capacity, collapse_chains,
-                       root_box)
+def build_forest(particles: ParticleSet, bounds: np.ndarray,
+                 boxes: list[Box], max_depths: np.ndarray,
+                 keys: np.ndarray, leaf_capacity: int = 8,
+                 collapse_chains: bool = True,
+                 compute_monopoles: bool = True) -> list[Tree]:
+    """One tree per contiguous group of ``particles``, all built in one
+    level-synchronous pass.
+
+    Group ``t`` is ``particles[bounds[t]:bounds[t + 1]]`` (non-empty),
+    rooted at ``boxes[t]`` with depth budget ``max_depths[t]``; ``keys``
+    holds every particle's Morton key relative to its own group's box at
+    that group's budget.  Tree ``t`` is exactly the tree over the group
+    alone — its ``order`` and particle slices index the group, node ids
+    start at 0 — but the groups share one key sort, one emission, one
+    renumbering and one monopole pass, so the cost does not scale with
+    the number of groups (a rank owns many few-particle cells).
+
+    Exact per tree because sorting by ``(group, key)`` leaves the groups
+    as disjoint ascending slices, so ``lexsort((depth, start))`` is
+    *forest* pre-order — tree after tree, each root the shallowest node
+    at its group's first slot; every refinement decision reads only the
+    entry's own slice, cell and budget; and every reduction of the
+    upward pass is per-row independent (DESIGN.md section 10).
+    """
+    k = len(boxes)
+    dims = particles.dims
     nkids = 1 << dims
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    order = np.lexsort((keys, np.repeat(np.arange(k), sizes)))
+    raw = _emit_levels(
+        keys[order], dims, leaf_capacity, collapse_chains,
+        lo=bounds[:-1], hi=bounds[1:],
+        center=np.stack([b.center for b in boxes]),
+        half=np.array([b.half for b in boxes], dtype=np.float64),
+        bits=max_depths,
+    )
     nnodes = raw["lo"].size
-    perm = np.lexsort((raw["depth"], raw["lo"]))     # DFS pre-order
+    perm = np.lexsort((raw["depth"], raw["lo"]))     # forest pre-order
     new_id = np.empty(nnodes, dtype=np.int64)
     new_id[perm] = np.arange(nnodes)
     children = np.full((nnodes, nkids), NO_CHILD, dtype=np.int32)
     kid = np.flatnonzero(raw["parent"] >= 0)
     children[new_id[raw["parent"][kid]], raw["slot"][kid]] = new_id[kid]
-
-    return dict(
-        children=children,
+    # The concatenated node table is a valid ``Tree`` layout with k
+    # roots, which is all the upward pass reads.
+    forest = Tree(
+        root_box=boxes[0], dims=dims, leaf_capacity=leaf_capacity,
+        max_depth=int(max_depths[0]), children=children,
         depth=raw["depth"][perm].astype(np.int32),
-        path_key=raw["path"][perm],
-        center=raw["center"][perm],
-        half=raw["half"][perm],
-        start=raw["lo"][perm],
-        end=raw["hi"][perm],
+        path_key=raw["path"][perm], center=raw["center"][perm],
+        half=raw["half"][perm], start=raw["lo"][perm], end=raw["hi"][perm],
+        order=order,
     )
+    if compute_monopoles:
+        forest.compute_monopoles(particles)
+
+    # Per-tree views: node ids, particle slots and ``order`` rebased to
+    # the tree's own root / group start.
+    roots = np.searchsorted(forest.start, bounds[:-1])
+    node_bounds = np.append(roots, nnodes)
+    tree_of = np.repeat(np.arange(k), np.diff(node_bounds))
+    children = np.where(children == NO_CHILD, NO_CHILD,
+                        children - roots.astype(np.int32)[tree_of][:, None])
+    start = forest.start - bounds[tree_of]
+    end = forest.end - bounds[tree_of]
+    order = order - np.repeat(bounds[:-1], sizes)
+    trees = []
+    for t in range(k):
+        a, b = node_bounds[t], node_bounds[t + 1]
+        trees.append(Tree(
+            root_box=boxes[t], dims=dims, leaf_capacity=leaf_capacity,
+            max_depth=int(max_depths[t]), children=children[a:b],
+            depth=forest.depth[a:b], path_key=forest.path_key[a:b],
+            center=forest.center[a:b], half=forest.half[a:b],
+            start=start[a:b], end=end[a:b],
+            order=order[bounds[t]:bounds[t + 1]],
+            mass=forest.mass[a:b], com=forest.com[a:b],
+        ))
+    return trees
 
 
-def _prepare(particles: ParticleSet, box: Box | None, leaf_capacity: int,
-             max_depth: int | None, keys: np.ndarray | None
-             ) -> tuple[Box, int, np.ndarray, np.ndarray]:
-    """Shared validation + key sorting of both builders."""
+def build_tree(particles: ParticleSet, box: Box | None = None,
+               leaf_capacity: int = 8, max_depth: int | None = None,
+               collapse_chains: bool = True,
+               compute_monopoles: bool = True,
+               keys: np.ndarray | None = None) -> Tree:
+    """Build a Barnes-Hut tree over ``particles``: a
+    :func:`build_forest` of one.
+
+    Parameters
+    ----------
+    box:
+        Root cell.  Defaults to the bounding cube of the particles.  For
+        distributed construction the caller passes the *global* cell of
+        its subdomain so path keys are globally consistent.
+    leaf_capacity:
+        The paper's ``s``: a cell with more than ``s`` particles is split.
+    max_depth:
+        Maximum refinement depth (defaults to the Morton key limit for
+        the dimensionality).
+    collapse_chains:
+        Skip chains of single-occupied-child cells (box collapsing).
+    keys:
+        Optional precomputed Morton keys (one per particle, at exactly
+        ``max_depth`` bits relative to ``box``).  Skips quantization and
+        the root-box containment check — the keys define membership.
+    """
     if leaf_capacity < 1:
         raise ValueError(f"leaf capacity must be >= 1, got {leaf_capacity}")
     if particles.n == 0:
@@ -556,8 +551,7 @@ def _prepare(particles: ParticleSet, box: Box | None, leaf_capacity: int,
         box = particles.bounding_box()
     if box.dims != particles.dims:
         raise ValueError("box dimensionality does not match particles")
-    from repro.bh import morton as _m
-    limit = _m.MAX_BITS_2D if particles.dims == 2 else _m.MAX_BITS_3D
+    limit = MAX_BITS_2D if particles.dims == 2 else MAX_BITS_3D
     bits = limit if max_depth is None else max_depth
     if not 0 < bits <= limit:
         raise ValueError(f"max_depth must be in (0, {limit}]")
@@ -579,99 +573,8 @@ def _prepare(particles: ParticleSet, box: Box | None, leaf_capacity: int,
             raise ValueError(
                 f"keys must be shape ({particles.n},), got {keys.shape}"
             )
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    return box, bits, keys[order], order
-
-
-#: Below this many particles the recursive builder's small constant
-#: factor beats the level-synchronous builder's array setup (measured
-#: crossover ~100 on Plummer sets); :func:`build_tree` dispatches tiny
-#: inputs there.  Outputs are identical either way, so the cutoff is
-#: purely a performance knob — the distributed schemes build many
-#: few-particle subtrees (one per owned cell) where it matters.
-SMALL_BUILD_CUTOFF = 128
-
-
-def build_tree(particles: ParticleSet, box: Box | None = None,
-               leaf_capacity: int = 8, max_depth: int | None = None,
-               collapse_chains: bool = True,
-               compute_monopoles: bool = True,
-               keys: np.ndarray | None = None) -> Tree:
-    """Build a Barnes-Hut tree over ``particles`` (level-synchronous).
-
-    Produces arrays exactly equal to :func:`build_tree_reference` — same
-    node numbering, same boxes bit for bit.  Inputs smaller than
-    :data:`SMALL_BUILD_CUTOFF` go through the recursive builder, which
-    has the smaller constant factor (same output).
-
-    Parameters
-    ----------
-    box:
-        Root cell.  Defaults to the bounding cube of the particles.  For
-        distributed construction the caller passes the *global* cell of
-        its subdomain so path keys are globally consistent.
-    leaf_capacity:
-        The paper's ``s``: a cell with more than ``s`` particles is split.
-    max_depth:
-        Maximum refinement depth (defaults to the Morton key limit for
-        the dimensionality).
-    collapse_chains:
-        Skip chains of single-occupied-child cells (box collapsing).
-    keys:
-        Optional precomputed Morton keys (one per particle, at exactly
-        ``max_depth`` bits relative to ``box``).  Skips quantization and
-        the root-box containment check — the keys define membership.
-    """
-    if particles.n < SMALL_BUILD_CUTOFF:
-        return build_tree_reference(
-            particles, box=box, leaf_capacity=leaf_capacity,
-            max_depth=max_depth, collapse_chains=collapse_chains,
-            compute_monopoles=compute_monopoles, keys=keys,
-        )
-    box, bits, sorted_keys, order = _prepare(particles, box, leaf_capacity,
-                                             max_depth, keys)
-    arrays = _build_levels(sorted_keys, particles.dims, bits, leaf_capacity,
-                           collapse_chains, box)
-    tree = Tree(
-        root_box=box, dims=particles.dims, leaf_capacity=leaf_capacity,
-        max_depth=bits, order=order, **arrays,
-    )
-    if compute_monopoles:
-        tree.compute_monopoles(particles)
-    return tree
-
-
-def build_tree_reference(particles: ParticleSet, box: Box | None = None,
-                         leaf_capacity: int = 8,
-                         max_depth: int | None = None,
-                         collapse_chains: bool = True,
-                         compute_monopoles: bool = True,
-                         keys: np.ndarray | None = None) -> Tree:
-    """Node-at-a-time recursive tree construction: the production path
-    of :func:`build_tree` below :data:`SMALL_BUILD_CUTOFF`, and the
-    reference the level-synchronous path is tested against.  Same
-    signature, same output."""
-    box, bits, sorted_keys, order = _prepare(particles, box, leaf_capacity,
-                                             max_depth, keys)
-    builder = _Builder(keys=sorted_keys, order=order, dims=particles.dims,
-                       bits=bits, leaf_capacity=leaf_capacity,
-                       collapse_chains=collapse_chains, root_box=box)
-    builder.build(0, particles.n, 0, 0, box)
-
-    tree = Tree(
-        root_box=box,
-        dims=particles.dims,
-        leaf_capacity=leaf_capacity,
-        max_depth=bits,
-        children=np.stack(builder.children),
-        depth=np.asarray(builder.depth, dtype=np.int32),
-        path_key=np.asarray(builder.path_key, dtype=np.int64),
-        center=np.stack(builder.center),
-        half=np.asarray(builder.half, dtype=np.float64),
-        start=np.asarray(builder.start, dtype=np.int64),
-        end=np.asarray(builder.end, dtype=np.int64),
-        order=order,
-    )
-    if compute_monopoles:
-        tree.compute_monopoles_reference(particles)
-    return tree
+    return build_forest(
+        particles, np.array([0, particles.n]), [box], np.array([bits]),
+        keys, leaf_capacity=leaf_capacity, collapse_chains=collapse_chains,
+        compute_monopoles=compute_monopoles,
+    )[0]

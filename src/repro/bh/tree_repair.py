@@ -40,8 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bh.particles import ParticleSet
-from repro.bh.tree import NO_CHILD, SMALL_BUILD_CUTOFF, Tree, _emit_levels, \
-    build_tree
+from repro.bh.tree import NO_CHILD, Tree, _emit_levels, build_tree
+
+#: Below this many particles :func:`repair_tree` rebuilds outright: the
+#: key diff, graft bookkeeping and splice cost more than building so
+#: small a tree from scratch (same output either way).
+_MIN_REPAIR_PARTICLES = 128
 
 
 @dataclass
@@ -175,7 +179,7 @@ def repair_tree(tree: Tree, particles: ParticleSet, old_keys: np.ndarray,
     n_changed = int(changed.sum())
     d, bits = tree.dims, tree.max_depth
 
-    if force_full or n < SMALL_BUILD_CUTOFF \
+    if force_full or n < _MIN_REPAIR_PARTICLES \
             or n_changed > dirty_threshold * n:
         return _full_rebuild(tree, particles, new_keys, collapse_chains,
                              n_changed)
@@ -231,8 +235,13 @@ def repair_tree(tree: Tree, particles: ParticleSet, old_keys: np.ndarray,
         stop_ids[int(dep)] = sel[o]
 
     order_new = np.argsort(new_keys, kind="stable").astype(np.int64)
-    raw = _emit_levels(new_keys[order_new], d, bits, tree.leaf_capacity,
-                       collapse_chains, tree.root_box, stop_cells)
+    raw = _emit_levels(
+        new_keys[order_new], d, tree.leaf_capacity, collapse_chains,
+        lo=np.array([0]), hi=np.array([n]),
+        center=tree.root_box.center[None, :],
+        half=np.array([tree.root_box.half]), bits=np.array([bits]),
+        stop_cells=stop_cells,
+    )
     S = raw["lo"].size
     stop_idx = np.flatnonzero(raw["stopped"])
 

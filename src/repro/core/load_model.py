@@ -24,7 +24,7 @@ def cluster_loads(subtrees: list[LocalSubtree]) -> dict[int, float]:
     the defining property of function-shipping load)."""
     return {
         st.cell.path_key: float(st.tree.interactions.sum())
-        for st in subtrees if st.tree is not None
+        for st in subtrees
     }
 
 
@@ -34,13 +34,10 @@ def particle_loads(subtrees: list[LocalSubtree],
     particle arrays."""
     loads = np.zeros(n_local)
     for st in subtrees:
-        if st.tree is None:
-            continue
         loads[st.local_idx] = particle_loads_from_tree(st.tree)
     return loads
 
 
 def reset_interaction_counters(subtrees: list[LocalSubtree]) -> None:
     for st in subtrees:
-        if st.tree is not None:
-            st.tree.interactions[:] = 0
+        st.tree.interactions[:] = 0

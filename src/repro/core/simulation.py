@@ -58,8 +58,8 @@ from repro.core.load_model import cluster_loads, particle_loads
 from repro.core.morton_assign import balance_clusters
 from repro.core.partition import Cell, cover_cells
 from repro.core.tree_build import LocalSubtree, assign_to_cells, \
-    build_cell_subtree, build_local_trees, local_branch_infos, \
-    subtree_keys, tree_build_flops
+    build_local_trees, build_subtrees, group_by_cell, local_branch_infos, \
+    subtree_budgets, subtree_keys, tree_build_flops
 from repro.core.tree_merge import merge_broadcast, merge_nonreplicated
 from repro.machine import mailbox as _mailbox_mod
 from repro.machine.clock import PhaseTimings
@@ -534,8 +534,8 @@ class _RankState:
         with comm.clock.phase(PHASE_TREE):
             subtrees = build_local_trees(self.particles, cells, self.root,
                                          cfg, self.bits, keys=keys)
-            depth = max((st.tree.node_depth_max() for st in subtrees
-                         if st.tree is not None), default=1)
+            depth = max((st.tree.node_depth_max() for st in subtrees),
+                        default=1)
             comm.compute(tree_build_flops(self.particles.n, depth))
             branches = local_branch_infos(subtrees, comm.rank, self.root,
                                           cfg.degree)
@@ -557,64 +557,73 @@ class _RankState:
             old_map = {st.key: st for st in forest.subtrees}
             slots = assign_to_cells(self.particles.positions, cells,
                                     self.root, self.bits, keys=keys)
+            by_cell, bounds = group_by_cell(slots, len(cells))
             starter_mask = np.zeros(n, dtype=bool)
             starter_mask[starters] = True
-            subtrees: list[LocalSubtree] = []
+            cell_depth = np.array([c.depth for c in cells], dtype=np.int64)
+            budget, keyed = subtree_budgets(cell_depth, cfg, self.bits)
+            # Triage every non-empty cell; rebuilds are collected and
+            # built together, landing in their cell-order positions.
+            subtrees: list[LocalSubtree | None] = []
+            rebuild: list[int] = []         # cell indices ...
+            rebuild_at: list[int] = []      # ... and their slots above
             touched = 0
             depth = 1
             for i, cell in enumerate(cells):
-                idx = np.flatnonzero(slots == i)
+                idx = by_cell[bounds[i]:bounds[i + 1]]
                 if idx.size == 0:
                     continue
-                bkey = branch_key(cell, self.dims)
-                old = old_map.get(bkey)
+                old = old_map.get(branch_key(cell, self.dims))
                 same_members = (old is not None
                                 and old.local_idx.size == idx.size
                                 and bool(np.array_equal(old.local_idx,
                                                         idx)))
-                if same_members:
-                    movers = np.flatnonzero(starter_mask[idx])
-                    if movers.size == 0:
-                        # Untouched: positions of every member are
-                        # frozen this substep — tree and monopoles stay
-                        # valid.
-                        subtrees.append(old)
-                        metrics.counter("repair.nodes_reused").inc(
-                            old.tree.nnodes)
-                        continue
-                    _, old_sk = subtree_keys(cell, forest.keys[idx], cfg,
-                                             self.bits, self.dims)
-                    _, new_sk = subtree_keys(cell, keys[idx], cfg,
-                                             self.bits, self.dims)
-                    if old_sk is not None and new_sk is not None:
-                        sub = self.particles.subset(idx)
-                        res = repair_tree(old.tree, sub, old_sk, new_sk,
-                                          movers)
-                        st = LocalSubtree(cell=cell, key=bkey,
-                                          particles=sub, local_idx=idx,
-                                          tree=res.tree)
-                        subtrees.append(st)
-                        if res.rebuilt:
-                            metrics.counter("repair.full_rebuilds").inc()
-                        else:
-                            metrics.counter("repair.repairs").inc()
-                        metrics.counter("repair.nodes_reused").inc(
-                            res.nodes_reused)
-                        metrics.counter("repair.nodes_rebuilt").inc(
-                            res.nodes_rebuilt)
-                        metrics.counter("repair.changed_keys").inc(
-                            res.n_changed_keys)
-                        touched += int(movers.size)
-                        depth = max(depth, res.tree.node_depth_max())
-                        continue
-                # Membership changed (or the cell has no key budget):
-                # rebuild this subtree from scratch.
-                st = build_cell_subtree(self.particles, cell, idx, keys,
-                                        self.root, cfg, self.bits)
-                subtrees.append(st)
+                movers = np.flatnonzero(starter_mask[idx])
+                if same_members and movers.size == 0:
+                    # Untouched: positions of every member are frozen
+                    # this substep — tree and monopoles stay valid.
+                    subtrees.append(old)
+                    metrics.counter("repair.nodes_reused").inc(
+                        old.tree.nnodes)
+                elif same_members and keyed[i]:
+                    sub = self.particles.subset(idx)
+                    res = repair_tree(
+                        old.tree, sub,
+                        subtree_keys(cell.depth, budget[i],
+                                     forest.keys[idx], self.bits, self.dims),
+                        subtree_keys(cell.depth, budget[i], keys[idx],
+                                     self.bits, self.dims),
+                        movers)
+                    subtrees.append(LocalSubtree(
+                        cell=cell, key=old.key, particles=sub,
+                        local_idx=idx, tree=res.tree))
+                    if res.rebuilt:
+                        metrics.counter("repair.full_rebuilds").inc()
+                    else:
+                        metrics.counter("repair.repairs").inc()
+                    metrics.counter("repair.nodes_reused").inc(
+                        res.nodes_reused)
+                    metrics.counter("repair.nodes_rebuilt").inc(
+                        res.nodes_rebuilt)
+                    metrics.counter("repair.changed_keys").inc(
+                        res.n_changed_keys)
+                    touched += int(movers.size)
+                    depth = max(depth, res.tree.node_depth_max())
+                else:
+                    # Membership changed (or the cell has no key
+                    # budget): rebuild this subtree from scratch.
+                    rebuild.append(i)
+                    rebuild_at.append(len(subtrees))
+                    subtrees.append(None)
+            built = build_subtrees(
+                self.particles, [cells[i] for i in rebuild],
+                [by_cell[bounds[i]:bounds[i + 1]] for i in rebuild],
+                keys, self.root, cfg, self.bits)
+            for at, st in zip(rebuild_at, built):
+                subtrees[at] = st
                 metrics.counter("repair.full_rebuilds").inc()
                 metrics.counter("repair.nodes_rebuilt").inc(st.tree.nnodes)
-                touched += int(idx.size)
+                touched += st.count
                 depth = max(depth, st.tree.node_depth_max())
             comm.compute(tree_build_flops(touched, depth))
             branches = local_branch_infos(subtrees, comm.rank, self.root,

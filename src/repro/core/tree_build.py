@@ -8,6 +8,11 @@ still gets a tree node at the cell's own level ("we artificially force
 the particles down to the level at which the tree node corresponding to
 the subtree actually exists"), so every branch node is a well-defined
 cell of the global decomposition.
+
+A rank's cells are many and mostly small (the paper's ``r >= p log p``
+clusters), so they are not built one by one: the particles are grouped
+by owning cell once and the whole forest is one level-synchronous pass
+(:func:`build_subtrees` over :func:`repro.bh.tree.build_forest`).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from repro.bh.morton import morton_keys
 from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import Box, ParticleSet
-from repro.bh.tree import Tree, build_tree
+from repro.bh.tree import Tree, build_forest, build_tree, cell_boxes
 from repro.core.branch_nodes import BranchInfo, branch_key
 from repro.core.config import SchemeConfig
 from repro.core.partition import Cell
@@ -33,7 +38,7 @@ class LocalSubtree:
     key: int
     particles: ParticleSet
     local_idx: np.ndarray          # positions of these particles in the
-    tree: Tree | None = None       # rank-local particle arrays
+    tree: Tree                     # rank-local particle arrays
     multipoles: TreeMultipoles | None = None
 
     @property
@@ -68,48 +73,91 @@ def assign_to_cells(positions: np.ndarray, cells: list[Cell],
     return out.astype(np.int64)
 
 
-def subtree_keys(cell: Cell, keys: np.ndarray, config: SchemeConfig,
-                 bits: int, dims: int) -> tuple[int, np.ndarray | None]:
-    """Depth budget of the subtree rooted at ``cell`` and its members'
-    subtree-local Morton keys, sliced out of their global depth-``bits``
-    ``keys`` (``None`` when the cell leaves no key budget).
+def subtree_budgets(depth: np.ndarray, config: SchemeConfig,
+                    bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Depth budget of the subtree rooted at a cell of each ``depth``,
+    and whether the cell leaves any key budget: a cell at the key depth
+    (``depth == bits``) has no key bits left to refine with."""
+    depth = np.asarray(depth, dtype=np.int64)
+    budget = np.maximum(1, (config.max_depth if config.max_depth is not None
+                            else bits) - depth)
+    return budget, budget <= bits - depth
 
-    The cell's particles share the top ``dims * cell.depth`` key bits;
-    the remainder is the subtree's own Morton key, truncated to its
-    depth budget.  Exact: quantization at b bits right-shifted to g < b
-    bits equals quantization at g bits (both floor the same
-    power-of-two scaling).
+
+def subtree_keys(depth: np.ndarray, budget: np.ndarray, keys: np.ndarray,
+                 bits: int, dims: int) -> np.ndarray:
+    """Subtree-local Morton keys sliced out of global depth-``bits``
+    ``keys``; ``depth`` and ``budget`` (:func:`subtree_budgets`) are
+    those of each key's owning cell, and must leave a key budget.
+
+    A cell's particles share the top ``dims * depth`` key bits; the
+    remainder is the subtree's own Morton key, truncated to its depth
+    budget.  Exact: quantization at b bits right-shifted to g < b bits
+    equals quantization at g bits (both floor the same power-of-two
+    scaling).
     """
-    budget = max(1, (config.max_depth if config.max_depth is not None
-                     else bits) - cell.depth)
-    rem = bits - cell.depth
-    if not 0 < budget <= rem:
-        return budget, None
-    mask = np.int64((1 << (dims * rem)) - 1)
-    return budget, (keys & mask) >> (dims * (rem - budget))
+    rem = bits - np.asarray(depth, dtype=np.int64)
+    low = dims * rem
+    # keys & (2^low - 1) without forming 2^63 (3-D root cell)
+    return (keys - ((keys >> low) << low)) >> (dims * (rem - budget))
 
 
-def build_cell_subtree(particles: ParticleSet, cell: Cell, idx: np.ndarray,
-                       keys: np.ndarray, root: Box, config: SchemeConfig,
-                       bits: int) -> LocalSubtree:
-    """The subtree of one owned cell over its members ``idx`` (rank-local
-    particle indices; ``keys`` are the rank's depth-``bits`` keys).  The
-    one per-cell body behind full builds and block-timestep rebuilds."""
+def group_by_cell(slots: np.ndarray, ncells: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Particle indices grouped by owning cell: the members of cell
+    ``i``, ascending, are ``by_cell[bounds[i]:bounds[i + 1]]``."""
+    by_cell = np.argsort(slots, kind="stable")
+    bounds = np.searchsorted(slots[by_cell], np.arange(ncells + 1))
+    return by_cell, bounds
+
+
+def build_subtrees(particles: ParticleSet, cells: list[Cell],
+                   members: list[np.ndarray], keys: np.ndarray, root: Box,
+                   config: SchemeConfig, bits: int) -> list[LocalSubtree]:
+    """The subtrees of ``cells`` over their ``members`` (per cell, the
+    ascending non-empty rank-local particle indices; ``keys`` are the
+    rank's depth-``bits`` keys), in one :func:`build_forest` pass.  The
+    one body behind full builds and block-timestep rebuilds."""
     dims = root.dims
-    sub = particles.subset(idx)
-    budget, sub_keys = subtree_keys(cell, keys[idx], config, bits, dims)
-    tree = build_tree(
-        sub, box=cell.box(root),
-        leaf_capacity=config.leaf_capacity,
-        max_depth=budget,
-        keys=sub_keys,
-    )
-    multipoles = None
-    if config.degree > 0:
-        multipoles = TreeMultipoles(tree, sub, config.degree)
-    return LocalSubtree(cell=cell, key=branch_key(cell, dims),
-                        particles=sub, local_idx=idx, tree=tree,
-                        multipoles=multipoles)
+    depth = np.array([c.depth for c in cells], dtype=np.int64)
+    centers, halves = cell_boxes(
+        root, depth, np.array([c.path_key for c in cells], dtype=np.int64))
+    boxes = [Box(c, float(h)) for c, h in zip(centers, halves)]
+    budget, keyed = subtree_budgets(depth, config, bits)
+
+    def record(i: int, sub: ParticleSet, tree: Tree) -> LocalSubtree:
+        multipoles = None
+        if config.degree > 0:
+            multipoles = TreeMultipoles(tree, sub, config.degree)
+        return LocalSubtree(cell=cells[i], key=branch_key(cells[i], dims),
+                            particles=sub, local_idx=members[i], tree=tree,
+                            multipoles=multipoles)
+
+    out: list[LocalSubtree | None] = [None] * len(cells)
+    forest = np.flatnonzero(keyed)
+    if forest.size:
+        sizes = np.array([members[i].size for i in forest], dtype=np.int64)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        idx = np.concatenate([members[i] for i in forest])
+        grouped = particles.subset(idx)
+        trees = build_forest(
+            grouped, bounds, [boxes[i] for i in forest], budget[forest],
+            subtree_keys(np.repeat(depth[forest], sizes),
+                         np.repeat(budget[forest], sizes), keys[idx],
+                         bits, dims),
+            leaf_capacity=config.leaf_capacity,
+        )
+        for t, i in enumerate(forest):
+            sub = grouped.subset(slice(bounds[t], bounds[t + 1]))
+            out[i] = record(i, sub, trees[t])
+    for i in np.flatnonzero(~keyed):
+        # No key bits left to slice: quantize against the cell's own box
+        # (with its containment check) instead.
+        sub = particles.subset(members[i])
+        out[i] = record(i, sub, build_tree(
+            sub, box=boxes[i], leaf_capacity=config.leaf_capacity,
+            max_depth=int(budget[i])))
+    return out
 
 
 def build_local_trees(particles: ParticleSet, cells: list[Cell],
@@ -123,10 +171,10 @@ def build_local_trees(particles: ParticleSet, cells: list[Cell],
 
     Positions are quantized against the *global* root exactly once (or
     not at all when the caller hands in the rank's cached depth-``bits``
-    ``keys``); each subtree build receives its particles' keys as a bit
-    slice of the global keys (:func:`subtree_keys`) instead of
-    re-quantizing against the cell's rounded box, so cell ownership and
-    in-cell refinement always follow one consistent grid.
+    ``keys``); each subtree receives its particles' keys as a bit slice
+    of the global keys (:func:`subtree_keys`) instead of re-quantizing
+    against the cell's rounded box, so cell ownership and in-cell
+    refinement always follow one consistent grid.
 
     Raises if any particle falls outside every owned cell — that means
     the particle exchange that should precede construction was wrong.
@@ -140,13 +188,12 @@ def build_local_trees(particles: ParticleSet, cells: list[Cell],
             f"{int((slots < 0).sum())} particles are outside all owned "
             f"cells — redistribute before building trees"
         )
-    out: list[LocalSubtree] = []
-    for i, cell in enumerate(cells):
-        idx = np.flatnonzero(slots == i)
-        if idx.size:
-            out.append(build_cell_subtree(particles, cell, idx, keys, root,
-                                          config, bits))
-    return out
+    by_cell, bounds = group_by_cell(slots, len(cells))
+    owned = np.flatnonzero(np.diff(bounds))
+    return build_subtrees(
+        particles, [cells[i] for i in owned],
+        [by_cell[bounds[i]:bounds[i + 1]] for i in owned],
+        keys, root, config, bits)
 
 
 def local_branch_infos(subtrees: list[LocalSubtree], rank: int,
@@ -160,7 +207,6 @@ def local_branch_infos(subtrees: list[LocalSubtree], rank: int,
     dims = root.dims
     out = []
     for st in subtrees:
-        assert st.tree is not None
         cell_center = st.cell.box(root).center
         coeffs = None
         if st.multipoles is not None:

@@ -1,4 +1,10 @@
-"""Tests for the local-expansion operators and the serial FMM."""
+"""Tests for the local-expansion operators and the serial FMM of
+``examples/fmm/`` (example code over the library's trees and multipole
+operators; loaded by path — ``examples`` is not a package)."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bh.direct import direct_potentials
 from repro.bh.distributions import plummer, uniform_cube
-from repro.bh.fmm import FMMStats, fmm_potentials
-from repro.bh.local_expansion import l2l, l2p, m2l, p2l
 from repro.bh.multipole import MultipoleExpansion3D
 from repro.bh.particles import ParticleSet
+
+_PKG = Path(__file__).resolve().parents[2] / "examples" / "fmm"
+_spec = importlib.util.spec_from_file_location(
+    "fmm_example", _PKG / "__init__.py",
+    submodule_search_locations=[str(_PKG)])
+fmm_example = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = fmm_example
+_spec.loader.exec_module(fmm_example)
+
+FMMStats, fmm_potentials = fmm_example.FMMStats, fmm_example.fmm_potentials
+l2l, l2p, m2l, p2l = (fmm_example.l2l, fmm_example.l2p, fmm_example.m2l,
+                      fmm_example.p2l)
 
 
 def cloud(n=25, seed=0, radius=0.4):

@@ -1,8 +1,7 @@
 """Equivalence suite for the level-synchronous tree pipeline.
 
 The vectorized builder and the level-batched upward passes each have a
-node-at-a-time reference kept verbatim from the seed (in ``repro.bh.tree``
-where production still dispatches to it, in ``tests/oracles`` otherwise).
+node-at-a-time reference kept verbatim from the seed in ``tests/oracles``.
 These tests pin *exact* array equality for construction and upward
 passes.
 """
@@ -18,23 +17,17 @@ from repro.bh.distributions import (
 )
 from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import ParticleSet
-from repro.bh.tree import (
-    NO_CHILD,
-    SMALL_BUILD_CUTOFF,
-    build_tree,
+from repro.bh.tree import NO_CHILD, build_tree, cell_box, cell_boxes
+from tests.oracles.tree import (
     build_tree_reference,
-    cell_box,
-    cell_boxes,
+    compute_monopoles_reference,
 )
 from tests.oracles.upward import (
     build_multipoles_reference,
     sum_interactions_up_reference,
 )
 
-#: Large enough that build_tree takes the level-synchronous path rather
-#: than dispatching to the recursive builder.
 N = 400
-assert N >= SMALL_BUILD_CUTOFF
 
 ARRAY_FIELDS = ("children", "depth", "path_key", "center", "half",
                 "start", "end", "order")
@@ -86,8 +79,10 @@ class TestBuildEquivalence:
         vec = build_tree(ps, leaf_capacity=cap, collapse_chains=collapse)
         assert_trees_equal(vec, ref)
 
-    def test_small_input_dispatch_is_equal(self):
-        ps = plummer(SMALL_BUILD_CUTOFF - 1, seed=3)
+    def test_small_input_equals_oracle(self):
+        """127 particles (the size the recursive builder used to be
+        dispatched for) through the level-synchronous builder."""
+        ps = plummer(127, seed=3)
         assert_trees_equal(build_tree(ps, leaf_capacity=4),
                            build_tree_reference(ps, leaf_capacity=4))
 
@@ -106,7 +101,7 @@ class TestUpwardPasses:
         ps = cloud(1000, dims, seed=3)
         tree = build_tree(ps, leaf_capacity=8)
 
-        tree.compute_monopoles_reference(ps)
+        compute_monopoles_reference(tree, ps)
         mass, com = tree.mass.copy(), tree.com.copy()
         tree.compute_monopoles(ps)
         np.testing.assert_array_equal(tree.mass, mass)

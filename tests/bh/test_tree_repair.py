@@ -104,6 +104,12 @@ class TestRepairExactEquality:
                             max_depth=BITS[3], keys=k1)
         assert_trees_equal(res.tree, oracle)
 
+    def test_tiny_trees_rebuild_outright(self):
+        """One moved particle: repaired from 128 particles up, rebuilt
+        below (``tree_repair``'s own small-tree threshold)."""
+        assert [roundtrip(n, 3, 8, True, frac=0.0)[2].rebuilt
+                for n in (127, 128)] == [True, False]
+
     def test_no_key_change_refreshes_monopoles(self):
         ps, box = make_state(500, 3)
         bits = BITS[3]
