@@ -12,9 +12,11 @@ them:
    kernel is evaluated during the walk.
 2. :func:`evaluate_interaction_lists` consumes the lists with fused,
    chunked kernels: a single grouped gather per evaluator over *all*
-   accepted cluster interactions, and a flat pair-expansion of the
-   particle-particle work whose temporaries are bounded by a fixed
-   working-set size.
+   accepted cluster interactions, and a lane-major particle-particle
+   pass — leaf visits grouped by source count ``ns``, source ``j`` of
+   every row in lane ``j``, read in place from tree-ordered
+   structure-of-arrays sources, so each ufunc runs down a long
+   contiguous axis of rows — in chunks of a fixed working-set size.
 
 :class:`TraversalEngine` pairs the two over one tree, two ways.
 :meth:`~TraversalEngine.compute_once` *streams*: each chunk of
@@ -139,51 +141,41 @@ class InteractionLists:
         return int(self.cluster_tgt.size)
 
     def nbytes(self) -> int:
-        """Bytes held: list arrays plus, once evaluated, P2P blocks."""
+        """Bytes held: list arrays plus, once evaluated, the P2P groups'
+        per-row target indices and slice starts (no position blocks)."""
         arrays = [self.cluster_node, self.cluster_tgt, self.p2p_leaf,
                   self.p2p_tgt, self.p2p_sizes, self.mac_per_target,
                   self.tested_node, self.tested_tgt, self.tested_ok,
                   *self.remote_targets.values()]
-        for group in self._p2p_groups or ():
-            arrays.extend(a for a in group if a is not None)
+        for tgt, starts, _ in self._p2p_groups or ():
+            arrays.extend((tgt, starts))
         return sum(a.nbytes for a in arrays)
 
-    def p2p_groups(self, tree: Tree, sources
-                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray | None]]:
+    def p2p_groups(self, tree: Tree
+                   ) -> list[tuple[np.ndarray, np.ndarray, int]]:
         """P2P rows regrouped by leaf source count for dense evaluation.
 
-        Returns ``(tgt, tpos, row_entry, spos, smass)`` tuples: all rows
-        whose leaf holds ``ns`` sources are stacked, their target
-        positions pre-gathered into ``tpos``, the distinct leaves'
-        source positions pre-gathered into one ``(nleaves, ns, d)``
-        block (``smass`` likewise, or ``None`` when every source mass is
-        equal); ``row_entry`` maps each target row to its leaf's block
-        row.  Grouping uses node-id rank arrays — no sorting.  Cached
-        across evaluations — the lists are bound to the tree and source
-        set they were built over."""
+        Returns ``(tgt, starts, ns)`` tuples: all rows whose leaf holds
+        ``ns`` sources, stacked in list order.  A leaf's particles are
+        contiguous in tree order, so source ``j`` of row ``i`` is
+        element ``starts[i] + j`` of the tree-ordered source arrays and
+        no position, of a target or a source, is stored.  Cached across
+        evaluations — the lists are bound to the tree they were built
+        over."""
         if self._p2p_groups is None:
-            pos, mass = sources.positions, sources.masses
-            uniform = mass.size > 0 and bool(np.all(mass == mass[0]))
-            order = tree.order
             sizes = self.p2p_sizes
-            rank = np.empty(tree.nnodes, dtype=np.int64)
-            present = np.zeros(tree.nnodes, dtype=bool)
-            groups = []
-            for ns in np.unique(sizes):
-                sel = sizes == ns
-                tgt = self.p2p_tgt[sel]
-                leaves = self.p2p_leaf[sel]
-                present[:] = False
-                present[leaves] = True
-                leaf_ids = np.flatnonzero(present)
-                rank[leaf_ids] = np.arange(leaf_ids.size)
-                src_mat = order[tree.start[leaf_ids][:, None]
-                                + np.arange(int(ns))[None, :]]
-                groups.append((tgt, self.targets[tgt], rank[leaves],
-                               pos[src_mat],
-                               None if uniform else mass[src_mat]))
-            self._p2p_groups = groups
+            # one stable sort by size (a radix sort on 16-bit keys)
+            # keeps list order within each group
+            order = np.argsort(sizes.astype(np.uint16) if sizes.size
+                               and sizes.max() < 2 ** 16 else sizes,
+                               kind="stable")
+            tgt = self.p2p_tgt[order]
+            starts = tree.start[self.p2p_leaf[order]]
+            ends = np.cumsum(np.bincount(sizes))
+            self._p2p_groups = [
+                (tgt[lo:hi], starts[lo:hi], ns)
+                for ns, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), 1)
+                if hi > lo]
         return self._p2p_groups
 
     def cluster_per_target(self) -> np.ndarray:
@@ -217,7 +209,8 @@ def _concat(chunks: list[np.ndarray]) -> np.ndarray:
 def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
               cls: np.ndarray, start: int):
     """The classical batched depth-first descent: a Python stack of
-    (node, target-index-array) pairs, node data kept scalar."""
+    (node, target indices, their gathered positions) triples, node data
+    kept scalar.  The children of an opened node share one gather."""
     nt = targets.shape[0]
     children = tree.children
     com, center, half = tree.com, tree.center, tree.half
@@ -230,12 +223,11 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
     tested_nodes: list[int] = []
     tested_idx: list[np.ndarray] = []
     tested_ok: list[np.ndarray] = []
-    mac_per_target = np.zeros(nt, dtype=np.int64)
-    mac_tests = 0
 
-    stack: list[tuple[int, np.ndarray]] = [(start, np.arange(nt))]
+    stack: list[tuple[int, np.ndarray, np.ndarray]] = [
+        (start, np.arange(nt), targets)]
     while stack:
-        node, idx = stack.pop()
+        node, idx, t = stack.pop()
         c = cls[node]
         if c:
             if c == 1:
@@ -244,14 +236,17 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
             elif c == 2:
                 remote.setdefault(node, []).append(idx)
             continue
-        mac_tests += idx.size
-        mac_per_target[idx] += 1
-        t = targets[idx]
-        # Bit-for-bit the expressions of BarnesHutMAC.accept.
+        # Bit-for-bit the expressions of BarnesHutMAC.accept; the inside-
+        # the-cell test can only veto, so it runs only if some target passed.
         diff = t - com[node]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        ok = (2.0 * half[node] < alpha * dist) \
-            & ~np.all(np.abs(t - center[node]) < half[node], axis=1)
+        ok = 2.0 * half[node] < alpha * dist
+        if ok.any():
+            inside = np.abs(t - center[node]) < half[node]
+            within = inside[:, 0]
+            for k in range(1, inside.shape[1]):
+                within &= inside[:, k]
+            ok &= ~within
         tested_nodes.append(node)
         tested_idx.append(idx)
         tested_ok.append(ok)
@@ -259,11 +254,13 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
         if far.size:
             cl_nodes.append(node)
             cl_idx.append(far)
-        near = idx[~ok]
-        if near.size:
+        if far.size < idx.size:
+            if far.size:
+                near = np.flatnonzero(~ok)
+                idx, t = idx.take(near), t.take(near, axis=0)
             row = children[node]
             for child in row[row != NO_CHILD]:
-                stack.append((int(child), near))
+                stack.append((int(child), idx, t))
 
     cl_sizes = np.array([a.size for a in cl_idx], dtype=np.int64)
     leaf_sizes = np.array([a.size for a in leaf_idx], dtype=np.int64)
@@ -278,9 +275,10 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
     tested = (tested_node, _concat(tested_idx),
               (np.concatenate(tested_ok) if tested_ok
                else np.zeros(0, dtype=bool)))
+    mac_per_target = np.bincount(tested[1], minlength=nt)
     remote_pairs = {n: _concat(remote[n]) for n in remote}
     return (cluster_node, _concat(cl_idx), p2p_leaf, _concat(leaf_idx),
-            remote_pairs, mac_tests, mac_per_target, tested)
+            remote_pairs, tested[1].size, mac_per_target, tested)
 
 
 def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
@@ -447,54 +445,76 @@ _thread_scratch = threading.local()
 
 
 def _p2p_scratch(ns: int, chunk: int, d: int) -> tuple:
-    """P2P chunk buffers (diff tensor, squared distances, per-pair
-    weights, gathered masses) carved out of the thread's scratch; every
-    view is fully overwritten before it is read within a chunk."""
+    """Lane-major P2P chunk buffers (``(d, ns, chunk)`` separations and
+    ``(ns, chunk)`` squared distances, per-pair weights, masses) carved
+    out of the thread's scratch; every view is contiguous and fully
+    overwritten before it is read within a chunk."""
     rows = chunk * ns
     buf = getattr(_thread_scratch, "buf", None)
     if buf is None or buf.size < rows * (d + 3):
         buf = _thread_scratch.buf = np.empty(rows * (d + 3))
-    flat = buf[rows * d:rows * (d + 3)].reshape(3, chunk, ns)
-    return (buf[:rows * d].reshape(chunk, ns, d), *flat)
+    flat = buf[rows * d:rows * (d + 3)].reshape(3, ns, chunk)
+    return (buf[:rows * d].reshape(d, ns, chunk), *flat)
 
 
-def _p2p_chunk(lists: InteractionLists, out: np.ndarray,
-               tgt: np.ndarray, tpos: np.ndarray, row_entry: np.ndarray,
-               sp: np.ndarray, sm: np.ndarray | None, lo: int, hi: int,
-               force: bool, soft2: float, scale: float,
-               scratch: tuple) -> None:
-    """One fused P2P chunk: gather, subtract, rsqrt, contract,
-    scatter-add — accumulated onto ``out``."""
-    diff, r2, w, mbuf = scratch
-    c = hi - lo
-    tg = tgt[lo:hi]
-    rows = row_entry[lo:hi]
-    dv, r2v, wv = diff[:c], r2[:c], w[:c]
-    np.take(sp, rows, axis=0, out=dv)
-    np.subtract(tpos[lo:hi, None, :], dv, out=dv)
-    np.einsum("ijk,ijk->ij", dv, dv, out=r2v)
+def _source_layout(tree: Tree, sources) -> tuple | None:
+    """The tree's sources as the P2P kernel reads them: positions
+    tree-ordered and structure-of-arrays ``(d, n)``, masses tree-ordered
+    (``None`` when all equal), and the factor outside the row sums.
+    Built per evaluation call (a layout passes through) and never kept:
+    block stepping moves sources under a reused tree."""
+    if sources is None or isinstance(sources, tuple):
+        return sources
+    smass = sources.masses
+    uniform = smass.size > 0 and bool(np.all(smass == smass[0]))
+    # With uniform masses the scalar factor moves outside the row sums
+    # (per-pair values differ only in rounding, ~1e-16 relative).
+    return (np.take(sources.positions.T, tree.order, axis=1),
+            None if uniform else smass[tree.order],
+            -kernels.G * (float(smass[0]) if uniform else 1.0))
+
+
+def _p2p_chunk(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
+               ns: int, tp: np.ndarray, sp: np.ndarray,
+               sm: np.ndarray | None, force: bool, soft2: float,
+               scale: float) -> None:
+    """One fused lane-major P2P chunk of rows ``(tgt[i], starts[i])``:
+    gather, subtract, rsqrt, weight, reduce the ``ns`` lanes,
+    scatter-add — accumulated onto ``out``.  ``tp`` / ``sp`` hold target
+    and source coordinates ``(d, .)``; every ufunc runs over a
+    contiguous inner axis of ``tgt.size`` rows."""
+    d = sp.shape[0]
+    dv, r2, w, mbuf = _p2p_scratch(ns, tgt.size, d)
+    ix = starts + np.arange(ns)[:, None]
+    for k in range(d):          # mode="raise" would buffer every ``out``
+        np.take(sp[k], ix, out=dv[k], mode="clip")
+        np.subtract(np.take(tp[k], tgt, out=w[0], mode="clip"), dv[k],
+                    out=dv[k])
+    np.multiply(dv[0], dv[0], out=r2)
+    for k in range(1, d):
+        np.multiply(dv[k], dv[k], out=w)
+        r2 += w
     if soft2 != 0.0:
-        r2v += soft2
-    zero = r2v == 0.0
-    np.sqrt(r2v, out=r2v)
+        r2 += soft2
+    zero = r2 == 0.0
+    np.sqrt(r2, out=r2)
     with np.errstate(divide="ignore"):
-        np.divide(1.0, r2v, out=r2v)           # inv_r
-    r2v[zero] = 0.0
-    if not force:
-        if sm is None:
-            contrib = r2v.sum(axis=1)
-        else:
-            np.take(sm, rows, axis=0, out=mbuf[:c])
-            contrib = np.einsum("ij,ij->i", r2v, mbuf[:c])
+        np.divide(1.0, r2, out=r2)           # inv_r
+    r2[zero] = 0.0
+    if force:
+        np.multiply(r2, r2, out=w)
+        w *= r2                              # inv_r^3
     else:
-        np.multiply(r2v, r2v, out=wv)
-        wv *= r2v                              # inv_r^3
-        if sm is not None:
-            np.take(sm, rows, axis=0, out=mbuf[:c])
-            wv *= mbuf[:c]
-        contrib = np.einsum("ij,ijk->ik", wv, dv)
+        w = r2
+    if sm is not None:
+        w *= np.take(sm, ix, out=mbuf, mode="clip")
+    if force:
+        dv *= w
+        contrib = np.add.reduce(dv, axis=1).T
+    else:
+        contrib = np.add.reduce(w, axis=0)
     contrib *= scale
-    _accumulate(out, tg, contrib, lists.nt)
+    _accumulate(out, tgt, contrib, out.shape[0])
 
 
 def _p2p_pass(lists: InteractionLists, values: np.ndarray, tree: Tree,
@@ -505,31 +525,24 @@ def _p2p_pass(lists: InteractionLists, values: np.ndarray, tree: Tree,
     if sources is None:
         raise ValueError("tree has local leaves but no source "
                          "particles were provided")
-    if tier == "numba":
-        compiled.p2p_pass(values, lists, tree, sources, mode, softening,
-                          threads)
-        return
-    smass = sources.masses
-    uniform = smass.size > 0 and bool(np.all(smass == smass[0]))
-    # With uniform masses the scalar factor moves outside the row sums
-    # (per-pair values differ only in rounding, ~1e-16 relative).
-    scale = -kernels.G * (float(smass[0]) if uniform else 1.0)
+    sp, sm, scale = _source_layout(tree, sources)
     d = lists.d
-    soft2 = softening ** 2
-    force = mode == "force"
-    for tgt, tpos, row_entry, sp, sm in lists.p2p_groups(tree, sources):
-        n, ns = tgt.size, sp.shape[1]
-        if n == 0:
+    tp = np.ascontiguousarray(lists.targets.T)
+    for tgt, starts, ns in lists.p2p_groups(tree):
+        if tier == "numba":
+            # the compiled kernel wants one (ns, d) source block per row
+            src = starts[:, None] + np.arange(ns)
+            compiled.p2p_group_pass(
+                values, lists.targets[tgt], tgt, np.arange(tgt.size),
+                sp.T[src], None if sm is None else sm[src], sm is None,
+                softening, scale, mode, threads)
             continue
-        # live temporaries per target row: the (chunk, ns, d) source
-        # gather + diff blocks and a few (chunk, ns) scalars
-        row = 8 * (2 * ns * d + 4 * ns + 2 * d + 4)
-        chunk = min(n, max(1, chunk_bytes // row))
-        scratch = _p2p_scratch(ns, chunk, d)
-        for lo in range(0, n, chunk):
-            _p2p_chunk(lists, values, tgt, tpos, row_entry, sp, sm,
-                       lo, min(lo + chunk, n), force, soft2, scale,
-                       scratch)
+        # live per target row: the scratch views and the source indices
+        chunk = max(1, chunk_bytes // (8 * ns * (d + 4)))
+        for lo in range(0, tgt.size, chunk):
+            _p2p_chunk(values, tgt[lo:lo + chunk], starts[lo:lo + chunk],
+                       ns, tp, sp, sm, mode == "force", softening ** 2,
+                       scale)
 
 
 def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
@@ -554,7 +567,9 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
     from the walk and are tier-independent by construction.
     ``kernel_threads`` clamps the numba tier's thread pool (results
     are bitwise independent of it); the numpy tier is one serial
-    chunked loop and ignores it.
+    chunked loop and ignores it.  ``sources`` is the particle set, or
+    its :func:`_source_layout` (a streamed batch lays its sources out
+    once, not once per chunk).
     """
     if mode not in ("potential", "force"):
         raise ValueError(f"mode must be 'potential' or 'force', got {mode!r}")
@@ -660,11 +675,11 @@ class TraversalEngine:
         self._cache[key] = lists
         return lists
 
-    def _evaluate(self, lists: InteractionLists, evaluator, mode: str,
-                  count_node_interactions: bool,
+    def _evaluate(self, lists: InteractionLists, sources, evaluator,
+                  mode: str, count_node_interactions: bool,
                   target_weights: np.ndarray | None) -> TraversalResult:
         return evaluate_interaction_lists(
-            self.tree, lists, self.sources, evaluator, mode=mode,
+            self.tree, lists, sources, evaluator, mode=mode,
             softening=self.softening,
             count_node_interactions=count_node_interactions,
             target_weights=target_weights,
@@ -687,7 +702,7 @@ class TraversalEngine:
         lists = self.lists_for(target_positions)
         if target_subset is not None:
             lists = subset_interaction_lists(lists, target_subset)
-        return self._evaluate(lists, evaluator, mode,
+        return self._evaluate(lists, self.sources, evaluator, mode,
                               count_node_interactions, target_weights)
 
     def compute_once(self, target_positions: np.ndarray, evaluator,
@@ -707,13 +722,14 @@ class TraversalEngine:
         result = TraversalResult(
             values=np.zeros(nt) if mode == "potential" else np.zeros((nt, d)))
         remote: dict[int, list[np.ndarray]] = {}
+        layout = _source_layout(self.tree, self.sources)    # once per batch
         # an empty batch still makes one (empty) pass: same validation
         for lo in range(0, max(nt, 1), STREAM_CHUNK_TARGETS):
             chunk = slice(lo, lo + STREAM_CHUNK_TARGETS)
             lists = build_interaction_lists(self.tree, targets[chunk],
                                             self.mac, root=self.root)
             res = self._evaluate(
-                lists, evaluator, mode, count_node_interactions,
+                lists, layout, evaluator, mode, count_node_interactions,
                 None if target_weights is None else target_weights[chunk])
             self.stream_chunks += 1
             self.lists_peak_bytes = max(self.lists_peak_bytes, lists.nbytes())

@@ -290,11 +290,16 @@ class Engine:
 
         def runner(rank: int) -> None:
             extra = tuple(rank_args[rank]) if rank_args is not None else ()
+            transport.baton.acquire()       # run to block, see LocalTransport
             try:
                 states[rank].value = main(comms[rank], *args, *extra)
             except BaseException as exc:  # propagate to the caller
                 states[rank].error = exc
                 transport.close_all()
+            finally:
+                # after close_all, so the survivors wake to a closed box
+                if transport.mailboxes[rank].holds_baton:
+                    transport.baton.release()
 
         threads = [
             threading.Thread(target=runner, args=(r,),

@@ -80,8 +80,12 @@ class Message:
 class Mailbox:
     """Blocking, (src, tag)-matched FIFO message store for one rank."""
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int, baton: threading.Lock | None = None):
         self.rank = rank
+        #: The run-to-block lock of ``LocalTransport`` (or none: the box
+        #: only queues); not held exactly while parked in :meth:`get`.
+        self._baton = baton
+        self.holds_baton = baton is not None
         self._messages: list[Message] = []
         self._cond = threading.Condition()
         self._closed = False
@@ -134,14 +138,19 @@ class Mailbox:
             self._cond.notify_all()
 
     def _match_index(self, src: int, tag: int) -> int | None:
+        # Message.__lt__ spelled out on locals: the dataclass builds two
+        # tuples per comparison, and this scan is the mailbox's hot loop.
         best: int | None = None
+        arrival = source = seq = 0
         for i, m in enumerate(self._messages):
             if src != ANY_SOURCE and m.src != src:
                 continue
             if tag != ANY_TAG and m.tag != tag:
                 continue
-            if best is None or m < self._messages[best]:
-                best = i
+            if best is None or m.arrival < arrival or (
+                    m.arrival == arrival and (m.src < source or (
+                        m.src == source and m.seq < seq))):
+                best, arrival, source, seq = i, m.arrival, m.src, m.seq
         return best
 
     def get(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -152,22 +161,38 @@ class Mailbox:
         ------
         TimeoutError
             When ``timeout`` (real seconds) elapses first — the engine uses
-            this as a deadlock watchdog.
+            this as a deadlock watchdog — or when the baton cannot be
+            retaken within it (its holder is blocked outside ``get``).
         """
-        with self._cond:
-            while True:
-                i = self._match_index(src, tag)
-                if i is not None:
-                    return self._messages.pop(i)
-                if self._closed:
-                    raise MailboxClosedError(
-                        f"rank {self.rank}: receive on closed mailbox"
-                    )
-                if not self._cond.wait(timeout=timeout):
-                    raise TimeoutError(
-                        f"rank {self.rank}: recv(src={src}, tag={tag}) "
-                        f"timed out after {timeout}s — likely deadlock"
-                    )
+        try:
+            with self._cond:
+                while True:
+                    i = self._match_index(src, tag)
+                    if i is not None:
+                        return self._messages.pop(i)
+                    if self._closed:
+                        raise MailboxClosedError(
+                            f"rank {self.rank}: receive on closed mailbox"
+                        )
+                    if self.holds_baton:
+                        self.holds_baton = False
+                        self._baton.release()
+                    if not self._cond.wait(timeout=timeout):
+                        raise self._late(src, tag, timeout)
+        finally:
+            # Retaken outside the mailbox lock: the baton's holder may be
+            # depositing here, waiting for that very lock.
+            if self._baton is not None and not self.holds_baton:
+                self.holds_baton = self._baton.acquire(
+                    timeout=-1 if timeout is None else timeout)
+                if not self.holds_baton:
+                    raise self._late(src, tag, timeout, ": could not resume, "
+                                     "the running rank is blocked elsewhere")
+
+    def _late(self, src, tag, timeout, why="") -> TimeoutError:
+        return TimeoutError(
+            f"rank {self.rank}: recv(src={src}, tag={tag}) timed out after "
+            f"{timeout}s — likely deadlock{why}")
 
     def poll(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
         """Non-blocking matched receive; ``None`` when nothing matches."""

@@ -22,6 +22,7 @@ the same program therefore produce bitwise-identical virtual times.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 
 from repro.machine.mailbox import Mailbox, Message
@@ -102,13 +103,21 @@ class LocalTransport:
     :class:`~repro.machine.engine.Engine` runs on; it is exactly the old
     hard-wired ``list[Mailbox]`` plumbing behind the :class:`Endpoint`
     interface.
+
+    Thread ranks *run to block*: a rank's thread holds :attr:`baton`
+    while its program runs and gives it up only to wait inside
+    ``Mailbox.get``, so exactly one rank executes between blocking
+    receives — what the GIL allowed anyway, minus its forced hand-offs.
+    Whatever else a rank blocks on must release the baton around the
+    wait, or block through the mailbox.
     """
 
     def __init__(self, size: int):
         if size <= 0:
             raise ValueError(f"transport size must be positive, got {size}")
         self.size = size
-        self.mailboxes = [Mailbox(r) for r in range(size)]
+        self.baton = threading.Lock()
+        self.mailboxes = [Mailbox(r, self.baton) for r in range(size)]
         #: per-rank "currently blocked on (src, tag)" board.
         self.waits: list[tuple[int, int] | None] = [None] * size
 

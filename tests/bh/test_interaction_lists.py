@@ -9,12 +9,15 @@ target chunks (equal to one whole-batch walk in every observable) and
 build-once/evaluate-many.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bh import interaction_lists as il
 from repro.bh import kernels
+from repro.bh.direct import direct_forces, direct_potentials
 from repro.bh.distributions import (
     gaussian_blobs,
     plummer,
@@ -29,8 +32,11 @@ from repro.bh.interaction_lists import (
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.traversal import compute_forces, compute_potentials, traverse
+from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, build_tree
+from tests.bh.test_walk_invalidation import _repair_engine
 from tests.oracles.traversal import traverse_reference
+from tests.oracles.walk import walk_dfs_reference
 
 N = 800
 
@@ -325,6 +331,244 @@ class TestStreamedEqualsWholeBatch:
         assert engine.stream_chunks == 1 + 2 + 5
         assert engine.walks_reused == 0 and not engine._cache
         assert engine.lists_peak_bytes > 0
+
+
+LIST_ARRAYS = ("cluster_node", "cluster_tgt", "p2p_leaf", "p2p_tgt",
+               "p2p_sizes", "mac_per_target", "tested_node", "tested_tgt",
+               "tested_ok")
+
+
+def _assert_walk_equals_oracle(tree, targets, alpha, root=None):
+    """``build_interaction_lists`` through the product's ``_walk_dfs``
+    and through the parent's, kept in ``tests/oracles/walk.py``: every
+    list array equal element for element, dtype included."""
+    mac = BarnesHutMAC(alpha)
+    got = build_interaction_lists(tree, targets, mac, root=root)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(il, "_walk_dfs", walk_dfs_reference)
+        want = build_interaction_lists(tree, targets, mac, root=root)
+    for name in LIST_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.mac_tests == want.mac_tests
+    assert type(got.mac_tests) is type(want.mac_tests)
+    assert got.p2p_interactions == want.p2p_interactions
+    assert list(got.remote_targets) == list(want.remote_targets)
+    for node, idx in want.remote_targets.items():
+        assert np.array_equal(got.remote_targets[node], idx)
+    return got
+
+
+class TestWalkEqualsOracle:
+    def test_plummer_subtree_with_outside_targets(self):
+        """A branch subtree serving requesters that live elsewhere."""
+        ps = INSTANCES["plummer"]
+        tree = build_tree(ps, leaf_capacity=8)
+        kid = int(tree.children[0][tree.children[0] != NO_CHILD][0])
+        lo, hi = tree.center[kid] - tree.half[kid], \
+            tree.center[kid] + tree.half[kid]
+        outside = ~np.all((ps.positions > lo) & (ps.positions < hi), axis=1)
+        lists = _assert_walk_equals_oracle(tree, ps.positions[outside],
+                                           0.67, root=kid)
+        assert lists.cluster_interactions and lists.p2p_interactions
+
+    def test_top_tree_with_remote_leaves(self):
+        ps = INSTANCES["gaussian"]
+        tree = build_tree(ps, leaf_capacity=8)
+        _mark_two_remote(tree)
+        for root in (None, tree.ROOT):
+            lists = _assert_walk_equals_oracle(tree, ps.positions, 0.67,
+                                               root=root)
+            assert len(lists.remote_targets) == 2
+
+    @pytest.mark.parametrize("capacity", [1, 8])
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_dims_and_leaf_capacity(self, dims, capacity):
+        ps = uniform_cube(500, dims=dims, seed=11)
+        tree = build_tree(ps, leaf_capacity=capacity)
+        _assert_walk_equals_oracle(tree, ps.positions, 0.8)
+
+    def test_every_target_inside_the_root_cell(self):
+        """The inside-the-cell veto decides everything at the root and
+        wherever a target sits in a cell it is far from the mass of."""
+        ps = INSTANCES["plummer"]
+        tree = build_tree(ps, leaf_capacity=8)
+        rng = np.random.default_rng(4)
+        targets = tree.center[0] + tree.half[0] * rng.uniform(
+            -0.999, 0.999, (300, 3))
+        lists = _assert_walk_equals_oracle(tree, targets, 5.0)
+        assert not lists.tested_ok[lists.tested_node == 0].any()
+        assert lists.tested_ok.any()
+
+    def test_empty_batch(self):
+        ps = INSTANCES["plummer"]
+        tree = build_tree(ps, leaf_capacity=8)
+        lists = _assert_walk_equals_oracle(tree, np.zeros((0, 3)), 0.67)
+        assert lists.nt == 0 and lists.mac_tests == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 300), nt=st.integers(0, 120),
+           alpha=st.floats(0.05, 3.0), capacity=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 16))
+    def test_any_instance(self, n, nt, alpha, capacity, seed):
+        rng = np.random.default_rng(seed)
+        ps = ParticleSet(rng.normal(size=(n, 3)), rng.uniform(0.5, 1.5, n))
+        tree = build_tree(ps, leaf_capacity=capacity)
+        _assert_walk_equals_oracle(tree, 1.5 * rng.normal(size=(nt, 3)),
+                                   alpha)
+
+
+class _NoClusters:
+    """An evaluator whose cluster terms vanish: what
+    ``evaluate_interaction_lists`` returns is its P2P pass alone."""
+
+    def batch_force(self, nodes, targets):
+        return np.zeros_like(targets)
+
+    def batch_potential(self, nodes, targets):
+        return np.zeros(len(targets))
+
+
+def _listed_pairs_reference(tree, ps, lists, mode, softening):
+    """Direct sums over exactly the listed (leaf slice, target) pairs."""
+    direct = direct_forces if mode == "force" else direct_potentials
+    out = np.zeros((lists.nt, lists.d) if mode == "force" else lists.nt)
+    for leaf in np.unique(lists.p2p_leaf):
+        tgt = lists.p2p_tgt[lists.p2p_leaf == leaf]
+        src = ps.subset(tree.order[tree.start[leaf]:tree.end[leaf]])
+        np.add.at(out, tgt, direct(src, lists.targets[tgt],
+                                   softening=softening))
+    return out
+
+
+def _p2p_case(dims, uniform, n=400, capacity=8):
+    rng = np.random.default_rng(dims + 2 * uniform)
+    ps = ParticleSet(rng.normal(size=(n, dims)),
+                     np.full(n, 1.0 / n) if uniform
+                     else rng.uniform(0.5, 1.5, n))
+    tree = build_tree(ps, leaf_capacity=capacity)
+    # targets coincident with sources: every self pair is listed
+    lists = build_interaction_lists(tree, ps.positions, BarnesHutMAC(0.67))
+    assert set(lists.p2p_sizes) == set(range(1, capacity + 1))
+    return ps, tree, lists
+
+
+class TestLaneMajorP2P:
+    @pytest.mark.parametrize("softening", [0.0, 0.05])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "masses"])
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("mode", ["force", "potential"])
+    def test_matches_direct_sums_over_listed_pairs(self, mode, dims,
+                                                   uniform, softening):
+        ps, tree, lists = _p2p_case(dims, uniform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # zero distance is guarded
+            got = evaluate_interaction_lists(
+                tree, lists, ps, _NoClusters(), mode=mode,
+                softening=softening).values
+        want = _listed_pairs_reference(tree, ps, lists, mode, softening)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", ["force", "potential"])
+    def test_coincident_pair_contributes_exactly_zero(self, mode):
+        """Two particles, one leaf: the target on top of source 0 gets
+        source 1's term and nothing else."""
+        ps = ParticleSet(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+                         np.array([2.0, 3.0]))
+        tree = build_tree(ps, leaf_capacity=8)
+        lists = build_interaction_lists(tree, ps.positions[:1],
+                                        BarnesHutMAC(0.67))
+        assert lists.p2p_sizes.tolist() == [2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
+                                             mode=mode).values
+        want = -kernels.G * 3.0 * (np.array([[-0.5, 0.0, 0.0]]) / 0.125
+                                   if mode == "force" else np.array([2.0]))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "masses"])
+    @pytest.mark.parametrize("mode", ["force", "potential"])
+    def test_many_chunks_equal_one(self, mode, uniform):
+        ps, tree, lists = _p2p_case(3, uniform, n=250)
+        assert min(g[0].size for g in lists.p2p_groups(tree)) >= 3
+        one = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
+                                         mode=mode)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            chunk = il._p2p_chunk
+            patch.setattr(il, "_p2p_chunk",
+                          lambda *a: calls.append(a[1].size) or chunk(*a))
+            many = evaluate_interaction_lists(
+                tree, lists, ps, _NoClusters(), mode=mode,
+                working_set_bytes=1)        # one row per chunk
+        assert set(calls) == {1} and len(calls) == lists.p2p_tgt.size
+        assert np.abs(many.values - one.values).max() \
+            <= 1e-13 * np.abs(one.values).max()
+
+    def test_groups_hold_no_positions(self):
+        ps, tree, lists = _p2p_case(3, False)
+        bare = lists.nbytes()
+        groups = lists.p2p_groups(tree)
+        assert [ns for _, _, ns in groups] == list(range(1, 9))
+        assert sum(t.size for t, _, _ in groups) == lists.p2p_tgt.size
+        # per row: one target index and one slice start
+        assert lists.nbytes() - bare == 16 * lists.p2p_tgt.size
+
+    def test_sources_are_read_at_evaluation_time(self):
+        """Block stepping moves sources under a reused tree and reused
+        lists: nothing about a source may be cached on the lists."""
+        ps, tree, lists = _p2p_case(3, False)
+        evaluate_interaction_lists(tree, lists, ps, _NoClusters(), "force")
+        moved = ParticleSet(ps.positions + 1e-3, ps.masses)
+        got = evaluate_interaction_lists(tree, lists, moved, _NoClusters(),
+                                         mode="force").values
+        want = _listed_pairs_reference(tree, moved, lists, "force", 0.0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_subset_and_repaired_lists(self):
+        ps, tree, lists = _p2p_case(3, False)
+        idx = np.arange(0, ps.n, 3)
+        sub = il.subset_interaction_lists(lists, idx)
+        got = evaluate_interaction_lists(tree, sub, ps, _NoClusters(),
+                                         mode="force").values
+        want = _listed_pairs_reference(tree, ps, sub, "force", 0.0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        engine, ps2, targets, repair, _ = _repair_engine()
+        (kept,) = engine._cache.values()
+        assert engine.walks_retained == 1 and kept._p2p_groups is None
+        got = evaluate_interaction_lists(repair.tree, kept, ps2,
+                                         _NoClusters(), mode="force").values
+        fresh = build_interaction_lists(repair.tree, targets, engine.mac)
+        want = _listed_pairs_reference(repair.tree, ps2, fresh, "force", 0.0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_numba_adapter_feeds_one_source_block_per_row(self, monkeypatch):
+        """The compiled kernel (not installed here) reads row ``i``'s
+        sources from ``sp[rows[i]]``; a numpy stand-in with that contract
+        must reproduce the numpy tier."""
+        def group_pass(values, tpos, tgt, rows, sp, sm, uniform, softening,
+                       scale, mode, threads=None):
+            assert mode == "force" and uniform == (sm is None)
+            diff = tpos[:, None, :] - sp[rows]
+            r2 = np.einsum("ijk,ijk->ij", diff, diff) + softening ** 2
+            w = np.where(r2 > 0.0, r2, np.inf) ** -1.5
+            if sm is not None:
+                w = w * sm[rows]
+            np.add.at(values, tgt, scale * np.einsum("ij,ijk->ik", w, diff))
+
+        monkeypatch.setattr(il.compiled, "p2p_group_pass", group_pass)
+        for uniform in (True, False):
+            ps, tree, lists = _p2p_case(3, uniform)
+            want = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
+                                              mode="force").values
+            got = np.zeros_like(want)
+            il._p2p_pass(lists, got, tree, ps, "force", 0.0, 1 << 22,
+                         tier="numba")
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestEvaluateDirect:

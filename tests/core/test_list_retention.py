@@ -8,7 +8,6 @@ footprint of a batch is one chunk's, not the batch's.
 """
 
 import gc
-import threading
 import tracemalloc
 
 import pytest
@@ -19,6 +18,7 @@ from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion
 from repro.bh.tree import build_tree
 from repro.core.function_shipping import FunctionShippingEngine
+from repro.machine.collectives import barrier
 from repro.machine.profiles import NCUBE2
 from tests.core.test_block_sim import DT, N, P, block_config
 
@@ -32,18 +32,20 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_no_lists_alive_between_force_phases(monkeypatch, case):
     cfg, p = CASES[case]
-    # Wall-only rendezvous: while rank 0 takes the census every rank
-    # sits between two force phases, none mid-walk.
-    rendezvous = threading.Barrier(p, timeout=60.0)
+    # Rendezvous through the machine (thread ranks run to block: parked
+    # on a wall-only barrier, the first arrival would keep the baton and
+    # the others never run): while rank 0 takes the census every rank
+    # sits between two force phases, none mid-walk.  No clock is
+    # asserted, so the barriers' virtual cost is immaterial.
     alive, run = [], FunctionShippingEngine.run
 
     def run_then_census(self, targets_idx=None):
         result = run(self, targets_idx)
-        rendezvous.wait()
+        barrier(self.comm)
         if self.comm.rank == 0:
             alive.append(sum(isinstance(o, il.InteractionLists)
                              for o in gc.get_objects()))
-        rendezvous.wait()
+        barrier(self.comm)
         assert not self._top_engine._cache
         assert not any(e._cache for e in self.subtree_engines.values())
         return result

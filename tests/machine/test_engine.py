@@ -1,11 +1,15 @@
 """Tests for the SPMD engine and run reports."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.machine.costmodel import MachineProfile
 from repro.machine.engine import Engine, RunReport, RankResult
 from repro.machine.clock import PhaseTimings
-from repro.machine.comm import CommStats
+from repro.machine.comm import CommStats, DeadlockError
 from repro.machine.profiles import NCUBE2, ZERO_COST
 
 TOY = MachineProfile(name="toy", topology_kind="hypercube",
@@ -177,3 +181,90 @@ class TestReportEdgeCases:
 
         rep = Engine(4, TOY).run(main)
         assert rep.load_imbalance("lopsided") == pytest.approx(4.0)
+
+
+class TestRunToBlock:
+    """Thread ranks pass one baton: exactly one executes between
+    blocking receives, and the new lock fails as fast as the mailbox."""
+
+    @pytest.mark.parametrize("p", [2, 8])
+    def test_one_rank_between_receives(self, p):
+        """A counter raised on entry to user code and lowered around
+        every ``recv`` never exceeds one — also with the interpreter
+        switching threads every 10 µs."""
+        running, peak = [0], [0]
+
+        def enter():
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+
+        def recv(comm, src):
+            running[0] -= 1
+            try:
+                return comm.recv(src=src, tag=1)
+            finally:
+                enter()
+
+        def main(comm):
+            enter()
+            try:
+                token = comm.rank
+                for _ in range(25):             # a ring, p hops a lap
+                    comm.send(token, (comm.rank + 1) % comm.size, tag=1)
+                    token = recv(comm, (comm.rank - 1) % comm.size)
+                    sum(range(2000))            # user code worth preempting
+                return token
+            finally:
+                running[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rep = Engine(p, recv_timeout=30.0).run(main)
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak[0] == 1 and running[0] == 0
+        assert rep.values == [(r - 25) % p for r in range(p)]
+
+    def test_raising_rank_releases_a_blocked_peer_promptly(self):
+        def main(comm):
+            if comm.rank == 1:
+                raise KeyError("true cause")
+            comm.recv(src=1)
+
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="rank 1.*true cause") as info:
+            Engine(2, recv_timeout=30.0).run(main)
+        assert time.monotonic() - t0 < 2.0
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_all_blocked_is_a_deadlock_error_with_the_waits_board(self):
+        def main(comm):
+            comm.recv(src=1 - comm.rank, tag=5)
+
+        t0 = time.monotonic()
+        with pytest.raises(DeadlockError) as info:
+            Engine(2, recv_timeout=0.5).run(main)
+        assert 0.5 <= time.monotonic() - t0 < 5.0
+        assert info.value.blocked == [(1, 5), (0, 5)]
+
+    def test_holder_blocked_outside_the_mailbox_is_a_deadlock_error(self):
+        """Retaking the baton honours ``recv_timeout``: rank 0 parks on
+        a wall-only event while holding it, rank 1 wakes to a message
+        and cannot resume — a typed error, not a hang."""
+        def main(comm):
+            if comm.rank == 1:
+                comm.send("go", 0)
+                return comm.recv(src=0)             # parks first
+            comm.recv(src=1)
+            comm.send("x", 1)
+            threading.Event().wait(timeout=1.5)     # never set
+
+        with pytest.raises(DeadlockError) as info:
+            Engine(2, recv_timeout=0.5).run(main)
+        assert info.value.rank == 1
+        assert "could not resume" in str(info.value.__cause__)
+
+    def test_no_communication_at_all(self):
+        rep = Engine(8).run(lambda comm: comm.rank ** 2)
+        assert rep.values == [r ** 2 for r in range(8)]

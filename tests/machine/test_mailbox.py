@@ -3,8 +3,10 @@
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.machine.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message
+from tests.oracles.mailbox import match_index_reference
 
 
 def msg(src=0, tag=0, payload=None, arrival=0.0, nbytes=0):
@@ -102,3 +104,54 @@ class TestBlockingAndTimeout:
         box.close()
         with pytest.raises(RuntimeError):
             box.put(msg())
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 3), st.integers(0, 2),
+              st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+    st.tuples(st.sampled_from(["get", "poll", "probe"]),
+              st.integers(ANY_SOURCE, 3), st.integers(ANY_TAG, 2)),
+    st.tuples(st.just("requeue")),
+)
+
+
+def _play(box, ops, seqs):
+    """Run a script, returning everything it observed.  ``get`` is only
+    issued when something matches (it would block otherwise); ``requeue``
+    re-deposits the most recent message a ``poll`` removed."""
+    seen, polled = [], []
+    for k, op in enumerate(ops):
+        if op[0] == "put":
+            box.put(Message(arrival=op[3], src=op[1], seq=seqs[k],
+                            tag=op[2], payload=k))
+        elif op[0] == "requeue":
+            if polled:
+                box.requeue(polled.pop())
+        elif op[0] == "probe":
+            seen.append(box.probe(op[1], op[2]))
+        else:
+            blocking = op[0] == "get" and box.probe(op[1], op[2])
+            got = (box.get(op[1], op[2], timeout=5) if blocking
+                   else box.poll(op[1], op[2]))
+            seen.append(None if got is None else got.payload)
+            if got is not None and op[0] == "poll":
+                polled.append(got)
+    return seen, [m.payload for m in box._messages]
+
+
+class TestScanEqualsOracle:
+    """The inline ``(arrival, src, seq)`` comparison selects what
+    ``Message.__lt__`` selected: same message for every get / poll /
+    probe, same queue left behind, requeued messages included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=60), data=st.data())
+    def test_random_scripts(self, ops, data):
+        # distinct sequence numbers in arbitrary order: ties in arrival
+        # and source are broken by seq, not by queue position
+        seqs = data.draw(st.permutations(range(len(ops))))
+        reference = Mailbox(0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Mailbox, "_match_index", match_index_reference)
+            expected = _play(reference, ops, seqs)
+        assert _play(Mailbox(0), ops, seqs) == expected
