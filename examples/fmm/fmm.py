@@ -57,7 +57,7 @@ def _batched_m2l(tree: Tree, tm: TreeMultipoles,
     magnitude faster than per-pair calls in Python.
     """
     from .local_expansion import _m2l_tables
-    from repro.bh.multipole import spherical_coords, spherical_harmonics
+    from .harmonics import spherical_coords, spherical_harmonics
 
     if not pairs:
         return

@@ -24,13 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.bh.multipole import (
-    n_terms,
-    regular_terms,
-    spherical_coords,
-    spherical_harmonics,
-    term_index,
-)
+from repro.bh.multipole import n_terms, regular_terms, term_index
+
+from .harmonics import spherical_coords, spherical_harmonics
 
 
 def _A(l: int, m: int) -> float:

@@ -11,7 +11,9 @@ harmonic multipole machinery in Greengard's normalization:
     M2P:  phi(P) = sum_{l,m} M_l^m Y_l^m(theta, phi) / r^{l+1}
     M2M:  Greengard & Rokhlin (1987), Lemma 2.3 (expansion shift)
 
-with the Condon-Shortley phase in the associated Legendre functions.  The
+with the Condon-Shortley phase in the associated Legendre functions; the
+solid harmonics ``rho^l Y`` and ``Y / r^{l+1}`` come from Cartesian
+recurrences (:func:`_solid_rows`), never from the angles.  The
 M2M operator is what lets the distributed tree merge compute top-level
 expansions from branch-node expansions without access to remote particles.
 
@@ -50,61 +52,82 @@ def n_terms(degree: int) -> int:
     return (degree + 1) ** 2
 
 
-def spherical_coords(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, cos theta, phi) of Cartesian offsets; r = 0 maps to the pole."""
-    rel = np.atleast_2d(rel)
-    r = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-    safe_r = np.where(r > 0, r, 1.0)
-    cos_t = np.where(r > 0, rel[:, 2] / safe_r, 1.0)
-    cos_t = np.clip(cos_t, -1.0, 1.0)
-    phi = np.arctan2(rel[:, 1], rel[:, 0])
-    return r, cos_t, phi
+@lru_cache(maxsize=32)
+def _recurrence_factors(degree: int) -> list[tuple]:
+    """Per level ``l >= 2`` of :func:`_solid_rows`: the columns (over
+    ``m``) that multiply ``z T_{l-1}^m`` (|m| <= l-1) and
+    ``rho^2 T_{l-2}^m`` (|m| <= l-2), and the sectoral factor."""
+    out = []
+    for l in range(2, degree + 1):
+        m = np.arange(1 - l, l)[:, None]
+        den = np.sqrt(l * l - m * m)
+        out.append(((2 * l - 1) / den,
+                    (np.sqrt((l - 1) ** 2 - m * m) / den)[1:-1],
+                    -math.sqrt(1 - 0.5 / l)))
+    return out
 
 
-def _legendre_table(x: np.ndarray, degree: int) -> list[list[np.ndarray]]:
-    """Associated Legendre P_l^m(x) (Condon-Shortley) for 0<=m<=l<=degree,
-    vectorized over ``x``."""
-    P: list[list[np.ndarray | None]] = [
-        [None] * (degree + 1) for _ in range(degree + 1)
-    ]
-    P[0][0] = np.ones_like(x)
-    if degree == 0:
-        return P  # type: ignore[return-value]
-    somx2 = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    for m in range(1, degree + 1):
-        P[m][m] = -(2 * m - 1) * somx2 * P[m - 1][m - 1]
-    for m in range(degree):
-        P[m + 1][m] = (2 * m + 1) * x * P[m][m]
-    for m in range(degree + 1):
-        for l in range(m + 2, degree + 1):
-            P[l][m] = ((2 * l - 1) * x * P[l - 1][m]
-                       - (l + m - 1) * P[l - 2][m]) / (l - m)
-    return P  # type: ignore[return-value]
+def _solid_rows(rel: np.ndarray, degree: int, irregular: bool) -> np.ndarray:
+    """Solid harmonics ``T_l^m`` of Cartesian offsets as real rows, shape
+    ``(nterms, npts)``: row ``term_index(l, m)`` holds ``Re T_l^m``
+    (m >= 0), row ``term_index(l, -m)`` holds ``Im T_l^m`` (m > 0).
+
+    Regular ``rho^l Y_l^m`` and irregular ``Y_l^m / r^{l+1}`` obey the
+    same recurrences (the latter in ``x/r^2, y/r^2, z/r^2, 1/r^2`` from
+    ``T_0^0 = 1/r``); with ``sqrt((l-m)!/(l+m)!)`` folded in they read
+
+        T_l^l = -sqrt((2l-1)/2l) (x + iy) T_{l-1}^{l-1}
+        T_l^m = [(2l-1) z T_{l-1}^m - sqrt((l-1)^2-m^2) rho^2 T_{l-2}^m]
+                / sqrt(l^2-m^2)
+
+    No angle is formed, so the poles (x = y = 0) are ordinary points,
+    and every operation is elementwise: a column of the result does not
+    depend on what else is in the batch.
+    """
+    x, y, z = np.ascontiguousarray(np.atleast_2d(rel).T, dtype=np.float64)
+    r2 = x * x + y * y + z * z
+    T = np.empty((n_terms(degree), r2.size))
+    if irregular:
+        if not r2.all():
+            raise ValueError("cannot evaluate a multipole expansion at its "
+                             "own center")
+        r2 = 1.0 / r2
+        x, y, z = x * r2, y * r2, z * r2
+        np.sqrt(r2, out=T[0])
+    else:
+        T[0] = 1.0
+    if degree:
+        s = -math.sqrt(0.5)
+        T[1], T[2], T[3] = s * y * T[0], z * T[0], s * x * T[0]
+    for l, (cz, cr, s) in enumerate(_recurrence_factors(degree), start=2):
+        b, p, pp = T[l * l:(l + 1) ** 2], T[(l - 1) ** 2:l * l], \
+            T[(l - 2) ** 2:(l - 1) ** 2]
+        np.multiply(cz * z, p, out=b[1:-1])
+        b[2:-2] -= (cr * r2) * pp
+        sx, sy = s * x, s * y
+        b[-1] = sx * p[-1] - sy * p[0]
+        b[0] = sx * p[0] + sy * p[-1]
+    return T
 
 
 @lru_cache(maxsize=32)
-def _y_norms(degree: int) -> dict[tuple[int, int], float]:
-    """sqrt((l-m)!/(l+m)!) for 0 <= m <= l <= degree."""
-    return {
-        (l, m): math.sqrt(math.factorial(l - m) / math.factorial(l + m))
-        for l in range(degree + 1) for m in range(l + 1)
-    }
+def _term_maps(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every ``term_index`` column ``(l, m)``: the column of
+    ``(l, -m)`` and, as a column vector, the sign of ``m``."""
+    lm = [(l, m) for l in range(degree + 1) for m in range(-l, l + 1)]
+    return (np.array([term_index(l, -m) for l, m in lm]),
+            np.sign([[m] for _, m in lm]))
 
 
-def spherical_harmonics(cos_t: np.ndarray, phi: np.ndarray,
-                        degree: int) -> np.ndarray:
-    """Y_l^m for all (l, m) up to ``degree``: shape (npts, nterms)."""
-    npts = cos_t.shape[0]
-    P = _legendre_table(cos_t, degree)
-    norms = _y_norms(degree)
-    out = np.empty((npts, n_terms(degree)), dtype=np.complex128)
-    e_pos = [np.exp(1j * m * phi) for m in range(degree + 1)]
-    for l in range(degree + 1):
-        for m in range(l + 1):
-            y = norms[(l, m)] * P[l][m] * e_pos[m]
-            out[:, term_index(l, m)] = y
-            if m:
-                out[:, term_index(l, -m)] = np.conj(y)
+def _complex_terms(T: np.ndarray, degree: int, conj: bool) -> np.ndarray:
+    """Real rows ``T`` as the complex ``(npts, nterms)`` block: column
+    ``(l, m)`` is ``T_l^m`` (conjugated if ``conj``), where
+    ``T_l^{-m} = conj T_l^m``."""
+    flip, sign = _term_maps(degree)
+    F = T[flip]
+    out = np.empty(T.shape[::-1], dtype=np.complex128)
+    out.real = np.where(sign < 0, F, T).T
+    out.imag = (np.where(sign < 0, T, F) * (-sign if conj else sign)).T
     return out
 
 
@@ -114,16 +137,7 @@ def regular_terms(rel: np.ndarray, degree: int) -> np.ndarray:
     Summed against charges this *is* the P2M operator; evaluated at a
     shift vector it feeds the M2M operator.
     """
-    rel = np.atleast_2d(rel)
-    r, cos_t, phi = spherical_coords(rel)
-    Y = spherical_harmonics(cos_t, phi, degree)
-    out = np.empty_like(Y)
-    rpow = np.ones_like(r)
-    for l in range(degree + 1):
-        for m in range(-l, l + 1):
-            out[:, term_index(l, m)] = rpow * Y[:, term_index(l, -m)]
-        rpow = rpow * r
-    return out
+    return _complex_terms(_solid_rows(rel, degree, False), degree, True)
 
 
 def irregular_terms(rel: np.ndarray, degree: int) -> np.ndarray:
@@ -132,20 +146,7 @@ def irregular_terms(rel: np.ndarray, degree: int) -> np.ndarray:
     ``phi(P) = irregular_terms(P - center) @ M`` evaluates the expansion.
     All offsets must be nonzero.
     """
-    rel = np.atleast_2d(rel)
-    r, cos_t, phi = spherical_coords(rel)
-    if np.any(r == 0):
-        raise ValueError("cannot evaluate a multipole expansion at its "
-                         "own center")
-    Y = spherical_harmonics(cos_t, phi, degree)
-    out = np.empty_like(Y)
-    rpow = 1.0 / r
-    for l in range(degree + 1):
-        for m in range(-l, l + 1):
-            i = term_index(l, m)
-            out[:, i] = rpow * Y[:, i]
-        rpow = rpow / r
-    return out
+    return _complex_terms(_solid_rows(rel, degree, True), degree, False)
 
 
 @lru_cache(maxsize=16)
@@ -179,40 +180,97 @@ def _m2m_tables(degree: int):
                     src_idx.append(term_index(jj, kk))
                     phase = 1j ** (abs(k) - abs(m) - abs(kk))
                     coefs.append(phase * A(l, m) * A(jj, kk) / A(j, k))
-    return (np.asarray(out_idx), np.asarray(shift_idx),
-            np.asarray(src_idx), np.asarray(coefs, dtype=np.complex128))
+    # Stored by round: the first term of every output (in output order),
+    # then every second term, ... so :func:`_m2m_rows` adds whole column
+    # blocks yet each output still accumulates its terms in loop order.
+    rnd = np.array([out_idx[:t].count(j) for t, j in enumerate(out_idx)])
+    order = np.argsort(rnd, kind="stable")
+    return (np.asarray(out_idx)[order], np.asarray(shift_idx)[order],
+            np.asarray(src_idx)[order],
+            np.asarray(coefs, dtype=np.complex128)[order],
+            np.searchsorted(rnd[order], np.arange(1, rnd.max() + 2)))
+
+
+def _m2m_rows(coeffs: np.ndarray, R: np.ndarray, degree: int) -> np.ndarray:
+    """Row ``i`` of ``coeffs`` shifted by the vector whose
+    ``regular_terms`` are ``R[i]``.  Elementwise per row: a row does not
+    depend on the batch it is shifted in."""
+    out_idx, shift_idx, src_idx, coefs, cuts = _m2m_tables(degree)
+    contrib = R[:, shift_idx] * coeffs[:, src_idx] * coefs
+    out = contrib[:, :cuts[0]].copy()
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        out[:, out_idx[a:b]] += contrib[:, a:b]
+    return out
 
 
 def m2m_shift(coeffs: np.ndarray, shift: np.ndarray, degree: int) -> np.ndarray:
     """Translate an expansion centered at ``c`` to one at ``c - shift``...
     precisely: ``shift`` is the child center *relative to* the new center.
     """
-    R = regular_terms(np.asarray(shift, dtype=np.float64)[None, :], degree)[0]
-    out_idx, shift_idx, src_idx, coefs = _m2m_tables(degree)
-    contrib = R[shift_idx] * coeffs[src_idx] * coefs
-    out = np.zeros(n_terms(degree), dtype=np.complex128)
-    np.add.at(out, out_idx, contrib)
-    return out
+    R = regular_terms(np.asarray(shift, dtype=np.float64)[None, :], degree)
+    return _m2m_rows(coeffs[None, :], R, degree)[0]
 
 
-def m2m_shift_batch(coeffs: np.ndarray, shifts: np.ndarray,
-                    degree: int) -> np.ndarray:
-    """Batched M2M: row ``i`` of the result is bitwise equal to
-    ``m2m_shift(coeffs[i], shifts[i], degree)``.
+def m2m_upward(tree: Tree, coeffs: np.ndarray, degree: int,
+               restrict: np.ndarray | None = None) -> None:
+    """The M2M half of an upward pass, in place, for local trees and
+    the merged top tree alike: every local internal node (of the
+    ``restrict`` mask) becomes the sum of its children's shifted
+    expansions, deepest level first.  The shifts are geometry, so one
+    call gives the harmonics of them all; the contraction stays per
+    (level, child-count) bucket with a left fold over children in slot
+    order — the repeated ``+=`` of a per-node scan, not a pairwise sum —
+    so the result is bitwise that of per-child :func:`m2m_shift`."""
+    groups = list(tree._internal_child_groups(restrict))
+    if not groups:
+        return
+    R = regular_terms(np.concatenate(
+        [(tree.center[kids] - tree.center[nodes][:, None, :]).reshape(-1, 3)
+         for nodes, kids in groups]), degree)
+    lo = 0
+    for nodes, kids in groups:
+        hi = lo + kids.size
+        shifted = _m2m_rows(coeffs[kids.reshape(-1)], R[lo:hi], degree)
+        shifted = shifted.reshape(*kids.shape, -1)
+        acc = coeffs[nodes]
+        for j in range(kids.shape[1]):
+            acc = acc + shifted[:, j, :]
+        coeffs[nodes] = acc
+        lo = hi
 
-    ``np.add.at`` with broadcast 2-D indices accumulates in row-major
-    order — per row, indices in table order — exactly the per-pair
-    sequential scatter of the scalar operator.
-    """
-    coeffs = np.atleast_2d(coeffs)
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=np.float64))
-    m = coeffs.shape[0]
-    R = regular_terms(shifts, degree)
-    out_idx, shift_idx, src_idx, coefs = _m2m_tables(degree)
-    contrib = R[:, shift_idx] * coeffs[:, src_idx] * coefs[None, :]
-    out = np.zeros((m, n_terms(degree)), dtype=np.complex128)
-    np.add.at(out, (np.arange(m)[:, None], out_idx[None, :]), contrib)
-    return out
+
+def m2p_table(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """Real ``(nterms, nnodes)`` table :func:`m2p` contracts with the
+    rows of :func:`_solid_rows`.  With ``I = A + iB`` and
+    ``I_l^{-m} = conj I_l^m``,
+
+        Re sum_m I_l^m M_l^m = A_l^0 Re M_l^0 + sum_{m>0}
+            [A_l^m (Re M_l^m + Re M_l^{-m}) + B_l^m (Im M_l^{-m} - Im M_l^m)]
+
+    term for term the real part of the complex series: no conjugate
+    symmetry of ``M`` is assumed."""
+    flip, sign = _term_maps(degree)
+    C = coeffs.T
+    F = C[flip]
+    return np.where(sign > 0, C.real + F.real,
+                    np.where(sign < 0, C.imag - F.imag, C.real))
+
+
+def m2p_row_bytes(degree: int) -> int:
+    """Bytes :func:`m2p` holds per (node, target) pair at its peak: the
+    harmonic rows and as many gathered table columns, the offset, its
+    scaled copy with ``1/r^2``, the result (a level's recurrence
+    temporaries are fewer rows than the columns not yet gathered)."""
+    return 8 * (2 * n_terms(degree) + 8)
+
+
+def m2p(table: np.ndarray, nodes: np.ndarray, rel: np.ndarray,
+        degree: int) -> np.ndarray:
+    """``sum q / r`` of expansion ``nodes[i]`` of an :func:`m2p_table` at
+    offset ``rel[i]`` from its center (all offsets nonzero)."""
+    T = _solid_rows(rel, degree, True)
+    T *= table.take(nodes, axis=1)
+    return T.sum(axis=0)
 
 
 class MultipoleExpansion3D:
@@ -235,7 +293,9 @@ class MultipoleExpansion3D:
 
     def evaluate(self, coeffs: np.ndarray, rel_targets: np.ndarray) -> np.ndarray:
         """Potential sum ``q/r`` at targets relative to the center (real)."""
-        return (irregular_terms(rel_targets, self.degree) @ coeffs).real
+        rel = np.atleast_2d(rel_targets)
+        return m2p(m2p_table(coeffs[None, :], self.degree),
+                   np.zeros(rel.shape[0], dtype=np.intp), rel, self.degree)
 
     @property
     def wire_floats(self) -> int:
@@ -373,6 +433,9 @@ class TreeMultipoles:
         self.degree = degree
         self.coeffs = np.zeros((tree.nnodes, self.expansion.nterms),
                                dtype=np.complex128)
+        #: :func:`m2p_table` of ``coeffs``: derived, built on first use,
+        #: dropped whenever ``_build`` / ``refresh`` writes coefficients
+        self._table: np.ndarray | None = None
         if particles is not None:
             self._build(particles)
 
@@ -387,50 +450,43 @@ class TreeMultipoles:
 
     def _build(self, particles: ParticleSet,
                nodes: np.ndarray | None = None) -> None:
-        """Level-batched upward pass: grouped P2M over all leaves of one
-        slice length, grouped M2M shifts per (level, child-count) bucket.
-        Bitwise equal to the per-node reverse scan it replaced —
-        batched ``matmul`` and row-major ``add.at`` reproduce the
-        per-node reductions exactly.  ``nodes`` restricts the pass (see
+        """Upward pass: one harmonics call over every leaf particle, a
+        batched P2M ``matmul`` per leaf length, then :func:`m2m_upward`.
+        Bitwise equal to the per-node reverse scan it replaced (the
+        harmonics are elementwise, the batched ``matmul`` reproduces the
+        per-leaf one).  ``nodes`` restricts the pass (see
         :meth:`refresh`)."""
         tree = self.tree
-        nterms = self.expansion.nterms
-        pos, masses = particles.positions, particles.masses
+        self._table = None
         restrict = None
         if nodes is not None:
             restrict = np.zeros(tree.nnodes, dtype=bool)
             restrict[nodes] = True
-        local = tree.remote_owner < 0
-        leaf_mask = (tree.children == NO_CHILD).all(axis=1) & local
+        leaf_mask = ((tree.children == NO_CHILD).all(axis=1)
+                     & (tree.remote_owner < 0) & (tree.end > tree.start))
         if restrict is not None:
             leaf_mask &= restrict
         leaves = np.flatnonzero(leaf_mask)
         lengths = (tree.end - tree.start)[leaves]
-        for L in np.unique(lengths):
-            if L == 0:
-                continue
-            sel = leaves[lengths == L]
-            gather = tree.order[tree.start[sel][:, None]
-                                + np.arange(int(L))[None, :]]
-            rel = pos[gather] - tree.center[sel][:, None, :]
-            R = regular_terms(rel.reshape(-1, 3), self.degree)
-            R = R.reshape(sel.size, int(L), nterms)
-            q = masses[gather].astype(np.complex128)
+        by_length = np.argsort(lengths, kind="stable")
+        leaves, lengths = leaves[by_length], lengths[by_length]
+        # a leaf is one contiguous run of tree order
+        offs = np.cumsum(lengths) - lengths
+        idx = tree.order[np.arange(lengths.sum())
+                         + np.repeat(tree.start[leaves] - offs, lengths)]
+        R = regular_terms(particles.positions[idx]
+                          - np.repeat(tree.center[leaves], lengths, axis=0),
+                          self.degree)
+        q = particles.masses[idx].astype(np.complex128)
+        cuts = np.flatnonzero(np.diff(lengths, prepend=0, append=0))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            L = int(lengths[a])
+            rows = slice(offs[a], offs[a] + (b - a) * L)
             # batched vector-matrix product == per-leaf ``charges @ R``
-            self.coeffs[sel] = np.matmul(q[:, None, :], R)[:, 0, :]
-        for nodes, kids in tree._internal_child_groups(restrict):
-            c = kids.shape[1]
-            shifts = (tree.center[kids.reshape(-1)]
-                      - np.repeat(tree.center[nodes], c, axis=0))
-            shifted = m2m_shift_batch(self.coeffs[kids.reshape(-1)],
-                                      shifts, self.degree)
-            shifted = shifted.reshape(nodes.size, c, nterms)
-            # sequential left-fold over children in slot order — the
-            # reference's repeated ``+=`` — not a pairwise sum
-            acc = self.coeffs[nodes]
-            for j in range(c):
-                acc = acc + shifted[:, j, :]
-            self.coeffs[nodes] = acc
+            self.coeffs[leaves[a:b]] = np.matmul(
+                q[rows].reshape(b - a, 1, L),
+                R[rows].reshape(b - a, L, -1))[:, 0, :]
+        m2m_upward(tree, self.coeffs, self.degree, restrict)
 
     def node_potential(self, node: int, targets: np.ndarray) -> np.ndarray:
         """Gravitational potential (-G q / r convention) of the node's
@@ -446,16 +502,14 @@ class TreeMultipoles:
         )
 
     # Fused cluster interface: the multipole series of every accepted
-    # (node, target) pair evaluated in one gather/einsum.
+    # (node, target) pair evaluated in one :func:`m2p`.
     @property
     def batch_row_bytes(self) -> int:
-        # dominated by the (pairs, nterms) complex irregular-term and
-        # gathered-coefficient blocks
-        return 16 * self.expansion.nterms * 4 + 8 * 6 * self.tree.dims
+        return m2p_row_bytes(self.degree)
 
     def compiled_cluster_data(self, mode: str):
         """Forces are monopole arithmetic (compiled-eligible); degree >= 1
-        potentials need the complex spherical-harmonic series and stay
+        potentials need the spherical-harmonic series and stay
         on the numpy tier (``None`` → fall back)."""
         if mode == "potential":
             return None
@@ -463,10 +517,11 @@ class TreeMultipoles:
 
     def batch_potential(self, nodes: np.ndarray,
                         targets: np.ndarray) -> np.ndarray:
-        rel = targets - self.tree.center[nodes]
-        I = irregular_terms(rel, self.degree)
-        return -kernels.G * np.einsum("ij,ij->i", I,
-                                      self.coeffs[nodes]).real
+        if self._table is None:
+            self._table = m2p_table(self.coeffs, self.degree)
+        return -kernels.G * m2p(self._table, nodes,
+                                targets - self.tree.center[nodes],
+                                self.degree)
 
     def batch_force(self, nodes: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from repro.bh import compiled, kernels
 from repro.bh.interaction_lists import DEFAULT_WORKING_SET_BYTES, \
     _accumulate
 from repro.bh.mac import BarnesHutMAC
-from repro.bh.multipole import MultipoleExpansion3D, irregular_terms
+from repro.bh.multipole import m2p, m2p_row_bytes, m2p_table
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import NO_CHILD
 from repro.core.branch_nodes import branch_key
@@ -225,8 +225,9 @@ class DataShippingEngine:
 
         Monopole interactions (force mode, or nodes without expansions)
         run as one chunked point-mass kernel over flat per-pair arrays;
-        expansion interactions run as one chunked irregular-terms
-        contraction.  Same arithmetic per pair as the per-node kernels.
+        expansion interactions run as one chunked ``m2p`` over a table
+        of the fetched rows.  Same arithmetic per pair as the per-node
+        kernels.
         """
         mode = self.config.mode
         soft2 = self.config.softening ** 2
@@ -279,22 +280,19 @@ class DataShippingEngine:
                 _accumulate(values, tg, contrib, nt)
 
         if multi:
-            exp = MultipoleExpansion3D(self.config.degree)
+            degree = self.config.degree
             sizes = np.array([idx_lists[i].size for i in multi])
             tgt = np.concatenate([idx_lists[i] for i in multi])
-            center = np.repeat(np.stack([nodes[i].center for i in multi]),
-                               sizes, axis=0)
-            coeffs = np.repeat(np.stack([nodes[i].coeffs for i in multi]),
-                               sizes, axis=0)
-            chunk = max(1, DEFAULT_WORKING_SET_BYTES
-                        // (16 * exp.nterms * 4 + 8 * 3 * d))
+            row = np.repeat(np.arange(len(multi)), sizes)
+            center = np.stack([nodes[i].center for i in multi])
+            table = m2p_table(np.stack([nodes[i].coeffs for i in multi]),
+                              degree)
+            chunk = max(1, DEFAULT_WORKING_SET_BYTES // m2p_row_bytes(degree))
             for lo in range(0, tgt.size, chunk):
                 hi = min(lo + chunk, tgt.size)
-                tg = tgt[lo:hi]
-                rel = targets[tg] - center[lo:hi]
-                I = irregular_terms(rel, exp.degree)
-                contrib = -kernels.G * np.einsum(
-                    "ij,ij->i", I, coeffs[lo:hi]).real
+                tg, r = tgt[lo:hi], row[lo:hi]
+                contrib = -kernels.G * m2p(table, r, targets[tg] - center[r],
+                                           degree)
                 _accumulate(values, tg, contrib, nt)
 
     def _eval_leaves(self, values: np.ndarray, targets: np.ndarray,

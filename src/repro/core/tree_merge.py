@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bh.multipole import MultipoleExpansion3D
+from repro.bh.multipole import MultipoleExpansion3D, m2m_upward, m2p, \
+    m2p_row_bytes, m2p_table
 from repro.bh.particles import Box
 from repro.bh.tree import NO_CHILD, Tree, cell_boxes
 from repro.core.branch_nodes import BranchInfo, make_branch_index
@@ -52,6 +53,7 @@ class TopTree:
     branch_index: object  # HashedBranchIndex | SortedBranchIndex
     coeffs: np.ndarray | None = None
     expansion: MultipoleExpansion3D | None = None
+    _table: np.ndarray | None = None  # m2p_table(coeffs), on first use
 
     @property
     def degree(self) -> int:
@@ -81,7 +83,7 @@ class TopTree:
     def batch_row_bytes(self) -> int:
         if self.coeffs is None:
             return 8 * (6 * self.tree.dims + 8)
-        return 16 * self.expansion.nterms * 4 + 8 * 6 * self.tree.dims
+        return m2p_row_bytes(self.degree)
 
     def batch_potential(self, nodes: np.ndarray,
                         targets: np.ndarray) -> np.ndarray:
@@ -93,11 +95,11 @@ class TopTree:
                 inv_r = 1.0 / np.sqrt(r2)
             inv_r[r2 == 0.0] = 0.0
             return -kernels.G * self.tree.mass[nodes] * inv_r
-        from repro.bh.multipole import irregular_terms
-        rel = targets - self.tree.center[nodes]
-        I = irregular_terms(rel, self.expansion.degree)
-        return -kernels.G * np.einsum("ij,ij->i", I,
-                                      self.coeffs[nodes]).real
+        if self._table is None:
+            self._table = m2p_table(self.coeffs, self.degree)
+        return -kernels.G * m2p(self._table, nodes,
+                                targets - self.tree.center[nodes],
+                                self.degree)
 
     def batch_force(self, nodes: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:
@@ -125,14 +127,23 @@ class TopTree:
 
 
 def _check_disjoint(branches: list[BranchInfo], dims: int) -> None:
-    for i, a in enumerate(branches):
-        for b in branches[i + 1:]:
-            if a.cell.contains_cell(b.cell, dims) or \
-                    b.cell.contains_cell(a.cell, dims):
-                raise ValueError(
-                    f"branch cells overlap: {a.cell} (rank {a.owner}) and "
-                    f"{b.cell} (rank {b.owner})"
-                )
+    """Raise ``ValueError`` naming two overlapping branch cells and their
+    owners, if any two overlap.
+
+    Cells are dyadic: two overlap exactly when one holds the other, and
+    in (first covered key, depth) order a cell that holds any later one
+    holds its immediate successor — so one sort and one adjacent-pair
+    scan find an overlap iff one exists.  Which pair is named when
+    several overlap is unspecified."""
+    bits = max(b.cell.depth for b in branches)
+    ordered = sorted(branches, key=lambda b: (
+        b.cell.key_range(bits, dims)[0], b.cell.depth))
+    for a, b in zip(ordered, ordered[1:]):
+        if a.cell.contains_cell(b.cell, dims):
+            raise ValueError(
+                f"branch cells overlap: {a.cell} (rank {a.owner}) and "
+                f"{b.cell} (rank {b.owner})"
+            )
 
 
 def build_top_tree(branches: list[BranchInfo], root: Box, degree: int,
@@ -226,13 +237,7 @@ def build_top_tree(branches: list[BranchInfo], root: Box, degree: int,
                     f"degree-{degree} run"
                 )
             coeffs[branch_node_ids[b.key]] = b.coeffs
-        for i in range(n - 1, -1, -1):
-            if remote_owner[i] >= 0:
-                continue
-            kids = children[i][children[i] != NO_CHILD]
-            for c in kids:
-                shift = center[c] - center[i]
-                coeffs[i] += expansion.m2m(coeffs[c], shift)
+        m2m_upward(tree, coeffs, degree)
 
     return TopTree(
         tree=tree, node_of_branch=branch_node_ids,

@@ -1,6 +1,12 @@
-"""Tests for multipole expansions: P2M, M2M, M2P, tree expansions."""
+"""Tests for multipole expansions: P2M, M2M, M2P, tree expansions.
 
+The angle-form harmonics of ``examples/fmm/harmonics.py`` (loaded by
+path — ``examples`` is not a package) are the independent oracle of the
+library's Cartesian recurrences."""
+
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +21,18 @@ from repro.bh.multipole import (
     irregular_terms,
     n_terms,
     regular_terms,
-    spherical_coords,
-    spherical_harmonics,
     term_index,
 )
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import build_tree
+
+_spec = importlib.util.spec_from_file_location(
+    "fmm_harmonics", Path(__file__).resolve().parents[2]
+    / "examples" / "fmm" / "harmonics.py")
+_harmonics = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_harmonics)
+spherical_coords = _harmonics.spherical_coords
+spherical_harmonics = _harmonics.spherical_harmonics
 
 
 def cloud(n=40, seed=0, radius=0.5):
@@ -277,3 +289,157 @@ class TestTreeMultipoles:
         assert mono.node_potential(0, t)[0] == pytest.approx(expected)
         f = mono.node_force(0, t)[0]
         assert f[0] < 0  # attraction toward the cluster
+
+
+def oracle_terms(rel, degree, irregular):
+    """``regular_terms`` / ``irregular_terms`` in angle form."""
+    r, ct, phi = spherical_coords(rel)
+    Y = spherical_harmonics(ct, phi, degree)
+    out = np.empty_like(Y)
+    for l in range(degree + 1):
+        for m in range(-l, l + 1):
+            i = term_index(l, m)
+            out[:, i] = (Y[:, i] / r ** (l + 1) if irregular
+                         else r ** l * Y[:, term_index(l, -m)])
+    return out
+
+
+@st.composite
+def offsets(draw, n=12):
+    """Offsets with |r| from 1e-6 to 1e6: both poles exactly (x = y = 0,
+    where phi is undefined), the equator exactly (z = 0), and polar
+    angles at least 0.05 from a pole (nearer, the *oracle's*
+    ``sqrt(1 - cos^2)`` loses the digits under test)."""
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["north", "south", "equator", "any"]))
+        radius = 10.0 ** draw(st.floats(-6, 6))
+        phi = draw(st.floats(-math.pi, math.pi))
+        if kind in ("north", "south"):
+            rows.append([0.0, 0.0, radius if kind == "north" else -radius])
+            continue
+        theta = (math.pi / 2 if kind == "equator"
+                 else draw(st.floats(0.05, math.pi - 0.05)))
+        z = 0.0 if kind == "equator" else radius * math.cos(theta)
+        rows.append([radius * math.sin(theta) * math.cos(phi),
+                     radius * math.sin(theta) * math.sin(phi), z])
+    return np.array(rows)
+
+
+def assert_blocks_close(got, want, degree, tol=1e-13):
+    """Per offset and per degree-``l`` block (the blocks of one row span
+    ``r^degree`` in magnitude): error within ``tol`` of the block norm."""
+    for l in range(degree + 1):
+        block = slice(l * l, (l + 1) ** 2)
+        scale = np.linalg.norm(want[:, block], axis=1, keepdims=True)
+        assert np.all(np.abs(got[:, block] - want[:, block]) <= tol * scale)
+
+
+class TestSolidHarmonicRecurrences:
+    """The Cartesian recurrences against the angle-form oracle."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(offsets(), st.integers(0, 8))
+    def test_regular_terms(self, rel, degree):
+        assert_blocks_close(regular_terms(rel, degree),
+                            oracle_terms(rel, degree, False), degree)
+
+    @settings(deadline=None, max_examples=40)
+    @given(offsets(), st.integers(0, 8))
+    def test_irregular_terms(self, rel, degree):
+        assert_blocks_close(irregular_terms(rel, degree),
+                            oracle_terms(rel, degree, True), degree)
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_poles_are_the_limit(self, degree):
+        """At x = y = 0 only the m = 0 terms survive, with the sign
+        pattern of ``P_l(+-1)``."""
+        rel = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
+        R = regular_terms(rel, degree)
+        for l in range(degree + 1):
+            for m in range(-l, l + 1):
+                want = [2.0 ** l, (-2.0) ** l] if m == 0 else [0.0, 0.0]
+                np.testing.assert_allclose(R[:, term_index(l, m)], want,
+                                           rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_regular_terms_at_origin_is_e00(self, degree):
+        R = regular_terms(np.zeros((2, 3)), degree)
+        assert np.all(R[:, 0] == 1.0) and not R[:, 1:].any()
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        rel = np.random.default_rng(3).normal(size=(50, 3))
+        whole = regular_terms(rel, 6)
+        for i in (0, 7, 49):
+            assert np.array_equal(regular_terms(rel[i:i + 1], 6)[0], whole[i])
+
+
+class TestM2PFromRealTable:
+    """M2P contracts real harmonic rows with a real per-node table; it
+    must be the real part of the complex series term for term, for
+    coefficient rows *without* conjugate symmetry, at every call site."""
+
+    @staticmethod
+    def _case(degree, seed=0, n_pairs=60):
+        rng = np.random.default_rng(seed)
+        tree = build_tree(plummer(40, seed=seed), leaf_capacity=4)
+        centers, nt = tree.center, n_terms(degree)
+        coeffs = rng.normal(size=(tree.nnodes, nt)) \
+            + 1j * rng.normal(size=(tree.nnodes, nt))
+        nodes = rng.integers(0, tree.nnodes, n_pairs)
+        targets = centers[nodes] + rng.normal(size=(n_pairs, 3)) \
+            * 10.0 ** rng.uniform(-1, 1, (n_pairs, 1))
+        I = oracle_terms(targets - centers[nodes], degree, True)
+        want = np.einsum("ij,ij->i", I, coeffs[nodes]).real
+        scale = np.einsum("ij,ij->i", np.abs(I), np.abs(coeffs[nodes]))
+        return tree, coeffs, nodes, targets, want, scale
+
+    @staticmethod
+    def _call_sites(degree, tree, coeffs):
+        """``(name, f(nodes, targets) -> sum q/r)`` per call site."""
+        from repro.core.config import SchemeConfig
+        from repro.core.data_shipping import CachedNode, DataShippingEngine
+        from repro.core.tree_merge import TopTree
+        from repro.bh.kernels import G
+
+        centers = tree.center
+        tm = TreeMultipoles(tree, None, degree)
+        tm.coeffs[:] = coeffs
+        top = TopTree(tree=tree, node_of_branch={}, branch_index=None,
+                      coeffs=coeffs, expansion=MultipoleExpansion3D(degree))
+        eng = DataShippingEngine.__new__(DataShippingEngine)
+        eng.config = SchemeConfig(mode="potential", degree=degree)
+        eng._dims, eng.kernel_tier = 3, "numpy"
+        cached = [CachedNode(key=i, owner=0, mass=1.0, com=c, center=c,
+                             half=1.0, count=1, is_leaf=False, coeffs=row)
+                  for i, (c, row) in enumerate(zip(centers, coeffs))]
+
+        def shipped(nodes, targets):
+            values = np.zeros(len(targets))
+            eng._eval_far(values, targets, cached,
+                          [np.flatnonzero(nodes == i)
+                           for i in range(len(cached))])
+            return values / -G
+
+        def one_by_one(nodes, targets):
+            exp = MultipoleExpansion3D(degree)
+            return np.array([exp.evaluate(coeffs[n], (t - centers[n])[None])[0]
+                             for n, t in zip(nodes, targets)])
+
+        return [("tree", lambda n, t: tm.batch_potential(n, t) / -G),
+                ("top", lambda n, t: top.batch_potential(n, t) / -G),
+                ("shipping", shipped), ("evaluate", one_by_one)]
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
+    def test_equals_real_part_of_complex_series(self, degree):
+        tree, coeffs, nodes, targets, want, scale = self._case(degree)
+        for name, f in self._call_sites(degree, tree, coeffs):
+            got = f(nodes, targets)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), name
+
+    def test_own_centre_rejected_at_every_call_site(self):
+        tree, coeffs, nodes, targets, _, _ = self._case(3)
+        targets[17] = tree.center[nodes[17]]
+        for name, f in self._call_sites(3, tree, coeffs):
+            with pytest.raises(ValueError, match="own center"):
+                f(nodes, targets)

@@ -219,6 +219,41 @@ class TestIncrementalMultipoles:
         mp_oracle = TreeMultipoles(res.tree, ps2, 1)
         assert np.array_equal(mp_new.coeffs, mp_oracle.coeffs)
 
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_no_stale_m2p_table_survives_a_coefficient_write(self, degree):
+        """``batch_potential`` reads a table derived from ``coeffs``;
+        evaluating *before* a refresh must not pin the old table."""
+        old, ps2, res, oracle = roundtrip(600, 3, 8, True, frac=0.1)
+        ps0, _ = make_state(600, 3)
+        rng = np.random.default_rng(4)
+
+        def probe(mp):
+            nodes = rng.integers(0, mp.tree.nnodes, 200)
+            far = mp.tree.center[nodes] + 3.0 * mp.tree.half[nodes, None] \
+                + rng.uniform(0.1, 1.0, (200, 3))
+            return nodes, far
+
+        # refresh(): same tree, the dirty rows rebuilt over moved particles
+        mp = TreeMultipoles(old, ps0, degree)
+        nodes, far = probe(mp)
+        before = mp.batch_potential(nodes, far)
+        ps_moved = ParticleSet(ps0.positions * 0.97, ps0.masses)
+        mp.refresh(ps_moved, np.arange(old.nnodes))
+        fresh = TreeMultipoles(old, ps_moved, degree)
+        assert np.array_equal(mp.coeffs, fresh.coeffs)
+        after = mp.batch_potential(nodes, far)
+        assert np.array_equal(after, fresh.batch_potential(nodes, far))
+        assert not np.array_equal(after, before)
+
+        # refresh_multipoles(): a new object carried across a repair
+        mp_old = TreeMultipoles(old, ps0, degree)
+        mp_old.batch_potential(*probe(mp_old))
+        mp_new = refresh_multipoles(mp_old, res, ps2)
+        nodes, far = probe(mp_new)
+        assert np.array_equal(
+            mp_new.batch_potential(nodes, far),
+            TreeMultipoles(oracle, ps2, degree).batch_potential(nodes, far))
+
     def test_restricted_monopole_pass_is_noop_when_valid(self):
         ps, box = make_state(500, 3)
         tree = build_tree(ps, box=box, leaf_capacity=8)

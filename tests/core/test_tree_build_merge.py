@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bh.distributions import plummer, uniform_cube
 from repro.bh.multipole import MultipoleExpansion3D
 from repro.bh.particles import Box, ParticleSet
-from repro.core.branch_nodes import branch_key
+from repro.core.branch_nodes import BranchInfo, branch_key
 from repro.core.config import SchemeConfig
 from repro.core.partition import Cell
 from repro.core.tree_build import (
@@ -14,10 +15,12 @@ from repro.core.tree_build import (
     build_local_trees,
     local_branch_infos,
 )
-from repro.core.tree_merge import build_top_tree, merge_broadcast, \
-    merge_nonreplicated
+from repro.core.tree_merge import _check_disjoint, build_top_tree, \
+    merge_broadcast, merge_nonreplicated
 from repro.machine.engine import Engine
 from repro.machine.profiles import ZERO_COST
+from tests.oracles.merge import check_disjoint_reference
+from tests.oracles.upward import top_tree_coeffs_reference
 
 ROOT = Box(np.array([0.5, 0.5, 0.5]), 0.5)
 BITS = 8
@@ -199,6 +202,96 @@ class TestBuildTopTree:
         infos = self._infos(ps, degree=0)
         with pytest.raises(ValueError, match="lacks multipole"):
             build_top_tree(infos, ROOT, degree=3)
+
+
+class TestTopTreeUpwardPass:
+    """``build_top_tree`` merges expansions with the shared batched
+    ``m2m_upward``; the per-node, per-child scalar loop it replaced is
+    the oracle, bit for bit."""
+
+    CELLS = {
+        "two_level": [Cell(2, k) for k in range(64)],
+        "mixed_depth": [Cell(1, k) for k in range(4)]
+        + [Cell(2, k) for k in range(32, 56)]
+        + [Cell(3, k) for k in range(448, 512)],
+    }
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", sorted(CELLS))
+    def test_coeffs_equal_scalar_loop(self, shape, degree):
+        ps = plummer(400, seed=20 + degree)
+        ps = ParticleSet(0.5 + 0.08 * ps.positions.clip(-6, 6), ps.masses)
+        cfg = SchemeConfig(mode="potential", degree=degree)
+        subs = build_local_trees(ps, self.CELLS[shape], ROOT, cfg, BITS)
+        infos = [b for i, sub in enumerate(subs) for b in
+                 local_branch_infos([sub], rank=i % 5, root=ROOT,
+                                    degree=degree)]
+        top = build_top_tree(infos, ROOT, degree=degree)
+        assert len({int(d) for d in top.tree.depth}) >= 3
+        assert np.abs(top.coeffs[0]).max() > 0
+        assert np.array_equal(top.coeffs, top_tree_coeffs_reference(top))
+
+
+def _branch(i, cell):
+    return BranchInfo(key=i, owner=i % 7, cell=cell, count=1, mass=1.0,
+                      com=np.zeros(3))
+
+
+@st.composite
+def dyadic_branch_sets(draw):
+    """A shuffled set of disjoint dyadic cells (a random subset of the
+    leaves of a random refinement), optionally with one planted
+    ancestor, descendant or duplicate of a member."""
+    dims = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    leaves, frontier = [], [Cell(0, 0)]
+    while frontier:
+        c = frontier.pop()
+        if c.depth < 4 and rng.random() < (0.9 if c.depth < 2 else 0.35):
+            frontier += [Cell(c.depth + 1, (c.path_key << dims) | k)
+                         for k in range(1 << dims)]
+        else:
+            leaves.append(c)
+    keep = rng.random(len(leaves)) < 0.6
+    keep[rng.integers(len(leaves))] = True
+    cells = [c for c, k in zip(leaves, keep) if k]
+    plant = draw(st.sampled_from(["none", "ancestor", "descendant",
+                                  "duplicate"]))
+    victim = cells[rng.integers(len(cells))]
+    if plant == "ancestor" and victim.depth > 0:
+        up = int(rng.integers(1, victim.depth + 1))
+        cells.append(Cell(victim.depth - up, victim.path_key >> (dims * up)))
+    elif plant == "descendant":
+        down = int(rng.integers(1, 3))
+        cells.append(Cell(victim.depth + down,
+                          (victim.path_key << (dims * down))
+                          | int(rng.integers(1 << (dims * down)))))
+    elif plant == "duplicate":
+        cells.append(victim)
+    rng.shuffle(cells)
+    return [_branch(i, c) for i, c in enumerate(cells)], dims
+
+
+class TestCheckDisjoint:
+    @settings(deadline=None, max_examples=150)
+    @given(dyadic_branch_sets())
+    def test_agrees_with_quadratic_scan(self, case):
+        branches, dims = case
+        try:
+            check_disjoint_reference(branches, dims)
+            overlap = False
+        except ValueError:
+            overlap = True
+        if not overlap:
+            _check_disjoint(branches, dims)
+            return
+        with pytest.raises(ValueError, match="branch cells overlap") as err:
+            _check_disjoint(branches, dims)
+        # the pair it names really overlaps
+        named = [b for b in branches
+                 if f"{b.cell} (rank {b.owner})" in str(err.value)]
+        assert any(a is not b and a.cell.contains_cell(b.cell, dims)
+                   for a in named for b in named)
 
 
 class TestDistributedMerge:

@@ -1,6 +1,7 @@
 """Reference implementations only the tests call.
 
-Each is the node-at-a-time (``traversal``, ``upward``, ``tree``) or
-bin-at-a-time (``service``) code the batched production path replaced,
+Each is the node-at-a-time (``traversal``, ``upward``, ``tree``),
+pair-at-a-time (``merge``) or bin-at-a-time (``service``) code the
+batched production path replaced,
 moved verbatim out of ``src/`` and turned into a free function.
 """

@@ -1,8 +1,11 @@
 """Per-node reverse-scan upward passes, kept verbatim from
-``repro.bh.tree`` and ``repro.bh.multipole`` as the oracles for
-:meth:`Tree.sum_interactions_up` and :meth:`TreeMultipoles._build`."""
+``repro.bh.tree``, ``repro.bh.multipole`` and ``repro.core.tree_merge``
+as the oracles for :meth:`Tree.sum_interactions_up`,
+:meth:`TreeMultipoles._build` and the top tree's merged expansions."""
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import ParticleSet
@@ -38,3 +41,21 @@ def build_multipoles_reference(multipoles: TreeMultipoles,
             for c in kids:
                 shift = tree.center[c] - tree.center[node]
                 multipoles.coeffs[node] += exp.m2m(multipoles.coeffs[c], shift)
+
+
+def top_tree_coeffs_reference(top) -> np.ndarray:
+    """Per-node, per-child scalar M2M loop over a merged top tree, kept
+    verbatim from ``build_top_tree`` — the oracle for its use of
+    :func:`repro.bh.multipole.m2m_upward`.  Branch leaves keep the
+    coefficients they were published with."""
+    tree, exp = top.tree, top.expansion
+    remote = tree.remote_owner >= 0
+    coeffs = np.where(remote[:, None], top.coeffs, 0.0)
+    for i in range(tree.nnodes - 1, -1, -1):
+        if remote[i]:
+            continue
+        kids = tree.children[i][tree.children[i] != NO_CHILD]
+        for c in kids:
+            shift = tree.center[c] - tree.center[i]
+            coeffs[i] += exp.m2m(coeffs[c], shift)
+    return coeffs

@@ -26,6 +26,16 @@ def test_build_tree_has_no_size_dispatch_constant():
     assert not hasattr(repro.bh.tree, "SMALL_BUILD_CUTOFF")
 
 
+def test_angle_form_harmonics_live_with_the_fmm_example():
+    """The library's solid harmonics are Cartesian recurrences; the
+    angle route is only ``examples/fmm/harmonics.py`` (M2L / L2L need
+    ``Y`` on shift vectors) and the tests' oracle."""
+    import repro.bh.multipole
+    for name in ("spherical_coords", "_legendre_table",
+                 "spherical_harmonics"):
+        assert not hasattr(repro.bh.multipole, name), name
+
+
 def test_importing_repro_loads_no_tests_or_examples():
     code = ("import sys, repro.__main__, repro.analysis, repro.runtime; "
             "print([m for m in sys.modules "
