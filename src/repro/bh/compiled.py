@@ -1,12 +1,14 @@
 """Compiled kernel tier: optional numba JIT kernels for the hot loops.
 
-The interaction-list engine's evaluation pass (:mod:`repro.bh.
-interaction_lists`) is pure memory-bandwidth-bound numpy: gather,
-subtract, rsqrt, contract, scatter-add — several array passes per chunk
-with intermediate temporaries.  This module provides the same two passes
-as *fused single-pass* compiled kernels: one loop nest per (pair) that
-gathers, differences, applies the softened inverse-square law and
-accumulates in place, multi-threaded with ``numba.prange``.
+The evaluation pass (:func:`repro.bh.interaction_lists.evaluate_pairs`,
+behind every force path) is chunked numpy: the cluster pass gathers a
+chunk of (node, target) pairs and calls the evaluator's batch method;
+the P2P pass is lane-major — a group's rows run down a contiguous axis,
+source ``j`` of every row in lane ``j`` of a scratch view.  This module
+provides the same two passes as *fused single-pass* compiled kernels:
+one loop nest per pair that gathers, differences, applies the softened
+inverse-square law and accumulates in place, multi-threaded with
+``numba.prange``.
 
 Tier selection
 --------------
@@ -20,11 +22,14 @@ Three tier names are accepted everywhere a tier can be configured
   (install the ``[perf]`` extra).
 * ``"auto"`` — ``"numba"`` when available, else ``"numpy"``; never warns.
 
-The compiled kernels cover monopole (point-mass) cluster arithmetic and
-all particle-particle work.  Multipole cluster *potentials* (degree >= 1
-spherical-harmonic series) stay on the numpy tier — evaluators advertise
-compiled eligibility through ``compiled_cluster_data(mode)``, and the
-evaluation pass silently falls back per pass when it returns ``None``.
+The compiled kernels cover point-mass cluster arithmetic and all
+particle-particle work.  Eligibility is ``compiled_cluster_data(mode)``,
+which the two evaluators alone define: :class:`~repro.bh.multipole.
+MonopoleExpansion` always returns ``(com, mass, softening)``;
+:class:`~repro.bh.multipole.TreeMultipoles` does in force mode and
+returns ``None`` for its degree >= 1 series potentials, whose cluster
+pass then silently stays on numpy (per pass: the P2P pass of the same
+evaluation still compiles).
 
 Determinism
 -----------
@@ -60,9 +65,9 @@ from repro.bh import kernels
 KERNEL_TIERS = ("numpy", "numba", "auto")
 
 #: Fixed number of accumulation slots.  This is a *determinism* constant,
-#: not a thread count: it bounds usable parallelism of the compiled and
-#: threaded-numpy passes, and changing it changes result bits (the slot
-#: reduction order is part of the summation tree).
+#: not a thread count: it bounds usable parallelism of the compiled
+#: passes, and changing it changes result bits (the slot reduction
+#: order is part of the summation tree).
 ACCUM_SLOTS = 16
 
 #: Pairs per ownership chunk inside the compiled kernels.  Fixed (never
@@ -305,8 +310,7 @@ def cluster_pass(values: np.ndarray, targets: np.ndarray,
                  threads: int | None = None) -> None:
     """Fused monopole cluster pass over flat (node, target) pairs.
 
-    ``com``/``mass`` are indexed by ``nodes`` (pass per-pair arrays with
-    ``nodes = arange(npairs)`` when the pairs are already expanded).
+    ``com``/``mass`` are indexed by ``nodes``.
     Accumulates ``-G * m / r`` (potential) or ``-G * m * dr / r^3``
     (force) onto ``values`` in place.
     """
@@ -329,9 +333,8 @@ def p2p_group_pass(values: np.ndarray, tpos: np.ndarray, tgt: np.ndarray,
                    threads: int | None = None) -> None:
     """Fused particle-particle pass over one leaf-size group.
 
-    The group layout matches
-    :meth:`~repro.bh.interaction_lists.InteractionLists.p2p_groups`:
-    row ``i`` interacts target position ``tpos[i]`` (accumulated into
+    The P2P pass of the evaluation feeds each ``(tgt, starts, ns)``
+    group as one ``(ns, d)`` source block per row: row ``i`` interacts target position ``tpos[i]`` (accumulated into
     ``values[tgt[i]]``) with source block ``sp[rows[i]]`` (masses
     ``sm[rows[i]]`` unless ``uniform``).  ``scale`` carries ``-G`` and,
     for uniform masses, the common mass factor.
@@ -349,15 +352,3 @@ def p2p_group_pass(values: np.ndarray, tpos: np.ndarray, tgt: np.ndarray,
     out *= scale
     values += out
 
-
-def p2p_pass(values: np.ndarray, lists, tree, sources, mode: str,
-             softening: float, threads: int | None = None) -> None:
-    """Compiled particle-particle pass over a whole interaction list."""
-    smass = sources.masses
-    uniform = smass.size > 0 and bool(np.all(smass == smass[0]))
-    scale = -kernels.G * (float(smass[0]) if uniform else 1.0)
-    for tgt, tpos, rows, sp, sm in lists.p2p_groups(tree, sources):
-        if tgt.size == 0:
-            continue
-        p2p_group_pass(values, tpos, tgt, rows, sp, sm, sm is None,
-                       softening, scale, mode, threads)

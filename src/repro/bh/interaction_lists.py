@@ -17,6 +17,8 @@ them:
    every row in lane ``j``, read in place from tree-ordered
    structure-of-arrays sources, so each ufunc runs down a long
    contiguous axis of rows — in chunks of a fixed working-set size.
+   Those two passes (:func:`evaluate_pairs`) are every force path's,
+   data shipping's included.
 
 :class:`TraversalEngine` pairs the two over one tree, two ways.
 :meth:`~TraversalEngine.compute_once` *streams*: each chunk of
@@ -163,19 +165,8 @@ class InteractionLists:
         evaluations — the lists are bound to the tree they were built
         over."""
         if self._p2p_groups is None:
-            sizes = self.p2p_sizes
-            # one stable sort by size (a radix sort on 16-bit keys)
-            # keeps list order within each group
-            order = np.argsort(sizes.astype(np.uint16) if sizes.size
-                               and sizes.max() < 2 ** 16 else sizes,
-                               kind="stable")
-            tgt = self.p2p_tgt[order]
-            starts = tree.start[self.p2p_leaf[order]]
-            ends = np.cumsum(np.bincount(sizes))
-            self._p2p_groups = [
-                (tgt[lo:hi], starts[lo:hi], ns)
-                for ns, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), 1)
-                if hi > lo]
+            self._p2p_groups = group_p2p_rows(
+                self.p2p_tgt, tree.start[self.p2p_leaf], self.p2p_sizes)
         return self._p2p_groups
 
     def cluster_per_target(self) -> np.ndarray:
@@ -198,6 +189,21 @@ class InteractionLists:
                 self._p2p_src_per_target = np.zeros(self.nt,
                                                     dtype=np.int64)
         return self._p2p_src_per_target
+
+
+def group_p2p_rows(tgt: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+                   ) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """P2P rows — target ``tgt[i]`` against the ``sizes[i]`` sources
+    from ``starts[i]`` on — as ``(tgt, starts, ns)`` groups by source
+    count, list order kept within a group."""
+    # one stable sort by size (a radix sort on 16-bit keys)
+    order = np.argsort(sizes.astype(np.uint16) if sizes.size
+                       and sizes.max() < 2 ** 16 else sizes, kind="stable")
+    tgt, starts = tgt[order], starts[order]
+    ends = np.cumsum(np.bincount(sizes))
+    return [(tgt[lo:hi], starts[lo:hi], ns)
+            for ns, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), 1)
+            if hi > lo]
 
 
 def _concat(chunks: list[np.ndarray]) -> np.ndarray:
@@ -408,10 +414,10 @@ def _accumulate(values: np.ndarray, tgt: np.ndarray,
                                         minlength=nt)
 
 
-def _cluster_pass(lists: InteractionLists, values: np.ndarray,
-                  evaluator, mode: str, chunk_bytes: int,
-                  tier: str = "numpy", threads: int | None = None) -> None:
-    n = lists.cluster_tgt.size
+def _cluster_pass(values: np.ndarray, targets: np.ndarray,
+                  nodes: np.ndarray, tgt: np.ndarray, evaluator, mode: str,
+                  chunk_bytes: int, tier: str, threads: int | None) -> None:
+    n = tgt.size
     if n == 0:
         return
     if tier == "numba":
@@ -419,9 +425,8 @@ def _cluster_pass(lists: InteractionLists, values: np.ndarray,
         info = info_fn(mode) if info_fn is not None else None
         if info is not None:
             com, mass, soft = info
-            compiled.cluster_pass(values, lists.targets,
-                                  lists.cluster_tgt, lists.cluster_node,
-                                  com, mass, soft, mode, threads)
+            compiled.cluster_pass(values, targets, tgt, nodes, com, mass,
+                                  soft, mode, threads)
             return
         # Evaluator is not compiled-eligible for this mode (degree >= 1
         # multipole potentials): fall through to the numpy batch path.
@@ -430,13 +435,13 @@ def _cluster_pass(lists: InteractionLists, values: np.ndarray,
     if batch is None:
         raise TypeError(f"{type(evaluator).__name__} lacks the batch "
                         f"evaluator interface ({name})")
-    row = int(getattr(evaluator, "batch_row_bytes", 8 * (6 * lists.d + 8)))
+    row = int(getattr(evaluator, "batch_row_bytes",
+                      8 * (6 * targets.shape[1] + 8)))
     chunk = max(1, chunk_bytes // max(row, 1))
     for lo in range(0, n, chunk):
-        tgt = lists.cluster_tgt[lo:lo + chunk]
-        contrib = batch(lists.cluster_node[lo:lo + chunk],
-                        lists.targets[tgt])
-        _accumulate(values, tgt, contrib, lists.nt)
+        t = tgt[lo:lo + chunk]
+        _accumulate(values, t, batch(nodes[lo:lo + chunk], targets[t]),
+                    values.shape[0])
 
 
 #: One flat scratch buffer per thread (rank threads evaluate at once):
@@ -457,21 +462,26 @@ def _p2p_scratch(ns: int, chunk: int, d: int) -> tuple:
     return (buf[:rows * d].reshape(d, ns, chunk), *flat)
 
 
-def _source_layout(tree: Tree, sources) -> tuple | None:
-    """The tree's sources as the P2P kernel reads them: positions
-    tree-ordered and structure-of-arrays ``(d, n)``, masses tree-ordered
-    (``None`` when all equal), and the factor outside the row sums.
-    Built per evaluation call (a layout passes through) and never kept:
-    block stepping moves sources under a reused tree."""
-    if sources is None or isinstance(sources, tuple):
-        return sources
-    smass = sources.masses
-    uniform = smass.size > 0 and bool(np.all(smass == smass[0]))
+def source_layout(positions: np.ndarray, masses: np.ndarray) -> tuple:
+    """Sources as the P2P kernel reads them: ``positions`` structure-of-
+    arrays ``(d, n)`` (C-contiguous), ``masses`` in the same order
+    (``None`` when all equal), and the factor outside the row sums."""
+    uniform = masses.size > 0 and bool(np.all(masses == masses[0]))
     # With uniform masses the scalar factor moves outside the row sums
     # (per-pair values differ only in rounding, ~1e-16 relative).
-    return (np.take(sources.positions.T, tree.order, axis=1),
-            None if uniform else smass[tree.order],
-            -kernels.G * (float(smass[0]) if uniform else 1.0))
+    return (positions, None if uniform else masses,
+            -kernels.G * (float(masses[0]) if uniform else 1.0))
+
+
+def _source_layout(tree: Tree, sources) -> tuple | None:
+    """The tree's sources laid out tree-ordered, so a leaf's particles
+    are the contiguous run from ``tree.start[leaf]``.  Built per
+    evaluation call (a layout passes through) and never kept: block
+    stepping moves sources under a reused tree."""
+    if sources is None or isinstance(sources, tuple):
+        return sources
+    return source_layout(np.take(sources.positions.T, tree.order, axis=1),
+                         sources.masses[tree.order])
 
 
 def _p2p_chunk(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
@@ -517,23 +527,20 @@ def _p2p_chunk(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
     _accumulate(out, tgt, contrib, out.shape[0])
 
 
-def _p2p_pass(lists: InteractionLists, values: np.ndarray, tree: Tree,
-              sources, mode: str, softening: float, chunk_bytes: int,
-              tier: str = "numpy", threads: int | None = None) -> None:
-    if lists.p2p_leaf.size == 0:
+def _p2p_pass(values: np.ndarray, targets: np.ndarray, groups: list,
+              layout: tuple | None, mode: str, softening: float,
+              chunk_bytes: int, tier: str, threads: int | None) -> None:
+    if not groups:
         return
-    if sources is None:
-        raise ValueError("tree has local leaves but no source "
-                         "particles were provided")
-    sp, sm, scale = _source_layout(tree, sources)
-    d = lists.d
-    tp = np.ascontiguousarray(lists.targets.T)
-    for tgt, starts, ns in lists.p2p_groups(tree):
+    sp, sm, scale = layout
+    d = targets.shape[1]
+    tp = np.ascontiguousarray(targets.T)
+    for tgt, starts, ns in groups:
         if tier == "numba":
             # the compiled kernel wants one (ns, d) source block per row
             src = starts[:, None] + np.arange(ns)
             compiled.p2p_group_pass(
-                values, lists.targets[tgt], tgt, np.arange(tgt.size),
+                values, targets[tgt], tgt, np.arange(tgt.size),
                 sp.T[src], None if sm is None else sm[src], sm is None,
                 softening, scale, mode, threads)
             continue
@@ -543,6 +550,24 @@ def _p2p_pass(lists: InteractionLists, values: np.ndarray, tree: Tree,
             _p2p_chunk(values, tgt[lo:lo + chunk], starts[lo:lo + chunk],
                        ns, tp, sp, sm, mode == "force", softening ** 2,
                        scale)
+
+
+def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
+                   cluster_node: np.ndarray, cluster_tgt: np.ndarray,
+                   evaluator, groups: list, layout: tuple | None,
+                   mode: str, softening: float,
+                   working_set_bytes: int = DEFAULT_WORKING_SET_BYTES,
+                   kernel_tier: str = "numpy",
+                   kernel_threads: int | None = None) -> None:
+    """Both fused passes of every force path, accumulated onto
+    ``values``: ``evaluator`` over pairs ``(cluster_node[i],
+    cluster_tgt[i])``, and the :func:`group_p2p_rows` groups, whose
+    source ``j`` of row ``i`` is element ``starts[i] + j`` of the
+    :func:`source_layout` ``layout`` (``kernel_tier`` resolved)."""
+    _cluster_pass(values, targets, cluster_node, cluster_tgt, evaluator,
+                  mode, working_set_bytes, kernel_tier, kernel_threads)
+    _p2p_pass(values, targets, groups, layout, mode, softening,
+              working_set_bytes, kernel_tier, kernel_threads)
 
 
 def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
@@ -588,11 +613,16 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
         return result
     ws = (DEFAULT_WORKING_SET_BYTES if working_set_bytes is None
           else int(working_set_bytes))
-
-    threads = None if kernel_threads is None else int(kernel_threads)
-    _cluster_pass(lists, values, evaluator, mode, ws, tier, threads)
-    _p2p_pass(lists, values, tree, sources, mode, softening, ws,
-              tier, threads)
+    groups, layout = [], None
+    if lists.p2p_leaf.size:
+        if sources is None:
+            raise ValueError("tree has local leaves but no source "
+                             "particles were provided")
+        groups, layout = lists.p2p_groups(tree), _source_layout(tree, sources)
+    evaluate_pairs(values, lists.targets, lists.cluster_node,
+                   lists.cluster_tgt, evaluator, groups, layout, mode,
+                   softening, ws, tier,
+                   None if kernel_threads is None else int(kernel_threads))
 
     if count_node_interactions:
         nn = tree.nnodes

@@ -101,24 +101,3 @@ def pair_force(targets: np.ndarray, sources: np.ndarray,
                                        softening)
     return out
 
-
-def point_mass_potential(targets: np.ndarray, center: np.ndarray,
-                         mass: float, softening: float = 0.0) -> np.ndarray:
-    """Monopole potential of one aggregated mass at ``center``."""
-    diff = np.atleast_2d(targets) - np.asarray(center)
-    r2 = np.einsum("ij,ij->i", diff, diff) + softening ** 2
-    with np.errstate(divide="ignore"):
-        inv_r = 1.0 / np.sqrt(r2)
-    inv_r[r2 == 0.0] = 0.0
-    return -G * mass * inv_r
-
-
-def point_mass_force(targets: np.ndarray, center: np.ndarray,
-                     mass: float, softening: float = 0.0) -> np.ndarray:
-    """Monopole acceleration of one aggregated mass at ``center``."""
-    diff = np.atleast_2d(targets) - np.asarray(center)
-    r2 = np.einsum("ij,ij->i", diff, diff) + softening ** 2
-    with np.errstate(divide="ignore"):
-        inv_r3 = r2 ** -1.5
-    inv_r3[r2 == 0.0] = 0.0
-    return -G * mass * diff * inv_r3[:, None]

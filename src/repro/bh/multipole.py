@@ -273,6 +273,30 @@ def m2p(table: np.ndarray, nodes: np.ndarray, rel: np.ndarray,
     return T.sum(axis=0)
 
 
+def point_masses(com: np.ndarray, mass: np.ndarray, softening: float,
+                 nodes: np.ndarray, targets: np.ndarray,
+                 force: bool) -> np.ndarray:
+    """Potential ``-G m / r`` (or acceleration ``-G m dr / r^3`` with
+    ``force``) of point mass ``nodes[i]`` at ``targets[i]``, with
+    ``r^2`` softened by ``softening^2`` and a zero distance contributing
+    exactly zero: the one point-mass cluster formula of every force
+    path."""
+    diff = targets - com[nodes]
+    r2 = np.einsum("ij,ij->i", diff, diff) + softening ** 2
+    zero = r2 == 0.0
+    np.sqrt(r2, out=r2)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, r2, out=r2)                 # inv_r
+    r2[zero] = 0.0
+    if not force:
+        return -kernels.G * mass[nodes] * r2
+    inv_r3 = r2 * r2
+    inv_r3 *= r2
+    w = mass[nodes] * inv_r3
+    w *= -kernels.G
+    return w[:, None] * diff
+
+
 class MultipoleExpansion3D:
     """Spherical-harmonic expansion machinery of a fixed degree."""
 
@@ -359,27 +383,15 @@ class MultipoleExpansion2D:
 
 @dataclass
 class MonopoleExpansion:
-    """Degree-0 evaluator: the node is its center of mass (Section 5.1)."""
+    """Degree-0 evaluator: the node is its center of mass (Section 5.1),
+    softened; it reads only ``com``, ``mass`` and ``dims`` of ``tree``."""
 
     tree: Tree
     softening: float = 0.0
     degree: int = 0
 
-    def node_potential(self, node: int, targets: np.ndarray) -> np.ndarray:
-        return kernels.point_mass_potential(
-            targets, self.tree.com[node], float(self.tree.mass[node]),
-            softening=self.softening,
-        )
-
-    def node_force(self, node: int, targets: np.ndarray) -> np.ndarray:
-        return kernels.point_mass_force(
-            targets, self.tree.com[node], float(self.tree.mass[node]),
-            softening=self.softening,
-        )
-
-    # Fused cluster interface for the interaction-list engine: one
-    # gathered monopole evaluation over all accepted (node, target)
-    # pairs, row-for-row the same arithmetic as the per-node kernels.
+    # Cluster interface of the evaluation pass: :func:`point_masses`
+    # over all accepted (node, target) pairs of a chunk.
     @property
     def batch_row_bytes(self) -> int:
         return 8 * (6 * self.tree.dims + 8)
@@ -391,27 +403,13 @@ class MonopoleExpansion:
 
     def batch_potential(self, nodes: np.ndarray,
                         targets: np.ndarray) -> np.ndarray:
-        diff = targets - self.tree.com[nodes]
-        r2 = np.einsum("ij,ij->i", diff, diff) + self.softening ** 2
-        with np.errstate(divide="ignore"):
-            inv_r = 1.0 / np.sqrt(r2)
-        inv_r[r2 == 0.0] = 0.0
-        return -kernels.G * self.tree.mass[nodes] * inv_r
+        return point_masses(self.tree.com, self.tree.mass, self.softening,
+                            nodes, targets, False)
 
     def batch_force(self, nodes: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:
-        diff = targets - self.tree.com[nodes]
-        r2 = np.einsum("ij,ij->i", diff, diff) + self.softening ** 2
-        zero = r2 == 0.0
-        np.sqrt(r2, out=r2)
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, r2, out=r2)                 # inv_r
-        r2[zero] = 0.0
-        inv_r3 = r2 * r2
-        inv_r3 *= r2
-        w = self.tree.mass[nodes] * inv_r3
-        w *= -kernels.G
-        return w[:, None] * diff
+        return point_masses(self.tree.com, self.tree.mass, self.softening,
+                            nodes, targets, True)
 
 
 class TreeMultipoles:
@@ -421,7 +419,9 @@ class TreeMultipoles:
     expansions from M2M over children — so the tree merge path and the
     local path share the exact same operators.  Expansions are centered
     at the *geometric cell centers* (not the COM) so that merged top
-    trees can shift them without knowing particle data.
+    trees can shift them without knowing particle data.  Without
+    ``particles``, a caller holding merged or fetched series sets
+    ``coeffs`` before the first evaluation.
     """
 
     def __init__(self, tree: Tree, particles: ParticleSet | None,
@@ -488,21 +488,8 @@ class TreeMultipoles:
                 R[rows].reshape(b - a, L, -1))[:, 0, :]
         m2m_upward(tree, self.coeffs, self.degree, restrict)
 
-    def node_potential(self, node: int, targets: np.ndarray) -> np.ndarray:
-        """Gravitational potential (-G q / r convention) of the node's
-        expansion at the given target positions."""
-        rel = np.atleast_2d(targets) - self.tree.center[node]
-        return -kernels.G * self.expansion.evaluate(self.coeffs[node], rel)
-
-    def node_force(self, node: int, targets: np.ndarray) -> np.ndarray:
-        """Monopole-level force (the paper advances particles with forces
-        from monopoles; multipoles are used for potentials)."""
-        return kernels.point_mass_force(
-            targets, self.tree.com[node], float(self.tree.mass[node])
-        )
-
-    # Fused cluster interface: the multipole series of every accepted
-    # (node, target) pair evaluated in one :func:`m2p`.
+    # Cluster interface of the evaluation pass: the multipole series of
+    # every accepted (node, target) pair of a chunk in one :func:`m2p`.
     @property
     def batch_row_bytes(self) -> int:
         return m2p_row_bytes(self.degree)
@@ -525,9 +512,6 @@ class TreeMultipoles:
 
     def batch_force(self, nodes: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:
-        diff = targets - self.tree.com[nodes]
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        with np.errstate(divide="ignore"):
-            inv_r3 = r2 ** -1.5
-        inv_r3[r2 == 0.0] = 0.0
-        return -kernels.G * (self.tree.mass[nodes] * inv_r3)[:, None] * diff
+        """Unsoftened monopole forces (vector forces are degree 0)."""
+        return point_masses(self.tree.com, self.tree.mass, 0.0, nodes,
+                            targets, True)

@@ -61,11 +61,11 @@ def traverse(tree: Tree, sources: ParticleSet | None,
         particle-particle interactions.  May be ``None`` only if the tree
         has no local leaves under ``root`` (a pure top tree).
     evaluator:
-        Object with ``node_potential(node, targets)`` and
-        ``node_force(node, targets)`` — :class:`MonopoleExpansion` or
-        :class:`TreeMultipoles`.  Evaluators additionally exposing
-        ``batch_potential(nodes, targets)`` / ``batch_force`` get the
-        fused cluster kernel.
+        The far field of the tree's nodes: an object with
+        ``batch_potential(nodes, targets)`` / ``batch_force(nodes,
+        targets)`` (the term of node ``nodes[i]`` at ``targets[i]``) —
+        :class:`MonopoleExpansion` or :class:`TreeMultipoles`, the two
+        evaluators behind every force path.
     mode:
         ``"potential"`` or ``"force"``.
     count_node_interactions:

@@ -43,8 +43,11 @@ class SchemeConfig:
     branch_lookup:
         ``"hashed"`` or ``"sorted"`` branch-key location (Section 4.2.3).
     softening:
-        Plummer softening for force kernels (0 for potential accuracy
-        studies).
+        Plummer softening ``eps``: ``r^2 + eps^2`` in every point-mass
+        cluster term and every particle-particle pair, wherever the cell
+        sits — a local subtree, the merged top tree or a node fetched by
+        data shipping — in both modes; never in a degree >= 1 series.
+        0 for potential accuracy studies.
     max_depth:
         Tree refinement limit; ``None`` = Morton key limit.
     kernel_tier:

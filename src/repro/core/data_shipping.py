@@ -17,19 +17,25 @@ cache, collect cache misses, batch-fetch them (one request list per
 owner, served from the local subtrees), insert, repeat until no misses.
 Working-set behaviour (Section 4.2.4) is observable through the cache
 size counters.
+
+What differs from function shipping is what travels, not the
+arithmetic: each round's interactions run through the same evaluators
+and the same fused cluster and P2P passes
+(:func:`~repro.bh.interaction_lists.evaluate_pairs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.bh import compiled, kernels
-from repro.bh.interaction_lists import DEFAULT_WORKING_SET_BYTES, \
-    _accumulate
+from repro.bh import compiled
+from repro.bh.interaction_lists import evaluate_pairs, group_p2p_rows, \
+    source_layout
 from repro.bh.mac import BarnesHutMAC
-from repro.bh.multipole import m2p, m2p_row_bytes, m2p_table
+from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import NO_CHILD
 from repro.core.branch_nodes import branch_key
@@ -218,134 +224,54 @@ class DataShippingEngine:
             self.cache.put(cn)
 
     # ------------------------------------------------------- evaluation
-    def _eval_far(self, values: np.ndarray, targets: np.ndarray,
-                  nodes: list[CachedNode],
-                  idx_lists: list[np.ndarray]) -> None:
-        """Fused far-field pass over the collected (node, targets) pairs.
+    def _table_evaluator(self, nodes: list[CachedNode]):
+        """The far-field evaluator of one round's accepted nodes, by
+        function shipping's rule — the fetched series in a multipole
+        run, else softened point masses — over a table whose row ``i``
+        holds what the evaluators read of ``nodes[i]``."""
+        table = SimpleNamespace(
+            dims=self._dims, nnodes=len(nodes),
+            com=np.stack([cn.com for cn in nodes]),
+            mass=np.array([cn.mass for cn in nodes]),
+            center=np.stack([cn.center for cn in nodes]))
+        if self.config.degree == 0:
+            return MonopoleExpansion(table, softening=self.config.softening)
+        series = TreeMultipoles(table, None, self.config.degree)
+        series.coeffs = np.stack([cn.coeffs for cn in nodes])
+        return series
 
-        Monopole interactions (force mode, or nodes without expansions)
-        run as one chunked point-mass kernel over flat per-pair arrays;
-        expansion interactions run as one chunked ``m2p`` over a table
-        of the fetched rows.  Same arithmetic per pair as the per-node
-        kernels.
-        """
-        mode = self.config.mode
-        soft2 = self.config.softening ** 2
-        nt = values.shape[0]
-        d = self._dims
-        mono = [i for i, cn in enumerate(nodes)
-                if mode == "force" or cn.coeffs is None]
-        multi = [i for i, cn in enumerate(nodes)
-                 if not (mode == "force" or cn.coeffs is None)]
-
-        if mono:
-            sizes = np.array([idx_lists[i].size for i in mono])
-            tgt = np.concatenate([idx_lists[i] for i in mono])
-            com = np.repeat(np.stack([nodes[i].com for i in mono]),
-                            sizes, axis=0)
-            mass = np.repeat(np.array([nodes[i].mass for i in mono]),
-                             sizes)
-            if self.kernel_tier == "numba":
-                # Same compiled kernel as the interaction-list engine;
-                # the pairs are already expanded, so node indirection is
-                # the identity.
-                compiled.cluster_pass(
-                    values, targets, tgt,
-                    np.arange(tgt.size, dtype=np.int64), com, mass,
-                    self.config.softening, mode,
-                    self.config.kernel_threads)
-                mono = []
-        if mono:
-            chunk = max(1, DEFAULT_WORKING_SET_BYTES // (8 * (3 * d + 6)))
-            for lo in range(0, tgt.size, chunk):
-                hi = min(lo + chunk, tgt.size)
-                tg = tgt[lo:hi]
-                diff = targets[tg] - com[lo:hi]
-                r2 = np.einsum("ij,ij->i", diff, diff) + soft2
-                zero = r2 == 0.0
-                np.sqrt(r2, out=r2)
-                with np.errstate(divide="ignore"):
-                    np.divide(1.0, r2, out=r2)              # inv_r
-                r2[zero] = 0.0
-                if mode == "potential":
-                    contrib = r2
-                    contrib *= mass[lo:hi]
-                    contrib *= -kernels.G
-                else:
-                    inv_r3 = r2 * r2
-                    inv_r3 *= r2
-                    inv_r3 *= mass[lo:hi]
-                    inv_r3 *= -kernels.G
-                    contrib = inv_r3[:, None] * diff
-                _accumulate(values, tg, contrib, nt)
-
-        if multi:
-            degree = self.config.degree
-            sizes = np.array([idx_lists[i].size for i in multi])
-            tgt = np.concatenate([idx_lists[i] for i in multi])
-            row = np.repeat(np.arange(len(multi)), sizes)
-            center = np.stack([nodes[i].center for i in multi])
-            table = m2p_table(np.stack([nodes[i].coeffs for i in multi]),
-                              degree)
-            chunk = max(1, DEFAULT_WORKING_SET_BYTES // m2p_row_bytes(degree))
-            for lo in range(0, tgt.size, chunk):
-                hi = min(lo + chunk, tgt.size)
-                tg, r = tgt[lo:hi], row[lo:hi]
-                contrib = -kernels.G * m2p(table, r, targets[tg] - center[r],
-                                           degree)
-                _accumulate(values, tg, contrib, nt)
-
-    def _eval_leaves(self, values: np.ndarray, targets: np.ndarray,
-                     nodes: list[CachedNode],
-                     idx_lists: list[np.ndarray]) -> None:
-        """Fused particle-particle pass over fetched leaf payloads.
-
-        Leaf visits are grouped by particle count so each group runs as
-        one chunked (pairs, ns, d) kernel — the same shape as the
-        interaction-list engine's P2P pass.
-        """
-        mode = self.config.mode
-        soft2 = self.config.softening ** 2
-        nt = values.shape[0]
-        d = self._dims
-        ns_arr = np.array([cn.positions.shape[0] for cn in nodes])
-        for ns in np.unique(ns_arr):
-            which = np.flatnonzero(ns_arr == ns)
-            ns = int(ns)
-            sp = np.stack([nodes[i].positions for i in which])
-            sm = np.stack([nodes[i].masses for i in which])
-            sizes = np.array([idx_lists[i].size for i in which])
-            rows = np.repeat(np.arange(which.size), sizes)
-            tgt = np.concatenate([idx_lists[i] for i in which])
-            if self.kernel_tier == "numba":
-                # Same compiled P2P kernel as the interaction-list
-                # engine's leaf groups.
-                compiled.p2p_group_pass(
-                    values, targets[tgt], tgt, rows, sp, sm, False,
-                    self.config.softening, -kernels.G, mode,
-                    self.config.kernel_threads)
-                continue
-            row_bytes = 8 * (2 * ns * d + 4 * ns + 2 * d + 4)
-            chunk = max(1, DEFAULT_WORKING_SET_BYTES // row_bytes)
-            for lo in range(0, tgt.size, chunk):
-                hi = min(lo + chunk, tgt.size)
-                r, tg = rows[lo:hi], tgt[lo:hi]
-                diff = targets[tg][:, None, :] - sp[r]      # (c, ns, d)
-                r2 = np.einsum("ijk,ijk->ij", diff, diff) + soft2
-                zero = r2 == 0.0
-                np.sqrt(r2, out=r2)
-                with np.errstate(divide="ignore"):
-                    np.divide(1.0, r2, out=r2)              # inv_r
-                r2[zero] = 0.0
-                if mode == "potential":
-                    contrib = np.einsum("ij,ij->i", r2, sm[r])
-                else:
-                    w = r2 * r2
-                    w *= r2
-                    w *= sm[r]
-                    contrib = np.einsum("ij,ijk->ik", w, diff)
-                contrib *= -kernels.G
-                _accumulate(values, tg, contrib, nt)
+    def _evaluate_round(self, values: np.ndarray, targets: np.ndarray,
+                        far: list[tuple[CachedNode, np.ndarray]],
+                        leaves: list[tuple[CachedNode, np.ndarray]]
+                        ) -> None:
+        """One round's collected ``(node, target indices)`` visits
+        through the interaction-list engine's passes: accepted nodes as
+        ``(row, target)`` pairs over a table of them, leaf visits as
+        ``(target, start, ns)`` rows over one structure-of-arrays copy
+        of the round's leaf payloads."""
+        rows = tgt = np.zeros(0, dtype=np.int64)
+        evaluator = layout = None
+        groups = []
+        if far:
+            nodes, idx = zip(*far)
+            rows = np.repeat(np.arange(len(far)), [i.size for i in idx])
+            tgt = np.concatenate(idx)
+            evaluator = self._table_evaluator(list(nodes))
+        if leaves:
+            nodes, idx = zip(*leaves)
+            ns = np.array([cn.positions.shape[0] for cn in nodes])
+            visits = [i.size for i in idx]
+            groups = group_p2p_rows(np.concatenate(idx),
+                                    np.repeat(np.cumsum(ns) - ns, visits),
+                                    np.repeat(ns, visits))
+            layout = source_layout(
+                np.ascontiguousarray(
+                    np.concatenate([cn.positions for cn in nodes]).T),
+                np.concatenate([cn.masses for cn in nodes]))
+        evaluate_pairs(values, targets, rows, tgt, evaluator, groups,
+                       layout, self.config.mode, self.config.softening,
+                       kernel_tier=self.kernel_tier,
+                       kernel_threads=self.config.kernel_threads)
 
     def _traverse_round(self, values: np.ndarray,
                         done_pairs: set[tuple[int, int]],
@@ -359,9 +285,8 @@ class DataShippingEngine:
         restarts from the root each round but skips finished branches.
 
         The walk itself only *collects* interactions; the kernels run
-        afterwards as fused, chunked passes (:meth:`_eval_far`,
-        :meth:`_eval_leaves`), mirroring the two-phase interaction-list
-        engine of :mod:`repro.bh.interaction_lists`.
+        afterwards through the interaction-list engine's passes
+        (:meth:`_evaluate_round`).
         """
         targets = self.particles.positions
         misses: dict[int, set[int]] = {}
@@ -373,10 +298,8 @@ class DataShippingEngine:
         ]
         degree = self.config.degree
         flops = 0.0
-        far_nodes: list[CachedNode] = []
-        far_idx: list[np.ndarray] = []
-        leaf_nodes: list[CachedNode] = []
-        leaf_idx: list[np.ndarray] = []
+        accepted: list[tuple[CachedNode, np.ndarray]] = []
+        visited: list[tuple[CachedNode, np.ndarray]] = []
         while stack:
             key, idx, owner_hint = stack.pop()
             cn = self.cache.get(key)
@@ -407,8 +330,7 @@ class DataShippingEngine:
                 pair_key = (key, int(far[0]))
                 if pair_key not in done_pairs:
                     done_pairs.add(pair_key)
-                    far_nodes.append(cn)
-                    far_idx.append(far)
+                    accepted.append((cn, far))
                     flops += (13.0 + 16.0 * max(degree, 1) ** 2) * far.size
             if near.size == 0:
                 continue
@@ -417,8 +339,7 @@ class DataShippingEngine:
                 leaf_key = (key, -1 - int(near[0]))
                 if leaf_key not in done_pairs:
                     done_pairs.add(leaf_key)
-                    leaf_nodes.append(cn)
-                    leaf_idx.append(near)
+                    visited.append((cn, near))
                     flops += 29.0 * near.size * cn.positions.shape[0]
                 continue
             if not cn.children_known:
@@ -426,10 +347,8 @@ class DataShippingEngine:
                 continue
             for ck in cn.child_keys:
                 stack.append((ck, near, cn.owner))
-        if far_nodes:
-            self._eval_far(values, targets, far_nodes, far_idx)
-        if leaf_nodes:
-            self._eval_leaves(values, targets, leaf_nodes, leaf_idx)
+        if accepted or visited:
+            self._evaluate_round(values, targets, accepted, visited)
         self.comm.compute(flops)
         return misses
 

@@ -4,7 +4,8 @@ Per time-step, per rank:
 
 1. Every local particle traverses the replicated *top tree*.  MAC-accepted
    top nodes interact locally (their merged monopole/multipole data is
-   replicated).  Traversals that reach a *branch leaf* either continue
+   replicated), through the same evaluator a local subtree's nodes use —
+   softening included.  Traversals that reach a *branch leaf* either continue
    into the rank's own subtree (owner == self) or append a
    ``(coordinates, branch key)`` record to the owner's bin.
 2. Bins ship as they fill; the one-outstanding-bin rule is tracked as
@@ -36,9 +37,10 @@ import numpy as np
 from repro.bh import compiled
 from repro.bh.interaction_lists import TraversalEngine
 from repro.bh.mac import BarnesHutMAC
-from repro.bh.multipole import MonopoleExpansion
+from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.particles import ParticleSet
 from repro.bh.traversal import TraversalResult
+from repro.bh.tree import Tree
 from repro.core.bins import BinManager, RequestBin, ShipStats
 from repro.core.config import SchemeConfig
 from repro.core.tree_build import LocalSubtree
@@ -93,6 +95,11 @@ class FunctionShippingEngine:
                 st.tree, st.particles, self.mac, softening=config.softening,
                 kernel_tier=self.kernel_tier, kernel_threads=kt)
             for st in subtrees}
+        # the top tree's merged series, for a multipole run
+        self._top_multipoles = None
+        if self._degree > 0:
+            self._top_multipoles = TreeMultipoles(top.tree, None, self._degree)
+            self._top_multipoles.coeffs = top.coeffs
 
     def _walk_stats(self) -> tuple[int, int, int]:
         """Walks built, chunks streamed, most list bytes one chunk held."""
@@ -102,10 +109,13 @@ class FunctionShippingEngine:
                 max(eng.lists_peak_bytes for eng in engines))
 
     # ----------------------------------------------------------- evaluators
-    def _local_evaluator(self, st: LocalSubtree):
+    def _evaluator(self, tree: Tree, multipoles: TreeMultipoles | None):
+        """The far-field evaluator of any tree this rank walks, the top
+        tree and a local subtree alike: the tree's degree-k series in a
+        multipole run, else its softened point masses."""
         if self._degree > 0:
-            return st.multipoles
-        return MonopoleExpansion(st.tree, softening=self.config.softening)
+            return multipoles
+        return MonopoleExpansion(tree, softening=self.config.softening)
 
     def _charge(self, res: TraversalResult) -> None:
         self.comm.compute(res.flops(self._degree))
@@ -139,8 +149,8 @@ class FunctionShippingEngine:
         clock between its bin sends."""
         st = self._lookup_subtree(key)
         res = self.subtree_engines[key].compute_once(
-            coords, self._local_evaluator(st), mode=self._mode,
-            count_node_interactions=True,
+            coords, self._evaluator(st.tree, st.multipoles),
+            mode=self._mode, count_node_interactions=True,
         )
         self._count(res)
         self._charge(res)
@@ -177,8 +187,9 @@ class FunctionShippingEngine:
         flops = np.zeros(n)
         for key, sel in zip(wanted, groups):
             weights = np.zeros(sel.size)
+            st = self.subtree_by_key[key]
             res = self.subtree_engines[key].compute_once(
-                coords[sel], self._local_evaluator(self.subtree_by_key[key]),
+                coords[sel], self._evaluator(st.tree, st.multipoles),
                 mode=self._mode, count_node_interactions=True,
                 target_weights=weights,
             )
@@ -235,7 +246,8 @@ class FunctionShippingEngine:
             if nt:
                 weights = np.zeros(nt)
                 top_res = self._top_engine.compute_once(
-                    self.particles.positions[tidx], self.top,
+                    self.particles.positions[tidx],
+                    self._evaluator(self.top.tree, self._top_multipoles),
                     mode=self._mode, target_weights=weights,
                 )
                 self.requester_flops[tidx] += weights

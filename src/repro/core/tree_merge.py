@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bh.multipole import MultipoleExpansion3D, m2m_upward, m2p, \
-    m2p_row_bytes, m2p_table
+from repro.bh.multipole import MultipoleExpansion3D, m2m_upward
 from repro.bh.particles import Box
 from repro.bh.tree import NO_CHILD, Tree, cell_boxes
 from repro.core.branch_nodes import BranchInfo, make_branch_index
@@ -45,7 +44,9 @@ class TopTree:
     ``tree`` is a :class:`~repro.bh.tree.Tree` whose leaves are all
     branch cells flagged with their owner; ``node_of_branch`` maps branch
     keys to top-tree leaf ids; ``coeffs`` holds per-node multipole
-    expansions about cell centers when the run uses multipoles.
+    expansions about cell centers when the run uses multipoles.  Data
+    only: as the top of the one global tree, its far field goes through
+    the evaluators a local subtree's does.
     """
 
     tree: Tree
@@ -53,77 +54,6 @@ class TopTree:
     branch_index: object  # HashedBranchIndex | SortedBranchIndex
     coeffs: np.ndarray | None = None
     expansion: MultipoleExpansion3D | None = None
-    _table: np.ndarray | None = None  # m2p_table(coeffs), on first use
-
-    @property
-    def degree(self) -> int:
-        """Multipole degree of the merged expansions (0 = monopole)."""
-        return self.expansion.degree if self.expansion is not None else 0
-
-    # Evaluator protocol used by the traversal (same shape as
-    # MonopoleExpansion / TreeMultipoles).
-    def node_potential(self, node: int, targets: np.ndarray) -> np.ndarray:
-        from repro.bh import kernels
-        if self.coeffs is None:
-            return kernels.point_mass_potential(
-                targets, self.tree.com[node], float(self.tree.mass[node])
-            )
-        rel = np.atleast_2d(targets) - self.tree.center[node]
-        return -kernels.G * self.expansion.evaluate(self.coeffs[node], rel)
-
-    def node_force(self, node: int, targets: np.ndarray) -> np.ndarray:
-        from repro.bh import kernels
-        return kernels.point_mass_force(
-            targets, self.tree.com[node], float(self.tree.mass[node])
-        )
-
-    # Fused cluster interface for the interaction-list engine (same
-    # shape as MonopoleExpansion / TreeMultipoles batch methods).
-    @property
-    def batch_row_bytes(self) -> int:
-        if self.coeffs is None:
-            return 8 * (6 * self.tree.dims + 8)
-        return m2p_row_bytes(self.degree)
-
-    def batch_potential(self, nodes: np.ndarray,
-                        targets: np.ndarray) -> np.ndarray:
-        from repro.bh import kernels
-        if self.coeffs is None:
-            diff = targets - self.tree.com[nodes]
-            r2 = np.einsum("ij,ij->i", diff, diff)
-            with np.errstate(divide="ignore"):
-                inv_r = 1.0 / np.sqrt(r2)
-            inv_r[r2 == 0.0] = 0.0
-            return -kernels.G * self.tree.mass[nodes] * inv_r
-        if self._table is None:
-            self._table = m2p_table(self.coeffs, self.degree)
-        return -kernels.G * m2p(self._table, nodes,
-                                targets - self.tree.center[nodes],
-                                self.degree)
-
-    def batch_force(self, nodes: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-        from repro.bh import kernels
-        diff = targets - self.tree.com[nodes]
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        zero = r2 == 0.0
-        np.sqrt(r2, out=r2)
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, r2, out=r2)                 # inv_r
-        r2[zero] = 0.0
-        inv_r3 = r2 * r2
-        inv_r3 *= r2
-        w = self.tree.mass[nodes] * inv_r3
-        w *= -kernels.G
-        return w[:, None] * diff
-
-    def compiled_cluster_data(self, mode: str):
-        """Forces and monopole potentials are point-mass arithmetic
-        (compiled-eligible); merged multipole potentials stay on the
-        numpy tier (``None`` → fall back)."""
-        if mode == "potential" and self.coeffs is not None:
-            return None
-        return self.tree.com, self.tree.mass, 0.0
 
 
 def _check_disjoint(branches: list[BranchInfo], dims: int) -> None:

@@ -566,8 +566,9 @@ class TestLaneMajorP2P:
             want = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
                                               mode="force").values
             got = np.zeros_like(want)
-            il._p2p_pass(lists, got, tree, ps, "force", 0.0, 1 << 22,
-                         tier="numba")
+            il._p2p_pass(got, lists.targets, lists.p2p_groups(tree),
+                         il._source_layout(tree, ps), "force", 0.0, 1 << 22,
+                         "numba", None)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -10,6 +10,7 @@ from repro.bh.direct import (
     direct_potentials,
     sample_direct_potentials,
 )
+from repro.bh.multipole import point_masses
 from repro.bh.particles import ParticleSet
 
 
@@ -48,17 +49,19 @@ class TestKernels:
         assert np.linalg.norm(f_soft) < 1.0 / 0.1 ** 2 + 1e-9
 
     def test_point_mass_matches_pair(self):
+        """The one point-mass cluster formula is the pair kernel against
+        a single source, softened or not."""
         rng = np.random.default_rng(0)
         t = rng.normal(0, 1, (5, 3))
-        c = np.array([3.0, 3.0, 3.0])
-        np.testing.assert_allclose(
-            kernels.point_mass_potential(t, c, 2.5),
-            kernels.pair_potential(t, c[None], np.array([2.5])),
-        )
-        np.testing.assert_allclose(
-            kernels.point_mass_force(t, c, 2.5),
-            kernels.pair_force(t, c[None], np.array([2.5])),
-        )
+        c = np.array([[3.0, 3.0, 3.0]])
+        m = np.array([2.5])
+        node = np.zeros(5, dtype=np.int64)
+        for soft in (0.0, 0.3):
+            for force, pair in ((False, kernels.pair_potential),
+                                (True, kernels.pair_force)):
+                np.testing.assert_allclose(
+                    point_masses(c, m, soft, node, t, force),
+                    pair(t, c, m, softening=soft))
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 10**6))

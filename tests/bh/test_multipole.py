@@ -266,7 +266,7 @@ class TestTreeMultipoles:
         tree = build_tree(ps, leaf_capacity=8)
         tm = TreeMultipoles(tree, ps, degree=6)
         far = ps.center_of_mass()[None, :] + np.array([[30.0, 0.0, 0.0]])
-        phi = tm.node_potential(0, far)[0]
+        phi = tm.batch_potential(np.array([0]), far)[0]
         exact = -np.sum(ps.masses / np.linalg.norm(far - ps.positions, axis=1))
         assert phi == pytest.approx(exact, rel=1e-6)
 
@@ -286,8 +286,9 @@ class TestTreeMultipoles:
         expected = -ps.total_mass / np.linalg.norm(
             t[0] - tree.com[0]
         )
-        assert mono.node_potential(0, t)[0] == pytest.approx(expected)
-        f = mono.node_force(0, t)[0]
+        root = np.array([0])
+        assert mono.batch_potential(root, t)[0] == pytest.approx(expected)
+        f = mono.batch_force(root, t)[0]
         assert f[0] < 0  # attraction toward the cluster
 
 
@@ -396,17 +397,17 @@ class TestM2PFromRealTable:
 
     @staticmethod
     def _call_sites(degree, tree, coeffs):
-        """``(name, f(nodes, targets) -> sum q/r)`` per call site."""
+        """``(name, f(nodes, targets) -> sum q/r)`` per call site: a
+        tree's series (the merged top tree's is one too), data
+        shipping's round of fetched nodes through the shared passes,
+        and ``MultipoleExpansion3D.evaluate``."""
         from repro.core.config import SchemeConfig
         from repro.core.data_shipping import CachedNode, DataShippingEngine
-        from repro.core.tree_merge import TopTree
         from repro.bh.kernels import G
 
         centers = tree.center
         tm = TreeMultipoles(tree, None, degree)
         tm.coeffs[:] = coeffs
-        top = TopTree(tree=tree, node_of_branch={}, branch_index=None,
-                      coeffs=coeffs, expansion=MultipoleExpansion3D(degree))
         eng = DataShippingEngine.__new__(DataShippingEngine)
         eng.config = SchemeConfig(mode="potential", degree=degree)
         eng._dims, eng.kernel_tier = 3, "numpy"
@@ -416,9 +417,9 @@ class TestM2PFromRealTable:
 
         def shipped(nodes, targets):
             values = np.zeros(len(targets))
-            eng._eval_far(values, targets, cached,
-                          [np.flatnonzero(nodes == i)
-                           for i in range(len(cached))])
+            eng._evaluate_round(values, targets,
+                                [(cn, np.flatnonzero(nodes == i))
+                                 for i, cn in enumerate(cached)], [])
             return values / -G
 
         def one_by_one(nodes, targets):
@@ -427,7 +428,6 @@ class TestM2PFromRealTable:
                              for n, t in zip(nodes, targets)])
 
         return [("tree", lambda n, t: tm.batch_potential(n, t) / -G),
-                ("top", lambda n, t: top.batch_potential(n, t) / -G),
                 ("shipping", shipped), ("evaluate", one_by_one)]
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])

@@ -5,6 +5,8 @@ import pytest
 
 from repro.bh.direct import direct_potentials
 from repro.bh.distributions import plummer
+from repro.bh.multipole import MonopoleExpansion
+from repro.bh.tree import build_tree
 from repro.core.config import SchemeConfig
 from repro.core.data_shipping import DataShippingEngine, HashedOctreeCache, \
     CachedNode
@@ -135,3 +137,30 @@ class TestSection42Signals:
         _, _, rep = run_data_shipping(4, profile=NCUBE2)
         assert rep.parallel_time > 0
         assert rep.phase_max()["force computation"] > 0
+
+
+class TestSharedPasses:
+    @pytest.mark.parametrize("mode", ["force", "potential"])
+    def test_point_mass_pass_is_the_softened_monopole_evaluator(self, mode):
+        """A round's accepted nodes are evaluated by the evaluator a
+        local subtree's nodes use, softening included."""
+        tree = build_tree(PS, leaf_capacity=8)
+        rng = np.random.default_rng(5)
+        nodes = rng.integers(0, tree.nnodes, 200)
+        targets = 3.0 * rng.normal(size=(200, 3))
+        eng = DataShippingEngine.__new__(DataShippingEngine)
+        eng.config = SchemeConfig(mode=mode, softening=0.05)
+        eng._dims, eng.kernel_tier = 3, "numpy"
+        accepted = [
+            (CachedNode(key=n, owner=0, mass=float(tree.mass[n]),
+                        com=tree.com[n], center=tree.center[n],
+                        half=float(tree.half[n]), count=tree.count(n),
+                        is_leaf=False), np.flatnonzero(nodes == n))
+            for n in range(tree.nnodes)]
+        values = np.zeros((200, 3) if mode == "force" else 200)
+        eng._evaluate_round(values, targets, accepted, [])
+        ev = MonopoleExpansion(tree, softening=0.05)
+        want = (ev.batch_force if mode == "force"
+                else ev.batch_potential)(nodes, targets)
+        # one pair per target: the accumulation adds to zero exactly
+        np.testing.assert_array_equal(values, want)

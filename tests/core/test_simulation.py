@@ -71,6 +71,25 @@ class TestSchemeEquivalence:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+class TestSofteningWhereverTheCellSits:
+    """On this cube grid levels 2 and 3 give one global tree and the
+    same MAC decisions; only how many accepted clusters sit in the
+    replicated top tree rather than in a local subtree differs (about
+    8 000 vs 110 000).  The physics must not see that split: a top-tree
+    cluster is softened exactly like a local one."""
+
+    CUBE = uniform_cube(3000, seed=3)
+
+    @pytest.mark.parametrize("softening", [0.05, 0.0])
+    def test_forces_independent_of_grid_level(self, softening):
+        res = [run(mode="force", p=2, particles=self.CUBE,
+                   softening=softening, grid_level=g) for g in (2, 3)]
+        assert res[0].force_computations() == res[1].force_computations()
+        f2, f3 = (r.values for r in res)
+        rel = np.linalg.norm(f2 - f3, axis=1) / np.linalg.norm(f3, axis=1)
+        assert rel.max() <= 1e-12
+
+
 class TestSchemeBehaviour:
     def test_spda_beats_spsa_on_irregular_instance(self):
         """The paper's headline: SPDA's load-driven assignment beats

@@ -1,6 +1,9 @@
 """The classical single-pass Barnes-Hut traversal, kept verbatim from
 ``repro.bh.traversal`` as the oracle :func:`repro.bh.traversal.traverse`
-and the list-building walk are compared against."""
+and the list-building walk are compared against.  A node's cluster term
+is computed here from the tree and the evaluator's coefficients, with
+this module's own point-mass formula, so the oracle shares no evaluator
+code with what it checks."""
 
 from __future__ import annotations
 
@@ -9,8 +12,31 @@ import numpy as np
 from repro.bh import kernels
 from repro.bh.interaction_lists import TraversalResult
 from repro.bh.mac import BarnesHutMAC
+from repro.bh.multipole import MultipoleExpansion3D
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, Tree
+
+
+def node_value(evaluator, tree: Tree, node: int, targets: np.ndarray,
+               mode: str) -> np.ndarray:
+    """One node's cluster term at ``targets``: its degree-k series
+    (``MultipoleExpansion3D.evaluate``) for a potential of an evaluator
+    with coefficients, else its center of mass as a point mass softened
+    by the evaluator's ``softening`` (none for a series evaluator)."""
+    coeffs = getattr(evaluator, "coeffs", None)
+    if mode == "potential" and coeffs is not None:
+        rel = targets - tree.center[node]
+        return -kernels.G * MultipoleExpansion3D(evaluator.degree).evaluate(
+            coeffs[node], rel)
+    diff = targets - tree.com[node]
+    r2 = np.einsum("ij,ij->i", diff, diff) \
+        + getattr(evaluator, "softening", 0.0) ** 2
+    with np.errstate(divide="ignore"):
+        inv_r = 1.0 / np.sqrt(r2)
+    inv_r[r2 == 0.0] = 0.0
+    if mode == "potential":
+        return -kernels.G * tree.mass[node] * inv_r
+    return -kernels.G * tree.mass[node] * diff * (inv_r ** 3)[:, None]
 
 
 def traverse_reference(tree: Tree, sources: ParticleSet | None,
@@ -76,10 +102,8 @@ def traverse_reference(tree: Tree, sources: ParticleSet | None,
         ok = mac.accept(tree, node, targets[idx])
         far = idx[ok]
         if far.size:
-            if mode == "potential":
-                values[far] += evaluator.node_potential(node, targets[far])
-            else:
-                values[far] += evaluator.node_force(node, targets[far])
+            values[far] += node_value(evaluator, tree, node, targets[far],
+                                      mode)
             result.cluster_interactions += far.size
             if target_weights is not None:
                 target_weights[far] += per_cluster_flops

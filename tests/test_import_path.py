@@ -1,5 +1,6 @@
 """Nothing in ``src/`` exists only for the tests or an example: oracles
-live in ``tests/oracles``, demos in ``examples/``."""
+live in ``tests/oracles``, demos in ``examples/``; and no force path
+keeps a private copy of the arithmetic."""
 
 import importlib
 import pkgutil
@@ -34,6 +35,30 @@ def test_angle_form_harmonics_live_with_the_fmm_example():
     for name in ("spherical_coords", "_legendre_table",
                  "spherical_harmonics"):
         assert not hasattr(repro.bh.multipole, name), name
+
+
+def test_one_far_field_evaluator_and_one_p2p_kernel():
+    """The top tree and data shipping hold no private copy of the
+    cluster or P2P arithmetic, and per-node evaluators (the traversal
+    oracle's business) are off the import path."""
+    from repro.bh import compiled, kernels
+    from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
+    from repro.core.data_shipping import DataShippingEngine
+    from repro.core.tree_merge import TopTree
+
+    gone = {
+        kernels: ("point_mass_potential", "point_mass_force"),
+        compiled: ("p2p_pass",),
+        MonopoleExpansion: ("node_potential", "node_force"),
+        TreeMultipoles: ("node_potential", "node_force"),
+        TopTree: ("node_potential", "node_force", "batch_potential",
+                  "batch_force", "batch_row_bytes", "compiled_cluster_data",
+                  "_table"),
+        DataShippingEngine: ("_eval_far", "_eval_leaves"),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
 
 
 def test_importing_repro_loads_no_tests_or_examples():
