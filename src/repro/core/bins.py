@@ -12,7 +12,12 @@ nodes and process outstanding nodes received from other processors."
 Sends are buffered (eager protocol), so the rule is modelled rather than
 enforced by blocking: every oversubscribed send is counted as a
 flow-control stall, and the round-trip latency of each bin is folded into
-the requester's clock when its result is received.
+the requester's clock when its result is received.  A bin stays
+outstanding until :meth:`BinManager.complete` accepts its result, which
+happens only after every bin has shipped, so every bin but the first to
+each destination is a stall: stalls = bins − destinations that received
+a bin, whatever order the owners drain in.  The count says how many bins
+a pair exchanges per step, nothing about serialisation.
 
 The bin is the unit of the *wire* and of flow control, not of compute.
 A rank has every incoming request bin in hand before it answers the
@@ -253,7 +258,7 @@ class BinManager:
                     ))
                     got += 1
                 raw.extend(msgs)
-        raw.sort()
+        raw.sort(key=lambda m: (m.arrival, m.src, m.seq))
         served = iter(self._serve([m.payload for m in raw
                                    if not is_sentinel(m.payload)]))
         for msg in raw:

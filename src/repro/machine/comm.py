@@ -421,7 +421,7 @@ class Comm:
         for src in sorted(counts):
             for _ in range(counts[src]):
                 raw.append(self._blocking_get(src, tag))
-        raw.sort()
+        raw.sort(key=lambda m: (m.arrival, m.src, m.seq))
         for msg in raw:
             self._finish_recv(msg)
             yield msg

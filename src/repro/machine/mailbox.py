@@ -4,6 +4,11 @@ One :class:`Mailbox` per rank.  A message carries its payload, its wire
 size in bytes and its *virtual arrival time* (computed by the sender from
 its own clock and the cost model), so receivers can charge their clocks
 deterministically regardless of real thread scheduling.
+
+A receive is matched to the earliest ``(arrival, src, seq)`` among the
+queued messages it matches, found from per-``(src, tag)`` heaps: a
+specific receive costs O(log k) in the k messages of its own stream,
+however many other messages are pending.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any
 
 #: Wildcard source / tag, mirroring ``MPI.ANY_SOURCE`` / ``MPI.ANY_TAG``.
@@ -78,7 +84,16 @@ class Message:
 
 
 class Mailbox:
-    """Blocking, (src, tag)-matched FIFO message store for one rank."""
+    """Blocking, (src, tag)-matched message store for one rank.
+
+    Queued messages live in one heap per ``(src, tag)``, keyed
+    ``(arrival, src, seq)``; a heap is dropped when it empties.  Every
+    receive takes the earliest ``(arrival, src, seq)`` among the messages
+    it matches: a specific ``(src, tag)`` pops that heap's head, a
+    wildcard takes the smallest head among the live heaps it matches.
+    ``seq`` is unique, so the choice never depends on deposit order —
+    nor, therefore, on thread interleaving.
+    """
 
     def __init__(self, rank: int, baton: threading.Lock | None = None):
         self.rank = rank
@@ -86,7 +101,9 @@ class Mailbox:
         #: only queues); not held exactly while parked in :meth:`get`.
         self._baton = baton
         self.holds_baton = baton is not None
-        self._messages: list[Message] = []
+        self._heaps: dict[tuple[int, int],
+                          list[tuple[float, int, int, Message]]] = {}
+        self._pending = 0
         self._cond = threading.Condition()
         self._closed = False
         self._seen_xmits: set[tuple[int, int]] = set()
@@ -115,10 +132,7 @@ class Mailbox:
                     self.duplicates_suppressed += 1
                     return
                 self._seen_xmits.add(key)
-            self._messages.append(msg)
-            if len(self._messages) > self.max_pending:
-                self.max_pending = len(self._messages)
-            self._cond.notify_all()
+            self._push(msg)
 
     def requeue(self, msg: Message) -> None:
         """Re-deposit a message previously removed by :meth:`poll`.
@@ -132,26 +146,42 @@ class Mailbox:
                 raise MailboxClosedError(
                     f"mailbox of rank {self.rank} is closed (engine shut down)"
                 )
-            self._messages.append(msg)
-            if len(self._messages) > self.max_pending:
-                self.max_pending = len(self._messages)
-            self._cond.notify_all()
+            self._push(msg)
 
-    def _match_index(self, src: int, tag: int) -> int | None:
-        # Message.__lt__ spelled out on locals: the dataclass builds two
-        # tuples per comparison, and this scan is the mailbox's hot loop.
-        best: int | None = None
-        arrival = source = seq = 0
-        for i, m in enumerate(self._messages):
-            if src != ANY_SOURCE and m.src != src:
-                continue
-            if tag != ANY_TAG and m.tag != tag:
-                continue
-            if best is None or m.arrival < arrival or (
-                    m.arrival == arrival and (m.src < source or (
-                        m.src == source and m.seq < seq))):
-                best, arrival, source, seq = i, m.arrival, m.src, m.seq
+    def _push(self, msg: Message) -> None:
+        # The key is spelled out in the entry: heap comparisons then stay
+        # on plain tuples and never reach Message.__lt__ (seq is unique).
+        entry = (msg.arrival, msg.src, msg.seq, msg)
+        key = (msg.src, msg.tag)
+        heap = self._heaps.get(key)
+        if heap is None:
+            self._heaps[key] = [entry]
+        else:
+            heappush(heap, entry)
+        self._pending += 1
+        if self._pending > self.max_pending:
+            self.max_pending = self._pending
+        self._cond.notify_all()
+
+    def _match(self, src: int, tag: int) -> tuple[int, int] | None:
+        """The ``(src, tag)`` heap whose head a receive takes, if any."""
+        if src != ANY_SOURCE and tag != ANY_TAG:
+            return (src, tag) if (src, tag) in self._heaps else None
+        best = head = None
+        for key, heap in self._heaps.items():
+            if (src == ANY_SOURCE or key[0] == src) and \
+                    (tag == ANY_TAG or key[1] == tag) and \
+                    (head is None or heap[0] < head):
+                best, head = key, heap[0]
         return best
+
+    def _pop(self, key: tuple[int, int]) -> Message:
+        heap = self._heaps[key]
+        msg = heappop(heap)[3]
+        if not heap:
+            del self._heaps[key]
+        self._pending -= 1
+        return msg
 
     def get(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
             timeout: float | None = None) -> Message:
@@ -167,9 +197,9 @@ class Mailbox:
         try:
             with self._cond:
                 while True:
-                    i = self._match_index(src, tag)
-                    if i is not None:
-                        return self._messages.pop(i)
+                    key = self._match(src, tag)
+                    if key is not None:
+                        return self._pop(key)
                     if self._closed:
                         raise MailboxClosedError(
                             f"rank {self.rank}: receive on closed mailbox"
@@ -197,26 +227,22 @@ class Mailbox:
     def poll(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
         """Non-blocking matched receive; ``None`` when nothing matches."""
         with self._cond:
-            i = self._match_index(src, tag)
-            return self._messages.pop(i) if i is not None else None
+            key = self._match(src, tag)
+            return self._pop(key) if key is not None else None
 
     def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True when a matching message is queued (does not remove it)."""
         with self._cond:
-            return self._match_index(src, tag) is not None
+            return self._match(src, tag) is not None
 
     def pending_count(self) -> int:
         with self._cond:
-            return len(self._messages)
+            return self._pending
 
     def pending_summary(self) -> dict[tuple[int, int], int]:
         """``(src, tag) -> count`` of queued messages (deadlock reports)."""
         with self._cond:
-            out: dict[tuple[int, int], int] = {}
-            for m in self._messages:
-                key = (m.src, m.tag)
-                out[key] = out.get(key, 0) + 1
-            return out
+            return {key: len(heap) for key, heap in self._heaps.items()}
 
     def close(self) -> None:
         """Wake all blocked receivers with an error (engine teardown)."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ParallelBarnesHut, SchemeConfig, plummer
 from repro.core.bins import BinManager, RequestBin, ResultBin
 from repro.machine.costmodel import PARTICLE_RECORD_BYTES
 from repro.machine.engine import Engine
@@ -277,3 +278,32 @@ class TestBinAccounting:
             bins_to = [-(-n[rank, dst] // capacity) for dst in others]
             assert nbins == sum(bins_to)
             assert stalls == sum(max(b - 1, 0) for b in bins_to)
+
+
+class TestStallBookkeeping:
+    """A bin is outstanding until ``complete()`` accepts its result, and
+    that happens only after every bin has shipped: every bin but the
+    first to each destination is a flow-control stall, in every product
+    run, whatever the owners' drain order."""
+
+    @pytest.mark.parametrize("scheme, p", [
+        ("spda", 2), ("spda", 4), ("dpda", 4), ("spda", 16)])
+    def test_stalls_are_bins_minus_destinations(self, monkeypatch,
+                                                scheme, p):
+        seen, complete = [], BinManager.complete
+
+        def spy(mgr):
+            complete(mgr)
+            seen.append((mgr.stats.request_bins_sent,
+                         len(mgr.stats_per_destination()),
+                         mgr.stats.flow_control_stalls))
+
+        monkeypatch.setattr(BinManager, "complete", spy)
+        cfg = SchemeConfig(scheme=scheme, alpha=0.67, mode="force")
+        ParallelBarnesHut(plummer(2_000, seed=3), cfg, p=p,
+                          profile=NCUBE2).run(steps=2, dt=0.01)
+        assert len(seen) == 2 * p
+        for bins, destinations, stalls in seen:
+            assert stalls == bins - destinations
+        bins, destinations, _ = map(sum, zip(*seen))
+        assert bins > 2 * destinations > 0      # many bins per pair

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message
-from tests.oracles.mailbox import match_index_reference
+from tests.oracles.mailbox import ScanMailbox
 
 
 def msg(src=0, tag=0, payload=None, arrival=0.0, nbytes=0):
@@ -106,11 +106,17 @@ class TestBlockingAndTimeout:
             box.put(msg())
 
 
+_SOURCES, _TAGS = 8, 4
 _OPS = st.one_of(
-    st.tuples(st.just("put"), st.integers(0, 3), st.integers(0, 2),
-              st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+    # put: source, tag, arrival (few values, so ties are common) and a
+    # reliable-layer xmit id (repeats are duplicates the box suppresses)
+    st.tuples(st.just("put"), st.integers(0, _SOURCES - 1),
+              st.integers(0, _TAGS - 1),
+              st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+              st.one_of(st.none(), st.integers(0, 3))),
     st.tuples(st.sampled_from(["get", "poll", "probe"]),
-              st.integers(ANY_SOURCE, 3), st.integers(ANY_TAG, 2)),
+              st.integers(ANY_SOURCE, _SOURCES - 1),
+              st.integers(ANY_TAG, _TAGS - 1)),
     st.tuples(st.just("requeue")),
 )
 
@@ -118,12 +124,14 @@ _OPS = st.one_of(
 def _play(box, ops, seqs):
     """Run a script, returning everything it observed.  ``get`` is only
     issued when something matches (it would block otherwise); ``requeue``
-    re-deposits the most recent message a ``poll`` removed."""
+    re-deposits the most recent message a ``poll`` removed.  After the
+    script the box is drained with wildcard polls, and its counters are
+    read before and after."""
     seen, polled = [], []
     for k, op in enumerate(ops):
         if op[0] == "put":
             box.put(Message(arrival=op[3], src=op[1], seq=seqs[k],
-                            tag=op[2], payload=k))
+                            tag=op[2], payload=k, xmit_id=op[4]))
         elif op[0] == "requeue":
             if polled:
                 box.requeue(polled.pop())
@@ -136,22 +144,26 @@ def _play(box, ops, seqs):
             seen.append(None if got is None else got.payload)
             if got is not None and op[0] == "poll":
                 polled.append(got)
-    return seen, [m.payload for m in box._messages]
+    left = (box.pending_count(), box.pending_summary())
+    drained = []
+    while (m := box.poll()) is not None:
+        drained.append(m.payload)
+    return (seen, left, drained, box.pending_count(), box.pending_summary(),
+            box.max_pending, box.duplicates_suppressed)
 
 
 class TestScanEqualsOracle:
-    """The inline ``(arrival, src, seq)`` comparison selects what
-    ``Message.__lt__`` selected: same message for every get / poll /
-    probe, same queue left behind, requeued messages included."""
+    """The per-``(src, tag)`` heaps select what the list scan of
+    ``ScanMailbox`` selected: same message for every get / poll / probe,
+    same queue left behind and drained in the same order, same pending
+    counts, high-water mark and duplicate suppressions — requeued
+    messages, wildcards, arrival ties and reliable duplicates included."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(ops=st.lists(_OPS, max_size=60), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=80), data=st.data())
     def test_random_scripts(self, ops, data):
         # distinct sequence numbers in arbitrary order: ties in arrival
         # and source are broken by seq, not by queue position
         seqs = data.draw(st.permutations(range(len(ops))))
-        reference = Mailbox(0)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Mailbox, "_match_index", match_index_reference)
-            expected = _play(reference, ops, seqs)
+        expected = _play(ScanMailbox(0), ops, seqs)
         assert _play(Mailbox(0), ops, seqs) == expected

@@ -1,21 +1,167 @@
-"""``Mailbox._match_index`` as it stood while ``Message`` was an
-``order=True`` dataclass, kept verbatim as the oracle of the scan that
-compares ``(arrival, src, seq)`` inline: the earliest matching message
-by the dataclass ``<``.  Install with ``monkeypatch.setattr(Mailbox,
-"_match_index", match_index_reference)``."""
+"""The list-and-scan ``Mailbox`` the per-``(src, tag)`` heaps replaced,
+kept verbatim (renamed ``ScanMailbox``) as the oracle of message
+selection: every queued message in one list, every ``get`` / ``poll`` /
+``probe`` a scan for the earliest ``(arrival, src, seq)`` that matches.
+
+Install in a whole run with ``monkeypatch.setattr(
+repro.machine.transport, "Mailbox", ScanMailbox)``: ``LocalTransport``
+then builds one per rank."""
 
 from __future__ import annotations
 
-from repro.machine.mailbox import ANY_SOURCE, ANY_TAG, Mailbox
+import threading
+
+from repro.machine.mailbox import (
+    ANY_SOURCE,
+    ANY_TAG,
+    MailboxClosedError,
+    Message,
+)
 
 
-def match_index_reference(self: Mailbox, src: int, tag: int) -> int | None:
-    best: int | None = None
-    for i, m in enumerate(self._messages):
-        if src != ANY_SOURCE and m.src != src:
-            continue
-        if tag != ANY_TAG and m.tag != tag:
-            continue
-        if best is None or m < self._messages[best]:
-            best = i
-    return best
+class ScanMailbox:
+    """Blocking, (src, tag)-matched FIFO message store for one rank."""
+
+    def __init__(self, rank: int, baton: threading.Lock | None = None):
+        self.rank = rank
+        #: The run-to-block lock of ``LocalTransport`` (or none: the box
+        #: only queues); not held exactly while parked in :meth:`get`.
+        self._baton = baton
+        self.holds_baton = baton is not None
+        self._messages: list[Message] = []
+        self._cond = threading.Condition()
+        self._closed = False
+        self._seen_xmits: set[tuple[int, int]] = set()
+        #: Duplicate copies discarded on deposit (reliable layer).
+        self.duplicates_suppressed = 0
+        #: Queue-depth high-water mark (surfaced as a metrics gauge).
+        self.max_pending = 0
+
+    def put(self, msg: Message) -> None:
+        """Deposit a message (called from the sender's thread).
+
+        Messages carrying a reliable-delivery ``xmit_id`` are
+        deduplicated here: the network may deliver several copies of one
+        logical message, but only the first reaches the matching queues.
+        The receiver pays nothing for a suppressed copy (a header-only
+        discard); the sender already paid its channel charge.
+        """
+        with self._cond:
+            if self._closed:
+                raise MailboxClosedError(
+                    f"mailbox of rank {self.rank} is closed (engine shut down)"
+                )
+            if msg.xmit_id is not None:
+                key = (msg.src, msg.xmit_id)
+                if key in self._seen_xmits:
+                    self.duplicates_suppressed += 1
+                    return
+                self._seen_xmits.add(key)
+            self._messages.append(msg)
+            if len(self._messages) > self.max_pending:
+                self.max_pending = len(self._messages)
+            self._cond.notify_all()
+
+    def requeue(self, msg: Message) -> None:
+        """Re-deposit a message previously removed by :meth:`poll`.
+
+        Unlike :meth:`put`, this bypasses duplicate suppression — the
+        message already passed it on first deposit and would otherwise be
+        destroyed by its own ``xmit_id``.
+        """
+        with self._cond:
+            if self._closed:
+                raise MailboxClosedError(
+                    f"mailbox of rank {self.rank} is closed (engine shut down)"
+                )
+            self._messages.append(msg)
+            if len(self._messages) > self.max_pending:
+                self.max_pending = len(self._messages)
+            self._cond.notify_all()
+
+    def _match_index(self, src: int, tag: int) -> int | None:
+        # Message.__lt__ spelled out on locals: the dataclass builds two
+        # tuples per comparison, and this scan is the mailbox's hot loop.
+        best: int | None = None
+        arrival = source = seq = 0
+        for i, m in enumerate(self._messages):
+            if src != ANY_SOURCE and m.src != src:
+                continue
+            if tag != ANY_TAG and m.tag != tag:
+                continue
+            if best is None or m.arrival < arrival or (
+                    m.arrival == arrival and (m.src < source or (
+                        m.src == source and m.seq < seq))):
+                best, arrival, source, seq = i, m.arrival, m.src, m.seq
+        return best
+
+    def get(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
+            timeout: float | None = None) -> Message:
+        """Block until a matching message is available and remove it.
+
+        Raises
+        ------
+        TimeoutError
+            When ``timeout`` (real seconds) elapses first — the engine uses
+            this as a deadlock watchdog — or when the baton cannot be
+            retaken within it (its holder is blocked outside ``get``).
+        """
+        try:
+            with self._cond:
+                while True:
+                    i = self._match_index(src, tag)
+                    if i is not None:
+                        return self._messages.pop(i)
+                    if self._closed:
+                        raise MailboxClosedError(
+                            f"rank {self.rank}: receive on closed mailbox"
+                        )
+                    if self.holds_baton:
+                        self.holds_baton = False
+                        self._baton.release()
+                    if not self._cond.wait(timeout=timeout):
+                        raise self._late(src, tag, timeout)
+        finally:
+            # Retaken outside the mailbox lock: the baton's holder may be
+            # depositing here, waiting for that very lock.
+            if self._baton is not None and not self.holds_baton:
+                self.holds_baton = self._baton.acquire(
+                    timeout=-1 if timeout is None else timeout)
+                if not self.holds_baton:
+                    raise self._late(src, tag, timeout, ": could not resume, "
+                                     "the running rank is blocked elsewhere")
+
+    def _late(self, src, tag, timeout, why="") -> TimeoutError:
+        return TimeoutError(
+            f"rank {self.rank}: recv(src={src}, tag={tag}) timed out after "
+            f"{timeout}s — likely deadlock{why}")
+
+    def poll(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
+        """Non-blocking matched receive; ``None`` when nothing matches."""
+        with self._cond:
+            i = self._match_index(src, tag)
+            return self._messages.pop(i) if i is not None else None
+
+    def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
+        """True when a matching message is queued (does not remove it)."""
+        with self._cond:
+            return self._match_index(src, tag) is not None
+
+    def pending_count(self) -> int:
+        with self._cond:
+            return len(self._messages)
+
+    def pending_summary(self) -> dict[tuple[int, int], int]:
+        """``(src, tag) -> count`` of queued messages (deadlock reports)."""
+        with self._cond:
+            out: dict[tuple[int, int], int] = {}
+            for m in self._messages:
+                key = (m.src, m.tag)
+                out[key] = out.get(key, 0) + 1
+            return out
+
+    def close(self) -> None:
+        """Wake all blocked receivers with an error (engine teardown)."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
