@@ -97,7 +97,6 @@ def _build_sim(args):
             scheme=args.scheme, alpha=args.alpha, degree=args.degree,
             mode=args.mode, grid_level=args.grid_level,
             leaf_capacity=args.leaf_capacity,
-            kernel_tier=args.kernels, kernel_threads=args.kernel_threads,
             softening=args.softening, integrator=args.integrator,
             timestep=args.timestep, dt_eta=args.dt_eta,
             max_rungs=args.max_rungs,
@@ -301,17 +300,6 @@ def _add_sim_args(cmd: argparse.ArgumentParser) -> None:
                      help="static cluster grid level (r = 8^level in 3-D)")
     cmd.add_argument("--leaf-capacity", type=int, default=16,
                      help="the paper's s: max particles per leaf")
-    cmd.add_argument("--kernels", choices=("numpy", "numba", "auto"),
-                     default="numpy",
-                     help="evaluation kernel tier: numpy (reference), "
-                          "numba (compiled, needs the [perf] extra; "
-                          "falls back to numpy with a warning), auto "
-                          "(numba when available)")
-    cmd.add_argument("--kernel-threads", type=int, default=None,
-                     metavar="N",
-                     help="thread clamp of the numba tier per rank; "
-                          "results are bitwise independent of N "
-                          "(ignored by the numpy tier)")
     cmd.add_argument("--steps", type=int, default=1)
     cmd.add_argument("--dt", type=float, default=None, metavar="DT",
                      help="advance particles by DT per step (default: "

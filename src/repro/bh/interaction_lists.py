@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bh import compiled, kernels
+from repro.bh import kernels
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.tree import NO_CHILD, Tree
 
@@ -416,20 +416,10 @@ def _accumulate(values: np.ndarray, tgt: np.ndarray,
 
 def _cluster_pass(values: np.ndarray, targets: np.ndarray,
                   nodes: np.ndarray, tgt: np.ndarray, evaluator, mode: str,
-                  chunk_bytes: int, tier: str, threads: int | None) -> None:
+                  chunk_bytes: int) -> None:
     n = tgt.size
     if n == 0:
         return
-    if tier == "numba":
-        info_fn = getattr(evaluator, "compiled_cluster_data", None)
-        info = info_fn(mode) if info_fn is not None else None
-        if info is not None:
-            com, mass, soft = info
-            compiled.cluster_pass(values, targets, tgt, nodes, com, mass,
-                                  soft, mode, threads)
-            return
-        # Evaluator is not compiled-eligible for this mode (degree >= 1
-        # multipole potentials): fall through to the numpy batch path.
     name = "batch_potential" if mode == "potential" else "batch_force"
     batch = getattr(evaluator, name, None)
     if batch is None:
@@ -529,21 +519,13 @@ def _p2p_chunk(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
 
 def _p2p_pass(values: np.ndarray, targets: np.ndarray, groups: list,
               layout: tuple | None, mode: str, softening: float,
-              chunk_bytes: int, tier: str, threads: int | None) -> None:
+              chunk_bytes: int) -> None:
     if not groups:
         return
     sp, sm, scale = layout
     d = targets.shape[1]
     tp = np.ascontiguousarray(targets.T)
     for tgt, starts, ns in groups:
-        if tier == "numba":
-            # the compiled kernel wants one (ns, d) source block per row
-            src = starts[:, None] + np.arange(ns)
-            compiled.p2p_group_pass(
-                values, targets[tgt], tgt, np.arange(tgt.size),
-                sp.T[src], None if sm is None else sm[src], sm is None,
-                softening, scale, mode, threads)
-            continue
         # live per target row: the scratch views and the source indices
         chunk = max(1, chunk_bytes // (8 * ns * (d + 4)))
         for lo in range(0, tgt.size, chunk):
@@ -556,18 +538,17 @@ def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
                    cluster_node: np.ndarray, cluster_tgt: np.ndarray,
                    evaluator, groups: list, layout: tuple | None,
                    mode: str, softening: float,
-                   working_set_bytes: int = DEFAULT_WORKING_SET_BYTES,
-                   kernel_tier: str = "numpy",
-                   kernel_threads: int | None = None) -> None:
+                   working_set_bytes: int = DEFAULT_WORKING_SET_BYTES
+                   ) -> None:
     """Both fused passes of every force path, accumulated onto
     ``values``: ``evaluator`` over pairs ``(cluster_node[i],
     cluster_tgt[i])``, and the :func:`group_p2p_rows` groups, whose
     source ``j`` of row ``i`` is element ``starts[i] + j`` of the
-    :func:`source_layout` ``layout`` (``kernel_tier`` resolved)."""
+    :func:`source_layout` ``layout``."""
     _cluster_pass(values, targets, cluster_node, cluster_tgt, evaluator,
-                  mode, working_set_bytes, kernel_tier, kernel_threads)
+                  mode, working_set_bytes)
     _p2p_pass(values, targets, groups, layout, mode, softening,
-              working_set_bytes, kernel_tier, kernel_threads)
+              working_set_bytes)
 
 
 def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
@@ -576,9 +557,7 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
                                softening: float = 0.0,
                                count_node_interactions: bool = False,
                                target_weights: np.ndarray | None = None,
-                               working_set_bytes: int | None = None,
-                               kernel_tier: str = "numpy",
-                               kernel_threads: int | None = None
+                               working_set_bytes: int | None = None
                                ) -> TraversalResult:
     """The evaluation pass: fused kernels over prebuilt lists.
 
@@ -587,20 +566,11 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
     DPDA interaction counts, and the identical per-target weight
     attribution as the classical traversal would.
 
-    ``kernel_tier`` selects the arithmetic backend (see
-    :mod:`repro.bh.compiled`); counters, DPDA counts and weights come
-    from the walk and are tier-independent by construction.
-    ``kernel_threads`` clamps the numba tier's thread pool (results
-    are bitwise independent of it); the numpy tier is one serial
-    chunked loop and ignores it.  ``sources`` is the particle set, or
-    its :func:`_source_layout` (a streamed batch lays its sources out
-    once, not once per chunk).
+    ``sources`` is the particle set, or its :func:`_source_layout` (a
+    streamed batch lays its sources out once, not once per chunk).
     """
     if mode not in ("potential", "force"):
         raise ValueError(f"mode must be 'potential' or 'force', got {mode!r}")
-    if kernel_threads is not None and int(kernel_threads) < 1:
-        raise ValueError("kernel_threads must be >= 1 (or None)")
-    tier = compiled.resolve_tier(kernel_tier)
     nt, d = lists.nt, lists.d
     values = np.zeros(nt) if mode == "potential" else np.zeros((nt, d))
     result = TraversalResult(
@@ -621,8 +591,7 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
         groups, layout = lists.p2p_groups(tree), _source_layout(tree, sources)
     evaluate_pairs(values, lists.targets, lists.cluster_node,
                    lists.cluster_tgt, evaluator, groups, layout, mode,
-                   softening, ws, tier,
-                   None if kernel_threads is None else int(kernel_threads))
+                   softening, ws)
 
     if count_node_interactions:
         nn = tree.nnodes
@@ -658,21 +627,14 @@ class TraversalEngine:
 
     def __init__(self, tree: Tree, sources=None, mac=None,
                  root: int | None = None, softening: float = 0.0,
-                 cache_size: int = 8,
-                 kernel_tier: str = "numpy",
-                 kernel_threads: int | None = None):
+                 cache_size: int = 8):
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        if kernel_threads is not None and int(kernel_threads) < 1:
-            raise ValueError("kernel_threads must be >= 1 (or None)")
         self.tree = tree
         self.sources = sources
         self.mac = mac
         self.root = root
         self.softening = softening
-        # resolved once: "auto" pins to the tier that will actually run
-        self.kernel_tier = compiled.resolve_tier(kernel_tier)
-        self.kernel_threads = kernel_threads
         self._cache: dict[tuple, InteractionLists] = {}
         self._cache_size = cache_size
         self.walks_built = 0
@@ -713,8 +675,6 @@ class TraversalEngine:
             softening=self.softening,
             count_node_interactions=count_node_interactions,
             target_weights=target_weights,
-            kernel_tier=self.kernel_tier,
-            kernel_threads=self.kernel_threads,
         )
 
     def compute(self, target_positions: np.ndarray, evaluator,

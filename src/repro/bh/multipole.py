@@ -396,11 +396,6 @@ class MonopoleExpansion:
     def batch_row_bytes(self) -> int:
         return 8 * (6 * self.tree.dims + 8)
 
-    def compiled_cluster_data(self, mode: str):
-        """Point-mass data for the compiled kernel tier: monopole
-        arithmetic covers both modes."""
-        return self.tree.com, self.tree.mass, self.softening
-
     def batch_potential(self, nodes: np.ndarray,
                         targets: np.ndarray) -> np.ndarray:
         return point_masses(self.tree.com, self.tree.mass, self.softening,
@@ -493,14 +488,6 @@ class TreeMultipoles:
     @property
     def batch_row_bytes(self) -> int:
         return m2p_row_bytes(self.degree)
-
-    def compiled_cluster_data(self, mode: str):
-        """Forces are monopole arithmetic (compiled-eligible); degree >= 1
-        potentials need the spherical-harmonic series and stay
-        on the numpy tier (``None`` → fall back)."""
-        if mode == "potential":
-            return None
-        return self.tree.com, self.tree.mass, 0.0
 
     def batch_potential(self, nodes: np.ndarray,
                         targets: np.ndarray) -> np.ndarray:

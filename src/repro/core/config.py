@@ -8,7 +8,6 @@ SCHEMES = ("spsa", "spda", "dpda")
 MERGE_KINDS = ("broadcast", "nonreplicated")
 LOOKUP_KINDS = ("hashed", "sorted")
 MODES = ("force", "potential")
-KERNEL_TIERS = ("numpy", "numba", "auto")
 INTEGRATORS = ("euler", "kdk")
 TIMESTEPS = ("fixed", "block")
 
@@ -50,16 +49,6 @@ class SchemeConfig:
         0 for potential accuracy studies.
     max_depth:
         Tree refinement limit; ``None`` = Morton key limit.
-    kernel_tier:
-        Arithmetic backend of the evaluation pass: ``"numpy"`` (the
-        reference tier), ``"numba"`` (compiled kernels, falls back to
-        numpy with a warning when numba is absent) or ``"auto"``
-        (numba when available).  Values stay within the engine's 1e-12
-        contract; interaction counters are tier-independent.
-    kernel_threads:
-        Thread clamp of the numba tier (``None`` = numba's default
-        pool); results are bitwise independent of it.  The numpy tier
-        is one serial loop and ignores it.
     integrator:
         Particle advance: ``"euler"`` (semi-implicit Euler, the
         original loop — bitwise default) or ``"kdk"`` (kick-drift-kick
@@ -90,8 +79,6 @@ class SchemeConfig:
     branch_lookup: str = "hashed"
     softening: float = 0.0
     max_depth: int | None = None
-    kernel_tier: str = "numpy"
-    kernel_threads: int | None = None
     integrator: str = "euler"
     timestep: str = "fixed"
     dt_eta: float = 0.2
@@ -124,11 +111,6 @@ class SchemeConfig:
             raise ValueError(f"branch_lookup must be one of {LOOKUP_KINDS}")
         if self.softening < 0:
             raise ValueError("softening must be >= 0")
-        if self.kernel_tier not in KERNEL_TIERS:
-            raise ValueError(f"kernel_tier must be one of {KERNEL_TIERS}, "
-                             f"got {self.kernel_tier!r}")
-        if self.kernel_threads is not None and self.kernel_threads < 1:
-            raise ValueError("kernel_threads must be >= 1 (or None)")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, "
                              f"got {self.integrator!r}")

@@ -31,7 +31,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.bh import compiled
 from repro.bh.interaction_lists import evaluate_pairs, group_p2p_rows, \
     source_layout
 from repro.bh.mac import BarnesHutMAC
@@ -182,7 +181,6 @@ class DataShippingEngine:
         self.cache = HashedOctreeCache()
         self.stats = DataShipStats()
         self._dims = top.tree.dims
-        self.kernel_tier = compiled.resolve_tier(config.kernel_tier)
         # owner-side directory: anchored key -> (subtree, node id)
         self._local_nodes: dict[int, tuple[LocalSubtree, int]] = {}
         for st in subtrees:
@@ -269,9 +267,7 @@ class DataShippingEngine:
                     np.concatenate([cn.positions for cn in nodes]).T),
                 np.concatenate([cn.masses for cn in nodes]))
         evaluate_pairs(values, targets, rows, tgt, evaluator, groups,
-                       layout, self.config.mode, self.config.softening,
-                       kernel_tier=self.kernel_tier,
-                       kernel_threads=self.config.kernel_threads)
+                       layout, self.config.mode, self.config.softening)
 
     def _traverse_round(self, values: np.ndarray,
                         done_pairs: set[tuple[int, int]],
@@ -418,11 +414,6 @@ class DataShippingEngine:
         has_targets = (n if targets_idx is None
                        else np.asarray(targets_idx).size)
         with self.comm.phase("force computation"):
-            # Zero-duration marker span: records the active kernel tier
-            # in the trace without advancing any clock (same marker as
-            # the function-shipping engine).
-            with self.comm.phase(f"kernels:{self.kernel_tier}"):
-                pass
             self._seed_cache_from_top()
             done_pairs: set[tuple[int, int]] = set()
             while True:
@@ -437,6 +428,4 @@ class DataShippingEngine:
                 self._fetch_round(misses)
         self.stats.cache_nodes = len(self.cache)
         self.stats.hash_accesses += self.cache.accesses
-        self.comm.metrics.counter(
-            f"force.kernel_tier.{self.kernel_tier}").inc()
         return values

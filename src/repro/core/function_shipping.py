@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bh import compiled
 from repro.bh.interaction_lists import TraversalEngine
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
@@ -65,7 +64,6 @@ class ForceResult:
     records_served: int = 0
     ship: ShipStats = field(default_factory=ShipStats)
     walks_built: int = 0        # interaction-list walks performed
-    walks_reused: int = 0       # always 0: the lists are single-use
 
 
 class FunctionShippingEngine:
@@ -81,19 +79,11 @@ class FunctionShippingEngine:
         self.subtree_by_key = {st.key: st for st in subtrees}
         self._mode = config.mode
         self._degree = config.degree
-        # One engine per tree this rank walks, each resolving the tier
-        # once: "auto" pins to the tier that runs (the ParallelBarnesHut
-        # constructor already warned if a numba request fell back).
-        self.kernel_tier = compiled.resolve_tier(config.kernel_tier)
-        kt = config.kernel_threads
         self._top_engine = TraversalEngine(
-            top.tree, None, self.mac, softening=config.softening,
-            kernel_tier=self.kernel_tier, kernel_threads=kt,
-        )
+            top.tree, None, self.mac, softening=config.softening)
         self.subtree_engines = {
             st.key: TraversalEngine(
-                st.tree, st.particles, self.mac, softening=config.softening,
-                kernel_tier=self.kernel_tier, kernel_threads=kt)
+                st.tree, st.particles, self.mac, softening=config.softening)
             for st in subtrees}
         # the top tree's merged series, for a multipole run
         self._top_multipoles = None
@@ -237,12 +227,6 @@ class FunctionShippingEngine:
         self.requester_flops = np.zeros(n)
 
         with comm.phase(PHASE_FORCE):
-            # Zero-duration marker span: records the active kernel tier
-            # in the trace without advancing any clock or re-attributing
-            # phase time (unknown phase names fold to "other" in the
-            # supervision telemetry, and no virtual time elapses inside).
-            with comm.phase(f"kernels:{self.kernel_tier}"):
-                pass
             if nt:
                 weights = np.zeros(nt)
                 top_res = self._top_engine.compute_once(
@@ -291,5 +275,4 @@ class FunctionShippingEngine:
         comm.metrics.counter("force.stream_chunks").inc(chunks - chunks0)
         held = comm.metrics.gauge("force.lists_peak_bytes")
         held.set(max(held.value, peak))
-        comm.metrics.counter(f"force.kernel_tier.{self.kernel_tier}").inc()
         return self._result

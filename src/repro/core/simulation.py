@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bh import compiled as _compiled
 from repro.bh import morton as _morton
 from repro.bh import blockstep
 from repro.bh.morton import morton_keys
@@ -152,13 +151,11 @@ class SimulationResult:
 
     def walk_reuse(self) -> tuple[int, int]:
         """Interaction-list traffic: total (walks_built, walks_reused)
-        across all steps and ranks.  Reused walks are evaluations served
-        from cached lists — none: the force phase's are single-use."""
-        built = sum(sr.force.walks_built
-                    for step in self.steps for sr in step)
-        reused = sum(sr.force.walks_reused
-                     for step in self.steps for sr in step)
-        return built, reused
+        across all steps and ranks.  The second is always 0: the force
+        phase streams its lists and drops them, so no walk is reused;
+        the pair shape stays for callers that read both."""
+        return sum(sr.force.walks_built
+                   for step in self.steps for sr in step), 0
 
     def load_imbalance(self) -> float:
         return self.run.load_imbalance("force computation")
@@ -343,9 +340,9 @@ class _RankState:
         self.key_boundaries = _copy_array(ckpt.key_boundaries)
         self.my_particle_loads = _copy_array(ckpt.my_particle_loads)
         self._last_values = _copy_array(ckpt.last_values)
-        # getattr: pre-block-timestep checkpoints lack these fields.
-        self.rungs = _copy_array(getattr(ckpt, "rungs", None))
-        self.accel = _copy_array(getattr(ckpt, "accel", None))
+        # A pickle without these keys reads the class defaults (None).
+        self.rungs = _copy_array(ckpt.rungs)
+        self.accel = _copy_array(ckpt.accel)
         self._keys = None
         self.comm.clock.now = ckpt.clock_now
         self.comm.clock.timings = PhaseTimings(dict(ckpt.phase_seconds))
@@ -945,6 +942,10 @@ class ParallelBarnesHut:
     metrics are bitwise identical with and without them.
     """
 
+    # Read only by the end-to-end benchmark child (benchmarks/e2e/child.py);
+    # goes when that read does (ROADMAP item 1).  A constant, not an option.
+    kernel_tier = "numpy"
+
     def __init__(self, particles: ParticleSet, config: SchemeConfig,
                  p: int, profile: MachineProfile = NCUBE2,
                  root: Box | None = None, bits: int | None = None,
@@ -965,10 +966,6 @@ class ParallelBarnesHut:
             raise ValueError("cannot simulate zero particles")
         if p < 1:
             raise ValueError("need at least one processor")
-        # Resolve the kernel tier once on the host so a numba request
-        # without numba warns exactly once (the engines resolve quietly).
-        self.kernel_tier = _compiled.resolve_tier(config.kernel_tier,
-                                                  warn=True)
         self.particles = particles
         self.config = config
         self.p = p

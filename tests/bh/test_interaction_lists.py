@@ -9,6 +9,7 @@ target chunks (equal to one whole-batch walk in every observable) and
 build-once/evaluate-many.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -546,30 +547,63 @@ class TestLaneMajorP2P:
         want = _listed_pairs_reference(repair.tree, ps2, fresh, "force", 0.0)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_numba_adapter_feeds_one_source_block_per_row(self, monkeypatch):
-        """The compiled kernel (not installed here) reads row ``i``'s
-        sources from ``sp[rows[i]]``; a numpy stand-in with that contract
-        must reproduce the numpy tier."""
-        def group_pass(values, tpos, tgt, rows, sp, sm, uniform, softening,
-                       scale, mode, threads=None):
-            assert mode == "force" and uniform == (sm is None)
-            diff = tpos[:, None, :] - sp[rows]
-            r2 = np.einsum("ijk,ijk->ij", diff, diff) + softening ** 2
-            w = np.where(r2 > 0.0, r2, np.inf) ** -1.5
-            if sm is not None:
-                w = w * sm[rows]
-            np.add.at(values, tgt, scale * np.einsum("ij,ijk->ik", w, diff))
 
-        monkeypatch.setattr(il.compiled, "p2p_group_pass", group_pass)
-        for uniform in (True, False):
-            ps, tree, lists = _p2p_case(3, uniform)
-            want = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
-                                              mode="force").values
-            got = np.zeros_like(want)
-            il._p2p_pass(got, lists.targets, lists.p2p_groups(tree),
-                         il._source_layout(tree, ps), "force", 0.0, 1 << 22,
-                         "numba", None)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+PS = plummer(600, seed=11)
+TREE = build_tree(PS, leaf_capacity=8)
+
+
+def _engine():
+    return TraversalEngine(TREE, PS, BarnesHutMAC(0.67), softening=0.05)
+
+
+def _monopole():
+    return MonopoleExpansion(TREE, softening=0.05)
+
+
+class TestScratchReuse:
+    """The P2P kernel scratch is one flat buffer per thread
+    (``interaction_lists._thread_scratch``), shared by cached and
+    streamed evaluations and never attached to the lists."""
+
+    def test_p2p_scratch_reused_across_evaluations(self):
+        """Warm evaluations on a cached walk must reuse the thread's
+        P2P scratch buffer instead of reallocating it each call."""
+        eng = _engine()
+        first = eng.compute(PS.positions, _monopole(), mode="force")
+        buf = il._thread_scratch.buf
+        assert buf.size, "the P2P pass should build scratch"
+        assert buf.nbytes <= il.DEFAULT_WORKING_SET_BYTES
+        second = eng.compute(PS.positions, _monopole(), mode="force")
+        assert il._thread_scratch.buf is buf
+        assert np.array_equal(first.values, second.values)
+        assert eng.walks_built == 1 and eng.walks_reused == 1
+        assert not hasattr(eng.lists_for(PS.positions), "_scratch")
+
+    def test_serial_path_also_reuses_scratch(self):
+        eng = _engine()
+        eng.compute(PS.positions, _monopole(), mode="potential")
+        buf = il._thread_scratch.buf
+        eng.compute(PS.positions, _monopole(), mode="potential")
+        eng.compute_once(PS.positions, _monopole(), mode="potential")
+        assert il._thread_scratch.buf is buf
+
+    def test_scratch_is_per_thread_and_lazy(self):
+        """Rank threads evaluate concurrently, so each gets its own
+        buffer, allocated by its first P2P pass (none at import)."""
+        seen = {}
+
+        def worker():
+            seen["before"] = hasattr(il._thread_scratch, "buf")
+            _engine().compute_once(PS.positions, _monopole())
+            seen["buf"] = il._thread_scratch.buf
+
+        _engine().compute_once(PS.positions, _monopole())
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert seen["before"] is False
+        assert seen["buf"] is not il._thread_scratch.buf
 
 
 class TestEvaluateDirect:

@@ -410,7 +410,7 @@ class TestM2PFromRealTable:
         tm.coeffs[:] = coeffs
         eng = DataShippingEngine.__new__(DataShippingEngine)
         eng.config = SchemeConfig(mode="potential", degree=degree)
-        eng._dims, eng.kernel_tier = 3, "numpy"
+        eng._dims = 3
         cached = [CachedNode(key=i, owner=0, mass=1.0, com=c, center=c,
                              half=1.0, count=1, is_leaf=False, coeffs=row)
                   for i, (c, row) in enumerate(zip(centers, coeffs))]

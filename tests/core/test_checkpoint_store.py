@@ -10,11 +10,15 @@ refuse files from a future format version.
 
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import plummer
+from repro.bh.particles import ParticleSet
 from repro.core.checkpoint import (
     CHECKPOINT_MAGIC,
     DISK_FORMAT_VERSION,
@@ -24,6 +28,10 @@ from repro.core.checkpoint import (
     DiskCheckpointStore,
     RankCheckpoint,
 )
+from repro.core.config import SchemeConfig
+from repro.core.simulation import _RankState
+from repro.machine.engine import Engine
+from repro.machine.profiles import ZERO_COST
 
 
 def ckpt(rank: int, step: int, n: int = 8) -> RankCheckpoint:
@@ -213,3 +221,88 @@ def test_disk_missing_checkpoint_is_keyerror(tmp_path):
     store = DiskCheckpointStore(tmp_path / "ckpt", 1)
     with pytest.raises(KeyError):
         store.get(0, 5)
+
+
+# ------------------------------------------------------ round-trip property
+
+def _f64(shape, **bounds):
+    return hnp.arrays(np.float64, shape, elements=st.floats(**bounds))
+
+
+def _i64(shape):
+    return hnp.arrays(np.int64, shape)
+
+
+@st.composite
+def rank_checkpoints(draw):
+    """Any state a rank may carry: 2-D or 3-D, empty or not, each
+    cluster/DPDA array present or not, bin state all or nothing."""
+    n = draw(st.integers(0, 40))
+    d = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(0, 9))
+    particles = ParticleSet(
+        positions=draw(_f64((n, d))),
+        masses=draw(_f64(n, min_value=1e-300, allow_infinity=False)),
+        velocities=draw(_f64((n, d))), ids=draw(_i64(n)))
+    bins = draw(st.booleans())
+    return RankCheckpoint(
+        rank=draw(st.integers(0, 3)), step=draw(st.integers(0, 10 ** 6)),
+        particles=particles,
+        cluster_owners=draw(st.none() | _i64(k)),
+        cluster_load=draw(st.none() | _f64(k)),
+        key_boundaries=draw(st.none() | _i64(k + 1)),
+        my_particle_loads=draw(st.none() | _f64(n)),
+        last_values=draw(st.none() | _f64(draw(st.sampled_from(
+            ((n,), (n, d)))))),
+        clock_now=draw(st.floats(0.0, 1e9)),
+        phase_seconds={"force computation": draw(st.floats(0.0, 1e9))},
+        rungs=draw(_i64(n)) if bins else None,
+        accel=draw(_f64((n, d))) if bins else None,
+    )
+
+
+CHECKPOINT_ARRAYS = ("cluster_owners", "cluster_load", "key_boundaries",
+                     "my_particle_loads", "last_values", "rungs", "accel")
+
+
+def _assert_same_bits(got, want, name):
+    if want is None:
+        assert got is None, name
+        return
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(original=rank_checkpoints())
+def test_disk_round_trip_is_bitwise(original):
+    with tempfile.TemporaryDirectory() as root:
+        DiskCheckpointStore(root, 4, fsync=False).save(original)
+        back = DiskCheckpointStore(root, 4, fsync=False).get(
+            original.rank, original.step)
+    for name in CHECKPOINT_ARRAYS:
+        _assert_same_bits(getattr(back, name), getattr(original, name), name)
+    for name in ("positions", "masses", "velocities", "ids"):
+        _assert_same_bits(getattr(back.particles, name),
+                          getattr(original.particles, name), name)
+    for name in ("rank", "step", "clock_now", "phase_seconds"):
+        assert getattr(back, name) == getattr(original, name), name
+
+
+def test_pickle_without_bin_state_restores_none(tmp_path):
+    """A checkpoint pickled before ``rungs``/``accel`` existed reads the
+    class defaults, so restore leaves no stale bin state behind."""
+    old = ckpt(0, 1)
+    del old.__dict__["rungs"], old.__dict__["accel"]
+    DiskCheckpointStore(tmp_path, 1, fsync=False).save(old)
+    back = DiskCheckpointStore(tmp_path, 1, fsync=False).get(0, 1)
+    assert "rungs" not in vars(back) and "accel" not in vars(back)
+
+    def restore(comm):
+        state = _RankState(comm, SchemeConfig(),
+                           back.particles.bounding_box(), 10, back.particles)
+        state.rungs, state.accel = np.zeros(8, np.int64), np.ones((8, 3))
+        state.restore(back)
+        return state.rungs, state.accel
+
+    assert Engine(1, ZERO_COST).run(restore).values == [(None, None)]

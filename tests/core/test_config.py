@@ -28,9 +28,6 @@ class TestSchemeConfig:
         ("merge", "gather"),
         ("branch_lookup", "btree"),
         ("softening", -0.1),
-        ("kernel_tier", "cuda"),
-        ("kernel_threads", 0),
-        ("kernel_threads", -2),
     ])
     def test_invalid_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -43,13 +40,6 @@ class TestSchemeConfig:
     def test_potential_mode_allows_multipole(self):
         cfg = SchemeConfig(mode="potential", degree=4)
         assert cfg.degree == 4
-
-    def test_kernel_tier_values(self):
-        for tier in ("numpy", "numba", "auto"):
-            assert SchemeConfig(kernel_tier=tier).kernel_tier == tier
-        cfg = SchemeConfig(kernel_threads=4)
-        assert cfg.kernel_threads == 4
-        assert SchemeConfig().kernel_threads is None
 
     def test_frozen(self):
         cfg = SchemeConfig()

@@ -150,7 +150,7 @@ class TestSharedPasses:
         targets = 3.0 * rng.normal(size=(200, 3))
         eng = DataShippingEngine.__new__(DataShippingEngine)
         eng.config = SchemeConfig(mode=mode, softening=0.05)
-        eng._dims, eng.kernel_tier = 3, "numpy"
+        eng._dims = 3
         accepted = [
             (CachedNode(key=n, owner=0, mass=float(tree.mass[n]),
                         com=tree.com[n], center=tree.center[n],

@@ -73,7 +73,7 @@ def _step_result() -> StepResult:
                         records_served=2,
                         ship=ShipStats(request_bins_sent=1,
                                        request_records_sent=7),
-                        walks_built=3, walks_reused=1)
+                        walks_built=3)
     return StepResult(n_local=5, force=force, moved_in=1,
                       virtual_seconds=0.25)
 

@@ -159,8 +159,8 @@ def _bins(report):
 
 
 def _walks(report):
-    return [[(s.force.walks_built, s.force.walks_reused)
-             for s in r.value["steps"]] for r in report.ranks]
+    return [[s.force.walks_built for s in r.value["steps"]]
+            for r in report.ranks]
 
 
 @pytest.mark.parametrize("lookup", LOOKUPS)
@@ -173,7 +173,7 @@ def test_batch_equals_per_bin_oracle(monkeypatch, scheme, kind, p, lookup):
     batch, oracle = _vs_oracle(monkeypatch, _run, cfg, p, k["dt"])
     # the comparison is not vacuous: bins were served, many per drain,
     # and the batch walked fewer times than there were bins
-    built = [sum(b for rank in _walks(rep) for b, _ in rank)
+    built = [sum(b for rank in _walks(rep) for b in rank)
              for rep in (batch, oracle)]
     assert _bins(batch) > 4 * p and built[0] < built[1]
 
@@ -243,9 +243,7 @@ def _walk_census(comm, cfg, root, bits, shard):
     requested = {key for asked in comm.allgather(remote)
                  for owner, key in asked if owner == comm.rank}
     own = len(branches) - len(remote)
-    return ((first.walks_built, first.walks_reused),
-            (second.walks_built, second.walks_reused),
-            own, len(requested))
+    return first.walks_built, second.walks_built, own, len(requested)
 
 
 @pytest.mark.parametrize("p", [2, 4])
@@ -259,7 +257,7 @@ def test_one_walk_per_requested_subtree_and_none_retained(scheme, p):
     for first, second, own, requested in report.values:
         assert requested > 0
         # top-tree walk + own-branch descents + one per requested key
-        assert first == (1 + own + requested, 0)
+        assert first == 1 + own + requested
         # unchanged forest, same targets: nothing was kept, so every
         # walk is made again
         assert second == first

@@ -70,32 +70,6 @@ class TestCommands:
         assert "fractional % error" in capsys.readouterr().out
 
 
-class TestKernelCLI:
-    def test_kernel_flag_defaults(self):
-        args = build_parser().parse_args(["run"])
-        assert args.kernels == "numpy"
-        assert args.kernel_threads is None
-
-    def test_trace_accepts_kernel_flags(self):
-        args = build_parser().parse_args(
-            ["trace", "--kernels", "auto", "--kernel-threads", "4"])
-        assert args.kernels == "auto"
-        assert args.kernel_threads == 4
-
-    def test_bad_kernel_tier_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--kernels", "cuda"])
-
-    def test_run_with_kernel_tier(self, capsys):
-        code = main([
-            "run", "--instance", "g_5000", "--scale", "0.05",
-            "--procs", "4", "--machine", "zero", "--steps", "1",
-            "--kernels", "auto", "--kernel-threads", "2",
-        ])
-        assert code == 0
-        assert "virtual parallel time" in capsys.readouterr().out
-
-
 class TestRecoveryCLI:
     def test_run_accepts_recovery_flags(self, tmp_path):
         args = build_parser().parse_args([

@@ -7,7 +7,10 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import repro
+from repro.__main__ import main
 
 
 def test_no_reference_implementation_in_the_package():
@@ -41,24 +44,39 @@ def test_one_far_field_evaluator_and_one_p2p_kernel():
     """The top tree and data shipping hold no private copy of the
     cluster or P2P arithmetic, and per-node evaluators (the traversal
     oracle's business) are off the import path."""
-    from repro.bh import compiled, kernels
+    from repro.bh import kernels
     from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
     from repro.core.data_shipping import DataShippingEngine
     from repro.core.tree_merge import TopTree
 
     gone = {
         kernels: ("point_mass_potential", "point_mass_force"),
-        compiled: ("p2p_pass",),
         MonopoleExpansion: ("node_potential", "node_force"),
         TreeMultipoles: ("node_potential", "node_force"),
         TopTree: ("node_potential", "node_force", "batch_potential",
-                  "batch_force", "batch_row_bytes", "compiled_cluster_data",
-                  "_table"),
+                  "batch_force", "batch_row_bytes", "_table"),
         DataShippingEngine: ("_eval_far", "_eval_leaves"),
     }
     for owner, names in gone.items():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
+
+
+def test_one_arithmetic_backend():
+    """The evaluation passes are numpy only: no second backend module,
+    no option that selects one, no evaluator hook that feeds one."""
+    from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
+    from repro.core.config import SchemeConfig
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.bh.compiled")
+    with pytest.raises(TypeError):
+        SchemeConfig(kernel_tier="numpy")
+    for evaluator in (MonopoleExpansion, TreeMultipoles):
+        assert not hasattr(evaluator, "compiled_cluster_data"), evaluator
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--kernels", "numpy"])
+    assert exc.value.code == 2
 
 
 def test_importing_repro_loads_no_tests_or_examples():
