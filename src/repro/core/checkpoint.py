@@ -72,6 +72,33 @@ class CheckpointVersionError(CheckpointError):
     """A checkpoint file was written by an incompatible format version."""
 
 
+@dataclass(frozen=True)
+class RestartPolicy:
+    """The host's respawn budget for lost workers, with backoff.
+
+    At most ``max_restarts`` respawns per run (a planned virtual crash
+    costs none: its fault is spent on restart).  ``delay(n)`` is the
+    wait before respawn ``n`` (0-based): ``backoff_seconds * factor**n``,
+    capped at ``cap``.
+    """
+
+    max_restarts: int = 3
+    backoff_seconds: float = 0.25
+    #: Growth of the delay per respawn, and its ceiling (real seconds).
+    factor = 2.0
+    cap = 10.0
+
+    def __post_init__(self):
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be non-negative")
+        if self.backoff_seconds < 0:
+            raise ValueError("restart backoff must be non-negative")
+
+    def delay(self, restart_no: int) -> float:
+        return min(self.backoff_seconds * self.factor ** restart_no,
+                   self.cap)
+
+
 def _copy_array(a: np.ndarray | None) -> np.ndarray | None:
     return None if a is None else np.array(a, copy=True)
 

@@ -48,6 +48,7 @@ from repro.core.checkpoint import (
     CheckpointStore,
     DiskCheckpointStore,
     RankCheckpoint,
+    RestartPolicy,
     _copy_array,
     _copy_particles,
 )
@@ -64,7 +65,7 @@ from repro.machine import mailbox as _mailbox_mod
 from repro.machine.clock import PhaseTimings
 from repro.machine.comm import Comm
 from repro.machine.costmodel import MachineProfile
-from repro.machine.engine import Engine, RunReport
+from repro.machine.engine import Engine, RunReport, fold_endpoint_counters
 from repro.machine.faults import FaultPlan, RankCrashedError, ReliableConfig
 from repro.machine.metrics import MetricsRegistry
 from repro.machine.profiles import NCUBE2
@@ -296,11 +297,12 @@ class _RankState:
         comm = self.comm
         # Communication accounting rides along so a recovered run
         # reports totals bitwise identical to an uninterrupted one.
-        # The endpoint's duplicate-suppression count is normally folded
-        # into the stats only at end of run — fold the running value
-        # here so the boundary copy is self-contained.
+        # The engine folds the endpoint's counters in only at end of
+        # run; fold their running values into the copies here so the
+        # boundary is self-contained.
         stats = copy.deepcopy(comm.stats)
-        stats.duplicates_suppressed += comm.endpoint.duplicates_suppressed
+        metrics = copy.deepcopy(comm.metrics)
+        fold_endpoint_counters(stats, metrics, comm.endpoint)
         # Trace continuity across rollback: carry this rank's virtual
         # event lists (spans/events are immutable records — shallow
         # copies suffice) and the worker's next message seq, so a
@@ -323,8 +325,8 @@ class _RankState:
             phase_seconds=dict(comm.clock.timings.seconds),
             results=list(results),
             comm_stats=stats,
-            metrics=copy.deepcopy(comm.metrics),
-            coll_seq=getattr(comm, "_coll_seq", 0),
+            metrics=metrics,
+            coll_seq=comm._coll_seq,
             xmit_seq=comm._xmit_seq,
             trace_events=trace_events,
             seq_next=getattr(_mailbox_mod._seq_counter, "value", None),
@@ -913,7 +915,8 @@ class ParallelBarnesHut:
         on restart).
     restart_backoff:
         First respawn delay in real seconds; doubles per restart
-        (capped at 10 s).
+        (capped at 10 s).  The two make up ``restart_policy``, a
+        :class:`~repro.core.checkpoint.RestartPolicy`.
     resume:
         Start from the newest common checkpoint in ``checkpoint_dir``
         instead of dealing particles afresh.
@@ -998,12 +1001,7 @@ class ParallelBarnesHut:
         if checkpoint_keep < 1:
             raise ValueError("checkpoint_keep must be >= 1")
         self.checkpoint_keep = checkpoint_keep
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        self.max_restarts = max_restarts
-        if restart_backoff < 0:
-            raise ValueError("restart_backoff must be non-negative")
-        self.restart_backoff = restart_backoff
+        self.restart_policy = RestartPolicy(max_restarts, restart_backoff)
         if resume and checkpoint_dir is None:
             raise ValueError(
                 "resume=True needs checkpoint_dir (a durable checkpoint "
@@ -1124,14 +1122,10 @@ class ParallelBarnesHut:
         recoveries = 0
         restarts = 0
         if self.backend == "process":
-            from repro.runtime import ProcessEngine, WorkerLostError
-            engine_cls = ProcessEngine
-            recoverable: tuple = (RankCrashedError, WorkerLostError)
-            engine_kw = dict(self.engine_options)
+            from repro.runtime import ProcessEngine as engine_cls
         else:
             engine_cls = Engine
-            recoverable = (RankCrashedError,)
-            engine_kw = {}
+        engine_kw = dict(self.engine_options)
         # Live telemetry plumbing (process backend only, off by default).
         elog = display = None
         if self.events_out is not None or self.live:
@@ -1180,7 +1174,7 @@ class ParallelBarnesHut:
                         wall_trace=wall_trace,
                     )
                     break
-                except recoverable as failure:
+                except engine_cls.recoverable as failure:
                     if elog is not None \
                             and getattr(failure, "kind", None) is not None:
                         elog.emit(
@@ -1203,15 +1197,13 @@ class ParallelBarnesHut:
                     else:
                         # Real worker loss: bounded respawn budget with
                         # exponential backoff before the next attempt.
-                        if restarts >= self.max_restarts:
+                        if restarts >= self.restart_policy.max_restarts:
                             raise
-                        restarts += 1
                         if plan is not None:
                             plan = plan.without_process_faults(
                                 failure.rank)
-                        time.sleep(min(
-                            self.restart_backoff * 2.0 ** (restarts - 1),
-                            10.0))
+                        time.sleep(self.restart_policy.delay(restarts))
+                        restarts += 1
                     s, rank_args = recovered
                     # Rollback depth: furthest boundary any rank had
                     # durably reached beyond the common restart point
@@ -1230,8 +1222,7 @@ class ParallelBarnesHut:
                         elog.emit("recovery", restart=recoveries,
                                   resume_step=s,
                                   rollback_steps=max(0, furthest - s))
-                    quiesce = getattr(engine, "last_quiesce_seconds",
-                                      None) or 0.0
+                    quiesce = engine.last_quiesce_seconds
                     host_metrics.histogram(
                         "recovery.quiesce_seconds").observe(quiesce)
                     host_metrics.histogram(

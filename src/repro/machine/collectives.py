@@ -25,9 +25,8 @@ COLL_TAG_BASE = 1 << 30
 
 
 def _next_tag(comm: "Comm") -> int:
-    seq = getattr(comm, "_coll_seq", 0) + 1
-    comm._coll_seq = seq
-    return COLL_TAG_BASE + seq
+    comm._coll_seq += 1
+    return COLL_TAG_BASE + comm._coll_seq
 
 
 def bcast(comm: "Comm", payload: Any, root: int = 0,

@@ -190,6 +190,8 @@ class Comm:
         self._injector = injector
         self._reliable = reliable
         self._xmit_seq = 0
+        #: Collective calls made so far (each takes the next tag).
+        self._coll_seq = 0
         self.slowdown = injector.slowdown(rank) if injector else 1.0
 
     def adopt_accounting(self, stats: CommStats,

@@ -1,17 +1,24 @@
-"""Thread-per-rank SPMD runner.
+"""Thread-per-rank SPMD runner, and the rank lifecycle both engines run.
 
 ``Engine(p, profile).run(main, args...)`` spawns ``p`` threads, each
 executing ``main(comm, *args)`` against its own :class:`Comm`, and returns
 a :class:`RunReport` with every rank's return value, virtual clock and
 communication counters.  Real wall-clock time is irrelevant to the report;
 all timings are virtual and deterministic (see :mod:`repro.machine.comm`).
+
+A rank lives the same life on either engine — this thread engine or
+:class:`~repro.runtime.ProcessEngine`, one OS process per rank: its
+:class:`Comm` is born in :func:`rank_comm`, its endpoint's counters are
+folded into its accounting by :func:`fold_endpoint_counters`, and the
+engine's constructor and ``run()`` argument checks are
+:class:`SPMDEngine`'s.
 """
 
 from __future__ import annotations
 
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.machine.clock import PhaseTimings
@@ -27,7 +34,7 @@ from repro.machine.mailbox import MailboxClosedError
 from repro.machine.metrics import MetricsRegistry
 from repro.machine.profiles import ZERO_COST
 from repro.machine.trace import Trace, Tracer, WallRecorder
-from repro.machine.transport import LocalTransport
+from repro.machine.transport import Endpoint, LocalTransport
 
 
 @dataclass
@@ -190,8 +197,50 @@ def raise_primary_error(errors: Sequence[tuple[int, BaseException]],
     raise chosen
 
 
-class Engine:
-    """Runs SPMD programs on the virtual machine.
+def rank_comm(rank: int, size: int, cost: CostModel, endpoint: Endpoint,
+              recv_timeout: float | None, fault_plan: FaultPlan | None,
+              reliable: ReliableConfig | None, tracer: Tracer | None,
+              wall_epoch: float | None) -> Comm:
+    """Build rank ``rank``'s :class:`Comm`: the one bootstrap of a rank.
+
+    The rank gets its own :class:`FaultInjector` over ``fault_plan``
+    (channel counters are keyed by sender, so a per-rank injector decides
+    exactly what a machine-wide one would) and, when the plan crashes
+    it, the clock deadline that raises :class:`RankCrashedError`.
+    ``tracer`` records its virtual events; a ``wall_epoch`` (``None`` =
+    off) starts a :class:`WallRecorder` on that shared epoch.
+    """
+    injector = (FaultInjector(fault_plan, size)
+                if fault_plan is not None else None)
+    comm = Comm(rank, size, cost, endpoint, recv_timeout=recv_timeout,
+                injector=injector, reliable=reliable, tracer=tracer,
+                wall_tracer=(WallRecorder(rank, wall_epoch)
+                             if wall_epoch is not None else None))
+    t = injector.crash_time(rank) if injector is not None else None
+    if t is not None:
+        comm.clock.set_deadline(t, lambda: RankCrashedError(rank, t))
+    return comm
+
+
+def fold_endpoint_counters(stats: CommStats, metrics: MetricsRegistry,
+                           endpoint: Endpoint) -> None:
+    """Fold what a rank's endpoint counted into its accounting: the
+    suppressed duplicates into ``stats``, the queue-depth high-water
+    mark into the ``mailbox.max_pending`` gauge.
+
+    Both engines fold every rank once, at end of run; a checkpoint folds
+    into its copies, so a boundary is self-contained.  It adds and
+    max-merges instead of setting because a rollback restore seeds the
+    accounting with what the previous endpoint counted up to the
+    boundary.
+    """
+    stats.duplicates_suppressed += endpoint.duplicates_suppressed
+    g = metrics.gauge("mailbox.max_pending")
+    g.set(max(g.value, endpoint.max_pending))
+
+
+class SPMDEngine:
+    """What both engines share: the constructor and ``run()``'s checks.
 
     Parameters
     ----------
@@ -214,6 +263,13 @@ class Engine:
         machine as lossy as the plan makes it.
     """
 
+    #: Failures a host driver recovers from by rolling every rank back
+    #: to a checkpoint.
+    recoverable: tuple[type[BaseException], ...] = (RankCrashedError,)
+    #: Real seconds the most recent run spent tearing its ranks down;
+    #: threads need none.
+    last_quiesce_seconds: float = 0.0
+
     def __init__(self, size: int, profile: MachineProfile = ZERO_COST,
                  recv_timeout: float | None = 120.0,
                  fault_plan: FaultPlan | None = None,
@@ -224,17 +280,56 @@ class Engine:
         self.profile = profile
         self.cost = CostModel(profile, size)
         self.recv_timeout = recv_timeout
-        if fault_plan is not None and fault_plan.any_process_faults:
-            raise ValueError(
-                "fault plan demands real process actions (kill / "
-                "stall_heartbeat); only backend='process' can execute them"
-            )
         self.fault_plan = fault_plan
         if reliable is True:
             reliable = ReliableConfig()
         elif reliable is False:
             reliable = None
         self.reliable = reliable
+
+    def _start(self, rank_args: Sequence[Sequence[Any]] | None,
+               tracer: Tracer | bool | None, wall_trace: bool
+               ) -> tuple[list[tuple], Tracer | None, float | None]:
+        """``run()``'s argument checks.  Returns every rank's extra
+        arguments, the tracer (``True`` makes one sized to the engine)
+        and the wall-clock epoch (``None`` without ``wall_trace``)."""
+        if rank_args is not None and len(rank_args) != self.size:
+            raise ValueError(
+                f"rank_args must have {self.size} entries, got {len(rank_args)}"
+            )
+        if tracer is True:
+            tracer = Tracer(self.size)
+        elif tracer is False:
+            tracer = None
+        if tracer is not None and tracer.size != self.size:
+            raise ValueError(
+                f"tracer sized for {tracer.size} ranks, engine has {self.size}"
+            )
+        if wall_trace and tracer is None:
+            raise ValueError("wall_trace requires tracing to be enabled")
+        extras = ([tuple(a) for a in rank_args] if rank_args is not None
+                  else [()] * self.size)
+        return extras, tracer, (_time.monotonic() if wall_trace else None)
+
+
+class Engine(SPMDEngine):
+    """Runs SPMD programs on the virtual machine, one thread per rank.
+
+    Parameters are :class:`SPMDEngine`'s.  A fault plan that demands
+    real process actions (kill / stall_heartbeat) is refused: a thread
+    cannot execute them.
+    """
+
+    def __init__(self, size: int, profile: MachineProfile = ZERO_COST,
+                 recv_timeout: float | None = 120.0,
+                 fault_plan: FaultPlan | None = None,
+                 reliable: ReliableConfig | bool | None = None):
+        super().__init__(size, profile, recv_timeout, fault_plan, reliable)
+        if fault_plan is not None and fault_plan.any_process_faults:
+            raise ValueError(
+                "fault plan demands real process actions (kill / "
+                "stall_heartbeat); only backend='process' can execute them"
+            )
 
     def run(self, main: Callable[..., Any], *args: Any,
             rank_args: Sequence[Sequence[Any]] | None = None,
@@ -252,47 +347,19 @@ class Engine:
         phase spans (a shared epoch, one wall track per rank on the
         trace); requires a tracer.
         """
-        if rank_args is not None and len(rank_args) != self.size:
-            raise ValueError(
-                f"rank_args must have {self.size} entries, got {len(rank_args)}"
-            )
-        if tracer is True:
-            tracer = Tracer(self.size)
-        elif tracer is False:
-            tracer = None
-        if tracer is not None and tracer.size != self.size:
-            raise ValueError(
-                f"tracer sized for {tracer.size} ranks, engine has {self.size}"
-            )
-        if wall_trace and tracer is None:
-            raise ValueError("wall_trace requires tracing to be enabled")
-        recorders = None
-        if wall_trace:
-            epoch = _time.monotonic()
-            recorders = [WallRecorder(r, epoch) for r in range(self.size)]
+        extras, tracer, wall_epoch = self._start(rank_args, tracer,
+                                                 wall_trace)
         transport = LocalTransport(self.size)
-        injector = (FaultInjector(self.fault_plan, self.size)
-                    if self.fault_plan is not None else None)
-        comms = [Comm(r, self.size, self.cost, transport.endpoint(r),
-                      recv_timeout=self.recv_timeout,
-                      injector=injector, reliable=self.reliable,
-                      tracer=tracer,
-                      wall_tracer=(recorders[r] if recorders else None))
+        comms = [rank_comm(r, self.size, self.cost, transport.endpoint(r),
+                           self.recv_timeout, self.fault_plan,
+                           self.reliable, tracer, wall_epoch)
                  for r in range(self.size)]
-        if injector is not None:
-            for r in range(self.size):
-                t = injector.crash_time(r)
-                if t is not None:
-                    comms[r].clock.set_deadline(
-                        t, lambda r=r, t=t: RankCrashedError(r, t)
-                    )
         states = [_RankState() for _ in range(self.size)]
 
         def runner(rank: int) -> None:
-            extra = tuple(rank_args[rank]) if rank_args is not None else ()
             transport.baton.acquire()       # run to block, see LocalTransport
             try:
-                states[rank].value = main(comms[rank], *args, *extra)
+                states[rank].value = main(comms[rank], *args, *extras[rank])
             except BaseException as exc:  # propagate to the caller
                 states[rank].error = exc
                 transport.close_all()
@@ -311,21 +378,16 @@ class Engine:
         for t in threads:
             t.join()
 
-        for r in range(self.size):
-            # += because a checkpoint restore may have seeded the
-            # counter with suppressions from before a rollback boundary.
-            comms[r].stats.duplicates_suppressed += \
-                comms[r].endpoint.duplicates_suppressed
-            g = comms[r].metrics.gauge("mailbox.max_pending")
-            g.set(max(g.value, comms[r].endpoint.max_pending))
+        for c in comms:
+            fold_endpoint_counters(c.stats, c.metrics, c.endpoint)
 
         def build_report(trace_done: bool) -> RunReport:
             trace = None
             if tracer is not None and trace_done:
                 tracer.final_times = [c.clock.now for c in comms]
-                if recorders is not None:
-                    for r in range(self.size):
-                        tracer.adopt_wall_spans(r, recorders[r].spans)
+                if wall_epoch is not None:
+                    for c in comms:
+                        tracer.adopt_wall_spans(c.rank, c.wall_tracer.spans)
                 trace = tracer.finish()
             return RunReport(ranks=[
                 RankResult(rank=r, value=states[r].value,

@@ -12,12 +12,16 @@ real multi-core host-time speedup on top.
 
 * :class:`~repro.runtime.process_engine.ProcessEngine` — drop-in
   engine with the :class:`~repro.machine.engine.Engine` ``RunReport``
-  contract, supervising its workers through heartbeats and exit codes.
+  contract and the same rank lifecycle, supervising its workers
+  through heartbeats and exit codes.
 * :class:`~repro.runtime.process_transport.ProcessTransport` — the
   queue + shared-memory message transport.
 * :mod:`~repro.runtime.supervision` — telemetry board (heartbeats,
-  current phase, bytes, RSS), exit-code classification and restart
-  policy backing crash recovery.
+  current phase, bytes, RSS) and exit-code classification behind the
+  worker-loss verdicts that crash recovery acts on; the respawn budget
+  and backoff it acts with are
+  :class:`~repro.core.checkpoint.RestartPolicy`, held by
+  :class:`~repro.core.simulation.ParallelBarnesHut`.
 * :mod:`~repro.runtime.telemetry` — host-side board sampler, live
   progress display and the ``--events-out`` JSON-lines event stream.
 """
@@ -32,8 +36,6 @@ from repro.runtime.process_transport import ProcessTransport
 from repro.runtime.supervision import (
     HeartbeatBoard,
     RankDiagnostics,
-    RestartPolicy,
-    TelemetryBoard,
     classify_exit,
 )
 from repro.runtime.telemetry import (
@@ -53,8 +55,6 @@ __all__ = [
     "RankDiagnostics",
     "RankTelemetry",
     "RemoteRankError",
-    "RestartPolicy",
-    "TelemetryBoard",
     "TelemetrySampler",
     "WorkerLostError",
     "classify_exit",

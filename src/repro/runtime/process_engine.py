@@ -1,12 +1,17 @@
 """Process-per-rank SPMD runner with the virtual engine's contract.
 
-``ProcessEngine(p, profile).run(main, args...)`` forks ``p`` OS
+``ProcessEngine(p, profile).run(main, args...)`` starts ``p`` OS
 processes, each executing ``main(comm, *args)`` against its own
 :class:`~repro.machine.comm.Comm` — the *same* rank programs, cost
 model, fault injector and collectives as the thread-per-rank
 :class:`~repro.machine.engine.Engine` — and returns the same
 :class:`~repro.machine.engine.RunReport`.  All reported times are still
 virtual; what the processes add is real multi-core wall-clock speed.
+A worker lives the thread rank's lifecycle: the engines share their
+constructor and ``run()`` checks (:class:`~repro.machine.engine.SPMDEngine`),
+the :class:`~repro.machine.comm.Comm` bootstrap
+(:func:`~repro.machine.engine.rank_comm`) and the end-of-run counter
+fold (:func:`~repro.machine.engine.fold_endpoint_counters`).
 
 Determinism guarantee (the cross-validation tests pin it down): every
 virtual-time decision is a pure function of the sender's clock and the
@@ -49,17 +54,19 @@ from typing import Any, Callable, Sequence
 
 from repro.machine import mailbox as _mailbox_mod
 from repro.machine.clock import PhaseTimings
-from repro.machine.comm import Comm, CommStats, DeadlockError
+from repro.machine.comm import CommStats, DeadlockError
 from repro.machine.costmodel import CostModel, MachineProfile
-from repro.machine.engine import RankResult, RunReport, raise_primary_error
-from repro.machine.faults import (
-    FaultInjector,
-    FaultPlan,
-    RankCrashedError,
-    ReliableConfig,
+from repro.machine.engine import (
+    RankResult,
+    RunReport,
+    SPMDEngine,
+    fold_endpoint_counters,
+    raise_primary_error,
+    rank_comm,
 )
+from repro.machine.faults import FaultPlan, RankCrashedError, ReliableConfig
 from repro.machine.profiles import ZERO_COST
-from repro.machine.trace import Trace, Tracer, WallRecorder
+from repro.machine.trace import Tracer
 from repro.runtime import shm as _shm_codec
 from repro.runtime import supervision as _sup
 from repro.runtime.process_transport import ProcessTransport
@@ -109,8 +116,8 @@ class ProcessWatchdogError(RuntimeError):
         self.timeout = timeout
         self.diagnostics = list(diagnostics) if diagnostics else []
         #: Real seconds the host spent quiescing the run (terminating
-        #: workers, draining queues, sweeping shm); filled in by the
-        #: engine's teardown so recovery can report it.
+        #: workers, sweeping shm); filled in by the engine's teardown so
+        #: recovery can report it.
         self.quiesce_seconds: float | None = None
         if header is None:
             header = (
@@ -162,22 +169,20 @@ class WorkerLostError(ProcessWatchdogError):
 
 def _worker_main(rank: int, size: int, transport: ProcessTransport,
                  result_q, main: Callable[..., Any], args: tuple,
-                 extra: tuple, profile: MachineProfile,
+                 extra: tuple, cost: CostModel,
                  recv_timeout: float | None,
                  fault_plan: FaultPlan | None,
                  reliable: ReliableConfig | None, trace: bool,
-                 result_prefix: str, board: HeartbeatBoard | None = None,
-                 heartbeat_interval: float =
-                 _sup.DEFAULT_HEARTBEAT_INTERVAL,
-                 wall_epoch: float | None = None) -> None:
+                 result_prefix: str, board: HeartbeatBoard,
+                 heartbeat_interval: float,
+                 wall_epoch: float | None) -> None:
     """Body of one rank process (module-level so ``spawn`` can pickle it)."""
     # Shed fork-inherited host state: the parent's registered shm
     # prefixes and SIGTERM sweep must not fire in a terminated worker
     # (they would reclaim blocks still in flight to other ranks).
     _shm_codec.forget_inherited_state()
     _sup.reset_worker_state()
-    if board is not None:
-        _sup.activate_worker(rank, board, fault_plan, heartbeat_interval)
+    _sup.activate_worker(rank, board, fault_plan, heartbeat_interval)
     # Renumber this process's messages into a rank-private seq range:
     # globally unique for trace stitching, monotone per sender — the only
     # property Message ordering consumes — so virtual times match the
@@ -187,29 +192,14 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
     _mailbox_mod._seq_counter = _mailbox_mod.SeqCounter(rank << SEQ_SHIFT)
     envelope: dict[str, Any] = {"rank": rank}
     comm = None
-    tracer = Tracer(size) if trace else None
-    # Dual-clock tracing: with an epoch from the host, every phase and
-    # transport operation is also recorded on the wall clock.  The
-    # recorder is pure observation — virtual accounting is untouched.
-    recorder = (WallRecorder(rank, wall_epoch)
-                if wall_epoch is not None else None)
     try:
-        cost = CostModel(profile, size)
-        injector = (FaultInjector(fault_plan, size)
-                    if fault_plan is not None else None)
         endpoint = transport.endpoint(rank)
-        endpoint.wall_tracer = recorder
-        comm = Comm(rank, size, cost, endpoint,
-                    recv_timeout=recv_timeout, injector=injector,
-                    reliable=reliable, tracer=tracer,
-                    wall_tracer=recorder)
+        comm = rank_comm(rank, size, cost, endpoint, recv_timeout,
+                         fault_plan, reliable,
+                         Tracer(size) if trace else None, wall_epoch)
+        # Queue puts, blocking reads and shm decodes on the wall track.
+        endpoint.wall_tracer = comm.wall_tracer
         _sup.attach_comm(comm)
-        if injector is not None:
-            t = injector.crash_time(rank)
-            if t is not None:
-                comm.clock.set_deadline(
-                    t, lambda r=rank, at=t: RankCrashedError(r, at)
-                )
         envelope["kind"] = "ok"
         envelope["value"] = main(comm, *args, *extra)
         # Clean return only: let copies still in flight to this rank
@@ -230,21 +220,17 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
                 "timeout": recv_timeout,
             }
     if comm is not None:
-        # += because a checkpoint restore may have seeded the counter
-        # with suppressions from before the rollback boundary.
-        comm.stats.duplicates_suppressed += \
-            comm.endpoint.duplicates_suppressed
-        g = comm.metrics.gauge("mailbox.max_pending")
-        g.set(max(g.value, comm.endpoint.max_pending))
+        fold_endpoint_counters(comm.stats, comm.metrics, comm.endpoint)
         envelope["time"] = comm.clock.now
         envelope["timings"] = comm.clock.timings
         envelope["stats"] = comm.stats
         envelope["metrics"] = comm.metrics
-    if tracer is not None:
-        envelope["trace"] = (tracer.phases[rank], tracer.sends[rank],
-                             tracer.recvs[rank])
-    if recorder is not None:
-        envelope["wall_trace"] = recorder.spans
+        tracer = comm.tracer
+        if tracer is not None:
+            envelope["trace"] = (tracer.phases[rank], tracer.sends[rank],
+                                 tracer.recvs[rank])
+        if comm.wall_tracer is not None:
+            envelope["wall_trace"] = comm.wall_tracer.spans
     try:
         data, block_info = _shm_codec.encode(envelope,
                                              name_prefix=result_prefix)
@@ -261,15 +247,13 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
         }, threshold=None)[0], None))
 
 
-class ProcessEngine:
-    """Runs SPMD programs on real ``multiprocessing`` workers.
+class ProcessEngine(SPMDEngine):
+    """Runs SPMD programs on real ``multiprocessing`` workers, started
+    with the platform's default method.
 
-    Constructor parameters mirror :class:`~repro.machine.engine.Engine`
-    (size, profile, ``recv_timeout``, ``fault_plan``, ``reliable``), plus:
+    Parameters are :class:`~repro.machine.engine.SPMDEngine`'s (size,
+    profile, ``recv_timeout``, ``fault_plan``, ``reliable``), plus:
 
-    start_method:
-        ``multiprocessing`` start method; ``None`` takes the platform
-        default (``fork`` on Linux — no pickling of the rank program).
     wall_timeout:
         Real-seconds budget for the whole run before the host terminates
         the workers and raises :class:`ProcessWatchdogError`.  Defaults
@@ -277,9 +261,6 @@ class ProcessEngine:
         (which produces the far more informative
         :class:`~repro.machine.comm.DeadlockError`) always gets to fire
         first; ``recv_timeout=None`` leaves the run unbounded.
-    shm_threshold:
-        Byte floor above which message arrays travel through shared
-        memory (``None`` disables the shared-memory path entirely).
     heartbeat_interval, heartbeat_timeout:
         Worker liveness cadence: each worker stamps the shared board
         every ``heartbeat_interval`` real seconds; the supervisor
@@ -294,37 +275,23 @@ class ProcessEngine:
         the callback are swallowed — telemetry must never kill a run.
     """
 
+    recoverable = (RankCrashedError, WorkerLostError)
+
     def __init__(self, size: int, profile: MachineProfile = ZERO_COST,
                  recv_timeout: float | None = 120.0,
                  fault_plan: FaultPlan | None = None,
                  reliable: ReliableConfig | bool | None = None,
-                 start_method: str | None = None,
                  wall_timeout: float | None = None,
-                 shm_threshold: int | None =
-                 _shm_codec.DEFAULT_SHM_THRESHOLD,
                  heartbeat_interval: float =
                  _sup.DEFAULT_HEARTBEAT_INTERVAL,
                  heartbeat_timeout: float =
                  _sup.DEFAULT_HEARTBEAT_TIMEOUT,
                  on_telemetry: Callable[[list], None] | None = None,
                  telemetry_interval: float = 1.0):
-        if size <= 0:
-            raise ValueError(f"engine size must be positive, got {size}")
-        self.size = size
-        self.profile = profile
-        self.cost = CostModel(profile, size)
-        self.recv_timeout = recv_timeout
-        self.fault_plan = fault_plan
-        if reliable is True:
-            reliable = ReliableConfig()
-        elif reliable is False:
-            reliable = None
-        self.reliable = reliable
-        self.start_method = start_method
+        super().__init__(size, profile, recv_timeout, fault_plan, reliable)
         if wall_timeout is None and recv_timeout is not None:
             wall_timeout = recv_timeout + 60.0
         self.wall_timeout = wall_timeout
-        self.shm_threshold = shm_threshold
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if heartbeat_timeout <= heartbeat_interval:
@@ -337,8 +304,6 @@ class ProcessEngine:
             raise ValueError("telemetry_interval must be positive")
         self.on_telemetry = on_telemetry
         self.telemetry_interval = telemetry_interval
-        #: Real seconds the most recent run spent quiescing (teardown).
-        self.last_quiesce_seconds: float | None = None
 
     def run(self, main: Callable[..., Any], *args: Any,
             rank_args: Sequence[Sequence[Any]] | None = None,
@@ -356,42 +321,28 @@ class ProcessEngine:
         a host-fixed epoch; they land on the same Trace as per-rank wall
         tracks.  Requires tracing to be on.
         """
-        if rank_args is not None and len(rank_args) != self.size:
-            raise ValueError(
-                f"rank_args must have {self.size} entries, got {len(rank_args)}"
-            )
-        if tracer is not None and not isinstance(tracer, bool) \
-                and tracer.size != self.size:
-            raise ValueError(
-                f"tracer sized for {tracer.size} ranks, engine has {self.size}"
-            )
-        trace_on = tracer is True or (tracer is not None
-                                      and not isinstance(tracer, bool))
-        if wall_trace and not trace_on:
-            raise ValueError("wall_trace requires tracing to be enabled")
-        wall_epoch = time.monotonic() if wall_trace else None
-        ctx = mp.get_context(self.start_method)
+        extras, tracer, wall_epoch = self._start(rank_args, tracer,
+                                                 wall_trace)
+        ctx = mp.get_context()
         shm_prefix = f"repro{os.getpid()}x{next(_run_counter)}"
         # Arm the crash sweep before any block can exist: if the host
         # itself dies past this point, atexit/SIGTERM hooks reclaim the
         # run's /dev/shm blocks.
         _shm_codec.register_prefix(shm_prefix)
-        transport = ProcessTransport(ctx, self.size, shm_prefix,
-                                     shm_threshold=self.shm_threshold)
+        transport = ProcessTransport(ctx, self.size, shm_prefix)
         board = HeartbeatBoard(ctx, self.size)
         result_q = ctx.Queue()
-        workers = []
-        for r in range(self.size):
-            extra = tuple(rank_args[r]) if rank_args is not None else ()
-            workers.append(ctx.Process(
+        workers = [
+            ctx.Process(
                 target=_worker_main,
                 args=(r, self.size, transport, result_q, main,
-                      tuple(args), extra, self.profile, self.recv_timeout,
-                      self.fault_plan, self.reliable, trace_on,
+                      tuple(args), extras[r], self.cost, self.recv_timeout,
+                      self.fault_plan, self.reliable, tracer is not None,
                       f"{shm_prefix}res", board, self.heartbeat_interval,
                       wall_epoch),
-                name=f"prank-{r}", daemon=True,
-            ))
+                name=f"prank-{r}", daemon=True)
+            for r in range(self.size)
+        ]
         envelopes: dict[int, dict[str, Any]] = {}
         failure: BaseException | None = None
         sampler = (TelemetrySampler(board, self.size)
@@ -449,12 +400,15 @@ class ProcessEngine:
             failure = exc
             raise
         finally:
-            # Quiesce: first error / watchdog ends the run — terminate
-            # survivors (the process analogue of the virtual engine's
-            # mailbox close), drain every queue (decoding undelivered
-            # messages is what unlinks their shm blocks), then sweep the
-            # run's prefix for blocks orphaned by killed processes.  On
-            # a clean run every worker has already exited.
+            # Quiesce: the first error or watchdog ends the run.  Terminate
+            # the survivors (the process analogue of the thread engine's
+            # mailbox close), retire every queue unread, and reclaim every
+            # shared-memory block the run made — message and result
+            # blocks, delivered or not — with one sweep of its prefix.
+            # Nothing is read after a terminate: a worker killed inside a
+            # put leaves a partial frame in the pipe, and a read would
+            # wait for the rest of it forever.  On a clean run every
+            # worker has already exited.
             t_quiesce = time.monotonic()
             for w in workers:
                 if w.is_alive():
@@ -467,7 +421,6 @@ class ProcessEngine:
                     w.kill()
                     w.join(timeout=5.0)
             transport.close()
-            self._drain_results(result_q, envelopes)
             result_q.close()
             result_q.cancel_join_thread()
             _shm_codec.cleanup_blocks(shm_prefix)
@@ -476,7 +429,7 @@ class ProcessEngine:
             if isinstance(failure, ProcessWatchdogError):
                 failure.quiesce_seconds = self.last_quiesce_seconds
 
-        return self._build_report(envelopes, trace_on, tracer)
+        return self._build_report(envelopes, tracer)
 
     def _diagnose(self, missing: list[int], workers,
                   board: HeartbeatBoard) -> list[RankDiagnostics]:
@@ -521,22 +474,8 @@ class ProcessEngine:
                 diagnostics=self._diagnose(missing, workers, board),
                 exitcode=None)
 
-    def _drain_results(self, result_q, envelopes: dict) -> None:
-        """Absorb late results (decoding frees their shm blocks)."""
-        while True:
-            try:
-                rank, data, block_info = result_q.get_nowait()
-            except (_queue.Empty, OSError, EOFError):
-                return
-            try:
-                envelopes.setdefault(rank,
-                                     _shm_codec.decode(data, block_info))
-            except Exception:  # pragma: no cover - torn-down block
-                pass
-
     def _build_report(self, envelopes: dict[int, dict[str, Any]],
-                      trace_on: bool,
-                      tracer: Tracer | bool | None) -> RunReport:
+                      tracer: Tracer | None) -> RunReport:
         ranks: list[RankResult] = []
         errors: list[tuple[int, BaseException]] = []
         for r in range(self.size):
@@ -561,18 +500,17 @@ class ProcessEngine:
                 stats=env.get("stats") or CommStats(),
                 metrics=env.get("metrics"), error=error))
         trace = None
-        if trace_on and not errors:
-            merged = tracer if isinstance(tracer, Tracer) \
-                else Tracer(self.size)
+        if tracer is not None and not errors:
+            # No error: the result loop only ends with every rank in.
             for r in range(self.size):
-                env = envelopes.get(r) or {}
-                phases, sends, recvs = env.get("trace") or ([], [], [])
-                merged.phases[r] = list(phases)
-                merged.sends[r] = list(sends)
-                merged.recvs[r] = list(recvs)
-                merged.wall_phases[r] = list(env.get("wall_trace") or [])
-            merged.final_times = [res.time for res in ranks]
-            trace = merged.finish()
+                env = envelopes[r]
+                phases, sends, recvs = env["trace"]
+                tracer.phases[r] = list(phases)
+                tracer.sends[r] = list(sends)
+                tracer.recvs[r] = list(recvs)
+                tracer.wall_phases[r] = list(env.get("wall_trace") or [])
+            tracer.final_times = [res.time for res in ranks]
+            trace = tracer.finish()
         report = RunReport(ranks=ranks, trace=trace)
         if errors:
             raise_primary_error(errors, partial_report=report)

@@ -44,47 +44,26 @@ class ProcessTransport:
     :class:`ProcessEndpoint` around the shared queue array.
     """
 
-    def __init__(self, ctx, size: int, shm_prefix: str,
-                 shm_threshold: int | None = _shm_codec.DEFAULT_SHM_THRESHOLD):
+    def __init__(self, ctx, size: int, shm_prefix: str):
         if size <= 0:
             raise ValueError(f"transport size must be positive, got {size}")
         self.size = size
         self.shm_prefix = shm_prefix
-        self.shm_threshold = shm_threshold
         self.queues = [ctx.Queue() for _ in range(size)]
 
     def endpoint(self, rank: int) -> "ProcessEndpoint":
         """Build rank ``rank``'s endpoint (call inside the worker)."""
-        return ProcessEndpoint(rank, self.size, self.queues,
-                               self.shm_prefix, self.shm_threshold)
-
-    def drain_leftovers(self) -> None:
-        """Decode-and-drop every undelivered message (host teardown).
-
-        Undelivered messages may own shared-memory blocks; decoding them
-        is what unlinks the blocks.  Called after all workers exited.
-        """
-        for q in self.queues:
-            while True:
-                try:
-                    src, data, block_info = q.get_nowait()
-                except (_queue.Empty, OSError, EOFError):
-                    break
-                if data is None:        # a fin marker owns no block
-                    continue
-                try:
-                    _shm_codec.decode(data, block_info)
-                except Exception:
-                    pass
+        return ProcessEndpoint(rank, self.size, self.queues, self.shm_prefix)
 
     def close(self) -> None:
-        """Drain in-flight payloads and retire every queue.
+        """Retire every queue unread (host teardown, workers gone).
 
+        What is left in a pipe is dropped with it: the engine's sweep of
+        the run's shm prefix reclaims any block a dropped message owned.
         ``cancel_join_thread`` matters on the recovery path: a queue
         whose feeder thread still holds buffered items from a worker
         that was SIGKILL'd must not block host shutdown.
         """
-        self.drain_leftovers()
         for q in self.queues:
             try:
                 q.close()
@@ -96,15 +75,13 @@ class ProcessTransport:
 class ProcessEndpoint(Endpoint):
     """One rank process's view of the transport."""
 
-    def __init__(self, rank: int, size: int, queues, shm_prefix: str,
-                 shm_threshold: int | None):
+    def __init__(self, rank: int, size: int, queues, shm_prefix: str):
         if not 0 <= rank < size:
             raise ValueError(f"rank {rank} out of range for size {size}")
         self.rank = rank
         self.size = size
         self._queues = queues
         self._shm_prefix = f"{shm_prefix}r{rank}"
-        self._shm_threshold = shm_threshold
         #: Decoded-message store: supplies matching, ordering and
         #: reliable-layer dedup, identical to the local transport.
         self._box = Mailbox(rank)
@@ -127,8 +104,7 @@ class ProcessEndpoint(Endpoint):
         data, block_info = _shm_codec.encode(
             (msg.arrival, msg.seq, msg.tag, msg.nbytes, msg.xmit_id,
              msg.payload),
-            name_prefix=self._shm_prefix, threshold=self._shm_threshold,
-        )
+            name_prefix=self._shm_prefix)
         self._queues[dst].put((msg.src, data, block_info))
         if wall is not None:
             wall.record(f"transport:send dst={dst}", w0, wall.now(),

@@ -25,7 +25,7 @@ exactly as well.  Aliasing of one array referenced twice inside a
 payload is preserved (both references decode to the same object).
 
 If the platform has no usable shared memory the codec degrades to plain
-pickling (``shm_threshold=None`` disables extraction explicitly).
+pickling (``threshold=None`` disables extraction explicitly).
 """
 
 from __future__ import annotations
@@ -257,7 +257,8 @@ def cleanup_blocks(name_prefix: str) -> int:
 
     Messages in flight when a run is torn down (a worker was terminated
     after another rank failed) would otherwise leak their blocks until
-    reboot.  Returns the number of blocks reclaimed.  POSIX-only; a
+    reboot; the process engine's teardown reclaims through this sweep
+    alone.  Returns the number of blocks reclaimed.  POSIX-only; a
     no-op where ``/dev/shm`` does not exist.
     """
     if _shm is None:

@@ -21,10 +21,9 @@ through which the deterministic process-fault plan acts — a worker
 whose plan says ``kill={rank: k}`` SIGKILLs itself at the top of step
 ``k``, and one with ``stall_heartbeat={rank: k}`` silences its
 heartbeat and hangs, exactly reproducing the two failure modes the
-supervisor must distinguish.
-
-:class:`RestartPolicy` bounds recovery: ``max_restarts`` respawns per
-run, exponential backoff between attempts.
+supervisor must distinguish.  What the host does about a lost worker —
+roll back and respawn, within a budget — is
+:class:`~repro.core.checkpoint.RestartPolicy`'s business.
 """
 
 from __future__ import annotations
@@ -170,10 +169,6 @@ class HeartbeatBoard:
         return int(self._ckpt_steps[rank])
 
 
-#: The board *is* the telemetry board; the alias names the role.
-TelemetryBoard = HeartbeatBoard
-
-
 def classify_exit(exitcode: int | None) -> str:
     """Human verdict for one ``Process.exitcode``."""
     if exitcode is None:
@@ -213,32 +208,6 @@ class RankDiagnostics:
         return (f"rank {self.rank}: {classify_exit(self.exitcode)}; "
                 f"last heartbeat {self.heartbeat_age:.1f}s ago; "
                 f"{step}{doing}")
-
-
-@dataclass(frozen=True)
-class RestartPolicy:
-    """Bounded respawn with exponential backoff.
-
-    ``delay(n)`` is how long to wait before restart attempt ``n``
-    (0-based): ``backoff_seconds * factor**n``, capped at ``cap``.
-    """
-
-    max_restarts: int = 3
-    backoff_seconds: float = 0.25
-    factor: float = 2.0
-    cap: float = 10.0
-
-    def __post_init__(self):
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be non-negative")
-        if self.factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
-
-    def delay(self, restart_no: int) -> float:
-        return min(self.backoff_seconds * self.factor ** restart_no,
-                   self.cap)
 
 
 # --------------------------------------------------------------- worker side

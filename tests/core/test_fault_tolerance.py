@@ -11,6 +11,7 @@ leave timings untouched.
 import numpy as np
 import pytest
 
+from repro import plummer
 from repro.bh.distributions import make_instance
 from repro.core.config import SchemeConfig
 from repro.core.simulation import ParallelBarnesHut
@@ -95,6 +96,28 @@ class TestCrashRecovery:
         assert np.array_equal(res.values, baseline.values)
         assert np.array_equal(res.positions, baseline.positions)
         assert np.array_equal(res.velocities, baseline.velocities)
+
+    def test_recovered_metrics_equal_uninterrupted(self):
+        """Rank 1 crashes mid step 2 of 3: every rank's whole metrics
+        snapshot of the recovered run equals the uninterrupted run's —
+        ``mailbox.max_pending`` included, which the checkpoint must fold
+        in from the endpoint like ``duplicates_suppressed``.  Virtual
+        backend only: on the process backend the high-water mark depends
+        on OS scheduling."""
+        def run(**kw):
+            return ParallelBarnesHut(
+                plummer(2000, seed=3), SchemeConfig(scheme="dpda"), p=2,
+                profile=NCUBE2, recv_timeout=120.0, **kw,
+            ).run(steps=3, dt=1e-3)
+
+        base = run()
+        mid_step_2 = (base.steps[0][1].virtual_seconds
+                      + 0.5 * base.steps[1][1].virtual_seconds)
+        hurt = run(fault_plan=FaultPlan(crash={1: mid_step_2}),
+                   checkpoint_every=1)
+        assert hurt.recoveries == 1
+        for ra, rb in zip(base.run.ranks, hurt.run.ranks):
+            assert ra.metrics.snapshot() == rb.metrics.snapshot()
 
     def test_crash_without_checkpoints_is_fatal(self):
         from repro.machine.faults import RankCrashedError

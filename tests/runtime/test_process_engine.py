@@ -1,11 +1,13 @@
 """ProcessEngine: RunReport contract, failure propagation, watchdog."""
 
 import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro import ParallelBarnesHut, SchemeConfig, plummer
 from repro.machine.comm import DeadlockError
 from repro.machine.engine import Engine
 from repro.machine.faults import FaultPlan, RankCrashedError
@@ -172,15 +174,104 @@ def test_trace_merge_matches_virtual_backend():
     assert set(p.trace.sends_by_seq()) >= {e.seq for e in p.trace.all_recvs()}
 
 
+def _shm_names():
+    return {f for f in os.listdir("/dev/shm") if f.startswith("repro")}
+
+
 def test_no_shared_memory_leaks_after_runs():
-    before = {f for f in os.listdir("/dev/shm") if f.startswith("repro")}
+    before = _shm_names()
     ProcessEngine(2, NCUBE2).run(_traced)
     with pytest.raises(RemoteRankError):
         ProcessEngine(3, recv_timeout=10.0).run(_boom)
-    after = {f for f in os.listdir("/dev/shm") if f.startswith("repro")}
-    assert after <= before
+    assert _shm_names() <= before
 
 
 def test_engine_size_validated():
     with pytest.raises(ValueError, match="positive"):
         ProcessEngine(0)
+
+
+def test_one_rank_lifecycle():
+    """Both engines share one constructor; the process engine has no
+    start-method or shm-threshold option and no second reclamation
+    path, and the board has one name."""
+    import repro.runtime
+    from repro.machine.engine import SPMDEngine
+    from repro.runtime.process_transport import ProcessTransport
+
+    assert issubclass(Engine, SPMDEngine)
+    assert issubclass(ProcessEngine, SPMDEngine)
+    for option in ("start_method", "shm_threshold"):
+        with pytest.raises(TypeError):
+            ProcessEngine(2, **{option: None})
+    assert not hasattr(ProcessTransport, "drain_leftovers")
+    assert not hasattr(ProcessEngine, "_drain_results")
+    assert not hasattr(repro.runtime, "TelemetryBoard")
+    assert Engine(2).last_quiesce_seconds == 0.0
+
+
+def _full_pipe(comm):
+    # 1 MiB of bytes rides the pipe (only arrays go through shm): far
+    # more than a pipe buffer, so rank 0's queue feeder is still writing
+    # it when the host terminates rank 0.
+    if comm.rank == 0:
+        comm.send(b"x" * (1 << 20), dst=1, tag=5)
+        return 0
+    raise ValueError("rank 1 fails before reading")
+
+
+def _within(seconds, fn):
+    """``fn()``'s outcome as ``{"value": ...}`` or ``{"error": ...}``,
+    run on a daemon thread: a hung teardown fails the test after
+    ``seconds`` instead of wedging the suite."""
+    box = {}
+
+    def body():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    t = threading.Thread(target=body, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"still running after {seconds} s"
+    return box
+
+
+def _plummer_dpda(**kw):
+    sim = ParallelBarnesHut(plummer(2000, seed=3),
+                            SchemeConfig(scheme="dpda"), p=2,
+                            profile=NCUBE2, recv_timeout=60.0,
+                            backend="process", **kw)
+    return sim.run(steps=3, dt=1e-3)
+
+
+def test_failed_run_tears_down_with_a_full_pipe():
+    """A worker terminated inside a ``put`` leaves a partial frame in
+    the pipe; teardown must not read it (the read would wait for the
+    rest forever) and must still reclaim every shm block."""
+    box = _within(10.0, lambda: ProcessEngine(2, recv_timeout=10.0)
+                  .run(_full_pipe))
+    assert isinstance(box.get("error"), RemoteRankError), box
+    assert box["error"].rank == 1
+
+    # The same teardown inside crash recovery: rank 1 crashes mid step
+    # 2 of 3 while rank 0 may be mid-put; the run must roll back and
+    # finish bitwise equal to the uninterrupted one, leaking nothing.
+    before = _shm_names()
+    base = _within(60.0, _plummer_dpda)["value"]
+    mid_step_2 = (base.steps[0][1].virtual_seconds
+                  + 0.5 * base.steps[1][1].virtual_seconds)
+    box = _within(60.0, lambda: _plummer_dpda(
+        fault_plan=FaultPlan(crash={1: mid_step_2}), checkpoint_every=1))
+    hurt = box.get("value")
+    assert hurt is not None, box
+    assert hurt.recoveries == 1
+    assert np.array_equal(hurt.values, base.values)
+    assert np.array_equal(hurt.positions, base.positions)
+    assert np.array_equal(hurt.velocities, base.velocities)
+    for ra, rb in zip(base.run.ranks, hurt.run.ranks):
+        assert (ra.time, ra.timings, ra.stats) == (rb.time, rb.timings,
+                                                   rb.stats)
+    assert _shm_names() == before

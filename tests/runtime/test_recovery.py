@@ -18,11 +18,11 @@ import pytest
 
 import repro.core.simulation as simulation
 from repro import ParallelBarnesHut, SchemeConfig, plummer
-from repro.core.checkpoint import DiskCheckpointStore
+from repro.core.checkpoint import DiskCheckpointStore, RestartPolicy
 from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.profiles import NCUBE2
 from repro.runtime.process_engine import WorkerLostError
-from repro.runtime.supervision import RestartPolicy, classify_exit
+from repro.runtime.supervision import classify_exit
 
 P = 4
 STEPS = 2
@@ -255,13 +255,20 @@ def test_classify_exit():
 
 
 def test_restart_policy_backoff():
-    pol = RestartPolicy(max_restarts=5, backoff_seconds=0.25,
-                        factor=2.0, cap=1.0)
+    assert (RestartPolicy.factor, RestartPolicy.cap) == (2.0, 10.0)
+    pol = RestartPolicy(max_restarts=5, backoff_seconds=0.25)
     assert pol.delay(0) == 0.25
     assert pol.delay(1) == 0.5
     assert pol.delay(2) == 1.0
-    assert pol.delay(10) == 1.0   # capped
+    assert pol.delay(10) == 10.0   # capped
     with pytest.raises(ValueError):
         RestartPolicy(max_restarts=-1)
     with pytest.raises(ValueError):
-        RestartPolicy(factor=0.5)
+        RestartPolicy(backoff_seconds=-0.5)
+    # The simulation's two options are this policy, checks included.
+    sim = ParallelBarnesHut(plummer(64, seed=5), SchemeConfig(), p=2,
+                            max_restarts=5, restart_backoff=0.25)
+    assert sim.restart_policy == pol
+    with pytest.raises(ValueError):
+        ParallelBarnesHut(plummer(64, seed=5), SchemeConfig(), p=2,
+                          max_restarts=-1)

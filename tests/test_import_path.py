@@ -79,6 +79,19 @@ def test_one_arithmetic_backend():
     assert exc.value.code == 2
 
 
+def test_building_a_simulation_loads_no_process_runtime():
+    """The restart policy lives with the checkpoints, so the host driver
+    holds one without importing the process backend."""
+    code = ("import sys; from repro import ParallelBarnesHut, SchemeConfig, "
+            "plummer; sim = ParallelBarnesHut(plummer(64, seed=1), "
+            "SchemeConfig(), p=2, max_restarts=2); "
+            "print(sim.restart_policy.max_restarts, "
+            "'repro.runtime' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["2", "False"]
+
+
 def test_importing_repro_loads_no_tests_or_examples():
     code = ("import sys, repro.__main__, repro.analysis, repro.runtime; "
             "print([m for m in sys.modules "
