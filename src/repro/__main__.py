@@ -81,6 +81,16 @@ class _InputError(Exception):
     refused: ``main`` reports it as one line, not a traceback."""
 
 
+def _run_sim(sim, args, trace: bool):
+    """``sim.run``, reporting the option combinations it refuses (its
+    ``ValueError``; a failed rank surfaces as a ``RuntimeError``) as an
+    :class:`_InputError`."""
+    try:
+        return sim.run(steps=args.steps, dt=args.dt, trace=trace)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+
+
 def _build_sim(args):
     """Shared setup for ``run`` and ``trace``: instance, config, sim."""
     from repro import ParallelBarnesHut, SchemeConfig, make_instance
@@ -156,12 +166,7 @@ def _cmd_run(args) -> int:
         print(f"checkpoints: {args.checkpoint_dir}"
               + (" (resuming)" if args.resume else ""))
 
-    if args.timestep == "block" and args.dt is None:
-        print("error: --timestep block advances particles; give --dt",
-              file=sys.stderr)
-        return 2
-    result = sim.run(steps=args.steps, dt=args.dt,
-                     trace=bool(args.trace_out))
+    result = _run_sim(sim, args, trace=bool(args.trace_out))
 
     if result.resumed_from is not None:
         print(f"\nresumed from checkpointed step {result.resumed_from}")
@@ -246,7 +251,7 @@ def _cmd_trace(args) -> int:
           f"| {args.scheme.upper()} on {profile.name} x{args.procs} "
           f"| alpha={args.alpha} degree={args.degree} mode={args.mode} "
           f"| {args.steps} step(s), traced")
-    result = sim.run(steps=args.steps, dt=args.dt, trace=True)
+    result = _run_sim(sim, args, trace=True)
     trace = result.trace
 
     print(f"\nvirtual parallel time   {result.parallel_time:10.3f} s")

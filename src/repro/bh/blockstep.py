@@ -4,8 +4,10 @@ The global-dt loop evaluates every force every step; with individual
 timesteps (Valdarnini's parallel treecode, Dubinski's hierarchical
 scheme) each particle integrates on its own power-of-two subdivision of
 the macro step, so most substeps touch only a small *active bin-set* —
-and the tree work shrinks to match via :mod:`repro.bh.tree_repair` and
-the walk-cache invalidation in :class:`~..interaction_lists.TraversalEngine`.
+and the tree work shrinks to match via :mod:`repro.bh.tree_repair`.
+Force walks are streamed: a substep's finishers have always just
+drifted, so no target batch is ever presented twice and there is no
+walk worth keeping.
 
 Scheme (standard block-KDK):
 
@@ -28,21 +30,22 @@ recovery relies on when it restores checkpointed bin state.
 
 ``tree_mode="rebuild"`` keeps the full per-substep rebuild as the
 oracle/baseline; ``"repair"`` must produce bitwise-identical
-trajectories (repaired trees are bitwise-equal to rebuilds, and walks
-are keyed by target positions).  ``max_rungs=1`` degenerates to plain
-global-dt KDK.
+trajectories (repaired trees are bitwise-equal to rebuilds, and either
+way each force evaluation is one :func:`~repro.bh.traversal.traverse`
+over the current tree).  ``max_rungs=1`` degenerates to plain global-dt
+KDK.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bh.interaction_lists import TraversalEngine
 from repro.bh.mac import BarnesHutMAC
 from repro.bh import morton
 from repro.bh.morton import morton_keys
 from repro.bh.multipole import MonopoleExpansion
 from repro.bh.particles import Box, ParticleSet
+from repro.bh.traversal import traverse
 from repro.bh.tree import build_tree
 from repro.bh.tree_repair import repair_tree
 
@@ -131,8 +134,7 @@ class BlockTimestepper:
                  softening: float, eta: float = 0.2, max_rungs: int = 4,
                  alpha: float = 0.8, leaf_capacity: int = 16,
                  box: Box | None = None, max_depth: int | None = None,
-                 tree_mode: str = "repair", dirty_threshold: float = 0.25,
-                 collapse_chains: bool = True):
+                 tree_mode: str = "repair", collapse_chains: bool = True):
         if dt <= 0:
             raise ValueError(f"time-step must be positive, got {dt}")
         if tree_mode not in ("repair", "rebuild"):
@@ -144,7 +146,6 @@ class BlockTimestepper:
         self.eta = float(eta)
         self.max_rungs = int(max_rungs)
         self.tree_mode = tree_mode
-        self.dirty_threshold = float(dirty_threshold)
         self.collapse_chains = bool(collapse_chains)
         self.leaf_capacity = int(leaf_capacity)
         d = particles.dims
@@ -169,7 +170,6 @@ class BlockTimestepper:
                                max_depth=self.bits,
                                collapse_chains=self.collapse_chains,
                                keys=self.keys)
-        self.engine = self._new_engine(self.tree)
         self.accel = self._forces(np.arange(particles.n))
         self.rungs = assign_rungs(self.accel, self.dt, self.eta,
                                   self.softening, self.max_rungs)
@@ -180,17 +180,12 @@ class BlockTimestepper:
     def _keys_of(self, positions: np.ndarray) -> np.ndarray:
         return morton_keys(positions, self.box.lo, self.box.side, self.bits)
 
-    def _new_engine(self, tree) -> TraversalEngine:
-        return TraversalEngine(tree, sources=self.particles, mac=self.mac,
-                               softening=self.softening)
-
     def _forces(self, idx: np.ndarray) -> np.ndarray:
         """Accelerations at the current positions of particles ``idx``."""
-        res = self.engine.compute(
-            self.particles.positions[idx],
-            MonopoleExpansion(self.tree, softening=self.softening),
-            mode="force",
-        )
+        res = traverse(self.tree, self.particles,
+                       self.particles.positions[idx], self.mac,
+                       MonopoleExpansion(self.tree, softening=self.softening),
+                       mode="force", softening=self.softening)
         self.stats["timestep.force_targets"] += int(idx.size)
         return res.values
 
@@ -202,16 +197,13 @@ class BlockTimestepper:
                                    max_depth=self.bits,
                                    collapse_chains=self.collapse_chains,
                                    keys=new_keys)
-            self.engine = self._new_engine(self.tree)
             self.stats["repair.full_rebuilds"] += 1
             self.stats["repair.nodes_rebuilt"] += self.tree.nnodes
         else:
             res = repair_tree(self.tree, self.particles, self.keys,
                               new_keys, moved,
-                              collapse_chains=self.collapse_chains,
-                              dirty_threshold=self.dirty_threshold)
+                              collapse_chains=self.collapse_chains)
             self.tree = res.tree
-            self.engine.apply_repair(res)
             if res.rebuilt:
                 self.stats["repair.full_rebuilds"] += 1
             else:

@@ -20,15 +20,13 @@ them:
    Those two passes (:func:`evaluate_pairs`) are every force path's,
    data shipping's included.
 
-:class:`TraversalEngine` pairs the two over one tree, two ways.
-:meth:`~TraversalEngine.compute_once` *streams*: each chunk of
-:data:`STREAM_CHUNK_TARGETS` targets is walked, evaluated and dropped
-before the next is walked, so a batch holds one chunk's lists whatever
-its size — every force evaluation of a simulation step goes this way,
-none is ever presented again.  :meth:`~TraversalEngine.compute` caches
-the whole batch's lists by target fingerprint: they depend only on tree
-geometry, MAC and target positions, so one walk serves both modes, every
-multipole degree and any number of re-evaluations (the serial helpers).
+:class:`TraversalEngine` pairs the two over one tree and *streams*:
+:meth:`~TraversalEngine.compute` walks, evaluates and drops each chunk
+of :data:`STREAM_CHUNK_TARGETS` targets before the next is walked, so a
+batch holds one chunk's lists whatever its size.  Nothing is cached:
+no caller presents one target batch twice (a block substep's targets
+have just drifted, a served drain is whatever arrived), so no walk
+would be reused.
 
 Exactness contract: the walk applies the MAC with the same
 floating-point operations as :class:`~repro.bh.mac.BarnesHutMAC.accept`,
@@ -60,7 +58,7 @@ from repro.bh.tree import NO_CHILD, Tree
 #: 4 MiB beats 16 MiB by ~15%.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
 
-#: Targets per streamed chunk of :meth:`TraversalEngine.compute_once`.
+#: Targets per streamed chunk of :meth:`TraversalEngine.compute`.
 #: Measured on the serial n=10k benchmark: 512 costs +35 % wall over
 #: whole-batch walks (the Python descent is paid per chunk), 2048 +5 %,
 #: 4096 nothing; at n=100k chunking beats merely not retaining the
@@ -128,8 +126,7 @@ class InteractionLists:
     mac_per_target: np.ndarray     # (nt,) int64 MAC tests per target
     p2p_interactions: int
     # every MAC decision the walk made, one row per tested (node,
-    # target) pair — the evidence walk-cache invalidation re-checks
-    # after a tree repair (see TraversalEngine.apply_repair)
+    # target) pair
     tested_node: np.ndarray = None  # type: ignore[assignment]
     tested_tgt: np.ndarray = None  # type: ignore[assignment]
     tested_ok: np.ndarray = None  # type: ignore[assignment]
@@ -361,47 +358,6 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     )
 
 
-def subset_interaction_lists(lists: InteractionLists,
-                             idx: np.ndarray) -> InteractionLists:
-    """Restrict prebuilt lists to the targets at positions ``idx``.
-
-    Per-target walk decisions are independent, so filtering the pair
-    rows reproduces *exactly* the interaction sets and counters a fresh
-    walk over ``lists.targets[idx]`` would produce — only list entry
-    order (fp accumulation order) differs.  This is how block timesteps
-    evaluate a surviving cached walk for just the active bin-set.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    member = np.zeros(lists.nt, dtype=bool)
-    member[idx] = True
-    remap = np.full(lists.nt, -1, dtype=np.int64)
-    remap[idx] = np.arange(idx.size)
-
-    def keep(node, tgt):
-        m = member[tgt]
-        return node[m], remap[tgt[m]]
-
-    cn, ct = keep(lists.cluster_node, lists.cluster_tgt)
-    pl, pt = keep(lists.p2p_leaf, lists.p2p_tgt)
-    sizes = lists.p2p_sizes[member[lists.p2p_tgt]]
-    tn, tt = keep(lists.tested_node, lists.tested_tgt)
-    to = lists.tested_ok[member[lists.tested_tgt]]
-    remote: dict[int, np.ndarray] = {}
-    for node, tgts in lists.remote_targets.items():
-        kept = tgts[member[tgts]]
-        if kept.size:
-            remote[node] = remap[kept]
-    mpt = lists.mac_per_target[idx]
-    return InteractionLists(
-        targets=lists.targets[idx], nt=int(idx.size), d=lists.d,
-        cluster_node=cn, cluster_tgt=ct, p2p_leaf=pl, p2p_tgt=pt,
-        p2p_sizes=sizes, remote_targets=remote,
-        mac_tests=int(mpt.sum()), mac_per_target=mpt,
-        p2p_interactions=int(sizes.sum()),
-        tested_node=tn, tested_tgt=tt, tested_ok=to,
-    )
-
-
 # -------------------------------------------------------------- evaluation
 def _accumulate(values: np.ndarray, tgt: np.ndarray,
                 contrib: np.ndarray, nt: int) -> None:
@@ -616,96 +572,35 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
 
 # ------------------------------------------------------------------ engine
 class TraversalEngine:
-    """Streamed (:meth:`compute_once`) or build-once/evaluate-many
-    (:meth:`compute`) traversal over one tree.
+    """Streamed traversal over one tree: walk, evaluate, drop.
 
-    :meth:`compute` caches lists under a fingerprint of the target
-    positions; any evaluation against targets already walked (same
-    positions, any evaluator, any mode) reuses them and skips the walk.
-    ``walks_built`` / ``walks_reused`` count the cache traffic.
+    ``walks_built`` counts :meth:`compute` calls, ``stream_chunks`` the
+    chunks they evaluated, ``lists_peak_bytes`` the most list bytes one
+    chunk held.
     """
 
     def __init__(self, tree: Tree, sources=None, mac=None,
-                 root: int | None = None, softening: float = 0.0,
-                 cache_size: int = 8):
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
+                 root: int | None = None, softening: float = 0.0):
         self.tree = tree
         self.sources = sources
         self.mac = mac
         self.root = root
         self.softening = softening
-        self._cache: dict[tuple, InteractionLists] = {}
-        self._cache_size = cache_size
         self.walks_built = 0
-        self.walks_reused = 0
-        self.stream_chunks = 0          # chunks compute_once evaluated
-        self.lists_peak_bytes = 0       # most list bytes one chunk held
-        self.walks_retained = 0
-        self.walks_invalidated = 0
-        self.walks_retested = 0
-
-    def _fingerprint(self, targets: np.ndarray) -> tuple:
-        t = np.ascontiguousarray(targets)
-        return (t.shape, hash(t.tobytes()))
-
-    def lists_for(self, target_positions: np.ndarray) -> InteractionLists:
-        """Fetch or build the interaction lists for a target batch."""
-        targets = np.atleast_2d(
-            np.asarray(target_positions, dtype=np.float64))
-        key = self._fingerprint(targets)
-        hit = self._cache.get(key)
-        if hit is not None and np.array_equal(hit.targets, targets):
-            self.walks_reused += 1
-            return hit
-        lists = build_interaction_lists(self.tree, targets, self.mac,
-                                        root=self.root)
-        self.walks_built += 1
-        if len(self._cache) >= self._cache_size:
-            # evict the oldest entry (dict preserves insertion order)
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = lists
-        return lists
-
-    def _evaluate(self, lists: InteractionLists, sources, evaluator,
-                  mode: str, count_node_interactions: bool,
-                  target_weights: np.ndarray | None) -> TraversalResult:
-        return evaluate_interaction_lists(
-            self.tree, lists, sources, evaluator, mode=mode,
-            softening=self.softening,
-            count_node_interactions=count_node_interactions,
-            target_weights=target_weights,
-        )
+        self.stream_chunks = 0
+        self.lists_peak_bytes = 0
 
     def compute(self, target_positions: np.ndarray, evaluator,
                 mode: str = "potential",
                 count_node_interactions: bool = False,
-                target_weights: np.ndarray | None = None,
-                target_subset: np.ndarray | None = None
+                target_weights: np.ndarray | None = None
                 ) -> TraversalResult:
-        """One evaluation: reuses a cached walk when possible.
-
-        ``target_subset`` (indices into the target batch) restricts the
-        evaluation to the active subset of an already-walked batch —
-        values come back aligned with the subset.  The full walk is
-        what gets cached; subset filtering is cheap masking."""
-        lists = self.lists_for(target_positions)
-        if target_subset is not None:
-            lists = subset_interaction_lists(lists, target_subset)
-        return self._evaluate(lists, self.sources, evaluator, mode,
-                              count_node_interactions, target_weights)
-
-    def compute_once(self, target_positions: np.ndarray, evaluator,
-                     mode: str = "potential",
-                     count_node_interactions: bool = False,
-                     target_weights: np.ndarray | None = None
-                     ) -> TraversalResult:
-        """For a batch nobody will present again: per chunk of
-        :data:`STREAM_CHUNK_TARGETS` targets, walk, evaluate, drop the
-        lists.  The cache is neither probed nor filled; the batch
-        counts once in ``walks_built``.  Per-target decisions are
-        independent, so chunks merge exactly (remote indices re-based,
-        chunks ascending); only fp summation order differs."""
+        """Per chunk of :data:`STREAM_CHUNK_TARGETS` targets, walk,
+        evaluate, drop the lists; the batch counts once in
+        ``walks_built``.  Per-target decisions are independent, so
+        chunks merge exactly (remote indices re-based, chunks
+        ascending); only fp summation order differs from one
+        whole-batch walk."""
         targets = np.atleast_2d(
             np.asarray(target_positions, dtype=np.float64))
         nt, d = targets.shape
@@ -718,9 +613,12 @@ class TraversalEngine:
             chunk = slice(lo, lo + STREAM_CHUNK_TARGETS)
             lists = build_interaction_lists(self.tree, targets[chunk],
                                             self.mac, root=self.root)
-            res = self._evaluate(
-                lists, layout, evaluator, mode, count_node_interactions,
-                None if target_weights is None else target_weights[chunk])
+            res = evaluate_interaction_lists(
+                self.tree, lists, layout, evaluator, mode=mode,
+                softening=self.softening,
+                count_node_interactions=count_node_interactions,
+                target_weights=(None if target_weights is None
+                                else target_weights[chunk]))
             self.stream_chunks += 1
             self.lists_peak_bytes = max(self.lists_peak_bytes, lists.nbytes())
             result.values[chunk] = res.values
@@ -732,73 +630,3 @@ class TraversalEngine:
                                  for n in sorted(remote)}
         self.walks_built += 1
         return result
-
-    def apply_repair(self, repair, sources=None) -> None:
-        """Carry the engine across a tree repair
-        (:func:`~repro.bh.tree_repair.repair_tree`): swap in the
-        repaired tree and decide, per cached walk, whether its recorded
-        accept/open decisions still hold.
-
-        A walk is **evicted** when any node it touched was deleted, any
-        node it *opened* has different child cells, or any p2p leaf's
-        slice length changed.  If surviving nodes are merely
-        value-dirty (monopole moved), the stored MAC decisions are
-        re-tested against the new tree and the walk survives only if
-        every decision is unchanged — then its node ids are remapped
-        and it keeps serving evaluations (new monopoles are gathered at
-        eval time, so values track the repaired tree automatically).
-        """
-        self.tree = repair.tree
-        if sources is not None:
-            self.sources = sources
-        if repair.rebuilt or repair.id_map is None:
-            self.walks_invalidated += len(self._cache)
-            self._cache.clear()
-            return
-        id_map = repair.id_map
-        cc = repair.children_changed
-        ctc = repair.count_changed
-        vd = repair.value_dirty
-        tree = repair.tree
-        kept: dict[tuple, InteractionLists] = {}
-        for key, lists in self._cache.items():
-            tn, tt, ok = lists.tested_node, lists.tested_tgt, lists.tested_ok
-            touched = np.concatenate([tn, lists.p2p_leaf,
-                                      lists.cluster_node,
-                                      np.fromiter(lists.remote_targets,
-                                                  dtype=np.int64,
-                                                  count=len(
-                                                      lists.remote_targets))])
-            if touched.size and (id_map[touched] < 0).any():
-                self.walks_invalidated += 1
-                continue
-            opened = tn[~ok]
-            if (opened.size and cc[opened].any()) \
-                    or (lists.p2p_leaf.size
-                        and (cc[lists.p2p_leaf].any()
-                             or ctc[lists.p2p_leaf].any())):
-                self.walks_invalidated += 1
-                continue
-            stale = np.flatnonzero(vd[tn]) if tn.size else tn
-            if stale.size:
-                nid = id_map[tn[stale]]
-                t = lists.targets[tt[stale]]
-                h = tree.half[nid]
-                diff = t - tree.com[nid]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                renew = (2.0 * h < self.mac.alpha * dist) \
-                    & ~np.all(np.abs(t - tree.center[nid]) < h[:, None],
-                              axis=1)
-                self.walks_retested += 1
-                if not np.array_equal(renew, ok[stale]):
-                    self.walks_invalidated += 1
-                    continue
-            lists.cluster_node = id_map[lists.cluster_node]
-            lists.p2p_leaf = id_map[lists.p2p_leaf]
-            lists.tested_node = id_map[tn]
-            lists.remote_targets = {int(id_map[n]): v for n, v
-                                    in lists.remote_targets.items()}
-            lists._p2p_groups = None     # bound to old node ids/slices
-            kept[key] = lists
-            self.walks_retained += 1
-        self._cache = kept

@@ -211,17 +211,16 @@ def m2m_shift(coeffs: np.ndarray, shift: np.ndarray, degree: int) -> np.ndarray:
     return _m2m_rows(coeffs[None, :], R, degree)[0]
 
 
-def m2m_upward(tree: Tree, coeffs: np.ndarray, degree: int,
-               restrict: np.ndarray | None = None) -> None:
+def m2m_upward(tree: Tree, coeffs: np.ndarray, degree: int) -> None:
     """The M2M half of an upward pass, in place, for local trees and
-    the merged top tree alike: every local internal node (of the
-    ``restrict`` mask) becomes the sum of its children's shifted
-    expansions, deepest level first.  The shifts are geometry, so one
-    call gives the harmonics of them all; the contraction stays per
-    (level, child-count) bucket with a left fold over children in slot
-    order — the repeated ``+=`` of a per-node scan, not a pairwise sum —
-    so the result is bitwise that of per-child :func:`m2m_shift`."""
-    groups = list(tree._internal_child_groups(restrict))
+    the merged top tree alike: every local internal node becomes the
+    sum of its children's shifted expansions, deepest level first.  The
+    shifts are geometry, so one call gives the harmonics of them all;
+    the contraction stays per (level, child-count) bucket with a left
+    fold over children in slot order — the repeated ``+=`` of a per-node
+    scan, not a pairwise sum — so the result is bitwise that of
+    per-child :func:`m2m_shift`."""
+    groups = list(tree._internal_child_groups())
     if not groups:
         return
     R = regular_terms(np.concatenate(
@@ -428,40 +427,22 @@ class TreeMultipoles:
         self.degree = degree
         self.coeffs = np.zeros((tree.nnodes, self.expansion.nterms),
                                dtype=np.complex128)
-        #: :func:`m2p_table` of ``coeffs``: derived, built on first use,
-        #: dropped whenever ``_build`` / ``refresh`` writes coefficients
+        #: :func:`m2p_table` of ``coeffs``: derived, built on first use
+        #: (the coefficients are final by then)
         self._table: np.ndarray | None = None
         if particles is not None:
             self._build(particles)
 
-    def refresh(self, particles: ParticleSet, nodes: np.ndarray) -> None:
-        """Recompute expansions for ``nodes`` only (tree repair: stale
-        nodes on dirty root-paths), assuming every untouched node holds
-        valid coefficients.  Bitwise equal to a full build restricted to
-        those rows, because every grouped reduction in :meth:`_build`
-        is per-row independent."""
-        self.coeffs[nodes] = 0.0
-        self._build(particles, nodes)
-
-    def _build(self, particles: ParticleSet,
-               nodes: np.ndarray | None = None) -> None:
+    def _build(self, particles: ParticleSet) -> None:
         """Upward pass: one harmonics call over every leaf particle, a
         batched P2M ``matmul`` per leaf length, then :func:`m2m_upward`.
         Bitwise equal to the per-node reverse scan it replaced (the
         harmonics are elementwise, the batched ``matmul`` reproduces the
-        per-leaf one).  ``nodes`` restricts the pass (see
-        :meth:`refresh`)."""
+        per-leaf one)."""
         tree = self.tree
-        self._table = None
-        restrict = None
-        if nodes is not None:
-            restrict = np.zeros(tree.nnodes, dtype=bool)
-            restrict[nodes] = True
-        leaf_mask = ((tree.children == NO_CHILD).all(axis=1)
-                     & (tree.remote_owner < 0) & (tree.end > tree.start))
-        if restrict is not None:
-            leaf_mask &= restrict
-        leaves = np.flatnonzero(leaf_mask)
+        leaves = np.flatnonzero((tree.children == NO_CHILD).all(axis=1)
+                                & (tree.remote_owner < 0)
+                                & (tree.end > tree.start))
         lengths = (tree.end - tree.start)[leaves]
         by_length = np.argsort(lengths, kind="stable")
         leaves, lengths = leaves[by_length], lengths[by_length]
@@ -481,7 +462,7 @@ class TreeMultipoles:
             self.coeffs[leaves[a:b]] = np.matmul(
                 q[rows].reshape(b - a, 1, L),
                 R[rows].reshape(b - a, L, -1))[:, 0, :]
-        m2m_upward(tree, self.coeffs, self.degree, restrict)
+        m2m_upward(tree, self.coeffs, self.degree)
 
     # Cluster interface of the evaluation pass: the multipole series of
     # every accepted (node, target) pair of a chunk in one :func:`m2p`.

@@ -14,27 +14,24 @@ processors) never contribute locally; the traversal returns, per remote
 node, the indices of the targets that need shipping — which the parallel
 engine turns into bins.
 
-Since the interaction-list engine (:mod:`repro.bh.interaction_lists`),
-:func:`traverse` runs in two phases: a list-building walk and a fused
-evaluation pass.  The counters, remote-target sets, per-node interaction
-counts and per-target weights are identical to the classical single-pass
-loop, which the tests keep as their cross-check oracle
-(``tests/oracles/traversal.py``).
+:func:`traverse` is one :meth:`TraversalEngine.compute
+<repro.bh.interaction_lists.TraversalEngine.compute>`: per chunk of
+targets, a list-building walk, a fused evaluation pass, and the lists
+dropped — the one walk-then-evaluate sequence of every force path.  The
+counters, remote-target sets, per-node interaction counts and per-target
+weights are identical to the classical single-pass loop, which the
+tests keep as their cross-check oracle (``tests/oracles/traversal.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bh.interaction_lists import (
-    TraversalResult,
-    build_interaction_lists,
-    evaluate_interaction_lists,
-)
+from repro.bh.interaction_lists import TraversalEngine, TraversalResult
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.particles import ParticleSet
-from repro.bh.tree import Tree
+from repro.bh.tree import Tree, build_tree
 
 __all__ = [
     "TraversalResult",
@@ -77,9 +74,9 @@ def traverse(tree: Tree, sources: ParticleSet | None,
         use this to attribute *requester-side* work (top-tree walking)
         to the particles that caused it.
     """
-    lists = build_interaction_lists(tree, target_positions, mac, root=root)
-    return evaluate_interaction_lists(
-        tree, lists, sources, evaluator, mode=mode, softening=softening,
+    return TraversalEngine(tree, sources, mac, root=root,
+                           softening=softening).compute(
+        target_positions, evaluator, mode=mode,
         count_node_interactions=count_node_interactions,
         target_weights=target_weights,
     )
@@ -87,51 +84,31 @@ def traverse(tree: Tree, sources: ParticleSet | None,
 
 def compute_forces(particles: ParticleSet, alpha: float = 0.67,
                    leaf_capacity: int = 8, softening: float = 0.0,
-                   tree: Tree | None = None,
-                   engine=None) -> TraversalResult:
-    """Serial Barnes-Hut forces on all particles (monopole, Section 5.1).
-
-    Pass a :class:`~repro.bh.interaction_lists.TraversalEngine` bound to
-    the same tree to reuse a previous walk over the same targets (e.g.
-    after :func:`compute_potentials` on the same particle set).
-    """
-    if engine is not None:
-        tree = engine.tree
-    elif tree is None:
-        from repro.bh.tree import build_tree
+                   tree: Tree | None = None) -> TraversalResult:
+    """Serial Barnes-Hut forces on all particles (monopole, Section 5.1)."""
+    if tree is None:
         tree = build_tree(particles, leaf_capacity=leaf_capacity)
-    evaluator = MonopoleExpansion(tree, softening=softening)
-    if engine is not None:
-        return engine.compute(particles.positions, evaluator, mode="force")
-    mac = BarnesHutMAC(alpha)
-    return traverse(tree, particles, particles.positions, mac, evaluator,
+    return traverse(tree, particles, particles.positions,
+                    BarnesHutMAC(alpha),
+                    MonopoleExpansion(tree, softening=softening),
                     mode="force", softening=softening)
 
 
 def compute_potentials(particles: ParticleSet, alpha: float = 0.67,
                        degree: int = 0, leaf_capacity: int = 8,
                        softening: float = 0.0,
-                       tree: Tree | None = None,
-                       engine=None) -> TraversalResult:
+                       tree: Tree | None = None) -> TraversalResult:
     """Serial Barnes-Hut potentials on all particles.
 
     ``degree = 0`` uses monopoles; ``degree >= 1`` uses spherical-harmonic
-    multipole expansions of that degree (Section 5.2).  A
-    :class:`~repro.bh.interaction_lists.TraversalEngine` passed as
-    ``engine`` shares one walk across modes and degrees.
+    multipole expansions of that degree (Section 5.2).
     """
-    if engine is not None:
-        tree = engine.tree
-    elif tree is None:
-        from repro.bh.tree import build_tree
+    if tree is None:
         tree = build_tree(particles, leaf_capacity=leaf_capacity)
     if degree == 0:
         evaluator = MonopoleExpansion(tree, softening=softening)
     else:
         evaluator = TreeMultipoles(tree, particles, degree)
-    if engine is not None:
-        return engine.compute(particles.positions, evaluator,
-                              mode="potential")
-    mac = BarnesHutMAC(alpha)
-    return traverse(tree, particles, particles.positions, mac, evaluator,
-                    mode="potential", softening=softening)
+    return traverse(tree, particles, particles.positions,
+                    BarnesHutMAC(alpha), evaluator, mode="potential",
+                    softening=softening)

@@ -26,11 +26,7 @@ containing a moved particle are recomputed (restricted
 ``compute_monopoles`` — per-row-independent grouped reductions, so the
 restriction is also bitwise neutral).  Full rebuild is kept both as the
 oracle (tests) and as the fallback when the changed-key fraction
-exceeds ``dirty_threshold``.
-
-:class:`RepairResult` additionally reports, per *old* node, what the
-repair did — the interface ``TraversalEngine.apply_repair`` uses to
-decide which cached walks survive (walk-cache invalidation).
+exceeds :data:`_DIRTY_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -47,30 +43,18 @@ from repro.bh.tree import NO_CHILD, Tree, _emit_levels, build_tree
 #: small a tree from scratch (same output either way).
 _MIN_REPAIR_PARTICLES = 128
 
+#: Above this fraction of changed keys :func:`repair_tree` rebuilds
+#: outright: the dirty spine would be most of the tree.
+_DIRTY_THRESHOLD = 0.25
+
 
 @dataclass
 class RepairResult:
-    """Outcome of :func:`repair_tree`.
-
-    ``id_map`` and the per-old-node flag arrays are ``None`` when the
-    repair fell back to a full rebuild (``rebuilt=True``) — consumers
-    must then treat every old node as deleted.
-    """
+    """Outcome of :func:`repair_tree`: the tree, whether it fell back to
+    a full rebuild, and how much of the old tree it reused."""
 
     tree: Tree
     rebuilt: bool
-    #: old node id -> new node id, -1 where the old cell no longer exists
-    id_map: np.ndarray | None
-    #: old node: child cells (slot occupancy or child addresses) differ
-    children_changed: np.ndarray | None
-    #: old node: particle slice length differs
-    count_changed: np.ndarray | None
-    #: old node: mapped but stored mass/com no longer valid
-    value_dirty: np.ndarray | None
-    #: *new*-tree node ids whose upward-pass values were recomputed —
-    #: exactly the set whose subtree content or cell is new, so it also
-    #: drives the incremental multipole refresh
-    refreshed: np.ndarray | None
     n_changed_keys: int
     nodes_reused: int
     nodes_rebuilt: int
@@ -107,31 +91,6 @@ def _ranges_hit(sorted_keys: np.ndarray, lo: np.ndarray,
     return np.searchsorted(sk, lo) < np.searchsorted(sk, hi)
 
 
-def _match_cells(depth_a: np.ndarray, path_a: np.ndarray,
-                 depth_b: np.ndarray, path_b: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions ``(ia, ib)`` of cells present on both sides, matched by
-    ``(depth, path)``.  Cells are unique per side."""
-    ia_out, ib_out = [], []
-    for dep in np.unique(depth_a):
-        sa = np.flatnonzero(depth_a == dep)
-        sb = np.flatnonzero(depth_b == dep)
-        if sb.size == 0:
-            continue
-        ob = np.argsort(path_b[sb])
-        sb = sb[ob]
-        pb = path_b[sb]
-        pos = np.searchsorted(pb, path_a[sa])
-        ok = pos < pb.size
-        ok[ok] = pb[pos[ok]] == path_a[sa[ok]]
-        ia_out.append(sa[ok])
-        ib_out.append(sb[pos[ok]])
-    if not ia_out:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(ia_out), np.concatenate(ib_out)
-
-
 def _full_rebuild(tree: Tree, particles: ParticleSet, new_keys: np.ndarray,
                   collapse_chains: bool, n_changed: int) -> RepairResult:
     new = build_tree(
@@ -140,25 +99,14 @@ def _full_rebuild(tree: Tree, particles: ParticleSet, new_keys: np.ndarray,
         keys=new_keys,
     )
     return RepairResult(
-        tree=new, rebuilt=True, id_map=None, children_changed=None,
-        count_changed=None, value_dirty=None, refreshed=None,
-        n_changed_keys=n_changed, nodes_reused=0, nodes_rebuilt=new.nnodes,
+        tree=new, rebuilt=True, n_changed_keys=n_changed, nodes_reused=0,
+        nodes_rebuilt=new.nnodes,
     )
-
-
-def _value_dirty(tree: Tree, new: Tree, id_map: np.ndarray) -> np.ndarray:
-    mapped = id_map >= 0
-    tgt = np.where(mapped, id_map, 0)
-    diff = (tree.mass != new.mass[tgt]) \
-        | (tree.com != new.com[tgt]).any(axis=1)
-    return mapped & diff
 
 
 def repair_tree(tree: Tree, particles: ParticleSet, old_keys: np.ndarray,
                 new_keys: np.ndarray, moved: np.ndarray, *,
-                collapse_chains: bool = True,
-                dirty_threshold: float = 0.25,
-                force_full: bool = False) -> RepairResult:
+                collapse_chains: bool = True) -> RepairResult:
     """Repair ``tree`` (built over ``old_keys``) to match ``new_keys``.
 
     ``moved`` indexes every particle whose *position* changed since the
@@ -179,8 +127,7 @@ def repair_tree(tree: Tree, particles: ParticleSet, old_keys: np.ndarray,
     n_changed = int(changed.sum())
     d, bits = tree.dims, tree.max_depth
 
-    if force_full or n < _MIN_REPAIR_PARTICLES \
-            or n_changed > dirty_threshold * n:
+    if n < _MIN_REPAIR_PARTICLES or n_changed > _DIRTY_THRESHOLD * n:
         return _full_rebuild(tree, particles, new_keys, collapse_chains,
                              n_changed)
 
@@ -203,14 +150,8 @@ def repair_tree(tree: Tree, particles: ParticleSet, old_keys: np.ndarray,
         )
         stale = np.flatnonzero(_ranges_hit(moved_sorted, cell_lo, cell_hi))
         new.compute_monopoles(particles, nodes=stale)
-        id_map = np.arange(nn, dtype=np.int64)
-        return RepairResult(
-            tree=new, rebuilt=False, id_map=id_map,
-            children_changed=np.zeros(nn, dtype=bool),
-            count_changed=np.zeros(nn, dtype=bool),
-            value_dirty=_value_dirty(tree, new, id_map), refreshed=stale,
-            n_changed_keys=0, nodes_reused=nn, nodes_rebuilt=0,
-        )
+        return RepairResult(tree=new, rebuilt=False, n_changed_keys=0,
+                            nodes_reused=nn, nodes_rebuilt=0)
 
     # --- dirty set: cells whose range gained or lost a changed key ---
     co = np.sort(old_keys[changed])
@@ -319,63 +260,9 @@ def repair_tree(tree: Tree, particles: ParticleSet, old_keys: np.ndarray,
     refresh[new_id[np.flatnonzero(~raw["stopped"])]] = True
     nlo, nhi = _cell_key_ranges(new.depth, new.path_key, d, bits)
     refresh |= _ranges_hit(moved_sorted, nlo, nhi)
-    refreshed = np.flatnonzero(refresh)
-    new.compute_monopoles(particles, nodes=refreshed)
-
-    # --- old-node bookkeeping for walk-cache invalidation ---
-    id_map = np.full(nn, -1, dtype=np.int64)
-    id_map[block_rows] = new_id[S + np.arange(total)]
-    id_map[graft_old] = new_id[stop_idx]
-    in_graft = amap >= 0
-    spine_old = np.flatnonzero(~in_graft)
-    em = np.flatnonzero(~raw["stopped"])
-    ia, ib = _match_cells(tree.depth[spine_old].astype(np.int64),
-                          tree.path_key[spine_old],
-                          raw["depth"][em], raw["path"][em])
-    matched_old = spine_old[ia]
-    id_map[matched_old] = new_id[em[ib]]
-
-    children_changed = np.zeros(nn, dtype=bool)
-    count_changed = np.zeros(nn, dtype=bool)
-    if matched_old.size:
-        mo = matched_old
-        mn = id_map[mo]
-        count_changed[mo] = (tree.end[mo] - tree.start[mo]
-                             != new.end[mn] - new.start[mn])
-        oc, nc = tree.children[mo], new.children[mn]
-        ov, nv = oc != NO_CHILD, nc != NO_CHILD
-        cc = (ov != nv).any(axis=1)
-        both = ov & nv
-        osel = np.where(both, oc, 0)
-        nsel = np.where(both, nc, 0)
-        same_cell = (tree.depth[osel] == new.depth[nsel]) \
-            & (tree.path_key[osel] == new.path_key[nsel])
-        cc |= (both & ~same_cell).any(axis=1)
-        children_changed[mo] = cc
-
+    new.compute_monopoles(particles, nodes=np.flatnonzero(refresh))
     return RepairResult(
-        tree=new, rebuilt=False, id_map=id_map,
-        children_changed=children_changed, count_changed=count_changed,
-        value_dirty=_value_dirty(tree, new, id_map), refreshed=refreshed,
-        n_changed_keys=n_changed,
+        tree=new, rebuilt=False, n_changed_keys=n_changed,
         nodes_reused=total + stop_idx.size,
         nodes_rebuilt=S - stop_idx.size,
     )
-
-
-def refresh_multipoles(mp, result: RepairResult, particles: ParticleSet):
-    """Incrementally carry a :class:`~repro.bh.multipole.TreeMultipoles`
-    across a repair: mapped nodes keep their coefficients (same cell,
-    same subtree content unless refreshed), ``result.refreshed`` rows
-    are recomputed.  Bitwise equal to building fresh expansions over the
-    repaired tree."""
-    from repro.bh.multipole import TreeMultipoles
-
-    new_mp = TreeMultipoles(result.tree, None, mp.degree)
-    if result.rebuilt or result.id_map is None:
-        new_mp._build(particles)
-        return new_mp
-    mapped = np.flatnonzero(result.id_map >= 0)
-    new_mp.coeffs[result.id_map[mapped]] = mp.coeffs[mapped]
-    new_mp.refresh(particles, result.refreshed)
-    return new_mp

@@ -24,8 +24,9 @@ treecode work is charged to the virtual clock with the paper's own
 instruction counts (13 + 16 k^2 per interaction, 14 per MAC).
 
 Interaction lists are single-use: every walk here streams through
-``TraversalEngine.compute_once`` (build a chunk's lists, evaluate,
-drop) and none outlives ``run`` — Section 4.2.4's working-set argument.
+``TraversalEngine.compute`` (build a chunk's lists, evaluate, drop) and
+none outlives ``run`` — Section 4.2.4's working-set argument: an owner
+caches no remote data and a requester keeps nothing but its bins.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class FunctionShippingEngine:
         top-tree branch leaf is a distinct key), on the requester's
         clock between its bin sends."""
         st = self._lookup_subtree(key)
-        res = self.subtree_engines[key].compute_once(
+        res = self.subtree_engines[key].compute(
             coords, self._evaluator(st.tree, st.multipoles),
             mode=self._mode, count_node_interactions=True,
         )
@@ -178,7 +179,7 @@ class FunctionShippingEngine:
         for key, sel in zip(wanted, groups):
             weights = np.zeros(sel.size)
             st = self.subtree_by_key[key]
-            res = self.subtree_engines[key].compute_once(
+            res = self.subtree_engines[key].compute(
                 coords[sel], self._evaluator(st.tree, st.multipoles),
                 mode=self._mode, count_node_interactions=True,
                 target_weights=weights,
@@ -229,7 +230,7 @@ class FunctionShippingEngine:
         with comm.phase(PHASE_FORCE):
             if nt:
                 weights = np.zeros(nt)
-                top_res = self._top_engine.compute_once(
+                top_res = self._top_engine.compute(
                     self.particles.positions[tidx],
                     self._evaluator(self.top.tree, self._top_multipoles),
                     mode=self._mode, target_weights=weights,

@@ -1090,6 +1090,8 @@ class ParallelBarnesHut:
             raise ValueError("need at least one step")
         if dt is not None and self.config.mode != "force":
             raise ValueError("advancing particles requires mode='force'")
+        if dt is None and self.config.timestep == "block":
+            raise ValueError("timestep='block' advances particles; give dt")
         if wall_trace is None:
             wall_trace = trace and self.backend == "process"
         if wall_trace and not trace:

@@ -4,9 +4,8 @@ The engine must be *observationally identical* to the classical
 single-pass traversal (``tests/oracles``' ``traverse_reference``): values to
 1e-12, interaction counters exactly, per-node interaction counts
 exactly, per-target weights exactly, remote-target sets element-for-
-element.  Plus the two ways the engine pairs the phases: streamed in
-target chunks (equal to one whole-batch walk in every observable) and
-build-once/evaluate-many.
+element.  Plus the engine's streaming: target chunks equal one
+whole-batch walk in every observable.
 """
 
 import threading
@@ -31,11 +30,12 @@ from repro.bh.interaction_lists import (
     evaluate_interaction_lists,
 )
 from repro.bh.mac import BarnesHutMAC
+from repro.bh.morton import morton_keys
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
-from repro.bh.traversal import compute_forces, compute_potentials, traverse
-from repro.bh.particles import ParticleSet
+from repro.bh.traversal import traverse
+from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import NO_CHILD, build_tree
-from tests.bh.test_walk_invalidation import _repair_engine
+from repro.bh.tree_repair import repair_tree
 from tests.oracles.traversal import traverse_reference
 from tests.oracles.walk import walk_dfs_reference
 
@@ -196,62 +196,6 @@ class TestRemoteTargets:
             assert np.all(np.diff(idx) > 0)
 
 
-class TestBuildOnceEvaluateMany:
-    def test_one_walk_many_evaluations(self):
-        ps = INSTANCES["plummer"]
-        tree = build_tree(ps, leaf_capacity=8)
-        engine = TraversalEngine(tree, ps, BarnesHutMAC(0.67))
-        f1 = engine.compute(ps.positions, MonopoleExpansion(tree), "force")
-        p1 = engine.compute(ps.positions, MonopoleExpansion(tree),
-                            "potential")
-        f2 = engine.compute(ps.positions, MonopoleExpansion(tree), "force")
-        assert engine.walks_built == 1
-        assert engine.walks_reused == 2
-        np.testing.assert_array_equal(f1.values, f2.values)
-        assert p1.values.shape == (ps.n,)
-
-    def test_reused_walk_matches_fresh(self):
-        ps = INSTANCES["gaussian"]
-        tree = build_tree(ps, leaf_capacity=8)
-        mac = BarnesHutMAC(0.67)
-        engine = TraversalEngine(tree, ps, mac)
-        engine.compute(ps.positions, MonopoleExpansion(tree), "potential")
-        warm = engine.compute(ps.positions, MonopoleExpansion(tree),
-                              "force")
-        ref = traverse_reference(tree, ps, ps.positions, mac,
-                                 MonopoleExpansion(tree), mode="force")
-        assert np.max(np.abs(warm.values - ref.values)) < 1e-12
-        assert warm.mac_tests == ref.mac_tests
-        assert warm.cluster_interactions == ref.cluster_interactions
-        assert warm.p2p_interactions == ref.p2p_interactions
-
-    def test_cache_evicts_fifo(self):
-        ps = plummer(100, seed=5)
-        tree = build_tree(ps, leaf_capacity=8)
-        engine = TraversalEngine(tree, ps, BarnesHutMAC(0.67),
-                                 cache_size=2)
-        ev = MonopoleExpansion(tree)
-        a, b, c = (ps.positions[i::3] for i in range(3))
-        for batch in (a, b, c):
-            engine.compute(batch, ev, "potential")
-        assert engine.walks_built == 3
-        engine.compute(a, ev, "potential")      # evicted -> rebuilt
-        assert engine.walks_built == 4
-
-    def test_compute_helpers_share_engine(self):
-        ps = INSTANCES["plummer"]
-        tree = build_tree(ps, leaf_capacity=8)
-        engine = TraversalEngine(tree, ps, BarnesHutMAC(0.67))
-        pot = compute_potentials(ps, engine=engine)
-        frc = compute_forces(ps, engine=engine)
-        assert engine.walks_built == 1
-        assert engine.walks_reused == 1
-        ref_p = compute_potentials(ps, tree=build_tree(ps, leaf_capacity=8))
-        ref_f = compute_forces(ps, tree=build_tree(ps, leaf_capacity=8))
-        assert np.max(np.abs(pot.values - ref_p.values)) < 1e-12
-        assert np.max(np.abs(frc.values - ref_f.values)) < 1e-12
-
-
 STREAM_CASES = {
     # name: (particles, degree, mode) — TreeMultipoles is 3-D only
     "force-monopole-2d": (uniform_cube(400, dims=2, seed=13), 0, "force"),
@@ -261,7 +205,7 @@ STREAM_CASES = {
 
 
 def _assert_streamed_equals_whole_batch(case, remote, nt, chunk):
-    """``compute_once`` in chunks of ``chunk`` targets against
+    """``compute`` in chunks of ``chunk`` targets against
     ``build_interaction_lists`` + ``evaluate_interaction_lists`` over
     the whole batch: everything equal, values to summation order."""
     ps, degree, mode = STREAM_CASES[case]
@@ -279,11 +223,11 @@ def _assert_streamed_equals_whole_batch(case, remote, nt, chunk):
     engine = TraversalEngine(trees[1], ps, mac)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(il, "STREAM_CHUNK_TARGETS", chunk)
-        streamed = engine.compute_once(
+        streamed = engine.compute(
             targets, _evaluator(trees[1], ps, degree), mode=mode,
             count_node_interactions=True, target_weights=weights[1])
 
-    assert engine.walks_built == 1 and not engine._cache
+    assert engine.walks_built == 1
     assert engine.stream_chunks == max(1, -(-nt // chunk))
     for name in ("mac_tests", "cluster_interactions", "p2p_interactions"):
         assert getattr(streamed, name) == getattr(whole, name), name
@@ -326,11 +270,10 @@ class TestStreamedEqualsWholeBatch:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(il, "STREAM_CHUNK_TARGETS", 64)
             for calls, nt in enumerate((0, 65, 300), start=1):
-                engine.compute_once(ps.positions[:nt],
-                                    MonopoleExpansion(tree), "force")
+                engine.compute(ps.positions[:nt], MonopoleExpansion(tree),
+                               "force")
                 assert engine.walks_built == calls
         assert engine.stream_chunks == 1 + 2 + 5
-        assert engine.walks_reused == 0 and not engine._cache
         assert engine.lists_peak_bytes > 0
 
 
@@ -406,6 +349,22 @@ class TestWalkEqualsOracle:
         tree = build_tree(ps, leaf_capacity=8)
         lists = _assert_walk_equals_oracle(tree, np.zeros((0, 3)), 0.67)
         assert lists.nt == 0 and lists.mac_tests == 0
+
+    def test_walks_record_decisions(self):
+        """One ``tested_*`` row per MAC test; the accepted ones are
+        exactly the cluster pairs."""
+        ps = uniform_cube(400, seed=5)
+        tree = build_tree(ps, leaf_capacity=8)
+        lists = build_interaction_lists(tree, ps.positions[:64],
+                                        BarnesHutMAC(alpha=1.0))
+        assert lists.tested_node.size == lists.mac_tests
+        assert lists.tested_ok.size == lists.mac_tests
+        acc = {(int(n), int(t)) for n, t
+               in zip(lists.tested_node[lists.tested_ok],
+                      lists.tested_tgt[lists.tested_ok])}
+        cl = {(int(n), int(t)) for n, t
+              in zip(lists.cluster_node, lists.cluster_tgt)}
+        assert acc and acc == cl
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 300), nt=st.integers(0, 120),
@@ -519,8 +478,8 @@ class TestLaneMajorP2P:
         assert lists.nbytes() - bare == 16 * lists.p2p_tgt.size
 
     def test_sources_are_read_at_evaluation_time(self):
-        """Block stepping moves sources under a reused tree and reused
-        lists: nothing about a source may be cached on the lists."""
+        """Block stepping moves sources under a reused tree: nothing
+        about a source may be cached on the lists."""
         ps, tree, lists = _p2p_case(3, False)
         evaluate_interaction_lists(tree, lists, ps, _NoClusters(), "force")
         moved = ParticleSet(ps.positions + 1e-3, ps.masses)
@@ -530,21 +489,28 @@ class TestLaneMajorP2P:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_subset_and_repaired_lists(self):
-        ps, tree, lists = _p2p_case(3, False)
-        idx = np.arange(0, ps.n, 3)
-        sub = il.subset_interaction_lists(lists, idx)
-        got = evaluate_interaction_lists(tree, sub, ps, _NoClusters(),
-                                         mode="force").values
-        want = _listed_pairs_reference(tree, ps, sub, "force", 0.0)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-        engine, ps2, targets, repair, _ = _repair_engine()
-        (kept,) = engine._cache.values()
-        assert engine.walks_retained == 1 and kept._p2p_groups is None
-        got = evaluate_interaction_lists(repair.tree, kept, ps2,
+        """Lists walked over a repaired tree (grafted subtrees, shifted
+        slices, renumbered nodes) sum exactly the listed pairs."""
+        rng = np.random.default_rng(0)
+        ps = ParticleSet(rng.uniform(-1.0, 1.0, (1200, 3)),
+                         rng.uniform(0.5, 1.5, 1200))
+        box, bits = Box(np.zeros(3), 2.0), 10
+        k0 = morton_keys(ps.positions, box.lo, box.side, bits)
+        tree = build_tree(ps, box=box, leaf_capacity=8, max_depth=bits,
+                          keys=k0)
+        movers = np.flatnonzero((ps.positions < -0.6).all(axis=1))[:30]
+        pos = ps.positions.copy()
+        pos[movers] = rng.uniform(-1.0, -0.6, (movers.size, 3))
+        ps2 = ParticleSet(pos, ps.masses)
+        repair = repair_tree(tree, ps2, k0,
+                             morton_keys(pos, box.lo, box.side, bits), movers)
+        assert not repair.rebuilt and repair.nodes_reused
+        targets = pos[(pos > 0.5).all(axis=1)]
+        lists = build_interaction_lists(repair.tree, targets,
+                                        BarnesHutMAC(1.2))
+        got = evaluate_interaction_lists(repair.tree, lists, ps2,
                                          _NoClusters(), mode="force").values
-        fresh = build_interaction_lists(repair.tree, targets, engine.mac)
-        want = _listed_pairs_reference(repair.tree, ps2, fresh, "force", 0.0)
+        want = _listed_pairs_reference(repair.tree, ps2, lists, "force", 0.0)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -562,12 +528,12 @@ def _monopole():
 
 class TestScratchReuse:
     """The P2P kernel scratch is one flat buffer per thread
-    (``interaction_lists._thread_scratch``), shared by cached and
-    streamed evaluations and never attached to the lists."""
+    (``interaction_lists._thread_scratch``), shared by every evaluation
+    and never attached to the lists."""
 
     def test_p2p_scratch_reused_across_evaluations(self):
-        """Warm evaluations on a cached walk must reuse the thread's
-        P2P scratch buffer instead of reallocating it each call."""
+        """A second evaluation reuses the thread's P2P scratch buffer
+        instead of reallocating it."""
         eng = _engine()
         first = eng.compute(PS.positions, _monopole(), mode="force")
         buf = il._thread_scratch.buf
@@ -576,15 +542,13 @@ class TestScratchReuse:
         second = eng.compute(PS.positions, _monopole(), mode="force")
         assert il._thread_scratch.buf is buf
         assert np.array_equal(first.values, second.values)
-        assert eng.walks_built == 1 and eng.walks_reused == 1
-        assert not hasattr(eng.lists_for(PS.positions), "_scratch")
 
     def test_serial_path_also_reuses_scratch(self):
         eng = _engine()
         eng.compute(PS.positions, _monopole(), mode="potential")
         buf = il._thread_scratch.buf
-        eng.compute(PS.positions, _monopole(), mode="potential")
-        eng.compute_once(PS.positions, _monopole(), mode="potential")
+        traverse(TREE, PS, PS.positions, BarnesHutMAC(0.67), _monopole(),
+                 softening=0.05)
         assert il._thread_scratch.buf is buf
 
     def test_scratch_is_per_thread_and_lazy(self):
@@ -594,10 +558,10 @@ class TestScratchReuse:
 
         def worker():
             seen["before"] = hasattr(il._thread_scratch, "buf")
-            _engine().compute_once(PS.positions, _monopole())
+            _engine().compute(PS.positions, _monopole())
             seen["buf"] = il._thread_scratch.buf
 
-        _engine().compute_once(PS.positions, _monopole())
+        _engine().compute(PS.positions, _monopole())
         t = threading.Thread(target=worker)
         t.start()
         t.join(timeout=60)

@@ -5,11 +5,9 @@ import pytest
 
 from repro.bh.distributions import plummer
 from repro.bh.morton import morton_keys
-from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import build_tree
-from repro.bh.tree_repair import (RepairResult, refresh_multipoles,
-                                  repair_tree, subtree_extents)
+from repro.bh.tree_repair import repair_tree, subtree_extents
 
 BITS = {2: 12, 3: 10}
 
@@ -139,44 +137,6 @@ class TestRepairExactEquality:
 
 
 class TestRepairBookkeeping:
-    def test_id_map_points_at_same_cells(self):
-        old, _, res, _ = roundtrip(800, 3, 8, True, frac=0.1)
-        new = res.tree
-        mapped = np.flatnonzero(res.id_map >= 0)
-        tgt = res.id_map[mapped]
-        np.testing.assert_array_equal(old.depth[mapped], new.depth[tgt])
-        np.testing.assert_array_equal(old.path_key[mapped],
-                                      new.path_key[tgt])
-        assert np.array_equal(old.center[mapped], new.center[tgt])
-        assert np.array_equal(old.half[mapped], new.half[tgt])
-
-    def test_value_dirty_is_sound(self):
-        """Every mapped node whose stored monopole differs in the new
-        tree must be flagged value-dirty (no false negatives)."""
-        old, _, res, _ = roundtrip(800, 3, 8, True, frac=0.1)
-        new = res.tree
-        mapped = np.flatnonzero(res.id_map >= 0)
-        tgt = res.id_map[mapped]
-        differs = (old.mass[mapped] != new.mass[tgt]) \
-            | (old.com[mapped] != new.com[tgt]).any(axis=1)
-        assert np.array_equal(res.value_dirty[mapped], differs)
-
-    def test_children_and_count_flags(self):
-        old, _, res, _ = roundtrip(800, 3, 8, True, frac=0.15)
-        new = res.tree
-        mapped = np.flatnonzero(res.id_map >= 0)
-        for o in mapped[:: max(1, mapped.size // 200)]:
-            nid = res.id_map[o]
-            oc = old.children[o]
-            nc = new.children[nid]
-            ocells = {(int(old.depth[c]), int(old.path_key[c]), s)
-                      for s, c in enumerate(oc) if c >= 0}
-            ncells = {(int(new.depth[c]), int(new.path_key[c]), s)
-                      for s, c in enumerate(nc) if c >= 0}
-            assert res.children_changed[o] == (ocells != ncells)
-            assert res.count_changed[o] == (old.count(int(o))
-                                            != new.count(int(nid)))
-
     def test_subtree_extents(self):
         ps, box = make_state(400, 3)
         tree = build_tree(ps, box=box, leaf_capacity=4)
@@ -194,66 +154,6 @@ class TestRepairBookkeeping:
 
 
 class TestIncrementalMultipoles:
-    @pytest.mark.parametrize("degree", [0, 2])
-    def test_refresh_matches_full_build(self, degree):
-        old, ps2, res, oracle = roundtrip(600, 3, 8, True, frac=0.1)
-        mp_old = TreeMultipoles(old, None, degree)
-        # build from the *pre-perturbation* particles the old tree saw
-        ps0, box = make_state(600, 3)
-        mp_old._build(ps0)
-        mp_new = refresh_multipoles(mp_old, res, ps2)
-        mp_oracle = TreeMultipoles(oracle, ps2, degree)
-        assert np.array_equal(mp_new.coeffs, mp_oracle.coeffs)
-
-    def test_refresh_after_full_rebuild_fallback(self):
-        ps, box = make_state(600, 3)
-        k0 = keys_of(ps, box, BITS[3])
-        tree = build_tree(ps, box=box, leaf_capacity=8, max_depth=BITS[3],
-                          keys=k0)
-        mp_old = TreeMultipoles(tree, ps, 1)
-        ps2, moved = perturb(ps, box, 5, frac=0.9, jump_frac=1.0)
-        k1 = keys_of(ps2, box, BITS[3])
-        res = repair_tree(tree, ps2, k0, k1, moved)
-        assert res.rebuilt
-        mp_new = refresh_multipoles(mp_old, res, ps2)
-        mp_oracle = TreeMultipoles(res.tree, ps2, 1)
-        assert np.array_equal(mp_new.coeffs, mp_oracle.coeffs)
-
-    @pytest.mark.parametrize("degree", [1, 3])
-    def test_no_stale_m2p_table_survives_a_coefficient_write(self, degree):
-        """``batch_potential`` reads a table derived from ``coeffs``;
-        evaluating *before* a refresh must not pin the old table."""
-        old, ps2, res, oracle = roundtrip(600, 3, 8, True, frac=0.1)
-        ps0, _ = make_state(600, 3)
-        rng = np.random.default_rng(4)
-
-        def probe(mp):
-            nodes = rng.integers(0, mp.tree.nnodes, 200)
-            far = mp.tree.center[nodes] + 3.0 * mp.tree.half[nodes, None] \
-                + rng.uniform(0.1, 1.0, (200, 3))
-            return nodes, far
-
-        # refresh(): same tree, the dirty rows rebuilt over moved particles
-        mp = TreeMultipoles(old, ps0, degree)
-        nodes, far = probe(mp)
-        before = mp.batch_potential(nodes, far)
-        ps_moved = ParticleSet(ps0.positions * 0.97, ps0.masses)
-        mp.refresh(ps_moved, np.arange(old.nnodes))
-        fresh = TreeMultipoles(old, ps_moved, degree)
-        assert np.array_equal(mp.coeffs, fresh.coeffs)
-        after = mp.batch_potential(nodes, far)
-        assert np.array_equal(after, fresh.batch_potential(nodes, far))
-        assert not np.array_equal(after, before)
-
-        # refresh_multipoles(): a new object carried across a repair
-        mp_old = TreeMultipoles(old, ps0, degree)
-        mp_old.batch_potential(*probe(mp_old))
-        mp_new = refresh_multipoles(mp_old, res, ps2)
-        nodes, far = probe(mp_new)
-        assert np.array_equal(
-            mp_new.batch_potential(nodes, far),
-            TreeMultipoles(oracle, ps2, degree).batch_potential(nodes, far))
-
     def test_restricted_monopole_pass_is_noop_when_valid(self):
         ps, box = make_state(500, 3)
         tree = build_tree(ps, box=box, leaf_capacity=8)

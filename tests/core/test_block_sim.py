@@ -78,6 +78,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_rungs"):
             SchemeConfig(max_rungs=17)
 
+    def test_block_requires_dt(self):
+        """Block timesteps advance particles: without ``dt`` the run is
+        refused, not quietly turned into a force evaluation."""
+        sim = ParallelBarnesHut(plummer(N, seed=5), block_config("spda"),
+                                p=P, profile=NCUBE2)
+        with pytest.raises(ValueError, match="give dt"):
+            sim.run(steps=1, dt=None)
+
     def test_defaults_stay_legacy(self):
         cfg = SchemeConfig()
         assert cfg.integrator == "euler"

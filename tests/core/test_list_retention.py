@@ -1,10 +1,11 @@
 """Interaction lists are single-use on the step path.
 
 Every force evaluation of a step — top-tree walk, own-branch descents,
-served drains — streams through ``TraversalEngine.compute_once``:
-build a chunk's lists, evaluate, drop.  So between force phases no
-``InteractionLists`` object is alive anywhere in the process, and the
-footprint of a batch is one chunk's, not the batch's.
+served drains — streams through ``TraversalEngine.compute``, the
+engine's one evaluation method: build a chunk's lists, evaluate, drop.
+So between force phases no ``InteractionLists`` object is alive
+anywhere in the process, and the footprint of a batch is one chunk's,
+not the batch's.
 """
 
 import gc
@@ -46,15 +47,12 @@ def test_no_lists_alive_between_force_phases(monkeypatch, case):
             alive.append(sum(isinstance(o, il.InteractionLists)
                              for o in gc.get_objects()))
         barrier(self.comm)
-        assert not self._top_engine._cache
-        assert not any(e._cache for e in self.subtree_engines.values())
         return result
 
     monkeypatch.setattr(FunctionShippingEngine, "run", run_then_census)
-    result = ParallelBarnesHut(plummer(N, seed=5), cfg, p=p,
-                               profile=NCUBE2).run(steps=2, dt=DT)
+    ParallelBarnesHut(plummer(N, seed=5), cfg, p=p,
+                      profile=NCUBE2).run(steps=2, dt=DT)
     assert len(alive) >= 2 and not any(alive), alive
-    assert result.walk_reuse()[1] == 0
     assert not any(isinstance(o, il.InteractionLists)
                    for o in gc.get_objects())
 
@@ -71,7 +69,7 @@ def test_a_batch_holds_one_chunk_of_lists(monkeypatch):
     def peak(lo, hi):
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        engine.compute_once(targets[lo:hi], evaluator, mode="force")
+        engine.compute(targets[lo:hi], evaluator, mode="force")
         return tracemalloc.get_traced_memory()[1] - before
 
     peak(0, 8 * chunk)              # grows the thread's scratch buffer

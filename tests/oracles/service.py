@@ -1,7 +1,7 @@
 """Per-bin owner-side service, kept verbatim from
 ``FunctionShippingEngine._serve`` as the oracle for the per-drain
 service that replaced it: every request bin is evaluated on its own —
-per-bin ``np.unique``, one ``TraversalEngine.compute_once`` per
+per-bin ``np.unique``, one streamed ``TraversalEngine.compute`` per
 (bin, key) through ``_descend``, charged as it is computed."""
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+BLOCK = ["--integrator", "kdk", "--timestep", "block", "--softening", "0.01"]
+POTENTIAL_DT = ["--mode", "potential", "--dt", "0.01"]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -20,17 +23,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "hashed"])
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--timestep", "block"], "integrator='kdk'"),
-        (["--resume"], "checkpoint_dir"),
-        (["--scheme", "spsa", "--grid-level", "0", "--procs", "4"],
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--timestep", "block"], "integrator='kdk'"),
+        (["run", "--resume"], "checkpoint_dir"),
+        (["run", "--scheme", "spsa", "--grid-level", "0", "--procs", "4"],
          "SPSA needs r >= p"),
-    ], ids=["block-without-kdk", "resume-without-dir", "spsa-r-below-p"])
-    def test_bad_option_combination_is_one_line(self, capsys, flags,
+        (["run", *BLOCK], "give dt"),
+        (["run", *POTENTIAL_DT], "mode='force'"),
+        (["trace", *BLOCK], "give dt"),
+        (["trace", *POTENTIAL_DT], "mode='force'"),
+    ], ids=["block-without-kdk", "resume-without-dir", "spsa-r-below-p",
+            "block-without-dt", "potential-with-dt",
+            "trace-block-without-dt", "trace-potential-with-dt"])
+    def test_bad_option_combination_is_one_line(self, capsys, argv,
                                                 message):
         """What argparse cannot see, ``SchemeConfig`` and
         ``ParallelBarnesHut`` refuse: same exit status, no traceback."""
-        assert main(["run", "--scale", "0.001", *flags]) == 2
+        assert main([argv[0], "--scale", "0.001", *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and message in err
         assert err.count("\n") == 1

@@ -79,6 +79,38 @@ def test_one_arithmetic_backend():
     assert exc.value.code == 2
 
 
+def test_one_traversal_path():
+    """``TraversalEngine.compute`` streams and caches nothing, so no
+    walk cache, no repair bookkeeping that only the cache read, and no
+    incremental multipole refresh are left beside it."""
+    import dataclasses
+
+    from repro.bh import interaction_lists, traversal, tree_repair
+    from repro.bh.multipole import TreeMultipoles
+    from repro.bh.particles import ParticleSet
+    from repro.bh.tree import build_tree
+
+    gone = {
+        interaction_lists.TraversalEngine: ("compute_once", "lists_for",
+                                            "apply_repair"),
+        interaction_lists: ("subset_interaction_lists",),
+        tree_repair: ("refresh_multipoles",),
+        TreeMultipoles: ("refresh",),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    ps = ParticleSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 1.0])
+    tree = build_tree(ps)
+    with pytest.raises(TypeError):
+        interaction_lists.TraversalEngine(tree, ps, cache_size=8)
+    with pytest.raises(TypeError):
+        traversal.compute_forces(ps, engine=None)
+    assert [f.name for f in dataclasses.fields(tree_repair.RepairResult)] \
+        == ["tree", "rebuilt", "n_changed_keys", "nodes_reused",
+            "nodes_rebuilt"]
+
+
 def test_building_a_simulation_loads_no_process_runtime():
     """The restart policy lives with the checkpoints, so the host driver
     holds one without importing the process backend."""
