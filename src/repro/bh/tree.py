@@ -208,16 +208,14 @@ class Tree:
             kid_rows = self.children[ids]
             valid = kid_rows != NO_CHILD
             nkids = valid.sum(axis=1)
-            for c in np.unique(nkids):
-                if c == 0:
-                    continue
+            for c in np.flatnonzero(np.bincount(nkids)[1:]) + 1:
                 sel = nkids == c
                 nodes = ids[sel]
                 # row-major boolean selection keeps slot order per row
                 kids = kid_rows[sel][valid[sel]].reshape(nodes.size, int(c))
                 yield nodes, kids
 
-    def compute_monopoles(self, particles: ParticleSet,
+    def compute_monopoles(self, particles: ParticleSet | None,
                           nodes: np.ndarray | None = None) -> None:
         """Fill ``mass``/``com`` bottom-up from the particle slices.
 
@@ -234,9 +232,9 @@ class Tree:
         stale nodes, i.e. untouched nodes' stored monopoles are valid.
 
         Remote leaves are expected to have mass/com pre-filled by the
-        tree merge; they are left untouched.
+        tree merge; they are left untouched.  A tree without local
+        leaves (the merged top tree) takes ``particles=None``.
         """
-        pos, m = particles.positions, particles.masses
         if self.nnodes == 0:
             return
         restrict = None
@@ -257,10 +255,11 @@ class Tree:
                 continue
             gather = self.order[self.start[sel][:, None]
                                 + np.arange(int(L))[None, :]]
-            mm = m[gather]                              # (g, L) contiguous
+            mm = particles.masses[gather]               # (g, L) contiguous
             totals = mm.sum(axis=1)
             self.mass[sel] = totals
-            weighted = (mm[:, :, None] * pos[gather]).sum(axis=1)
+            weighted = (mm[:, :, None] * particles.positions[gather]).sum(
+                axis=1)
             positive = totals > 0
             safe = np.where(positive, totals, 1.0)
             self.com[sel] = np.where(positive[:, None], weighted / safe[:, None],

@@ -209,8 +209,8 @@ class DataShippingEngine:
                 center=top.center[node].copy(),
                 half=float(top.half[node]),
                 count=top.count(node), is_leaf=False,
-                coeffs=(self.top.coeffs[node]
-                        if self.top.coeffs is not None else None),
+                coeffs=(self.top.multipoles.coeffs[node]
+                        if self.top.multipoles is not None else None),
             )
             if not top.is_remote(node):
                 cn.children_known = True

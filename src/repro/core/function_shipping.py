@@ -86,11 +86,6 @@ class FunctionShippingEngine:
             st.key: TraversalEngine(
                 st.tree, st.particles, self.mac, softening=config.softening)
             for st in subtrees}
-        # the top tree's merged series, for a multipole run
-        self._top_multipoles = None
-        if self._degree > 0:
-            self._top_multipoles = TreeMultipoles(top.tree, None, self._degree)
-            self._top_multipoles.coeffs = top.coeffs
 
     def _walk_stats(self) -> tuple[int, int, int]:
         """Walks built, chunks streamed, most list bytes one chunk held."""
@@ -232,7 +227,7 @@ class FunctionShippingEngine:
                 weights = np.zeros(nt)
                 top_res = self._top_engine.compute(
                     self.particles.positions[tidx],
-                    self._evaluator(self.top.tree, self._top_multipoles),
+                    self._evaluator(self.top.tree, self.top.multipoles),
                     mode=self._mode, target_weights=weights,
                 )
                 self.requester_flops[tidx] += weights

@@ -52,11 +52,6 @@ class Cell:
         return (other.path_key >> (dims * (other.depth - self.depth))) \
             == self.path_key
 
-    def parent(self, dims: int) -> "Cell":
-        if self.depth == 0:
-            raise ValueError("the root cell has no parent")
-        return Cell(self.depth - 1, self.path_key >> dims)
-
 
 def cluster_grid_size(grid_level: int, dims: int) -> int:
     """Number of clusters r at the given grid level."""

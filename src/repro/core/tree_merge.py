@@ -8,11 +8,12 @@ one of two ways:
   which "each processor reconstructs the top parts of the tree
   independently.  This results in some redundant computation but causes
   relatively small overhead."
-* **nonreplicated** — branch summaries travel point-to-point to a
-  designated owner per internal cell, which computes that node and
-  forwards upward; a final all-to-all broadcast distributes the finished
-  top levels ("the top levels of the tree are repeatedly accessed...
-  this tree construction technique must be augmented with an all-to-all
+* **nonreplicated** — every rank sends its branch summaries
+  point-to-point to one designated rank, the owner of the first branch
+  in key order, which does (and is charged) the whole merge; one
+  broadcast of the summaries then distributes the finished top levels
+  ("the top levels of the tree are repeatedly accessed... this tree
+  construction technique must be augmented with an all-to-all
   broadcast").
 
 Both produce the same :class:`TopTree`; they differ in where the merge
@@ -26,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bh.multipole import MultipoleExpansion3D, m2m_upward
+from repro.bh.multipole import TreeMultipoles, m2m_upward
 from repro.bh.particles import Box
 from repro.bh.tree import NO_CHILD, Tree, cell_boxes
 from repro.core.branch_nodes import BranchInfo, make_branch_index
-from repro.core.partition import Cell
 from repro.machine.comm import Comm
 
 #: flops charged per node merge per multipole term (M2M arithmetic).
@@ -42,154 +42,116 @@ class TopTree:
     """The replicated top of the global tree.
 
     ``tree`` is a :class:`~repro.bh.tree.Tree` whose leaves are all
-    branch cells flagged with their owner; ``node_of_branch`` maps branch
-    keys to top-tree leaf ids; ``coeffs`` holds per-node multipole
-    expansions about cell centers when the run uses multipoles.  Data
-    only: as the top of the one global tree, its far field goes through
-    the evaluators a local subtree's does.
+    branch cells, flagged with their owner (``remote_owner``) and key
+    (``remote_key``); ``multipoles`` holds its merged per-node expansions
+    about cell centers when the run uses multipoles.  Data only: as the
+    top of the one global tree, its far field goes through the
+    evaluators a local subtree's does.
     """
 
     tree: Tree
-    node_of_branch: dict[int, int]
     branch_index: object  # HashedBranchIndex | SortedBranchIndex
-    coeffs: np.ndarray | None = None
-    expansion: MultipoleExpansion3D | None = None
-
-
-def _check_disjoint(branches: list[BranchInfo], dims: int) -> None:
-    """Raise ``ValueError`` naming two overlapping branch cells and their
-    owners, if any two overlap.
-
-    Cells are dyadic: two overlap exactly when one holds the other, and
-    in (first covered key, depth) order a cell that holds any later one
-    holds its immediate successor — so one sort and one adjacent-pair
-    scan find an overlap iff one exists.  Which pair is named when
-    several overlap is unspecified."""
-    bits = max(b.cell.depth for b in branches)
-    ordered = sorted(branches, key=lambda b: (
-        b.cell.key_range(bits, dims)[0], b.cell.depth))
-    for a, b in zip(ordered, ordered[1:]):
-        if a.cell.contains_cell(b.cell, dims):
-            raise ValueError(
-                f"branch cells overlap: {a.cell} (rank {a.owner}) and "
-                f"{b.cell} (rank {b.owner})"
-            )
+    multipoles: TreeMultipoles | None = None
 
 
 def build_top_tree(branches: list[BranchInfo], root: Box, degree: int,
-                   lookup_kind: str = "hashed",
-                   check_disjoint: bool = True) -> TopTree:
-    """Deterministically build the replicated top tree from summaries."""
+                   lookup_kind: str = "hashed") -> TopTree:
+    """Deterministically build the replicated top tree from summaries.
+
+    Built from anchored branch keys, whose ascending order is
+    ``(depth, path_key)`` order: the nodes are the branch keys and their
+    ancestors (``key >> dims`` per level), a node's parent is one
+    ``searchsorted`` away and its child slot is the key's low ``dims``
+    bits.  The upward passes are the local trees' own:
+    :meth:`Tree.compute_monopoles`, integer child sums for the counts,
+    and :func:`m2m_upward` over the branch leaves' published series.
+
+    Two branch cells overlap exactly when one has a child in the top
+    tree or both have one key; the error names such a pair.
+    """
     if not branches:
         raise ValueError("cannot build a top tree from zero branch nodes")
     dims = root.dims
-    if check_disjoint:
-        _check_disjoint(branches, dims)
-    by_key = {b.key: b for b in branches}
-    if len(by_key) != len(branches):
-        raise ValueError("duplicate branch keys in merge")
-
-    # Collect all cells: branches plus every ancestor up to the root.
-    cells: set[Cell] = set()
-    for b in branches:
-        cells.add(b.cell)
-        c = b.cell
-        while c.depth > 0:
-            c = c.parent(dims)
-            cells.add(c)
-    cells.add(Cell(0, 0))
-    ordered = sorted(cells, key=lambda c: (c.depth, c.path_key))
-    node_id = {c: i for i, c in enumerate(ordered)}
-    n = len(ordered)
+    bkeys = np.array([b.key for b in branches], dtype=np.int64)
+    chain, up = [bkeys], bkeys
+    while (up := up[up > 1] >> dims).size:
+        chain.append(up)
+    keys = np.unique(np.concatenate(chain))
+    anchors = 1 << (dims * np.arange(len(chain), dtype=np.int64))
+    depth = np.searchsorted(anchors, keys, side="right") - 1
+    path_key = keys - anchors[depth]
+    n = keys.size
 
     nkids = 1 << dims
     children = np.full((n, nkids), NO_CHILD, dtype=np.int32)
-    depth = np.array([c.depth for c in ordered], dtype=np.int32)
-    path_key = np.array([c.path_key for c in ordered], dtype=np.int64)
-    center, half = cell_boxes(root, depth, path_key)
-    counts = np.zeros(n, dtype=np.int64)
-    mass = np.zeros(n)
-    com = np.zeros((n, dims))
+    children[np.searchsorted(keys, keys[1:] >> dims),
+             keys[1:] & (nkids - 1)] = np.arange(1, n)
+    leaf = np.searchsorted(keys, bkeys)
+    overlaps = ((children[leaf] != NO_CHILD).any(axis=1)
+                | (np.bincount(leaf, minlength=n)[leaf] > 1))
+    if overlaps.any():
+        a = int(np.flatnonzero(overlaps)[0])
+        gap = depth[leaf] - depth[leaf[a]]
+        inside = (gap >= 0) & ((bkeys >> (dims * np.maximum(gap, 0)))
+                               == bkeys[a])
+        inside[a] = False
+        b = int(np.flatnonzero(inside)[0])
+        raise ValueError(
+            f"branch cells overlap: {branches[a].cell} (rank "
+            f"{branches[a].owner}) and {branches[b].cell} (rank "
+            f"{branches[b].owner})"
+        )
+
     remote_owner = np.full(n, -1, dtype=np.int32)
+    remote_owner[leaf] = [b.owner for b in branches]
     remote_key = np.full(n, -1, dtype=np.int64)
-
-    for c, i in node_id.items():
-        if c.depth > 0:
-            parent = node_id[c.parent(dims)]
-            children[parent][c.path_key & (nkids - 1)] = i
-
-    branch_node_ids: dict[int, int] = {}
-    for b in branches:
-        i = node_id[b.cell]
-        remote_owner[i] = b.owner
-        remote_key[i] = b.key
-        counts[i] = b.count
-        mass[i] = b.mass
-        com[i] = b.com
-        branch_node_ids[b.key] = i
-
-    # Bottom-up monopole merge (children always have larger ids than
-    # parents because ordering is by depth).
-    for i in range(n - 1, -1, -1):
-        if remote_owner[i] >= 0:
-            continue
-        kids = children[i][children[i] != NO_CHILD]
-        if kids.size == 0:
-            continue
-        counts[i] = counts[kids].sum()
-        m = mass[kids].sum()
-        mass[i] = m
-        if m > 0:
-            com[i] = (mass[kids, None] * com[kids]).sum(axis=0) / m
-        else:
-            com[i] = center[i]
-
+    remote_key[leaf] = bkeys
+    counts = np.zeros(n, dtype=np.int64)
+    counts[leaf] = [b.count for b in branches]
+    mass = np.zeros(n)
+    mass[leaf] = [b.mass for b in branches]
+    com = np.zeros((n, dims))
+    com[leaf] = [b.com for b in branches]
+    center, half = cell_boxes(root, depth, path_key)
     tree = Tree(
         root_box=root, dims=dims, leaf_capacity=1,
-        max_depth=max(int(depth.max()), 1),
-        children=children, depth=depth, path_key=path_key,
+        max_depth=max(int(depth[-1]), 1),
+        children=children, depth=depth.astype(np.int32), path_key=path_key,
         center=center, half=half,
-        start=np.zeros(n, dtype=np.int64), end=counts.astype(np.int64),
+        start=np.zeros(n, dtype=np.int64), end=counts,
         order=np.zeros(0, dtype=np.int64),
         mass=mass, com=com,
         remote_owner=remote_owner, remote_key=remote_key,
     )
+    tree.compute_monopoles(None)
+    for nodes, kids in tree._internal_child_groups():
+        counts[nodes] = counts[kids].sum(axis=1)
 
-    coeffs = None
-    expansion = None
+    multipoles = None
     if degree > 0:
-        expansion = MultipoleExpansion3D(degree)
-        coeffs = np.zeros((n, expansion.nterms), dtype=np.complex128)
         for b in branches:
             if b.coeffs is None:
                 raise ValueError(
                     f"branch {b.key} lacks multipole coefficients in a "
                     f"degree-{degree} run"
                 )
-            coeffs[branch_node_ids[b.key]] = b.coeffs
-        m2m_upward(tree, coeffs, degree)
+        multipoles = TreeMultipoles(tree, None, degree)
+        multipoles.coeffs[leaf] = [b.coeffs for b in branches]
+        m2m_upward(tree, multipoles.coeffs, degree)
 
     return TopTree(
-        tree=tree, node_of_branch=branch_node_ids,
-        branch_index=make_branch_index(branches, lookup_kind),
-        coeffs=coeffs, expansion=expansion,
+        tree=tree, branch_index=make_branch_index(branches, lookup_kind),
+        multipoles=multipoles,
     )
 
 
-def _merge_flops(n_internal: int, dims: int, degree: int) -> float:
+def _merge_flops(top: TopTree, degree: int) -> float:
+    """The merge's model work: one M2M per child of every internal
+    node — the non-remote ones, and at least the root."""
+    tree = top.tree
+    n_internal = max(int((tree.remote_owner < 0).sum()), 1)
     terms = max(degree, 1) ** 2
-    return n_internal * (1 << dims) * MERGE_FLOPS_PER_TERM * terms
-
-
-def _internal_count(branches: list[BranchInfo], dims: int) -> int:
-    cells = set()
-    for b in branches:
-        c = b.cell
-        while c.depth > 0:
-            c = c.parent(dims)
-            cells.add(c)
-    cells.add(Cell(0, 0))
-    return len(cells)
+    return n_internal * (1 << tree.dims) * MERGE_FLOPS_PER_TERM * terms
 
 
 def merge_broadcast(comm: Comm, my_branches: list[BranchInfo], root: Box,
@@ -199,28 +161,27 @@ def merge_broadcast(comm: Comm, my_branches: list[BranchInfo], root: Box,
     Phases charged: "tree merging" for the redundant local merge work,
     "all-to-all broadcast" for the branch exchange itself.
     """
-    dims = root.dims
     with comm.phase("all-to-all broadcast"):
         gathered = comm.allgather(my_branches)
     branches = [b for rank_list in gathered for b in rank_list]
     with comm.phase("tree merging"):
         top = build_top_tree(branches, root, degree, lookup_kind)
-        comm.compute(_merge_flops(_internal_count(branches, dims), dims,
-                                  degree))
+        comm.compute(_merge_flops(top, degree))
     return top
 
 
 def merge_nonreplicated(comm: Comm, my_branches: list[BranchInfo],
                         root: Box, degree: int,
                         lookup_kind: str = "hashed") -> TopTree:
-    """Section 3.1.2: branches travel to designated parent owners.
+    """Section 3.1.2: the merge runs at one designated rank.
 
-    The designation rule: an internal cell is owned by the owner of its
-    first branch descendant in Morton order.  Summaries flow upward
-    level-by-level point-to-point; the finished top levels are then
-    broadcast to everyone.  The merge *work* is charged only at the
-    designated owners (that is the scheme's point), the final values are
-    identical to :func:`merge_broadcast`.
+    A skeleton ``(key, owner, count)`` per branch is allgathered; the
+    owner of the first branch in key order is the designated rank.
+    Every other rank with branches sends it its full summaries
+    point-to-point; it builds the top tree and is charged the whole
+    merge.  One ``bcast`` of the summaries from it then distributes the
+    finished top levels, and every other rank builds the identical tree
+    from them uncharged.  The values equal :func:`merge_broadcast`'s.
     """
     dims = root.dims
     # Lightweight structure exchange: (key, owner, count) per branch.
@@ -235,9 +196,10 @@ def merge_nonreplicated(comm: Comm, my_branches: list[BranchInfo],
         raise ValueError("no branch nodes anywhere")
     first_owner = all_keys[0][1]
 
+    top = None
     with comm.phase("tree merging"):
         # Branch summaries (the heavy payload) go point-to-point to the
-        # designated root owner, which would compute the internal nodes.
+        # designated rank, which computes the internal nodes.
         if comm.rank != first_owner and my_branches:
             nbytes = sum(b.wire_bytes(degree, dims) for b in my_branches)
             comm.send(my_branches, first_owner, tag=71, nbytes=nbytes)
@@ -250,8 +212,8 @@ def merge_nonreplicated(comm: Comm, my_branches: list[BranchInfo],
             }
             for src in sorted(senders):
                 branches.extend(comm.recv(src=src, tag=71))
-            comm.compute(_merge_flops(_internal_count(branches, dims),
-                                      dims, degree))
+            top = build_top_tree(branches, root, degree, lookup_kind)
+            comm.compute(_merge_flops(top, degree))
         else:
             branches = None
 
@@ -262,5 +224,6 @@ def merge_nonreplicated(comm: Comm, my_branches: list[BranchInfo],
     with comm.phase("tree merging"):
         # Building the local data structure from finished summaries is
         # cheap (no redundant multipole merges charged here).
-        top = build_top_tree(branches, root, degree, lookup_kind)
+        if top is None:
+            top = build_top_tree(branches, root, degree, lookup_kind)
     return top

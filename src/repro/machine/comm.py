@@ -29,7 +29,7 @@ from repro.machine.faults import (
     ReliableConfig,
     ReliableDeliveryError,
 )
-from repro.machine.mailbox import ANY_SOURCE, ANY_TAG, Message
+from repro.machine.mailbox import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.transport import Endpoint
@@ -152,9 +152,6 @@ class CommStats:
 
 class Comm:
     """Communicator handed to each rank's main function."""
-
-    ANY_SOURCE = ANY_SOURCE
-    ANY_TAG = ANY_TAG
 
     def __init__(self, rank: int, size: int, cost: CostModel,
                  endpoint: "Endpoint",
@@ -354,10 +351,6 @@ class Comm:
                     arrival=arrival, duplicate=True,
                 ))
 
-    # ``isend`` is an alias: the buffered send above never blocks in real
-    # time, and its virtual charge models an eager-protocol send.
-    isend = send
-
     def _blocking_get(self, src: int, tag: int) -> Message:
         """Matched receive with the deadlock watchdog: the wait is
         advertised on the transport's board, and a timeout raises a
@@ -377,35 +370,17 @@ class Comm:
         self.endpoint.set_wait(None)
         return msg
 
-    def recv_msg(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
-        """Blocking matched receive returning the full message record."""
+    def recv_msg(self, src: int, tag: int = 0) -> Message:
+        """Blocking receive of the next ``(src, tag)`` message, returning
+        the full message record.  There are no wildcards: every receive
+        names its stream (``tag`` defaults to :meth:`send`'s)."""
         msg = self._blocking_get(src, tag)
         self._finish_recv(msg)
         return msg
 
-    def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking matched receive returning just the payload."""
+    def recv(self, src: int, tag: int = 0) -> Any:
+        """Blocking ``(src, tag)`` receive returning just the payload."""
         return self.recv_msg(src, tag).payload
-
-    def poll_msg(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
-        """Non-blocking receive.
-
-        Only messages whose virtual arrival time is at or before this
-        rank's current clock are visible — a rank cannot react to a message
-        "from the future".  Returns ``None`` when nothing has arrived.
-        """
-        msg = self.endpoint.poll(src, tag)
-        if msg is None:
-            return None
-        if msg.arrival > self.clock.now:
-            self.endpoint.requeue(msg)  # not virtually here yet
-            return None
-        self._finish_recv(msg)
-        return msg
-
-    def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True when a matching message is queued (regardless of arrival)."""
-        return self.endpoint.probe(src, tag)
 
     def recv_sorted(self, counts: dict[int, int], tag: int):
         """Receive an exact multiset of messages in virtual-arrival order.

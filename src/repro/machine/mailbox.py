@@ -5,10 +5,10 @@ size in bytes and its *virtual arrival time* (computed by the sender from
 its own clock and the cost model), so receivers can charge their clocks
 deterministically regardless of real thread scheduling.
 
-A receive is matched to the earliest ``(arrival, src, seq)`` among the
-queued messages it matches, found from per-``(src, tag)`` heaps: a
-specific receive costs O(log k) in the k messages of its own stream,
-however many other messages are pending.
+Every receive names its ``(src, tag)`` and takes the earliest
+``(arrival, seq)`` message of that stream from the stream's own heap:
+one dict lookup and O(log k) in the k messages of the stream, however
+many other messages are pending.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any
 
-#: Wildcard source / tag, mirroring ``MPI.ANY_SOURCE`` / ``MPI.ANY_TAG``.
-ANY_SOURCE = -1
-ANY_TAG = -1
 
 class SeqCounter:
     """An ``itertools.count`` whose next value can be read and re-seeded.
@@ -65,10 +62,10 @@ class MailboxClosedError(RuntimeError):
 class Message:
     """One in-flight message.
 
-    Ordered by ``(arrival, src, seq)`` so that wildcard receives pick the
-    earliest *virtual* arrival among the matching messages present, which
-    keeps virtual timing independent of thread interleaving in the common
-    consume-everything patterns.
+    Ordered by ``(arrival, src, seq)``: a receive takes the earliest
+    *virtual* arrival of its stream, and ``Comm.recv_sorted`` orders a
+    whole drain the same way, which keeps virtual timing independent of
+    thread interleaving.
     """
 
     arrival: float
@@ -87,12 +84,10 @@ class Mailbox:
     """Blocking, (src, tag)-matched message store for one rank.
 
     Queued messages live in one heap per ``(src, tag)``, keyed
-    ``(arrival, src, seq)``; a heap is dropped when it empties.  Every
-    receive takes the earliest ``(arrival, src, seq)`` among the messages
-    it matches: a specific ``(src, tag)`` pops that heap's head, a
-    wildcard takes the smallest head among the live heaps it matches.
-    ``seq`` is unique, so the choice never depends on deposit order —
-    nor, therefore, on thread interleaving.
+    ``(arrival, src, seq)``; a heap is dropped when it empties.  A
+    receive of ``(src, tag)`` pops that heap's head.  ``seq`` is unique,
+    so the choice never depends on deposit order — nor, therefore, on
+    thread interleaving.
     """
 
     def __init__(self, rank: int, baton: threading.Lock | None = None):
@@ -127,53 +122,25 @@ class Mailbox:
                     f"mailbox of rank {self.rank} is closed (engine shut down)"
                 )
             if msg.xmit_id is not None:
-                key = (msg.src, msg.xmit_id)
-                if key in self._seen_xmits:
+                xmit = (msg.src, msg.xmit_id)
+                if xmit in self._seen_xmits:
                     self.duplicates_suppressed += 1
                     return
-                self._seen_xmits.add(key)
-            self._push(msg)
-
-    def requeue(self, msg: Message) -> None:
-        """Re-deposit a message previously removed by :meth:`poll`.
-
-        Unlike :meth:`put`, this bypasses duplicate suppression — the
-        message already passed it on first deposit and would otherwise be
-        destroyed by its own ``xmit_id``.
-        """
-        with self._cond:
-            if self._closed:
-                raise MailboxClosedError(
-                    f"mailbox of rank {self.rank} is closed (engine shut down)"
-                )
-            self._push(msg)
-
-    def _push(self, msg: Message) -> None:
-        # The key is spelled out in the entry: heap comparisons then stay
-        # on plain tuples and never reach Message.__lt__ (seq is unique).
-        entry = (msg.arrival, msg.src, msg.seq, msg)
-        key = (msg.src, msg.tag)
-        heap = self._heaps.get(key)
-        if heap is None:
-            self._heaps[key] = [entry]
-        else:
-            heappush(heap, entry)
-        self._pending += 1
-        if self._pending > self.max_pending:
-            self.max_pending = self._pending
-        self._cond.notify_all()
-
-    def _match(self, src: int, tag: int) -> tuple[int, int] | None:
-        """The ``(src, tag)`` heap whose head a receive takes, if any."""
-        if src != ANY_SOURCE and tag != ANY_TAG:
-            return (src, tag) if (src, tag) in self._heaps else None
-        best = head = None
-        for key, heap in self._heaps.items():
-            if (src == ANY_SOURCE or key[0] == src) and \
-                    (tag == ANY_TAG or key[1] == tag) and \
-                    (head is None or heap[0] < head):
-                best, head = key, heap[0]
-        return best
+                self._seen_xmits.add(xmit)
+            # The key is spelled out in the entry: heap comparisons then
+            # stay on plain tuples and never reach Message.__lt__ (seq is
+            # unique).
+            entry = (msg.arrival, msg.src, msg.seq, msg)
+            key = (msg.src, msg.tag)
+            heap = self._heaps.get(key)
+            if heap is None:
+                self._heaps[key] = [entry]
+            else:
+                heappush(heap, entry)
+            self._pending += 1
+            if self._pending > self.max_pending:
+                self.max_pending = self._pending
+            self._cond.notify_all()
 
     def _pop(self, key: tuple[int, int]) -> Message:
         heap = self._heaps[key]
@@ -183,9 +150,9 @@ class Mailbox:
         self._pending -= 1
         return msg
 
-    def get(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
+    def get(self, src: int, tag: int,
             timeout: float | None = None) -> Message:
-        """Block until a matching message is available and remove it.
+        """Block until a ``(src, tag)`` message is available and remove it.
 
         Raises
         ------
@@ -196,9 +163,9 @@ class Mailbox:
         """
         try:
             with self._cond:
+                key = (src, tag)
                 while True:
-                    key = self._match(src, tag)
-                    if key is not None:
+                    if key in self._heaps:
                         return self._pop(key)
                     if self._closed:
                         raise MailboxClosedError(
@@ -224,20 +191,12 @@ class Mailbox:
             f"rank {self.rank}: recv(src={src}, tag={tag}) timed out after "
             f"{timeout}s — likely deadlock{why}")
 
-    def poll(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
-        """Non-blocking matched receive; ``None`` when nothing matches."""
+    def poll(self, src: int, tag: int) -> Message | None:
+        """Non-blocking receive of ``(src, tag)``; ``None`` when none is
+        queued."""
         with self._cond:
-            key = self._match(src, tag)
-            return self._pop(key) if key is not None else None
-
-    def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True when a matching message is queued (does not remove it)."""
-        with self._cond:
-            return self._match(src, tag) is not None
-
-    def pending_count(self) -> int:
-        with self._cond:
-            return self._pending
+            key = (src, tag)
+            return self._pop(key) if key in self._heaps else None
 
     def pending_summary(self) -> dict[tuple[int, int], int]:
         """``(src, tag) -> count`` of queued messages (deadlock reports)."""

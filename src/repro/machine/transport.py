@@ -8,9 +8,9 @@ process-per-rank runtime (:mod:`repro.runtime`).  This module defines
 the seam between the two:
 
 * :class:`Endpoint` — the per-rank interface ``Comm`` talks to: deposit
-  a message at a destination, matched blocking/non-blocking receives on
-  the own queue, a wait advertisement for deadlock reports, and the
-  mailbox counters the engine reads after a run.
+  a message at a destination, a blocking ``(src, tag)`` receive on the
+  own queue, a wait advertisement for deadlock reports, and the mailbox
+  counters the engine reads after a run.
 * :class:`LocalTransport` — the original in-process backend: one
   :class:`~repro.machine.mailbox.Mailbox` per rank behind each endpoint,
   plus the shared machine-wide "who is blocked on what" board.
@@ -47,25 +47,13 @@ class Endpoint(ABC):
     # ----------------------------------------------------------- receiving
     @abstractmethod
     def get(self, src: int, tag: int, timeout: float | None) -> Message:
-        """Blocking matched receive from the own queue.
+        """Blocking ``(src, tag)`` receive from the own queue.
 
         Raises ``TimeoutError`` when ``timeout`` real seconds elapse
         (the deadlock watchdog) and
         :class:`~repro.machine.mailbox.MailboxClosedError` after engine
         teardown.
         """
-
-    @abstractmethod
-    def poll(self, src: int, tag: int) -> Message | None:
-        """Non-blocking matched receive; ``None`` when nothing matches."""
-
-    @abstractmethod
-    def requeue(self, msg: Message) -> None:
-        """Re-deposit a message previously removed by :meth:`poll`."""
-
-    @abstractmethod
-    def probe(self, src: int, tag: int) -> bool:
-        """True when a matching message is queued (not removed)."""
 
     # ------------------------------------------------- deadlock diagnostics
     def set_wait(self, wait: tuple[int, int] | None) -> None:
@@ -148,15 +136,6 @@ class LocalEndpoint(Endpoint):
 
     def get(self, src: int, tag: int, timeout: float | None) -> Message:
         return self._box.get(src, tag, timeout=timeout)
-
-    def poll(self, src: int, tag: int) -> Message | None:
-        return self._box.poll(src, tag)
-
-    def requeue(self, msg: Message) -> None:
-        self._box.requeue(msg)
-
-    def probe(self, src: int, tag: int) -> bool:
-        return self._box.probe(src, tag)
 
     def set_wait(self, wait: tuple[int, int] | None) -> None:
         self._transport.waits[self.rank] = wait

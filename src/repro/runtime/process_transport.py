@@ -199,17 +199,6 @@ class ProcessEndpoint(Endpoint):
             except _queue.Empty:
                 return
 
-    def poll(self, src: int, tag: int) -> Message | None:
-        self._drain_pending()
-        return self._box.poll(src, tag)
-
-    def requeue(self, msg: Message) -> None:
-        self._box.requeue(msg)
-
-    def probe(self, src: int, tag: int) -> bool:
-        self._drain_pending()
-        return self._box.probe(src, tag)
-
     # ------------------------------------------------- deadlock diagnostics
     def deadlock_snapshot(self):
         # No machine-wide board across processes: report what this rank

@@ -45,11 +45,6 @@ class TestCell:
         assert not parent.contains_cell(Cell(2, 3 * 4), 2)
         assert not parent.contains_cell(Cell(0, 0), 2)
 
-    def test_parent(self):
-        assert Cell(2, 0b0111).parent(2) == Cell(1, 0b01)
-        with pytest.raises(ValueError):
-            Cell(0, 0).parent(2)
-
     def test_box(self):
         b = Cell(1, 0b11).box(ROOT2)
         np.testing.assert_allclose(b.center, [0.75, 0.75])
@@ -140,5 +135,6 @@ class TestCoverCells:
         for c in cells:
             clo, chi = c.key_range(6, 2)
             if c.depth > 0:
-                parent_lo, parent_hi = c.parent(2).key_range(6, 2)
+                parent = Cell(c.depth - 1, c.path_key >> 2)
+                parent_lo, parent_hi = parent.key_range(6, 2)
                 assert parent_lo < lo or parent_hi > hi

@@ -1,25 +1,37 @@
 """Tests for distributed tree construction and the top-tree merge."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bh.distributions import plummer, uniform_cube
-from repro.bh.multipole import MultipoleExpansion3D
+from repro.bh.morton import morton_keys
+from repro.bh.multipole import MultipoleExpansion3D, n_terms
 from repro.bh.particles import Box, ParticleSet
+from repro.bh.tree import Tree
 from repro.core.branch_nodes import BranchInfo, branch_key
 from repro.core.config import SchemeConfig
-from repro.core.partition import Cell
+from repro.core.partition import Cell, cluster_keys, cover_cells
 from repro.core.tree_build import (
     assign_to_cells,
     build_local_trees,
     local_branch_infos,
 )
-from repro.core.tree_merge import _check_disjoint, build_top_tree, \
-    merge_broadcast, merge_nonreplicated
+from repro.core.tree_merge import (
+    MERGE_FLOPS_PER_TERM,
+    _merge_flops,
+    build_top_tree,
+    merge_broadcast,
+    merge_nonreplicated,
+)
 from repro.machine.engine import Engine
 from repro.machine.profiles import ZERO_COST
-from tests.oracles.merge import check_disjoint_reference
+from tests.oracles.merge import (
+    build_top_tree_reference,
+    check_disjoint_reference,
+)
 from tests.oracles.upward import top_tree_coeffs_reference
 
 ROOT = Box(np.array([0.5, 0.5, 0.5]), 0.5)
@@ -157,7 +169,7 @@ class TestBuildTopTree:
         infos = self._infos(ps)
         top = build_top_tree(infos, ROOT, degree=0)
         for b in infos:
-            node = top.node_of_branch[b.key]
+            [node] = np.flatnonzero(top.tree.remote_key == b.key)
             assert top.tree.is_remote(node)
             assert top.tree.remote_owner[node] == b.owner
             assert top.tree.count(node) == b.count
@@ -167,7 +179,8 @@ class TestBuildTopTree:
         top = build_top_tree(self._infos(ps, degree=4), ROOT, degree=4)
         exp = MultipoleExpansion3D(4)
         direct = exp.p2m(ps.positions - ROOT.center, ps.masses)
-        np.testing.assert_allclose(top.coeffs[0], direct, atol=1e-8)
+        np.testing.assert_allclose(top.multipoles.coeffs[0], direct,
+                                   atol=1e-8)
 
     def test_varying_depth_branches(self):
         """DPDA-style: branch cells at different depths merge fine."""
@@ -228,21 +241,20 @@ class TestTopTreeUpwardPass:
                                     degree=degree)]
         top = build_top_tree(infos, ROOT, degree=degree)
         assert len({int(d) for d in top.tree.depth}) >= 3
-        assert np.abs(top.coeffs[0]).max() > 0
-        assert np.array_equal(top.coeffs, top_tree_coeffs_reference(top))
-
-
-def _branch(i, cell):
-    return BranchInfo(key=i, owner=i % 7, cell=cell, count=1, mass=1.0,
-                      com=np.zeros(3))
+        coeffs = top.multipoles.coeffs
+        assert np.abs(coeffs[0]).max() > 0
+        assert np.array_equal(coeffs, top_tree_coeffs_reference(top))
 
 
 @st.composite
-def dyadic_branch_sets(draw):
+def dyadic_branch_sets(draw, plants=("none", "ancestor", "descendant",
+                                     "duplicate"), dims=(2, 3)):
     """A shuffled set of disjoint dyadic cells (a random subset of the
     leaves of a random refinement), optionally with one planted
-    ancestor, descendant or duplicate of a member."""
-    dims = draw(st.sampled_from([2, 3]))
+    ancestor, descendant or duplicate of a member, as branch summaries
+    under their anchored keys: random owners, counts and masses (zeros
+    included) and centers of mass inside the cell."""
+    dims = draw(st.sampled_from(dims))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     leaves, frontier = [], [Cell(0, 0)]
     while frontier:
@@ -255,8 +267,7 @@ def dyadic_branch_sets(draw):
     keep = rng.random(len(leaves)) < 0.6
     keep[rng.integers(len(leaves))] = True
     cells = [c for c, k in zip(leaves, keep) if k]
-    plant = draw(st.sampled_from(["none", "ancestor", "descendant",
-                                  "duplicate"]))
+    plant = draw(st.sampled_from(plants))
     victim = cells[rng.integers(len(cells))]
     if plant == "ancestor" and victim.depth > 0:
         up = int(rng.integers(1, victim.depth + 1))
@@ -269,24 +280,131 @@ def dyadic_branch_sets(draw):
     elif plant == "duplicate":
         cells.append(victim)
     rng.shuffle(cells)
-    return [_branch(i, c) for i, c in enumerate(cells)], dims
+    root = Box(np.full(dims, 0.5), 0.5)
+    branches = []
+    for c in cells:
+        box = c.box(root)
+        mass = 0.0 if rng.random() < 0.25 else float(rng.random())
+        branches.append(BranchInfo(
+            key=branch_key(c, dims), owner=int(rng.integers(7)), cell=c,
+            count=int(rng.integers(0, 50)), mass=mass,
+            com=box.center + box.half * rng.uniform(-1, 1, dims)))
+    return branches, root
+
+
+def _old_internal_count(branches, dims):
+    """The strict ancestors of every branch cell, and the root."""
+    cells = {(0, 0)}
+    for b in branches:
+        for up in range(1, b.cell.depth + 1):
+            cells.add((b.cell.depth - up, b.cell.path_key >> (dims * up)))
+    return len(cells)
+
+
+def _index_contents(index):
+    return (type(index), [id(b) for b in index],
+            getattr(index, "n_buckets", None))
+
+
+def assert_same_top_tree(top, ref):
+    """Every ``Tree`` field bit for bit with its dtype, the merged
+    coefficients and the branch index."""
+    for field in dataclasses.fields(Tree):
+        got, want = getattr(top.tree, field.name), getattr(ref.tree, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, field.name
+            assert got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+    if ref.coeffs is None:
+        assert top.multipoles is None
+    else:
+        assert top.multipoles.coeffs.dtype == ref.coeffs.dtype
+        assert top.multipoles.coeffs.tobytes() == ref.coeffs.tobytes()
+    assert _index_contents(top.branch_index) \
+        == _index_contents(ref.branch_index)
+
+
+class TestArrayBuildEqualsOracle:
+    """The anchored-key build is the ``set[Cell]`` build it replaced
+    (``tests/oracles/merge.build_top_tree_reference``), bit for bit, and
+    the merge charge read off it is the old ancestor count's."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(dyadic_branch_sets(plants=("none",)), st.data())
+    def test_random_dyadic_sets(self, case, data):
+        branches, root = case
+        dims = root.dims
+        degree = data.draw(st.integers(0, 5) if dims == 3 else st.just(0))
+        if degree:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+            for b in branches:
+                shape = (n_terms(degree),)
+                b.coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        kind = data.draw(st.sampled_from(["hashed", "sorted"]))
+        top = build_top_tree(branches, root, degree, kind)
+        assert_same_top_tree(
+            top, build_top_tree_reference(branches, root, degree, kind))
+        terms = max(degree, 1) ** 2
+        assert _merge_flops(top, degree) == \
+            _old_internal_count(branches, dims) * (1 << dims) \
+            * MERGE_FLOPS_PER_TERM * terms
+
+    @staticmethod
+    def _forest_infos(cells, degree, seed):
+        ps = plummer(600, seed=seed)
+        ps = ParticleSet(0.5 + 0.08 * ps.positions.clip(-6, 6), ps.masses)
+        cfg = SchemeConfig(mode="potential", degree=degree)
+        subs = build_local_trees(ps, cells, ROOT, cfg, BITS)
+        return [b for i, sub in enumerate(subs) for b in
+                local_branch_infos([sub], rank=i % 4, root=ROOT,
+                                   degree=degree)]
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_grid_forests(self, level):
+        ps = plummer(600, seed=level)
+        keys = cluster_keys(0.5 + 0.08 * ps.positions.clip(-6, 6), ROOT,
+                            level)
+        cells = [Cell(level, int(k)) for k in np.unique(keys)]
+        infos = self._forest_infos(cells, 0, level)
+        assert_same_top_tree(build_top_tree(infos, ROOT, 0),
+                             build_top_tree_reference(infos, ROOT, 0))
+
+    @pytest.mark.parametrize("degree", [0, 2, 3])
+    def test_dpda_cover_cells(self, degree):
+        ps = plummer(600, seed=degree)
+        pos = 0.5 + 0.08 * ps.positions.clip(-6, 6)
+        keys = np.sort(morton_keys(pos, ROOT.lo, ROOT.side, BITS))
+        cuts = [0, *keys[[150, 300, 450]].tolist(), 1 << (3 * BITS)]
+        cells = [c for lo, hi in zip(cuts, cuts[1:])
+                 for c in cover_cells(lo, hi, BITS, 3)]
+        infos = self._forest_infos(cells, degree, degree)
+        assert len({b.cell.depth for b in infos}) >= 3
+        assert_same_top_tree(build_top_tree(infos, ROOT, degree),
+                             build_top_tree_reference(infos, ROOT, degree))
 
 
 class TestCheckDisjoint:
+    """``build_top_tree`` rejects exactly the branch sets the quadratic
+    scan rejects, naming a pair that really overlaps; a repeated cell is
+    an overlap."""
+
     @settings(deadline=None, max_examples=150)
     @given(dyadic_branch_sets())
     def test_agrees_with_quadratic_scan(self, case):
-        branches, dims = case
+        branches, root = case
+        dims = root.dims
         try:
             check_disjoint_reference(branches, dims)
             overlap = False
         except ValueError:
             overlap = True
         if not overlap:
-            _check_disjoint(branches, dims)
+            build_top_tree(branches, root, 0)
             return
         with pytest.raises(ValueError, match="branch cells overlap") as err:
-            _check_disjoint(branches, dims)
+            build_top_tree(branches, root, 0)
         # the pair it names really overlaps
         named = [b for b in branches
                  if f"{b.cell} (rank {b.owner})" in str(err.value)]
@@ -312,7 +430,8 @@ class TestDistributedMerge:
             else:
                 top = merge_nonreplicated(comm, infos, ROOT, degree=0)
             return (float(top.tree.mass[0]), top.tree.com[0].copy(),
-                    len(top.node_of_branch), comm.clock.timings.seconds)
+                    int((top.tree.remote_owner >= 0).sum()),
+                    comm.clock.timings.seconds)
 
         return ps, Engine(p, ZERO_COST, recv_timeout=30.0).run(
             main, merge_kind)

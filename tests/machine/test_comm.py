@@ -158,37 +158,6 @@ class TestVirtualTiming:
         assert a.values == b.values
 
 
-class TestPollProbe:
-    def test_poll_hides_future_messages(self):
-        """A rank cannot see a message before its virtual arrival."""
-        def main(comm):
-            if comm.rank == 0:
-                comm.compute(100.0)
-                comm.send("x", dst=1)  # virtual arrival ~ 111.5
-            else:
-                while not comm.probe(src=0):  # real-time wait, no clock move
-                    pass
-                early = comm.poll_msg(src=0) is not None  # clock still 0
-                comm.compute(500.0)  # move past arrival
-                late = comm.poll_msg(src=0) is not None
-                return early, late
-
-        rep = run(2, main, profile=TOY)
-        early, late = rep.values[1]
-        assert late and not early
-
-    def test_probe_sees_queued_regardless_of_time(self):
-        def main(comm):
-            if comm.rank == 0:
-                comm.send("x", dst=1)
-                comm.barrier()
-            else:
-                comm.barrier()
-                return comm.probe(src=0)
-
-        assert run(2, main, profile=TOY).values[1] is True
-
-
 class TestStats:
     def test_counters(self):
         def main(comm):

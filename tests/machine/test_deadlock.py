@@ -67,7 +67,7 @@ class TestMailboxClosedError:
         with pytest.raises(MailboxClosedError):
             box.put(Message(arrival=0.0, src=1))
         with pytest.raises(MailboxClosedError):
-            box.get(src=1, timeout=1.0)
+            box.get(src=1, tag=0, timeout=1.0)
 
     def test_root_cause_selection_is_not_string_matched(self):
         """A user error whose message contains "mailbox" must still be

@@ -5,7 +5,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message
+from repro.machine.mailbox import Mailbox, Message
 from tests.oracles.mailbox import ScanMailbox
 
 
@@ -33,35 +33,17 @@ class TestMatching:
         box = Mailbox(0)
         box.put(msg(src=2, payload="from2"))
         box.put(msg(src=3, payload="from3"))
-        assert box.get(src=3).payload == "from3"
-
-    def test_wildcard_picks_earliest_virtual_arrival(self):
-        box = Mailbox(0)
-        box.put(msg(src=5, payload="late", arrival=9.0))
-        box.put(msg(src=2, payload="early", arrival=1.0))
-        assert box.get(ANY_SOURCE, ANY_TAG).payload == "early"
-
-    def test_wildcard_ties_broken_by_source(self):
-        box = Mailbox(0)
-        box.put(msg(src=5, payload="five", arrival=1.0))
-        box.put(msg(src=2, payload="two", arrival=1.0))
-        assert box.get().payload == "two"
+        assert box.get(src=3, tag=0).payload == "from3"
 
     def test_poll_returns_none_when_empty(self):
-        assert Mailbox(0).poll() is None
+        assert Mailbox(0).poll(0, 0) is None
 
     def test_poll_respects_filter(self):
         box = Mailbox(0)
         box.put(msg(src=1, tag=4))
-        assert box.poll(src=2) is None
+        assert box.poll(src=2, tag=4) is None
+        assert box.poll(src=1, tag=0) is None
         assert box.poll(src=1, tag=4) is not None
-
-    def test_probe_does_not_consume(self):
-        box = Mailbox(0)
-        box.put(msg(src=1))
-        assert box.probe(src=1)
-        assert box.probe(src=1)
-        assert box.pending_count() == 1
 
 
 class TestBlockingAndTimeout:
@@ -70,7 +52,7 @@ class TestBlockingAndTimeout:
         got = []
 
         def receiver():
-            got.append(box.get(src=1).payload)
+            got.append(box.get(src=1, tag=0).payload)
 
         t = threading.Thread(target=receiver)
         t.start()
@@ -81,7 +63,7 @@ class TestBlockingAndTimeout:
     def test_timeout_raises(self):
         box = Mailbox(0)
         with pytest.raises(TimeoutError, match="deadlock"):
-            box.get(src=1, timeout=0.05)
+            box.get(src=1, tag=0, timeout=0.05)
 
     def test_close_wakes_blocked_receiver(self):
         box = Mailbox(3)
@@ -89,7 +71,7 @@ class TestBlockingAndTimeout:
 
         def receiver():
             try:
-                box.get(src=1, timeout=5)
+                box.get(src=1, tag=0, timeout=5)
             except RuntimeError as e:
                 errors.append(str(e))
 
@@ -114,50 +96,42 @@ _OPS = st.one_of(
               st.integers(0, _TAGS - 1),
               st.sampled_from([0.0, 0.5, 1.0, 2.5]),
               st.one_of(st.none(), st.integers(0, 3))),
-    st.tuples(st.sampled_from(["get", "poll", "probe"]),
-              st.integers(ANY_SOURCE, _SOURCES - 1),
-              st.integers(ANY_TAG, _TAGS - 1)),
-    st.tuples(st.just("requeue")),
+    st.tuples(st.sampled_from(["get", "poll"]),
+              st.integers(0, _SOURCES - 1), st.integers(0, _TAGS - 1)),
 )
 
 
 def _play(box, ops, seqs):
     """Run a script, returning everything it observed.  ``get`` is only
-    issued when something matches (it would block otherwise); ``requeue``
-    re-deposits the most recent message a ``poll`` removed.  After the
-    script the box is drained with wildcard polls, and its counters are
-    read before and after."""
-    seen, polled = [], []
+    issued when its ``(src, tag)`` is queued (it would block otherwise).
+    After the script the box is drained stream by stream, and its
+    counters are read before and after."""
+    seen = []
     for k, op in enumerate(ops):
         if op[0] == "put":
             box.put(Message(arrival=op[3], src=op[1], seq=seqs[k],
                             tag=op[2], payload=k, xmit_id=op[4]))
-        elif op[0] == "requeue":
-            if polled:
-                box.requeue(polled.pop())
-        elif op[0] == "probe":
-            seen.append(box.probe(op[1], op[2]))
         else:
-            blocking = op[0] == "get" and box.probe(op[1], op[2])
+            blocking = op[0] == "get" and \
+                (op[1], op[2]) in box.pending_summary()
             got = (box.get(op[1], op[2], timeout=5) if blocking
                    else box.poll(op[1], op[2]))
             seen.append(None if got is None else got.payload)
-            if got is not None and op[0] == "poll":
-                polled.append(got)
-    left = (box.pending_count(), box.pending_summary())
+    left = box.pending_summary()
     drained = []
-    while (m := box.poll()) is not None:
-        drained.append(m.payload)
-    return (seen, left, drained, box.pending_count(), box.pending_summary(),
-            box.max_pending, box.duplicates_suppressed)
+    for src, tag in sorted(left):
+        while (m := box.poll(src, tag)) is not None:
+            drained.append(m.payload)
+    return (seen, left, drained, box.pending_summary(), box.max_pending,
+            box.duplicates_suppressed)
 
 
 class TestScanEqualsOracle:
     """The per-``(src, tag)`` heaps select what the list scan of
-    ``ScanMailbox`` selected: same message for every get / poll / probe,
-    same queue left behind and drained in the same order, same pending
-    counts, high-water mark and duplicate suppressions — requeued
-    messages, wildcards, arrival ties and reliable duplicates included."""
+    ``ScanMailbox`` selected: same message for every get / poll, same
+    queue left behind and drained in the same order, same high-water
+    mark and duplicate suppressions — arrival ties and reliable
+    duplicates included."""
 
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(_OPS, max_size=80), data=st.data())

@@ -1,7 +1,8 @@
 """The list-and-scan ``Mailbox`` the per-``(src, tag)`` heaps replaced,
-kept verbatim (renamed ``ScanMailbox``) as the oracle of message
-selection: every queued message in one list, every ``get`` / ``poll`` /
-``probe`` a scan for the earliest ``(arrival, src, seq)`` that matches.
+kept (renamed ``ScanMailbox``, and without the wildcards, requeue and
+probe the machine no longer offers) as the oracle of message
+selection: every queued message in one list, every ``get`` / ``poll``
+a scan for the earliest ``(arrival, src, seq)`` of its ``(src, tag)``.
 
 Install in a whole run with ``monkeypatch.setattr(
 repro.machine.transport, "Mailbox", ScanMailbox)``: ``LocalTransport``
@@ -11,12 +12,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.machine.mailbox import (
-    ANY_SOURCE,
-    ANY_TAG,
-    MailboxClosedError,
-    Message,
-)
+from repro.machine.mailbox import MailboxClosedError, Message
 
 
 class ScanMailbox:
@@ -62,32 +58,13 @@ class ScanMailbox:
                 self.max_pending = len(self._messages)
             self._cond.notify_all()
 
-    def requeue(self, msg: Message) -> None:
-        """Re-deposit a message previously removed by :meth:`poll`.
-
-        Unlike :meth:`put`, this bypasses duplicate suppression — the
-        message already passed it on first deposit and would otherwise be
-        destroyed by its own ``xmit_id``.
-        """
-        with self._cond:
-            if self._closed:
-                raise MailboxClosedError(
-                    f"mailbox of rank {self.rank} is closed (engine shut down)"
-                )
-            self._messages.append(msg)
-            if len(self._messages) > self.max_pending:
-                self.max_pending = len(self._messages)
-            self._cond.notify_all()
-
     def _match_index(self, src: int, tag: int) -> int | None:
         # Message.__lt__ spelled out on locals: the dataclass builds two
         # tuples per comparison, and this scan is the mailbox's hot loop.
         best: int | None = None
         arrival = source = seq = 0
         for i, m in enumerate(self._messages):
-            if src != ANY_SOURCE and m.src != src:
-                continue
-            if tag != ANY_TAG and m.tag != tag:
+            if m.src != src or m.tag != tag:
                 continue
             if best is None or m.arrival < arrival or (
                     m.arrival == arrival and (m.src < source or (
@@ -95,7 +72,7 @@ class ScanMailbox:
                 best, arrival, source, seq = i, m.arrival, m.src, m.seq
         return best
 
-    def get(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
+    def get(self, src: int, tag: int,
             timeout: float | None = None) -> Message:
         """Block until a matching message is available and remove it.
 
@@ -136,20 +113,11 @@ class ScanMailbox:
             f"rank {self.rank}: recv(src={src}, tag={tag}) timed out after "
             f"{timeout}s — likely deadlock{why}")
 
-    def poll(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
+    def poll(self, src: int, tag: int) -> Message | None:
         """Non-blocking matched receive; ``None`` when nothing matches."""
         with self._cond:
             i = self._match_index(src, tag)
             return self._messages.pop(i) if i is not None else None
-
-    def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True when a matching message is queued (does not remove it)."""
-        with self._cond:
-            return self._match_index(src, tag) is not None
-
-    def pending_count(self) -> int:
-        with self._cond:
-            return len(self._messages)
 
     def pending_summary(self) -> dict[tuple[int, int], int]:
         """``(src, tag) -> count`` of queued messages (deadlock reports)."""

@@ -48,9 +48,9 @@ def top_tree_coeffs_reference(top) -> np.ndarray:
     verbatim from ``build_top_tree`` — the oracle for its use of
     :func:`repro.bh.multipole.m2m_upward`.  Branch leaves keep the
     coefficients they were published with."""
-    tree, exp = top.tree, top.expansion
+    tree, exp = top.tree, top.multipoles.expansion
     remote = tree.remote_owner >= 0
-    coeffs = np.where(remote[:, None], top.coeffs, 0.0)
+    coeffs = np.where(remote[:, None], top.multipoles.coeffs, 0.0)
     for i in range(tree.nnodes - 1, -1, -1):
         if remote[i]:
             continue

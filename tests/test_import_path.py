@@ -131,3 +131,43 @@ def test_importing_repro_loads_no_tests_or_examples():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_one_top_tree_build():
+    """The top tree is built from anchored-key arrays through the local
+    trees' own upward passes: no ``set[Cell]`` build beside it, no
+    second ancestor walk for the merge charge, and its merged series is
+    one ``TreeMultipoles`` that every engine evaluates directly."""
+    import dataclasses
+    import inspect
+
+    from repro.core import tree_merge
+    from repro.core.partition import Cell
+
+    for owner, name in ((tree_merge, "_internal_count"),
+                        (tree_merge, "_check_disjoint"),
+                        (Cell, "parent")):
+        assert not hasattr(owner, name), (owner, name)
+    assert [f.name for f in dataclasses.fields(tree_merge.TopTree)] \
+        == ["tree", "branch_index", "multipoles"]
+    assert list(inspect.signature(tree_merge.build_top_tree).parameters) \
+        == ["branches", "root", "degree", "lookup_kind"]
+
+
+def test_every_receive_names_its_stream():
+    """No wildcard, requeue, probe or real-time poll on the rank-program
+    side: a receive is one ``(src, tag)`` lookup."""
+    from repro.machine import comm, mailbox, transport
+    from repro.runtime import process_transport
+
+    gone = {
+        mailbox: ("ANY_SOURCE", "ANY_TAG"),
+        mailbox.Mailbox: ("requeue", "probe", "pending_count", "_match"),
+        transport.Endpoint: ("poll", "requeue", "probe"),
+        transport.LocalEndpoint: ("poll", "requeue", "probe"),
+        process_transport.ProcessEndpoint: ("poll", "requeue", "probe"),
+        comm.Comm: ("ANY_SOURCE", "ANY_TAG", "poll_msg", "probe", "isend"),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
