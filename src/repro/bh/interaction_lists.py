@@ -6,10 +6,13 @@ and *computing* those interactions (the arithmetic).  This module splits
 them:
 
 1. :func:`build_interaction_lists` walks the tree exactly once per
-   target batch and emits flat lists — one entry per accepted cluster
-   interaction, one ``(leaf slice, target set)`` entry per leaf visit,
-   plus the remote-target map the parallel engines turn into bins.  No
-   kernel is evaluated during the walk.
+   target batch and emits what the evaluation reads: one entry per
+   accepted cluster interaction, the leaf visits already grouped by
+   leaf size for the particle-particle pass (one sort of the visits,
+   not of their rows), the remote-target map the parallel engines turn
+   into bins, and the counters.  Its per-visit records stay as they
+   are; the row-expanded MAC decisions and walk-order leaf rows are
+   built only when read.  No kernel is evaluated during the walk.
 2. :func:`evaluate_interaction_lists` consumes the lists with fused,
    chunked kernels: a single grouped gather per evaluator over *all*
    accepted cluster interactions, and a lane-major particle-particle
@@ -29,20 +32,23 @@ have just drifted, a served drain is whatever arrived), so no walk
 would be reused.
 
 Exactness contract: the walk applies the MAC with the same
-floating-point operations as :class:`~repro.bh.mac.BarnesHutMAC.accept`,
-and per-target decisions are independent of how targets are batched, so
-the interaction *sets* — and therefore ``mac_tests``,
-``cluster_interactions``, ``p2p_interactions``, the per-node DPDA
-counters, and the per-target weight attribution — are identical to the
-classical traversal, streamed or not.  Only the accumulation order of
-floating-point sums differs (fused kernels sum per-pair contributions
-in list order), which perturbs values at the 1e-15 level.
+floating-point operations as :class:`~repro.bh.mac.BarnesHutMAC.accept`
+(its inside-the-cell veto run only on targets within reach of the
+node's COM — no other target can be inside), and per-target decisions
+are independent of how targets are batched, so the interaction *sets*
+— and therefore ``mac_tests``, ``cluster_interactions``,
+``p2p_interactions``, the per-node DPDA counters, and the per-target
+weight attribution — are identical to the classical traversal, streamed
+or not.  Only the accumulation order of floating-point sums differs
+(fused kernels sum per-pair contributions in list order), which
+perturbs values at the 1e-15 level.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,14 +109,21 @@ class TraversalResult:
 
 @dataclass
 class InteractionLists:
-    """Flat interaction lists of one walk over one target batch.
+    """Interaction lists of one walk over one target batch.
 
     Cluster interactions are stored one entry per accepted (node,
     target) pair (``cluster_node[i]`` interacts with target
-    ``cluster_tgt[i]``); particle-particle work as one row per (visited
-    leaf, target) pair — ``p2p_leaf[i]``'s whole particle slice
-    interacts with target ``p2p_tgt[i]``.  ``remote_targets`` arrays
-    are sorted so bin contents are independent of traversal order.
+    ``cluster_tgt[i]``); particle-particle work as the walk's leaf
+    visits, grouped by leaf size (:attr:`p2p_groups`).  ``remote_targets``
+    arrays are sorted so bin contents are independent of traversal
+    order.
+
+    The walk's per-visit records stay as it made them; the row arrays
+    expanded from them — ``p2p_leaf`` / ``p2p_tgt`` / ``p2p_sizes`` in
+    walk order, ``mac_per_target`` and ``tested_node`` / ``tested_tgt`` /
+    ``tested_ok`` — are built when first read.  A force step reads
+    ``mac_per_target`` when it attributes target weights, and nothing
+    else of them.
     """
 
     targets: np.ndarray            # (nt, d) positions the walk used
@@ -118,88 +131,96 @@ class InteractionLists:
     d: int
     cluster_node: np.ndarray       # (ncluster,) int64 node ids
     cluster_tgt: np.ndarray        # (ncluster,) int64 target indices
-    p2p_leaf: np.ndarray           # (nrows,) leaf node id per visit row
-    p2p_tgt: np.ndarray            # (nrows,) target index per visit row
-    p2p_sizes: np.ndarray          # (nrows,) int64 leaf particle counts
     remote_targets: dict[int, np.ndarray]
     mac_tests: int
-    mac_per_target: np.ndarray     # (nt,) int64 MAC tests per target
     p2p_interactions: int
-    # every MAC decision the walk made, one row per tested (node,
-    # target) pair
-    tested_node: np.ndarray = None  # type: ignore[assignment]
-    tested_tgt: np.ndarray = None  # type: ignore[assignment]
-    tested_ok: np.ndarray = None  # type: ignore[assignment]
-    # lazy caches (built on first evaluation, reused afterwards)
-    _p2p_groups: list | None = None
-    _cluster_per_target: np.ndarray | None = None
-    _p2p_src_per_target: np.ndarray | None = None
+    # P2P rows grouped by leaf source count for dense evaluation
+    # (:func:`group_leaf_visits`): all rows whose leaf holds ``ns``
+    # sources, stacked in walk order, as one ``(tgt, starts, ns)`` tuple.
+    # A leaf's particles are contiguous in tree order, so source ``j``
+    # of row ``i`` is element ``starts[i] + j`` of the tree-ordered
+    # source arrays and no position, of a target or a source, is stored.
+    p2p_groups: list
+    # per visit: accepting node and its target count; visited leaf, its
+    # particle count and targets; MAC-tested node, targets, decisions
+    cl_nodes: np.ndarray
+    cl_rows: np.ndarray
+    leaf_nodes: np.ndarray
+    leaf_ns: np.ndarray
+    leaf_rows: np.ndarray
+    leaf_idx: list
+    mac_nodes: list
+    mac_idx: list
+    mac_ok: list
 
     @property
     def cluster_interactions(self) -> int:
         return int(self.cluster_tgt.size)
 
     def nbytes(self) -> int:
-        """Bytes held: list arrays plus, once evaluated, the P2P groups'
-        per-row target indices and slice starts (no position blocks)."""
-        arrays = [self.cluster_node, self.cluster_tgt, self.p2p_leaf,
-                  self.p2p_tgt, self.p2p_sizes, self.mac_per_target,
-                  self.tested_node, self.tested_tgt, self.tested_ok,
-                  *self.remote_targets.values()]
-        for tgt, starts, _ in self._p2p_groups or ():
-            arrays.extend((tgt, starts))
-        return sum(a.nbytes for a in arrays)
+        """Bytes of the distinct arrays held: the cluster pairs, the
+        groups' per-row target indices and slice starts, the remote map,
+        the per-visit records and whichever row arrays were read."""
+        held = [a for name, a in vars(self).items()
+                if isinstance(a, np.ndarray) and name != "targets"]
+        held += [*self.remote_targets.values(), *self.leaf_idx,
+                 *self.mac_idx, *self.mac_ok]
+        for tgt, starts, _ in self.p2p_groups:
+            held += (tgt, starts)
+        return sum({id(a): a.nbytes for a in held}.values())
 
-    def p2p_groups(self, tree: Tree
-                   ) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """P2P rows regrouped by leaf source count for dense evaluation.
+    # ------------------------------------------- row arrays, on demand
+    @cached_property
+    def p2p_leaf(self) -> np.ndarray:
+        """(nrows,) leaf node id per visit row, in walk order."""
+        return np.repeat(self.leaf_nodes, self.leaf_rows)
 
-        Returns ``(tgt, starts, ns)`` tuples: all rows whose leaf holds
-        ``ns`` sources, stacked in list order.  A leaf's particles are
-        contiguous in tree order, so source ``j`` of row ``i`` is
-        element ``starts[i] + j`` of the tree-ordered source arrays and
-        no position, of a target or a source, is stored.  Cached across
-        evaluations — the lists are bound to the tree they were built
-        over."""
-        if self._p2p_groups is None:
-            self._p2p_groups = group_p2p_rows(
-                self.p2p_tgt, tree.start[self.p2p_leaf], self.p2p_sizes)
-        return self._p2p_groups
+    @cached_property
+    def p2p_tgt(self) -> np.ndarray:
+        """(nrows,) target index per visit row."""
+        return _concat(self.leaf_idx)
 
-    def cluster_per_target(self) -> np.ndarray:
-        if self._cluster_per_target is None:
-            self._cluster_per_target = np.bincount(
-                self.cluster_tgt, minlength=self.nt
-            ).astype(np.int64)
-        return self._cluster_per_target
+    @cached_property
+    def p2p_sizes(self) -> np.ndarray:
+        """(nrows,) int64 leaf particle count per visit row."""
+        return np.repeat(self.leaf_ns, self.leaf_rows)
 
-    def p2p_sources_per_target(self) -> np.ndarray:
-        """Total particle-particle source count charged to each target."""
-        if self._p2p_src_per_target is None:
-            if self.p2p_tgt.size:
-                self._p2p_src_per_target = np.bincount(
-                    self.p2p_tgt,
-                    weights=self.p2p_sizes.astype(np.float64),
-                    minlength=self.nt,
-                ).astype(np.int64)
-            else:
-                self._p2p_src_per_target = np.zeros(self.nt,
-                                                    dtype=np.int64)
-        return self._p2p_src_per_target
+    @cached_property
+    def mac_per_target(self) -> np.ndarray:
+        """(nt,) int64 MAC tests per target."""
+        return np.bincount(_concat(self.mac_idx), minlength=self.nt)
+
+    @cached_property
+    def tested_node(self) -> np.ndarray:
+        """Every MAC decision the walk made, one row per tested (node,
+        target) pair: the node, the target (:attr:`tested_tgt`), the
+        decision (:attr:`tested_ok`)."""
+        return np.repeat(np.asarray(self.mac_nodes, dtype=np.int64),
+                         [a.size for a in self.mac_idx])
+
+    @cached_property
+    def tested_tgt(self) -> np.ndarray:
+        return _concat(self.mac_idx)
+
+    @cached_property
+    def tested_ok(self) -> np.ndarray:
+        return (np.concatenate(self.mac_ok) if self.mac_ok
+                else np.zeros(0, dtype=bool))
 
 
-def group_p2p_rows(tgt: np.ndarray, starts: np.ndarray, sizes: np.ndarray
-                   ) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """P2P rows — target ``tgt[i]`` against the ``sizes[i]`` sources
-    from ``starts[i]`` on — as ``(tgt, starts, ns)`` groups by source
-    count, list order kept within a group."""
-    # one stable sort by size (a radix sort on 16-bit keys)
-    order = np.argsort(sizes.astype(np.uint16) if sizes.size
-                       and sizes.max() < 2 ** 16 else sizes, kind="stable")
-    tgt, starts = tgt[order], starts[order]
-    ends = np.cumsum(np.bincount(sizes))
-    return [(tgt[lo:hi], starts[lo:hi], ns)
-            for ns, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), 1)
+def group_leaf_visits(idx: list[np.ndarray], rows: np.ndarray,
+                      starts: np.ndarray, ns: np.ndarray
+                      ) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Leaf visits — the ``rows[v]`` targets ``idx[v]`` against the
+    ``ns[v]`` sources from ``starts[v]`` on — as P2P rows in ``(tgt,
+    starts, ns)`` groups by source count, visit order kept within a
+    group: one stable sort of the visits, not of their rows."""
+    order = np.argsort(ns, kind="stable")
+    tgt = _concat([idx[v] for v in order.tolist()])
+    starts = np.repeat(starts[order], rows[order])
+    ends = np.cumsum(np.bincount(ns, weights=rows).astype(np.int64))
+    return [(tgt[lo:hi], starts[lo:hi], n)
+            for n, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), 1)
             if hi > lo]
 
 
@@ -210,10 +231,13 @@ def _concat(chunks: list[np.ndarray]) -> np.ndarray:
 
 
 def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
-              cls: np.ndarray, start: int):
+              cls: np.ndarray, reach: np.ndarray, start: int):
     """The classical batched depth-first descent: a Python stack of
     (node, target indices, their gathered positions) triples, node data
-    kept scalar.  The children of an opened node share one gather."""
+    kept scalar.  The children of an opened node share one gather.
+    Returns the per-visit records: accepting nodes and their targets,
+    visited leaves and theirs, remote visits by node, MAC-tested nodes,
+    their targets and decisions."""
     nt = targets.shape[0]
     children = tree.children
     com, center, half = tree.com, tree.center, tree.half
@@ -223,9 +247,9 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
     leaf_nodes: list[int] = []
     leaf_idx: list[np.ndarray] = []
     remote: dict[int, list[np.ndarray]] = {}
-    tested_nodes: list[int] = []
-    tested_idx: list[np.ndarray] = []
-    tested_ok: list[np.ndarray] = []
+    mac_nodes: list[int] = []
+    mac_idx: list[np.ndarray] = []
+    mac_ok: list[np.ndarray] = []
 
     stack: list[tuple[int, np.ndarray, np.ndarray]] = [
         (start, np.arange(nt), targets)]
@@ -239,20 +263,24 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
             elif c == 2:
                 remote.setdefault(node, []).append(idx)
             continue
-        # Bit-for-bit the expressions of BarnesHutMAC.accept; the inside-
-        # the-cell test can only veto, so it runs only if some target passed.
+        # Bit-for-bit the expressions of BarnesHutMAC.accept.  The inside-
+        # the-cell test can only veto, and no target beyond ``reach`` of
+        # the COM is inside, so it runs only on passing targets within it.
         diff = t - com[node]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        ok = 2.0 * half[node] < alpha * dist
-        if ok.any():
-            inside = np.abs(t - center[node]) < half[node]
-            within = inside[:, 0]
-            for k in range(1, inside.shape[1]):
-                within &= inside[:, k]
-            ok &= ~within
-        tested_nodes.append(node)
-        tested_idx.append(idx)
-        tested_ok.append(ok)
+        h, r = half[node], reach[node]
+        ok = 2.0 * h < alpha * dist
+        if 2.0 * h < alpha * r:
+            cand = np.flatnonzero(ok & (dist <= r))
+            if cand.size:
+                inside = np.abs(t.take(cand, axis=0) - center[node]) < h
+                within = inside[:, 0]
+                for k in range(1, inside.shape[1]):
+                    within &= inside[:, k]
+                ok[cand[within]] = False
+        mac_nodes.append(node)
+        mac_idx.append(idx)
+        mac_ok.append(ok)
         far = idx[ok]
         if far.size:
             cl_nodes.append(node)
@@ -264,24 +292,19 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
             row = children[node]
             for child in row[row != NO_CHILD]:
                 stack.append((int(child), idx, t))
+    return (cl_nodes, cl_idx, leaf_nodes, leaf_idx, remote,
+            mac_nodes, mac_idx, mac_ok)
 
-    cl_sizes = np.array([a.size for a in cl_idx], dtype=np.int64)
-    leaf_sizes = np.array([a.size for a in leaf_idx], dtype=np.int64)
-    tested_sizes = np.array([a.size for a in tested_idx], dtype=np.int64)
-    cluster_node = (np.repeat(np.asarray(cl_nodes, dtype=np.int64), cl_sizes)
-                    if cl_nodes else np.zeros(0, dtype=np.int64))
-    p2p_leaf = (np.repeat(np.asarray(leaf_nodes, dtype=np.int64), leaf_sizes)
-                if leaf_nodes else np.zeros(0, dtype=np.int64))
-    tested_node = (np.repeat(np.asarray(tested_nodes, dtype=np.int64),
-                             tested_sizes)
-                   if tested_nodes else np.zeros(0, dtype=np.int64))
-    tested = (tested_node, _concat(tested_idx),
-              (np.concatenate(tested_ok) if tested_ok
-               else np.zeros(0, dtype=bool)))
-    mac_per_target = np.bincount(tested[1], minlength=nt)
-    remote_pairs = {n: _concat(remote[n]) for n in remote}
-    return (cluster_node, _concat(cl_idx), p2p_leaf, _concat(leaf_idx),
-            remote_pairs, tested[1].size, mac_per_target, tested)
+
+def _node_classes(tree: Tree) -> np.ndarray:
+    """One class code per node, collapsing the remote/empty/leaf tests
+    into a single lookup.  Priority mirrors the classical walk: remote >
+    empty > leaf > internal."""
+    cls = np.zeros(tree.nnodes, dtype=np.int8)        # 0 = internal
+    cls[(tree.children == NO_CHILD).all(axis=1)] = 1  # leaf
+    cls[tree.end == tree.start] = 3                   # empty: skipped
+    cls[tree.remote_owner >= 0] = 2                   # remote
+    return cls
 
 
 def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
@@ -304,58 +327,41 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
             f"criterion; got {type(mac).__name__}")
     targets = np.atleast_2d(np.asarray(target_positions, dtype=np.float64))
     nt, d = targets.shape
-    empty = InteractionLists(
-        targets=targets, nt=nt, d=d,
-        cluster_node=np.zeros(0, dtype=np.int64),
-        cluster_tgt=np.zeros(0, dtype=np.int64),
-        p2p_leaf=np.zeros(0, dtype=np.int64),
-        p2p_tgt=np.zeros(0, dtype=np.int64),
-        p2p_sizes=np.zeros(0, dtype=np.int64),
-        remote_targets={}, mac_tests=0,
-        mac_per_target=np.zeros(nt, dtype=np.int64),
-        p2p_interactions=0,
-        tested_node=np.zeros(0, dtype=np.int64),
-        tested_tgt=np.zeros(0, dtype=np.int64),
-        tested_ok=np.zeros(0, dtype=bool),
-    )
     if nt == 0 or tree.nnodes == 0:
-        return empty
+        walk = [], [], [], [], {}, [], [], []
+    else:
+        # How far from its COM a point inside a node's cell can lie (the
+        # factor covers rounding): the inside-the-cell veto's reach.
+        reach = (tree.half * np.sqrt(tree.center.shape[1])
+                 + np.linalg.norm(tree.com - tree.center, axis=1)
+                 ) * (1 + 1e-9)
+        walk = _walk_dfs(tree, targets, mac.alpha, _node_classes(tree),
+                         reach, tree.ROOT if root is None else root)
+    (cl_nodes, cl_idx, leaf_nodes, leaf_idx, remote,
+     mac_nodes, mac_idx, mac_ok) = walk
 
-    children = tree.children
-    counts = (tree.end - tree.start).astype(np.int64)
-    # One class code per node collapses the remote/empty/leaf tests into
-    # a single lookup.  Priority mirrors the classical walk:
-    # remote > empty > leaf > internal.
-    cls = np.zeros(tree.nnodes, dtype=np.int8)        # 0 = internal
-    cls[(children == NO_CHILD).all(axis=1)] = 1       # leaf
-    cls[counts == 0] = 3                              # empty: skipped
-    cls[tree.remote_owner >= 0] = 2                   # remote
-    (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
-     mac_tests, mac_per_target, tested) = _walk_dfs(
-        tree, targets, mac.alpha, cls,
-        tree.ROOT if root is None else root)
-
-    # Sorted keys and sorted contents: bin composition is independent of
-    # the walk and of its visit order.
-    remote_targets = {
-        n: np.sort(remote_pairs[n]) for n in sorted(remote_pairs)
-    }
-
+    cl_nodes = np.asarray(cl_nodes, dtype=np.int64)
+    cl_rows = np.array([a.size for a in cl_idx], dtype=np.int64)
+    leaf_nodes = np.asarray(leaf_nodes, dtype=np.int64)
+    leaf_ns = (tree.end[leaf_nodes]
+               - tree.start[leaf_nodes]).astype(np.int64)
+    leaf_rows = np.array([a.size for a in leaf_idx], dtype=np.int64)
     return InteractionLists(
         targets=targets, nt=nt, d=d,
-        cluster_node=cluster_node,
-        cluster_tgt=cluster_tgt,
-        p2p_leaf=p2p_leaf,
-        p2p_tgt=p2p_tgt,
-        p2p_sizes=counts[p2p_leaf],
-        remote_targets=remote_targets,
-        mac_tests=mac_tests,
-        mac_per_target=mac_per_target,
-        p2p_interactions=int(counts[p2p_leaf].sum()),
-        tested_node=tested[0],
-        tested_tgt=tested[1],
-        tested_ok=tested[2],
-    )
+        cluster_node=np.repeat(cl_nodes, cl_rows),
+        cluster_tgt=_concat(cl_idx),
+        # Sorted keys and sorted contents: bin composition is independent
+        # of the walk and of its visit order.
+        remote_targets={n: np.sort(_concat(remote[n]))
+                        for n in sorted(remote)},
+        mac_tests=sum(a.size for a in mac_idx),
+        p2p_interactions=int(leaf_ns @ leaf_rows),
+        p2p_groups=group_leaf_visits(leaf_idx, leaf_rows,
+                                     tree.start[leaf_nodes], leaf_ns),
+        cl_nodes=cl_nodes, cl_rows=cl_rows,
+        leaf_nodes=leaf_nodes, leaf_ns=leaf_ns, leaf_rows=leaf_rows,
+        leaf_idx=leaf_idx,
+        mac_nodes=mac_nodes, mac_idx=mac_idx, mac_ok=mac_ok)
 
 
 # -------------------------------------------------------------- evaluation
@@ -386,7 +392,8 @@ def _cluster_pass(values: np.ndarray, targets: np.ndarray,
     chunk = max(1, chunk_bytes // max(row, 1))
     for lo in range(0, n, chunk):
         t = tgt[lo:lo + chunk]
-        _accumulate(values, t, batch(nodes[lo:lo + chunk], targets[t]),
+        _accumulate(values, t,
+                    batch(nodes[lo:lo + chunk], targets.take(t, axis=0)),
                     values.shape[0])
 
 
@@ -498,7 +505,7 @@ def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
                    ) -> None:
     """Both fused passes of every force path, accumulated onto
     ``values``: ``evaluator`` over pairs ``(cluster_node[i],
-    cluster_tgt[i])``, and the :func:`group_p2p_rows` groups, whose
+    cluster_tgt[i])``, and the :func:`group_leaf_visits` groups, whose
     source ``j`` of row ``i`` is element ``starts[i] + j`` of the
     :func:`source_layout` ``layout``."""
     _cluster_pass(values, targets, cluster_node, cluster_tgt, evaluator,
@@ -539,34 +546,33 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
         return result
     ws = (DEFAULT_WORKING_SET_BYTES if working_set_bytes is None
           else int(working_set_bytes))
-    groups, layout = [], None
-    if lists.p2p_leaf.size:
+    layout = None
+    if lists.p2p_groups:
         if sources is None:
             raise ValueError("tree has local leaves but no source "
                              "particles were provided")
-        groups, layout = lists.p2p_groups(tree), _source_layout(tree, sources)
+        layout = _source_layout(tree, sources)
     evaluate_pairs(values, lists.targets, lists.cluster_node,
-                   lists.cluster_tgt, evaluator, groups, layout, mode,
-                   softening, ws)
+                   lists.cluster_tgt, evaluator, lists.p2p_groups, layout,
+                   mode, softening, ws)
 
     if count_node_interactions:
-        nn = tree.nnodes
-        if lists.cluster_node.size:
-            tree.interactions += np.bincount(lists.cluster_node,
-                                             minlength=nn)
-        if lists.p2p_leaf.size:
-            # A leaf visited by m targets costs m * leaf_count pairs.
-            visits = np.bincount(lists.p2p_leaf, minlength=nn)
-            counts = (tree.end - tree.start).astype(np.int64)
-            tree.interactions += visits * counts
+        # A leaf visited by m targets costs m * leaf_count pairs.
+        np.add.at(tree.interactions, lists.cl_nodes, lists.cl_rows)
+        np.add.at(tree.interactions, lists.leaf_nodes,
+                  lists.leaf_rows * lists.leaf_ns)
     if target_weights is not None:
         degree = getattr(evaluator, "degree", 0)
         per_cluster = 13.0 + 16.0 * max(degree, 1) ** 2
+        p2p_sources = np.zeros(nt, dtype=np.int64)
+        for tgt, _, ns in lists.p2p_groups:
+            p2p_sources += ns * np.bincount(tgt, minlength=nt)
         # All three contributions are integer-valued floats, so this is
         # exactly equal to the classical per-visit accumulation.
         target_weights += (14.0 * lists.mac_per_target
-                           + per_cluster * lists.cluster_per_target()
-                           + 29.0 * lists.p2p_sources_per_target())
+                           + per_cluster * np.bincount(lists.cluster_tgt,
+                                                       minlength=nt)
+                           + 29.0 * p2p_sources)
     return result
 
 

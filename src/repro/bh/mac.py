@@ -32,7 +32,13 @@ class BarnesHutMAC:
 
     def accept(self, tree: Tree, node: int,
                targets: np.ndarray) -> np.ndarray:
-        """Boolean mask over targets: True = interaction allowed."""
+        """Boolean mask over targets: True = interaction allowed.
+
+        The list-building walk (:mod:`repro.bh.interaction_lists`)
+        inlines these expressions, running the inside-the-box veto only
+        on targets that passed the distance test within
+        ``half * sqrt(d) + |com - center|`` (plus a rounding margin) of
+        the COM: no target farther away is inside the box."""
         targets = np.atleast_2d(targets)
         diff = targets - tree.com[node]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))

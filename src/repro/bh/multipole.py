@@ -280,7 +280,7 @@ def point_masses(com: np.ndarray, mass: np.ndarray, softening: float,
     ``r^2`` softened by ``softening^2`` and a zero distance contributing
     exactly zero: the one point-mass cluster formula of every force
     path."""
-    diff = targets - com[nodes]
+    diff = targets - com.take(nodes, axis=0)
     r2 = np.einsum("ij,ij->i", diff, diff) + softening ** 2
     zero = r2 == 0.0
     np.sqrt(r2, out=r2)
@@ -288,10 +288,10 @@ def point_masses(com: np.ndarray, mass: np.ndarray, softening: float,
         np.divide(1.0, r2, out=r2)                 # inv_r
     r2[zero] = 0.0
     if not force:
-        return -kernels.G * mass[nodes] * r2
+        return -kernels.G * mass.take(nodes) * r2
     inv_r3 = r2 * r2
     inv_r3 *= r2
-    w = mass[nodes] * inv_r3
+    w = mass.take(nodes) * inv_r3
     w *= -kernels.G
     return w[:, None] * diff
 
@@ -474,9 +474,8 @@ class TreeMultipoles:
                         targets: np.ndarray) -> np.ndarray:
         if self._table is None:
             self._table = m2p_table(self.coeffs, self.degree)
-        return -kernels.G * m2p(self._table, nodes,
-                                targets - self.tree.center[nodes],
-                                self.degree)
+        rel = targets - self.tree.center.take(nodes, axis=0)
+        return -kernels.G * m2p(self._table, nodes, rel, self.degree)
 
     def batch_force(self, nodes: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.bh.interaction_lists import evaluate_pairs, group_p2p_rows, \
+from repro.bh.interaction_lists import evaluate_pairs, group_leaf_visits, \
     source_layout
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
@@ -258,10 +258,9 @@ class DataShippingEngine:
         if leaves:
             nodes, idx = zip(*leaves)
             ns = np.array([cn.positions.shape[0] for cn in nodes])
-            visits = [i.size for i in idx]
-            groups = group_p2p_rows(np.concatenate(idx),
-                                    np.repeat(np.cumsum(ns) - ns, visits),
-                                    np.repeat(ns, visits))
+            groups = group_leaf_visits(list(idx),
+                                       np.array([i.size for i in idx]),
+                                       np.cumsum(ns) - ns, ns)
             layout = source_layout(
                 np.ascontiguousarray(
                     np.concatenate([cn.positions for cn in nodes]).T),

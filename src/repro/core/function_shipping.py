@@ -175,7 +175,8 @@ class FunctionShippingEngine:
             weights = np.zeros(sel.size)
             st = self.subtree_by_key[key]
             res = self.subtree_engines[key].compute(
-                coords[sel], self._evaluator(st.tree, st.multipoles),
+                coords.take(sel, axis=0),
+                self._evaluator(st.tree, st.multipoles),
                 mode=self._mode, count_node_interactions=True,
                 target_weights=weights,
             )
@@ -226,7 +227,7 @@ class FunctionShippingEngine:
             if nt:
                 weights = np.zeros(nt)
                 top_res = self._top_engine.compute(
-                    self.particles.positions[tidx],
+                    self.particles.positions.take(tidx, axis=0),
                     self._evaluator(self.top.tree, self.top.multipoles),
                     mode=self._mode, target_weights=weights,
                 )
@@ -244,12 +245,12 @@ class FunctionShippingEngine:
                     idx = tidx[sub]
                     if owner == comm.rank:
                         values[idx] += self._descend(
-                            key, self.particles.positions[idx])
+                            key, self.particles.positions.take(idx, axis=0))
                     else:
                         bins.add_requests(
                             owner, idx,
                             np.full(idx.size, key, dtype=np.int64),
-                            self.particles.positions[idx],
+                            self.particles.positions.take(idx, axis=0),
                         )
             bins.complete()
             if returned:

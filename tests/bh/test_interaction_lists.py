@@ -36,6 +36,7 @@ from repro.bh.traversal import traverse
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import NO_CHILD, build_tree
 from repro.bh.tree_repair import repair_tree
+from tests.oracles.grouping import group_p2p_rows
 from tests.oracles.traversal import traverse_reference
 from tests.oracles.walk import walk_dfs_reference
 
@@ -277,30 +278,108 @@ class TestStreamedEqualsWholeBatch:
         assert engine.lists_peak_bytes > 0
 
 
-LIST_ARRAYS = ("cluster_node", "cluster_tgt", "p2p_leaf", "p2p_tgt",
-               "p2p_sizes", "mac_per_target", "tested_node", "tested_tgt",
-               "tested_ok")
+#: the list arrays a walk builds only when one is read
+ON_DEMAND = ("p2p_leaf", "p2p_tgt", "p2p_sizes", "mac_per_target",
+             "tested_node", "tested_tgt", "tested_ok")
+LIST_ARRAYS = ("cluster_node", "cluster_tgt", *ON_DEMAND)
+
+
+class TestBuildsOnlyWhatTheStepReads:
+    def _walks_of_compute(self, monkeypatch, **kwargs):
+        """The lists of every chunk one ``compute`` walks."""
+        built, build = [], il.build_interaction_lists
+        monkeypatch.setattr(il, "build_interaction_lists",
+                            lambda *a, **k: built.append(build(*a, **k))
+                            or built[-1])
+        monkeypatch.setattr(il, "STREAM_CHUNK_TARGETS", 256)
+        ps = INSTANCES["plummer"]
+        tree = build_tree(ps, leaf_capacity=8)
+        TraversalEngine(tree, ps, BarnesHutMAC(0.67)).compute(
+            ps.positions, MonopoleExpansion(tree), "force",
+            count_node_interactions=True, **kwargs)
+        assert len(built) == 4 and all(b.p2p_groups for b in built)
+        return built
+
+    def test_no_mac_records_or_walk_order_rows(self, monkeypatch):
+        for lists in self._walks_of_compute(monkeypatch):
+            assert not set(ON_DEMAND) & set(vars(lists))
+
+    def test_target_weights_read_the_mac_counts_alone(self, monkeypatch):
+        weights = np.zeros(INSTANCES["plummer"].n)
+        for lists in self._walks_of_compute(monkeypatch,
+                                            target_weights=weights):
+            assert set(ON_DEMAND) & set(vars(lists)) \
+                == {"mac_per_target"}
+        assert weights.min() > 0
+
+    def test_nbytes_counts_a_row_array_once_read(self):
+        ps = INSTANCES["plummer"]
+        tree = build_tree(ps, leaf_capacity=8)
+        lists = build_interaction_lists(tree, ps.positions,
+                                        BarnesHutMAC(0.67))
+        for name in ON_DEMAND:
+            held = lists.nbytes()
+            rows = getattr(lists, name)
+            assert rows.size and lists.nbytes() - held == rows.nbytes, name
 
 
 def _assert_walk_equals_oracle(tree, targets, alpha, root=None):
-    """``build_interaction_lists`` through the product's ``_walk_dfs``
-    and through the parent's, kept in ``tests/oracles/walk.py``: every
-    list array equal element for element, dtype included."""
-    mac = BarnesHutMAC(alpha)
-    got = build_interaction_lists(tree, targets, mac, root=root)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(il, "_walk_dfs", walk_dfs_reference)
-        want = build_interaction_lists(tree, targets, mac, root=root)
+    """``build_interaction_lists`` against the earlier walk kept verbatim
+    in ``tests/oracles/walk.py``: every list array equal element for
+    element, dtype included (the on-demand ones read through their
+    properties), and the P2P groups the walk emits equal to
+    ``group_p2p_rows`` of the oracle's rows."""
+    got = build_interaction_lists(tree, targets, BarnesHutMAC(alpha),
+                                  root=root)
+    (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote, mac_tests,
+     mac_per_target, tested) = walk_dfs_reference(
+        tree, got.targets, alpha, il._node_classes(tree),
+        tree.ROOT if root is None else root)
+    counts = (tree.end - tree.start).astype(np.int64)
+    want = dict(cluster_node=cluster_node, cluster_tgt=cluster_tgt,
+                p2p_leaf=p2p_leaf, p2p_tgt=p2p_tgt,
+                p2p_sizes=counts[p2p_leaf], mac_per_target=mac_per_target,
+                tested_node=tested[0], tested_tgt=tested[1],
+                tested_ok=tested[2])
     for name in LIST_ARRAYS:
-        a, b = getattr(got, name), getattr(want, name)
+        a, b = getattr(got, name), want[name]
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.mac_tests == want.mac_tests
-    assert type(got.mac_tests) is type(want.mac_tests)
-    assert got.p2p_interactions == want.p2p_interactions
-    assert list(got.remote_targets) == list(want.remote_targets)
-    for node, idx in want.remote_targets.items():
-        assert np.array_equal(got.remote_targets[node], idx)
+    assert got.mac_tests == mac_tests
+    assert type(got.mac_tests) is type(mac_tests)
+    assert got.p2p_interactions == int(counts[p2p_leaf].sum())
+    assert list(got.remote_targets) == sorted(remote)
+    for node, idx in got.remote_targets.items():
+        assert np.array_equal(idx, np.sort(remote[node]))
+    rows = group_p2p_rows(p2p_tgt, tree.start[p2p_leaf], counts[p2p_leaf])
+    assert len(got.p2p_groups) == len(rows)
+    for (tgt, starts, ns), (tgt_r, starts_r, ns_r) in zip(got.p2p_groups,
+                                                          rows):
+        assert ns == ns_r
+        assert tgt.dtype == tgt_r.dtype and np.array_equal(tgt, tgt_r)
+        assert starts.dtype == starts_r.dtype \
+            and np.array_equal(starts, starts_r)
     return got
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grouped_visits_equal_grouped_rows(seed):
+    """Data shipping's leaf visits, empty ones and repeated leaves
+    included, group as the row sort in ``tests/oracles/grouping.py``
+    groups their rows."""
+    rng = np.random.default_rng(seed)
+    nv = int(rng.integers(1, 40))
+    ns = rng.integers(1, 9, size=nv)
+    idx = [rng.integers(0, 500, size=int(m))
+           for m in rng.integers(0, 30, size=nv)]
+    rows = np.array([i.size for i in idx])
+    starts = np.cumsum(ns) - ns
+    got = il.group_leaf_visits(idx, rows, starts, ns)
+    want = group_p2p_rows(np.concatenate(idx), np.repeat(starts, rows),
+                          np.repeat(ns, rows))
+    assert [g[2] for g in got] == [w[2] for w in want]
+    for (tgt, st, _), (tgt_w, st_w, _) in zip(got, want):
+        assert tgt.dtype == tgt_w.dtype and np.array_equal(tgt, tgt_w)
+        assert st.dtype == st_w.dtype and np.array_equal(st, st_w)
 
 
 class TestWalkEqualsOracle:
@@ -378,6 +457,51 @@ class TestWalkEqualsOracle:
                                    alpha)
 
 
+def _targets_in_and_around_cells(tree, rng, cells=24, per_cell=12):
+    """Points inside and just outside random cells, on their faces, and
+    at their COMs."""
+    nodes = rng.choice(tree.nnodes, size=min(cells, tree.nnodes),
+                       replace=False)
+    d = tree.center.shape[1]
+    center, half = tree.center[nodes], tree.half[nodes][:, None]
+    around = center[:, None] + half[:, None] * rng.uniform(
+        -1.5, 1.5, (nodes.size, per_cell, d))
+    face = center + half * np.eye(d)[rng.integers(d, size=nodes.size)] \
+        * rng.choice([-1.0, 1.0], size=(nodes.size, 1))
+    return np.concatenate([around.reshape(-1, d), face, tree.com[nodes]])
+
+
+class TestReachGatedVeto:
+    """The inside-the-cell veto runs only on targets that passed the
+    distance test within ``reach`` of the node's COM; the oracle vetoes
+    at every node.  Moved sources leave COMs off-centre — outside their
+    cells, even — as a block step's refreshed monopoles do."""
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["built", "moved"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.67, 1.0, 2.5])
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_decisions_equal_the_oracle(self, dims, alpha, moved):
+        rng = np.random.default_rng([dims, int(100 * alpha), moved])
+        vetoed = 0
+        for capacity in range(1, 9):
+            n = int(rng.integers(40, 300))
+            ps = ParticleSet(rng.normal(size=(n, dims)),
+                             rng.uniform(0.5, 1.5, n))
+            tree = build_tree(ps, leaf_capacity=capacity)
+            if moved:
+                tree.compute_monopoles(ParticleSet(
+                    ps.positions + rng.normal(scale=0.3, size=(n, dims)),
+                    ps.masses))
+            targets = _targets_in_and_around_cells(tree, rng)
+            lists = _assert_walk_equals_oracle(tree, targets, alpha)
+            node, tgt = lists.tested_node, lists.tested_tgt
+            dist = np.linalg.norm(targets[tgt] - tree.com[node], axis=1)
+            vetoed += int(np.sum((2.0 * tree.half[node] < alpha * dist)
+                                 & ~lists.tested_ok))
+        if alpha > 2 or moved and alpha > 0.5:
+            assert vetoed         # the veto decided some pairs
+
+
 class _NoClusters:
     """An evaluator whose cluster terms vanish: what
     ``evaluate_interaction_lists`` returns is its P2P pass alone."""
@@ -453,7 +577,7 @@ class TestLaneMajorP2P:
     @pytest.mark.parametrize("mode", ["force", "potential"])
     def test_many_chunks_equal_one(self, mode, uniform):
         ps, tree, lists = _p2p_case(3, uniform, n=250)
-        assert min(g[0].size for g in lists.p2p_groups(tree)) >= 3
+        assert min(g[0].size for g in lists.p2p_groups) >= 3
         one = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
                                          mode=mode)
         calls = []
@@ -470,12 +594,11 @@ class TestLaneMajorP2P:
 
     def test_groups_hold_no_positions(self):
         ps, tree, lists = _p2p_case(3, False)
-        bare = lists.nbytes()
-        groups = lists.p2p_groups(tree)
+        groups = lists.p2p_groups
         assert [ns for _, _, ns in groups] == list(range(1, 9))
-        assert sum(t.size for t, _, _ in groups) == lists.p2p_tgt.size
         # per row: one target index and one slice start
-        assert lists.nbytes() - bare == 16 * lists.p2p_tgt.size
+        assert sum(t.nbytes + s.nbytes for t, s, _ in groups) \
+            == 16 * lists.p2p_sizes.size
 
     def test_sources_are_read_at_evaluation_time(self):
         """Block stepping moves sources under a reused tree: nothing

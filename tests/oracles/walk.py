@@ -2,9 +2,10 @@
 kept verbatim from ``repro.bh.interaction_lists._walk_dfs`` as the
 oracle of the walk that replaced it: one ``targets[idx]`` gather per
 visited node, the inside-the-cell test on every node, a fancy ``+= 1``
-per node for ``mac_per_target``.  Same signature, same return tuple;
-install with ``monkeypatch.setattr(il, "_walk_dfs",
-walk_dfs_reference)``."""
+per node for ``mac_per_target``.  Call it directly with the tree, the
+targets, ``alpha``, ``il._node_classes(tree)`` and the root, as
+``_assert_walk_equals_oracle`` in ``tests/bh/test_interaction_lists.py``
+does, and compare its row arrays with the lists'."""
 
 from __future__ import annotations
 
