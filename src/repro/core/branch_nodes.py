@@ -33,6 +33,14 @@ def branch_key(cell: Cell, dims: int) -> int:
     return cell.path_key | (1 << (dims * cell.depth))
 
 
+def anchored_keys(depth: np.ndarray, path_key: np.ndarray,
+                  dims: int) -> np.ndarray:
+    """:func:`branch_key` of the cells ``(depth, path_key)``, as
+    ``uint64``: at depth 21 in 3-D the anchor is bit 63."""
+    shift = np.uint64(dims) * depth.astype(np.uint64)
+    return (np.uint64(1) << shift) | path_key.astype(np.uint64)
+
+
 def cell_of_branch_key(key: int, dims: int) -> Cell:
     """Inverse of :func:`branch_key`."""
     if key < 1:

@@ -13,10 +13,18 @@ is one hash-table access on both sides, making the addressing overhead of
 Section 4.2.3 measurable.
 
 The protocol is round-based and deterministic: traverse with the current
-cache, collect cache misses, batch-fetch them (one request list per
-owner, served from the local subtrees), insert, repeat until no misses.
-Working-set behaviour (Section 4.2.4) is observable through the cache
-size counters.
+mirror, collect misses, batch-fetch them (one request list per owner),
+insert, repeat until no misses.  Working-set behaviour (Section 4.2.4)
+is observable through the mirror size counter.  Only what crosses the
+wire counts as fetched: a rank's own subtrees come through the free
+self-slot of the exchange.
+
+Nodes travel and are mirrored as rows of one table, :class:`NodeRows`,
+under anchored cell keys (``uint64``: depth 21 in 3-D sets bit 63).  An
+owner answers a fetch list with one ``searchsorted`` of its forest's
+sorted keys and ``take``s of those rows and their children's; the
+requester's mirror, seeded from the top tree, is the same rows with a
+``dict`` from key to row as the hashed octree.
 
 What differs from function shipping is what travels, not the
 arithmetic: each round's interactions run through the same evaluators
@@ -26,8 +34,8 @@ and the same fused cluster and P2P passes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -35,11 +43,10 @@ from repro.bh.interaction_lists import evaluate_pairs, group_leaf_visits, \
     source_layout
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
-from repro.bh.particles import Box, ParticleSet
-from repro.bh.tree import NO_CHILD
-from repro.core.branch_nodes import branch_key
+from repro.bh.particles import ParticleSet
+from repro.bh.tree import NO_CHILD, Tree
+from repro.core.branch_nodes import anchored_keys
 from repro.core.config import SchemeConfig
-from repro.core.partition import Cell
 from repro.core.tree_build import LocalSubtree
 from repro.core.tree_merge import TopTree
 from repro.machine.comm import Comm
@@ -48,25 +55,126 @@ from repro.machine.costmodel import multipole_series_bytes
 #: flops per hash access (both requester and owner side).
 FLOPS_PER_HASH_ACCESS = 6.0
 
+_NODE_FIELDS = ("keys", "owner", "mass", "com", "center", "half", "count",
+                "coeffs", "kids")
+
+
+def node_keys(st: LocalSubtree, dims: int) -> np.ndarray:
+    """Anchored keys of a local subtree's nodes.  Local trees are rooted
+    at their owned cell, so their ``depth`` / ``path_key`` are
+    cell-relative; composing with the cell's address makes them
+    globally unique."""
+    depth = st.tree.depth.astype(np.uint64)
+    path = ((np.uint64(st.cell.path_key) << (np.uint64(dims) * depth))
+            | st.tree.path_key.astype(np.uint64))
+    return anchored_keys(st.cell.depth + depth, path, dims)
+
+
+def _payload(start: np.ndarray, count: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Payload rows of the nodes with ``start >= 0``, concatenated, and
+    each node's start in that concatenation (``-1`` without payload)."""
+    n = np.where(start >= 0, count, 0)
+    offs = np.cumsum(n) - n
+    return (np.repeat(start - offs, n) + np.arange(n.sum()),
+            np.where(start >= 0, offs, -1))
+
 
 @dataclass
-class CachedNode:
-    """One mirrored tree node in the hashed octree."""
+class NodeRows:
+    """Tree nodes as rows: one fetch reply, an owner's forest, or the
+    requester's mirror.
 
-    key: int                 # anchored cell key
-    owner: int
-    mass: float
+    ``kids`` holds a node's child keys in slot order (``0``: no child,
+    or children not yet known); a leaf's particle payload is the
+    ``count`` rows of ``positions`` / ``masses`` from ``start`` (``-1``:
+    no payload).  ``coeffs`` is ``None`` in monopole runs.  ``nbytes``
+    is a reply's wire size by the Section 4.2.1 model; the
+    communicator's payload estimator reads it.
+    """
+
+    keys: np.ndarray
+    owner: np.ndarray
+    mass: np.ndarray
     com: np.ndarray
     center: np.ndarray
-    half: float
-    count: int
-    is_leaf: bool
-    coeffs: np.ndarray | None = None
-    # leaf payload (positions/masses) once fetched
-    positions: np.ndarray | None = None
-    masses: np.ndarray | None = None
-    children_known: bool = False
-    child_keys: list[int] = field(default_factory=list)
+    half: np.ndarray
+    count: np.ndarray
+    coeffs: np.ndarray | None
+    kids: np.ndarray
+    start: np.ndarray
+    positions: np.ndarray
+    masses: np.ndarray
+    nbytes: int = 0
+
+    @property
+    def dims(self) -> int:
+        return self.com.shape[1]
+
+    @property
+    def nnodes(self) -> int:
+        return self.keys.size
+
+    def take(self, rows: np.ndarray) -> NodeRows:
+        """Rows ``rows`` with their payloads."""
+        src, start = _payload(self.start[rows], self.count[rows])
+        return NodeRows(
+            **{f: None if getattr(self, f) is None else getattr(self, f)[rows]
+               for f in _NODE_FIELDS},
+            start=start, positions=self.positions[src],
+            masses=self.masses[src])
+
+
+def tree_rows(tree: Tree, keys: np.ndarray, owner: np.ndarray,
+              series: TreeMultipoles | None,
+              particles: ParticleSet | None = None) -> NodeRows:
+    """A tree's nodes as rows under ``keys``, each with its children's
+    keys (a top tree's branch leaves have none yet); with ``particles``
+    (those the tree was built over) each leaf carries its payload."""
+    kids = np.where(tree.children != NO_CHILD, keys[tree.children],
+                    np.uint64(0))
+    payload = dict(start=np.full(tree.nnodes, -1),
+                   positions=np.zeros((0, tree.dims)), masses=np.zeros(0))
+    if particles is not None:
+        payload = dict(start=np.where(kids.any(axis=1), -1, tree.start),
+                       positions=particles.positions[tree.order],
+                       masses=particles.masses[tree.order])
+    return NodeRows(keys=keys, owner=owner, mass=tree.mass, com=tree.com,
+                    center=tree.center, half=tree.half,
+                    count=tree.end - tree.start, kids=kids,
+                    coeffs=None if series is None else series.coeffs,
+                    **payload)
+
+
+def concat_rows(parts: list[NodeRows]) -> NodeRows:
+    """One table of ``parts``' rows in order, payloads included."""
+    base = np.cumsum([0] + [p.masses.size for p in parts])
+    return NodeRows(
+        **{f: None if getattr(parts[0], f) is None else
+           np.concatenate([getattr(p, f) for p in parts])
+           for f in _NODE_FIELDS + ("positions", "masses")},
+        start=np.concatenate([np.where(p.start >= 0, p.start + b, -1)
+                              for p, b in zip(parts, base)]))
+
+
+def merge_rows(mirror: NodeRows, row_of: dict[int, int],
+               rec: NodeRows) -> NodeRows:
+    """``mirror`` with the reply ``rec`` merged in; unseen keys become
+    new rows and entries of ``row_of``.  A node seen before keeps the
+    summary (geometry, monopole, series) first seen — the walk memoizes
+    its decisions across rounds, so its MAC geometry must not shift —
+    and gains only children and payload."""
+    n = mirror.nnodes
+    rows = np.fromiter(map(row_of.get, rec.keys.tolist(), repeat(-1)),
+                       dtype=np.int64, count=rec.nnodes)
+    seen, new = rows >= 0, np.flatnonzero(rows < 0)
+    grown = concat_rows([mirror, rec])
+    known = seen & rec.kids.any(axis=1)
+    grown.kids[rows[known]] = rec.kids[known]
+    paid = np.flatnonzero(seen & (rec.start >= 0))
+    grown.start[rows[paid]] = grown.start[n + paid]
+    row_of.update(zip(rec.keys[new].tolist(), range(n, n + new.size)))
+    return grown.take(np.concatenate((np.arange(n), n + new)))
 
 
 @dataclass
@@ -82,91 +190,6 @@ class DataShipStats:
     cache_nodes: int = 0
 
 
-class HashedOctreeCache:
-    """The requester-side mirror: cell key -> CachedNode."""
-
-    def __init__(self):
-        self._table: dict[int, CachedNode] = {}
-        self.accesses = 0
-
-    def get(self, key: int) -> CachedNode | None:
-        self.accesses += 1
-        return self._table.get(key)
-
-    def put(self, node: CachedNode) -> None:
-        self.accesses += 1
-        existing = self._table.get(node.key)
-        if existing is None:
-            self._table[node.key] = node
-            return
-        # Merge: the summary fields (geometry, monopole, expansion) the
-        # requester first saw must stay STABLE — traversal decisions are
-        # memoized across fetch rounds and would be corrupted if the MAC
-        # geometry shifted under them.  Only structural knowledge
-        # (children, leaf payload) is added.
-        existing.children_known = existing.children_known or \
-            node.children_known
-        if node.child_keys:
-            existing.child_keys = node.child_keys
-        if node.positions is not None:
-            existing.positions = node.positions
-            existing.masses = node.masses
-            existing.is_leaf = True
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
-def _node_cell(st: LocalSubtree, node: int, dims: int) -> Cell:
-    """Global cell address of a local-tree node.
-
-    Local trees are rooted at their owned cell, so their stored depths
-    and path keys are *cell-relative*; composing with the cell's own
-    address yields the globally unique cell.
-    """
-    local_depth = int(st.tree.depth[node])
-    local_path = int(st.tree.path_key[node])
-    return Cell(st.cell.depth + local_depth,
-                (st.cell.path_key << (dims * local_depth)) | local_path)
-
-
-def _export_node(st: LocalSubtree, node: int, dims: int,
-                 degree: int, rank: int, root: Box) -> CachedNode:
-    """Owner-side: package one local tree node for shipping."""
-    tree = st.tree
-    key = branch_key(_node_cell(st, node, dims), dims)
-    is_leaf = tree.is_leaf(node)
-    coeffs = None
-    if degree > 0 and st.multipoles is not None and not is_leaf:
-        coeffs = st.multipoles.coeffs[node]
-    out = CachedNode(
-        key=key, owner=rank, mass=float(tree.mass[node]),
-        com=tree.com[node].copy(), center=tree.center[node].copy(),
-        half=float(tree.half[node]), count=tree.count(node),
-        is_leaf=is_leaf, coeffs=coeffs,
-    )
-    if is_leaf:
-        idx = tree.particle_indices(node)
-        out.positions = st.particles.positions[idx].copy()
-        out.masses = st.particles.masses[idx].copy()
-    else:
-        out.children_known = True
-        for c in tree.children[node]:
-            if c != NO_CHILD:
-                out.child_keys.append(
-                    branch_key(_node_cell(st, int(c), dims), dims)
-                )
-    return out
-
-
-def _node_wire_bytes(node: CachedNode, degree: int, dims: int) -> int:
-    """Wire cost of one fetched node (Section 4.2.1 accounting)."""
-    if node.is_leaf and node.positions is not None:
-        # leaf: particle coordinates + masses
-        return node.positions.shape[0] * 4 * (dims + 1) + 16
-    return multipole_series_bytes(degree, dims)
-
-
 class DataShippingEngine:
     """Force computation by fetching remote nodes (the baseline)."""
 
@@ -175,96 +198,79 @@ class DataShippingEngine:
         self.comm = comm
         self.config = config
         self.top = top
-        self.subtrees = subtrees
         self.particles = particles
         self.mac = BarnesHutMAC(config.alpha)
-        self.cache = HashedOctreeCache()
         self.stats = DataShipStats()
-        self._dims = top.tree.dims
-        # owner-side directory: anchored key -> (subtree, node id)
-        self._local_nodes: dict[int, tuple[LocalSubtree, int]] = {}
-        for st in subtrees:
-            tree = st.tree
-            for node in range(tree.nnodes):
-                k = branch_key(_node_cell(st, node, self._dims),
-                               self._dims)
-                self._local_nodes[k] = (st, node)
+        self._dims = dims = top.tree.dims
+        # owner side: the forest as one table, each node's children's
+        # rows beside it, and a sorted key index over it
+        if subtrees:
+            base = np.cumsum([0] + [st.tree.nnodes for st in subtrees])
+            self._forest = concat_rows([
+                tree_rows(st.tree, node_keys(st, dims),
+                          np.full(st.tree.nnodes, comm.rank), st.multipoles,
+                          st.particles) for st in subtrees])
+            self._kid_rows = np.concatenate(
+                [np.where(st.tree.children != NO_CHILD,
+                          st.tree.children + b, -1)
+                 for st, b in zip(subtrees, base)])
             # the published branch cell may sit above a chain-collapsed
             # subtree root; alias it so branch-keyed fetches resolve
-            self._local_nodes.setdefault(st.key, (st, 0))
+            keys, roots = self._forest.keys, base[:-1]
+            branch = np.array([st.key for st in subtrees], dtype=np.uint64)
+            alias = branch != keys[roots]
+            index = np.concatenate((keys, branch[alias]))
+            order = np.argsort(index)
+            self._index_keys = index[order]
+            self._index_rows = np.concatenate(
+                (np.arange(keys.size), roots[alias]))[order]
+        self.mirror: NodeRows | None = None
+        self._row: dict[int, int] = {}
 
     # ---------------------------------------------------------- seeding
-    def _seed_cache_from_top(self) -> None:
+    def _seed(self) -> None:
         """The replicated top tree seeds the mirror, branch leaves
         included (their children are not yet known)."""
         top = self.top.tree
-        for node in range(top.nnodes):
-            key = branch_key(
-                Cell(int(top.depth[node]), int(top.path_key[node])),
-                self._dims)
-            cn = CachedNode(
-                key=key,
-                owner=int(top.remote_owner[node]),
-                mass=float(top.mass[node]), com=top.com[node].copy(),
-                center=top.center[node].copy(),
-                half=float(top.half[node]),
-                count=top.count(node), is_leaf=False,
-                coeffs=(self.top.multipoles.coeffs[node]
-                        if self.top.multipoles is not None else None),
-            )
-            if not top.is_remote(node):
-                cn.children_known = True
-                for c in top.children[node]:
-                    if c != NO_CHILD:
-                        cn.child_keys.append(branch_key(
-                            Cell(int(top.depth[c]), int(top.path_key[c])),
-                            self._dims))
-            self.cache.put(cn)
+        keys = anchored_keys(top.depth, top.path_key, self._dims)
+        self.mirror = tree_rows(top, keys, top.remote_owner,
+                                self.top.multipoles)
+        self._row = dict(zip(keys.tolist(), range(keys.size)))
+        self.stats.hash_accesses += keys.size
 
     # ------------------------------------------------------- evaluation
-    def _table_evaluator(self, nodes: list[CachedNode]):
-        """The far-field evaluator of one round's accepted nodes, by
-        function shipping's rule — the fetched series in a multipole
-        run, else softened point masses — over a table whose row ``i``
-        holds what the evaluators read of ``nodes[i]``."""
-        table = SimpleNamespace(
-            dims=self._dims, nnodes=len(nodes),
-            com=np.stack([cn.com for cn in nodes]),
-            mass=np.array([cn.mass for cn in nodes]),
-            center=np.stack([cn.center for cn in nodes]))
-        if self.config.degree == 0:
-            return MonopoleExpansion(table, softening=self.config.softening)
-        series = TreeMultipoles(table, None, self.config.degree)
-        series.coeffs = np.stack([cn.coeffs for cn in nodes])
-        return series
-
     def _evaluate_round(self, values: np.ndarray, targets: np.ndarray,
-                        far: list[tuple[CachedNode, np.ndarray]],
-                        leaves: list[tuple[CachedNode, np.ndarray]]
-                        ) -> None:
-        """One round's collected ``(node, target indices)`` visits
+                        far: list[tuple[int, np.ndarray]],
+                        leaves: list[tuple[int, np.ndarray]]) -> None:
+        """One round's collected ``(mirror row, target indices)`` visits
         through the interaction-list engine's passes: accepted nodes as
-        ``(row, target)`` pairs over a table of them, leaf visits as
-        ``(target, start, ns)`` rows over one structure-of-arrays copy
-        of the round's leaf payloads."""
+        ``(row, target)`` pairs over the mirror — by function shipping's
+        rule, the fetched series in a multipole run, else softened point
+        masses — and leaf visits as ``(target, start, ns)`` rows over
+        the round's leaf payloads in visit order."""
+        m = self.mirror
         rows = tgt = np.zeros(0, dtype=np.int64)
         evaluator = layout = None
         groups = []
         if far:
             nodes, idx = zip(*far)
-            rows = np.repeat(np.arange(len(far)), [i.size for i in idx])
+            rows = np.repeat(np.array(nodes), [i.size for i in idx])
             tgt = np.concatenate(idx)
-            evaluator = self._table_evaluator(list(nodes))
+            if self.config.degree == 0:
+                evaluator = MonopoleExpansion(
+                    m, softening=self.config.softening)
+            else:
+                evaluator = TreeMultipoles(m, None, self.config.degree)
+                evaluator.coeffs = m.coeffs
         if leaves:
             nodes, idx = zip(*leaves)
-            ns = np.array([cn.positions.shape[0] for cn in nodes])
+            nodes = np.array(nodes)
+            src, starts = _payload(m.start[nodes], m.count[nodes])
             groups = group_leaf_visits(list(idx),
                                        np.array([i.size for i in idx]),
-                                       np.cumsum(ns) - ns, ns)
-            layout = source_layout(
-                np.ascontiguousarray(
-                    np.concatenate([cn.positions for cn in nodes]).T),
-                np.concatenate([cn.masses for cn in nodes]))
+                                       starts, m.count[nodes])
+            layout = source_layout(np.ascontiguousarray(m.positions[src].T),
+                                   m.masses[src])
         evaluate_pairs(values, targets, rows, tgt, evaluator, groups,
                        layout, self.config.mode, self.config.softening)
 
@@ -272,52 +278,51 @@ class DataShippingEngine:
                         done_pairs: set[tuple[int, int]],
                         tidx: np.ndarray | None = None
                         ) -> dict[int, set[int]]:
-        """One traversal pass against the current cache.
-
-        Returns cache misses: owner -> keys to fetch.  ``done_pairs``
-        memoizes (key, target-block) work already accumulated in earlier
-        rounds so contributions are never double counted; traversal
-        restarts from the root each round but skips finished branches.
-
-        The walk itself only *collects* interactions; the kernels run
-        afterwards through the interaction-list engine's passes
-        (:meth:`_evaluate_round`).
-        """
+        """One per-node DFS against the current mirror that collects the
+        round's interactions for :meth:`_evaluate_round` and returns the
+        misses, owner -> keys to fetch.  ``done_pairs`` memoizes (key,
+        target-block) work accumulated in earlier rounds, so restarting
+        from the root each round never counts a contribution twice."""
+        m, row_of = self.mirror, self._row
+        count, start = m.count.tolist(), m.start.tolist()
+        owner, half = m.owner.tolist(), m.half.tolist()
+        com, center, kids = m.com, m.center, m.kids
+        alpha = self.mac.alpha
         targets = self.particles.positions
         misses: dict[int, set[int]] = {}
-        root_key = branch_key(Cell(0, 0), self._dims)
         seed = (np.arange(targets.shape[0]) if tidx is None
                 else np.asarray(tidx, dtype=np.int64))
-        stack: list[tuple[int, np.ndarray, int]] = [
-            (root_key, seed, self.comm.rank)
-        ]
+        stack: list[tuple[int, np.ndarray, int]] = [(1, seed, self.comm.rank)]
         degree = self.config.degree
         flops = 0.0
-        accepted: list[tuple[CachedNode, np.ndarray]] = []
-        visited: list[tuple[CachedNode, np.ndarray]] = []
+        lookups = 0
+        accepted: list[tuple[int, np.ndarray]] = []
+        visited: list[tuple[int, np.ndarray]] = []
         while stack:
             key, idx, owner_hint = stack.pop()
-            cn = self.cache.get(key)
-            self.stats.hash_accesses += 1
-            if cn is None:
+            lookups += 1
+            row = row_of.get(key)
+            if row is None:
                 # A parent listed this child but it has not been fetched
                 # yet: ask its owner (same as the parent's) for it.
                 misses.setdefault(owner_hint, set()).add(key)
                 continue
-            if cn.count == 0:
+            if count[row] == 0:
                 continue
-            # MAC on the (stable) cached summary.  Nodes whose particle
-            # payload arrived with the first fetch skip the MAC: they are
-            # original leaves and interact exactly.
-            if cn.positions is not None and not cn.child_keys:
+            # MAC on the (stable) mirrored summary.  Nodes whose particle
+            # payload has arrived skip the MAC: they are original leaves
+            # and interact exactly.
+            leaf = start[row] >= 0
+            if leaf:
                 far = idx[:0]
                 near = idx
             else:
-                diff = targets[idx] - cn.com
+                at = targets[idx]
+                diff = at - com[row]
                 dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                inside = np.all(np.abs(targets[idx] - cn.center) < cn.half,
+                inside = np.all(np.abs(at - center[row]) < half[row],
                                 axis=1)
-                ok = (2.0 * cn.half < self.mac.alpha * dist) & ~inside
+                ok = (2.0 * half[row] < alpha * dist) & ~inside
                 flops += 14.0 * idx.size
                 far = idx[ok]
                 near = idx[~ok]
@@ -325,80 +330,73 @@ class DataShippingEngine:
                 pair_key = (key, int(far[0]))
                 if pair_key not in done_pairs:
                     done_pairs.add(pair_key)
-                    accepted.append((cn, far))
+                    accepted.append((row, far))
                     flops += (13.0 + 16.0 * max(degree, 1) ** 2) * far.size
             if near.size == 0:
                 continue
-            if cn.positions is not None:
+            if leaf:
                 # exact interaction with the leaf payload
                 leaf_key = (key, -1 - int(near[0]))
                 if leaf_key not in done_pairs:
                     done_pairs.add(leaf_key)
-                    visited.append((cn, near))
-                    flops += 29.0 * near.size * cn.positions.shape[0]
+                    visited.append((row, near))
+                    flops += 29.0 * near.size * count[row]
                 continue
-            if not cn.children_known:
-                misses.setdefault(cn.owner, set()).add(key)
+            children = kids[row]
+            children = children[children != 0].tolist()
+            if not children:
+                misses.setdefault(owner[row], set()).add(key)
                 continue
-            for ck in cn.child_keys:
-                stack.append((ck, near, cn.owner))
+            for ck in children:
+                stack.append((ck, near, owner[row]))
         if accepted or visited:
             self._evaluate_round(values, targets, accepted, visited)
         self.comm.compute(flops)
+        # a walk lookup counts twice, as the walk's probe and as the
+        # table's own access; an insert counts once
+        self.stats.hash_accesses += 2 * lookups
         return misses
 
     # ----------------------------------------------------------- fetching
-    def _serve_fetches(self, keys: list[int]) -> list[CachedNode]:
-        out = []
-        for key in keys:
+    def _serve_fetches(self, want: np.ndarray) -> NodeRows:
+        """One owner's reply to a fetch list: each requested node (under
+        the key it was asked by — chain collapsing can root a subtree
+        deeper than the branch cell the requester knows) followed by its
+        children, the paper's "children of the refused node"."""
+        for _ in range(want.size):  # one clock charge per access
             self.comm.compute(FLOPS_PER_HASH_ACCESS)
-            st, node = self._local_nodes[key]
-            tree = st.tree
-            # ship the requested node's children (the paper fetches the
-            # children of the refused node)
-            exported = _export_node(st, node, self._dims,
-                                    self.config.degree, self.comm.rank,
-                                    self.top.tree.root_box)
-            # Chain collapsing can root the subtree deeper than the cell
-            # the requester knows; alias the export to the requested key
-            # so the requester's mirror links stay consistent.
-            exported.key = key
-            out.append(exported)
-            for c in tree.children[node]:
-                if c != NO_CHILD:
-                    out.append(_export_node(st, int(c), self._dims,
-                                            self.config.degree,
-                                            self.comm.rank,
-                                            self.top.tree.root_box))
-        return out
+        at = np.searchsorted(self._index_keys, want)
+        rows = self._index_rows[at]
+        if not np.array_equal(self._index_keys[at], want):
+            raise KeyError(f"rank {self.comm.rank} owns not all of "
+                           f"{want.tolist()}")
+        block = np.concatenate((rows[:, None], self._kid_rows[rows]), axis=1)
+        reply = self._forest.take(block[block >= 0])
+        width = (block >= 0).sum(axis=1)
+        reply.keys[np.cumsum(width) - width] = want
+        leaf = reply.start >= 0
+        reply.nbytes = int(np.where(
+            leaf, reply.count * 4 * (self._dims + 1) + 16,
+            multipole_series_bytes(self.config.degree, self._dims)).sum())
+        return reply
 
     def _fetch_round(self, misses: dict[int, set[int]]) -> None:
         comm = self.comm
-        degree, dims = self.config.degree, self._dims
-        requests: list[list[int] | None] = [None] * comm.size
+        requests: list[np.ndarray | None] = [None] * comm.size
         for owner, keys in misses.items():
-            requests[owner] = sorted(keys)
-        incoming = comm.alltoall(requests)
-        replies: list[list[CachedNode] | None] = [None] * comm.size
-        for src, keys in enumerate(incoming):
-            if keys:
-                replies[src] = self._serve_fetches(keys)
-        # charge the reply payloads truthfully
-        reply_sizes = [
-            sum(_node_wire_bytes(n, degree, dims) for n in r) if r else 0
-            for r in replies
-        ]
-        fetched_lists = comm.alltoall(replies)
-        for lst in fetched_lists:
-            if not lst:
+            requests[owner] = np.array(sorted(keys), dtype=np.uint64)
+        replies = [None if want is None else self._serve_fetches(want)
+                   for want in comm.alltoall(requests)]
+        for src, rec in enumerate(comm.alltoall(replies)):
+            if rec is None:
                 continue
-            for cn in lst:
-                self.stats.nodes_fetched += 1
-                if cn.is_leaf:
-                    self.stats.leaves_fetched += 1
-                self.stats.fetch_bytes += _node_wire_bytes(cn, degree, dims)
-                self.cache.put(cn)
-        self.stats.fetch_messages += sum(1 for r in requests if r)
+            if src != comm.rank:
+                self.stats.nodes_fetched += rec.nnodes
+                self.stats.leaves_fetched += int((rec.start >= 0).sum())
+                self.stats.fetch_bytes += rec.nbytes
+            self.mirror = merge_rows(self.mirror, self._row, rec)
+            self.stats.hash_accesses += rec.nnodes
+        self.stats.fetch_messages += len(misses.keys() - {comm.rank})
 
     # --------------------------------------------------------------- run
     def run(self, targets_idx: np.ndarray | None = None) -> np.ndarray:
@@ -407,13 +405,12 @@ class DataShippingEngine:
         untouched rows stay zero).  The fetch rounds are collective, so
         every rank calls ``run`` even with an empty subset."""
         n = self.particles.n
-        d = self._dims
-        values = (np.zeros(n) if self.config.mode == "potential"
-                  else np.zeros((n, d)))
+        values = np.zeros(n if self.config.mode == "potential"
+                          else (n, self._dims))
         has_targets = (n if targets_idx is None
                        else np.asarray(targets_idx).size)
         with self.comm.phase("force computation"):
-            self._seed_cache_from_top()
+            self._seed()
             done_pairs: set[tuple[int, int]] = set()
             while True:
                 misses = (self._traverse_round(values, done_pairs,
@@ -425,6 +422,5 @@ class DataShippingEngine:
                     break
                 self.stats.fetch_rounds += 1
                 self._fetch_round(misses)
-        self.stats.cache_nodes = len(self.cache)
-        self.stats.hash_accesses += self.cache.accesses
+        self.stats.cache_nodes = self.mirror.nnodes
         return values

@@ -402,7 +402,7 @@ class TestM2PFromRealTable:
         shipping's round of fetched nodes through the shared passes,
         and ``MultipoleExpansion3D.evaluate``."""
         from repro.core.config import SchemeConfig
-        from repro.core.data_shipping import CachedNode, DataShippingEngine
+        from repro.core.data_shipping import DataShippingEngine, tree_rows
         from repro.bh.kernels import G
 
         centers = tree.center
@@ -410,16 +410,15 @@ class TestM2PFromRealTable:
         tm.coeffs[:] = coeffs
         eng = DataShippingEngine.__new__(DataShippingEngine)
         eng.config = SchemeConfig(mode="potential", degree=degree)
-        eng._dims = 3
-        cached = [CachedNode(key=i, owner=0, mass=1.0, com=c, center=c,
-                             half=1.0, count=1, is_leaf=False, coeffs=row)
-                  for i, (c, row) in enumerate(zip(centers, coeffs))]
+        n = tree.nnodes
+        eng.mirror = tree_rows(tree, np.arange(1, n + 1, dtype=np.uint64),
+                               np.zeros(n), tm)
 
         def shipped(nodes, targets):
             values = np.zeros(len(targets))
             eng._evaluate_round(values, targets,
-                                [(cn, np.flatnonzero(nodes == i))
-                                 for i, cn in enumerate(cached)], [])
+                                [(i, np.flatnonzero(nodes == i))
+                                 for i in range(n)], [])
             return values / -G
 
         def one_by_one(nodes, targets):

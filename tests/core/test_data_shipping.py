@@ -1,21 +1,28 @@
 """Tests for the data-shipping (hashed octree) baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from repro.bh.direct import direct_potentials
-from repro.bh.distributions import plummer
+from repro.bh.distributions import gaussian_blobs, plummer
 from repro.bh.multipole import MonopoleExpansion
+from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import build_tree
 from repro.core.config import SchemeConfig
-from repro.core.data_shipping import DataShippingEngine, HashedOctreeCache, \
-    CachedNode
+from repro.core.data_shipping import DataShippingEngine, NodeRows, \
+    merge_rows, tree_rows
 from repro.core.partition import Cell
 from repro.core.tree_build import assign_to_cells, build_local_trees, \
     local_branch_infos
 from repro.core.tree_merge import merge_broadcast
+from repro.machine.comm import estimate_nbytes
 from repro.machine.engine import Engine
-from repro.machine.profiles import NCUBE2, ZERO_COST
+from repro.machine.profiles import CM5, NCUBE2, ZERO_COST
+from tests.oracles.data_shipping import DataShippingEngine as \
+    OracleDataShippingEngine
 
 PS = plummer(500, seed=11)
 ROOT = PS.bounding_box()
@@ -23,68 +30,110 @@ BITS = 10
 PD = direct_potentials(PS)
 
 
-def run_data_shipping(p, degree=0, alpha=0.67, profile=ZERO_COST):
+def run_data_shipping(p, degree=0, alpha=0.67, profile=ZERO_COST,
+                      ps=PS, mode="potential", softening=0.0,
+                      leaf_capacity=8, active=None,
+                      engine=DataShippingEngine, spy=None):
+    """One force phase over ``8 // p`` octants per rank; ``active`` (a
+    mask over ``ps``) restricts the targets, and ``spy(comm)`` may wrap
+    the rank's communicator first."""
     cells_per = 8 // p
+    root = ps.bounding_box()
 
     def main(comm):
+        if spy is not None:
+            spy(comm)
         cells = [Cell(1, comm.rank * cells_per + j)
                  for j in range(cells_per)]
-        slots = assign_to_cells(PS.positions, cells, ROOT, BITS)
-        mine = PS.subset(slots >= 0)
-        cfg = SchemeConfig(mode="potential", alpha=alpha, degree=degree)
-        subs = build_local_trees(mine, cells, ROOT, cfg, BITS)
-        infos = local_branch_infos(subs, comm.rank, ROOT, degree)
-        top = merge_broadcast(comm, infos, ROOT, degree)
-        eng = DataShippingEngine(comm, cfg, top, subs, mine)
-        vals = eng.run()
+        slots = assign_to_cells(ps.positions, cells, root, BITS)
+        mine = ps.subset(slots >= 0)
+        cfg = SchemeConfig(mode=mode, alpha=alpha, degree=degree,
+                           softening=softening,
+                           leaf_capacity=leaf_capacity)
+        subs = build_local_trees(mine, cells, root, cfg, BITS)
+        infos = local_branch_infos(subs, comm.rank, root, degree)
+        top = merge_broadcast(comm, infos, root, degree)
+        eng = engine(comm, cfg, top, subs, mine)
+        vals = eng.run(None if active is None
+                       else np.flatnonzero(active[mine.ids]))
         return mine.ids, vals, eng.stats
 
     rep = Engine(p, profile, recv_timeout=120.0).run(main)
-    all_vals = np.zeros(PS.n)
+    all_vals = np.zeros(ps.n if mode == "potential" else (ps.n, 3))
     for ids, vals, _ in rep.values:
         all_vals[ids] = vals
     return all_vals, [v[2] for v in rep.values], rep
 
 
-class TestCache:
-    def _node(self, key, **kw):
-        base = dict(key=key, owner=0, mass=1.0, com=np.zeros(3),
-                    center=np.zeros(3), half=1.0, count=1, is_leaf=False)
-        base.update(kw)
-        return CachedNode(**base)
+def _rows(keys, **kw):
+    """Mirror rows of unit nodes at the origin, ``kw`` overriding."""
+    n = len(keys)
+    base = dict(keys=np.array(keys, dtype=np.uint64),
+                owner=np.zeros(n, dtype=np.int64), mass=np.ones(n),
+                com=np.zeros((n, 3)), center=np.zeros((n, 3)),
+                half=np.ones(n), count=np.ones(n, dtype=np.int64),
+                coeffs=None, kids=np.zeros((n, 8), dtype=np.uint64),
+                start=np.full(n, -1), positions=np.zeros((0, 3)),
+                masses=np.zeros(0))
+    base.update(kw)
+    return NodeRows(**base)
 
+
+class TestCache:
     def test_put_get(self):
-        c = HashedOctreeCache()
-        c.put(self._node(5))
-        assert c.get(5).key == 5
-        assert c.get(6) is None
-        assert len(c) == 1
+        row_of = {5: 0}
+        m = merge_rows(_rows([5]), row_of, _rows([6, 7]))
+        assert row_of == {5: 0, 6: 1, 7: 2}
+        assert m.keys.tolist() == [5, 6, 7]
+        assert row_of.get(8) is None
 
     def test_merge_keeps_summary_stable(self):
         """Re-fetching a node must not change its MAC geometry."""
-        c = HashedOctreeCache()
-        c.put(self._node(5, half=2.0, mass=3.0))
-        c.put(self._node(5, half=0.5, mass=9.0, children_known=True,
-                         child_keys=[40, 41]))
-        got = c.get(5)
-        assert got.half == 2.0
-        assert got.mass == 3.0
-        assert got.children_known
-        assert got.child_keys == [40, 41]
+        row_of = {5: 0}
+        kids = np.zeros((1, 8), dtype=np.uint64)
+        kids[0, :2] = [40, 41]
+        m = merge_rows(_rows([5], half=np.array([2.0]),
+                             mass=np.array([3.0])), row_of,
+                       _rows([5], half=np.array([0.5]),
+                             mass=np.array([9.0]), kids=kids))
+        assert m.nnodes == 1
+        assert m.half[0] == 2.0
+        assert m.mass[0] == 3.0
+        assert m.kids[0].tolist() == [40, 41, 0, 0, 0, 0, 0, 0]
 
     def test_merge_adds_leaf_payload(self):
-        c = HashedOctreeCache()
-        c.put(self._node(5))
-        c.put(self._node(5, positions=np.zeros((3, 3)), masses=np.ones(3)))
-        assert c.get(5).positions.shape == (3, 3)
-        assert c.get(5).is_leaf
+        row_of = {4: 0, 5: 1}
+        mirror = _rows([4, 5], start=np.array([0, -1]),
+                       positions=np.ones((1, 3)), masses=np.ones(1))
+        m = merge_rows(mirror, row_of,
+                       _rows([5], count=np.array([3]),
+                             start=np.array([0]),
+                             positions=np.zeros((3, 3)),
+                             masses=np.full(3, 2.0)))
+        assert m.start.tolist() == [0, 1]
+        assert m.count[1] == 1  # the summary first seen
+        np.testing.assert_array_equal(m.masses[1:], 2.0)
 
     def test_access_counter(self):
-        c = HashedOctreeCache()
-        c.put(self._node(1))
-        c.get(1)
-        c.get(2)
-        assert c.accesses == 3
+        """One octant, one leaf: the top tree's two nodes are seeded,
+        each of two walks makes two lookups (each counted by the probe
+        and by the table), and one node is inserted: 2 + 8 + 1."""
+        root = Box(np.full(3, 0.5), 0.5)
+        ps = ParticleSet(positions=[[0.1, 0.1, 0.1], [0.2, 0.2, 0.2],
+                                    [0.3, 0.3, 0.3]], masses=np.ones(3))
+
+        def main(comm):
+            cfg = SchemeConfig(mode="potential", leaf_capacity=8)
+            subs = build_local_trees(ps, [Cell(1, 0)], root, cfg, BITS)
+            top = merge_broadcast(
+                comm, local_branch_infos(subs, 0, root, 0), root, 0)
+            eng = DataShippingEngine(comm, cfg, top, subs, ps)
+            eng.run()
+            return eng.stats
+
+        stats = Engine(1, ZERO_COST).run(main).values[0]
+        assert (stats.fetch_rounds, stats.cache_nodes) == (1, 2)
+        assert stats.hash_accesses == 11
 
 
 class TestDataShippingCorrectness:
@@ -150,13 +199,11 @@ class TestSharedPasses:
         targets = 3.0 * rng.normal(size=(200, 3))
         eng = DataShippingEngine.__new__(DataShippingEngine)
         eng.config = SchemeConfig(mode=mode, softening=0.05)
-        eng._dims = 3
-        accepted = [
-            (CachedNode(key=n, owner=0, mass=float(tree.mass[n]),
-                        com=tree.com[n], center=tree.center[n],
-                        half=float(tree.half[n]), count=tree.count(n),
-                        is_leaf=False), np.flatnonzero(nodes == n))
-            for n in range(tree.nnodes)]
+        eng.mirror = tree_rows(tree, np.arange(1, tree.nnodes + 1,
+                                               dtype=np.uint64),
+                               np.zeros(tree.nnodes), None)
+        accepted = [(n, np.flatnonzero(nodes == n))
+                    for n in range(tree.nnodes)]
         values = np.zeros((200, 3) if mode == "force" else 200)
         eng._evaluate_round(values, targets, accepted, [])
         ev = MonopoleExpansion(tree, softening=0.05)
@@ -164,3 +211,80 @@ class TestSharedPasses:
                 else ev.batch_potential)(nodes, targets)
         # one pair per target: the accumulation adds to zero exactly
         np.testing.assert_array_equal(values, want)
+
+
+class TestAgainstOracle:
+    """The row-table engine equals the per-node-object engine it
+    replaced (``tests/oracles/data_shipping.py``) bit for bit: values,
+    every ``DataShipStats`` field, every rank's clock, phase times and
+    ``CommStats``."""
+
+    @staticmethod
+    def _both(**kw):
+        new = run_data_shipping(profile=CM5, **kw)
+        old = run_data_shipping(profile=CM5,
+                                engine=OracleDataShippingEngine, **kw)
+        return new, old
+
+    def _assert_equal(self, new, old):
+        (vn, sn, rn), (vo, so, ro) = new, old
+        np.testing.assert_array_equal(vn, vo)
+        assert [dataclasses.asdict(s) for s in sn] == \
+            [dataclasses.asdict(s) for s in so]
+        assert rn.parallel_time == ro.parallel_time
+        for a, b in zip(rn.ranks, ro.ranks):
+            assert (a.error, b.error) == (None, None)
+            assert a.time == b.time
+            assert a.timings.seconds == b.timings.seconds
+            assert a.stats == b.stats
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=hst.integers(0, 2**16), n=hst.integers(8, 300),
+           kind=hst.sampled_from(["plummer", "gaussian"]),
+           p=hst.sampled_from([1, 2, 4, 8]), degree=hst.integers(0, 6),
+           mode=hst.sampled_from(["potential", "force"]),
+           subset=hst.booleans(), leaf_capacity=hst.integers(1, 16),
+           softening=hst.sampled_from([0.0, 0.01]))
+    def test_equals_oracle(self, seed, n, kind, p, degree, mode, subset,
+                           leaf_capacity, softening):
+        if mode == "force":
+            degree = 0  # vector forces are monopole runs
+        rng = np.random.default_rng(seed)
+        ps = (plummer(n, seed=seed) if kind == "plummer" else
+              gaussian_blobs(n, rng.uniform(10, 90, (3, 3)), 4.0,
+                             seed=seed))
+        active = rng.random(n) < 0.3 if subset else None
+        self._assert_equal(*self._both(
+            ps=ps, p=p, degree=degree, mode=mode, active=active,
+            leaf_capacity=leaf_capacity, softening=softening))
+
+    @pytest.mark.parametrize("degree", [0, 4])
+    def test_equals_oracle_at_p8(self, degree):
+        self._assert_equal(*self._both(p=8, degree=degree))
+
+
+def test_replies_charged_their_modelled_size():
+    """Summed over ranks, the bytes charged for fetch replies are the
+    ``fetch_bytes`` the Section 4.2 table reports."""
+    charged = []
+
+    def spy(comm):
+        send = comm.send
+
+        def counting_send(payload, dst, tag=0, nbytes=None):
+            if isinstance(payload, NodeRows):
+                charged.append(estimate_nbytes(payload))
+            send(payload, dst, tag, nbytes)
+        comm.send = counting_send
+
+    _, stats, _ = run_data_shipping(4, degree=3, spy=spy)
+    assert sum(charged) == sum(s.fetch_bytes for s in stats) > 0
+
+
+def test_own_subtrees_are_not_fetch_volume():
+    """One rank fetches its own subtrees through the free self-slot: it
+    runs fetch rounds but reports nothing fetched."""
+    _, (stats,), _ = run_data_shipping(1)
+    assert stats.fetch_rounds > 0
+    assert (stats.nodes_fetched, stats.leaves_fetched, stats.fetch_bytes,
+            stats.fetch_messages) == (0, 0, 0, 0)

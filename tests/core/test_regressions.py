@@ -10,7 +10,8 @@ import pytest
 from repro.bh.distributions import plummer, uniform_cube
 from repro.bh.particles import Box, ParticleSet
 from repro.core.config import SchemeConfig
-from repro.core.data_shipping import _node_cell
+from repro.core.branch_nodes import branch_key, cell_of_branch_key
+from repro.core.data_shipping import node_keys
 from repro.core.partition import Cell
 from repro.core.simulation import ParallelBarnesHut
 from repro.core.tree_build import build_local_trees
@@ -45,27 +46,40 @@ class TestLocalTreeGlobalAddressing:
         ps = ParticleSet(positions=pos, masses=np.ones(64))
         subs = build_local_trees(ps, [Cell(1, 5)], root,
                                  SchemeConfig(leaf_capacity=4), 8)
-        st = subs[0]
         # every node's global cell must be a descendant of the owned cell
-        for node in range(st.tree.nnodes):
-            cell = _node_cell(st, node, 3)
-            assert Cell(1, 5).contains_cell(cell, 3), (node, cell)
-        # the root composes exactly to the cell (no collapse here at the
-        # top: the cell holds all particles spread across octants)
-        root_cell = _node_cell(st, 0, 3)
-        assert Cell(1, 5).contains_cell(root_cell, 3)
+        # (the root composes exactly to the cell, or below it when chain
+        # collapsing pushed it down)
+        for key in node_keys(subs[0], 3).tolist():
+            cell = cell_of_branch_key(key, 3)
+            assert Cell(1, 5).contains_cell(cell, 3), (key, cell)
 
     def test_distinct_subtrees_distinct_keys(self):
         root = Box(np.array([0.5, 0.5, 0.5]), 0.5)
         ps = uniform_cube(200, seed=103)
         subs = build_local_trees(ps, [Cell(1, k) for k in range(8)], root,
                                  SchemeConfig(leaf_capacity=4), 8)
-        seen = set()
-        for st in subs:
-            for node in range(st.tree.nnodes):
-                key = _node_cell(st, node, 3)
-                assert key not in seen, "global cell addresses collide"
-                seen.add(key)
+        keys = np.concatenate([node_keys(st, 3) for st in subs])
+        assert np.unique(keys).size == keys.size, \
+            "global cell addresses collide"
+
+    def test_keys_at_21_bits_set_bit_63(self):
+        """At depth 21 in 3-D the anchor is bit 63: the keys are
+        unsigned and still equal ``branch_key`` of the composed cell."""
+        root = Box(np.array([0.5, 0.5, 0.5]), 0.5)
+        pos = np.repeat([[0.3, 0.7, 0.2], [0.3 + 1e-6, 0.7, 0.2]], 3,
+                        axis=0)
+        ps = ParticleSet(positions=pos, masses=np.ones(6))
+        cell = Cell(1, 2)
+        st, = build_local_trees(ps, [cell], root,
+                                SchemeConfig(leaf_capacity=1), 21)
+        keys = node_keys(st, 3)
+        assert keys.dtype == np.uint64
+        want = [branch_key(Cell(cell.depth + int(d),
+                                (cell.path_key << (3 * int(d))) | int(pk)),
+                           3)
+                for d, pk in zip(st.tree.depth, st.tree.path_key)]
+        assert keys.tolist() == want
+        assert max(want) >= 1 << 63
 
 
 class TestLeafLoadUnits:

@@ -6,5 +6,7 @@ row-at-a-time (``grouping``) code the
 batched production path replaced,
 moved verbatim out of ``src/`` and turned into a free function — or,
 for ``mailbox``, the list-scanning ``Mailbox`` the per-``(src, tag)``
-heaps replaced, kept whole as ``ScanMailbox``.
+heaps replaced, kept whole as ``ScanMailbox``; for ``data_shipping``,
+the engine of per-node Python objects the row tables replaced, kept
+whole as ``DataShippingEngine``.
 """

@@ -62,6 +62,41 @@ def test_one_far_field_evaluator_and_one_p2p_kernel():
             assert not hasattr(owner, name), (owner, name)
 
 
+def test_data_shipping_is_rows_not_node_objects():
+    """Data shipping ships, mirrors and serves rows of one table keyed
+    by anchored ``uint64`` keys: no per-node object, no cache class, no
+    per-node export or addressing, no per-node seeding loop."""
+    from repro.bh.distributions import plummer
+    from repro.core import data_shipping
+    from repro.core.config import SchemeConfig
+    from repro.core.partition import Cell
+    from repro.core.tree_build import build_local_trees, local_branch_infos
+    from repro.core.tree_merge import merge_broadcast
+    from repro.machine.engine import Engine
+
+    ps = plummer(64, seed=1)
+    root = ps.bounding_box()
+
+    def main(comm):
+        cfg = SchemeConfig(mode="potential")
+        subs = build_local_trees(ps, [Cell(1, j) for j in range(8)], root,
+                                 cfg, 10)
+        top = merge_broadcast(comm, local_branch_infos(subs, 0, root, 0),
+                              root, 0)
+        return data_shipping.DataShippingEngine(comm, cfg, top, subs, ps)
+
+    engine = Engine(1).run(main).values[0]
+    gone = {
+        data_shipping: ("CachedNode", "HashedOctreeCache", "_node_cell",
+                        "_export_node", "_node_wire_bytes"),
+        engine: ("_seed_cache_from_top", "_local_nodes", "_table_evaluator",
+                 "cache", "subtrees"),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+
+
 def test_one_arithmetic_backend():
     """The evaluation passes are numpy only: no second backend module,
     no option that selects one, no evaluator hook that feeds one."""
