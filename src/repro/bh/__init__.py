@@ -36,7 +36,6 @@ from repro.bh.tree import Tree, build_tree
 from repro.bh.multipole import (
     MonopoleExpansion,
     MultipoleExpansion3D,
-    MultipoleExpansion2D,
 )
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.traversal import TraversalResult, compute_forces, compute_potentials
@@ -61,7 +60,6 @@ __all__ = [
     "build_tree",
     "MonopoleExpansion",
     "MultipoleExpansion3D",
-    "MultipoleExpansion2D",
     "BarnesHutMAC",
     "TraversalResult",
     "compute_forces",

@@ -1,4 +1,4 @@
-"""Multipole expansions: monopole, 3-D spherical harmonic, 2-D complex.
+"""Multipole expansions: monopole and 3-D spherical harmonic.
 
 The paper's Section 5.2 computes gravitational *potentials* "conveniently
 expressed as a series using Legendre's polynomials" of degree ``k`` (their
@@ -17,12 +17,10 @@ recurrences (:func:`_solid_rows`), never from the angles.  The
 M2M operator is what lets the distributed tree merge compute top-level
 expansions from branch-node expansions without access to remote particles.
 
-2-D expansions use the standard complex Laurent series about the cell
-center (Greengard & Rokhlin's original 2-D operators) — handy for fast
-tests and 2-D demos.
+Degree >= 1 series are 3-D only; 2-D runs use monopoles.
 
-Sign convention: expansions represent ``sum_j q_j / |r - x_j|`` (3-D) or
-``sum_j q_j ln|r - x_j|`` (2-D); gravity multiplies by ``-G`` (3-D).
+Sign convention: expansions represent ``sum_j q_j / |r - x_j|``;
+gravity multiplies by ``-G``.
 """
 
 from __future__ import annotations
@@ -324,60 +322,6 @@ class MultipoleExpansion3D:
     def wire_floats(self) -> int:
         """Floats on the wire for one expansion (complex coeffs)."""
         return 2 * self.nterms
-
-
-class MultipoleExpansion2D:
-    """Complex Laurent expansion: phi(z) = a0 log(z-c) + sum a_j (z-c)^-j."""
-
-    def __init__(self, degree: int):
-        if degree < 1:
-            raise ValueError("2-D expansions need degree >= 1")
-        self.degree = degree
-        self.nterms = degree + 1
-
-    @staticmethod
-    def _as_complex(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        if pts.shape[1] != 2:
-            raise ValueError("2-D expansion needs (n, 2) points")
-        return pts[:, 0] + 1j * pts[:, 1]
-
-    def p2m(self, rel_positions: np.ndarray, charges: np.ndarray) -> np.ndarray:
-        z = self._as_complex(rel_positions)
-        q = np.asarray(charges, dtype=np.float64)
-        coeffs = np.zeros(self.nterms, dtype=np.complex128)
-        coeffs[0] = q.sum()
-        zp = np.ones_like(z)
-        for j in range(1, self.nterms):
-            zp = zp * z
-            coeffs[j] = -(q * zp).sum() / j
-        return coeffs
-
-    def m2m(self, coeffs: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """Shift by ``t`` = old center relative to new center (2-vector)."""
-        t = complex(shift[0], shift[1])
-        out = np.zeros_like(coeffs)
-        out[0] = coeffs[0]
-        for j in range(1, self.nterms):
-            acc = -coeffs[0] * t ** j / j
-            for s in range(1, j + 1):
-                acc += coeffs[s] * t ** (j - s) * math.comb(j - 1, s - 1)
-            out[j] = acc
-        return out
-
-    def evaluate(self, coeffs: np.ndarray, rel_targets: np.ndarray) -> np.ndarray:
-        """Real log-potential sum ``q ln|z|`` at targets (relative)."""
-        z = self._as_complex(rel_targets)
-        if np.any(z == 0):
-            raise ValueError("cannot evaluate a multipole expansion at its "
-                             "own center")
-        acc = coeffs[0] * np.log(z)
-        zinv = 1.0 / z
-        zp = np.ones_like(z)
-        for j in range(1, self.nterms):
-            zp = zp * zinv
-            acc = acc + coeffs[j] * zp
-        return acc.real
 
 
 @dataclass

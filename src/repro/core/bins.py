@@ -124,13 +124,11 @@ class BinManager:
         self._accumulate = accumulate
         self._pending: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         self._pending_count: dict[int, int] = {}
-        self._outstanding: dict[int, int] = {}
-        self.records_sent = 0
-        self.records_received_back = 0
         self.records_served = 0
         self.stats = ShipStats()
-        self._sent_records_to: dict[int, int] = {}
-        self._bins_sent_to: dict[int, int] = {}
+        #: Request bins shipped per destination rank (the sentinels'
+        #: counts).
+        self.bins_sent_to: dict[int, int] = {}
 
     # ------------------------------------------------------------- sending
     def add_requests(self, dst: int, slots: np.ndarray, keys: np.ndarray,
@@ -183,35 +181,23 @@ class BinManager:
         n = min(n, self._pending_count.get(dst, 0))
         if n == 0:
             return
-        if self._outstanding.get(dst, 0) > 0:
+        if self.bins_sent_to.get(dst, 0) > 0:
             # One-outstanding-bin rule: a real machine would stop local
             # work here and serve remote requests until the previous bin
             # is acknowledged.  With buffered sends the stall is recorded
             # (its round-trip latency still reaches the clock when the
-            # result is received).
+            # result is received).  No result is accepted before every
+            # bin has shipped, so an earlier bin to ``dst`` is still
+            # outstanding.
             self.stats.flow_control_stalls += 1
         bin_ = self._take(dst, n)
         self.comm.send(bin_, dst, tag=TAG_REQUEST, nbytes=bin_.nbytes)
-        self._outstanding[dst] = self._outstanding.get(dst, 0) + 1
-        self._bins_sent_to[dst] = self._bins_sent_to.get(dst, 0) + 1
-        self.records_sent += bin_.n
-        self._sent_records_to[dst] = \
-            self._sent_records_to.get(dst, 0) + bin_.n
+        self.bins_sent_to[dst] = self.bins_sent_to.get(dst, 0) + 1
         self.stats.request_bins_sent += 1
         self.stats.request_records_sent += bin_.n
         self.stats.request_bytes_sent += bin_.nbytes
 
-    def stats_per_destination(self) -> dict[int, int]:
-        """Records shipped per destination rank."""
-        return dict(self._sent_records_to)
-
     # ------------------------------------------------------------ receiving
-    def _accept_result(self, src: int, rbin: ResultBin) -> None:
-        self._accumulate(rbin.slots, rbin.values)
-        self.records_received_back += rbin.n
-        self.stats.result_records_returned += rbin.n
-        self._outstanding[src] = self._outstanding.get(src, 1) - 1
-
     def complete(self) -> None:
         """Finish the exchange: flush, swap bin counts, serve every
         incoming request, collect every result.
@@ -235,7 +221,7 @@ class BinManager:
         # soon as the first request virtually arrives).
         for dst in range(comm.size):
             if dst != comm.rank:
-                comm.send({"sentinel": self._bins_sent_to.get(dst, 0)},
+                comm.send({"sentinel": self.bins_sent_to.get(dst, 0)},
                           dst, tag=TAG_REQUEST, nbytes=4)
         def is_sentinel(p) -> bool:
             return isinstance(p, dict) and "sentinel" in p
@@ -269,6 +255,7 @@ class BinManager:
             result = ResultBin(slots=bin_.slots, values=next(served))
             comm.send(result, msg.src, tag=TAG_RESULT, nbytes=result.nbytes)
             self.records_served += bin_.n
-        to_collect = {dst: n for dst, n in self._bins_sent_to.items() if n}
-        for msg in comm.recv_sorted(to_collect, TAG_RESULT):
-            self._accept_result(msg.src, msg.payload)
+        for msg in comm.recv_sorted(self.bins_sent_to, TAG_RESULT):
+            rbin = msg.payload
+            self._accumulate(rbin.slots, rbin.values)
+            self.stats.result_records_returned += rbin.n

@@ -263,7 +263,7 @@ class FunctionShippingEngine:
                           np.concatenate([s for s, _ in returned]),
                           np.concatenate([v for _, v in returned]))
 
-        self._result.records_shipped = bins.records_sent
+        self._result.records_shipped = bins.stats.request_records_sent
         self._result.records_served = bins.records_served
         self._result.ship = bins.stats
         built, chunks, peak = self._walk_stats()

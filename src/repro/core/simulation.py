@@ -990,6 +990,11 @@ class ParallelBarnesHut:
                 f"SPSA needs r >= p: {config.clusters(particles.dims)} "
                 f"clusters < {p} processors"
             )
+        if particles.dims == 2 and config.degree > 0:
+            raise ValueError(
+                f"degree-{config.degree} multipoles are 3-D only; 2-D "
+                f"runs use monopoles (degree 0)"
+            )
         self.recv_timeout = recv_timeout
         self.fault_plan = fault_plan
         self.reliable = reliable

@@ -3,7 +3,7 @@
 :class:`~repro.machine.comm.Comm` charges virtual time for every send
 and receive, but the mechanics of moving a :class:`Message` from one
 rank to another are a separate concern — in-process mailboxes for the
-thread-per-rank virtual engine, OS pipes plus shared memory for the
+thread-per-rank virtual engine, pickles over OS pipes for the
 process-per-rank runtime (:mod:`repro.runtime`).  This module defines
 the seam between the two:
 

@@ -44,9 +44,8 @@ failure is debuggable from the exception alone.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing as mp
-import os
+import pickle
 import queue as _queue
 import time
 import traceback
@@ -67,7 +66,6 @@ from repro.machine.engine import (
 from repro.machine.faults import FaultPlan, RankCrashedError, ReliableConfig
 from repro.machine.profiles import ZERO_COST
 from repro.machine.trace import Tracer
-from repro.runtime import shm as _shm_codec
 from repro.runtime import supervision as _sup
 from repro.runtime.process_transport import ProcessTransport
 from repro.runtime.supervision import HeartbeatBoard, RankDiagnostics
@@ -77,8 +75,6 @@ from repro.runtime.telemetry import TelemetrySampler
 #: ``rank << SEQ_SHIFT``, so seqs are globally unique (trace stitching
 #: needs that) while staying monotone per sender (all ordering needs).
 SEQ_SHIFT = 44
-
-_run_counter = itertools.count()
 
 
 class RemoteRankError(RuntimeError):
@@ -116,8 +112,8 @@ class ProcessWatchdogError(RuntimeError):
         self.timeout = timeout
         self.diagnostics = list(diagnostics) if diagnostics else []
         #: Real seconds the host spent quiescing the run (terminating
-        #: workers, sweeping shm); filled in by the engine's teardown so
-        #: recovery can report it.
+        #: workers, retiring queues); filled in by the engine's teardown
+        #: so recovery can report it.
         self.quiesce_seconds: float | None = None
         if header is None:
             header = (
@@ -172,14 +168,10 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
                  extra: tuple, cost: CostModel,
                  fault_plan: FaultPlan | None,
                  reliable: ReliableConfig | None, trace: bool,
-                 result_prefix: str, board: HeartbeatBoard,
+                 board: HeartbeatBoard,
                  heartbeat_interval: float,
                  wall_epoch: float | None) -> None:
     """Body of one rank process (module-level so ``spawn`` can pickle it)."""
-    # Shed fork-inherited host state: the parent's registered shm
-    # prefixes and SIGTERM sweep must not fire in a terminated worker
-    # (they would reclaim blocks still in flight to other ranks).
-    _shm_codec.forget_inherited_state()
     _sup.reset_worker_state()
     _sup.activate_worker(rank, board, fault_plan, heartbeat_interval)
     # Renumber this process's messages into a rank-private seq range:
@@ -195,7 +187,7 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
         endpoint = transport.endpoint(rank)
         comm = rank_comm(rank, size, cost, endpoint, fault_plan, reliable,
                          Tracer(size) if trace else None, wall_epoch)
-        # Queue puts, blocking reads and shm decodes on the wall track.
+        # Queue puts and blocking reads on the wall track.
         endpoint.wall_tracer = comm.wall_tracer
         _sup.attach_comm(comm)
         envelope["kind"] = "ok"
@@ -230,19 +222,18 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
         if comm.wall_tracer is not None:
             envelope["wall_trace"] = comm.wall_tracer.spans
     try:
-        data, block_info = _shm_codec.encode(envelope,
-                                             name_prefix=result_prefix)
-        result_q.put((rank, data, block_info))
+        data = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
-        # The value did not survive encoding (an unpicklable return).
+        # The value did not survive pickling (an unpicklable return).
         # Ship a minimal error envelope instead of dying silently.
-        result_q.put((rank, _shm_codec.encode({
+        data = pickle.dumps({
             "rank": rank, "kind": "error", "value": None,
             "error_type": "RuntimeError",
             "error_msg": "rank result could not be pickled",
             "traceback": traceback.format_exc(),
             "time": envelope.get("time", 0.0),
-        }, threshold=None)[0], None))
+        }, protocol=pickle.HIGHEST_PROTOCOL)
+    result_q.put((rank, data))
 
 
 class ProcessEngine(SPMDEngine):
@@ -322,13 +313,7 @@ class ProcessEngine(SPMDEngine):
         extras, tracer, wall_epoch = self._start(rank_args, tracer,
                                                  wall_trace)
         ctx = mp.get_context()
-        shm_prefix = f"repro{os.getpid()}x{next(_run_counter)}"
-        # Arm the crash sweep before any block can exist: if the host
-        # itself dies past this point, atexit/SIGTERM hooks reclaim the
-        # run's /dev/shm blocks.
-        _shm_codec.register_prefix(shm_prefix)
-        transport = ProcessTransport(ctx, self.size, shm_prefix,
-                                     self.recv_timeout)
+        transport = ProcessTransport(ctx, self.size, self.recv_timeout)
         board = HeartbeatBoard(ctx, self.size)
         result_q = ctx.Queue()
         workers = [
@@ -336,8 +321,8 @@ class ProcessEngine(SPMDEngine):
                 target=_worker_main,
                 args=(r, self.size, transport, result_q, main,
                       tuple(args), extras[r], self.cost, self.fault_plan,
-                      self.reliable, tracer is not None, f"{shm_prefix}res",
-                      board, self.heartbeat_interval, wall_epoch),
+                      self.reliable, tracer is not None, board,
+                      self.heartbeat_interval, wall_epoch),
                 name=f"prank-{r}", daemon=True)
             for r in range(self.size)
         ]
@@ -376,13 +361,13 @@ class ProcessEngine(SPMDEngine):
                                 missing, workers, board))
                     wait = min(wait, remaining)
                 try:
-                    rank, data, block_info = result_q.get(timeout=wait)
+                    rank, data = result_q.get(timeout=wait)
                 except _queue.Empty:
                     if result_q.empty():
                         # No result racing up the pipe: safe to convict.
                         self._check_liveness(envelopes, workers, board)
                     continue
-                envelopes[rank] = _shm_codec.decode(data, block_info)
+                envelopes[rank] = pickle.loads(data)
                 if envelopes[rank]["kind"] == "error":
                     break
             if sampler is not None:
@@ -400,13 +385,11 @@ class ProcessEngine(SPMDEngine):
         finally:
             # Quiesce: the first error or watchdog ends the run.  Terminate
             # the survivors (the process analogue of the thread engine's
-            # mailbox close), retire every queue unread, and reclaim every
-            # shared-memory block the run made — message and result
-            # blocks, delivered or not — with one sweep of its prefix.
-            # Nothing is read after a terminate: a worker killed inside a
-            # put leaves a partial frame in the pipe, and a read would
-            # wait for the rest of it forever.  On a clean run every
-            # worker has already exited.
+            # mailbox close) and retire every queue unread.  Nothing is
+            # read after a terminate: a worker killed inside a put leaves
+            # a partial frame in the pipe, and a read would wait for the
+            # rest of it forever.  On a clean run every worker has
+            # already exited.
             t_quiesce = time.monotonic()
             for w in workers:
                 if w.is_alive():
@@ -421,8 +404,6 @@ class ProcessEngine(SPMDEngine):
             transport.close()
             result_q.close()
             result_q.cancel_join_thread()
-            _shm_codec.cleanup_blocks(shm_prefix)
-            _shm_codec.release_prefix(shm_prefix)
             self.last_quiesce_seconds = time.monotonic() - t_quiesce
             if isinstance(failure, ProcessWatchdogError):
                 failure.quiesce_seconds = self.last_quiesce_seconds

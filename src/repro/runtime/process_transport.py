@@ -1,9 +1,9 @@
-"""Queue + shared-memory transport between rank processes.
+"""Queue transport between rank processes.
 
-One ``multiprocessing`` queue per rank carries encoded
-:class:`~repro.machine.mailbox.Message` records; large numpy payloads
-travel out-of-band in shared-memory blocks (:mod:`repro.runtime.shm`).
-Each worker drains its queue into a private in-process
+One ``multiprocessing`` queue per rank carries
+:class:`~repro.machine.mailbox.Message` records, each pickled whole —
+payload included — by its sender at send time.  Each worker drains its
+queue into a private in-process
 :class:`~repro.machine.mailbox.Mailbox`, which supplies the matched
 ``(src, tag)`` receive semantics, virtual-arrival ordering and
 reliable-layer duplicate suppression — exactly the structure the
@@ -19,6 +19,7 @@ produce bitwise-identical virtual clocks for the same program.
 
 from __future__ import annotations
 
+import pickle
 import queue as _queue
 import time
 from typing import Any
@@ -26,7 +27,6 @@ from typing import Any
 from repro.machine.comm import DeadlockError
 from repro.machine.mailbox import Mailbox, Message
 from repro.machine.transport import Endpoint
-from repro.runtime import shm as _shm_codec
 
 #: How long one blocking queue read waits before re-checking the
 #: watchdog deadline (real seconds; never charges any virtual clock).
@@ -45,25 +45,22 @@ class ProcessTransport:
     :class:`ProcessEndpoint` around the shared queue array.
     """
 
-    def __init__(self, ctx, size: int, shm_prefix: str,
-                 recv_timeout: float | None):
+    def __init__(self, ctx, size: int, recv_timeout: float | None):
         if size <= 0:
             raise ValueError(f"transport size must be positive, got {size}")
         self.size = size
-        self.shm_prefix = shm_prefix
         self.recv_timeout = recv_timeout
         self.queues = [ctx.Queue() for _ in range(size)]
 
     def endpoint(self, rank: int) -> "ProcessEndpoint":
         """Build rank ``rank``'s endpoint (call inside the worker)."""
-        return ProcessEndpoint(rank, self.size, self.queues, self.shm_prefix,
+        return ProcessEndpoint(rank, self.size, self.queues,
                                self.recv_timeout)
 
     def close(self) -> None:
         """Retire every queue unread (host teardown, workers gone).
 
-        What is left in a pipe is dropped with it: the engine's sweep of
-        the run's shm prefix reclaims any block a dropped message owned.
+        What is left in a pipe is dropped with it.
         ``cancel_join_thread`` matters on the recovery path: a queue
         whose feeder thread still holds buffered items from a worker
         that was SIGKILL'd must not block host shutdown.
@@ -84,7 +81,7 @@ class ProcessEndpoint(Endpoint):
     :class:`~repro.machine.comm.DeadlockError` with this rank's mailbox.
     """
 
-    def __init__(self, rank: int, size: int, queues, shm_prefix: str,
+    def __init__(self, rank: int, size: int, queues,
                  recv_timeout: float | None):
         if not 0 <= rank < size:
             raise ValueError(f"rank {rank} out of range for size {size}")
@@ -92,15 +89,14 @@ class ProcessEndpoint(Endpoint):
         self.size = size
         self._recv_timeout = recv_timeout
         self._queues = queues
-        self._shm_prefix = f"{shm_prefix}r{rank}"
         #: Decoded-message store: supplies matching, ordering and
         #: reliable-layer dedup, identical to the local transport.
         self._box = Mailbox(rank)
         #: Peers whose fin marker has arrived (see :meth:`finish`).
         self._fins: set[int] = set()
         #: Optional :class:`~repro.machine.trace.WallRecorder`: when set
-        #: (by the worker body), queue puts, blocking queue reads and
-        #: shared-memory decodes show up as ``wall:transport`` spans.
+        #: (by the worker body), queue puts and blocking queue reads
+        #: show up as ``wall:transport`` spans.
         #: Pure wall-side observation — virtual pricing already happened
         #: in Comm before a message reaches the endpoint.
         self.wall_tracer = None
@@ -112,30 +108,24 @@ class ProcessEndpoint(Endpoint):
             return
         wall = self.wall_tracer
         w0 = wall.now() if wall is not None else 0.0
-        data, block_info = _shm_codec.encode(
-            (msg.arrival, msg.seq, msg.tag, msg.nbytes, msg.xmit_id,
-             msg.payload),
-            name_prefix=self._shm_prefix)
-        self._queues[dst].put((msg.src, data, block_info))
+        # Pickle now, not in the queue's feeder thread: the receiver
+        # gets the payload as it was at send, whatever the sender does
+        # to it next.
+        data = pickle.dumps((msg.arrival, msg.seq, msg.tag, msg.nbytes,
+                             msg.xmit_id, msg.payload),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        self._queues[dst].put((msg.src, data))
         if wall is not None:
             wall.record(f"transport:send dst={dst}", w0, wall.now(),
                         depth=2, cat="wall:transport")
 
     # ----------------------------------------------------------- receiving
     def _accept(self, item: Any) -> None:
-        src, data, block_info = item
+        src, data = item
         if data is None:                # src's fin marker (see finish)
             self._fins.add(src)
             return
-        wall = self.wall_tracer if block_info else None
-        w0 = wall.now() if wall is not None else 0.0
-        arrival, seq, tag, nbytes, xmit_id, payload = \
-            _shm_codec.decode(data, block_info)
-        if wall is not None:
-            # Only shm-backed payloads get a span: the attach + copy-out
-            # is the interesting cost; inline pickles are noise.
-            wall.record(f"transport:shm-decode src={src}", w0, wall.now(),
-                        depth=2, cat="wall:transport")
+        arrival, seq, tag, nbytes, xmit_id, payload = pickle.loads(data)
         self._box.put(Message(arrival=arrival, src=src, seq=seq, tag=tag,
                               payload=payload, nbytes=nbytes,
                               xmit_id=xmit_id))
@@ -200,7 +190,7 @@ class ProcessEndpoint(Endpoint):
         """
         for dst in range(self.size):
             if dst != self.rank:
-                self._queues[dst].put((self.rank, None, None))
+                self._queues[dst].put((self.rank, None))
         deadline = time.monotonic() + _FIN_SECONDS
         q = self._queues[self.rank]
         while len(self._fins) < self.size - 1:

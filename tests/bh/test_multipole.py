@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.bh.distributions import plummer
 from repro.bh.multipole import (
     MonopoleExpansion,
-    MultipoleExpansion2D,
     MultipoleExpansion3D,
     TreeMultipoles,
     irregular_terms,
@@ -201,53 +200,6 @@ class TestExpansion3D:
     def test_irregular_rejects_origin(self):
         with pytest.raises(ValueError):
             irregular_terms(np.zeros((1, 3)), 2)
-
-
-class TestExpansion2D:
-    def test_p2m_m2p(self):
-        rng = np.random.default_rng(7)
-        src = rng.uniform(-0.5, 0.5, (30, 2))
-        q = rng.uniform(0.1, 1.0, 30)
-        t = rng.normal(0, 1, (10, 2))
-        t = t / np.linalg.norm(t, axis=1, keepdims=True) * 4.0
-        direct = np.array([
-            np.sum(q * np.log(np.linalg.norm(p - src, axis=1))) for p in t
-        ])
-        exp = MultipoleExpansion2D(10)
-        approx = exp.evaluate(exp.p2m(src, q), t)
-        np.testing.assert_allclose(approx, direct, atol=1e-7)
-
-    def test_m2m_exact(self):
-        rng = np.random.default_rng(8)
-        src = rng.uniform(-0.5, 0.5, (20, 2))
-        q = rng.uniform(0.1, 1.0, 20)
-        nc = np.array([0.3, -0.2])
-        exp = MultipoleExpansion2D(8)
-        moved = exp.m2m(exp.p2m(src, q), -nc)
-        direct = exp.p2m(src - nc, q)
-        np.testing.assert_allclose(moved, direct, atol=1e-12)
-
-    def test_total_charge_preserved_by_shift(self):
-        exp = MultipoleExpansion2D(4)
-        rng = np.random.default_rng(9)
-        M = exp.p2m(rng.uniform(-1, 1, (5, 2)), np.ones(5))
-        shifted = exp.m2m(M, np.array([3.0, 4.0]))
-        assert shifted[0] == pytest.approx(5.0)
-
-    def test_degree_validated(self):
-        with pytest.raises(ValueError):
-            MultipoleExpansion2D(0)
-
-    def test_bad_point_shape(self):
-        exp = MultipoleExpansion2D(2)
-        with pytest.raises(ValueError):
-            exp.p2m(np.zeros((3, 3)), np.ones(3))
-
-    def test_evaluate_at_center_rejected(self):
-        exp = MultipoleExpansion2D(2)
-        M = exp.p2m(np.ones((2, 2)), np.ones(2))
-        with pytest.raises(ValueError):
-            exp.evaluate(M, np.zeros((1, 2)))
 
 
 class TestTreeMultipoles:

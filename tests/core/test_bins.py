@@ -174,7 +174,7 @@ class TestBinManagerProtocol:
             mgr.add_requests(1, np.zeros(0, dtype=np.int64),
                              np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
             mgr.complete()
-            return mgr.records_sent
+            return mgr.stats.request_records_sent
 
         assert run(2, main).values == [0, 0]
 
@@ -258,8 +258,8 @@ class TestBinAccounting:
                         np.array([k for _, k in part], dtype=np.int64),
                         np.zeros((len(part), 3)))
             mgr.complete()
-            return (back, mgr.records_sent, mgr.records_received_back,
-                    mgr.records_served, mgr.stats.request_bins_sent,
+            return (back, mgr.stats.request_records_sent,
+                    mgr.stats.result_records_returned, mgr.records_served, mgr.stats.request_bins_sent,
                     mgr.stats.flow_control_stalls)
 
         first, second = run(P, main), run(P, main)
@@ -295,7 +295,7 @@ class TestStallBookkeeping:
         def spy(mgr):
             complete(mgr)
             seen.append((mgr.stats.request_bins_sent,
-                         len(mgr.stats_per_destination()),
+                         len(mgr.bins_sent_to),
                          mgr.stats.flow_control_stalls))
 
         monkeypatch.setattr(BinManager, "complete", spy)

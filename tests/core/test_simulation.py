@@ -204,9 +204,11 @@ class TestTwoDimensional:
         np.testing.assert_allclose(par, base, atol=1e-10)
 
     def test_2d_multipole_rejected(self):
-        ps = self._ps2d()
-        with pytest.raises(RuntimeError, match="3-D"):
-            run(p=2, mode="potential", degree=3, particles=ps)
+        """Refused at construction, before any rank starts."""
+        for degree in (2, 3):
+            with pytest.raises(ValueError, match="3-D"):
+                ParallelBarnesHut(self._ps2d(), SchemeConfig(
+                    mode="potential", degree=degree), p=2)
 
 
 class TestStepTiming:

@@ -174,18 +174,6 @@ def test_trace_merge_matches_virtual_backend():
     assert set(p.trace.sends_by_seq()) >= {e.seq for e in p.trace.all_recvs()}
 
 
-def _shm_names():
-    return {f for f in os.listdir("/dev/shm") if f.startswith("repro")}
-
-
-def test_no_shared_memory_leaks_after_runs():
-    before = _shm_names()
-    ProcessEngine(2, NCUBE2).run(_traced)
-    with pytest.raises(RemoteRankError):
-        ProcessEngine(3, recv_timeout=10.0).run(_boom)
-    assert _shm_names() <= before
-
-
 def test_engine_size_validated():
     with pytest.raises(ValueError, match="positive"):
         ProcessEngine(0)
@@ -211,9 +199,9 @@ def test_one_rank_lifecycle():
 
 
 def _full_pipe(comm):
-    # 1 MiB of bytes rides the pipe (only arrays go through shm): far
-    # more than a pipe buffer, so rank 0's queue feeder is still writing
-    # it when the host terminates rank 0.
+    # 1 MiB rides the pipe, as every payload does: far more than a
+    # pipe buffer, so rank 0's queue feeder is still writing it when
+    # the host terminates rank 0.
     if comm.rank == 0:
         comm.send(b"x" * (1 << 20), dst=1, tag=5)
         return 0
@@ -250,7 +238,7 @@ def _plummer_dpda(**kw):
 def test_failed_run_tears_down_with_a_full_pipe():
     """A worker terminated inside a ``put`` leaves a partial frame in
     the pipe; teardown must not read it (the read would wait for the
-    rest forever) and must still reclaim every shm block."""
+    rest forever)."""
     box = _within(10.0, lambda: ProcessEngine(2, recv_timeout=10.0)
                   .run(_full_pipe))
     assert isinstance(box.get("error"), RemoteRankError), box
@@ -258,8 +246,7 @@ def test_failed_run_tears_down_with_a_full_pipe():
 
     # The same teardown inside crash recovery: rank 1 crashes mid step
     # 2 of 3 while rank 0 may be mid-put; the run must roll back and
-    # finish bitwise equal to the uninterrupted one, leaking nothing.
-    before = _shm_names()
+    # finish bitwise equal to the uninterrupted one.
     base = _within(60.0, _plummer_dpda)["value"]
     mid_step_2 = (base.steps[0][1].virtual_seconds
                   + 0.5 * base.steps[1][1].virtual_seconds)
@@ -274,4 +261,3 @@ def test_failed_run_tears_down_with_a_full_pipe():
     for ra, rb in zip(base.run.ranks, hurt.run.ranks):
         assert (ra.time, ra.timings, ra.stats) == (rb.time, rb.timings,
                                                    rb.stats)
-    assert _shm_names() == before

@@ -6,8 +6,8 @@ durable checkpoint and finish **bitwise identical** — positions,
 velocities, virtual clocks, per-rank communication accounting — to a
 run that was never interrupted.  Around that sit the supporting
 guarantees: stalled (livelocked) workers are convicted by heartbeat,
-restart budgets bound the respawn loop, killed workers leak nothing
-into ``/dev/shm``, and watchdog errors carry per-rank diagnostics.
+restart budgets bound the respawn loop, and watchdog errors carry
+per-rank diagnostics.
 """
 
 import os
@@ -26,13 +26,6 @@ from repro.runtime.supervision import classify_exit
 
 P = 4
 STEPS = 2
-
-
-def _shm_names():
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("repro-")}
-    except OSError:  # pragma: no cover - non-POSIX
-        return set()
 
 
 def _run(scheme, ckpt_dir=None, plan=None, steps=STEPS, backend="process",
@@ -189,20 +182,6 @@ def test_restart_budget_bounds_recovery(tmp_path):
     assert err.quiesce_seconds is not None and err.quiesce_seconds >= 0.0
 
 
-def test_killed_worker_leaks_no_shm(tmp_path):
-    """No /dev/shm blocks may outlive a run that lost a worker —
-    neither on the recovery path nor on the terminal-failure path."""
-    before = _shm_names()
-    res = _run("dpda", ckpt_dir=tmp_path / "leak",
-               plan=FaultPlan(seed=7, kill={1: 1}))
-    assert res.recoveries == 1
-    assert _shm_names() == before
-    with pytest.raises(WorkerLostError):
-        _run("dpda", ckpt_dir=tmp_path / "leak2",
-             plan=FaultPlan(seed=7, kill={2: 1}), max_restarts=0)
-    assert _shm_names() == before
-
-
 def test_rollback_metrics_account_lost_progress(tmp_path):
     """Killing at step 1 with the step-1 boundary already durable means
     zero steps of progress are re-executed; the counters must say so."""
@@ -217,31 +196,6 @@ def test_process_faults_rejected_on_virtual_backend():
     with pytest.raises(ValueError, match="process"):
         _run("spda", plan=FaultPlan(seed=7, kill={1: 1}),
              backend="virtual")
-
-
-# ----------------------------------------------------------- /dev/shm sweep
-
-def test_crash_sweep_reclaims_registered_prefix():
-    shm = pytest.importorskip("multiprocessing.shared_memory")
-    from repro.runtime import shm as shm_codec
-
-    block = shm.SharedMemory(name="repro-sweeptest-0", create=True, size=64)
-    block.close()
-    try:
-        shm_codec.register_prefix("repro-sweeptest-")
-        # The atexit hook body: sweeps every registered prefix.
-        assert shm_codec._sweep_registered() >= 1
-        assert "repro-sweeptest-0" not in _shm_names()
-    finally:
-        shm_codec.release_prefix("repro-sweeptest-")
-        try:
-            leftover = shm.SharedMemory(name="repro-sweeptest-0")
-            leftover.close()
-            leftover.unlink()
-        except FileNotFoundError:
-            pass
-    # Released prefixes are not swept again.
-    assert shm_codec._sweep_registered() == 0
 
 
 # ------------------------------------------------------------- small units

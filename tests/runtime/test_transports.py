@@ -78,8 +78,8 @@ def test_point_to_point_ring_identical():
 
 
 def test_large_payloads_cross_shm_path_bitwise():
-    # 40 KB messages: the process transport routes these through shared
-    # memory; the charge model and the bytes must still match exactly.
+    # 40 KB messages, pickled whole onto the pipe like every payload:
+    # the charge model and the bytes must still match exactly.
     def big(comm):
         rng = np.random.default_rng(comm.rank + 42)
         data = rng.standard_normal(5000)
@@ -90,6 +90,29 @@ def test_large_payloads_cross_shm_path_bitwise():
     for rv, rp in zip(v.values, p.values):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(rv, rp))
     assert_reports_match(v, p, values=False)
+
+
+def _overwrite_after_send(comm):
+    if comm.rank == 0:
+        data = np.arange(1 << 17, dtype=np.float64)    # 1 MiB
+        comm.send(data, dst=1, tag=3)
+        data[:] = -1.0
+        comm.send(data, dst=1, tag=3)
+        return None
+    first = comm.recv(src=0, tag=3)
+    second = comm.recv(src=0, tag=3)
+    return first.tobytes(), second.tobytes()
+
+
+def test_process_payload_snapshot_at_send():
+    """A payload is pickled when it is sent, not later in the queue's
+    feeder thread: overwriting the array right after the first send
+    leaves the first message with the original values.  Thread ranks
+    share payload objects by design, so this holds on processes only."""
+    first, second = ProcessEngine(2, NCUBE2).run(
+        _overwrite_after_send).values[1]
+    assert first == np.arange(1 << 17, dtype=np.float64).tobytes()
+    assert second == np.full(1 << 17, -1.0).tobytes()
 
 
 def test_fault_injection_and_reliable_layer_match():
