@@ -114,7 +114,6 @@ def _build_sim(args):
         sim = ParallelBarnesHut(
             particles, config, p=args.procs, profile=profile,
             fault_plan=fault_plan,
-            reliable=getattr(args, "reliable", False),
             checkpoint_every=getattr(args, "checkpoint_every", None),
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
             max_restarts=getattr(args, "max_restarts", 3),
@@ -159,7 +158,6 @@ def _cmd_run(args) -> int:
               f"slowdowns {fault_plan.slowdown or '-'}, "
               f"kills {fault_plan.kill or '-'}, "
               f"stalls {fault_plan.stall_heartbeat or '-'})"
-              + (" | reliable delivery" if args.reliable else "")
               + (f" | checkpoint every {args.checkpoint_every}"
                  if args.checkpoint_every else ""))
     if args.checkpoint_dir:
@@ -348,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fault-plan", metavar="PATH",
                      help="JSON fault plan (seeded drops/dups/delays, "
                           "rank crashes and slowdowns)")
-    run.add_argument("--reliable", action="store_true",
-                     help="enable the ack/retransmit recovery layer")
     run.add_argument("--checkpoint-every", type=int, metavar="N",
                      help="checkpoint every N steps; recover rank "
                           "crashes and worker losses by rollback "

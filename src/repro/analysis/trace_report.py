@@ -11,28 +11,23 @@ import numpy as np
 from repro.machine.trace import Trace
 
 
-def bytes_matrix(trace: Trace, include_lost: bool = False) -> np.ndarray:
+def bytes_matrix(trace: Trace) -> np.ndarray:
     """``(p, p)`` payload-byte totals: entry ``[src, dst]``.
 
-    The diagonal is local (free) traffic.  Lost transmissions are
-    excluded unless ``include_lost`` (their bytes never arrived); the
-    duplicate copies the network injected are always excluded, so the
-    matrix matches the receiver-side per-tag accounting on a reliable
-    machine.
+    The diagonal is local (free) traffic.  The duplicate copies the
+    network injected are excluded, so the matrix matches the
+    receiver-side per-tag accounting.
     """
     m = np.zeros((trace.size, trace.size), dtype=np.int64)
     for ev in trace.all_sends():
-        if ev.duplicate:
-            continue
-        if ev.lost and not include_lost:
-            continue
-        m[ev.src, ev.dst] += ev.nbytes
+        if not ev.duplicate:
+            m[ev.src, ev.dst] += ev.nbytes
     return m
 
 
-def format_bytes_matrix(trace: Trace, include_lost: bool = False) -> str:
+def format_bytes_matrix(trace: Trace) -> str:
     """The src x dst byte matrix as an aligned text table."""
-    m = bytes_matrix(trace, include_lost=include_lost)
+    m = bytes_matrix(trace)
     p = trace.size
     width = max(8, max(len(str(int(v))) for v in m.flat) + 1)
     head = "src\\dst " + "".join(f"{d:>{width}d}" for d in range(p)) \

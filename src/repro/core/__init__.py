@@ -38,7 +38,7 @@ from repro.core.branch_nodes import (
     SortedBranchIndex,
     branch_key,
 )
-from repro.core.checkpoint import CheckpointStore, RankCheckpoint
+from repro.core.checkpoint import DiskCheckpointStore, RankCheckpoint
 from repro.core.simulation import (
     ParallelBarnesHut,
     SimulationResult,
@@ -62,6 +62,6 @@ __all__ = [
     "ParallelBarnesHut",
     "SimulationResult",
     "StepResult",
-    "CheckpointStore",
+    "DiskCheckpointStore",
     "RankCheckpoint",
 ]

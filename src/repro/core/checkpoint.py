@@ -2,7 +2,7 @@
 
 Recovery model: every rank snapshots its cross-step state (particles,
 measured loads, key boundaries, virtual clock, communication accounting)
-into a :class:`CheckpointStore` at step boundaries.  When a rank crashes
+into a :class:`DiskCheckpointStore` at step boundaries.  When a rank crashes
 (:class:`~repro.machine.faults.RankCrashedError`) or a worker process is
 lost (:class:`~repro.runtime.process_engine.WorkerLostError`), the host
 rolls *every* rank back to the last step boundary all ranks completed —
@@ -12,19 +12,21 @@ operations — replaces the dead node, and re-runs from there.  Because
 the machine is deterministic, the re-executed steps reproduce the
 fault-free trajectory bitwise.
 
-Snapshots are deep copies taken at a quiescent point (between steps, no
-messages in flight), so no channel state needs saving.
+Snapshots are taken at a quiescent point (between steps, no messages
+in flight), so no channel state needs saving; ``save`` pickles a
+snapshot before its rank moves on, so the snapshot may share the rank's
+live arrays.
 
-Two stores implement the same API:
-
-* :class:`CheckpointStore` — in-memory, for the thread-per-rank virtual
-  backend (ranks share the host's address space).
-* :class:`DiskCheckpointStore` — durable, for the process backend (and
-  for ``--resume`` across host restarts).  One file per ``(rank,
-  step)``, written atomically (temp file + fsync + rename) with a
-  versioned header and a content digest, so a torn or bit-rotted file
-  is detected on load instead of unpickling garbage; ``keep``-based
-  pruning bounds the directory to the newest levels per rank.
+One store serves both backends: :class:`DiskCheckpointStore` keeps one
+file per ``(rank, step)`` in a directory — the run's ``checkpoint_dir``
+(which survives the host, for ``--resume``) or a temporary one removed
+when the run ends.  Files are written atomically (temp file + fsync +
+rename) with a versioned header and a content digest, so a torn or
+bit-rotted file is detected on load instead of unpickling garbage;
+``keep``-based pruning bounds the directory to the newest levels per
+rank.  The directory is the only state: a read always loads the file,
+so checkpoints written by the rank processes of the process backend are
+visible to the host without any message traffic.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import pickle
 import re
 import struct
 import tempfile
-import threading
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any
@@ -99,14 +100,6 @@ class RestartPolicy:
                    self.cap)
 
 
-def _copy_array(a: np.ndarray | None) -> np.ndarray | None:
-    return None if a is None else np.array(a, copy=True)
-
-
-def _copy_particles(ps: ParticleSet) -> ParticleSet:
-    return ps.subset(np.arange(ps.n))
-
-
 @dataclass
 class RankCheckpoint:
     """One rank's cross-step state at a step boundary.
@@ -132,7 +125,7 @@ class RankCheckpoint:
     comm_stats: Any = None      # CommStats at the boundary
     metrics: Any = None         # MetricsRegistry at the boundary
     #: Comm sequence counters at the boundary: collective tag counter
-    #: and reliable-layer transmission id.  Restored so a recovered
+    #: and transmission id.  Restored so a recovered
     #: run's tag stream continues where the checkpoint left off and
     #: per-tag byte accounting matches an uninterrupted run exactly.
     coll_seq: int = 0
@@ -160,58 +153,7 @@ class RankCheckpoint:
     accel: Any = None
 
 
-class CheckpointStore:
-    """Thread-safe host-side store of per-(step, rank) checkpoints.
-
-    Ranks write concurrently from their virtual-machine threads; the host
-    reads after the run (or after a crash) to build the restart state.
-    Only the newest ``keep`` step levels are retained per rank.
-    """
-
-    def __init__(self, size: int, keep: int = 2):
-        if size < 1:
-            raise ValueError("store needs at least one rank")
-        if keep < 1:
-            raise ValueError("must keep at least one checkpoint level")
-        self.size = size
-        self.keep = keep
-        self._lock = threading.Lock()
-        self._by_rank: dict[int, dict[int, RankCheckpoint]] = {
-            r: {} for r in range(size)
-        }
-
-    def save(self, ckpt: RankCheckpoint) -> None:
-        with self._lock:
-            levels = self._by_rank[ckpt.rank]
-            levels[ckpt.step] = ckpt
-            while len(levels) > self.keep:
-                del levels[min(levels)]
-
-    def steps_for(self, rank: int) -> list[int]:
-        with self._lock:
-            return sorted(self._by_rank[rank])
-
-    def latest_common_step(self) -> int | None:
-        """Newest step boundary every rank has a checkpoint for."""
-        common: set[int] | None = None
-        for r in range(self.size):
-            steps = set(self.steps_for(r))
-            common = steps if common is None else common & steps
-        return max(common) if common else None
-
-    def get(self, rank: int, step: int) -> RankCheckpoint:
-        with self._lock:
-            return self._by_rank[rank][step]
-
-    def discard_step(self, step: int) -> None:
-        """Drop one step level for every rank (e.g. a corrupt level, so
-        recovery can fall back to the previous common boundary)."""
-        with self._lock:
-            for levels in self._by_rank.values():
-                levels.pop(step, None)
-
-
-class DiskCheckpointStore(CheckpointStore):
+class DiskCheckpointStore:
     """Durable checkpoint store: one versioned file per (rank, step).
 
     Write protocol (crash-safe on POSIX): pickle the checkpoint, frame
@@ -219,20 +161,19 @@ class DiskCheckpointStore(CheckpointStore):
     write to a temp file in the same directory, ``fsync``, then
     atomically ``rename`` into place (and fsync the directory), so a
     reader never observes a half-written checkpoint.  Each rank prunes
-    only its own files, so concurrent rank *processes* writing into one
-    directory need no cross-process lock.
-
-    The in-memory :class:`CheckpointStore` API is preserved: ``save``
-    also caches in memory (reads in the writing process stay cheap),
-    while ``steps_for``/``latest_common_step``/``get`` treat the
-    *directory* as the source of truth — checkpoints written by other
-    processes (the rank workers of the process backend) are visible to
-    the host without any message traffic.
+    only its own files, so concurrent rank threads or processes writing
+    into one directory need no lock.  Only the newest ``keep`` step
+    levels are retained per rank.
     """
 
     def __init__(self, root: str | os.PathLike, size: int, keep: int = 2,
                  fsync: bool = True):
-        super().__init__(size, keep)
+        if size < 1:
+            raise ValueError("store needs at least one rank")
+        if keep < 1:
+            raise ValueError("must keep at least one checkpoint level")
+        self.size = size
+        self.keep = keep
         self.root = os.fspath(root)
         self.fsync = bool(fsync)
         os.makedirs(self.root, exist_ok=True)
@@ -298,16 +239,15 @@ class DiskCheckpointStore(CheckpointStore):
         header = _HEADER.pack(CHECKPOINT_MAGIC, DISK_FORMAT_VERSION, digest)
         self._atomic_write(self._path(ckpt.rank, ckpt.step),
                            header + payload)
-        super().save(ckpt)          # memory cache (+ memory pruning)
-        # Disk pruning mirrors the memory policy, per writing rank.
-        steps = self._disk_steps(ckpt.rank)
+        # Each rank prunes its own files.
+        steps = self.steps_for(ckpt.rank)
         while len(steps) > self.keep:
             try:
                 os.unlink(self._path(ckpt.rank, steps.pop(0)))
             except FileNotFoundError:  # pragma: no cover - racing prune
                 pass
 
-    def _disk_steps(self, rank: int) -> list[int]:
+    def steps_for(self, rank: int) -> list[int]:
         steps = []
         try:
             names = os.listdir(self.root)
@@ -319,17 +259,15 @@ class DiskCheckpointStore(CheckpointStore):
                 steps.append(int(m.group(2)))
         return sorted(steps)
 
-    def steps_for(self, rank: int) -> list[int]:
-        return self._disk_steps(rank)
+    def latest_common_step(self) -> int | None:
+        """Newest step boundary every rank has a checkpoint for."""
+        common = set.intersection(*(set(self.steps_for(r))
+                                    for r in range(self.size)))
+        return max(common) if common else None
 
     def get(self, rank: int, step: int) -> RankCheckpoint:
-        with self._lock:
-            cached = self._by_rank[rank].get(step)
-        if cached is not None:
-            return cached
-        return self._load(self._path(rank, step))
-
-    def _load(self, path: str) -> RankCheckpoint:
+        """Read, verify and unpickle one checkpoint file."""
+        path = self._path(rank, step)
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -363,25 +301,10 @@ class DiskCheckpointStore(CheckpointStore):
         return pickle.loads(payload)
 
     def discard_step(self, step: int) -> None:
-        super().discard_step(step)
+        """Drop one step level for every rank (e.g. a corrupt level, so
+        recovery can fall back to the previous common boundary)."""
         for rank in range(self.size):
             try:
                 os.unlink(self._path(rank, step))
             except FileNotFoundError:
                 pass
-
-    # -------------------------------------------------------- transport
-    # The process backend ships the store to rank workers (by fork
-    # inheritance or pickle); only the directory coordinates matter —
-    # locks and memory caches are process-local.
-    def __getstate__(self) -> dict[str, Any]:
-        return {"root": self.root, "size": self.size, "keep": self.keep,
-                "fsync": self.fsync}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.root = state["root"]
-        self.size = state["size"]
-        self.keep = state["keep"]
-        self.fsync = state["fsync"]
-        self._lock = threading.Lock()
-        self._by_rank = {r: {} for r in range(self.size)}

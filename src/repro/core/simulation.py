@@ -45,12 +45,9 @@ from repro.core.branch_nodes import branch_key
 from repro.core.checkpoint import (
     CheckpointCorruptError,
     CheckpointError,
-    CheckpointStore,
     DiskCheckpointStore,
     RankCheckpoint,
     RestartPolicy,
-    _copy_array,
-    _copy_particles,
 )
 from repro.core.config import SchemeConfig
 from repro.core.function_shipping import ForceResult, FunctionShippingEngine
@@ -66,7 +63,7 @@ from repro.machine.clock import PhaseTimings
 from repro.machine.comm import Comm
 from repro.machine.costmodel import MachineProfile
 from repro.machine.engine import Engine, RunReport, fold_endpoint_counters
-from repro.machine.faults import FaultPlan, RankCrashedError, ReliableConfig
+from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.metrics import MetricsRegistry
 from repro.machine.profiles import NCUBE2
 from repro.machine.trace import Trace, Tracer
@@ -293,7 +290,11 @@ class _RankState:
     # ---------------------------------------------- checkpoint / restore
     def snapshot(self, next_step: int,
                  results: list[StepResult]) -> RankCheckpoint:
-        """Deep-copy everything carried across steps (quiescent point)."""
+        """Everything carried across steps (quiescent point).
+
+        The checkpoint shares this rank's live arrays: the store pickles
+        it before the rank moves on.
+        """
         comm = self.comm
         # Communication accounting rides along so a recovered run
         # reports totals bitwise identical to an uninterrupted one.
@@ -304,55 +305,55 @@ class _RankState:
         metrics = copy.deepcopy(comm.metrics)
         fold_endpoint_counters(stats, metrics, comm.endpoint)
         # Trace continuity across rollback: carry this rank's virtual
-        # event lists (spans/events are immutable records — shallow
-        # copies suffice) and the worker's next message seq, so a
-        # recovered traced run replays into a trace identical to an
-        # uninterrupted one.
+        # event lists and the worker's next message seq, so a recovered
+        # traced run replays into a trace identical to an uninterrupted
+        # one.
         trace_events = None
         if comm.tracer is not None:
-            trace_events = (list(comm.tracer.phases[comm.rank]),
-                            list(comm.tracer.sends[comm.rank]),
-                            list(comm.tracer.recvs[comm.rank]))
+            trace_events = (comm.tracer.phases[comm.rank],
+                            comm.tracer.sends[comm.rank],
+                            comm.tracer.recvs[comm.rank])
         return RankCheckpoint(
             rank=comm.rank, step=next_step,
-            particles=_copy_particles(self.particles),
-            cluster_owners=_copy_array(self.cluster_owners),
-            cluster_load=_copy_array(self.cluster_load),
-            key_boundaries=_copy_array(self.key_boundaries),
-            my_particle_loads=_copy_array(self.my_particle_loads),
-            last_values=_copy_array(self._last_values),
+            particles=self.particles,
+            cluster_owners=self.cluster_owners,
+            cluster_load=self.cluster_load,
+            key_boundaries=self.key_boundaries,
+            my_particle_loads=self.my_particle_loads,
+            last_values=self._last_values,
             clock_now=comm.clock.now,
-            phase_seconds=dict(comm.clock.timings.seconds),
-            results=list(results),
+            phase_seconds=comm.clock.timings.seconds,
+            results=results,
             comm_stats=stats,
             metrics=metrics,
             coll_seq=comm._coll_seq,
             xmit_seq=comm._xmit_seq,
             trace_events=trace_events,
             seq_next=getattr(_mailbox_mod._seq_counter, "value", None),
-            rungs=_copy_array(self.rungs),
-            accel=_copy_array(self.accel),
+            rungs=self.rungs,
+            accel=self.accel,
         )
 
     def restore(self, ckpt: RankCheckpoint) -> None:
-        """Adopt a checkpoint's state, clock included (global rollback)."""
-        self.particles = _copy_particles(ckpt.particles)
-        self.cluster_owners = _copy_array(ckpt.cluster_owners)
-        self.cluster_load = _copy_array(ckpt.cluster_load)
-        self.key_boundaries = _copy_array(ckpt.key_boundaries)
-        self.my_particle_loads = _copy_array(ckpt.my_particle_loads)
-        self._last_values = _copy_array(ckpt.last_values)
+        """Adopt a checkpoint's state, clock included (global rollback).
+
+        ``ckpt`` is this rank's own, freshly read from the store: its
+        arrays are adopted, not copied.
+        """
+        self.particles = ckpt.particles
+        self.cluster_owners = ckpt.cluster_owners
+        self.cluster_load = ckpt.cluster_load
+        self.key_boundaries = ckpt.key_boundaries
+        self.my_particle_loads = ckpt.my_particle_loads
+        self._last_values = ckpt.last_values
         # A pickle without these keys reads the class defaults (None).
-        self.rungs = _copy_array(ckpt.rungs)
-        self.accel = _copy_array(ckpt.accel)
+        self.rungs = ckpt.rungs
+        self.accel = ckpt.accel
         self._keys = None
         self.comm.clock.now = ckpt.clock_now
-        self.comm.clock.timings = PhaseTimings(dict(ckpt.phase_seconds))
+        self.comm.clock.timings = PhaseTimings(ckpt.phase_seconds)
         if ckpt.comm_stats is not None and ckpt.metrics is not None:
-            # Deep-copied: an in-memory checkpoint may seed several
-            # restore attempts and must stay pristine.
-            self.comm.adopt_accounting(copy.deepcopy(ckpt.comm_stats),
-                                       copy.deepcopy(ckpt.metrics))
+            self.comm.adopt_accounting(ckpt.comm_stats, ckpt.metrics)
         # Continue the tag / transmission-id streams where the boundary
         # left them, so replayed traffic lands in the same per-tag
         # buckets as an uninterrupted run.
@@ -363,11 +364,10 @@ class _RankState:
         # re-execution appends exactly where the uninterrupted run
         # would have (virtual tracks come out identical).
         if ckpt.trace_events is not None and self.comm.tracer is not None:
-            phases, sends, recvs = ckpt.trace_events
             rank = self.comm.rank
-            self.comm.tracer.phases[rank] = list(phases)
-            self.comm.tracer.sends[rank] = list(sends)
-            self.comm.tracer.recvs[rank] = list(recvs)
+            tracer = self.comm.tracer
+            (tracer.phases[rank], tracer.sends[rank],
+             tracer.recvs[rank]) = ckpt.trace_events
         if ckpt.seq_next is not None \
                 and hasattr(_mailbox_mod._seq_counter, "value"):
             _mailbox_mod._seq_counter.value = ckpt.seq_next
@@ -804,7 +804,8 @@ class _RankState:
 
 def _rank_main(comm: Comm, config: SchemeConfig, root: Box, bits: int,
                steps: int, dt: float | None,
-               checkpoint_every: int | None, store: CheckpointStore | None,
+               checkpoint_every: int | None,
+               store: DiskCheckpointStore | None,
                shard: ParticleSet | None,
                resume_from: RankCheckpoint | None = None):
     from repro.runtime.supervision import notify_checkpoint, notify_step
@@ -895,23 +896,17 @@ class ParallelBarnesHut:
     fault_plan:
         Optional :class:`~repro.machine.faults.FaultPlan` of injected
         faults (drops, duplicates, delays, crashes, slowdowns).
-    reliable:
-        Enable the ack/retransmit recovery layer (``True`` for default
-        parameters, or a :class:`~repro.machine.faults.ReliableConfig`).
     checkpoint_every:
         Snapshot every rank's cross-step state at this step cadence; on
         a rank crash or worker loss the run rolls back to the newest
         common checkpoint and re-executes (without it such failures are
-        fatal).  On the virtual backend snapshots live in host memory;
-        on the process backend they are durable on disk
+        fatal).  Snapshots are durable on disk on either backend
         (:class:`~repro.core.checkpoint.DiskCheckpointStore`) — under
-        ``checkpoint_dir`` when given, else a temporary directory
+        ``checkpoint_dir`` when given, else in a temporary directory
         removed when the run ends.
     checkpoint_dir:
         Directory for durable checkpoints (either backend).  Survives
         the host process, enabling ``resume=True`` in a later run.
-    checkpoint_keep:
-        Newest checkpoint levels retained per rank (default 2).
     max_restarts:
         Worker-loss respawn budget per run (process backend): each
         SIGKILL'd / silently-exited / heartbeat-stalled worker costs
@@ -958,10 +953,8 @@ class ParallelBarnesHut:
                  root: Box | None = None, bits: int | None = None,
                  recv_timeout: float | None = 600.0,
                  fault_plan: FaultPlan | None = None,
-                 reliable: ReliableConfig | bool | None = None,
                  checkpoint_every: int | None = None,
                  checkpoint_dir: str | None = None,
-                 checkpoint_keep: int = 2,
                  max_restarts: int = 3,
                  restart_backoff: float = 0.25,
                  resume: bool = False,
@@ -997,7 +990,6 @@ class ParallelBarnesHut:
             )
         self.recv_timeout = recv_timeout
         self.fault_plan = fault_plan
-        self.reliable = reliable
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         self.checkpoint_every = checkpoint_every
@@ -1007,9 +999,6 @@ class ParallelBarnesHut:
             )
         self.backend = backend
         self.checkpoint_dir = checkpoint_dir
-        if checkpoint_keep < 1:
-            raise ValueError("checkpoint_keep must be >= 1")
-        self.checkpoint_keep = checkpoint_keep
         self.restart_policy = RestartPolicy(max_restarts, restart_backoff)
         if resume and checkpoint_dir is None:
             raise ValueError(
@@ -1045,26 +1034,19 @@ class ParallelBarnesHut:
         """Per-rank ``(shard, resume_from)`` of a run from step 0."""
         return [(shard, None) for shard in self._shards()]
 
-    def _make_store(self) -> tuple[CheckpointStore | None, str | None]:
+    def _make_store(self
+                    ) -> tuple[DiskCheckpointStore | None, str | None]:
         """Build the checkpoint store; returns ``(store, tmp_dir)`` with
         ``tmp_dir`` set when a throwaway directory must be removed after
         the run."""
-        want = (self.checkpoint_every is not None
-                or self.checkpoint_dir is not None)
-        if not want:
-            return None, None
         if self.checkpoint_dir is not None:
-            return DiskCheckpointStore(self.checkpoint_dir, self.p,
-                                       keep=self.checkpoint_keep), None
-        if self.backend == "process":
-            # Rank processes cannot write into host memory: durability
-            # through a throwaway on-disk store.
-            tmp = tempfile.mkdtemp(prefix="repro-ckpt-")
-            return DiskCheckpointStore(tmp, self.p,
-                                       keep=self.checkpoint_keep), tmp
-        return CheckpointStore(self.p, keep=self.checkpoint_keep), None
+            return DiskCheckpointStore(self.checkpoint_dir, self.p), None
+        if self.checkpoint_every is None:
+            return None, None
+        tmp = tempfile.mkdtemp(prefix="repro-ckpt-")
+        return DiskCheckpointStore(tmp, self.p), tmp
 
-    def _recovery_args(self, store: CheckpointStore
+    def _recovery_args(self, store: DiskCheckpointStore
                        ) -> tuple[int, list[tuple]] | None:
         """Restart state from the newest intact common checkpoint.
 
@@ -1172,8 +1154,7 @@ class ParallelBarnesHut:
             while True:
                 engine = engine_cls(self.p, self.profile,
                                     recv_timeout=self.recv_timeout,
-                                    fault_plan=plan,
-                                    reliable=self.reliable, **engine_kw)
+                                    fault_plan=plan, **engine_kw)
                 try:
                     # A fresh tracer per attempt: after a crash rollback
                     # the re-execution's trace replaces the aborted one.

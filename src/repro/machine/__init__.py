@@ -35,7 +35,6 @@ from repro.machine.faults import (
     FaultInjector,
     FaultPlan,
     RankCrashedError,
-    ReliableConfig,
     ReliableDeliveryError,
 )
 from repro.machine.mailbox import MailboxClosedError
@@ -77,7 +76,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "RankCrashedError",
-    "ReliableConfig",
     "ReliableDeliveryError",
     "MailboxClosedError",
     "Counter",

@@ -24,11 +24,7 @@ import numpy as np
 
 from repro.machine.clock import VirtualClock
 from repro.machine.costmodel import CostModel
-from repro.machine.faults import (
-    FaultInjector,
-    ReliableConfig,
-    ReliableDeliveryError,
-)
+from repro.machine.faults import FaultInjector, ReliableDeliveryError
 from repro.machine.mailbox import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -140,14 +136,13 @@ class CommStats:
     bytes_received: int = 0
     bytes_by_tag: dict[int, int] = field(default_factory=dict)
     recv_bytes_by_tag: dict[int, int] = field(default_factory=dict)
-    # Fault-injection / reliable-delivery counters (all zero on a
-    # fault-free run, so existing accounting is unchanged).
+    # Fault-injection / recovery counters (all zero on a fault-free
+    # run, so existing accounting is unchanged).
     drops_injected: int = 0          # transmissions the network ate
-    retransmissions: int = 0         # recovery resends (reliable layer)
+    retransmissions: int = 0         # recovery resends of dropped packets
     duplicates_injected: int = 0     # extra copies the network delivered
     duplicates_suppressed: int = 0   # copies this rank's mailbox dropped
     delays_injected: int = 0         # messages given extra latency
-    messages_lost: int = 0           # drops never recovered (no reliability)
 
     def record_send(self, tag: int, nbytes: int) -> None:
         self.messages_sent += 1
@@ -167,7 +162,6 @@ class Comm:
     def __init__(self, rank: int, size: int, cost: CostModel,
                  endpoint: "Endpoint",
                  injector: FaultInjector | None = None,
-                 reliable: ReliableConfig | None = None,
                  tracer: Tracer | None = None,
                  wall_tracer: "WallRecorder | None" = None):
         if not 0 <= rank < size:
@@ -194,7 +188,6 @@ class Comm:
         #: stores and forwards already-priced messages.
         self.endpoint = endpoint
         self._injector = injector
-        self._reliable = reliable
         self._xmit_seq = 0
         #: Collective calls made so far (each takes the next tag).
         self._coll_seq = 0
@@ -247,12 +240,11 @@ class Comm:
         """Send ``payload`` to rank ``dst`` (non-blocking buffered send).
 
         With a fault injector attached, each transmission may be dropped,
-        duplicated or delayed.  Under the reliable layer a drop triggers
-        retransmission with exponential backoff: every retry costs the
-        sender another channel charge and pushes the message's virtual
-        arrival out by the timeout wait; duplicate copies carry the same
-        transmission id and are suppressed at the destination mailbox.
-        Without the reliable layer a dropped message is simply lost.
+        duplicated or delayed.  A drop triggers retransmission with
+        exponential backoff: every retry costs the sender another channel
+        charge and pushes the message's virtual arrival out by the
+        timeout wait; duplicate copies carry the same transmission id
+        and are suppressed at the destination mailbox.
         """
         if not 0 <= dst < self.size:
             raise ValueError(f"destination rank {dst} out of range")
@@ -292,47 +284,30 @@ class Comm:
                 ))
             return
 
-        rel = self._reliable
+        plan = inj.plan
         penalty = 0.0      # timeout waits accumulated by retransmissions
         retries = 0
-        drops = 0
         while True:
             decision = inj.decide(self.rank, dst, tag)
             self.clock.advance(p.t_s + nbytes * p.t_w)
             if not decision.drop:
                 break
-            drops += 1
             self.stats.drops_injected += 1
             self.metrics.counter("comm.drops").inc()
-            if rel is None:
-                # Unreliable machine: the message is silently lost (the
-                # sender still paid for the transmission).
-                self.stats.messages_lost += 1
-                self.stats.record_send(tag, nbytes)
-                if tracer is not None:
-                    tracer.send_event(SendEvent(
-                        seq=None, src=self.rank, dst=dst, tag=tag,
-                        nbytes=nbytes, t_begin=t_begin,
-                        t_end=self.clock.now, arrival=float("inf"),
-                        drops=drops, lost=True,
-                    ))
-                return
-            if retries >= rel.max_retries:
+            if retries >= plan.max_retries:
                 raise ReliableDeliveryError(
                     f"rank {self.rank} -> {dst} tag {tag}: message still "
                     f"undelivered after {retries} retransmissions"
                 )
-            penalty += rel.timeout * rel.backoff ** retries
+            penalty += plan.retry_timeout * plan.retry_backoff ** retries
             retries += 1
             self.stats.retransmissions += 1
             self.metrics.counter("comm.retransmissions").inc()
         if decision.extra_delay > 0:
             self.stats.delays_injected += 1
         self.stats.record_send(tag, nbytes)
-        xmit_id = None
-        if rel is not None:
-            xmit_id = self._xmit_seq
-            self._xmit_seq += 1
+        xmit_id = self._xmit_seq
+        self._xmit_seq += 1
         arrival = (self.clock.now + hops * p.t_h
                    + penalty + decision.extra_delay)
         msg = Message(arrival=arrival, src=self.rank, tag=tag,
@@ -342,13 +317,13 @@ class Comm:
             tracer.send_event(SendEvent(
                 seq=msg.seq, src=self.rank, dst=dst, tag=tag,
                 nbytes=nbytes, t_begin=t_begin, t_end=self.clock.now,
-                arrival=arrival, drops=drops, retries=retries,
+                arrival=arrival, drops=retries, retries=retries,
                 extra_delay=decision.extra_delay,
             ))
         if decision.duplicate:
             # The network delivered a second copy in flight: no extra
-            # sender charge; same transmission id, so a reliable receiver
-            # suppresses it (an unreliable one sees it twice).
+            # sender charge; same transmission id, so the receiver's
+            # mailbox suppresses it.
             self.stats.duplicates_injected += 1
             dup = Message(arrival=arrival, src=self.rank, tag=tag,
                           payload=payload, nbytes=nbytes, xmit_id=xmit_id)

@@ -24,12 +24,7 @@ from typing import Any, Callable, Sequence
 from repro.machine.clock import PhaseTimings
 from repro.machine.comm import Comm, CommStats, DeadlockError
 from repro.machine.costmodel import CostModel, MachineProfile
-from repro.machine.faults import (
-    FaultInjector,
-    FaultPlan,
-    RankCrashedError,
-    ReliableConfig,
-)
+from repro.machine.faults import FaultInjector, FaultPlan, RankCrashedError
 from repro.machine.mailbox import MailboxClosedError
 from repro.machine.metrics import MetricsRegistry
 from repro.machine.profiles import ZERO_COST
@@ -117,7 +112,7 @@ class RunReport:
         mean = sum(times) / len(times)
         return max(times) / mean if mean > 0 else 1.0
 
-    # ------------------------------------------- fault / reliability totals
+    # ---------------------------------------------- fault / recovery totals
     @property
     def total_retransmissions(self) -> int:
         return sum(r.stats.retransmissions for r in self.ranks)
@@ -130,10 +125,6 @@ class RunReport:
     def total_duplicates_suppressed(self) -> int:
         return sum(r.stats.duplicates_suppressed for r in self.ranks)
 
-    @property
-    def total_messages_lost(self) -> int:
-        return sum(r.stats.messages_lost for r in self.ranks)
-
     def fault_summary(self) -> dict[str, int]:
         """Machine-wide fault/recovery counters (all zero when clean)."""
         return {
@@ -144,7 +135,6 @@ class RunReport:
             "duplicates_suppressed": self.total_duplicates_suppressed,
             "delays_injected": sum(r.stats.delays_injected
                                    for r in self.ranks),
-            "messages_lost": self.total_messages_lost,
         }
 
 
@@ -198,8 +188,8 @@ def raise_primary_error(errors: Sequence[tuple[int, BaseException]],
 
 
 def rank_comm(rank: int, size: int, cost: CostModel, endpoint: Endpoint,
-              fault_plan: FaultPlan | None, reliable: ReliableConfig | None,
-              tracer: Tracer | None, wall_epoch: float | None) -> Comm:
+              fault_plan: FaultPlan | None, tracer: Tracer | None,
+              wall_epoch: float | None) -> Comm:
     """Build rank ``rank``'s :class:`Comm`: the one bootstrap of a rank.
 
     The rank gets its own :class:`FaultInjector` over ``fault_plan``
@@ -212,7 +202,7 @@ def rank_comm(rank: int, size: int, cost: CostModel, endpoint: Endpoint,
     injector = (FaultInjector(fault_plan, size)
                 if fault_plan is not None else None)
     comm = Comm(rank, size, cost, endpoint, injector=injector,
-                reliable=reliable, tracer=tracer,
+                tracer=tracer,
                 wall_tracer=(WallRecorder(rank, wall_epoch)
                              if wall_epoch is not None else None))
     t = injector.crash_time(rank) if injector is not None else None
@@ -255,12 +245,8 @@ class SPMDEngine:
     fault_plan:
         Optional :class:`~repro.machine.faults.FaultPlan` injecting
         deterministic message drops/duplicates/delays, rank crashes and
-        rank slowdowns into the run.
-    reliable:
-        ``True`` (default parameters) or a
-        :class:`~repro.machine.faults.ReliableConfig` to enable the
-        ack/retransmit recovery layer; ``None``/``False`` leaves the
-        machine as lossy as the plan makes it.
+        rank slowdowns into the run.  Dropped messages are retransmitted
+        and duplicates suppressed as the plan's retry fields say.
     """
 
     #: Failures a host driver recovers from by rolling every rank back
@@ -272,8 +258,7 @@ class SPMDEngine:
 
     def __init__(self, size: int, profile: MachineProfile = ZERO_COST,
                  recv_timeout: float | None = 120.0,
-                 fault_plan: FaultPlan | None = None,
-                 reliable: ReliableConfig | bool | None = None):
+                 fault_plan: FaultPlan | None = None):
         if size <= 0:
             raise ValueError(f"engine size must be positive, got {size}")
         self.size = size
@@ -281,11 +266,6 @@ class SPMDEngine:
         self.cost = CostModel(profile, size)
         self.recv_timeout = recv_timeout
         self.fault_plan = fault_plan
-        if reliable is True:
-            reliable = ReliableConfig()
-        elif reliable is False:
-            reliable = None
-        self.reliable = reliable
 
     def _start(self, rank_args: Sequence[Sequence[Any]] | None,
                tracer: Tracer | bool | None, wall_trace: bool
@@ -322,9 +302,8 @@ class Engine(SPMDEngine):
 
     def __init__(self, size: int, profile: MachineProfile = ZERO_COST,
                  recv_timeout: float | None = 120.0,
-                 fault_plan: FaultPlan | None = None,
-                 reliable: ReliableConfig | bool | None = None):
-        super().__init__(size, profile, recv_timeout, fault_plan, reliable)
+                 fault_plan: FaultPlan | None = None):
+        super().__init__(size, profile, recv_timeout, fault_plan)
         if fault_plan is not None and fault_plan.any_process_faults:
             raise ValueError(
                 "fault plan demands real process actions (kill / "
@@ -351,8 +330,7 @@ class Engine(SPMDEngine):
                                                  wall_trace)
         transport = LocalTransport(self.size, self.recv_timeout)
         comms = [rank_comm(r, self.size, self.cost, transport.endpoint(r),
-                           self.fault_plan, self.reliable, tracer,
-                           wall_epoch)
+                           self.fault_plan, tracer, wall_epoch)
                  for r in range(self.size)]
         states = [_RankState() for _ in range(self.size)]
 

@@ -5,7 +5,7 @@ this module lets a run declare, up front, exactly which imperfections the
 virtual network and processors should exhibit:
 
 * **message drop** — a transmission is charged to the sender but never
-  deposited in the destination mailbox;
+  deposited in the destination mailbox (the sender retransmits it);
 * **message duplication** — the network delivers a second copy of a
   packet (no extra sender charge: duplication happens in flight);
 * **extra delay / jitter** — a deterministic extra latency is added to a
@@ -27,19 +27,21 @@ injector state.  Since each channel counter is touched only by its own
 sender thread, the decisions are bit-reproducible across runs regardless
 of real thread scheduling — the property all determinism tests pin.
 
-Reliable delivery (:class:`ReliableConfig`) is the recovery half: with it
-enabled, :meth:`Comm.send` retransmits dropped packets with exponential
-backoff (each retry costs a full channel charge, and the accumulated
-timeout waits push the message's virtual arrival time out), and the
-destination mailbox suppresses duplicate copies by transmission id.  A
-zero-fault run with the reliable layer enabled performs zero retries and
-therefore charges exactly the same virtual times as a run without it.
+Recovery is part of the fault model, as delivery is part of the paper's
+machines: under any plan, :meth:`Comm.send` retransmits a dropped packet
+with exponential backoff (``retry_timeout``, ``retry_backoff``; each
+retry costs a full channel charge, and the accumulated timeout waits
+push the message's virtual arrival out) until ``max_retries`` is spent
+(:class:`ReliableDeliveryError`), and the destination mailbox suppresses
+duplicate copies by transmission id.  A plan that injects no message
+fault performs no retry and so charges exactly the virtual times of a
+run without a plan.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from hashlib import blake2b
 from typing import Any
 
@@ -57,30 +59,6 @@ class RankCrashedError(RuntimeError):
 
 class ReliableDeliveryError(RuntimeError):
     """The retransmission budget was exhausted without a delivery."""
-
-
-@dataclass(frozen=True)
-class ReliableConfig:
-    """Parameters of the ack/retransmit protocol (virtual-time units).
-
-    ``timeout`` is the virtual time the sender waits before the first
-    retransmission; each further retry multiplies it by ``backoff``.
-    The waits accumulate into the message's arrival time (the sender's
-    own clock is only charged the channel time of each transmission,
-    modelling interrupt-driven retransmit hardware).
-    """
-
-    timeout: float = 1e-3
-    backoff: float = 2.0
-    max_retries: int = 16
-
-    def __post_init__(self):
-        if self.timeout < 0:
-            raise ValueError("reliable timeout must be non-negative")
-        if self.backoff < 1.0:
-            raise ValueError("backoff factor must be >= 1")
-        if self.max_retries < 1:
-            raise ValueError("need at least one retry")
 
 
 @dataclass
@@ -115,6 +93,13 @@ class FaultPlan:
         Optional ``(src, dst, tag)`` channel whose *first* transmission
         is duplicated exactly once — the deterministic "one duplicated
         message" scenario of the acceptance tests.
+    retry_timeout, retry_backoff, max_retries:
+        The retransmission protocol (virtual seconds).  The sender waits
+        ``retry_timeout`` before the first retransmission; each further
+        retry multiplies the wait by ``retry_backoff``.  The waits
+        accumulate into the message's arrival time (the sender's own
+        clock is only charged the channel time of each transmission,
+        modelling interrupt-driven retransmit hardware).
     """
 
     seed: int = 0
@@ -128,6 +113,9 @@ class FaultPlan:
     duplicate_first: tuple[int, int, int] | None = None
     kill: dict[int, int] = field(default_factory=dict)
     stall_heartbeat: dict[int, int] = field(default_factory=dict)
+    retry_timeout: float = 1e-3
+    retry_backoff: float = 2.0
+    max_retries: int = 16
 
     def __post_init__(self):
         for name in ("drop_rate", "dup_rate", "delay_rate"):
@@ -162,6 +150,12 @@ class FaultPlan:
                     raise ValueError(
                         f"{name} step for rank {r} is negative"
                     )
+        if self.retry_timeout < 0:
+            raise ValueError("retry_timeout must be non-negative")
+        if self.retry_backoff < 1.0:
+            raise ValueError("retry_backoff must be >= 1")
+        if self.max_retries < 1:
+            raise ValueError("need at least one retry")
 
     # ------------------------------------------------------------- queries
     @property
@@ -196,21 +190,15 @@ class FaultPlan:
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "drop_rate": self.drop_rate,
-            "dup_rate": self.dup_rate,
-            "delay_rate": self.delay_rate,
-            "delay_seconds": self.delay_seconds,
-            "tags": sorted(self.tags) if self.tags is not None else None,
-            "crash": {str(r): t for r, t in self.crash.items()},
-            "slowdown": {str(r): f for r, f in self.slowdown.items()},
-            "duplicate_first": (list(self.duplicate_first)
-                                if self.duplicate_first else None),
-            "kill": {str(r): s for r, s in self.kill.items()},
-            "stall_heartbeat": {str(r): s
-                                for r, s in self.stall_heartbeat.items()},
-        }
+        def plain(v: Any) -> Any:
+            if isinstance(v, frozenset):
+                return sorted(v)
+            if isinstance(v, tuple):
+                return list(v)
+            if isinstance(v, dict):
+                return {str(k): x for k, x in v.items()}
+            return v
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FaultPlan":

@@ -73,9 +73,10 @@ class Message:
     tag: int = field(compare=False, default=0)
     payload: Any = field(compare=False, default=None)
     nbytes: int = field(compare=False, default=0)
-    #: Reliable-delivery transmission id (src-local); duplicate copies of
-    #: one logical message share it so the destination mailbox can
-    #: suppress all but the first.  ``None`` outside the reliable layer.
+    #: Transmission id (src-local), stamped on every send under a fault
+    #: plan; duplicate copies of one logical message share it so the
+    #: destination mailbox can suppress all but the first.  ``None`` on
+    #: a run without a plan and for local sends.
     xmit_id: int | None = field(compare=False, default=None)
 
 
@@ -100,7 +101,7 @@ class Mailbox:
                           list[tuple[float, int, int, Message]]] = {}
         self._pending = 0
         self._seen_xmits: set[tuple[int, int]] = set()
-        #: Duplicate copies discarded on deposit (reliable layer).
+        #: Duplicate copies discarded on deposit.
         self.duplicates_suppressed = 0
         #: Queue-depth high-water mark (surfaced as a metrics gauge).
         self.max_pending = 0
@@ -108,7 +109,7 @@ class Mailbox:
     def put(self, msg: Message) -> None:
         """Deposit a message.
 
-        Messages carrying a reliable-delivery ``xmit_id`` are
+        Messages carrying a transmission ``xmit_id`` are
         deduplicated here: the network may deliver several copies of one
         logical message, but only the first reaches the matching queues.
         The receiver pays nothing for a suppressed copy (a header-only

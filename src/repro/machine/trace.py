@@ -58,7 +58,7 @@ class PhaseSpan:
 class SendEvent:
     """One ``Comm.send`` as seen from the sender."""
 
-    seq: int | None         # Message.seq of the delivered copy; None if lost
+    seq: int                # Message.seq of the delivered copy
     src: int
     dst: int
     tag: int
@@ -67,10 +67,9 @@ class SendEvent:
     t_end: float            # sender clock after the charge(s)
     arrival: float          # virtual arrival at dst (== t_end for local)
     drops: int = 0          # transmissions the network ate before success
-    retries: int = 0        # reliable-layer retransmissions performed
+    retries: int = 0        # retransmissions performed
     duplicate: bool = False  # this event IS the extra network copy
     extra_delay: float = 0.0
-    lost: bool = False      # dropped with no reliable layer: never arrives
 
 
 @dataclass
@@ -169,11 +168,7 @@ class Trace:
 
     def sends_by_seq(self) -> dict[int, SendEvent]:
         """Delivered-copy send events keyed by message seq."""
-        out: dict[int, SendEvent] = {}
-        for ev in self.all_sends():
-            if ev.seq is not None:
-                out[ev.seq] = ev
-        return out
+        return {ev.seq: ev for ev in self.all_sends()}
 
     def step_spans(self) -> dict[int, list[PhaseSpan]]:
         """``step index -> spans`` for the ``cat="step"`` markers."""
@@ -210,7 +205,7 @@ class Trace:
         flow_id: dict[int, int] = {}
         for per_rank in self.sends:
             for send in per_rank:
-                if send.seq is not None and send.seq not in flow_id:
+                if send.seq not in flow_id:
                     flow_id[send.seq] = len(flow_id)
         events: list[dict[str, Any]] = [
             {"name": "process_name", "ph": "M", "pid": 0,
@@ -235,12 +230,7 @@ class Trace:
             events.append({"name": name, "cat": "msg", "ph": "i", "s": "t",
                            "ts": ev.t_end * us, "pid": 0, "tid": ev.src,
                            "args": args})
-            if ev.lost:
-                events.append({"name": f"LOST tag={ev.tag}", "cat": "fault",
-                               "ph": "i", "s": "g", "ts": ev.t_end * us,
-                               "pid": 0, "tid": ev.src,
-                               "args": {"dst": ev.dst}})
-            elif not ev.duplicate:
+            if not ev.duplicate:
                 events.append({"name": f"msg tag={ev.tag}", "cat": "msg",
                                "ph": "s", "id": flow_id[ev.seq],
                                "ts": ev.t_end * us,

@@ -61,7 +61,7 @@ class Endpoint(ABC):
     # ------------------------------------------------------------ counters
     @property
     def duplicates_suppressed(self) -> int:
-        """Reliable-layer duplicate copies discarded on deposit."""
+        """Duplicate copies discarded on deposit."""
         return self._box.duplicates_suppressed
 
     @property

@@ -36,10 +36,13 @@ reporting (exit-code classified: SIGKILL, segfault, plain exit) or
 raise :class:`WorkerLostError`, the typed, rank-tagged signal the
 checkpoint/rollback recovery in :mod:`repro.core.simulation` catches to
 respawn workers and restart from the latest durable checkpoint.  A
-wall-clock watchdog (:class:`ProcessWatchdogError`) remains the
-backstop for whole-run hangs, now with per-rank diagnostics (exit
-codes, heartbeat ages, last reported steps) so an unrecoverable
-failure is debuggable from the exception alone.
+wall-clock watchdog (:class:`ProcessWatchdogError`) is the backstop for
+a run that stops making progress: it fires when no unreported rank has
+advanced its board step (:func:`~repro.runtime.supervision.notify_step`)
+for ``wall_timeout`` real seconds — it bounds a stall, not the length
+of a run — and carries per-rank diagnostics (exit codes, heartbeat
+ages, last reported steps) so an unrecoverable failure is debuggable
+from the exception alone.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from repro.machine.engine import (
     raise_primary_error,
     rank_comm,
 )
-from repro.machine.faults import FaultPlan, RankCrashedError, ReliableConfig
+from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.profiles import ZERO_COST
 from repro.machine.trace import Tracer
 from repro.runtime import supervision as _sup
@@ -93,7 +96,7 @@ class RemoteRankError(RuntimeError):
 
 
 class ProcessWatchdogError(RuntimeError):
-    """The host gave up waiting on worker results (wall-clock timeout).
+    """The host gave up waiting for step progress (wall-clock timeout).
 
     The process analogue of :class:`~repro.machine.comm.DeadlockError`:
     it fires when a worker can no longer report anything — killed by the
@@ -117,9 +120,9 @@ class ProcessWatchdogError(RuntimeError):
         self.quiesce_seconds: float | None = None
         if header is None:
             header = (
-                f"process backend: gave up after {timeout}s with "
-                f"{len(self.missing)} rank(s) unreported — likely "
-                f"deadlock or killed worker"
+                f"process backend: gave up after {timeout}s without "
+                f"step progress; {len(self.missing)} rank(s) unreported "
+                f"— likely deadlock or killed worker"
             )
         lines = [header]
         if self.diagnostics:
@@ -166,8 +169,7 @@ class WorkerLostError(ProcessWatchdogError):
 def _worker_main(rank: int, size: int, transport: ProcessTransport,
                  result_q, main: Callable[..., Any], args: tuple,
                  extra: tuple, cost: CostModel,
-                 fault_plan: FaultPlan | None,
-                 reliable: ReliableConfig | None, trace: bool,
+                 fault_plan: FaultPlan | None, trace: bool,
                  board: HeartbeatBoard,
                  heartbeat_interval: float,
                  wall_epoch: float | None) -> None:
@@ -185,7 +187,7 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
     comm = None
     try:
         endpoint = transport.endpoint(rank)
-        comm = rank_comm(rank, size, cost, endpoint, fault_plan, reliable,
+        comm = rank_comm(rank, size, cost, endpoint, fault_plan,
                          Tracer(size) if trace else None, wall_epoch)
         # Queue puts and blocking reads on the wall track.
         endpoint.wall_tracer = comm.wall_tracer
@@ -241,11 +243,13 @@ class ProcessEngine(SPMDEngine):
     with the platform's default method.
 
     Parameters are :class:`~repro.machine.engine.SPMDEngine`'s (size,
-    profile, ``recv_timeout``, ``fault_plan``, ``reliable``), plus:
+    profile, ``recv_timeout``, ``fault_plan``), plus:
 
     wall_timeout:
-        Real-seconds budget for the whole run before the host terminates
-        the workers and raises :class:`ProcessWatchdogError`.  Defaults
+        Real seconds the host waits for step progress — a rank still
+        running advancing its board step — before it terminates the
+        workers and raises :class:`ProcessWatchdogError`; each advance
+        restarts the budget.  Defaults
         to ``recv_timeout + 60`` so the in-worker deadlock watchdog
         (which produces the far more informative
         :class:`~repro.machine.comm.DeadlockError`) always gets to fire
@@ -269,7 +273,6 @@ class ProcessEngine(SPMDEngine):
     def __init__(self, size: int, profile: MachineProfile = ZERO_COST,
                  recv_timeout: float | None = 120.0,
                  fault_plan: FaultPlan | None = None,
-                 reliable: ReliableConfig | bool | None = None,
                  wall_timeout: float | None = None,
                  heartbeat_interval: float =
                  _sup.DEFAULT_HEARTBEAT_INTERVAL,
@@ -277,7 +280,7 @@ class ProcessEngine(SPMDEngine):
                  _sup.DEFAULT_HEARTBEAT_TIMEOUT,
                  on_telemetry: Callable[[list], None] | None = None,
                  telemetry_interval: float = 1.0):
-        super().__init__(size, profile, recv_timeout, fault_plan, reliable)
+        super().__init__(size, profile, recv_timeout, fault_plan)
         if wall_timeout is None and recv_timeout is not None:
             wall_timeout = recv_timeout + 60.0
         self.wall_timeout = wall_timeout
@@ -321,7 +324,7 @@ class ProcessEngine(SPMDEngine):
                 target=_worker_main,
                 args=(r, self.size, transport, result_q, main,
                       tuple(args), extras[r], self.cost, self.fault_plan,
-                      self.reliable, tracer is not None, board,
+                      tracer is not None, board,
                       self.heartbeat_interval, wall_epoch),
                 name=f"prank-{r}", daemon=True)
             for r in range(self.size)
@@ -336,6 +339,7 @@ class ProcessEngine(SPMDEngine):
                 w.start()
             deadline = (time.monotonic() + self.wall_timeout
                         if self.wall_timeout is not None else None)
+            progress = [-1] * self.size
             while len(envelopes) < self.size:
                 if sampler is not None \
                         and time.monotonic() >= next_sample:
@@ -349,6 +353,11 @@ class ProcessEngine(SPMDEngine):
                 if sampler is not None:
                     wait = min(wait, self.telemetry_interval)
                 if deadline is not None:
+                    for r in range(self.size):
+                        step = board.last_step(r)
+                        if r not in envelopes and step > progress[r]:
+                            progress[r] = step
+                            deadline = time.monotonic() + self.wall_timeout
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         missing = [r for r in range(self.size)

@@ -6,7 +6,7 @@ payload included — by its sender at send time.  Each worker drains its
 queue into a private in-process
 :class:`~repro.machine.mailbox.Mailbox`, which supplies the matched
 ``(src, tag)`` receive semantics, virtual-arrival ordering and
-reliable-layer duplicate suppression — exactly the structure the
+duplicate suppression — exactly the structure the
 in-process :class:`~repro.machine.transport.LocalTransport` uses, with
 the pipe in front.
 
@@ -90,7 +90,7 @@ class ProcessEndpoint(Endpoint):
         self._recv_timeout = recv_timeout
         self._queues = queues
         #: Decoded-message store: supplies matching, ordering and
-        #: reliable-layer dedup, identical to the local transport.
+        #: duplicate suppression, identical to the local transport.
         self._box = Mailbox(rank)
         #: Peers whose fin marker has arrived (see :meth:`finish`).
         self._fins: set[int] = set()

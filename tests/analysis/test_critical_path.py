@@ -119,7 +119,7 @@ class TestSimulationChain:
 
     def test_recv_bytes_by_tag_closes_the_loop(self, result):
         """Receive-side per-tag volume equals send-side per-tag volume
-        machine-wide (reliable-free run: nothing lost or duplicated)."""
+        machine-wide (fault-free run: nothing duplicated)."""
         sent: dict[int, int] = {}
         got: dict[int, int] = {}
         for rank in result.run.ranks:

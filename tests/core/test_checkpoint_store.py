@@ -1,9 +1,7 @@
 """Checkpoint store semantics: eviction, common-step logic, durability.
 
-The in-memory store backs virtual-backend recovery; the disk store is
-the durable half of the crash-tolerant process runtime.  Both share one
-API, so the host's recovery path (``latest_common_step`` -> ``get``)
-must behave identically over them — and the disk store must additionally
+The disk store backs recovery on both backends: the host's recovery
+path (``latest_common_step`` -> ``get``) runs over it, and it must
 survive reopening, detect corruption instead of unpickling garbage, and
 refuse files from a future format version.
 """
@@ -23,7 +21,6 @@ from repro.core.checkpoint import (
     CHECKPOINT_MAGIC,
     DISK_FORMAT_VERSION,
     CheckpointCorruptError,
-    CheckpointStore,
     CheckpointVersionError,
     DiskCheckpointStore,
     RankCheckpoint,
@@ -46,16 +43,14 @@ def ckpt(rank: int, step: int, n: int = 8) -> RankCheckpoint:
     )
 
 
-@pytest.fixture(params=["memory", "disk"])
-def make_store(request, tmp_path):
+@pytest.fixture(params=["disk"])
+def make_store(tmp_path):
     def factory(size, keep=2):
-        if request.param == "memory":
-            return CheckpointStore(size, keep=keep)
         return DiskCheckpointStore(tmp_path / "ckpt", size, keep=keep)
     return factory
 
 
-# ------------------------------------------------------ shared API contract
+# ------------------------------------------------------------ API contract
 
 def test_latest_common_step_uneven_progress(make_store):
     store = make_store(3, keep=3)
@@ -211,7 +206,7 @@ def test_disk_store_pickles_to_coordinates_only(tmp_path):
     back = pickle.loads(pickle.dumps(store))
     assert (back.root, back.size, back.keep, back.fsync) == \
         (store.root, store.size, store.keep, False)
-    # The clone reads the same directory (fresh cache, same files).
+    # The clone reads the same directory (same files).
     assert back.steps_for(0) == [1]
     assert np.array_equal(back.get(0, 1).particles.positions,
                           store.get(0, 1).particles.positions)

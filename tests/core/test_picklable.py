@@ -18,7 +18,7 @@ from repro.core.function_shipping import ForceResult
 from repro.core.simulation import StepResult
 from repro.machine.clock import PhaseTimings
 from repro.machine.comm import CommStats
-from repro.machine.faults import FaultPlan, ReliableConfig
+from repro.machine.faults import FaultPlan
 from repro.machine.metrics import MetricsRegistry
 
 
@@ -62,8 +62,14 @@ def test_fault_plan_roundtrip():
 
 
 def test_reliable_config_roundtrip():
-    rc = ReliableConfig(timeout=2e-3, backoff=1.5, max_retries=9)
-    assert roundtrip(rc) == rc
+    """The retransmission parameters are plan fields: they survive the
+    JSON plan file and pickling alike."""
+    plan = FaultPlan(seed=3, drop_rate=0.1, retry_timeout=2e-3,
+                     retry_backoff=1.5, max_retries=9)
+    for back in (FaultPlan.from_json(plan.to_json()), roundtrip(plan)):
+        assert back == plan
+        assert (back.retry_timeout, back.retry_backoff,
+                back.max_retries) == (2e-3, 1.5, 9)
 
 
 def _step_result() -> StepResult:

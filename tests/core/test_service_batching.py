@@ -200,7 +200,7 @@ def test_batch_equals_oracle_when_bins_arrive_after_their_sentinel(
 
     monkeypatch.setattr(Comm, "collect_raw", spy)
     batch, _ = _vs_oracle(monkeypatch, _run, _config("dpda"), 2, 1e-3,
-                          fault_plan=FAULTS, reliable=True)
+                          fault_plan=FAULTS)
     assert late
     assert batch.total_retransmissions > 0
     assert batch.total_duplicates_suppressed > 0
@@ -221,7 +221,7 @@ def test_process_backend_gives_the_thread_signature(scheme, kind, lookup):
 def test_process_backend_signature_block_and_faults():
     _assert_same_machine(_run_block(), _run_block(engine=ProcessEngine),
                          values_rtol=0.0)
-    faulty = dict(fault_plan=FAULTS, reliable=True)
+    faulty = dict(fault_plan=FAULTS)
     _assert_same_machine(
         _run(_config("dpda"), 2, 1e-3, **faulty),
         _run(_config("dpda"), 2, 1e-3, engine=ProcessEngine, **faulty),

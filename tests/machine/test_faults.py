@@ -1,15 +1,13 @@
-"""Tests for deterministic fault injection and the reliable layer."""
+"""Tests for deterministic fault injection and recovery from it."""
 
 import pytest
 
-from repro.machine.comm import DeadlockError
 from repro.machine.costmodel import MachineProfile
 from repro.machine.engine import Engine
 from repro.machine.faults import (
     FaultInjector,
     FaultPlan,
     RankCrashedError,
-    ReliableConfig,
     ReliableDeliveryError,
 )
 from repro.machine.profiles import ZERO_COST
@@ -31,15 +29,24 @@ class TestFaultPlan:
             FaultPlan(crash={0: -1.0})
         with pytest.raises(ValueError, match="slowdown"):
             FaultPlan(slowdown={0: 0.5})
+        with pytest.raises(ValueError, match="retry_timeout"):
+            FaultPlan(retry_timeout=-1e-3)
+        with pytest.raises(ValueError, match="retry_backoff"):
+            FaultPlan(retry_backoff=0.5)
+        with pytest.raises(ValueError, match="retry"):
+            FaultPlan(max_retries=0)
 
     def test_json_round_trip(self):
         plan = FaultPlan(seed=42, drop_rate=0.1, dup_rate=0.05,
                          delay_rate=0.2, delay_seconds=1e-3,
                          tags={7001, 7002}, crash={2: 1.5},
                          slowdown={0: 3.0},
-                         duplicate_first=(0, 1, 7001))
+                         duplicate_first=(0, 1, 7001),
+                         retry_timeout=5e-4, max_retries=4)
         again = FaultPlan.from_json(plan.to_json())
         assert again == plan
+        # Every field reaches the plan file.
+        assert set(plan.to_dict()) == set(FaultPlan.__dataclass_fields__)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -107,20 +114,6 @@ class TestInjectorDeterminism:
 
 
 class TestMessageFaults:
-    def test_drop_without_reliability_loses_message(self):
-        """A certain drop deadlocks the naive receiver — and the watchdog
-        turns that into a structured DeadlockError, not a hang."""
-        def main(comm):
-            if comm.rank == 0:
-                comm.send(123, dst=1, tag=4)
-            else:
-                comm.recv(src=0, tag=4)
-
-        plan = FaultPlan(drop_rate=1.0)
-        with pytest.raises(DeadlockError):
-            Engine(2, ZERO_COST, recv_timeout=0.3,
-                   fault_plan=plan).run(main)
-
     def test_reliable_layer_recovers_drops(self):
         def main(comm):
             if comm.rank == 0:
@@ -130,12 +123,10 @@ class TestMessageFaults:
                 return [comm.recv(src=0, tag=4) for _ in range(20)]
 
         plan = FaultPlan(seed=11, drop_rate=0.4)
-        rep = Engine(2, TOY, recv_timeout=30.0, fault_plan=plan,
-                     reliable=True).run(main)
+        rep = Engine(2, TOY, recv_timeout=30.0, fault_plan=plan).run(main)
         assert rep.values[1] == list(range(20))
         assert rep.total_drops_injected > 0
         assert rep.total_retransmissions == rep.total_drops_injected
-        assert rep.total_messages_lost == 0
 
     def test_retries_cost_virtual_time(self):
         def main(comm):
@@ -145,11 +136,10 @@ class TestMessageFaults:
                 comm.recv(src=0, tag=4)
             return comm.now
 
-        clean = Engine(2, TOY, fault_plan=FaultPlan(drop_rate=0.0),
-                       reliable=True).run(main)
+        clean = Engine(2, TOY, fault_plan=FaultPlan(drop_rate=0.0)).run(main)
         # seed chosen so the first transmission drops and the retry lands
         plan = FaultPlan(seed=1, drop_rate=0.5)
-        faulty = Engine(2, TOY, fault_plan=plan, reliable=True).run(main)
+        faulty = Engine(2, TOY, fault_plan=plan).run(main)
         assert faulty.total_retransmissions > 0
         assert faulty.values[0] > clean.values[0]  # extra channel charges
         assert faulty.values[1] > clean.values[1]  # timeout pushed arrival
@@ -161,11 +151,11 @@ class TestMessageFaults:
             else:
                 comm.recv(src=0, tag=4)
 
-        plan = FaultPlan(drop_rate=1.0)
-        rel = ReliableConfig(timeout=1e-3, max_retries=3)
-        with pytest.raises(RuntimeError, match="undelivered"):
-            Engine(2, ZERO_COST, recv_timeout=10.0, fault_plan=plan,
-                   reliable=rel).run(main)
+        plan = FaultPlan(drop_rate=1.0, retry_timeout=1e-3, max_retries=3)
+        with pytest.raises(RuntimeError, match="undelivered") as ei:
+            Engine(2, ZERO_COST, recv_timeout=10.0,
+                   fault_plan=plan).run(main)
+        assert isinstance(ei.value.__cause__, ReliableDeliveryError)
 
     def test_duplicate_suppressed_under_reliability(self):
         def main(comm):
@@ -178,23 +168,11 @@ class TestMessageFaults:
                 return (a, b)
 
         plan = FaultPlan(duplicate_first=(0, 1, 9))
-        rep = Engine(2, ZERO_COST, recv_timeout=10.0, fault_plan=plan,
-                     reliable=True).run(main)
+        rep = Engine(2, ZERO_COST, recv_timeout=10.0,
+                     fault_plan=plan).run(main)
         assert rep.values[1] == ("only-once", "second")
         assert rep.fault_summary()["duplicates_injected"] == 1
         assert rep.total_duplicates_suppressed == 1
-
-    def test_duplicate_visible_without_reliability(self):
-        def main(comm):
-            if comm.rank == 0:
-                comm.send("dup", dst=1, tag=9)
-            else:
-                return (comm.recv(src=0, tag=9), comm.recv(src=0, tag=9))
-
-        plan = FaultPlan(duplicate_first=(0, 1, 9))
-        rep = Engine(2, ZERO_COST, recv_timeout=10.0,
-                     fault_plan=plan).run(main)
-        assert rep.values[1] == ("dup", "dup")
 
     def test_delay_pushes_arrival(self):
         def main(comm):
@@ -264,8 +242,7 @@ class TestZeroFaultNeutrality:
             return comm.now
 
         base = Engine(8, TOY).run(main)
-        guarded = Engine(8, TOY, fault_plan=FaultPlan(),
-                         reliable=True).run(main)
+        guarded = Engine(8, TOY, fault_plan=FaultPlan()).run(main)
         assert guarded.values == base.values
         assert guarded.fault_summary() == {
             k: 0 for k in guarded.fault_summary()
@@ -284,8 +261,8 @@ class TestZeroFaultNeutrality:
 
         plan = FaultPlan(seed=5, drop_rate=0.3, delay_rate=0.2,
                          delay_seconds=7.0)
-        reps = [Engine(2, TOY, recv_timeout=30.0, fault_plan=plan,
-                       reliable=True).run(main) for _ in range(3)]
+        reps = [Engine(2, TOY, recv_timeout=30.0,
+                       fault_plan=plan).run(main) for _ in range(3)]
         assert (reps[0].values == reps[1].values == reps[2].values)
         assert (reps[0].fault_summary() == reps[1].fault_summary()
                 == reps[2].fault_summary())

@@ -1,7 +1,6 @@
 """Tests for the span tracer and Chrome trace export."""
 
 import json
-import math
 
 import pytest
 
@@ -86,7 +85,7 @@ class TestMessageEvents:
         # Channel charge t_s + nbytes * t_w = 10 + 2; one hop of t_h = 1.
         assert ev.t_end - ev.t_begin == pytest.approx(12.0)
         assert ev.arrival == pytest.approx(ev.t_end + 1.0)
-        assert not ev.lost and not ev.duplicate
+        assert not ev.duplicate
 
     def test_recv_event_waited_flag(self):
         rep = Engine(2, TOY).run(_pingpong, tracer=True)
@@ -131,26 +130,11 @@ class TestMessageEvents:
 class TestFaultDispositions:
     def test_drops_and_retries_recorded(self):
         plan = FaultPlan(seed=7, drop_rate=0.5)
-        rep = Engine(2, TOY, fault_plan=plan, reliable=True).run(
-            _pingpong, tracer=True)
+        rep = Engine(2, TOY, fault_plan=plan).run(_pingpong, tracer=True)
         total_drops = sum(ev.drops for ev in rep.trace.all_sends())
         assert total_drops == sum(r.stats.drops_injected for r in rep.ranks)
         retries = sum(ev.retries for ev in rep.trace.all_sends())
         assert retries == rep.total_retransmissions
-
-    def test_lost_message_traced_as_lost(self):
-        # Force every transmission on the unreliable machine to drop.
-        plan = FaultPlan(seed=7, drop_rate=1.0)
-
-        def main(comm):
-            if comm.rank == 0:
-                comm.send(b"gone", dst=1, tag=5)
-
-        rep = Engine(2, TOY, fault_plan=plan, reliable=None).run(
-            main, tracer=True)
-        ev = rep.trace.sends[0][0]
-        assert ev.lost and ev.seq is None
-        assert math.isinf(ev.arrival)
 
 
 class TestChromeExport:

@@ -17,6 +17,7 @@ from repro.runtime import (
     ProcessWatchdogError,
     RemoteRankError,
 )
+from repro.runtime.supervision import notify_step
 
 
 def _work(comm, n):
@@ -128,6 +129,23 @@ def test_wall_clock_watchdog_fires():
     assert time.monotonic() - t0 < 30.0
     assert ei.value.missing == [1]
     assert "rank 1" in str(ei.value)
+
+
+def _stepper(comm, steps):
+    """One message each way per 1 s step, each step reported."""
+    for i in range(steps):
+        notify_step(i)
+        time.sleep(1.0)
+        comm.send(i, dst=1 - comm.rank, tag=i)
+        comm.recv(src=1 - comm.rank, tag=i)
+    return steps
+
+
+def test_watchdog_restarts_on_step_progress():
+    """``wall_timeout`` bounds a stall, not a run: four 1 s steps finish
+    under a 2 s budget because every reported step restarts it."""
+    eng = ProcessEngine(2, recv_timeout=None, wall_timeout=2.0)
+    assert eng.run(_stepper, 4).values == [4, 4]
 
 
 def _exiter(comm):

@@ -130,7 +130,7 @@ def test_fault_injection_and_reliable_layer_match():
                                tag=round_)
         return total
 
-    v, p = run_both(4, chatter, fault_plan=plan, reliable=True)
+    v, p = run_both(4, chatter, fault_plan=plan)
     assert_reports_match(v, p)
     assert v.total_retransmissions == p.total_retransmissions
     assert v.total_drops_injected > 0   # the plan actually fired
@@ -174,7 +174,7 @@ def test_duplicate_still_in_flight_when_its_receiver_returns(monkeypatch):
         returned.set()
         return got
 
-    v, p = run_both(2, one_message, fault_plan=plan, reliable=True)
+    v, p = run_both(2, one_message, fault_plan=plan)
     assert v.ranks[1].stats.duplicates_suppressed == 1
     assert_reports_match(v, p)
     assert v.fault_summary() == p.fault_summary()
