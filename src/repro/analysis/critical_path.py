@@ -142,7 +142,7 @@ def critical_path(trace: Trace, rank: int | None = None,
         if t > bind.arrival:
             raw.append(Segment(rank=r, kind="compute",
                                t0=bind.arrival, t1=t))
-        send = sends.get(bind.seq)
+        send = sends.get((bind.src, bind.seq))
         if send is None:
             # Untraceable edge (shouldn't happen): close out as network.
             raw.append(Segment(rank=r, kind="network", t0=start,

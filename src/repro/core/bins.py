@@ -216,15 +216,16 @@ class BinManager:
         self.flush()
         comm = self.comm
         # End-of-stream markers: each rank tells every other how many
-        # request bins it sent (a tiny control message; the decentralized
+        # request bins it sent (a tiny control message whose payload is
+        # the plain count, an ``int`` no bin can be; the decentralized
         # replacement for a terminating barrier, so service can begin as
         # soon as the first request virtually arrives).
         for dst in range(comm.size):
             if dst != comm.rank:
-                comm.send({"sentinel": self.bins_sent_to.get(dst, 0)},
+                comm.send(self.bins_sent_to.get(dst, 0),
                           dst, tag=TAG_REQUEST, nbytes=4)
         def is_sentinel(p) -> bool:
-            return isinstance(p, dict) and "sentinel" in p
+            return isinstance(p, int)
 
         raw = []
         for src in range(comm.size):
@@ -235,7 +236,7 @@ class BinManager:
                 # sentinel that announces it — so trust the sentinel's
                 # count, not the ordering, and keep collecting until every
                 # announced bin is in hand.
-                expected = next(m.payload["sentinel"] for m in msgs
+                expected = next(m.payload for m in msgs
                                 if is_sentinel(m.payload))
                 got = sum(1 for m in msgs if not is_sentinel(m.payload))
                 while got < expected:

@@ -1,7 +1,8 @@
 """Coordinated checkpoint/restart for the parallel simulation.
 
 Recovery model: every rank snapshots its cross-step state (particles,
-measured loads, key boundaries, virtual clock, communication accounting)
+measured loads, key boundaries, and its comm's machine state: virtual
+clock, communication accounting, tag and message sequence numbers)
 into a :class:`DiskCheckpointStore` at step boundaries.  When a rank crashes
 (:class:`~repro.machine.faults.RankCrashedError`) or a worker process is
 lost (:class:`~repro.runtime.process_engine.WorkerLostError`), the host
@@ -105,10 +106,15 @@ class RankCheckpoint:
     """One rank's cross-step state at a step boundary.
 
     ``step`` is the index of the *next* step to execute on restore; all
-    ``results`` entries cover steps ``0 .. step-1``.  ``comm_stats`` and
-    ``metrics`` carry the rank's communication accounting so a
-    recovered run reports totals bitwise identical to an uninterrupted
-    one (they are ``None`` in pre-recovery-era checkpoints).
+    ``results`` entries cover steps ``0 .. step-1``.  ``clock_now``,
+    ``phase_seconds``, ``comm_stats``, ``metrics``, ``coll_seq``,
+    ``seq`` and ``trace_events`` are the machine half, as
+    :meth:`~repro.machine.comm.Comm.machine_state` yields it and
+    :meth:`~repro.machine.comm.Comm.restore_machine_state` adopts it;
+    the rest is simulation state.  ``comm_stats`` and ``metrics``
+    carry the rank's communication accounting so a recovered run
+    reports totals bitwise identical to an uninterrupted one (they are
+    ``None`` in pre-recovery-era checkpoints).
     """
 
     rank: int
@@ -124,12 +130,14 @@ class RankCheckpoint:
     results: list[Any] = field(default_factory=list)
     comm_stats: Any = None      # CommStats at the boundary
     metrics: Any = None         # MetricsRegistry at the boundary
-    #: Comm sequence counters at the boundary: collective tag counter
-    #: and transmission id.  Restored so a recovered
-    #: run's tag stream continues where the checkpoint left off and
-    #: per-tag byte accounting matches an uninterrupted run exactly.
+    #: The comm's sequence counters at the boundary: collective calls
+    #: made (the next collective tag) and messages sent (the next
+    #: ``Message.seq``).  Restored so a recovered run's tag and message
+    #: streams continue where the checkpoint left off: per-tag byte
+    #: accounting and message ids match an uninterrupted run exactly.
+    #: A checkpoint written before ``seq`` existed resumes from 0.
     coll_seq: int = 0
-    xmit_seq: int = 0
+    seq: int = 0
     #: Trace events recorded up to the boundary — a ``(phases, sends,
     #: recvs)`` tuple of this rank's virtual-tracer lists, or ``None``
     #: when the run was untraced.  Restored so a recovered traced run's
@@ -137,12 +145,6 @@ class RankCheckpoint:
     #: it, a respawned worker's fresh tracer would only cover the
     #: post-rollback steps).
     trace_events: Any = None
-    #: Next message-seq value of the worker's SeqCounter at the
-    #: boundary (``None`` on the shared-counter virtual backend).
-    #: Restored so re-executed steps number messages exactly as the
-    #: uninterrupted run did — otherwise restored pre-boundary trace
-    #: events and re-executed events would collide on ``seq``.
-    seq_next: int | None = None
     #: Block-timestep bin state (``timestep="block"``): per-particle
     #: rungs and the stored accelerations that source opening
     #: half-kicks.  Restored verbatim so a recovered block-timestep run

@@ -27,7 +27,6 @@ Scheme-specific decomposition:
 
 from __future__ import annotations
 
-import copy
 import shutil
 import tempfile
 import time
@@ -58,11 +57,9 @@ from repro.core.tree_build import LocalSubtree, assign_to_cells, \
     build_local_trees, build_subtrees, group_by_cell, local_branch_infos, \
     subtree_budgets, subtree_keys, tree_build_flops
 from repro.core.tree_merge import merge_broadcast, merge_nonreplicated
-from repro.machine import mailbox as _mailbox_mod
-from repro.machine.clock import PhaseTimings
 from repro.machine.comm import Comm
 from repro.machine.costmodel import MachineProfile
-from repro.machine.engine import Engine, RunReport, fold_endpoint_counters
+from repro.machine.engine import Engine, RunReport
 from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.metrics import MetricsRegistry
 from repro.machine.profiles import NCUBE2
@@ -290,52 +287,29 @@ class _RankState:
     # ---------------------------------------------- checkpoint / restore
     def snapshot(self, next_step: int,
                  results: list[StepResult]) -> RankCheckpoint:
-        """Everything carried across steps (quiescent point).
+        """Everything carried across steps (quiescent point): this
+        rank's simulation state and its comm's machine state.
 
         The checkpoint shares this rank's live arrays: the store pickles
         it before the rank moves on.
         """
-        comm = self.comm
-        # Communication accounting rides along so a recovered run
-        # reports totals bitwise identical to an uninterrupted one.
-        # The engine folds the endpoint's counters in only at end of
-        # run; fold their running values into the copies here so the
-        # boundary is self-contained.
-        stats = copy.deepcopy(comm.stats)
-        metrics = copy.deepcopy(comm.metrics)
-        fold_endpoint_counters(stats, metrics, comm.endpoint)
-        # Trace continuity across rollback: carry this rank's virtual
-        # event lists and the worker's next message seq, so a recovered
-        # traced run replays into a trace identical to an uninterrupted
-        # one.
-        trace_events = None
-        if comm.tracer is not None:
-            trace_events = (comm.tracer.phases[comm.rank],
-                            comm.tracer.sends[comm.rank],
-                            comm.tracer.recvs[comm.rank])
         return RankCheckpoint(
-            rank=comm.rank, step=next_step,
+            rank=self.comm.rank, step=next_step,
             particles=self.particles,
             cluster_owners=self.cluster_owners,
             cluster_load=self.cluster_load,
             key_boundaries=self.key_boundaries,
             my_particle_loads=self.my_particle_loads,
             last_values=self._last_values,
-            clock_now=comm.clock.now,
-            phase_seconds=comm.clock.timings.seconds,
             results=results,
-            comm_stats=stats,
-            metrics=metrics,
-            coll_seq=comm._coll_seq,
-            xmit_seq=comm._xmit_seq,
-            trace_events=trace_events,
-            seq_next=getattr(_mailbox_mod._seq_counter, "value", None),
             rungs=self.rungs,
             accel=self.accel,
+            **self.comm.machine_state(),
         )
 
     def restore(self, ckpt: RankCheckpoint) -> None:
-        """Adopt a checkpoint's state, clock included (global rollback).
+        """Adopt a checkpoint's state, the comm's included (global
+        rollback).
 
         ``ckpt`` is this rank's own, freshly read from the store: its
         arrays are adopted, not copied.
@@ -350,27 +324,7 @@ class _RankState:
         self.rungs = ckpt.rungs
         self.accel = ckpt.accel
         self._keys = None
-        self.comm.clock.now = ckpt.clock_now
-        self.comm.clock.timings = PhaseTimings(ckpt.phase_seconds)
-        if ckpt.comm_stats is not None and ckpt.metrics is not None:
-            self.comm.adopt_accounting(ckpt.comm_stats, ckpt.metrics)
-        # Continue the tag / transmission-id streams where the boundary
-        # left them, so replayed traffic lands in the same per-tag
-        # buckets as an uninterrupted run.
-        self.comm._coll_seq = ckpt.coll_seq
-        self.comm._xmit_seq = ckpt.xmit_seq
-        # Trace continuity: re-seed this rank's virtual event lists and
-        # the worker's message-seq counter from the boundary, so the
-        # re-execution appends exactly where the uninterrupted run
-        # would have (virtual tracks come out identical).
-        if ckpt.trace_events is not None and self.comm.tracer is not None:
-            rank = self.comm.rank
-            tracer = self.comm.tracer
-            (tracer.phases[rank], tracer.sends[rank],
-             tracer.recvs[rank]) = ckpt.trace_events
-        if ckpt.seq_next is not None \
-                and hasattr(_mailbox_mod._seq_counter, "value"):
-            _mailbox_mod._seq_counter.value = ckpt.seq_next
+        self.comm.restore_machine_state(ckpt)
 
     # ------------------------------------------------------- exchange
     def _do_exchange(self, owners: np.ndarray, keys: np.ndarray) -> None:

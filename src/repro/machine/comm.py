@@ -17,14 +17,15 @@ reflects the machine's topology and parameters.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, TYPE_CHECKING
 
 import numpy as np
 
-from repro.machine.clock import VirtualClock
+from repro.machine.clock import PhaseTimings, VirtualClock
 from repro.machine.costmodel import CostModel
-from repro.machine.faults import FaultInjector, ReliableDeliveryError
+from repro.machine.faults import NO_FAULT, FaultInjector, ReliableDeliveryError
 from repro.machine.mailbox import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -188,26 +189,70 @@ class Comm:
         #: stores and forwards already-priced messages.
         self.endpoint = endpoint
         self._injector = injector
-        self._xmit_seq = 0
+        #: Sends made so far: the next one's ``Message.seq``.
+        self._seq = 0
         #: Collective calls made so far (each takes the next tag).
         self._coll_seq = 0
         self.slowdown = injector.slowdown(rank) if injector else 1.0
 
-    def adopt_accounting(self, stats: CommStats,
-                         metrics: MetricsRegistry) -> None:
-        """Replace this comm's accounting with checkpointed state.
+    # ------------------------------------------------------ machine state
+    def machine_state(self) -> dict[str, Any]:
+        """This rank's machine state, keyed as the
+        :class:`~repro.core.checkpoint.RankCheckpoint` fields that carry
+        it: what a checkpoint needs to resume the rank, and what an
+        engine reports when the rank ends.
 
-        Rollback recovery restores a rank's communication statistics and
-        metrics from the last checkpoint so a recovered run reports the
-        same totals as an uninterrupted one.  The cached histogram
-        handles must be rebound to the adopted registry — they are the
-        hot-path shortcuts around registry lookups.
+        ``comm_stats`` and ``metrics`` are copies with the endpoint's
+        counters folded in — the suppressed duplicates, and the queue
+        depth high-water mark as the ``mailbox.max_pending`` gauge — so
+        a boundary is self-contained.  The fold adds and max-merges
+        because a restored rank's accounting already holds what the
+        previous endpoint counted up to the boundary.  The clock's phase
+        dict and the tracer's event lists are shared, not copied: a
+        checkpoint is pickled before the rank moves on.
         """
-        self.stats = stats
-        self.metrics = metrics
-        self._m_msg_bytes = metrics.histogram("comm.msg_bytes",
-                                              bounds=BYTE_BUCKETS)
-        self._m_wait = metrics.histogram("comm.recv_wait_seconds")
+        stats = copy.deepcopy(self.stats)
+        metrics = copy.deepcopy(self.metrics)
+        stats.duplicates_suppressed += self.endpoint.duplicates_suppressed
+        g = metrics.gauge("mailbox.max_pending")
+        g.set(max(g.value, self.endpoint.max_pending))
+        tracer, r = self.tracer, self.rank
+        return {
+            "clock_now": self.clock.now,
+            "phase_seconds": self.clock.timings.seconds,
+            "comm_stats": stats,
+            "metrics": metrics,
+            "coll_seq": self._coll_seq,
+            "seq": self._seq,
+            "trace_events": (None if tracer is None else
+                             (tracer.phases[r], tracer.sends[r],
+                              tracer.recvs[r])),
+        }
+
+    def restore_machine_state(self, ckpt) -> None:
+        """Adopt the machine fields of checkpoint ``ckpt`` (rollback).
+
+        The clock, the accounting (absent from pre-recovery-era
+        checkpoints), the collective-tag and message-seq streams and
+        this rank's trace events continue where the boundary left them,
+        so a re-executed step sends, counts and traces exactly what the
+        uninterrupted run did.
+        """
+        self.clock.now = ckpt.clock_now
+        self.clock.timings = PhaseTimings(ckpt.phase_seconds)
+        if ckpt.comm_stats is not None and ckpt.metrics is not None:
+            self.stats = ckpt.comm_stats
+            self.metrics = ckpt.metrics
+            # Rebind the hot-path shortcuts around registry lookups.
+            self._m_msg_bytes = self.metrics.histogram(
+                "comm.msg_bytes", bounds=BYTE_BUCKETS)
+            self._m_wait = self.metrics.histogram("comm.recv_wait_seconds")
+        self._coll_seq = ckpt.coll_seq
+        self._seq = ckpt.seq
+        tracer, r = self.tracer, self.rank
+        if ckpt.trace_events is not None and tracer is not None:
+            (tracer.phases[r], tracer.sends[r],
+             tracer.recvs[r]) = ckpt.trace_events
 
     # ----------------------------------------------------------------- time
     def compute(self, flops: float, phase: str | None = None) -> None:
@@ -239,98 +284,72 @@ class Comm:
              nbytes: int | None = None) -> None:
         """Send ``payload`` to rank ``dst`` (non-blocking buffered send).
 
-        With a fault injector attached, each transmission may be dropped,
-        duplicated or delayed.  A drop triggers retransmission with
-        exponential backoff: every retry costs the sender another channel
-        charge and pushes the message's virtual arrival out by the
-        timeout wait; duplicate copies carry the same transmission id
-        and are suppressed at the destination mailbox.
+        The message takes this rank's next ``seq``.  A local send is
+        free and never faulted.  With a fault injector attached, each
+        transmission may be dropped, duplicated or delayed.  A drop
+        triggers retransmission with exponential backoff: every retry
+        costs the sender another channel charge and pushes the message's
+        virtual arrival out by the timeout wait.  A duplicate copy
+        shares its original's ``seq`` and is suppressed at the
+        destination mailbox.
         """
         if not 0 <= dst < self.size:
             raise ValueError(f"destination rank {dst} out of range")
         if nbytes is None:
             nbytes = estimate_nbytes(payload)
-        p = self.cost.profile
-        tracer = self.tracer
         self._m_msg_bytes.observe(nbytes)
-        if dst == self.rank:
-            # Local delivery is free and never faulted.
-            self.stats.record_send(tag, nbytes)
-            msg = Message(arrival=self.clock.now, src=self.rank, tag=tag,
-                          payload=payload, nbytes=nbytes)
-            self.endpoint.deliver(dst, msg)
-            if tracer is not None:
-                tracer.send_event(SendEvent(
-                    seq=msg.seq, src=self.rank, dst=dst, tag=tag,
-                    nbytes=nbytes, t_begin=self.clock.now,
-                    t_end=self.clock.now, arrival=msg.arrival,
-                ))
-            return
-        hops = self.cost.topology.hops(self.rank, dst)
-        inj = self._injector
-        t_begin = self.clock.now
-        if inj is None:
-            self.clock.advance(p.t_s + nbytes * p.t_w)
-            self.stats.record_send(tag, nbytes)
-            msg = Message(arrival=self.clock.now + hops * p.t_h,
-                          src=self.rank, tag=tag,
-                          payload=payload, nbytes=nbytes)
-            self.endpoint.deliver(dst, msg)
-            if tracer is not None:
-                tracer.send_event(SendEvent(
-                    seq=msg.seq, src=self.rank, dst=dst, tag=tag,
-                    nbytes=nbytes, t_begin=t_begin,
-                    t_end=self.clock.now, arrival=msg.arrival,
-                ))
-            return
-
-        plan = inj.plan
-        penalty = 0.0      # timeout waits accumulated by retransmissions
-        retries = 0
-        while True:
-            decision = inj.decide(self.rank, dst, tag)
-            self.clock.advance(p.t_s + nbytes * p.t_w)
-            if not decision.drop:
-                break
-            self.stats.drops_injected += 1
-            self.metrics.counter("comm.drops").inc()
-            if retries >= plan.max_retries:
-                raise ReliableDeliveryError(
-                    f"rank {self.rank} -> {dst} tag {tag}: message still "
-                    f"undelivered after {retries} retransmissions"
-                )
-            penalty += plan.retry_timeout * plan.retry_backoff ** retries
-            retries += 1
-            self.stats.retransmissions += 1
-            self.metrics.counter("comm.retransmissions").inc()
-        if decision.extra_delay > 0:
-            self.stats.delays_injected += 1
+        t_begin = arrival = self.clock.now
+        retries, fault = 0, NO_FAULT
+        if dst != self.rank:
+            p = self.cost.profile
+            inj = self._injector
+            penalty = 0.0      # timeout waits accumulated by retransmissions
+            while True:
+                if inj is not None:
+                    fault = inj.decide(self.rank, dst, tag)
+                self.clock.advance(p.t_s + nbytes * p.t_w)
+                if not fault.drop:
+                    break
+                self.stats.drops_injected += 1
+                self.metrics.counter("comm.drops").inc()
+                if retries >= inj.plan.max_retries:
+                    raise ReliableDeliveryError(
+                        f"rank {self.rank} -> {dst} tag {tag}: message "
+                        f"still undelivered after {retries} "
+                        f"retransmissions")
+                penalty += (inj.plan.retry_timeout
+                            * inj.plan.retry_backoff ** retries)
+                retries += 1
+                self.stats.retransmissions += 1
+                self.metrics.counter("comm.retransmissions").inc()
+            if fault.extra_delay > 0:
+                self.stats.delays_injected += 1
+            arrival = (self.clock.now
+                       + self.cost.topology.hops(self.rank, dst) * p.t_h
+                       + penalty + fault.extra_delay)
         self.stats.record_send(tag, nbytes)
-        xmit_id = self._xmit_seq
-        self._xmit_seq += 1
-        arrival = (self.clock.now + hops * p.t_h
-                   + penalty + decision.extra_delay)
-        msg = Message(arrival=arrival, src=self.rank, tag=tag,
-                      payload=payload, nbytes=nbytes, xmit_id=xmit_id)
+        seq = self._seq
+        self._seq += 1
+        msg = Message(arrival=arrival, src=self.rank, seq=seq, tag=tag,
+                      payload=payload, nbytes=nbytes)
         self.endpoint.deliver(dst, msg)
+        tracer = self.tracer
         if tracer is not None:
             tracer.send_event(SendEvent(
-                seq=msg.seq, src=self.rank, dst=dst, tag=tag,
-                nbytes=nbytes, t_begin=t_begin, t_end=self.clock.now,
-                arrival=arrival, drops=retries, retries=retries,
-                extra_delay=decision.extra_delay,
+                seq=seq, src=self.rank, dst=dst, tag=tag, nbytes=nbytes,
+                t_begin=t_begin, t_end=self.clock.now, arrival=arrival,
+                drops=retries, retries=retries,
+                extra_delay=fault.extra_delay,
             ))
-        if decision.duplicate:
+        if fault.duplicate:
             # The network delivered a second copy in flight: no extra
-            # sender charge; same transmission id, so the receiver's
-            # mailbox suppresses it.
+            # sender charge; the same seq, so the receiver's mailbox
+            # suppresses it.
             self.stats.duplicates_injected += 1
-            dup = Message(arrival=arrival, src=self.rank, tag=tag,
-                          payload=payload, nbytes=nbytes, xmit_id=xmit_id)
-            self.endpoint.deliver(dst, dup)
+            self.endpoint.deliver(dst, msg)
             if tracer is not None:
                 tracer.send_event(SendEvent(
-                    seq=dup.seq, src=self.rank, dst=dst, tag=tag,
+                    seq=seq, src=self.rank, dst=dst, tag=tag,
                     nbytes=nbytes, t_begin=t_begin, t_end=self.clock.now,
                     arrival=arrival, duplicate=True,
                 ))
@@ -340,7 +359,7 @@ class Comm:
         the full message record.  There are no wildcards: every receive
         names its stream (``tag`` defaults to :meth:`send`'s)."""
         msg = self.endpoint.get(src, tag)
-        self._finish_recv(msg)
+        self.charge_recv(msg)
         return msg
 
     def recv(self, src: int, tag: int = 0) -> Any:
@@ -365,7 +384,7 @@ class Comm:
                 raw.append(self.endpoint.get(src, tag))
         raw.sort(key=lambda m: (m.arrival, m.src, m.seq))
         for msg in raw:
-            self._finish_recv(msg)
+            self.charge_recv(msg)
             yield msg
 
     def collect_raw(self, src: int, tag: int, stop) -> list[Message]:
@@ -385,11 +404,10 @@ class Comm:
                 return out
 
     def charge_recv(self, msg: Message) -> None:
-        """Charge the clock and counters for a message obtained through
-        :meth:`collect_raw` (wait until arrival + copy-out)."""
-        self._finish_recv(msg)
-
-    def _finish_recv(self, msg: Message) -> None:
+        """Charge the clock and counters for one received message: wait
+        until its arrival, then pay the copy-out (free for a local
+        message).  Every receive path ends here; a caller of
+        :meth:`collect_raw` calls it directly."""
         t_begin = self.clock.now
         self.clock.wait_until(msg.arrival)
         if msg.src != self.rank:

@@ -8,10 +8,9 @@ all timings are virtual and deterministic (see :mod:`repro.machine.comm`).
 
 A rank lives the same life on either engine — this thread engine or
 :class:`~repro.runtime.ProcessEngine`, one OS process per rank: its
-:class:`Comm` is born in :func:`rank_comm`, its endpoint's counters are
-folded into its accounting by :func:`fold_endpoint_counters`, and the
-engine's constructor and ``run()`` argument checks are
-:class:`SPMDEngine`'s.
+:class:`Comm` is born in :func:`rank_comm`, its end-of-run row is
+:func:`rank_result` over :meth:`Comm.machine_state`, and the engine's
+constructor and ``run()`` argument checks are :class:`SPMDEngine`'s.
 """
 
 from __future__ import annotations
@@ -211,21 +210,18 @@ def rank_comm(rank: int, size: int, cost: CostModel, endpoint: Endpoint,
     return comm
 
 
-def fold_endpoint_counters(stats: CommStats, metrics: MetricsRegistry,
-                           endpoint: Endpoint) -> None:
-    """Fold what a rank's endpoint counted into its accounting: the
-    suppressed duplicates into ``stats``, the queue-depth high-water
-    mark into the ``mailbox.max_pending`` gauge.
-
-    Both engines fold every rank once, at end of run; a checkpoint folds
-    into its copies, so a boundary is self-contained.  It adds and
-    max-merges instead of setting because a rollback restore seeds the
-    accounting with what the previous endpoint counted up to the
-    boundary.
-    """
-    stats.duplicates_suppressed += endpoint.duplicates_suppressed
-    g = metrics.gauge("mailbox.max_pending")
-    g.set(max(g.value, endpoint.max_pending))
+def rank_result(rank: int, value: Any, state: dict[str, Any] | None,
+                error: str | None = None) -> RankResult:
+    """One rank's report row from its :meth:`Comm.machine_state`
+    (``None``: the rank never reported, so its row is empty)."""
+    if state is None:
+        return RankResult(rank=rank, value=value, time=0.0,
+                          timings=PhaseTimings(), stats=CommStats(),
+                          error=error)
+    return RankResult(rank=rank, value=value, time=state["clock_now"],
+                      timings=PhaseTimings(state["phase_seconds"]),
+                      stats=state["comm_stats"], metrics=state["metrics"],
+                      error=error)
 
 
 class SPMDEngine:
@@ -355,8 +351,7 @@ class Engine(SPMDEngine):
         for t in threads:
             t.join()
 
-        for c in comms:
-            fold_endpoint_counters(c.stats, c.metrics, c.endpoint)
+        machine = [c.machine_state() for c in comms]
 
         def build_report(trace_done: bool) -> RunReport:
             trace = None
@@ -367,14 +362,10 @@ class Engine(SPMDEngine):
                         tracer.adopt_wall_spans(c.rank, c.wall_tracer.spans)
                 trace = tracer.finish()
             return RunReport(ranks=[
-                RankResult(rank=r, value=states[r].value,
-                           time=comms[r].clock.now,
-                           timings=comms[r].clock.timings,
-                           stats=comms[r].stats,
-                           metrics=comms[r].metrics,
-                           error=(None if states[r].error is None else
-                                  f"{type(states[r].error).__name__}: "
-                                  f"{states[r].error}"))
+                rank_result(r, states[r].value, machine[r],
+                            None if states[r].error is None else
+                            f"{type(states[r].error).__name__}: "
+                            f"{states[r].error}")
                 for r in range(self.size)
             ], trace=trace)
 

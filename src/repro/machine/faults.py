@@ -33,9 +33,9 @@ with exponential backoff (``retry_timeout``, ``retry_backoff``; each
 retry costs a full channel charge, and the accumulated timeout waits
 push the message's virtual arrival out) until ``max_retries`` is spent
 (:class:`ReliableDeliveryError`), and the destination mailbox suppresses
-duplicate copies by transmission id.  A plan that injects no message
-fault performs no retry and so charges exactly the virtual times of a
-run without a plan.
+a duplicate copy by its ``seq``, which it shares with its original.  A
+plan that injects no message fault performs no retry and so charges
+exactly the virtual times of a run without a plan.
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ class SendDecision:
     extra_delay: float = 0.0
 
 
-_NO_FAULT = SendDecision()
+#: The verdict on a transmission no fault touches.
+NO_FAULT = SendDecision()
 
 
 def _unit_hash(seed: int, salt: str, src: int, dst: int, tag: int,
@@ -269,12 +270,12 @@ class FaultInjector:
         """Verdict for the next transmission on channel (src, dst, tag)."""
         plan = self.plan
         if not plan.any_message_faults:
-            return _NO_FAULT
+            return NO_FAULT
         key = (src, dst, tag)
         n = self._counts.get(key, 0)
         self._counts[key] = n + 1
         if not plan.matches_tag(tag):
-            return _NO_FAULT
+            return NO_FAULT
         drop = (plan.drop_rate > 0 and
                 _unit_hash(plan.seed, "drop", src, dst, tag, n)
                 < plan.drop_rate)
@@ -290,7 +291,7 @@ class FaultInjector:
             jitter = _unit_hash(plan.seed, "jitter", src, dst, tag, n)
             delay = plan.delay_seconds * (0.5 + jitter)
         if not (drop or dup or delay):
-            return _NO_FAULT
+            return NO_FAULT
         return SendDecision(drop=drop, duplicate=dup, extra_delay=delay)
 
     def crash_time(self, rank: int) -> float | None:

@@ -9,6 +9,12 @@ Every receive names its ``(src, tag)`` and takes the earliest
 ``(arrival, seq)`` message of that stream from the stream's own heap:
 one dict lookup and O(log k) in the k messages of the stream, however
 many other messages are pending.
+
+A message's ``seq`` is its position in its sender's stream: each
+:class:`~repro.machine.comm.Comm` numbers its own sends from 0, and a
+duplicate copy the network delivers shares its original's ``seq``.
+Both transports deliver one sender's messages in send order, so a
+mailbox suppresses duplicates by remembering one number per source.
 """
 
 from __future__ import annotations
@@ -17,35 +23,6 @@ import itertools
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any
-
-
-class SeqCounter:
-    """An ``itertools.count`` whose next value can be read and re-seeded.
-
-    The process backend gives each rank worker its own counter (seeded at
-    ``rank << SEQ_SHIFT``), and rollback recovery must continue numbering
-    exactly where the crashed attempt's checkpoint left off — otherwise
-    restored pre-boundary trace events and re-executed post-boundary
-    events would collide on ``seq``.  ``itertools.count`` cannot be
-    inspected, so workers swap in this class; the iterator protocol is
-    all ``Message`` needs.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, start: int = 0):
-        self.value = start
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> int:
-        v = self.value
-        self.value = v + 1
-        return v
-
-
-_seq_counter = itertools.count()
 
 
 class MailboxClosedError(RuntimeError):
@@ -69,15 +46,12 @@ class Message:
 
     arrival: float
     src: int
-    seq: int = field(default_factory=lambda: next(_seq_counter))
+    #: Stamped by the sending ``Comm``.  A message built by hand gets the
+    #: next value of one rising count, so it passes duplicate suppression.
+    seq: int = field(default_factory=itertools.count().__next__)
     tag: int = field(compare=False, default=0)
     payload: Any = field(compare=False, default=None)
     nbytes: int = field(compare=False, default=0)
-    #: Transmission id (src-local), stamped on every send under a fault
-    #: plan; duplicate copies of one logical message share it so the
-    #: destination mailbox can suppress all but the first.  ``None`` on
-    #: a run without a plan and for local sends.
-    xmit_id: int | None = field(compare=False, default=None)
 
 
 class Mailbox:
@@ -85,9 +59,9 @@ class Mailbox:
 
     Queued messages live in one heap per ``(src, tag)``, keyed
     ``(arrival, src, seq)``; a heap is dropped when it empties.  A
-    receive of ``(src, tag)`` pops that heap's head.  ``seq`` is unique,
-    so the choice never depends on deposit order — nor, therefore, on
-    thread interleaving.
+    receive of ``(src, tag)`` pops that heap's head.  ``seq`` is unique
+    per source, so the choice never depends on deposit order — nor,
+    therefore, on thread interleaving.
 
     The store never blocks and takes no lock: exactly one thread touches
     it at a time.  A thread rank waits in the scheduler of
@@ -100,7 +74,8 @@ class Mailbox:
         self._heaps: dict[tuple[int, int],
                           list[tuple[float, int, int, Message]]] = {}
         self._pending = 0
-        self._seen_xmits: set[tuple[int, int]] = set()
+        #: Per source: the highest ``seq`` accepted so far.
+        self._last_seq: dict[int, int] = {}
         #: Duplicate copies discarded on deposit.
         self.duplicates_suppressed = 0
         #: Queue-depth high-water mark (surfaced as a metrics gauge).
@@ -109,20 +84,21 @@ class Mailbox:
     def put(self, msg: Message) -> None:
         """Deposit a message.
 
-        Messages carrying a transmission ``xmit_id`` are
-        deduplicated here: the network may deliver several copies of one
-        logical message, but only the first reaches the matching queues.
-        The receiver pays nothing for a suppressed copy (a header-only
-        discard); the sender already paid its channel charge.
+        Precondition: each source's messages are put in send order
+        (both transports deliver per-source FIFO).  A message whose
+        ``seq`` is not above the highest already accepted from its
+        source is then a duplicate copy of one already here: it never
+        reaches the queues.  The receiver pays nothing for a suppressed
+        copy (a header-only discard); the sender already paid its
+        channel charge.
         """
-        if msg.xmit_id is not None:
-            xmit = (msg.src, msg.xmit_id)
-            if xmit in self._seen_xmits:
-                self.duplicates_suppressed += 1
-                return
-            self._seen_xmits.add(xmit)
+        if msg.seq <= self._last_seq.get(msg.src, -1):
+            self.duplicates_suppressed += 1
+            return
+        self._last_seq[msg.src] = msg.seq
         # The key is spelled out in the entry: heap comparisons then stay
-        # on plain tuples and never reach Message.__lt__ (seq is unique).
+        # on plain tuples and never reach Message.__lt__ (a source's seqs
+        # are unique).
         entry = (msg.arrival, msg.src, msg.seq, msg)
         key = (msg.src, msg.tag)
         heap = self._heaps.get(key)

@@ -15,9 +15,12 @@ turns every phase interval and every message into a structured event:
   charge, and whether the receive actually *waited* (i.e. the arrival
   bound the receiver's clock rather than the other way round).
 
-Send and receive events of the same message share the message's global
+A message is identified by ``(src, seq)``: each rank numbers its own
+sends, and the send and receive events of one message carry its
 ``seq``, so the event graph can be stitched across ranks — that is what
-:mod:`repro.analysis.critical_path` walks.
+:mod:`repro.analysis.critical_path` walks.  The numbering is a function
+of each rank's program alone, so identical runs, either backend and a
+recovered run number every message alike.
 
 Overhead neutrality: tracing never charges any virtual clock.  The
 default is no tracer at all (``tracer=None`` throughout the machine);
@@ -58,7 +61,7 @@ class PhaseSpan:
 class SendEvent:
     """One ``Comm.send`` as seen from the sender."""
 
-    seq: int                # Message.seq of the delivered copy
+    seq: int                # Message.seq (a duplicate copy shares it)
     src: int
     dst: int
     tag: int
@@ -166,9 +169,10 @@ class Trace:
     def has_wall(self) -> bool:
         return any(self.wall_phases)
 
-    def sends_by_seq(self) -> dict[int, SendEvent]:
-        """Delivered-copy send events keyed by message seq."""
-        return {ev.seq: ev for ev in self.all_sends()}
+    def sends_by_seq(self) -> dict[tuple[int, int], SendEvent]:
+        """Delivered-copy send events keyed by ``(src, seq)``."""
+        return {(ev.src, ev.seq): ev for ev in self.all_sends()
+                if not ev.duplicate}
 
     def step_spans(self) -> dict[int, list[PhaseSpan]]:
         """``step index -> spans`` for the ``cat="step"`` markers."""
@@ -187,8 +191,9 @@ class Trace:
         """Chrome trace-event JSON (Perfetto / chrome://tracing loadable).
 
         One thread track per rank; phase blocks as complete ("X") slices,
-        messages as flow arrows ("s"/"f") anchored on instant events, and
-        fault dispositions as instant events.  Timestamps are the virtual
+        messages as flow arrows ("s"/"f", id ``seq * size + src``)
+        anchored on instant events, and fault dispositions as instant
+        events.  Timestamps are the virtual
         times in microseconds.
 
         When wall spans were recorded, a second process (pid 1, "wall
@@ -197,16 +202,6 @@ class Trace:
         one Perfetto view.
         """
         us = 1e6
-        # Message.seq values come from a process-global counter, so their
-        # interleaving across ranks depends on host thread scheduling.
-        # Each rank's own send list is in deterministic program order, so
-        # renumbering flow ids in (rank, send index) order keeps the
-        # exported file byte-identical across identical runs.
-        flow_id: dict[int, int] = {}
-        for per_rank in self.sends:
-            for send in per_rank:
-                if send.seq not in flow_id:
-                    flow_id[send.seq] = len(flow_id)
         events: list[dict[str, Any]] = [
             {"name": "process_name", "ph": "M", "pid": 0,
              "args": {"name": "virtual machine"}},
@@ -232,7 +227,7 @@ class Trace:
                            "args": args})
             if not ev.duplicate:
                 events.append({"name": f"msg tag={ev.tag}", "cat": "msg",
-                               "ph": "s", "id": flow_id[ev.seq],
+                               "ph": "s", "id": ev.seq * self.size + ev.src,
                                "ts": ev.t_end * us,
                                "pid": 0, "tid": ev.src, "args": args})
         for ev in self.all_recvs():
@@ -243,7 +238,7 @@ class Trace:
                                     "waited": ev.waited}})
             events.append({"name": f"msg tag={ev.tag}", "cat": "msg",
                            "ph": "f", "bp": "e",
-                           "id": flow_id.get(ev.seq, ev.seq),
+                           "id": ev.seq * self.size + ev.src,
                            "ts": ev.arrival * us, "pid": 0,
                            "tid": ev.rank, "args": {}})
         if self.has_wall:

@@ -33,8 +33,9 @@ class Endpoint(ABC):
     """One rank's view of a transport.
 
     ``Comm`` is written against exactly this surface; any backend that
-    implements it (and preserves per-``(src, tag)`` FIFO order between a
-    sender and a receiver) can run the rank programs unchanged.
+    implements it can run the rank programs unchanged, provided it
+    deposits each sender's messages at a receiver in send order, across
+    tags (the mailbox's duplicate suppression relies on it).
     """
 
     rank: int

@@ -10,8 +10,11 @@ virtual; what the processes add is real multi-core wall-clock speed.
 A worker lives the thread rank's lifecycle: the engines share their
 constructor and ``run()`` checks (:class:`~repro.machine.engine.SPMDEngine`),
 the :class:`~repro.machine.comm.Comm` bootstrap
-(:func:`~repro.machine.engine.rank_comm`) and the end-of-run counter
-fold (:func:`~repro.machine.engine.fold_endpoint_counters`).
+(:func:`~repro.machine.engine.rank_comm`) and the end-of-run report row
+(:func:`~repro.machine.engine.rank_result`), which the host builds from
+the :meth:`~repro.machine.comm.Comm.machine_state` a worker ships home.
+Each rank numbers its own messages, so a worker's ``seq`` stream is the
+thread rank's, and traces stitch the same way on both backends.
 
 Determinism guarantee (the cross-validation tests pin it down): every
 virtual-time decision is a pure function of the sender's clock and the
@@ -54,17 +57,15 @@ import time
 import traceback
 from typing import Any, Callable, Sequence
 
-from repro.machine import mailbox as _mailbox_mod
-from repro.machine.clock import PhaseTimings
-from repro.machine.comm import CommStats, DeadlockError
+from repro.machine.comm import DeadlockError
 from repro.machine.costmodel import CostModel, MachineProfile
 from repro.machine.engine import (
     RankResult,
     RunReport,
     SPMDEngine,
-    fold_endpoint_counters,
     raise_primary_error,
     rank_comm,
+    rank_result,
 )
 from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.profiles import ZERO_COST
@@ -73,11 +74,6 @@ from repro.runtime import supervision as _sup
 from repro.runtime.process_transport import ProcessTransport
 from repro.runtime.supervision import HeartbeatBoard, RankDiagnostics
 from repro.runtime.telemetry import TelemetrySampler
-
-#: Seq-counter stride per rank: each worker numbers its messages from
-#: ``rank << SEQ_SHIFT``, so seqs are globally unique (trace stitching
-#: needs that) while staying monotone per sender (all ordering needs).
-SEQ_SHIFT = 44
 
 
 class RemoteRankError(RuntimeError):
@@ -176,13 +172,6 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
     """Body of one rank process (module-level so ``spawn`` can pickle it)."""
     _sup.reset_worker_state()
     _sup.activate_worker(rank, board, fault_plan, heartbeat_interval)
-    # Renumber this process's messages into a rank-private seq range:
-    # globally unique for trace stitching, monotone per sender — the only
-    # property Message ordering consumes — so virtual times match the
-    # shared-counter virtual backend bitwise.  A SeqCounter (not a bare
-    # itertools.count) so checkpoint snapshots can read the next value
-    # and a rollback restore can re-seed it.
-    _mailbox_mod._seq_counter = _mailbox_mod.SeqCounter(rank << SEQ_SHIFT)
     envelope: dict[str, Any] = {"rank": rank}
     comm = None
     try:
@@ -212,15 +201,7 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
                 "timeout": exc.timeout,
             }
     if comm is not None:
-        fold_endpoint_counters(comm.stats, comm.metrics, comm.endpoint)
-        envelope["time"] = comm.clock.now
-        envelope["timings"] = comm.clock.timings
-        envelope["stats"] = comm.stats
-        envelope["metrics"] = comm.metrics
-        tracer = comm.tracer
-        if tracer is not None:
-            envelope["trace"] = (tracer.phases[rank], tracer.sends[rank],
-                                 tracer.recvs[rank])
+        envelope["machine"] = comm.machine_state()
         if comm.wall_tracer is not None:
             envelope["wall_trace"] = comm.wall_tracer.spans
     try:
@@ -233,7 +214,7 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
             "error_type": "RuntimeError",
             "error_msg": "rank result could not be pickled",
             "traceback": traceback.format_exc(),
-            "time": envelope.get("time", 0.0),
+            "machine": envelope.get("machine"),
         }, protocol=pickle.HIGHEST_PROTOCOL)
     result_q.put((rank, data))
 
@@ -471,28 +452,22 @@ class ProcessEngine(SPMDEngine):
             if env is None:
                 # Terminated before reporting (another rank failed
                 # first); still yields a well-formed result row.
-                ranks.append(RankResult(
-                    rank=r, value=None, time=0.0, timings=PhaseTimings(),
-                    stats=CommStats(), metrics=None,
-                    error="RuntimeError: worker terminated before "
-                          "reporting a result"))
+                ranks.append(rank_result(
+                    r, None, None, "RuntimeError: worker terminated "
+                                   "before reporting a result"))
                 continue
             error = None
             if env["kind"] == "error":
                 error = f"{env['error_type']}: {env['error_msg']}"
                 errors.append((r, self._rebuild_error(env)))
-            ranks.append(RankResult(
-                rank=r, value=env.get("value"),
-                time=env.get("time", 0.0),
-                timings=env.get("timings") or PhaseTimings(),
-                stats=env.get("stats") or CommStats(),
-                metrics=env.get("metrics"), error=error))
+            ranks.append(rank_result(r, env.get("value"),
+                                     env.get("machine"), error))
         trace = None
         if tracer is not None and not errors:
             # No error: the result loop only ends with every rank in.
             for r in range(self.size):
                 env = envelopes[r]
-                phases, sends, recvs = env["trace"]
+                phases, sends, recvs = env["machine"]["trace_events"]
                 tracer.phases[r] = list(phases)
                 tracer.sends[r] = list(sends)
                 tracer.recvs[r] = list(recvs)

@@ -11,9 +11,10 @@ in-process :class:`~repro.machine.transport.LocalTransport` uses, with
 the pipe in front.
 
 Determinism: queues are FIFO per producer, so messages from one sender
-arrive in send order — the same per-``(src, tag)`` FIFO guarantee the
-local transport gives — and every virtual-time decision was already
-priced into the message by the sender.  Which is why the two transports
+arrive in send order, across tags — the per-source FIFO guarantee the
+local transport gives, and the precondition of the mailbox's duplicate
+suppression — and every virtual-time decision was already priced into
+the message by the sender.  Which is why the two transports
 produce bitwise-identical virtual clocks for the same program.
 """
 
@@ -112,8 +113,7 @@ class ProcessEndpoint(Endpoint):
         # gets the payload as it was at send, whatever the sender does
         # to it next.
         data = pickle.dumps((msg.arrival, msg.seq, msg.tag, msg.nbytes,
-                             msg.xmit_id, msg.payload),
-                            protocol=pickle.HIGHEST_PROTOCOL)
+                             msg.payload), protocol=pickle.HIGHEST_PROTOCOL)
         self._queues[dst].put((msg.src, data))
         if wall is not None:
             wall.record(f"transport:send dst={dst}", w0, wall.now(),
@@ -125,10 +125,9 @@ class ProcessEndpoint(Endpoint):
         if data is None:                # src's fin marker (see finish)
             self._fins.add(src)
             return
-        arrival, seq, tag, nbytes, xmit_id, payload = pickle.loads(data)
+        arrival, seq, tag, nbytes, payload = pickle.loads(data)
         self._box.put(Message(arrival=arrival, src=src, seq=seq, tag=tag,
-                              payload=payload, nbytes=nbytes,
-                              xmit_id=xmit_id))
+                              payload=payload, nbytes=nbytes))
 
     def _drain_pending(self) -> None:
         """Move everything already sitting in the pipe into the mailbox."""

@@ -16,7 +16,9 @@ from repro.bh.distributions import make_instance
 from repro.core.config import SchemeConfig
 from repro.core.simulation import ParallelBarnesHut
 from repro.core.bins import TAG_REQUEST, TAG_RESULT
+from repro.machine import transport
 from repro.machine.faults import FaultPlan
+from repro.machine.mailbox import Mailbox
 from repro.machine.profiles import NCUBE2
 
 P = 4
@@ -104,6 +106,25 @@ class TestDefaultConfiguration:
         assert np.array_equal(res.values, clean.values)
         assert np.array_equal(res.positions, clean.positions)
 
+    def test_dedupe_state_is_one_seq_per_source(self, monkeypatch):
+        """A mailbox suppresses duplicates by its highest accepted seq
+        per source: its dedupe state never outgrows the machine, and it
+        suppresses every copy the network injected."""
+        boxes = []
+
+        class Recorded(Mailbox):
+            def __init__(self, rank):
+                super().__init__(rank)
+                boxes.append(self)
+
+        monkeypatch.setattr(transport, "Mailbox", Recorded)
+        fs = self._run(FaultPlan(seed=5, dup_rate=0.2)).fault_summary()
+        assert fs["duplicates_injected"] > 0
+        assert fs["duplicates_suppressed"] == fs["duplicates_injected"]
+        assert len(boxes) == P
+        for box in boxes:
+            assert len(box._last_seq) <= P
+
     def test_drops_are_retransmitted(self, clean):
         res = self._run(FaultPlan(seed=5, drop_rate=0.05))
         fs = res.fault_summary()
@@ -148,6 +169,19 @@ class TestCrashRecovery:
         assert hurt.recoveries == 1
         for ra, rb in zip(base.run.ranks, hurt.run.ranks):
             assert ra.metrics.snapshot() == rb.metrics.snapshot()
+
+    def test_recovered_trace_equals_uninterrupted(self, baseline):
+        """The thread-rank counterpart of the process backend's
+        recovered-trace test: after rank 1 crashes and every rank rolls
+        back, the traced run records the uninterrupted run's sends and
+        receives, message seqs included."""
+        clean = _sim(checkpoint_every=1).run(steps=STEPS, trace=True)
+        plan = FaultPlan(crash={1: 0.5 * baseline.parallel_time})
+        hurt = _sim(fault_plan=plan,
+                    checkpoint_every=1).run(steps=STEPS, trace=True)
+        assert hurt.recoveries == 1
+        assert hurt.trace.sends == clean.trace.sends
+        assert hurt.trace.recvs == clean.trace.recvs
 
     def test_crash_without_checkpoints_is_fatal(self):
         from repro.machine.faults import RankCrashedError

@@ -144,19 +144,19 @@ def test_rank_checkpoint_accounting_fields_roundtrip(tmp_path):
         phase_seconds={},
         comm_stats=CommStats(messages_sent=9, bytes_sent=512,
                              bytes_by_tag={7: 512}),
-        metrics=reg, coll_seq=17, xmit_seq=42,
+        metrics=reg, coll_seq=17, seq=42,
     )
     back = roundtrip(ckpt)
     assert back.comm_stats == ckpt.comm_stats
     assert back.metrics.snapshot() == reg.snapshot()
-    assert (back.coll_seq, back.xmit_seq) == (17, 42)
+    assert (back.coll_seq, back.seq) == (17, 42)
 
     store = DiskCheckpointStore(tmp_path / "ckpt", size=3)
     store.save(ckpt)
     disk = DiskCheckpointStore(tmp_path / "ckpt", size=3).get(2, 5)
     assert disk.comm_stats == ckpt.comm_stats
     assert disk.metrics.snapshot() == reg.snapshot()
-    assert (disk.coll_seq, disk.xmit_seq) == (17, 42)
+    assert (disk.coll_seq, disk.seq) == (17, 42)
     # Pre-recovery-era checkpoints default the new fields.
     legacy = RankCheckpoint(rank=0, step=0, particles=ps,
                             cluster_owners=None, cluster_load=None,
@@ -164,7 +164,7 @@ def test_rank_checkpoint_accounting_fields_roundtrip(tmp_path):
                             last_values=None, clock_now=0.0,
                             phase_seconds={})
     assert legacy.comm_stats is None and legacy.metrics is None
-    assert (legacy.coll_seq, legacy.xmit_seq) == (0, 0)
+    assert (legacy.coll_seq, legacy.seq) == (0, 0)
 
 
 def test_machine_accounting_objects_roundtrip():

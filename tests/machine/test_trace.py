@@ -104,7 +104,7 @@ class TestMessageEvents:
         send = rep.trace.sends[0][0]
         recv = rep.trace.recvs[1][0]
         assert send.seq == recv.seq
-        assert rep.trace.sends_by_seq()[recv.seq] is send
+        assert rep.trace.sends_by_seq()[(recv.src, recv.seq)] is send
 
     def test_local_send_traced(self):
         def main(comm):
@@ -124,7 +124,23 @@ class TestMessageEvents:
         rep = Engine(4, NCUBE2).run(main, tracer=True)
         sends = rep.trace.sends_by_seq()
         for recv in rep.trace.all_recvs():
-            assert recv.seq in sends
+            assert (recv.src, recv.seq) in sends
+
+    def test_identical_runs_number_messages_alike(self):
+        """Each rank numbers its own sends from 0, so two identical runs
+        in one interpreter record equal events, ``seq`` included."""
+        def main(comm):
+            comm.allgather(comm.rank)
+            comm.send(b"xy", dst=comm.rank, tag=9)
+            comm.recv(src=comm.rank, tag=9)
+            comm.barrier()
+
+        a, b = (Engine(4, NCUBE2).run(main, tracer=True).trace
+                for _ in range(2))
+        assert [ev.seq for ev in a.sends[0]] == \
+            list(range(len(a.sends[0])))
+        assert a.sends == b.sends
+        assert a.recvs == b.recvs
 
 
 class TestFaultDispositions:
@@ -172,9 +188,9 @@ class TestChromeExport:
         assert match[0]["dur"] == pytest.approx(span.duration * 1e6)
 
     def test_export_byte_identical_across_runs(self):
-        """Flow ids are canonicalised in (rank, send index) order, so
-        identical runs export identical bytes even though Message.seq
-        allocation order depends on host thread scheduling."""
+        """Flow ids derive from each message's ``(src, seq)``, and each
+        rank numbers its own sends in program order, so identical runs
+        export identical bytes."""
         docs = [json.dumps(self._trace().to_chrome(), sort_keys=True)
                 for _ in range(2)]
         assert docs[0] == docs[1]

@@ -155,12 +155,12 @@ def test_duplicate_still_in_flight_when_its_receiver_returns(monkeypatch):
     seen = set()
 
     def held_back(self, dst, msg):
-        if (dst, msg.xmit_id) in seen:
+        if (dst, msg.seq) in seen:
             # the duplicate: hold the sender (so its queue stays FIFO)
             # until the receiver is past its return
             assert returned.wait(timeout=30.0)
             time.sleep(0.3)
-        seen.add((dst, msg.xmit_id))
+        seen.add((dst, msg.seq))
         deliver(self, dst, msg)
 
     # rank processes are forked, so they inherit the patched class
