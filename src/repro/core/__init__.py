@@ -11,9 +11,11 @@ Three schemes, all *function-shipping* (computation moves to the data):
   interaction-counting tree, one all-to-all personalized communication to
   move particles.
 
-Shared machinery: distributed tree construction
-(:mod:`~repro.core.tree_build`), branch-node exchange and replicated
-top-tree merge (:mod:`~repro.core.tree_merge`), branch-key lookup
+Shared machinery: the particle exchange (:mod:`~repro.core.exchange`),
+distributed tree construction (:mod:`~repro.core.tree_build`), branch-node
+exchange and replicated top-tree merge (:mod:`~repro.core.tree_merge`),
+a rank's forest (:mod:`~repro.core.forest`) and advance
+(:mod:`~repro.core.stepping`), branch-key lookup
 (:mod:`~repro.core.branch_nodes`), particle bins with one-outstanding-bin
 flow control (:mod:`~repro.core.bins`), the function-shipping force
 engine (:mod:`~repro.core.function_shipping`), and a Warren-Salmon-style
@@ -30,7 +32,7 @@ from repro.core.partition import (
     Cell,
 )
 from repro.core.assignment import spsa_assignment
-from repro.core.morton_assign import morton_partition, balance_clusters
+from repro.core.morton_assign import balance_clusters
 from repro.core.costzones import costzones_owners
 from repro.core.branch_nodes import (
     BranchInfo,
@@ -52,7 +54,6 @@ __all__ = [
     "cover_cells",
     "Cell",
     "spsa_assignment",
-    "morton_partition",
     "balance_clusters",
     "costzones_owners",
     "BranchInfo",

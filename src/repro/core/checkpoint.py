@@ -38,6 +38,7 @@ import pickle
 import re
 import struct
 import tempfile
+import time
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any
@@ -45,6 +46,8 @@ from typing import Any
 import numpy as np
 
 from repro.bh.particles import ParticleSet
+from repro.machine.faults import FaultPlan, RankCrashedError
+from repro.machine.metrics import MetricsRegistry
 
 #: On-disk checkpoint format version.  Bumped whenever the pickled
 #: payload or the header layout changes incompatibly; files written by
@@ -99,6 +102,67 @@ class RestartPolicy:
     def delay(self, restart_no: int) -> float:
         return min(self.backoff_seconds * self.factor ** restart_no,
                    self.cap)
+
+
+class Rollback:
+    """The host's side of the recovery model above, for one run:
+    ``plan`` is the next attempt's fault plan, ``metrics`` the host's
+    ``recovery.*`` series.  Without a store every failure is fatal."""
+
+    def __init__(self, store: DiskCheckpointStore | None,
+                 policy: RestartPolicy, plan: FaultPlan | None):
+        self.store = store
+        self.policy = policy
+        self.plan = plan
+        self.recoveries = 0
+        self.respawns = 0
+        self.metrics = MetricsRegistry()
+        # Explicit zeros, not absence, for a clean checkpointed run.
+        self.metrics.counter("recovery.restarts")
+        self.metrics.counter("recovery.rollback_steps")
+
+    def recover(self, failure: BaseException, quiesce_seconds: float
+                ) -> tuple[int, list[RankCheckpoint] | None, int]:
+        """Roll back after ``failure`` (re-raised without a store or
+        respawn budget).  Returns the step every rank restarts from,
+        their checkpoints there (``None``: a rank failed before every
+        rank had written step 0, so restart from the initial deal), and
+        the steps of progress lost."""
+        if self.store is None:
+            raise failure
+        t0 = time.monotonic()
+        level = self.store.latest_intact()
+        if isinstance(failure, RankCrashedError):
+            # Replace the failed node; its planned crash is spent and
+            # must not fire in the re-execution.
+            self.plan = self.plan.without_crash(failure.rank)
+        else:
+            # Real worker loss: bounded respawn budget with exponential
+            # backoff before the next attempt.
+            if self.respawns >= self.policy.max_restarts:
+                raise failure
+            if self.plan is not None:
+                self.plan = self.plan.without_process_faults(failure.rank)
+            time.sleep(self.policy.delay(self.respawns))
+            self.respawns += 1
+        step, checkpoints = level if level is not None else (0, None)
+        # Rollback depth: furthest boundary any rank had durably reached
+        # beyond the restart point (plus the failing attempt's own
+        # progress reports).
+        furthest = max((sf[-1] for sf in map(self.store.steps_for,
+                                              range(self.store.size))
+                        if sf), default=step)
+        for d in getattr(failure, "diagnostics", []) or []:
+            furthest = max(furthest, d.last_step)
+        lost = max(0, furthest - step)
+        self.recoveries += 1
+        self.metrics.counter("recovery.restarts").inc()
+        self.metrics.counter("recovery.rollback_steps").inc(lost)
+        self.metrics.histogram("recovery.quiesce_seconds").observe(
+            quiesce_seconds)
+        self.metrics.histogram("recovery.wall_seconds").observe(
+            quiesce_seconds + time.monotonic() - t0)
+        return step, checkpoints, lost
 
 
 @dataclass
@@ -266,6 +330,19 @@ class DiskCheckpointStore:
         common = set.intersection(*(set(self.steps_for(r))
                                     for r in range(self.size)))
         return max(common) if common else None
+
+    def latest_intact(self) -> tuple[int, list[RankCheckpoint]] | None:
+        """The newest common step with every rank's checkpoint there.
+        A corrupt level (torn by the crash that triggered recovery, or
+        bit-rotted) is discarded and the previous one tried."""
+        while True:
+            step = self.latest_common_step()
+            if step is None:
+                return None
+            try:
+                return step, [self.get(r, step) for r in range(self.size)]
+            except CheckpointCorruptError:
+                self.discard_step(step)
 
     def get(self, rank: int, step: int) -> RankCheckpoint:
         """Read, verify and unpickle one checkpoint file."""

@@ -9,9 +9,10 @@ order) traversal and ship the particles between boundaries to processor
 Because every tree node's particles form a contiguous slice of the
 Morton order (a build invariant), "in-order traversal of the tree" is
 equivalent to a prefix scan along the Morton-sorted particle sequence
-once node loads are attributed to the particles below them —
-:func:`particle_loads_from_tree` does that attribution, and
-:func:`costzones_owners` finds the boundaries.
+once node loads are attributed to the particles below them
+(:func:`particle_loads_from_tree`).  :func:`costzones_boundaries` is the
+distributed search a DPDA step runs; :func:`costzones_owners` is the
+serial midpoint-rule split, which SPDA's cluster balancer uses.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bh.tree import Tree
+from repro.machine.comm import Comm
 
 
 def particle_loads_from_tree(tree: Tree) -> np.ndarray:
@@ -67,6 +69,48 @@ def costzones_owners(sorted_loads: np.ndarray, p: int) -> np.ndarray:
     midpoints = prefix - 0.5 * loads
     owners = np.floor(midpoints * p / total).astype(np.int64)
     return np.clip(owners, 0, p - 1)
+
+
+def costzones_boundaries(comm: Comm, keys: np.ndarray,
+                         loads: np.ndarray | None, span: int) -> np.ndarray:
+    """The ``p - 1`` Morton key boundaries of a load-balanced split of
+    this rank's ``keys`` with ``loads`` (``None`` or stale: one each).
+
+    Every rank holds a contiguous key range (the host deals
+    Morton-contiguous chunks), so boundary ``i W / p`` is reported by
+    the one rank whose prefix-load range contains it: the key of its
+    first particle reaching the target.  Collective: two allgathers.
+    """
+    if keys.size and bool(np.all(keys[1:] >= keys[:-1])):
+        # Already Morton-ascending (the usual cross-step case: the
+        # balancing exchange concatenates sorted runs and slow particle
+        # motion rarely reorders them).  A stable argsort of a sorted
+        # array is the identity permutation, so this shortcut is
+        # bitwise free.
+        order = np.arange(keys.size)
+    else:
+        order = np.argsort(keys, kind="stable")
+    keys_sorted = keys[order]
+    loads = (loads[order] if loads is not None and loads.size == keys.size
+             else np.ones(keys.size))
+    totals = comm.allgather(float(loads.sum()))
+    W = sum(totals)
+    cum_before = sum(totals[:comm.rank])
+    cum_incl = cum_before + totals[comm.rank]
+    mine = []
+    if W > 0:
+        prefix = cum_before + np.cumsum(loads)
+        for i in range(1, comm.size):
+            t = i * W / comm.size
+            if cum_before < t <= cum_incl and keys.size:
+                j = int(np.searchsorted(prefix, t, side="left"))
+                mine.append(int(keys_sorted[min(j, keys.size - 1)]))
+    flat = sorted(b for reported in comm.allgather(mine) for b in reported)
+    # Degenerate cases (W == 0, or a boundary target landing in a
+    # zero-load gap) leave fewer than p-1 reports; missing boundaries
+    # collapse to the end of key space (empty ranges).
+    flat += [span] * (comm.size - 1 - len(flat))
+    return np.asarray(flat[:comm.size - 1], dtype=np.int64)
 
 
 def split_by_key_boundaries(keys: np.ndarray, owners: np.ndarray,

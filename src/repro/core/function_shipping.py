@@ -31,7 +31,7 @@ caches no remote data and a requester keeps nothing but its bins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,6 +65,15 @@ class ForceResult:
     records_served: int = 0
     ship: ShipStats = field(default_factory=ShipStats)
     walks_built: int = 0        # interaction-list walks performed
+
+    def merge(self, other: "ForceResult") -> None:
+        """Add ``other``'s counters (not its values) into this result."""
+        for name in ("mac_tests", "cluster_interactions", "p2p_interactions",
+                     "records_shipped", "records_served", "walks_built"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for f in fields(ShipStats):
+            setattr(self.ship, f.name,
+                    getattr(self.ship, f.name) + getattr(other.ship, f.name))
 
 
 class FunctionShippingEngine:

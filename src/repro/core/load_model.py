@@ -37,7 +37,3 @@ def particle_loads(subtrees: list[LocalSubtree],
         loads[st.local_idx] = particle_loads_from_tree(st.tree)
     return loads
 
-
-def reset_interaction_counters(subtrees: list[LocalSubtree]) -> None:
-    for st in subtrees:
-        st.tree.interactions[:] = 0

@@ -4,41 +4,18 @@ Paper, Section 3.3.2: clusters keep their static grid partition but are
 assigned to processors as *contiguous runs of the Morton ordering*, sized
 by the load each cluster incurred in the previous iteration.  The paper
 phrases the rebalance incrementally (import from / export to the Morton
-neighbour); :func:`morton_partition` computes the equivalent prefix-sum
-split directly, and :func:`balance_clusters` applies it given measured
-loads, also reporting how many clusters changed owner (the "cluster data
-movement" cost).
+neighbour); :func:`balance_clusters` computes the equivalent prefix-sum
+split directly — the costzones midpoint rule of
+:func:`~repro.core.costzones.costzones_owners` over cluster loads — and
+reports how many clusters changed owner (the "cluster data movement"
+cost).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def morton_partition(loads: np.ndarray, p: int) -> np.ndarray:
-    """Assign each of ``len(loads)`` Morton-ordered clusters an owner in
-    ``[0, p)`` such that every owner's run is contiguous and loads are as
-    even as prefix splitting allows.
-
-    Cluster i goes to ``floor(prefix_load(i) * p / W)`` where the prefix
-    is taken at the cluster's *midpoint* — the standard costzones rule,
-    robust to zero-load clusters at the ends.
-    """
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.ndim != 1 or loads.size == 0:
-        raise ValueError("loads must be a non-empty 1-D array")
-    if np.any(loads < 0):
-        raise ValueError("cluster loads must be non-negative")
-    if p <= 0:
-        raise ValueError(f"processor count must be positive, got {p}")
-    total = loads.sum()
-    if total == 0.0:
-        # Degenerate: spread clusters evenly by count.
-        return (np.arange(loads.size) * p // loads.size).astype(np.int64)
-    prefix = np.cumsum(loads)
-    midpoints = prefix - 0.5 * loads
-    owners = np.floor(midpoints * p / total).astype(np.int64)
-    return np.clip(owners, 0, p - 1)
+from repro.core.costzones import costzones_owners
 
 
 def balance_clusters(loads: np.ndarray, current_owners: np.ndarray | None,
@@ -50,7 +27,7 @@ def balance_clusters(loads: np.ndarray, current_owners: np.ndarray | None,
     the paper argues this is small because "cluster loads are not
     expected to change drastically after each iteration").
     """
-    new_owners = morton_partition(loads, p)
+    new_owners = costzones_owners(loads, p)
     if current_owners is None:
         moved = int(new_owners.size)
     else:
@@ -59,14 +36,3 @@ def balance_clusters(loads: np.ndarray, current_owners: np.ndarray | None,
             raise ValueError("current_owners has the wrong length")
         moved = int((current_owners != new_owners).sum())
     return new_owners, moved
-
-
-def partition_imbalance(loads: np.ndarray, owners: np.ndarray,
-                        p: int) -> float:
-    """max/mean processor load under an assignment (1.0 = perfect)."""
-    loads = np.asarray(loads, dtype=np.float64)
-    owners = np.asarray(owners)
-    per_proc = np.zeros(p)
-    np.add.at(per_proc, owners, loads)
-    mean = per_proc.mean()
-    return float(per_proc.max() / mean) if mean > 0 else 1.0

@@ -24,7 +24,6 @@ from repro.machine.topology import (
     MeshTopology,
     FatTreeTopology,
     gray_code,
-    gray_code_rank,
 )
 from repro.machine.costmodel import CostModel, MachineProfile
 from repro.machine.profiles import NCUBE2, CM5, T3E, ZERO_COST, get_profile
@@ -58,7 +57,6 @@ __all__ = [
     "MeshTopology",
     "FatTreeTopology",
     "gray_code",
-    "gray_code_rank",
     "CostModel",
     "MachineProfile",
     "NCUBE2",

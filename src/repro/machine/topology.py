@@ -21,17 +21,6 @@ def gray_code(i: int) -> int:
     return i ^ (i >> 1)
 
 
-def gray_code_rank(g: int) -> int:
-    """Inverse of :func:`gray_code`: position of code ``g`` in the table."""
-    if g < 0:
-        raise ValueError(f"gray_code_rank requires g >= 0, got {g}")
-    i = 0
-    while g:
-        i ^= g
-        g >>= 1
-    return i
-
-
 def is_power_of_two(n: int) -> bool:
     """True when ``n`` is a positive power of two."""
     return n > 0 and (n & (n - 1)) == 0

@@ -20,8 +20,8 @@ host-time speedup on top.
   current phase, bytes, RSS) and exit-code classification behind the
   worker-loss verdicts that crash recovery acts on; the respawn budget
   and backoff it acts with are
-  :class:`~repro.core.checkpoint.RestartPolicy`, held by
-  :class:`~repro.core.simulation.ParallelBarnesHut`.
+  :class:`~repro.core.checkpoint.RestartPolicy`, applied by
+  :class:`~repro.core.checkpoint.Rollback`.
 * :mod:`~repro.runtime.telemetry` — host-side board sampler, live
   progress display and the ``--events-out`` JSON-lines event stream.
 """

@@ -37,8 +37,8 @@ and the host's supervisor loop convicts a rank that (a) exited without
 reporting (exit-code classified: SIGKILL, segfault, plain exit) or
 (b) is alive but has not heartbeat within ``heartbeat_timeout`` — both
 raise :class:`WorkerLostError`, the typed, rank-tagged signal the
-checkpoint/rollback recovery in :mod:`repro.core.simulation` catches to
-respawn workers and restart from the latest durable checkpoint.  A
+host's attempt loop catches and :class:`~repro.core.checkpoint.Rollback`
+acts on: respawn workers and restart from the latest durable checkpoint.  A
 wall-clock watchdog (:class:`ProcessWatchdogError`) is the backstop for
 a run that stops making progress: it fires when no unreported rank has
 advanced its board step (:func:`~repro.runtime.supervision.notify_step`)

@@ -6,7 +6,8 @@ wall-in-phase, cumulative bytes, and peak RSS into the shared
 :class:`~repro.runtime.supervision.HeartbeatBoard`.  This module is the
 consumer: the host samples the board into :class:`RankTelemetry` rows,
 renders them as a ``--live`` progress line, and appends structured
-events to an :class:`EventLog`.
+events to an :class:`EventLog` through :class:`RunTelemetry`, the one
+writer of a run's stream.
 
 Event stream schema (``--events-out``, JSON lines, one object per
 line).  Every event carries:
@@ -43,7 +44,8 @@ from dataclasses import asdict, dataclass
 
 from repro.runtime.supervision import HeartbeatBoard
 
-__all__ = ["EventLog", "LiveDisplay", "RankTelemetry", "TelemetrySampler"]
+__all__ = ["EventLog", "LiveDisplay", "RankTelemetry", "RunTelemetry",
+           "TelemetrySampler"]
 
 
 @dataclass
@@ -180,3 +182,57 @@ class LiveDisplay:
             self.stream.write("\n")
             self.stream.flush()
             self._last_len = 0
+
+
+class RunTelemetry:
+    """One run's event stream (the schema above) and live line:
+    ``run_start`` on construction, ``run_end`` on :meth:`close`, and
+    ``on_rows`` as the engine's board-sample callback."""
+
+    def __init__(self, events_out: str | None, live: bool, steps: int,
+                 **run_start):
+        self.log = EventLog(events_out) if events_out is not None else None
+        self.display = LiveDisplay(steps) if live else None
+        self.steps = steps
+        self._step = self._ckpt = -1
+        self._t0 = time.monotonic()
+        if self.log is not None:
+            self.log.emit("run_start", steps=steps, **run_start)
+
+    def on_rows(self, rows: list[RankTelemetry]) -> None:
+        if self.display is not None:
+            self.display.update(rows)
+        if self.log is None:
+            return
+        lead = min(r.step for r in rows)
+        if lead > self._step:
+            self._step = lead
+            self.log.emit_step(lead, rows)
+        ck = min(r.ckpt_step for r in rows)
+        if ck > self._ckpt:
+            self._ckpt = ck
+            self.log.emit("checkpoint", step=ck)
+
+    def worker_lost(self, failure: BaseException) -> None:
+        if (self.log is not None
+                and getattr(failure, "kind", None) is not None):
+            self.log.emit("worker_lost", rank=failure.rank,
+                          kind=failure.kind,
+                          detail=[d.describe() for d in failure.diagnostics])
+
+    def recovery(self, restart: int, resume_step: int,
+                 rollback_steps: int) -> None:
+        if self.log is not None:
+            self.log.emit("recovery", restart=restart,
+                          resume_step=resume_step,
+                          rollback_steps=rollback_steps)
+
+    def close(self, parallel_time: float | None, recoveries: int) -> None:
+        if self.display is not None:
+            self.display.finish()
+        if self.log is not None:
+            self.log.emit("run_end", ok=parallel_time is not None,
+                          steps=self.steps, parallel_time=parallel_time,
+                          recoveries=recoveries,
+                          wall_seconds=round(time.monotonic() - self._t0, 6))
+            self.log.close()

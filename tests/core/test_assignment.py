@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core.assignment import axis_split, clusters_of_rank, \
     spsa_assignment
 from repro.core.costzones import costzones_owners, split_by_key_boundaries
-from repro.core.morton_assign import (
-    balance_clusters,
-    morton_partition,
-    partition_imbalance,
-)
+from repro.core.morton_assign import balance_clusters
 from repro.core.partition import cluster_coords
+
+
+def partition_imbalance(loads, owners, p):
+    """max/mean processor load under an assignment (1.0 = perfect)."""
+    per_proc = np.zeros(p)
+    np.add.at(per_proc, owners, loads)
+    mean = per_proc.mean()
+    return float(per_proc.max() / mean) if mean > 0 else 1.0
 
 
 class TestAxisSplit:
@@ -79,14 +83,16 @@ class TestSPSAAssignment:
 
 
 class TestMortonPartition:
+    """SPDA's Morton-order cluster split is the costzones midpoint rule."""
+
     def test_uniform_loads_even_split(self):
-        owners = morton_partition(np.ones(16), 4)
+        owners = costzones_owners(np.ones(16), 4)
         assert np.bincount(owners).tolist() == [4, 4, 4, 4]
         assert (np.diff(owners) >= 0).all()  # contiguous runs
 
     def test_skewed_loads_balance(self):
         loads = np.array([100.0] + [1.0] * 15)
-        owners = morton_partition(loads, 4)
+        owners = costzones_owners(loads, 4)
         # the heavy cluster sits alone (or nearly) on its processor
         heavy_owner = owners[0]
         assert (owners == heavy_owner).sum() <= 2
@@ -95,29 +101,27 @@ class TestMortonPartition:
         assert imb <= naive
 
     def test_zero_total_load_spreads_by_count(self):
-        owners = morton_partition(np.zeros(8), 4)
+        owners = costzones_owners(np.zeros(8), 4)
         assert np.bincount(owners, minlength=4).tolist() == [2, 2, 2, 2]
 
     def test_contiguity_always(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             loads = rng.exponential(1.0, size=64)
-            owners = morton_partition(loads, 8)
+            owners = costzones_owners(loads, 8)
             assert (np.diff(owners) >= 0).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            morton_partition(np.array([]), 2)
+            costzones_owners(np.array([-1.0]), 2)
         with pytest.raises(ValueError):
-            morton_partition(np.array([-1.0]), 2)
-        with pytest.raises(ValueError):
-            morton_partition(np.ones(4), 0)
+            costzones_owners(np.ones(4), 0)
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=100),
            st.integers(1, 16))
     def test_owner_range_valid(self, loads, p):
-        owners = morton_partition(np.array(loads), p)
+        owners = costzones_owners(np.array(loads), p)
         assert owners.min() >= 0 and owners.max() < p
         assert (np.diff(owners) >= 0).all()
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bh.morton import morton_keys
 from repro.bh.particles import ParticleSet
-from repro.core.simulation import _exchange
+from repro.core.exchange import exchange_particles
 from repro.machine.engine import Engine
 from repro.machine.profiles import ZERO_COST
 
@@ -36,8 +36,12 @@ def _shards(p, d, sizes, bins, seed):
 
 
 def _exchange_rank(comm, particles, owners, keys, rungs, accel):
-    got = _exchange(comm, particles, owners, keys, rungs, accel)
-    return got, comm.metrics.counter("sim.particles_shipped").value
+    state = () if rungs is None else (rungs, accel)
+    got, keys, state = exchange_particles(comm, particles, owners, keys,
+                                          state)
+    rungs, accel = state or (None, None)
+    return ((got, keys, rungs, accel),
+            comm.metrics.counter("sim.particles_shipped").value)
 
 
 def _union(parts):

@@ -19,6 +19,7 @@ from repro.bh.morton import MAX_BITS_3D, morton_keys
 from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import Box, ParticleSet
 from repro.core.branch_nodes import branch_key
+from repro.core.forest import build_forest, refresh_forest
 from repro.core.partition import Cell, cover_cells
 from repro.core.simulation import _RankState
 from repro.core.tree_build import assign_to_cells, build_local_trees
@@ -251,7 +252,7 @@ def _refresh_vs_build(comm, cfg, root, bits, shard):
     the forest and, separately, build it from scratch."""
     state = _RankState(comm, cfg, root, bits, shard)
     cells = state.decompose(0)
-    forest = state._build_forest(cells)
+    forest = build_forest(state, cells)
     by_count = sorted(forest.subtrees, key=lambda s: -s.count)
     donor, taker, jiggled = by_count[0], by_count[1], by_count[2]
     pos = state.particles.positions
@@ -260,17 +261,17 @@ def _refresh_vs_build(comm, cfg, root, bits, shard):
     jiggle = jiggled.local_idx[:2]              # stays in its cell
     pos[jiggle] += 1e-9
     starters = np.sort(np.concatenate([hop, jiggle]))
-    state._keys = None
+    state.keys = None
 
     def snapshot(f):
         return [(s.key, s.local_idx.copy(), s.particles, s.tree)
                 for s in f.subtrees]
 
-    refreshed = snapshot(state._refresh_forest(forest, cells, starters))
+    refreshed = snapshot(refresh_forest(state, forest, cells, starters))
     counters = {name: comm.metrics.counter(name).value
                 for name in ("repair.full_rebuilds", "repair.repairs",
                              "repair.nodes_reused")}
-    rebuilt = snapshot(state._build_forest(cells))
+    rebuilt = snapshot(build_forest(state, cells))
     return refreshed, rebuilt, counters, len(by_count)
 
 

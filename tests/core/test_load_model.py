@@ -12,11 +12,7 @@ from repro.bh.traversal import traverse
 from repro.bh.tree import build_tree
 from repro.core.config import SchemeConfig
 from repro.core.costzones import particle_loads_from_tree
-from repro.core.load_model import (
-    cluster_loads,
-    particle_loads,
-    reset_interaction_counters,
-)
+from repro.core.load_model import cluster_loads, particle_loads
 from repro.core.partition import Cell
 from repro.core.tree_build import build_local_trees
 
@@ -40,11 +36,6 @@ class TestClusterLoads:
         loads = cluster_loads(subs)
         assert set(loads) == {st.cell.path_key for st in subs}
         assert all(v > 0 for v in loads.values())
-
-    def test_reset(self):
-        _, subs = traversed_subtrees()
-        reset_interaction_counters(subs)
-        assert all(st.tree.interactions.sum() == 0 for st in subs)
 
     def test_denser_cluster_has_higher_load(self):
         rng = np.random.default_rng(1)

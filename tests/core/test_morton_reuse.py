@@ -15,8 +15,9 @@ from repro.bh.distributions import plummer
 from repro.bh.morton import morton_keys
 from repro.bh.particles import Box
 from repro.core.config import SchemeConfig
+from repro.core.exchange import Shard
 from repro.core.partition import Cell
-from repro.core.simulation import _RankState, _Shard
+from repro.core.simulation import _RankState
 from repro.core.tree_build import build_local_trees
 from repro.machine.comm import estimate_nbytes
 from repro.machine.engine import Engine
@@ -72,7 +73,7 @@ class TestShard:
         """Carried keys are recomputable from the positions, so the
         virtual machine must not bill them as extra wire traffic."""
         ps = plummer(100, seed=0)
-        shard = _Shard(ps, np.arange(100, dtype=np.int64))
+        shard = Shard(ps, np.arange(100, dtype=np.int64))
         assert estimate_nbytes(shard) == estimate_nbytes(ps)
 
 
@@ -93,10 +94,10 @@ class TestCarriedKeys:
 
         def main(comm, shard):
             state = _RankState(comm, cfg, root, bits, shard)
-            state.decompose(0)           # balancing _do_exchange inside
+            state.decompose(0)           # balancing exchange inside
             fresh = morton_keys(state.particles.positions, root.lo,
                                 root.side, bits)
-            return (state._keys, fresh, state.particles.ids,
+            return (state.keys, fresh, state.particles.ids,
                     comm.metrics.counter("sim.particles_shipped").value)
 
         out = Engine(p, ZERO_COST, recv_timeout=30.0).run(

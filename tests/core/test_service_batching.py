@@ -19,6 +19,7 @@ from repro.bh.interaction_lists import build_interaction_lists
 from repro.bh.particles import Box, ParticleSet
 from repro.core.bins import TAG_REQUEST, TAG_RESULT, RequestBin
 from repro.core.config import SchemeConfig
+from repro.core.forest import build_forest
 from repro.core.function_shipping import FunctionShippingEngine
 from repro.core.simulation import ParallelBarnesHut, _RankState
 from repro.machine.comm import Comm
@@ -55,23 +56,20 @@ def _rank_main(comm, cfg, root, bits, steps, dt, shard):
     """``steps`` real steps, then the next step's decomposition; returns
     what the host cannot read off the :class:`RunReport`."""
     state = _RankState(comm, cfg, root, bits, shard)
-    forests, loads = [], []
-    merged, record = state._merged_forest, state._record_loads
+    loads = []
+    forces = state.forces
 
-    def spy_forest(*args, **kw):
-        forests.append(merged(*args, **kw))
-        return forests[-1]
-
-    def spy_loads(subtrees, requester_flops):
+    def spy_forces(cells, dt):
+        force, forest, requester_flops = forces(cells, dt)
         loads.append({
             "interactions": {st.key: st.tree.interactions.copy()
-                             for st in subtrees},
+                             for st in forest.subtrees},
             "requester_flops": requester_flops.copy(),
-            "index_probes": forests[-1].fs.top.branch_index.probes,
+            "index_probes": forest.fs.top.branch_index.probes,
         })
-        record(subtrees, requester_flops)
+        return force, forest, requester_flops
 
-    state._merged_forest, state._record_loads = spy_forest, spy_loads
+    state.forces = spy_forces
     results = [state.step(i, dt) for i in range(steps)]
     ids, values = state.particles.ids.copy(), state._last_values
     cells = state.decompose(steps)
@@ -232,7 +230,7 @@ def _walk_census(comm, cfg, root, bits, shard):
     """Two ``fs.run()`` over one forest, and — from a top-tree walk of
     the test's own — how many walks each should have needed."""
     state = _RankState(comm, cfg, root, bits, shard)
-    fs = state._build_forest(state.decompose(0)).fs
+    fs = build_forest(state, state.decompose(0)).fs
     first, second = fs.run(), fs.run()
     tree = fs.top.tree
     reached = build_interaction_lists(
@@ -267,7 +265,7 @@ def _rogue_request(comm, cfg, root, bits, pick_key, shard):
     """Rank 0 slips rank 1 a hand-built request bin ahead of the real
     traffic of an otherwise ordinary force phase."""
     state = _RankState(comm, cfg, root, bits, shard)
-    fs = state._build_forest(state.decompose(0)).fs
+    fs = build_forest(state, state.decompose(0)).fs
     if comm.rank == 0:
         rogue = RequestBin(
             slots=np.zeros(1, dtype=np.int64),

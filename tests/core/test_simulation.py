@@ -234,6 +234,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParallelBarnesHut(PS, SchemeConfig(), p=0)
 
+    def test_p_off_the_topology_claims_no_checkpoint_dir(self, tmp_path):
+        """A hypercube has no 3-node shape: construction says so, before
+        anything claims the checkpoint directory for 3 ranks (a rerun
+        at p = 4 used to be refused with "holds a 3-rank run")."""
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match="p = 3 .*hypercube"):
+            ParallelBarnesHut(PS, SchemeConfig(), p=3, profile=NCUBE2,
+                              checkpoint_every=1, checkpoint_dir=str(ckpt))
+        assert not ckpt.exists()
+
     def test_spsa_needs_enough_clusters(self):
         with pytest.raises(ValueError, match="r >= p"):
             ParallelBarnesHut(PS, SchemeConfig(scheme="spsa", grid_level=1),

@@ -232,10 +232,11 @@ def test_phase_name_table_round_trips():
 def test_every_simulation_phase_has_a_board_id():
     """A phase missing from the table is reported as "other" by live
     telemetry and worker-lost diagnostics ("tree repair" once was)."""
-    import repro.core.simulation as simulation
-    from repro.core.function_shipping import PHASE_FORCE
-    names = [value for key, value in vars(simulation).items()
-             if key.startswith("PHASE_")] + [PHASE_FORCE]
+    from repro.core import exchange, forest, function_shipping, stepping
+    names = [value for module in (exchange, forest, function_shipping,
+                                  stepping)
+             for key, value in vars(module).items()
+             if key.startswith("PHASE_")]
     assert "tree repair" in names
     for name in names:
         assert phase_id(name) != 0, name

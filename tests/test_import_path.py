@@ -226,3 +226,58 @@ def test_one_scheduler_owns_every_wait():
             assert not hasattr(owner, name), (owner, name)
     box = mailbox.Mailbox(0)
     assert not hasattr(box, "_cond") and not hasattr(box, "_baton")
+
+
+def test_test_only_helpers_live_in_the_tests():
+    """Helpers only tests called are local to those tests, and SPDA's
+    partition is the costzones midpoint rule, not a copy of it."""
+    import repro.core
+    import repro.machine
+    from repro.core import load_model, morton_assign
+    from repro.machine import topology
+
+    gone = {
+        load_model: ("reset_interaction_counters",),
+        morton_assign: ("morton_partition", "partition_imbalance"),
+        repro.core: ("morton_partition",),
+        topology: ("gray_code_rank",),
+        repro.machine: ("gray_code_rank",),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+
+
+def test_each_step_stage_has_one_home():
+    """The exchange, the forest and the advance live in their own
+    modules — not copied or re-exported by the driver — and none of
+    them reaches back into the driver or the process runtime."""
+    import ast
+    import inspect
+
+    from repro.core import exchange, forest, simulation, stepping
+
+    gone = {
+        simulation: ("_Shard", "_exchange", "_Forest"),
+        simulation._RankState: (
+            "_do_exchange", "_owners_from_keys", "_build_forest",
+            "_refresh_forest", "_merged_forest", "_merge_top",
+            "_block_schedule", "_record_loads", "_merge_force"),
+        simulation.ParallelBarnesHut: ("_recovery_args", "_initial_args"),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    assert exchange.Shard.__slots__ == ("particles", "keys", "state")
+    for module in (exchange, forest, stepping):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}"
+                                for alias in node.names)
+        assert not [name for name in imported
+                    if name == "repro.core.simulation"
+                    or name.split(".")[:2] == ["repro", "runtime"]], module
