@@ -1,6 +1,6 @@
 """Virtual-vs-wall skew analysis of a dual-clock trace.
 
-A dual-clock trace (process backend, ``wall_trace``) records every
+A dual-clock trace (``wall_trace``, either backend) records every
 phase twice: once on the virtual clock (what the cost model charged)
 and once on the wall clock (what the hardware measured).  The *skew* of
 a phase is the disagreement between the two — the places the model says
@@ -58,18 +58,46 @@ def _sum_by_phase(spans: list[PhaseSpan], cat: str) -> dict[str, float]:
     return out
 
 
+def _wall_covered(virtual: list[PhaseSpan],
+                  wall: list[PhaseSpan]) -> list[PhaseSpan]:
+    """One rank's virtual spans inside the steps its wall track covers.
+
+    A recovered run's wall track holds only the attempt that finished —
+    the steps re-executed after the rollback — while its virtual track
+    holds every step.  A step's spans end before its ``cat="step"``
+    marker does, so each marker claims the spans recorded since the
+    previous one.  A track without step markers counts whole.
+    """
+    if not any(s.cat == "step" for s in virtual):
+        return virtual
+    covered = {s.name for s in wall if s.cat == "wall:step"}
+    out: list[PhaseSpan] = []
+    pending: list[PhaseSpan] = []
+    for s in virtual:
+        if s.cat != "step":
+            pending.append(s)
+            continue
+        if s.name in covered:
+            out.extend(pending)
+        pending = []
+    return out
+
+
 def phase_skew(trace: Trace) -> list[PhaseSkew]:
     """Per-phase virtual-vs-wall skew, sorted by |skew| descending.
 
-    Raises ``ValueError`` on a trace without wall tracks — skew needs
-    both clocks.
+    Both clocks cover the same window: the virtual side counts only the
+    steps the wall tracks recorded.  Raises ``ValueError`` on a trace
+    without wall tracks — skew needs both clocks.
     """
     if not trace.has_wall:
         raise ValueError(
             "trace has no wall tracks; run with wall tracing enabled "
             "(process backend, wall_trace=True)"
         )
-    virt = _sum_by_phase(trace.all_phases(), "phase")
+    virt = _sum_by_phase(
+        [s for v, w in zip(trace.phases, trace.wall_phases)
+         for s in _wall_covered(v, w)], "phase")
     wall = _sum_by_phase(trace.all_wall_phases(), _WALL_PHASE_CAT)
     v_total = sum(virt.values())
     w_total = sum(wall.values())

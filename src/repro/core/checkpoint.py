@@ -203,10 +203,10 @@ class RankCheckpoint:
     coll_seq: int = 0
     seq: int = 0
     #: Trace events recorded up to the boundary — a ``(phases, sends,
-    #: recvs)`` tuple of this rank's virtual-tracer lists, or ``None``
+    #: recvs)`` tuple of this rank's virtual-trace lists, or ``None``
     #: when the run was untraced.  Restored so a recovered traced run's
     #: virtual tracks are identical to an uninterrupted run's (without
-    #: it, a respawned worker's fresh tracer would only cover the
+    #: it, a respawned worker's fresh trace would only cover the
     #: post-rollback steps).
     trace_events: Any = None
     #: Block-timestep bin state (``timestep="block"``): per-particle

@@ -59,7 +59,7 @@ from repro.machine.engine import Engine, RunReport
 from repro.machine.faults import FaultPlan
 from repro.machine.metrics import MetricsRegistry
 from repro.machine.profiles import NCUBE2
-from repro.machine.trace import Trace, Tracer
+from repro.machine.trace import Trace
 
 
 @dataclass
@@ -334,11 +334,11 @@ def _rank_main(comm: Comm, config: SchemeConfig, root: Box, bits: int,
                shard: ParticleSet | None,
                resume_from: RankCheckpoint | None = None):
     from repro.runtime.supervision import notify_checkpoint, notify_step
-    wall = comm.wall_tracer
+    trace = comm.trace
 
     def save_checkpoint(next_step: int) -> None:
-        with (wall.timed("checkpoint:save", cat="wall:checkpoint")
-              if wall is not None else nullcontext()):
+        with (trace.timed("checkpoint:save", cat="wall:checkpoint")
+              if trace is not None else nullcontext()):
             store.save(state.snapshot(next_step, results))
         notify_checkpoint(next_step)
 
@@ -348,13 +348,13 @@ def _rank_main(comm: Comm, config: SchemeConfig, root: Box, bits: int,
         state.restore(resume_from)
         results = list(resume_from.results)
         start = resume_from.step
-        if wall is not None:
+        if trace is not None:
             # Zero-width wall marker: where this attempt rejoined the
             # trajectory.  On the wall track, not the virtual one — a
             # recovered run's virtual tracks are identical to an
             # uninterrupted run's, so the restore has no virtual-time
             # footprint to mark.
-            wall.mark("recovery:restore", cat="wall:recovery")
+            trace.mark("recovery:restore", cat="wall:recovery")
     else:
         state = _RankState(comm, config, root, bits, shard)
         results = []
@@ -369,7 +369,7 @@ def _rank_main(comm: Comm, config: SchemeConfig, root: Box, bits: int,
         # process backend; no-op everywhere else.
         notify_step(i)
         t0 = comm.now
-        w0 = wall.now() if wall is not None else 0.0
+        w0 = trace.now() if trace is not None else 0.0
         sr = state.step(i, dt)
         sr.virtual_seconds = comm.now - t0
         results.append(sr)
@@ -377,12 +377,8 @@ def _rank_main(comm: Comm, config: SchemeConfig, root: Box, bits: int,
             sr.virtual_seconds)
         if sr.moved_in > 0:
             comm.metrics.counter("sim.particles_moved_in").inc(sr.moved_in)
-        if comm.tracer is not None:
-            comm.tracer.phase_span(comm.rank, f"step {i}", t0, comm.now,
-                                   depth=0, cat="step")
-        if wall is not None:
-            wall.record(f"step {i}", w0, wall.now(), depth=0,
-                        cat="wall:step")
+        if trace is not None:
+            trace.span(f"step {i}", t0, comm.now, w0, depth=0, cat="step")
         if (store is not None and checkpoint_every
                 and (i + 1) % checkpoint_every == 0):
             save_checkpoint(i + 1)
@@ -450,10 +446,6 @@ class ParallelBarnesHut:
         counters are bitwise identical across backends, the process
         backend just finishes in less wall-clock time on a multi-core
         host.
-    engine_options:
-        Extra keyword arguments forwarded to the
-        :class:`~repro.runtime.ProcessEngine` constructor (e.g.
-        ``heartbeat_timeout``); process backend only.
     events_out:
         Append run events (run_start / step / checkpoint / worker_lost /
         recovery / run_end) as JSON lines to this path; schema in
@@ -482,7 +474,6 @@ class ParallelBarnesHut:
                  restart_backoff: float = 0.25,
                  resume: bool = False,
                  backend: str = "virtual",
-                 engine_options: dict | None = None,
                  events_out: str | None = None,
                  live: bool = False):
         if particles.n == 0:
@@ -538,9 +529,6 @@ class ParallelBarnesHut:
                 "directory to resume from)"
             )
         self.resume = resume
-        if engine_options and backend != "process":
-            raise ValueError("engine_options apply to backend='process'")
-        self.engine_options = dict(engine_options or {})
         if (events_out or live) and backend != "process":
             raise ValueError(
                 "live telemetry (events_out / live) samples the shared "
@@ -622,7 +610,7 @@ class ParallelBarnesHut:
                 )
         rank_args = self._rank_args(checkpoints)
 
-        engine_kw = dict(self.engine_options)
+        engine_kw = {}
         telemetry = None
         if self.backend == "process":
             from repro.runtime import ProcessEngine as engine_cls
@@ -633,7 +621,6 @@ class ParallelBarnesHut:
                     scheme=self.config.scheme, p=self.p,
                     n=self.particles.n, backend=self.backend)
                 engine_kw["on_telemetry"] = telemetry.on_rows
-                engine_kw.setdefault("telemetry_interval", 0.5)
         else:
             engine_cls = Engine
         report = None
@@ -643,13 +630,12 @@ class ParallelBarnesHut:
                                     recv_timeout=self.recv_timeout,
                                     fault_plan=rollback.plan, **engine_kw)
                 try:
-                    # A fresh tracer per attempt: after a crash rollback
+                    # Each attempt traces afresh: after a crash rollback
                     # the re-execution's trace replaces the aborted one.
                     report = engine.run(
                         _rank_main, self.config, self.root, self.bits,
                         steps, dt, self.checkpoint_every, store,
-                        rank_args=rank_args,
-                        tracer=Tracer(self.p) if trace else None,
+                        rank_args=rank_args, trace=trace,
                         wall_trace=wall_trace,
                     )
                 except engine_cls.recoverable as failure:

@@ -45,10 +45,10 @@ from repro.machine.metrics import (
 )
 from repro.machine.trace import (
     PhaseSpan,
+    RankTrace,
     RecvEvent,
     SendEvent,
     Trace,
-    Tracer,
 )
 
 __all__ = [
@@ -81,8 +81,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PhaseSpan",
+    "RankTrace",
     "RecvEvent",
     "SendEvent",
     "Trace",
-    "Tracer",
 ]

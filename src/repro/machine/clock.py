@@ -4,7 +4,11 @@ Every rank owns one :class:`VirtualClock`.  The clock only moves when the
 algorithm charges it (compute flops, message start-ups, waits until a
 message's virtual arrival).  Phase accounting attributes elapsed virtual
 time to named phases ("tree build", "force", ...) so the engine can emit
-the per-phase breakdown of the paper's Table 3.
+the per-phase breakdown of the paper's Table 3.  A traced rank's clock
+also hands every phase block to the rank's
+:class:`~repro.machine.trace.RankTrace` — one call per block, which
+records it on the virtual clock and, when wall tracing is on, on the
+wall clock.
 """
 
 from __future__ import annotations
@@ -52,16 +56,13 @@ class VirtualClock:
         self._phase_stack: list[str] = []
         self._deadline: float | None = None
         self._deadline_exc: "Callable[[], BaseException] | None" = None
-        #: Optional span tracer (set by Comm); never charges the clock.
-        self._tracer = None
-        #: Optional wall recorder (set by Comm): mirrors every phase
-        #: block as a measured wall-clock span.  Never charges the clock.
-        self._wall_tracer = None
+        #: Optional :class:`~repro.machine.trace.RankTrace` (set by
+        #: Comm): records every phase block.  Never charges the clock.
+        self._trace = None
         #: Optional ``listener(name_or_None)`` called on phase entry and
         #: exit (``None`` = back to the enclosing phase); used by the
         #: telemetry board.  Never charges the clock.
         self._phase_listener = None
-        self._rank = 0
 
     def set_deadline(self, t: float, exc_factory) -> None:
         """Arm a one-shot deadline: the first charge that moves the clock
@@ -105,17 +106,17 @@ class VirtualClock:
     def phase(self, name: str):
         """Attribute clock movement inside the block to phase ``name``.
 
-        With a tracer attached, the block is also recorded as a
+        With a trace attached, the block is also recorded as a
         :class:`~repro.machine.trace.PhaseSpan` from the virtual time at
-        entry to the virtual time at exit (exceptional exits included,
-        so a crashed rank's last phase still shows in the trace).
+        entry to the virtual time at exit, and on the wall clock when
+        the trace has an epoch (exceptional exits included, so a crashed
+        rank's last phase still shows in the trace).
         """
         self._phase_stack.append(name)
-        tracer = self._tracer
-        wall = self._wall_tracer
+        trace = self._trace
         listener = self._phase_listener
         t0 = self.now
-        w0 = wall.now() if wall is not None else 0.0
+        w0 = trace.now() if trace is not None else 0.0
         depth = len(self._phase_stack)
         if listener is not None:
             listener(name)
@@ -123,11 +124,8 @@ class VirtualClock:
             yield self
         finally:
             self._phase_stack.pop()
-            if tracer is not None:
-                tracer.phase_span(self._rank, name, t0, self.now,
-                                  depth=depth)
-            if wall is not None:
-                wall.record(name, w0, wall.now(), depth=depth)
+            if trace is not None:
+                trace.span(name, t0, self.now, w0, depth)
             if listener is not None:
                 listener(self.current_phase)
 

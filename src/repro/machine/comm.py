@@ -31,7 +31,7 @@ from repro.machine.mailbox import Message
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.transport import Endpoint
 from repro.machine.metrics import BYTE_BUCKETS, MetricsRegistry
-from repro.machine.trace import RecvEvent, SendEvent, Tracer, WallRecorder
+from repro.machine.trace import RankTrace, RecvEvent, SendEvent
 from repro.machine import collectives as _coll
 
 
@@ -163,8 +163,7 @@ class Comm:
     def __init__(self, rank: int, size: int, cost: CostModel,
                  endpoint: "Endpoint",
                  injector: FaultInjector | None = None,
-                 tracer: Tracer | None = None,
-                 wall_tracer: "WallRecorder | None" = None):
+                 trace: RankTrace | None = None):
         if not 0 <= rank < size:
             raise ValueError(f"rank {rank} out of range for size {size}")
         self.rank = rank
@@ -172,13 +171,10 @@ class Comm:
         self.cost = cost
         self.clock = VirtualClock()
         self.stats = CommStats()
-        self.tracer = tracer
-        self.clock._tracer = tracer
-        self.clock._rank = rank
-        #: Optional wall-clock recorder: mirrors phase blocks as measured
-        #: wall spans.  Pure observation — never charges the clock.
-        self.wall_tracer = wall_tracer
-        self.clock._wall_tracer = wall_tracer
+        #: This rank's event recorder (``None``: untraced).  Pure
+        #: observation — never charges the clock.
+        self.trace = trace
+        self.clock._trace = trace
         #: Per-rank metrics registry (merged machine-wide by the engine).
         self.metrics = MetricsRegistry()
         self._m_msg_bytes = self.metrics.histogram(
@@ -208,7 +204,7 @@ class Comm:
         a boundary is self-contained.  The fold adds and max-merges
         because a restored rank's accounting already holds what the
         previous endpoint counted up to the boundary.  The clock's phase
-        dict and the tracer's event lists are shared, not copied: a
+        dict and the trace's event lists are shared, not copied: a
         checkpoint is pickled before the rank moves on.
         """
         stats = copy.deepcopy(self.stats)
@@ -216,7 +212,7 @@ class Comm:
         stats.duplicates_suppressed += self.endpoint.duplicates_suppressed
         g = metrics.gauge("mailbox.max_pending")
         g.set(max(g.value, self.endpoint.max_pending))
-        tracer, r = self.tracer, self.rank
+        trace = self.trace
         return {
             "clock_now": self.clock.now,
             "phase_seconds": self.clock.timings.seconds,
@@ -224,9 +220,8 @@ class Comm:
             "metrics": metrics,
             "coll_seq": self._coll_seq,
             "seq": self._seq,
-            "trace_events": (None if tracer is None else
-                             (tracer.phases[r], tracer.sends[r],
-                              tracer.recvs[r])),
+            "trace_events": (None if trace is None else
+                             (trace.phases, trace.sends, trace.recvs)),
         }
 
     def restore_machine_state(self, ckpt) -> None:
@@ -249,10 +244,9 @@ class Comm:
             self._m_wait = self.metrics.histogram("comm.recv_wait_seconds")
         self._coll_seq = ckpt.coll_seq
         self._seq = ckpt.seq
-        tracer, r = self.tracer, self.rank
-        if ckpt.trace_events is not None and tracer is not None:
-            (tracer.phases[r], tracer.sends[r],
-             tracer.recvs[r]) = ckpt.trace_events
+        trace = self.trace
+        if ckpt.trace_events is not None and trace is not None:
+            trace.phases, trace.sends, trace.recvs = ckpt.trace_events
 
     # ----------------------------------------------------------------- time
     def compute(self, flops: float, phase: str | None = None) -> None:
@@ -333,9 +327,9 @@ class Comm:
         msg = Message(arrival=arrival, src=self.rank, seq=seq, tag=tag,
                       payload=payload, nbytes=nbytes)
         self.endpoint.deliver(dst, msg)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.send_event(SendEvent(
+        trace = self.trace
+        if trace is not None:
+            trace.sends.append(SendEvent(
                 seq=seq, src=self.rank, dst=dst, tag=tag, nbytes=nbytes,
                 t_begin=t_begin, t_end=self.clock.now, arrival=arrival,
                 drops=retries, retries=retries,
@@ -347,8 +341,8 @@ class Comm:
             # suppresses it.
             self.stats.duplicates_injected += 1
             self.endpoint.deliver(dst, msg)
-            if tracer is not None:
-                tracer.send_event(SendEvent(
+            if trace is not None:
+                trace.sends.append(SendEvent(
                     seq=seq, src=self.rank, dst=dst, tag=tag,
                     nbytes=nbytes, t_begin=t_begin, t_end=self.clock.now,
                     arrival=arrival, duplicate=True,
@@ -414,8 +408,8 @@ class Comm:
             self.clock.advance(msg.nbytes * self.cost.profile.t_w)
         self.stats.record_recv(msg.tag, msg.nbytes)
         self._m_wait.observe(max(0.0, msg.arrival - t_begin))
-        if self.tracer is not None:
-            self.tracer.recv_event(RecvEvent(
+        if self.trace is not None:
+            self.trace.recvs.append(RecvEvent(
                 seq=msg.seq, rank=self.rank, src=msg.src, tag=msg.tag,
                 nbytes=msg.nbytes, t_begin=t_begin, arrival=msg.arrival,
                 t_end=self.clock.now, waited=msg.arrival > t_begin,

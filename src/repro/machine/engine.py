@@ -11,6 +11,10 @@ A rank lives the same life on either engine — this thread engine or
 :class:`Comm` is born in :func:`rank_comm`, its end-of-run row is
 :func:`rank_result` over :meth:`Comm.machine_state`, and the engine's
 constructor and ``run()`` argument checks are :class:`SPMDEngine`'s.
+A traced rank records into its own
+:class:`~repro.machine.trace.RankTrace`; when the run ends, the engine
+assembles the ranks' recorders into the report's
+:class:`~repro.machine.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.machine.faults import FaultInjector, FaultPlan, RankCrashedError
 from repro.machine.mailbox import MailboxClosedError
 from repro.machine.metrics import MetricsRegistry
 from repro.machine.profiles import ZERO_COST
-from repro.machine.trace import Trace, Tracer, WallRecorder
+from repro.machine.trace import RankTrace, Trace
 from repro.machine.transport import Endpoint, LocalTransport
 
 
@@ -56,7 +60,7 @@ class RunReport:
     """Aggregate of one SPMD run."""
 
     ranks: list[RankResult]
-    #: Structured event record when the engine ran with a tracer.
+    #: Structured event record when the engine ran traced.
     trace: Trace | None = None
 
     @property
@@ -187,7 +191,7 @@ def raise_primary_error(errors: Sequence[tuple[int, BaseException]],
 
 
 def rank_comm(rank: int, size: int, cost: CostModel, endpoint: Endpoint,
-              fault_plan: FaultPlan | None, tracer: Tracer | None,
+              fault_plan: FaultPlan | None, trace: bool,
               wall_epoch: float | None) -> Comm:
     """Build rank ``rank``'s :class:`Comm`: the one bootstrap of a rank.
 
@@ -195,15 +199,14 @@ def rank_comm(rank: int, size: int, cost: CostModel, endpoint: Endpoint,
     (channel counters are keyed by sender, so a per-rank injector decides
     exactly what a machine-wide one would) and, when the plan crashes
     it, the clock deadline that raises :class:`RankCrashedError`.
-    ``tracer`` records its virtual events; a ``wall_epoch`` (``None`` =
-    off) starts a :class:`WallRecorder` on that shared epoch.
+    With ``trace`` the rank records into a :class:`RankTrace`, which
+    also measures wall spans on the shared ``wall_epoch`` (``None`` =
+    off).
     """
     injector = (FaultInjector(fault_plan, size)
                 if fault_plan is not None else None)
     comm = Comm(rank, size, cost, endpoint, injector=injector,
-                tracer=tracer,
-                wall_tracer=(WallRecorder(rank, wall_epoch)
-                             if wall_epoch is not None else None))
+                trace=RankTrace(rank, wall_epoch) if trace else None)
     t = injector.crash_time(rank) if injector is not None else None
     if t is not None:
         comm.clock.set_deadline(t, lambda: RankCrashedError(rank, t))
@@ -264,28 +267,20 @@ class SPMDEngine:
         self.fault_plan = fault_plan
 
     def _start(self, rank_args: Sequence[Sequence[Any]] | None,
-               tracer: Tracer | bool | None, wall_trace: bool
-               ) -> tuple[list[tuple], Tracer | None, float | None]:
+               trace: bool, wall_trace: bool
+               ) -> tuple[list[tuple], float | None]:
         """``run()``'s argument checks.  Returns every rank's extra
-        arguments, the tracer (``True`` makes one sized to the engine)
-        and the wall-clock epoch (``None`` without ``wall_trace``)."""
+        arguments and the wall-clock epoch (``None`` without
+        ``wall_trace``)."""
         if rank_args is not None and len(rank_args) != self.size:
             raise ValueError(
                 f"rank_args must have {self.size} entries, got {len(rank_args)}"
             )
-        if tracer is True:
-            tracer = Tracer(self.size)
-        elif tracer is False:
-            tracer = None
-        if tracer is not None and tracer.size != self.size:
-            raise ValueError(
-                f"tracer sized for {tracer.size} ranks, engine has {self.size}"
-            )
-        if wall_trace and tracer is None:
+        if wall_trace and not trace:
             raise ValueError("wall_trace requires tracing to be enabled")
         extras = ([tuple(a) for a in rank_args] if rank_args is not None
                   else [()] * self.size)
-        return extras, tracer, (_time.monotonic() if wall_trace else None)
+        return extras, (_time.monotonic() if wall_trace else None)
 
 
 class Engine(SPMDEngine):
@@ -308,25 +303,24 @@ class Engine(SPMDEngine):
 
     def run(self, main: Callable[..., Any], *args: Any,
             rank_args: Sequence[Sequence[Any]] | None = None,
-            tracer: Tracer | bool | None = None,
+            trace: bool = False,
             wall_trace: bool = False) -> RunReport:
         """Execute ``main(comm, *args)`` on every rank.
 
         ``rank_args`` optionally provides per-rank extra positional
-        arguments appended after the shared ``args``.  ``tracer`` attaches
-        a span tracer (``True`` creates one sized to the engine); the
+        arguments appended after the shared ``args``.  ``trace=True``
+        gives every rank a :class:`~repro.machine.trace.RankTrace`; the
         finished :class:`~repro.machine.trace.Trace` lands on the report.
         Tracing never charges any virtual clock, so traced and untraced
         runs have bitwise-identical virtual times.  ``wall_trace=True``
         additionally records each rank thread's measured wall-clock
         phase spans (a shared epoch, one wall track per rank on the
-        trace); requires a tracer.
+        trace); requires ``trace``.
         """
-        extras, tracer, wall_epoch = self._start(rank_args, tracer,
-                                                 wall_trace)
+        extras, wall_epoch = self._start(rank_args, trace, wall_trace)
         transport = LocalTransport(self.size, self.recv_timeout)
         comms = [rank_comm(r, self.size, self.cost, transport.endpoint(r),
-                           self.fault_plan, tracer, wall_epoch)
+                           self.fault_plan, trace, wall_epoch)
                  for r in range(self.size)]
         states = [_RankState() for _ in range(self.size)]
 
@@ -351,28 +345,20 @@ class Engine(SPMDEngine):
         for t in threads:
             t.join()
 
-        machine = [c.machine_state() for c in comms]
-
-        def build_report(trace_done: bool) -> RunReport:
-            trace = None
-            if tracer is not None and trace_done:
-                tracer.final_times = [c.clock.now for c in comms]
-                if wall_epoch is not None:
-                    for c in comms:
-                        tracer.adopt_wall_spans(c.rank, c.wall_tracer.spans)
-                trace = tracer.finish()
-            return RunReport(ranks=[
-                rank_result(r, states[r].value, machine[r],
-                            None if states[r].error is None else
-                            f"{type(states[r].error).__name__}: "
-                            f"{states[r].error}")
-                for r in range(self.size)
-            ], trace=trace)
-
+        ranks = [
+            rank_result(r, states[r].value, comms[r].machine_state(),
+                        None if states[r].error is None else
+                        f"{type(states[r].error).__name__}: "
+                        f"{states[r].error}")
+            for r in range(self.size)
+        ]
         errors = [(r, s.error) for r, s in enumerate(states) if s.error]
         if errors:
             # Even a failed run yields a well-formed report — every rank
             # appears, including ranks that died before their first clock
             # tick — attached to the raised error for diagnostics.
-            raise_primary_error(errors, partial_report=build_report(False))
-        return build_report(True)
+            raise_primary_error(errors, partial_report=RunReport(ranks))
+        if not trace:
+            return RunReport(ranks)
+        return RunReport(ranks, trace=Trace.from_ranks(
+            [c.trace for c in comms], [c.clock.now for c in comms]))

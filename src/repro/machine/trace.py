@@ -1,11 +1,11 @@
-"""Span tracing for the virtual machine, on the virtual timebase.
+"""Span tracing for the virtual machine: one recorder per rank.
 
-A :class:`Tracer` attached to an :class:`~repro.machine.engine.Engine`
-turns every phase interval and every message into a structured event:
+Each traced rank owns a :class:`RankTrace`, which turns every phase
+interval and every message of that rank into a structured event:
 
-* :class:`PhaseSpan` — one ``clock.phase(...)`` block on one rank, from
-  the virtual time at entry to the virtual time at exit (nested blocks
-  produce nested spans; ``cat="step"`` spans mark whole time-steps).
+* :class:`PhaseSpan` — one ``clock.phase(...)`` block, from the virtual
+  time at entry to the virtual time at exit (nested blocks produce
+  nested spans; ``cat="step"`` spans mark whole time-steps).
 * :class:`SendEvent` — one ``Comm.send``: channel-charge begin/end on
   the sender's clock, the message's virtual arrival at the destination,
   and its fault disposition (drops eaten by the network, retransmission
@@ -15,6 +15,12 @@ turns every phase interval and every message into a structured event:
   charge, and whether the receive actually *waited* (i.e. the arrival
   bound the receiver's clock rather than the other way round).
 
+With a wall epoch the same recorder also measures each block on the
+wall clock (``wall:`` categories), plus wall-only spans for transport
+operations, checkpoint writes and recovery markers.  When the run ends,
+the engine assembles the ranks' recorders into one :class:`Trace`
+(:meth:`Trace.from_ranks`), the artifact the analyses read.
+
 A message is identified by ``(src, seq)``: each rank numbers its own
 sends, and the send and receive events of one message carry its
 ``seq``, so the event graph can be stitched across ranks — that is what
@@ -22,14 +28,11 @@ sends, and the send and receive events of one message carry its
 of each rank's program alone, so identical runs, either backend and a
 recovered run number every message alike.
 
-Overhead neutrality: tracing never charges any virtual clock.  The
-default is no tracer at all (``tracer=None`` throughout the machine);
-every hook is behind an ``is not None`` check, so an untraced run
-executes the exact same sequence of clock charges as before the tracer
-existed and its virtual times are bitwise identical.
-
-Each rank's thread appends only to its own per-rank event lists, so the
-tracer needs no locking and adds no cross-thread synchronisation.
+Overhead neutrality: tracing never charges any virtual clock.  An
+untraced rank has no recorder at all; every hook is behind an
+``is not None`` check, so an untraced run executes the exact same
+sequence of clock charges as a traced one and its virtual times are
+bitwise identical.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Any
 
 @dataclass
 class PhaseSpan:
-    """One phase block on one rank's virtual timeline."""
+    """One block on one rank's virtual (or, ``wall:`` cats, wall) timeline."""
 
     rank: int
     name: str
@@ -90,50 +93,59 @@ class RecvEvent:
     waited: bool            # arrival > t_begin: the message bound the clock
 
 
-class WallRecorder:
-    """Collects wall-clock :class:`PhaseSpan` events for one rank.
+class RankTrace:
+    """One rank's recorder: its virtual spans and messages and, given a
+    wall ``epoch``, its measured wall spans.
 
-    The second half of the dual-clock trace: where the virtual tracer
-    records what the *cost model* says a phase took, a wall recorder
-    records what the *hardware* said.  Spans are measured on
-    ``time.monotonic()`` relative to a run epoch the host fixes before
-    spawning workers — ``CLOCK_MONOTONIC`` is system-wide on Linux, so
-    every rank process shares one timeline and the per-rank wall tracks
-    line up in the exported trace.
-
-    Wall recording never touches a virtual clock; an instrumented run's
-    virtual accounting is bitwise identical to an uninstrumented one.
+    ``phases``/``sends``/``recvs`` are the virtual events; they ride the
+    rank's checkpoints, so a restored rank continues its lists.  ``wall``
+    holds this attempt's wall spans, measured on ``time.monotonic()``
+    relative to an epoch the host fixes before starting the ranks —
+    ``CLOCK_MONOTONIC`` is system-wide on Linux, so thread and process
+    ranks share one timeline.  Without an epoch nothing wall-side is
+    recorded.  Only the rank's own thread appends, so no locking.
     """
 
-    __slots__ = ("rank", "epoch", "spans")
+    __slots__ = ("rank", "epoch", "phases", "sends", "recvs", "wall")
 
     def __init__(self, rank: int, epoch: float | None = None):
         self.rank = rank
-        self.epoch = time.monotonic() if epoch is None else epoch
-        self.spans: list[PhaseSpan] = []
+        self.epoch = epoch
+        self.phases: list[PhaseSpan] = []
+        self.sends: list[SendEvent] = []
+        self.recvs: list[RecvEvent] = []
+        self.wall: list[PhaseSpan] = []
 
     def now(self) -> float:
-        """Wall seconds since the run epoch."""
-        return time.monotonic() - self.epoch
+        """Wall seconds since the run epoch (0.0 without one)."""
+        return 0.0 if self.epoch is None else time.monotonic() - self.epoch
+
+    def span(self, name: str, t0: float, t1: float, w0: float,
+             depth: int = 1, cat: str = "phase") -> None:
+        """One block on both clocks: ``[t0, t1]`` virtual as ``cat``, and
+        ``[w0, now()]`` wall as ``"wall:" + cat``."""
+        self.phases.append(PhaseSpan(self.rank, name, t0, t1, depth, cat))
+        self.record(name, w0, self.now(), depth, "wall:" + cat)
 
     def record(self, name: str, t0: float, t1: float, depth: int = 1,
                cat: str = "wall:phase") -> None:
-        self.spans.append(PhaseSpan(rank=self.rank, name=name, t0=t0,
-                                    t1=t1, depth=depth, cat=cat))
+        """One wall-only span."""
+        if self.epoch is not None:
+            self.wall.append(PhaseSpan(self.rank, name, t0, t1, depth, cat))
 
-    def mark(self, name: str, cat: str = "wall:phase") -> None:
-        """Record a zero-duration marker span at the current wall time."""
+    def mark(self, name: str, cat: str) -> None:
+        """A zero-duration wall span at the current wall time."""
         t = self.now()
         self.record(name, t, t, cat=cat)
 
     @contextmanager
-    def timed(self, name: str, depth: int = 1, cat: str = "wall:phase"):
+    def timed(self, name: str, cat: str):
         """Record the block as one wall span (exceptional exits too)."""
         t0 = self.now()
         try:
             yield self
         finally:
-            self.record(name, t0, self.now(), depth=depth, cat=cat)
+            self.record(name, t0, self.now(), cat=cat)
 
 
 @dataclass
@@ -151,6 +163,16 @@ class Trace:
     recvs: list[list[RecvEvent]]
     final_times: list[float] = field(default_factory=list)
     wall_phases: list[list[PhaseSpan]] = field(default_factory=list)
+
+    @classmethod
+    def from_ranks(cls, traces: list[RankTrace],
+                   final_times: list[float]) -> "Trace":
+        """Assemble the run's trace from every rank's recorder."""
+        return cls(size=len(traces), phases=[t.phases for t in traces],
+                   sends=[t.sends for t in traces],
+                   recvs=[t.recvs for t in traces],
+                   final_times=list(final_times),
+                   wall_phases=[t.wall for t in traces])
 
     # ------------------------------------------------------------ queries
     def all_phases(self) -> list[PhaseSpan]:
@@ -278,46 +300,3 @@ class Trace:
     def write_chrome(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_chrome(), fh)
-
-
-class Tracer:
-    """Collects events during a run; :meth:`finish` yields the Trace.
-
-    One instance serves all ranks of one engine run.  Per-rank lists are
-    only ever appended to by that rank's own thread (a send is recorded
-    by the *sender*), so no locking is needed.
-    """
-
-    def __init__(self, size: int):
-        if size <= 0:
-            raise ValueError(f"tracer size must be positive, got {size}")
-        self.size = size
-        self.phases: list[list[PhaseSpan]] = [[] for _ in range(size)]
-        self.sends: list[list[SendEvent]] = [[] for _ in range(size)]
-        self.recvs: list[list[RecvEvent]] = [[] for _ in range(size)]
-        self.wall_phases: list[list[PhaseSpan]] = [[] for _ in range(size)]
-        self.final_times: list[float] = [0.0] * size
-
-    # Hooks — called from the machine layer, never charging any clock.
-    def phase_span(self, rank: int, name: str, t0: float, t1: float,
-                   depth: int = 1, cat: str = "phase") -> None:
-        self.phases[rank].append(
-            PhaseSpan(rank=rank, name=name, t0=t0, t1=t1,
-                      depth=depth, cat=cat)
-        )
-
-    def send_event(self, ev: SendEvent) -> None:
-        self.sends[ev.src].append(ev)
-
-    def recv_event(self, ev: RecvEvent) -> None:
-        self.recvs[ev.rank].append(ev)
-
-    def adopt_wall_spans(self, rank: int,
-                         spans: list[PhaseSpan]) -> None:
-        """Install one rank's wall spans (shipped home by a worker)."""
-        self.wall_phases[rank] = list(spans)
-
-    def finish(self) -> Trace:
-        return Trace(size=self.size, phases=self.phases, sends=self.sends,
-                     recvs=self.recvs, final_times=list(self.final_times),
-                     wall_phases=self.wall_phases)

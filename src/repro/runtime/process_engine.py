@@ -14,7 +14,12 @@ the :class:`~repro.machine.comm.Comm` bootstrap
 (:func:`~repro.machine.engine.rank_result`), which the host builds from
 the :meth:`~repro.machine.comm.Comm.machine_state` a worker ships home.
 Each rank numbers its own messages, so a worker's ``seq`` stream is the
-thread rank's, and traces stitch the same way on both backends.
+thread rank's, and traces stitch the same way on both backends.  A
+traced worker records into its own
+:class:`~repro.machine.trace.RankTrace` — clock phases, messages and,
+with wall tracing, its transport operations — and ships it home; the
+host assembles the ranks' recorders into the report's
+:class:`~repro.machine.trace.Trace` as the thread engine does.
 
 Determinism guarantee (the cross-validation tests pin it down): every
 virtual-time decision is a pure function of the sender's clock and the
@@ -35,7 +40,8 @@ Supervision covers the failure modes threads cannot have: every worker
 heartbeats into a shared :class:`~repro.runtime.supervision.HeartbeatBoard`
 and the host's supervisor loop convicts a rank that (a) exited without
 reporting (exit-code classified: SIGKILL, segfault, plain exit) or
-(b) is alive but has not heartbeat within ``heartbeat_timeout`` — both
+(b) is alive but has not heartbeat within
+:data:`~repro.runtime.supervision.HEARTBEAT_TIMEOUT` — both
 raise :class:`WorkerLostError`, the typed, rank-tagged signal the
 host's attempt loop catches and :class:`~repro.core.checkpoint.Rollback`
 acts on: respawn workers and restart from the latest durable checkpoint.  A
@@ -69,11 +75,11 @@ from repro.machine.engine import (
 )
 from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.profiles import ZERO_COST
-from repro.machine.trace import Tracer
+from repro.machine.trace import Trace
 from repro.runtime import supervision as _sup
+from repro.runtime import telemetry as _tel
 from repro.runtime.process_transport import ProcessTransport
 from repro.runtime.supervision import HeartbeatBoard, RankDiagnostics
-from repro.runtime.telemetry import TelemetrySampler
 
 
 class RemoteRankError(RuntimeError):
@@ -176,10 +182,10 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
     comm = None
     try:
         endpoint = transport.endpoint(rank)
-        comm = rank_comm(rank, size, cost, endpoint, fault_plan,
-                         Tracer(size) if trace else None, wall_epoch)
+        comm = rank_comm(rank, size, cost, endpoint, fault_plan, trace,
+                         wall_epoch)
         # Queue puts and blocking reads on the wall track.
-        endpoint.wall_tracer = comm.wall_tracer
+        endpoint.trace = comm.trace
         _sup.attach_comm(comm)
         envelope["kind"] = "ok"
         envelope["value"] = main(comm, *args, *extra)
@@ -202,8 +208,7 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
             }
     if comm is not None:
         envelope["machine"] = comm.machine_state()
-        if comm.wall_tracer is not None:
-            envelope["wall_trace"] = comm.wall_tracer.spans
+        envelope["trace"] = comm.trace
     try:
         data = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
@@ -235,18 +240,20 @@ class ProcessEngine(SPMDEngine):
         (which produces the far more informative
         :class:`~repro.machine.comm.DeadlockError`) always gets to fire
         first; ``recv_timeout=None`` leaves the run unbounded.
-    heartbeat_interval, heartbeat_timeout:
-        Worker liveness cadence: each worker stamps the shared board
-        every ``heartbeat_interval`` real seconds; the supervisor
-        convicts an unreported rank whose stamp is older than
-        ``heartbeat_timeout`` (:class:`WorkerLostError`, kind
-        ``"stalled-heartbeat"``).
-    on_telemetry, telemetry_interval:
+    on_telemetry:
         Live telemetry: ``on_telemetry(rows)`` is called from the host's
-        result loop at most every ``telemetry_interval`` real seconds
+        result loop at most every
+        :data:`~repro.runtime.telemetry.TELEMETRY_INTERVAL` real seconds
         with the sampled board state (a list of
         :class:`~repro.runtime.telemetry.RankTelemetry`).  Exceptions in
         the callback are swallowed — telemetry must never kill a run.
+
+    Worker liveness runs on two constants of
+    :mod:`~repro.runtime.supervision`, read when the engine is built:
+    each worker stamps the shared board every ``HEARTBEAT_INTERVAL``
+    real seconds, and the supervisor convicts an unreported rank whose
+    stamp is older than ``HEARTBEAT_TIMEOUT`` (:class:`WorkerLostError`,
+    kind ``"stalled-heartbeat"``).
     """
 
     recoverable = (RankCrashedError, WorkerLostError)
@@ -255,47 +262,34 @@ class ProcessEngine(SPMDEngine):
                  recv_timeout: float | None = 120.0,
                  fault_plan: FaultPlan | None = None,
                  wall_timeout: float | None = None,
-                 heartbeat_interval: float =
-                 _sup.DEFAULT_HEARTBEAT_INTERVAL,
-                 heartbeat_timeout: float =
-                 _sup.DEFAULT_HEARTBEAT_TIMEOUT,
-                 on_telemetry: Callable[[list], None] | None = None,
-                 telemetry_interval: float = 1.0):
+                 on_telemetry: Callable[[list], None] | None = None):
         super().__init__(size, profile, recv_timeout, fault_plan)
         if wall_timeout is None and recv_timeout is not None:
             wall_timeout = recv_timeout + 60.0
         self.wall_timeout = wall_timeout
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if heartbeat_timeout <= heartbeat_interval:
-            raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval"
-            )
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        if telemetry_interval <= 0:
-            raise ValueError("telemetry_interval must be positive")
+        self.heartbeat_interval = _sup.HEARTBEAT_INTERVAL
+        self.heartbeat_timeout = _sup.HEARTBEAT_TIMEOUT
         self.on_telemetry = on_telemetry
-        self.telemetry_interval = telemetry_interval
+        self.telemetry_interval = _tel.TELEMETRY_INTERVAL
 
     def run(self, main: Callable[..., Any], *args: Any,
             rank_args: Sequence[Sequence[Any]] | None = None,
-            tracer: Tracer | bool | None = None,
+            trace: bool = False,
             wall_trace: bool = False) -> RunReport:
         """Execute ``main(comm, *args)`` on every rank, one process each.
 
         Same signature and report as
-        :meth:`repro.machine.engine.Engine.run`.  ``tracer=True`` (or a
-        host-side :class:`~repro.machine.trace.Tracer`) enables tracing;
-        per-rank event lists are recorded in the workers and merged into
-        one :class:`~repro.machine.trace.Trace` on the report.
+        :meth:`repro.machine.engine.Engine.run`.  With ``trace=True``
+        each worker records into its own
+        :class:`~repro.machine.trace.RankTrace` and ships it home with
+        its result; the host assembles them into one
+        :class:`~repro.machine.trace.Trace` on the report.
         ``wall_trace=True`` additionally records measured wall-clock
         spans (phases, transport operations, checkpoint writes) against
-        a host-fixed epoch; they land on the same Trace as per-rank wall
-        tracks.  Requires tracing to be on.
+        a host-fixed epoch, one wall track per rank on the same Trace.
+        Requires ``trace``.
         """
-        extras, tracer, wall_epoch = self._start(rank_args, tracer,
-                                                 wall_trace)
+        extras, wall_epoch = self._start(rank_args, trace, wall_trace)
         ctx = mp.get_context()
         transport = ProcessTransport(ctx, self.size, self.recv_timeout)
         board = HeartbeatBoard(ctx, self.size)
@@ -305,14 +299,14 @@ class ProcessEngine(SPMDEngine):
                 target=_worker_main,
                 args=(r, self.size, transport, result_q, main,
                       tuple(args), extras[r], self.cost, self.fault_plan,
-                      tracer is not None, board,
+                      trace, board,
                       self.heartbeat_interval, wall_epoch),
                 name=f"prank-{r}", daemon=True)
             for r in range(self.size)
         ]
         envelopes: dict[int, dict[str, Any]] = {}
         failure: BaseException | None = None
-        sampler = (TelemetrySampler(board, self.size)
+        sampler = (_tel.TelemetrySampler(board, self.size)
                    if self.on_telemetry is not None else None)
         next_sample = time.monotonic()
         try:
@@ -398,7 +392,7 @@ class ProcessEngine(SPMDEngine):
             if isinstance(failure, ProcessWatchdogError):
                 failure.quiesce_seconds = self.last_quiesce_seconds
 
-        return self._build_report(envelopes, tracer)
+        return self._build_report(envelopes, trace)
 
     def _diagnose(self, missing: list[int], workers,
                   board: HeartbeatBoard) -> list[RankDiagnostics]:
@@ -444,7 +438,7 @@ class ProcessEngine(SPMDEngine):
                 exitcode=None)
 
     def _build_report(self, envelopes: dict[int, dict[str, Any]],
-                      tracer: Tracer | None) -> RunReport:
+                      trace: bool) -> RunReport:
         ranks: list[RankResult] = []
         errors: list[tuple[int, BaseException]] = []
         for r in range(self.size):
@@ -462,22 +456,14 @@ class ProcessEngine(SPMDEngine):
                 errors.append((r, self._rebuild_error(env)))
             ranks.append(rank_result(r, env.get("value"),
                                      env.get("machine"), error))
-        trace = None
-        if tracer is not None and not errors:
-            # No error: the result loop only ends with every rank in.
-            for r in range(self.size):
-                env = envelopes[r]
-                phases, sends, recvs = env["machine"]["trace_events"]
-                tracer.phases[r] = list(phases)
-                tracer.sends[r] = list(sends)
-                tracer.recvs[r] = list(recvs)
-                tracer.wall_phases[r] = list(env.get("wall_trace") or [])
-            tracer.final_times = [res.time for res in ranks]
-            trace = tracer.finish()
-        report = RunReport(ranks=ranks, trace=trace)
         if errors:
-            raise_primary_error(errors, partial_report=report)
-        return report
+            raise_primary_error(errors, partial_report=RunReport(ranks))
+        if not trace:
+            return RunReport(ranks)
+        # No error: the result loop only ends with every rank in.
+        return RunReport(ranks, trace=Trace.from_ranks(
+            [envelopes[r]["trace"] for r in range(self.size)],
+            [res.time for res in ranks]))
 
     @staticmethod
     def _rebuild_error(env: dict[str, Any]) -> BaseException:

@@ -95,29 +95,29 @@ class ProcessEndpoint(Endpoint):
         self._box = Mailbox(rank)
         #: Peers whose fin marker has arrived (see :meth:`finish`).
         self._fins: set[int] = set()
-        #: Optional :class:`~repro.machine.trace.WallRecorder`: when set
-        #: (by the worker body), queue puts and blocking queue reads
-        #: show up as ``wall:transport`` spans.
+        #: The rank's :class:`~repro.machine.trace.RankTrace`, set by the
+        #: worker body on a traced run: with wall tracing on, queue puts
+        #: and blocking queue reads show up as ``wall:transport`` spans.
         #: Pure wall-side observation — virtual pricing already happened
         #: in Comm before a message reaches the endpoint.
-        self.wall_tracer = None
+        self.trace = None
 
     # ------------------------------------------------------------- sending
     def deliver(self, dst: int, msg: Message) -> None:
         if dst == self.rank:
             self._box.put(msg)
             return
-        wall = self.wall_tracer
-        w0 = wall.now() if wall is not None else 0.0
+        trace = self.trace
+        w0 = trace.now() if trace is not None else 0.0
         # Pickle now, not in the queue's feeder thread: the receiver
         # gets the payload as it was at send, whatever the sender does
         # to it next.
         data = pickle.dumps((msg.arrival, msg.seq, msg.tag, msg.nbytes,
                              msg.payload), protocol=pickle.HIGHEST_PROTOCOL)
         self._queues[dst].put((msg.src, data))
-        if wall is not None:
-            wall.record(f"transport:send dst={dst}", w0, wall.now(),
-                        depth=2, cat="wall:transport")
+        if trace is not None:
+            trace.record(f"transport:send dst={dst}", w0, trace.now(),
+                         depth=2, cat="wall:transport")
 
     # ----------------------------------------------------------- receiving
     def _accept(self, item: Any) -> None:
@@ -144,19 +144,19 @@ class ProcessEndpoint(Endpoint):
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         q = self._queues[self.rank]
-        wall = self.wall_tracer
-        w0 = wall.now() if wall is not None else 0.0
+        trace = self.trace
+        w0 = trace.now() if trace is not None else 0.0
         blocked = False
         while True:
             self._drain_pending()
             msg = self._box.poll(src, tag)
             if msg is not None:
-                if blocked and wall is not None:
+                if blocked and trace is not None:
                     # Only record genuinely blocking receives — a hit in
                     # the local mailbox is not a transport wait.
-                    wall.record(f"transport:recv-wait src={src}",
-                                w0, wall.now(), depth=2,
-                                cat="wall:transport")
+                    trace.record(f"transport:recv-wait src={src}",
+                                 w0, trace.now(), depth=2,
+                                 cat="wall:transport")
                 return msg
             blocked = True
             wait = _POLL_SECONDS

@@ -39,8 +39,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.faults import FaultPlan
 
-#: Seconds between worker heartbeat stamps.
-DEFAULT_HEARTBEAT_INTERVAL = 0.2
+#: Seconds between worker heartbeat stamps (read when a
+#: :class:`~repro.runtime.ProcessEngine` is built).
+HEARTBEAT_INTERVAL = 0.2
 
 #: Phase-name table shared by the telemetry board.  Workers publish the
 #: current phase as an index into this tuple (shared arrays cannot carry
@@ -78,7 +79,7 @@ def phase_name(pid: int) -> str | None:
 #: this is considered lost even if its process object reads alive.
 #: Generous relative to the interval so GC pauses and page-cache storms
 #: do not convict a healthy worker.
-DEFAULT_HEARTBEAT_TIMEOUT = 15.0
+HEARTBEAT_TIMEOUT = 15.0
 
 
 class HeartbeatBoard:
@@ -259,8 +260,7 @@ _worker_ctx: _WorkerContext | None = None
 
 
 def activate_worker(rank: int, board: HeartbeatBoard,
-                    plan: "FaultPlan | None",
-                    interval: float = DEFAULT_HEARTBEAT_INTERVAL) -> None:
+                    plan: "FaultPlan | None", interval: float) -> None:
     """Install this process's supervision context and start its heartbeat.
 
     Called first thing in the worker body.  Idempotent per process: a

@@ -47,6 +47,10 @@ from repro.runtime.supervision import HeartbeatBoard
 __all__ = ["EventLog", "LiveDisplay", "RankTelemetry", "RunTelemetry",
            "TelemetrySampler"]
 
+#: Real seconds between the process host's samples of the board while a
+#: run with live telemetry executes.
+TELEMETRY_INTERVAL = 0.5
+
 
 @dataclass
 class RankTelemetry:

@@ -37,7 +37,7 @@ class TestHandBuiltChain:
                     comm.recv(src=1, tag=4)      # arrival 112, copy 1
             return comm.now
 
-        return Engine(2, TOY).run(main, tracer=True)
+        return Engine(2, TOY).run(main, trace=True)
 
     def test_chain_length_equals_parallel_time(self):
         rep = self._report()
@@ -69,7 +69,7 @@ class TestHandBuiltChain:
             with comm.phase("solo"):
                 comm.compute(float(comm.rank + 1))
 
-        rep = Engine(4, TOY).run(main, tracer=True)
+        rep = Engine(4, TOY).run(main, trace=True)
         cp = critical_path(rep.trace)
         assert cp.length == pytest.approx(4.0)
         assert all(s.rank == 3 for s in cp.segments)

@@ -173,15 +173,18 @@ class TestCrashRecovery:
     def test_recovered_trace_equals_uninterrupted(self, baseline):
         """The thread-rank counterpart of the process backend's
         recovered-trace test: after rank 1 crashes and every rank rolls
-        back, the traced run records the uninterrupted run's sends and
-        receives, message seqs included."""
+        back, the traced run records the uninterrupted run's phases,
+        sends and receives, message seqs included, and its final
+        clocks."""
         clean = _sim(checkpoint_every=1).run(steps=STEPS, trace=True)
         plan = FaultPlan(crash={1: 0.5 * baseline.parallel_time})
         hurt = _sim(fault_plan=plan,
                     checkpoint_every=1).run(steps=STEPS, trace=True)
         assert hurt.recoveries == 1
+        assert hurt.trace.phases == clean.trace.phases
         assert hurt.trace.sends == clean.trace.sends
         assert hurt.trace.recvs == clean.trace.recvs
+        assert hurt.trace.final_times == clean.trace.final_times
 
     def test_crash_without_checkpoints_is_fatal(self):
         from repro.machine.faults import RankCrashedError

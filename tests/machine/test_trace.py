@@ -1,4 +1,4 @@
-"""Tests for the span tracer and Chrome trace export."""
+"""Tests for the per-rank trace recorder and Chrome trace export."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.machine.costmodel import MachineProfile
 from repro.machine.engine import Engine
 from repro.machine.faults import FaultPlan
 from repro.machine.profiles import NCUBE2, ZERO_COST
-from repro.machine.trace import Tracer
 
 TOY = MachineProfile(name="toy", topology_kind="hypercube",
                      t_s=10.0, t_h=1.0, t_w=0.5, flops_per_second=1.0)
@@ -33,20 +32,12 @@ class TestTracerOffByDefault:
         """The overhead-neutrality guarantee: tracing must not perturb
         any virtual clock, bitwise."""
         plain = Engine(8, NCUBE2).run(_pingpong)
-        traced = Engine(8, NCUBE2).run(_pingpong, tracer=True)
+        traced = Engine(8, NCUBE2).run(_pingpong, trace=True)
         assert plain.values == traced.values          # exact, not approx
         assert [r.time for r in plain.ranks] == \
             [r.time for r in traced.ranks]
         assert [r.timings.seconds for r in plain.ranks] == \
             [r.timings.seconds for r in traced.ranks]
-
-    def test_tracer_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="sized for"):
-            Engine(4).run(_pingpong, tracer=Tracer(2))
-
-    def test_bad_tracer_size(self):
-        with pytest.raises(ValueError):
-            Tracer(0)
 
 
 class TestPhaseSpans:
@@ -57,27 +48,27 @@ class TestPhaseSpans:
                 with comm.phase("inner"):
                     comm.compute(5.0)
 
-        rep = Engine(1, TOY).run(main, tracer=True)
+        rep = Engine(1, TOY).run(main, trace=True)
         spans = {s.name: s for s in rep.trace.phases[0]}
         assert spans["inner"].t0 == 10.0 and spans["inner"].t1 == 15.0
         assert spans["outer"].t0 == 0.0 and spans["outer"].t1 == 15.0
         assert spans["inner"].depth == 2 and spans["outer"].depth == 1
 
     def test_spans_recorded_per_rank(self):
-        rep = Engine(4, TOY).run(_pingpong, tracer=True)
+        rep = Engine(4, TOY).run(_pingpong, trace=True)
         for r in range(4):
             names = [s.name for s in rep.trace.phases[r]]
             assert names == ["work"]
 
     def test_final_times_match_report(self):
-        rep = Engine(4, TOY).run(_pingpong, tracer=True)
+        rep = Engine(4, TOY).run(_pingpong, trace=True)
         assert rep.trace.final_times == [r.time for r in rep.ranks]
         assert rep.trace.parallel_time == rep.parallel_time
 
 
 class TestMessageEvents:
     def test_send_event_fields(self):
-        rep = Engine(2, TOY).run(_pingpong, tracer=True)
+        rep = Engine(2, TOY).run(_pingpong, trace=True)
         sends = rep.trace.sends[0]
         assert len(sends) == 1
         ev = sends[0]
@@ -88,7 +79,7 @@ class TestMessageEvents:
         assert not ev.duplicate
 
     def test_recv_event_waited_flag(self):
-        rep = Engine(2, TOY).run(_pingpong, tracer=True)
+        rep = Engine(2, TOY).run(_pingpong, trace=True)
         recvs = rep.trace.recvs[1]
         assert len(recvs) == 1
         ev = recvs[0]
@@ -100,7 +91,7 @@ class TestMessageEvents:
         assert ev.t_end == pytest.approx(ev.arrival + 2.0)
 
     def test_seq_links_send_to_recv(self):
-        rep = Engine(2, TOY).run(_pingpong, tracer=True)
+        rep = Engine(2, TOY).run(_pingpong, trace=True)
         send = rep.trace.sends[0][0]
         recv = rep.trace.recvs[1][0]
         assert send.seq == recv.seq
@@ -111,7 +102,7 @@ class TestMessageEvents:
             comm.send(b"xy", dst=comm.rank, tag=9)
             comm.recv(src=comm.rank, tag=9)
 
-        rep = Engine(1, TOY).run(main, tracer=True)
+        rep = Engine(1, TOY).run(main, trace=True)
         ev = rep.trace.sends[0][0]
         assert ev.t_begin == ev.t_end == ev.arrival
         assert not rep.trace.recvs[0][0].waited
@@ -121,7 +112,7 @@ class TestMessageEvents:
             comm.allgather(comm.rank)
             comm.barrier()
 
-        rep = Engine(4, NCUBE2).run(main, tracer=True)
+        rep = Engine(4, NCUBE2).run(main, trace=True)
         sends = rep.trace.sends_by_seq()
         for recv in rep.trace.all_recvs():
             assert (recv.src, recv.seq) in sends
@@ -135,7 +126,7 @@ class TestMessageEvents:
             comm.recv(src=comm.rank, tag=9)
             comm.barrier()
 
-        a, b = (Engine(4, NCUBE2).run(main, tracer=True).trace
+        a, b = (Engine(4, NCUBE2).run(main, trace=True).trace
                 for _ in range(2))
         assert [ev.seq for ev in a.sends[0]] == \
             list(range(len(a.sends[0])))
@@ -146,7 +137,7 @@ class TestMessageEvents:
 class TestFaultDispositions:
     def test_drops_and_retries_recorded(self):
         plan = FaultPlan(seed=7, drop_rate=0.5)
-        rep = Engine(2, TOY, fault_plan=plan).run(_pingpong, tracer=True)
+        rep = Engine(2, TOY, fault_plan=plan).run(_pingpong, trace=True)
         total_drops = sum(ev.drops for ev in rep.trace.all_sends())
         assert total_drops == sum(r.stats.drops_injected for r in rep.ranks)
         retries = sum(ev.retries for ev in rep.trace.all_sends())
@@ -155,7 +146,7 @@ class TestFaultDispositions:
 
 class TestChromeExport:
     def _trace(self):
-        return Engine(4, TOY).run(_pingpong, tracer=True).trace
+        return Engine(4, TOY).run(_pingpong, trace=True).trace
 
     def test_valid_json_round_trip(self, tmp_path):
         trace = self._trace()
@@ -203,6 +194,6 @@ class TestChromeExport:
                 elif comm.rank == 1:
                     comm.recv(src=0, tag=3)
 
-        rep = Engine(2, ZERO_COST).run(main, tracer=True)
+        rep = Engine(2, ZERO_COST).run(main, trace=True)
         doc = rep.trace.to_chrome()
         assert doc["otherData"]["parallel_time"] == 0.0

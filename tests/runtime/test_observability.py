@@ -32,6 +32,7 @@ from repro.runtime.supervision import (
     phase_id,
     phase_name,
 )
+from repro.runtime import telemetry
 from repro.runtime.telemetry import (
     EventLog,
     RankTelemetry,
@@ -44,14 +45,14 @@ STEPS = 2
 
 
 def _run(scheme, *, trace=False, wall_trace=None, events_out=None,
-         ckpt_dir=None, plan=None, engine_options=None):
+         ckpt_dir=None, plan=None):
     particles = plummer(240, seed=5)
     cfg = SchemeConfig(scheme=scheme, alpha=0.67, mode="force")
     sim = ParallelBarnesHut(
         particles, cfg, p=P, profile=NCUBE2, backend="process",
         fault_plan=plan, checkpoint_dir=ckpt_dir,
         checkpoint_every=1 if (ckpt_dir or plan) else None,
-        restart_backoff=0.01, engine_options=engine_options,
+        restart_backoff=0.01,
         events_out=events_out)
     return sim.run(steps=STEPS, dt=1e-3, trace=trace,
                    wall_trace=wall_trace)
@@ -71,14 +72,14 @@ def assert_bitwise_equal(a, b):
 # ----------------------------------------------------------- neutrality
 
 @pytest.mark.parametrize("scheme", ["spsa", "spda", "dpda"])
-def test_instrumentation_is_bitwise_neutral(scheme, tmp_path):
+def test_instrumentation_is_bitwise_neutral(scheme, tmp_path, monkeypatch):
     """Wall tracing + event stream + fast telemetry sampling must not
     perturb a single bit of the simulation's observable state."""
     plain = _run(scheme)
     events = tmp_path / "events.jsonl"
+    monkeypatch.setattr(telemetry, "TELEMETRY_INTERVAL", 0.02)
     instrumented = _run(
-        scheme, trace=True, wall_trace=True, events_out=str(events),
-        engine_options={"telemetry_interval": 0.02})
+        scheme, trace=True, wall_trace=True, events_out=str(events))
     assert_bitwise_equal(plain, instrumented)
     assert instrumented.trace is not None
     assert instrumented.trace.has_wall
@@ -159,10 +160,10 @@ def test_recovered_trace_virtual_tracks_identical(tmp_path):
 
 # ------------------------------------------------------- event stream
 
-def test_event_stream_schema(tmp_path):
+def test_event_stream_schema(tmp_path, monkeypatch):
     events = tmp_path / "events.jsonl"
-    _run("spda", events_out=str(events), ckpt_dir=tmp_path / "ckpt",
-         engine_options={"telemetry_interval": 0.01})
+    monkeypatch.setattr(telemetry, "TELEMETRY_INTERVAL", 0.01)
+    _run("spda", events_out=str(events), ckpt_dir=tmp_path / "ckpt")
     lines = [json.loads(line)
              for line in events.read_text().splitlines() if line]
     assert lines, "no events written"

@@ -172,8 +172,8 @@ def _traced(comm):
 
 
 def test_trace_merge_matches_virtual_backend():
-    v = Engine(2, NCUBE2).run(_traced, tracer=True)
-    p = ProcessEngine(2, NCUBE2).run(_traced, tracer=True)
+    v = Engine(2, NCUBE2).run(_traced, trace=True)
+    p = ProcessEngine(2, NCUBE2).run(_traced, trace=True)
     assert p.trace is not None
     assert p.trace.size == 2
     assert v.trace.parallel_time == p.trace.parallel_time

@@ -22,6 +22,7 @@ from repro.core.checkpoint import DiskCheckpointStore, RestartPolicy
 from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.profiles import NCUBE2
 from repro.runtime.process_engine import WorkerLostError
+from repro.runtime import supervision
 from repro.runtime.supervision import classify_exit
 
 P = 4
@@ -93,14 +94,14 @@ def test_sigkill_recovery_with_block_timesteps(tmp_path):
     assert_bitwise_equal(baseline, hurt)
 
 
-def test_stalled_heartbeat_convicted_and_recovered(tmp_path):
+def test_stalled_heartbeat_convicted_and_recovered(tmp_path, monkeypatch):
     """A livelocked worker (heartbeat silenced, process alive) must be
     convicted by the heartbeat timeout and the run recovered."""
     baseline = _run("spda")
+    monkeypatch.setattr(supervision, "HEARTBEAT_TIMEOUT", 1.5)
+    monkeypatch.setattr(supervision, "HEARTBEAT_INTERVAL", 0.1)
     hurt = _run("spda", ckpt_dir=tmp_path / "stall",
-                plan=FaultPlan(seed=7, stall_heartbeat={2: 1}),
-                engine_options={"heartbeat_timeout": 1.5,
-                                "heartbeat_interval": 0.1})
+                plan=FaultPlan(seed=7, stall_heartbeat={2: 1}))
     assert hurt.recoveries == 1
     assert_bitwise_equal(baseline, hurt)
 

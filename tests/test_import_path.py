@@ -281,3 +281,45 @@ def test_each_step_stage_has_one_home():
         assert not [name for name in imported
                     if name == "repro.core.simulation"
                     or name.split(".")[:2] == ["repro", "runtime"]], module
+
+
+def test_one_trace_recorder_per_rank():
+    """A rank's virtual and wall events live in one ``RankTrace``: no
+    machine-wide tracer, no separate wall recorder, one trace hook on
+    the clock and the communicator, and engines that take
+    ``trace: bool``.  The knobs only tests set are module constants."""
+    import inspect
+
+    import repro.machine
+    from repro.core.simulation import ParallelBarnesHut
+    from repro.machine import comm, engine, trace
+    from repro.machine.clock import VirtualClock
+    from repro.runtime import ProcessEngine, process_transport
+
+    gone = {
+        repro.machine: ("Tracer",),
+        trace: ("Tracer", "WallRecorder"),
+        trace.Trace: ("adopt_wall_spans", "finish"),
+        comm: ("Tracer", "WallRecorder"),
+        engine: ("Tracer", "WallRecorder"),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    assert repro.machine.RankTrace is trace.RankTrace
+    clock = VirtualClock()
+    assert not {"_tracer", "_wall_tracer", "_rank"} & set(vars(clock))
+    for run in (engine.Engine.run, ProcessEngine.run):
+        params = inspect.signature(run).parameters
+        assert "tracer" not in params
+        assert params["trace"].default is False
+    assert "tracer" not in inspect.signature(engine.rank_comm).parameters
+    assert not {"tracer", "wall_tracer"} & set(
+        inspect.signature(comm.Comm).parameters)
+    endpoint = process_transport.ProcessEndpoint(0, 1, [None], None)
+    assert endpoint.trace is None and not hasattr(endpoint, "wall_tracer")
+    assert "engine_options" not in inspect.signature(
+        ParallelBarnesHut).parameters
+    assert not {"heartbeat_interval", "heartbeat_timeout",
+                "telemetry_interval"} & set(
+        inspect.signature(ProcessEngine).parameters)
