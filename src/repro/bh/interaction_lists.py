@@ -23,6 +23,15 @@ them:
    Those two passes (:func:`evaluate_pairs`) are every force path's,
    data shipping's included.
 
+Every pass reads targets as one C-contiguous ``(d, n)`` block of
+coordinate columns, which :meth:`TraversalEngine.compute` transposes
+once per batch: the walk carries ``(d, m)`` columns on its stack, the
+cluster kernels take ``(d, n)`` targets and return forces as ``(d, n)``
+columns, and the P2P pass gathers each leaf visit's sources once and
+repeats them over the visit's rows.  So every elementwise pass runs
+down a long axis, not an inner loop three elements long.  The public
+entry points keep ``(n, d)`` targets and values.
+
 :class:`TraversalEngine` pairs the two over one tree and *streams*:
 :meth:`~TraversalEngine.compute` walks, evaluates and drops each chunk
 of :data:`STREAM_CHUNK_TARGETS` targets before the next is walked, so a
@@ -33,8 +42,10 @@ would be reused.
 
 Exactness contract: the walk applies the MAC with the same
 floating-point operations as :class:`~repro.bh.mac.BarnesHutMAC.accept`
-(its inside-the-cell veto run only on targets within reach of the
-node's COM — no other target can be inside), and per-target decisions
+(its squared distance is :func:`~repro.bh.mac.sq_norm`'s, whose pairing
+is that of ``einsum`` on ``(n, d)`` rows, and its inside-the-cell veto
+runs only on targets within reach of the node's COM — no other target
+can be inside), and per-target decisions
 are independent of how targets are batched, so the interaction *sets*
 — and therefore ``mac_tests``, ``cluster_interactions``,
 ``p2p_interactions``, the per-node DPDA counters, and the per-target
@@ -53,22 +64,24 @@ from functools import cached_property
 import numpy as np
 
 from repro.bh import kernels
-from repro.bh.mac import BarnesHutMAC
+from repro.bh.mac import BarnesHutMAC, sq_norm
 from repro.bh.tree import NO_CHILD, Tree
 
 #: Default bound on the fused kernels' working set (bytes of live
 #: floating-point temporaries per chunk).  Sized to stay cache-resident:
 #: every chunk is touched by several passes (gather, subtract, square,
 #: rsqrt, contract), and a chunk that fits in the last-level cache makes
-#: the later passes cache hits.  Measured on the serial n=10k benchmark,
-#: 4 MiB beats 16 MiB by ~15%.
+#: the later passes cache hits.  Measured on the serial n=10k benchmark
+#: (2-vCPU host, ``(d, n)`` column kernels), 16 MiB costs ~5 % more step
+#: wall than 4 MiB.  A different value regroups the partial sums.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
 
 #: Targets per streamed chunk of :meth:`TraversalEngine.compute`.
-#: Measured on the serial n=10k benchmark: 512 costs +35 % wall over
-#: whole-batch walks (the Python descent is paid per chunk), 2048 +5 %,
-#: 4096 nothing; at n=100k chunking beats merely not retaining the
-#: whole-batch lists (197 vs 471 MiB, 15.5 vs 21.3 s).
+#: Measured on the serial n=10k benchmark (same host and kernels): 512
+#: costs +70-80 % step wall over whole-batch walks (the Python descent is
+#: paid per chunk), 2048 +12-18 %, 4096 +5-11 %; at n=100k chunks
+#: cost no wall and hold 186 MiB where whole-batch lists peak at 309 MiB
+#: (7.1 s/step both).  A different value regroups the partial sums.
 STREAM_CHUNK_TARGETS = 4096
 
 
@@ -126,7 +139,7 @@ class InteractionLists:
     else of them.
     """
 
-    targets: np.ndarray            # (nt, d) positions the walk used
+    target_cols: np.ndarray        # (d, nt) target columns the walk used
     nt: int
     d: int
     cluster_node: np.ndarray       # (ncluster,) int64 node ids
@@ -136,10 +149,12 @@ class InteractionLists:
     p2p_interactions: int
     # P2P rows grouped by leaf source count for dense evaluation
     # (:func:`group_leaf_visits`): all rows whose leaf holds ``ns``
-    # sources, stacked in walk order, as one ``(tgt, starts, ns)`` tuple.
-    # A leaf's particles are contiguous in tree order, so source ``j``
-    # of row ``i`` is element ``starts[i] + j`` of the tree-ordered
-    # source arrays and no position, of a target or a source, is stored.
+    # sources, stacked in walk order, as one ``(tgt, starts, rows, ns)``
+    # tuple — per row its target, per visit its slice start and row
+    # count.  A leaf's particles are contiguous in tree order, so source
+    # ``j`` of visit ``v`` is element ``starts[v] + j`` of the
+    # tree-ordered source arrays and no position, of a target or a
+    # source, is stored.
     p2p_groups: list
     # per visit: accepting node and its target count; visited leaf, its
     # particle count and targets; MAC-tested node, targets, decisions
@@ -162,11 +177,11 @@ class InteractionLists:
         groups' per-row target indices and slice starts, the remote map,
         the per-visit records and whichever row arrays were read."""
         held = [a for name, a in vars(self).items()
-                if isinstance(a, np.ndarray) and name != "targets"]
+                if isinstance(a, np.ndarray) and name != "target_cols"]
         held += [*self.remote_targets.values(), *self.leaf_idx,
                  *self.mac_idx, *self.mac_ok]
-        for tgt, starts, _ in self.p2p_groups:
-            held += (tgt, starts)
+        for tgt, starts, rows, _ in self.p2p_groups:
+            held += (tgt, starts, rows)
         return sum({id(a): a.nbytes for a in held}.values())
 
     # ------------------------------------------- row arrays, on demand
@@ -209,18 +224,20 @@ class InteractionLists:
 
 
 def group_leaf_visits(idx: list[np.ndarray], rows: np.ndarray,
-                      starts: np.ndarray, ns: np.ndarray
-                      ) -> list[tuple[np.ndarray, np.ndarray, int]]:
+                      starts: np.ndarray, ns: np.ndarray) -> list[tuple]:
     """Leaf visits — the ``rows[v]`` targets ``idx[v]`` against the
-    ``ns[v]`` sources from ``starts[v]`` on — as P2P rows in ``(tgt,
-    starts, ns)`` groups by source count, visit order kept within a
+    ``ns[v]`` sources from ``starts[v]`` on — as P2P ``(tgt, starts,
+    rows, ns)`` groups by source count: the group's target rows, and its
+    visits' slice starts and row counts, visit order kept within a
     group: one stable sort of the visits, not of their rows."""
     order = np.argsort(ns, kind="stable")
     tgt = _concat([idx[v] for v in order.tolist()])
-    starts = np.repeat(starts[order], rows[order])
+    visits = np.cumsum(np.bincount(ns))
     ends = np.cumsum(np.bincount(ns, weights=rows).astype(np.int64))
-    return [(tgt[lo:hi], starts[lo:hi], n)
-            for n, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), 1)
+    starts, rows = starts[order], rows[order]
+    return [(tgt[lo:hi], starts[v0:v1], rows[v0:v1], n)
+            for n, (v0, v1, lo, hi) in enumerate(
+                zip(visits[:-1], visits[1:], ends[:-1], ends[1:]), 1)
             if hi > lo]
 
 
@@ -230,17 +247,30 @@ def _concat(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
-              cls: np.ndarray, reach: np.ndarray, start: int):
+def _walk_nodes(tree: Tree) -> tuple:
+    """The node data one walk reads: class codes (:func:`_node_classes`),
+    half sides and the inside-the-cell veto's reach as Python lists, so
+    the descent reads scalars; COM and cell centre as ``(d, 1)`` columns
+    that broadcast against ``(d, m)`` targets; the child array.  Built
+    per target batch, never kept: the monopole pass rewrites COMs in
+    place under a reused tree."""
+    # How far from its COM a point inside a node's cell can lie (the
+    # factor covers rounding): the inside-the-cell veto's reach.
+    reach = (tree.half * np.sqrt(tree.center.shape[1])
+             + np.linalg.norm(tree.com - tree.center, axis=1)) * (1 + 1e-9)
+    return (_node_classes(tree).tolist(), tree.com[:, :, None],
+            tree.center[:, :, None], tree.half.tolist(), reach.tolist(),
+            tree.children)
+
+
+def _walk_dfs(cols: np.ndarray, alpha: float, nodes: tuple, start: int):
     """The classical batched depth-first descent: a Python stack of
-    (node, target indices, their gathered positions) triples, node data
-    kept scalar.  The children of an opened node share one gather.
-    Returns the per-visit records: accepting nodes and their targets,
-    visited leaves and theirs, remote visits by node, MAC-tested nodes,
-    their targets and decisions."""
-    nt = targets.shape[0]
-    children = tree.children
-    com, center, half = tree.com, tree.center, tree.half
+    (node, target indices, their ``(d, m)`` coordinate columns) triples,
+    node data read as scalars from :func:`_walk_nodes`.  The children of
+    an opened node share one gather.  Returns the per-visit records:
+    accepting nodes and their targets, visited leaves and theirs, remote
+    visits by node, MAC-tested nodes, their targets and decisions."""
+    cls, com, center, half, reach, children = nodes
 
     cl_nodes: list[int] = []
     cl_idx: list[np.ndarray] = []
@@ -252,7 +282,7 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
     mac_ok: list[np.ndarray] = []
 
     stack: list[tuple[int, np.ndarray, np.ndarray]] = [
-        (start, np.arange(nt), targets)]
+        (start, np.arange(cols.shape[1]), cols)]
     while stack:
         node, idx, t = stack.pop()
         c = cls[node]
@@ -263,35 +293,32 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
             elif c == 2:
                 remote.setdefault(node, []).append(idx)
             continue
-        # Bit-for-bit the expressions of BarnesHutMAC.accept.  The inside-
+        # Bit-for-bit BarnesHutMAC.accept on target columns.  The inside-
         # the-cell test can only veto, and no target beyond ``reach`` of
         # the COM is inside, so it runs only on passing targets within it.
-        diff = t - com[node]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dist = sq_norm(t - com[node])
+        np.sqrt(dist, out=dist)
         h, r = half[node], reach[node]
         ok = 2.0 * h < alpha * dist
         if 2.0 * h < alpha * r:
             cand = np.flatnonzero(ok & (dist <= r))
             if cand.size:
-                inside = np.abs(t.take(cand, axis=0) - center[node]) < h
-                within = inside[:, 0]
-                for k in range(1, inside.shape[1]):
-                    within &= inside[:, k]
-                ok[cand[within]] = False
+                inside = np.abs(t.take(cand, axis=1) - center[node]) < h
+                ok[cand[inside.all(axis=0)]] = False
         mac_nodes.append(node)
         mac_idx.append(idx)
         mac_ok.append(ok)
-        far = idx[ok]
+        far = idx.compress(ok)
         if far.size:
             cl_nodes.append(node)
             cl_idx.append(far)
         if far.size < idx.size:
             if far.size:
                 near = np.flatnonzero(~ok)
-                idx, t = idx.take(near), t.take(near, axis=0)
-            row = children[node]
-            for child in row[row != NO_CHILD]:
-                stack.append((int(child), idx, t))
+                idx, t = idx.take(near), t.take(near, axis=1)
+            for child in children[node].tolist():
+                if child != NO_CHILD:
+                    stack.append((child, idx, t))
     return (cl_nodes, cl_idx, leaf_nodes, leaf_idx, remote,
             mac_nodes, mac_idx, mac_ok)
 
@@ -310,7 +337,8 @@ def _node_classes(tree: Tree) -> np.ndarray:
 def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
                             mac, root: int | None = None
                             ) -> InteractionLists:
-    """The list-building pass: one MAC walk, no kernel evaluation.
+    """The list-building pass over ``(n, d)`` targets: one MAC walk, no
+    kernel evaluation.
 
     The walk is the classical batched depth-first descent with the
     stock :class:`BarnesHutMAC` criterion inlined, using the identical
@@ -321,22 +349,29 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     object (a subclass included: its ``accept`` would never be called)
     is a ``TypeError``.
     """
+    _check_mac(mac)
+    targets = np.atleast_2d(np.asarray(target_positions, dtype=np.float64))
+    return _build_lists(tree, np.ascontiguousarray(targets.T), mac.alpha,
+                        _walk_nodes(tree), root)
+
+
+def _check_mac(mac) -> None:
     if type(mac) is not BarnesHutMAC:
         raise TypeError(
             "the list-building walk inlines the stock BarnesHutMAC "
             f"criterion; got {type(mac).__name__}")
-    targets = np.atleast_2d(np.asarray(target_positions, dtype=np.float64))
-    nt, d = targets.shape
+
+
+def _build_lists(tree: Tree, cols: np.ndarray, alpha: float, nodes: tuple,
+                 root: int | None) -> InteractionLists:
+    """:func:`build_interaction_lists` over ``(d, nt)`` target columns
+    and the batch's :func:`_walk_nodes`."""
+    d, nt = cols.shape
     if nt == 0 or tree.nnodes == 0:
         walk = [], [], [], [], {}, [], [], []
     else:
-        # How far from its COM a point inside a node's cell can lie (the
-        # factor covers rounding): the inside-the-cell veto's reach.
-        reach = (tree.half * np.sqrt(tree.center.shape[1])
-                 + np.linalg.norm(tree.com - tree.center, axis=1)
-                 ) * (1 + 1e-9)
-        walk = _walk_dfs(tree, targets, mac.alpha, _node_classes(tree),
-                         reach, tree.ROOT if root is None else root)
+        walk = _walk_dfs(cols, alpha, nodes,
+                         tree.ROOT if root is None else root)
     (cl_nodes, cl_idx, leaf_nodes, leaf_idx, remote,
      mac_nodes, mac_idx, mac_ok) = walk
 
@@ -347,7 +382,7 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
                - tree.start[leaf_nodes]).astype(np.int64)
     leaf_rows = np.array([a.size for a in leaf_idx], dtype=np.int64)
     return InteractionLists(
-        targets=targets, nt=nt, d=d,
+        target_cols=cols, nt=nt, d=d,
         cluster_node=np.repeat(cl_nodes, cl_rows),
         cluster_tgt=_concat(cl_idx),
         # Sorted keys and sorted contents: bin composition is independent
@@ -365,15 +400,24 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
 
 
 # -------------------------------------------------------------- evaluation
+def _zeros(mode: str, d: int, nt: int) -> np.ndarray:
+    """The accumulator of ``nt`` potentials, or of forces as ``(d, nt)``
+    columns."""
+    if mode not in ("potential", "force"):
+        raise ValueError(f"mode must be 'potential' or 'force', got {mode!r}")
+    return np.zeros(nt) if mode == "potential" else np.zeros((d, nt))
+
+
 def _accumulate(values: np.ndarray, tgt: np.ndarray,
-                contrib: np.ndarray, nt: int) -> None:
-    """Scatter-add per-pair contributions onto the target axis."""
+                contrib: np.ndarray) -> None:
+    """Scatter-add per-pair contributions, potentials ``(n,)`` or force
+    columns ``(d, n)``, onto the target axis of ``values``."""
+    nt = values.shape[-1]
     if values.ndim == 1:
         values += np.bincount(tgt, weights=contrib, minlength=nt)
     else:
-        for k in range(values.shape[1]):
-            values[:, k] += np.bincount(tgt, weights=contrib[:, k],
-                                        minlength=nt)
+        for k in range(values.shape[0]):
+            values[k] += np.bincount(tgt, weights=contrib[k], minlength=nt)
 
 
 def _cluster_pass(values: np.ndarray, targets: np.ndarray,
@@ -388,30 +432,32 @@ def _cluster_pass(values: np.ndarray, targets: np.ndarray,
         raise TypeError(f"{type(evaluator).__name__} lacks the batch "
                         f"evaluator interface ({name})")
     row = int(getattr(evaluator, "batch_row_bytes",
-                      8 * (6 * targets.shape[1] + 8)))
+                      8 * (6 * targets.shape[0] + 8)))
     chunk = max(1, chunk_bytes // max(row, 1))
     for lo in range(0, n, chunk):
         t = tgt[lo:lo + chunk]
         _accumulate(values, t,
-                    batch(nodes[lo:lo + chunk], targets.take(t, axis=0)),
-                    values.shape[0])
+                    batch(nodes[lo:lo + chunk], targets.take(t, axis=1)))
 
 
-#: One flat scratch buffer per thread (rank threads evaluate at once):
-#: lazily allocated, grown on demand, never beyond the working set.
+#: One flat scratch buffer per thread: lazily allocated, grown on
+#: demand, never beyond the working set.  The thread backend runs one
+#: rank at a time and a P2P pass never blocks, but a thread-local needs
+#: no lock and stays correct for any caller that evaluates from
+#: threads of its own.
 _thread_scratch = threading.local()
 
 
 def _p2p_scratch(ns: int, chunk: int, d: int) -> tuple:
     """Lane-major P2P chunk buffers (``(d, ns, chunk)`` separations and
-    ``(ns, chunk)`` squared distances, per-pair weights, masses) carved
-    out of the thread's scratch; every view is contiguous and fully
+    ``(ns, chunk)`` squared distances and per-pair weights) carved out
+    of the thread's scratch; every view is contiguous and fully
     overwritten before it is read within a chunk."""
     rows = chunk * ns
     buf = getattr(_thread_scratch, "buf", None)
-    if buf is None or buf.size < rows * (d + 3):
-        buf = _thread_scratch.buf = np.empty(rows * (d + 3))
-    flat = buf[rows * d:rows * (d + 3)].reshape(3, ns, chunk)
+    if buf is None or buf.size < rows * (d + 2):
+        buf = _thread_scratch.buf = np.empty(rows * (d + 2))
+    flat = buf[rows * d:rows * (d + 2)].reshape(2, ns, chunk)
     return (buf[:rows * d].reshape(d, ns, chunk), *flat)
 
 
@@ -438,20 +484,23 @@ def _source_layout(tree: Tree, sources) -> tuple | None:
 
 
 def _p2p_chunk(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
-               ns: int, tp: np.ndarray, sp: np.ndarray,
+               runs: np.ndarray, ns: int, tp: np.ndarray, sp: np.ndarray,
                sm: np.ndarray | None, force: bool, soft2: float,
                scale: float) -> None:
-    """One fused lane-major P2P chunk of rows ``(tgt[i], starts[i])``:
-    gather, subtract, rsqrt, weight, reduce the ``ns`` lanes,
-    scatter-add — accumulated onto ``out``.  ``tp`` / ``sp`` hold target
-    and source coordinates ``(d, .)``; every ufunc runs over a
-    contiguous inner axis of ``tgt.size`` rows."""
-    d = sp.shape[0]
-    dv, r2, w, mbuf = _p2p_scratch(ns, tgt.size, d)
-    ix = starts + np.arange(ns)[:, None]
-    for k in range(d):          # mode="raise" would buffer every ``out``
-        np.take(sp[k], ix, out=dv[k], mode="clip")
-        np.subtract(np.take(tp[k], tgt, out=w[0], mode="clip"), dv[k],
+    """One fused lane-major P2P chunk of target rows ``tgt``: gather,
+    subtract, rsqrt, weight, reduce the ``ns`` lanes, scatter-add —
+    accumulated onto ``out``.  The rows come in runs, a leaf visit or
+    the part of one the chunk holds: ``runs[v]`` rows against the
+    sources from ``starts[v]`` on, gathered once and expanded over the
+    run's rows by ``np.repeat``.  ``tp`` / ``sp`` hold target and source
+    coordinates ``(d, .)``; every ufunc runs over a contiguous inner
+    axis of ``tgt.size`` rows."""
+    d, m = sp.shape[0], tgt.size
+    dv, r2, w = _p2p_scratch(ns, m, d)
+    ix = starts + np.arange(ns)[:, None]            # (ns, runs) sources
+    for k in range(d):          # mode="raise" would buffer ``w[0]``
+        np.take(tp[k], tgt, out=w[0], mode="clip")
+        np.subtract(w[0], np.repeat(sp[k].take(ix), runs, axis=1),
                     out=dv[k])
     np.multiply(dv[0], dv[0], out=r2)
     for k in range(1, d):
@@ -470,14 +519,14 @@ def _p2p_chunk(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
     else:
         w = r2
     if sm is not None:
-        w *= np.take(sm, ix, out=mbuf, mode="clip")
+        w *= np.repeat(sm.take(ix), runs, axis=1)
     if force:
         dv *= w
-        contrib = np.add.reduce(dv, axis=1).T
+        contrib = np.add.reduce(dv, axis=1)
     else:
         contrib = np.add.reduce(w, axis=0)
     contrib *= scale
-    _accumulate(out, tgt, contrib, out.shape[0])
+    _accumulate(out, tgt, contrib)
 
 
 def _p2p_pass(values: np.ndarray, targets: np.ndarray, groups: list,
@@ -486,15 +535,22 @@ def _p2p_pass(values: np.ndarray, targets: np.ndarray, groups: list,
     if not groups:
         return
     sp, sm, scale = layout
-    d = targets.shape[1]
-    tp = np.ascontiguousarray(targets.T)
-    for tgt, starts, ns in groups:
-        # live per target row: the scratch views and the source indices
+    d = targets.shape[0]
+    for tgt, starts, rows, ns in groups:
+        # live per target row: the scratch views and one repeated
+        # source or mass row
         chunk = max(1, chunk_bytes // (8 * ns * (d + 4)))
+        ends = np.cumsum(rows)
         for lo in range(0, tgt.size, chunk):
-            _p2p_chunk(values, tgt[lo:lo + chunk], starts[lo:lo + chunk],
-                       ns, tp, sp, sm, mode == "force", softening ** 2,
-                       scale)
+            hi = min(lo + chunk, tgt.size)
+            # the visits with rows in [lo, hi), the end ones cut there
+            a = np.searchsorted(ends, lo, side="right")
+            b = np.searchsorted(ends, hi) + 1
+            runs = rows[a:b].copy()
+            runs[0] -= lo - (ends[a] - rows[a])     # rows before lo
+            runs[-1] -= ends[b - 1] - hi            # rows from hi on
+            _p2p_chunk(values, tgt[lo:hi], starts[a:b], runs, ns, targets,
+                       sp, sm, mode == "force", softening ** 2, scale)
 
 
 def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
@@ -504,10 +560,12 @@ def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
                    working_set_bytes: int = DEFAULT_WORKING_SET_BYTES
                    ) -> None:
     """Both fused passes of every force path, accumulated onto
-    ``values``: ``evaluator`` over pairs ``(cluster_node[i],
-    cluster_tgt[i])``, and the :func:`group_leaf_visits` groups, whose
-    source ``j`` of row ``i`` is element ``starts[i] + j`` of the
-    :func:`source_layout` ``layout``."""
+    ``values`` — potentials ``(n,)`` or force columns ``(d, n)`` — for
+    the ``(d, n)`` target columns ``targets``: ``evaluator`` over pairs
+    ``(cluster_node[i], cluster_tgt[i])``, and the
+    :func:`group_leaf_visits` groups, whose source ``j`` of visit ``v``
+    is element ``starts[v] + j`` of the :func:`source_layout`
+    ``layout``."""
     _cluster_pass(values, targets, cluster_node, cluster_tgt, evaluator,
                   mode, working_set_bytes)
     _p2p_pass(values, targets, groups, layout, mode, softening,
@@ -527,15 +585,29 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
     Produces a :class:`TraversalResult` with the same values (to fp
     accumulation order), the identical counters, the identical per-node
     DPDA interaction counts, and the identical per-target weight
-    attribution as the classical traversal would.
+    attribution as the classical traversal would; forces come back as
+    ``(nt, d)`` rows.
 
     ``sources`` is the particle set, or its :func:`_source_layout` (a
     streamed batch lays its sources out once, not once per chunk).
     """
-    if mode not in ("potential", "force"):
-        raise ValueError(f"mode must be 'potential' or 'force', got {mode!r}")
-    nt, d = lists.nt, lists.d
-    values = np.zeros(nt) if mode == "potential" else np.zeros((nt, d))
+    values = _zeros(mode, lists.d, lists.nt)
+    result = _evaluate(values, tree, lists, sources, evaluator, mode,
+                       softening, count_node_interactions, target_weights,
+                       working_set_bytes)
+    result.values = values if values.ndim == 1 else values.T.copy()
+    return result
+
+
+def _evaluate(values: np.ndarray, tree: Tree, lists: InteractionLists,
+              sources, evaluator, mode: str, softening: float,
+              count_node_interactions: bool,
+              target_weights: np.ndarray | None,
+              working_set_bytes: int | None) -> TraversalResult:
+    """:func:`evaluate_interaction_lists` accumulating onto ``values``
+    (potentials, or ``(d, nt)`` force columns); the result carries the
+    counters and the remote map."""
+    nt = lists.nt
     result = TraversalResult(
         values=values, mac_tests=lists.mac_tests,
         cluster_interactions=lists.cluster_interactions,
@@ -552,7 +624,7 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
             raise ValueError("tree has local leaves but no source "
                              "particles were provided")
         layout = _source_layout(tree, sources)
-    evaluate_pairs(values, lists.targets, lists.cluster_node,
+    evaluate_pairs(values, lists.target_cols, lists.cluster_node,
                    lists.cluster_tgt, evaluator, lists.p2p_groups, layout,
                    mode, softening, ws)
 
@@ -565,7 +637,7 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
         degree = getattr(evaluator, "degree", 0)
         per_cluster = 13.0 + 16.0 * max(degree, 1) ** 2
         p2p_sources = np.zeros(nt, dtype=np.int64)
-        for tgt, _, ns in lists.p2p_groups:
+        for tgt, *_, ns in lists.p2p_groups:
             p2p_sources += ns * np.bincount(tgt, minlength=nt)
         # All three contributions are integer-valued floats, so this is
         # exactly equal to the classical per-visit accumulation.
@@ -601,38 +673,43 @@ class TraversalEngine:
                 count_node_interactions: bool = False,
                 target_weights: np.ndarray | None = None
                 ) -> TraversalResult:
-        """Per chunk of :data:`STREAM_CHUNK_TARGETS` targets, walk,
-        evaluate, drop the lists; the batch counts once in
-        ``walks_built``.  Per-target decisions are independent, so
-        chunks merge exactly (remote indices re-based, chunks
-        ascending); only fp summation order differs from one
+        """Per chunk of :data:`STREAM_CHUNK_TARGETS` of the ``(n, d)``
+        targets, walk, evaluate, drop the lists; the batch counts once
+        in ``walks_built``.  The targets are transposed once into the
+        ``(d, n)`` columns every pass reads.  Per-target decisions are
+        independent, so chunks merge exactly (remote indices re-based,
+        chunks ascending); only fp summation order differs from one
         whole-batch walk."""
+        _check_mac(self.mac)
         targets = np.atleast_2d(
             np.asarray(target_positions, dtype=np.float64))
         nt, d = targets.shape
-        result = TraversalResult(
-            values=np.zeros(nt) if mode == "potential" else np.zeros((nt, d)))
+        cols = np.ascontiguousarray(targets.T)
+        values = _zeros(mode, d, nt)
+        result = TraversalResult(values=values)
         remote: dict[int, list[np.ndarray]] = {}
-        layout = _source_layout(self.tree, self.sources)    # once per batch
+        # once per batch: the sources' layout, the walk's node scalars
+        layout = _source_layout(self.tree, self.sources)
+        nodes = _walk_nodes(self.tree)
         # an empty batch still makes one (empty) pass: same validation
         for lo in range(0, max(nt, 1), STREAM_CHUNK_TARGETS):
             chunk = slice(lo, lo + STREAM_CHUNK_TARGETS)
-            lists = build_interaction_lists(self.tree, targets[chunk],
-                                            self.mac, root=self.root)
-            res = evaluate_interaction_lists(
-                self.tree, lists, layout, evaluator, mode=mode,
-                softening=self.softening,
-                count_node_interactions=count_node_interactions,
-                target_weights=(None if target_weights is None
-                                else target_weights[chunk]))
+            lists = _build_lists(self.tree, cols[:, chunk], self.mac.alpha,
+                                 nodes, self.root)
+            res = _evaluate(
+                values[..., chunk], self.tree, lists, layout, evaluator,
+                mode, self.softening, count_node_interactions,
+                None if target_weights is None else target_weights[chunk],
+                None)
             self.stream_chunks += 1
             self.lists_peak_bytes = max(self.lists_peak_bytes, lists.nbytes())
-            result.values[chunk] = res.values
             result.merge_counters(res)
             for node, tgts in res.remote_targets.items():
                 remote.setdefault(node, []).append(tgts + lo)
             del lists, res      # dropped before the next chunk is walked
         result.remote_targets = {n: np.concatenate(remote[n])
                                  for n in sorted(remote)}
+        if values.ndim == 2:
+            result.values = values.T.copy()
         self.walks_built += 1
         return result

@@ -13,7 +13,14 @@ harmonic multipole machinery in Greengard's normalization:
 
 with the Condon-Shortley phase in the associated Legendre functions; the
 solid harmonics ``rho^l Y`` and ``Y / r^{l+1}`` come from Cartesian
-recurrences (:func:`_solid_rows`), never from the angles.  The
+recurrences (:func:`_solid_rows`), never from the angles.
+
+The cluster interface the evaluation pass calls — ``batch_potential`` /
+``batch_force`` of :class:`MonopoleExpansion` and :class:`TreeMultipoles`,
+and :func:`point_masses` and :func:`m2p` under them — takes targets and
+offsets as C-contiguous ``(d, n)`` coordinate columns and returns forces
+the same way, so every elementwise pass runs down a long axis; the
+``regular_terms`` / ``irregular_terms`` blocks keep ``(npts, 3)``.  The
 M2M operator is what lets the distributed tree merge compute top-level
 expansions from branch-node expansions without access to remote particles.
 
@@ -32,6 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.bh import kernels
+from repro.bh.mac import sq_norm
 from repro.bh.tree import NO_CHILD, Tree
 from repro.bh.particles import ParticleSet
 
@@ -66,9 +74,10 @@ def _recurrence_factors(degree: int) -> list[tuple]:
 
 
 def _solid_rows(rel: np.ndarray, degree: int, irregular: bool) -> np.ndarray:
-    """Solid harmonics ``T_l^m`` of Cartesian offsets as real rows, shape
-    ``(nterms, npts)``: row ``term_index(l, m)`` holds ``Re T_l^m``
-    (m >= 0), row ``term_index(l, -m)`` holds ``Im T_l^m`` (m > 0).
+    """Solid harmonics ``T_l^m`` of Cartesian offsets, given as ``(3,
+    npts)`` columns, as real rows, shape ``(nterms, npts)``: row
+    ``term_index(l, m)`` holds ``Re T_l^m`` (m >= 0), row
+    ``term_index(l, -m)`` holds ``Im T_l^m`` (m > 0).
 
     Regular ``rho^l Y_l^m`` and irregular ``Y_l^m / r^{l+1}`` obey the
     same recurrences (the latter in ``x/r^2, y/r^2, z/r^2, 1/r^2`` from
@@ -82,7 +91,7 @@ def _solid_rows(rel: np.ndarray, degree: int, irregular: bool) -> np.ndarray:
     and every operation is elementwise: a column of the result does not
     depend on what else is in the batch.
     """
-    x, y, z = np.ascontiguousarray(np.atleast_2d(rel).T, dtype=np.float64)
+    x, y, z = np.ascontiguousarray(rel, dtype=np.float64)
     r2 = x * x + y * y + z * z
     T = np.empty((n_terms(degree), r2.size))
     if irregular:
@@ -135,7 +144,8 @@ def regular_terms(rel: np.ndarray, degree: int) -> np.ndarray:
     Summed against charges this *is* the P2M operator; evaluated at a
     shift vector it feeds the M2M operator.
     """
-    return _complex_terms(_solid_rows(rel, degree, False), degree, True)
+    return _complex_terms(_solid_rows(np.atleast_2d(rel).T, degree, False),
+                          degree, True)
 
 
 def irregular_terms(rel: np.ndarray, degree: int) -> np.ndarray:
@@ -144,7 +154,8 @@ def irregular_terms(rel: np.ndarray, degree: int) -> np.ndarray:
     ``phi(P) = irregular_terms(P - center) @ M`` evaluates the expansion.
     All offsets must be nonzero.
     """
-    return _complex_terms(_solid_rows(rel, degree, True), degree, False)
+    return _complex_terms(_solid_rows(np.atleast_2d(rel).T, degree, True),
+                          degree, False)
 
 
 @lru_cache(maxsize=16)
@@ -264,7 +275,8 @@ def m2p_row_bytes(degree: int) -> int:
 def m2p(table: np.ndarray, nodes: np.ndarray, rel: np.ndarray,
         degree: int) -> np.ndarray:
     """``sum q / r`` of expansion ``nodes[i]`` of an :func:`m2p_table` at
-    offset ``rel[i]`` from its center (all offsets nonzero)."""
+    offset ``rel[:, i]`` (``(3, n)`` columns) from its center (all
+    offsets nonzero)."""
     T = _solid_rows(rel, degree, True)
     T *= table.take(nodes, axis=1)
     return T.sum(axis=0)
@@ -273,13 +285,14 @@ def m2p(table: np.ndarray, nodes: np.ndarray, rel: np.ndarray,
 def point_masses(com: np.ndarray, mass: np.ndarray, softening: float,
                  nodes: np.ndarray, targets: np.ndarray,
                  force: bool) -> np.ndarray:
-    """Potential ``-G m / r`` (or acceleration ``-G m dr / r^3`` with
-    ``force``) of point mass ``nodes[i]`` at ``targets[i]``, with
-    ``r^2`` softened by ``softening^2`` and a zero distance contributing
-    exactly zero: the one point-mass cluster formula of every force
-    path."""
-    diff = targets - com.take(nodes, axis=0)
-    r2 = np.einsum("ij,ij->i", diff, diff) + softening ** 2
+    """Potential ``-G m / r`` (or acceleration ``-G m dr / r^3``, as
+    ``(d, n)`` columns, with ``force``) of point mass ``nodes[i]`` at
+    ``targets[:, i]`` of the ``(d, n)`` columns ``targets``, with ``r^2``
+    (:func:`~repro.bh.mac.sq_norm`) softened by ``softening^2`` and a
+    zero distance contributing exactly zero: the one point-mass cluster
+    formula of every force path."""
+    diff = targets - com.take(nodes, axis=0).T
+    r2 = sq_norm(diff) + softening ** 2
     zero = r2 == 0.0
     np.sqrt(r2, out=r2)
     with np.errstate(divide="ignore"):
@@ -291,7 +304,8 @@ def point_masses(com: np.ndarray, mass: np.ndarray, softening: float,
     inv_r3 *= r2
     w = mass.take(nodes) * inv_r3
     w *= -kernels.G
-    return w[:, None] * diff
+    diff *= w
+    return diff
 
 
 class MultipoleExpansion3D:
@@ -316,7 +330,7 @@ class MultipoleExpansion3D:
         """Potential sum ``q/r`` at targets relative to the center (real)."""
         rel = np.atleast_2d(rel_targets)
         return m2p(m2p_table(coeffs[None, :], self.degree),
-                   np.zeros(rel.shape[0], dtype=np.intp), rel, self.degree)
+                   np.zeros(rel.shape[0], dtype=np.intp), rel.T, self.degree)
 
     @property
     def wire_floats(self) -> int:
@@ -334,7 +348,8 @@ class MonopoleExpansion:
     degree: int = 0
 
     # Cluster interface of the evaluation pass: :func:`point_masses`
-    # over all accepted (node, target) pairs of a chunk.
+    # over all accepted (node, target) pairs of a chunk, targets as
+    # ``(d, n)`` columns.
     @property
     def batch_row_bytes(self) -> int:
         return 8 * (6 * self.tree.dims + 8)
@@ -409,7 +424,8 @@ class TreeMultipoles:
         m2m_upward(tree, self.coeffs, self.degree)
 
     # Cluster interface of the evaluation pass: the multipole series of
-    # every accepted (node, target) pair of a chunk in one :func:`m2p`.
+    # every accepted (node, target) pair of a chunk in one :func:`m2p`,
+    # targets as ``(3, n)`` columns.
     @property
     def batch_row_bytes(self) -> int:
         return m2p_row_bytes(self.degree)
@@ -418,7 +434,7 @@ class TreeMultipoles:
                         targets: np.ndarray) -> np.ndarray:
         if self._table is None:
             self._table = m2p_table(self.coeffs, self.degree)
-        rel = targets - self.tree.center.take(nodes, axis=0)
+        rel = targets - self.tree.center.take(nodes, axis=0).T
         return -kernels.G * m2p(self._table, nodes, rel, self.degree)
 
     def batch_force(self, nodes: np.ndarray,

@@ -60,7 +60,8 @@ def traverse(tree: Tree, sources: ParticleSet | None,
     evaluator:
         The far field of the tree's nodes: an object with
         ``batch_potential(nodes, targets)`` / ``batch_force(nodes,
-        targets)`` (the term of node ``nodes[i]`` at ``targets[i]``) —
+        targets)`` (the term of node ``nodes[i]`` at ``targets[:, i]``,
+        targets and forces as ``(d, n)`` columns) —
         :class:`MonopoleExpansion` or :class:`TreeMultipoles`, the two
         evaluators behind every force path.
     mode:

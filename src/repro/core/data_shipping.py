@@ -29,7 +29,10 @@ requester's mirror, seeded from the top tree, is the same rows with a
 What differs from function shipping is what travels, not the
 arithmetic: each round's interactions run through the same evaluators
 and the same fused cluster and P2P passes
-(:func:`~repro.bh.interaction_lists.evaluate_pairs`).
+(:func:`~repro.bh.interaction_lists.evaluate_pairs`), over the local
+particles transposed once per engine into ``(d, n)`` coordinate
+columns, and the mirror walk's MAC distance is
+:func:`~repro.bh.mac.sq_norm`'s.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from repro.bh.interaction_lists import evaluate_pairs, group_leaf_visits, \
     source_layout
-from repro.bh.mac import BarnesHutMAC
+from repro.bh.mac import BarnesHutMAC, sq_norm
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, Tree
@@ -199,6 +202,7 @@ class DataShippingEngine:
         self.config = config
         self.top = top
         self.particles = particles
+        self._cols = np.ascontiguousarray(particles.positions.T)
         self.mac = BarnesHutMAC(config.alpha)
         self.stats = DataShipStats()
         self._dims = dims = top.tree.dims
@@ -243,11 +247,14 @@ class DataShippingEngine:
                         far: list[tuple[int, np.ndarray]],
                         leaves: list[tuple[int, np.ndarray]]) -> None:
         """One round's collected ``(mirror row, target indices)`` visits
-        through the interaction-list engine's passes: accepted nodes as
+        through the interaction-list engine's passes, onto ``values``
+        (potentials, or ``(d, n)`` force columns) at the ``(d, n)``
+        target columns ``targets``: accepted nodes as
         ``(row, target)`` pairs over the mirror — by function shipping's
         rule, the fetched series in a multipole run, else softened point
-        masses — and leaf visits as ``(target, start, ns)`` rows over
-        the round's leaf payloads in visit order."""
+        masses — and leaf visits, grouped by
+        :func:`~repro.bh.interaction_lists.group_leaf_visits`, over the
+        round's leaf payloads in visit order."""
         m = self.mirror
         rows = tgt = np.zeros(0, dtype=np.int64)
         evaluator = layout = None
@@ -288,9 +295,9 @@ class DataShippingEngine:
         owner, half = m.owner.tolist(), m.half.tolist()
         com, center, kids = m.com, m.center, m.kids
         alpha = self.mac.alpha
-        targets = self.particles.positions
+        cols = self._cols
         misses: dict[int, set[int]] = {}
-        seed = (np.arange(targets.shape[0]) if tidx is None
+        seed = (np.arange(cols.shape[1]) if tidx is None
                 else np.asarray(tidx, dtype=np.int64))
         stack: list[tuple[int, np.ndarray, int]] = [(1, seed, self.comm.rank)]
         degree = self.config.degree
@@ -317,11 +324,10 @@ class DataShippingEngine:
                 far = idx[:0]
                 near = idx
             else:
-                at = targets[idx]
-                diff = at - com[row]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                inside = np.all(np.abs(at - center[row]) < half[row],
-                                axis=1)
+                at = cols.take(idx, axis=1)
+                dist = np.sqrt(sq_norm(at - com[row][:, None]))
+                inside = np.all(np.abs(at - center[row][:, None])
+                                < half[row], axis=0)
                 ok = (2.0 * half[row] < alpha * dist) & ~inside
                 flops += 14.0 * idx.size
                 far = idx[ok]
@@ -350,7 +356,7 @@ class DataShippingEngine:
             for ck in children:
                 stack.append((ck, near, owner[row]))
         if accepted or visited:
-            self._evaluate_round(values, targets, accepted, visited)
+            self._evaluate_round(values, cols, accepted, visited)
         self.comm.compute(flops)
         # a walk lookup counts twice, as the walk's probe and as the
         # table's own access; an insert counts once
@@ -406,7 +412,7 @@ class DataShippingEngine:
         every rank calls ``run`` even with an empty subset."""
         n = self.particles.n
         values = np.zeros(n if self.config.mode == "potential"
-                          else (n, self._dims))
+                          else (self._dims, n))
         has_targets = (n if targets_idx is None
                        else np.asarray(targets_idx).size)
         with self.comm.phase("force computation"):
@@ -423,4 +429,4 @@ class DataShippingEngine:
                 self.stats.fetch_rounds += 1
                 self._fetch_round(misses)
         self.stats.cache_nodes = self.mirror.nnodes
-        return values
+        return values if values.ndim == 1 else values.T.copy()

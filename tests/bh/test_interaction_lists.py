@@ -37,6 +37,7 @@ from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import NO_CHILD, build_tree
 from repro.bh.tree_repair import repair_tree
 from tests.oracles.grouping import group_p2p_rows
+from tests.oracles.kernels import p2p_chunk_reference
 from tests.oracles.traversal import traverse_reference
 from tests.oracles.walk import walk_dfs_reference
 
@@ -287,8 +288,8 @@ LIST_ARRAYS = ("cluster_node", "cluster_tgt", *ON_DEMAND)
 class TestBuildsOnlyWhatTheStepReads:
     def _walks_of_compute(self, monkeypatch, **kwargs):
         """The lists of every chunk one ``compute`` walks."""
-        built, build = [], il.build_interaction_lists
-        monkeypatch.setattr(il, "build_interaction_lists",
+        built, build = [], il._build_lists
+        monkeypatch.setattr(il, "_build_lists",
                             lambda *a, **k: built.append(build(*a, **k))
                             or built[-1])
         monkeypatch.setattr(il, "STREAM_CHUNK_TARGETS", 256)
@@ -333,7 +334,7 @@ def _assert_walk_equals_oracle(tree, targets, alpha, root=None):
                                   root=root)
     (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote, mac_tests,
      mac_per_target, tested) = walk_dfs_reference(
-        tree, got.targets, alpha, il._node_classes(tree),
+        tree, got.target_cols.T, alpha, il._node_classes(tree),
         tree.ROOT if root is None else root)
     counts = (tree.end - tree.start).astype(np.int64)
     want = dict(cluster_node=cluster_node, cluster_tgt=cluster_tgt,
@@ -352,12 +353,14 @@ def _assert_walk_equals_oracle(tree, targets, alpha, root=None):
         assert np.array_equal(idx, np.sort(remote[node]))
     rows = group_p2p_rows(p2p_tgt, tree.start[p2p_leaf], counts[p2p_leaf])
     assert len(got.p2p_groups) == len(rows)
-    for (tgt, starts, ns), (tgt_r, starts_r, ns_r) in zip(got.p2p_groups,
-                                                          rows):
+    for (tgt, starts, runs, ns), (tgt_r, starts_r, ns_r) in zip(
+            got.p2p_groups, rows):
         assert ns == ns_r
         assert tgt.dtype == tgt_r.dtype and np.array_equal(tgt, tgt_r)
+        # per visit a slice start and a row count: the oracle's per-row
+        # starts once expanded
         assert starts.dtype == starts_r.dtype \
-            and np.array_equal(starts, starts_r)
+            and np.array_equal(np.repeat(starts, runs), starts_r)
     return got
 
 
@@ -376,10 +379,11 @@ def test_grouped_visits_equal_grouped_rows(seed):
     got = il.group_leaf_visits(idx, rows, starts, ns)
     want = group_p2p_rows(np.concatenate(idx), np.repeat(starts, rows),
                           np.repeat(ns, rows))
-    assert [g[2] for g in got] == [w[2] for w in want]
-    for (tgt, st, _), (tgt_w, st_w, _) in zip(got, want):
+    assert [g[-1] for g in got] == [w[-1] for w in want]
+    for (tgt, st, runs, _), (tgt_w, st_w, _) in zip(got, want):
         assert tgt.dtype == tgt_w.dtype and np.array_equal(tgt, tgt_w)
-        assert st.dtype == st_w.dtype and np.array_equal(st, st_w)
+        assert st.dtype == st_w.dtype \
+            and np.array_equal(np.repeat(st, runs), st_w)
 
 
 class TestWalkEqualsOracle:
@@ -510,7 +514,7 @@ class _NoClusters:
         return np.zeros_like(targets)
 
     def batch_potential(self, nodes, targets):
-        return np.zeros(len(targets))
+        return np.zeros(targets.shape[1])
 
 
 def _listed_pairs_reference(tree, ps, lists, mode, softening):
@@ -520,7 +524,7 @@ def _listed_pairs_reference(tree, ps, lists, mode, softening):
     for leaf in np.unique(lists.p2p_leaf):
         tgt = lists.p2p_tgt[lists.p2p_leaf == leaf]
         src = ps.subset(tree.order[tree.start[leaf]:tree.end[leaf]])
-        np.add.at(out, tgt, direct(src, lists.targets[tgt],
+        np.add.at(out, tgt, direct(src, lists.target_cols[:, tgt].T,
                                    softening=softening))
     return out
 
@@ -535,6 +539,25 @@ def _p2p_case(dims, uniform, n=400, capacity=8):
     lists = build_interaction_lists(tree, ps.positions, BarnesHutMAC(0.67))
     assert set(lists.p2p_sizes) == set(range(1, capacity + 1))
     return ps, tree, lists
+
+
+def _splitting_working_set(lists):
+    """The smallest working set at which every P2P chunk boundary falls
+    between two rows of one leaf visit, by ``_p2p_pass``'s chunk rule."""
+    unit = 8 * (lists.d + 4)        # chunk rows = working set // (unit ns)
+    for ws in range(unit, 2 ** 20, unit):
+        bounds = 0
+        for tgt, _, rows, ns in lists.p2p_groups:
+            ends = np.cumsum(rows)
+            chunk = max(1, ws // (unit * ns))
+            cuts = np.arange(chunk, tgt.size, chunk)
+            if np.isin(cuts, ends).any():
+                break
+            bounds += cuts.size
+        else:
+            if bounds:
+                return ws
+    raise AssertionError("no working set splits every boundary")
 
 
 class TestLaneMajorP2P:
@@ -576,29 +599,46 @@ class TestLaneMajorP2P:
                              ids=["uniform", "masses"])
     @pytest.mark.parametrize("mode", ["force", "potential"])
     def test_many_chunks_equal_one(self, mode, uniform):
+        """One row per chunk, then chunks whose every boundary splits a
+        leaf visit (the kernel shares a visit's source gather between
+        its rows): bit for bit the per-row index take of
+        ``tests/oracles/kernels.py`` at the same chunking, and one
+        whole-batch chunk to rounding."""
         ps, tree, lists = _p2p_case(3, uniform, n=250)
         assert min(g[0].size for g in lists.p2p_groups) >= 3
         one = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
                                          mode=mode)
-        calls = []
-        with pytest.MonkeyPatch.context() as patch:
-            chunk = il._p2p_chunk
-            patch.setattr(il, "_p2p_chunk",
-                          lambda *a: calls.append(a[1].size) or chunk(*a))
-            many = evaluate_interaction_lists(
-                tree, lists, ps, _NoClusters(), mode=mode,
-                working_set_bytes=1)        # one row per chunk
-        assert set(calls) == {1} and len(calls) == lists.p2p_tgt.size
-        assert np.abs(many.values - one.values).max() \
-            <= 1e-13 * np.abs(one.values).max()
+        for ws in (1, _splitting_working_set(lists)):
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                chunk = il._p2p_chunk
+                patch.setattr(il, "_p2p_chunk",
+                              lambda *a: calls.append(a[1].size) or chunk(*a))
+                many = evaluate_interaction_lists(
+                    tree, lists, ps, _NoClusters(), mode=mode,
+                    working_set_bytes=ws)
+                patch.setattr(il, "_p2p_chunk", p2p_chunk_reference)
+                want = evaluate_interaction_lists(
+                    tree, lists, ps, _NoClusters(), mode=mode,
+                    working_set_bytes=ws)
+            if ws == 1:                     # one row per chunk
+                assert set(calls) == {1} \
+                    and len(calls) == lists.p2p_tgt.size
+            else:
+                assert len(calls) > 4 * len(lists.p2p_groups)
+            np.testing.assert_array_equal(many.values.view(np.uint64),
+                                          want.values.view(np.uint64))
+            assert np.abs(many.values - one.values).max() \
+                <= 1e-13 * np.abs(one.values).max()
 
     def test_groups_hold_no_positions(self):
         ps, tree, lists = _p2p_case(3, False)
         groups = lists.p2p_groups
-        assert [ns for _, _, ns in groups] == list(range(1, 9))
-        # per row: one target index and one slice start
-        assert sum(t.nbytes + s.nbytes for t, s, _ in groups) \
-            == 16 * lists.p2p_sizes.size
+        assert [ns for *_, ns in groups] == list(range(1, 9))
+        # per row one target index; per visit a slice start and a count
+        assert sum(t.nbytes for t, *_ in groups) == 8 * lists.p2p_sizes.size
+        assert sum(s.nbytes + r.nbytes for _, s, r, _ in groups) \
+            == 16 * lists.leaf_rows.size
 
     def test_sources_are_read_at_evaluation_time(self):
         """Block stepping moves sources under a reused tree: nothing
@@ -675,8 +715,8 @@ class TestScratchReuse:
         assert il._thread_scratch.buf is buf
 
     def test_scratch_is_per_thread_and_lazy(self):
-        """Rank threads evaluate concurrently, so each gets its own
-        buffer, allocated by its first P2P pass (none at import)."""
+        """Each thread that evaluates gets its own buffer, allocated by
+        its first P2P pass (none at import)."""
         seen = {}
 
         def worker():

@@ -12,6 +12,7 @@ from repro.bh.direct import (
 )
 from repro.bh.multipole import point_masses
 from repro.bh.particles import ParticleSet
+from tests.oracles.kernels import point_masses_reference
 
 
 def two_body():
@@ -19,6 +20,45 @@ def two_body():
         positions=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
         masses=np.array([1.0, 3.0]),
     )
+
+
+class TestPointMassesEqualsOracle:
+    """The column cluster kernel against the ``(n, d)`` row kernel it
+    replaced (``tests/oracles/kernels.py``), bit for bit."""
+
+    @pytest.mark.parametrize("softening", [0.0, 0.05])
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("force", [False, True],
+                             ids=["potential", "force"])
+    def test_bitwise(self, force, dims, softening):
+        rng = np.random.default_rng(dims)
+        com = rng.normal(size=(300, dims)) * 10.0 ** rng.uniform(
+            -3, 3, (300, 1))
+        mass = rng.uniform(0.5, 1.5, 300)
+        nodes = rng.integers(0, 300, 20_000)
+        targets = 3.0 * rng.normal(size=(20_000, dims))
+        targets[::97] = com[nodes[::97]]       # on top of the COM
+        got = point_masses(com, mass, softening, nodes,
+                           np.ascontiguousarray(targets.T), force)
+        want = point_masses_reference(com, mass, softening, nodes, targets,
+                                      force)
+        # the bits, so a signed zero counts too
+        bits = np.ascontiguousarray(got.T if force else got).view(np.uint64)
+        np.testing.assert_array_equal(bits, want.view(np.uint64))
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("force", [False, True],
+                             ids=["potential", "force"])
+    def test_target_on_the_com_contributes_exactly_zero(self, force):
+        com = np.array([[1.0, -2.0, 0.5], [4.0, 4.0, 4.0]])
+        targets = np.array([[1.0, 4.0], [-2.0, 4.0], [0.5, 4.0]])
+        with np.errstate(all="raise"):
+            got = point_masses(com, np.array([2.0, 3.0]), 0.0,
+                               np.array([0, 1]), targets, force)
+        assert np.all(got == 0.0)      # -G * m * 0: a signed zero
+        values = np.array([1.5, 0.0])
+        values += got if not force else got[0]
+        np.testing.assert_array_equal(values, [1.5, 0.0])
 
 
 class TestKernels:
@@ -60,7 +100,7 @@ class TestKernels:
             for force, pair in ((False, kernels.pair_potential),
                                 (True, kernels.pair_force)):
                 np.testing.assert_allclose(
-                    point_masses(c, m, soft, node, t, force),
+                    point_masses(c, m, soft, node, t.T, force).T,
                     pair(t, c, m, softening=soft))
 
     @settings(deadline=None, max_examples=20)

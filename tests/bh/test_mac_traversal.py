@@ -5,7 +5,7 @@ import pytest
 
 from repro.bh.distributions import plummer, uniform_cube
 from repro.bh.direct import direct_forces, direct_potentials
-from repro.bh.mac import BarnesHutMAC
+from repro.bh.mac import BarnesHutMAC, sq_norm
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.particles import ParticleSet
 from repro.bh.traversal import (
@@ -15,6 +15,38 @@ from repro.bh.traversal import (
     traverse,
 )
 from repro.bh.tree import build_tree
+
+
+class TestSqNorm:
+    """Every MAC distance and the point-mass ``r^2`` come from
+    ``sq_norm`` over coordinate columns; ``benchmarks/e2e/exact.json``
+    records decisions made with ``einsum`` over ``(n, d)`` rows.  The two
+    must stay bitwise equal, whatever numpy's ``einsum`` does next."""
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_pairing_equals_einsum_bit_for_bit(self, dims):
+        rng = np.random.default_rng(dims)
+        rows = 0
+        for _ in range(4):                 # 4 x 2^18 rows, in slices
+            n = 2 ** 18
+            # one magnitude per row, then one per coordinate
+            d = rng.normal(size=(n, dims)) * np.where(
+                np.arange(n)[:, None] < n // 2,
+                10.0 ** rng.uniform(-30, 30, (n, 1)),
+                10.0 ** rng.uniform(-30, 30, (n, dims)))
+            d[:64] = 0.0                   # zero rows
+            d[64:128, 0] = 0.0             # and rows with a zero column
+            want = np.einsum("ij,ij->i", d, d)
+            got = sq_norm(np.ascontiguousarray(d.T))
+            bad = np.flatnonzero(got != want)
+            assert bad.size == 0, (
+                f"numpy {np.__version__}: sq_norm differs from "
+                f"einsum('ij,ij->i') on {bad.size} of {n} {dims}-D rows "
+                f"(first {d[bad[0]].tolist()}); MAC decisions and "
+                f"benchmarks/e2e/exact.json would move")
+            assert np.array_equal(np.sqrt(got), np.sqrt(want))
+            rows += n
+        assert rows >= 10 ** 6
 
 
 class TestMAC:

@@ -218,7 +218,7 @@ class TestTreeMultipoles:
         tree = build_tree(ps, leaf_capacity=8)
         tm = TreeMultipoles(tree, ps, degree=6)
         far = ps.center_of_mass()[None, :] + np.array([[30.0, 0.0, 0.0]])
-        phi = tm.batch_potential(np.array([0]), far)[0]
+        phi = tm.batch_potential(np.array([0]), far.T)[0]
         exact = -np.sum(ps.masses / np.linalg.norm(far - ps.positions, axis=1))
         assert phi == pytest.approx(exact, rel=1e-6)
 
@@ -239,8 +239,8 @@ class TestTreeMultipoles:
             t[0] - tree.com[0]
         )
         root = np.array([0])
-        assert mono.batch_potential(root, t)[0] == pytest.approx(expected)
-        f = mono.batch_force(root, t)[0]
+        assert mono.batch_potential(root, t.T)[0] == pytest.approx(expected)
+        f = mono.batch_force(root, t.T)[:, 0]
         assert f[0] < 0  # attraction toward the cluster
 
 
@@ -368,7 +368,7 @@ class TestM2PFromRealTable:
 
         def shipped(nodes, targets):
             values = np.zeros(len(targets))
-            eng._evaluate_round(values, targets,
+            eng._evaluate_round(values, targets.T,
                                 [(i, np.flatnonzero(nodes == i))
                                  for i in range(n)], [])
             return values / -G
@@ -378,7 +378,7 @@ class TestM2PFromRealTable:
             return np.array([exp.evaluate(coeffs[n], (t - centers[n])[None])[0]
                              for n, t in zip(nodes, targets)])
 
-        return [("tree", lambda n, t: tm.batch_potential(n, t) / -G),
+        return [("tree", lambda n, t: tm.batch_potential(n, t.T) / -G),
                 ("shipping", shipped), ("evaluate", one_by_one)]
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])

@@ -196,7 +196,7 @@ class TestSharedPasses:
         tree = build_tree(PS, leaf_capacity=8)
         rng = np.random.default_rng(5)
         nodes = rng.integers(0, tree.nnodes, 200)
-        targets = 3.0 * rng.normal(size=(200, 3))
+        targets = 3.0 * rng.normal(size=(3, 200))      # (d, n) columns
         eng = DataShippingEngine.__new__(DataShippingEngine)
         eng.config = SchemeConfig(mode=mode, softening=0.05)
         eng.mirror = tree_rows(tree, np.arange(1, tree.nnodes + 1,
@@ -204,7 +204,7 @@ class TestSharedPasses:
                                np.zeros(tree.nnodes), None)
         accepted = [(n, np.flatnonzero(nodes == n))
                     for n in range(tree.nnodes)]
-        values = np.zeros((200, 3) if mode == "force" else 200)
+        values = np.zeros((3, 200) if mode == "force" else 200)
         eng._evaluate_round(values, targets, accepted, [])
         ev = MonopoleExpansion(tree, softening=0.05)
         want = (ev.batch_force if mode == "force"

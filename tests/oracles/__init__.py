@@ -8,5 +8,7 @@ moved verbatim out of ``src/`` and turned into a free function — or,
 for ``mailbox``, the list-scanning ``Mailbox`` the per-``(src, tag)``
 heaps replaced, kept whole as ``ScanMailbox``; for ``data_shipping``,
 the engine of per-node Python objects the row tables replaced, kept
-whole as ``DataShippingEngine``.
+whole as ``DataShippingEngine``; for ``kernels``, the cluster kernel on
+``(n, d)`` rows and the P2P chunk's per-row index take the coordinate
+columns replaced.
 """

@@ -259,9 +259,9 @@ class DataShippingEngine:
                         ) -> None:
         """One round's collected ``(node, target indices)`` visits
         through the interaction-list engine's passes: accepted nodes as
-        ``(row, target)`` pairs over a table of them, leaf visits as
-        ``(target, start, ns)`` rows over one structure-of-arrays copy
-        of the round's leaf payloads."""
+        ``(row, target)`` pairs over a table of them, leaf visits
+        grouped by ``group_leaf_visits`` over one structure-of-arrays
+        copy of the round's leaf payloads."""
         rows = tgt = np.zeros(0, dtype=np.int64)
         evaluator = layout = None
         groups = []
@@ -280,7 +280,8 @@ class DataShippingEngine:
                 np.ascontiguousarray(
                     np.concatenate([cn.positions for cn in nodes]).T),
                 np.concatenate([cn.masses for cn in nodes]))
-        evaluate_pairs(values, targets, rows, tgt, evaluator, groups,
+        # the passes read (d, n) columns: transposed views, same sums
+        evaluate_pairs(values.T, targets.T, rows, tgt, evaluator, groups,
                        layout, self.config.mode, self.config.softening)
 
     def _traverse_round(self, values: np.ndarray,
