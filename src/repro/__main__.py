@@ -78,7 +78,8 @@ def _cmd_profiles(args) -> int:
 
 class _InputError(Exception):
     """An option combination ``SchemeConfig`` or ``ParallelBarnesHut``
-    refused: ``main`` reports it as one line, not a traceback."""
+    refused, or a fault plan that does not load: ``main`` reports it as
+    one line, not a traceback."""
 
 
 def _run_sim(sim, args, trace: bool):
@@ -100,8 +101,11 @@ def _build_sim(args):
     particles = make_instance(args.instance, scale=args.scale,
                               seed=args.seed)
     profile = get_profile(args.machine)
-    fault_plan = (FaultPlan.load(getattr(args, "fault_plan", None))
-                  if getattr(args, "fault_plan", None) else None)
+    plan_path = getattr(args, "fault_plan", None)
+    try:
+        fault_plan = FaultPlan.load(plan_path) if plan_path else None
+    except (OSError, TypeError, ValueError) as exc:
+        raise _InputError(f"fault plan {plan_path}: {exc}") from exc
     try:
         config = SchemeConfig(
             scheme=args.scheme, alpha=args.alpha, degree=args.degree,
@@ -152,8 +156,7 @@ def _cmd_run(args) -> int:
           f"| alpha={args.alpha} degree={args.degree} mode={args.mode}")
     if fault_plan is not None:
         print(f"fault plan: {args.fault_plan} "
-              f"(seed {fault_plan.seed}, drop {fault_plan.drop_rate}, "
-              f"dup {fault_plan.dup_rate}, delay {fault_plan.delay_rate}, "
+              f"(seed {fault_plan.seed}, delay {fault_plan.delay_rate}, "
               f"crashes {fault_plan.crash or '-'}, "
               f"slowdowns {fault_plan.slowdown or '-'}, "
               f"kills {fault_plan.kill or '-'}, "
@@ -344,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--check", action="store_true",
                      help="compare against O(n^2) direct summation")
     run.add_argument("--fault-plan", metavar="PATH",
-                     help="JSON fault plan (seeded drops/dups/delays, "
-                          "rank crashes and slowdowns)")
+                     help="JSON fault plan (seeded message delays, "
+                          "rank crashes and slowdowns, worker kills and "
+                          "heartbeat stalls)")
     run.add_argument("--checkpoint-every", type=int, metavar="N",
                      help="checkpoint every N steps; recover rank "
                           "crashes and worker losses by rollback "

@@ -12,8 +12,7 @@ backwards from the last rank to finish:
    the current time ``t`` — everything from its arrival to ``t`` is a
    local ("compute") segment;
 2. the interval from the sender's channel-charge end to the arrival is a
-   "network" segment (per-hop latency, retransmission penalties, injected
-   delays);
+   "network" segment (per-hop latency and injected delays);
 3. hop to the sender at its send time and repeat, until virtual time 0
    (or the requested window start).
 

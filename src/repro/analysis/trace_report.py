@@ -14,14 +14,12 @@ from repro.machine.trace import Trace
 def bytes_matrix(trace: Trace) -> np.ndarray:
     """``(p, p)`` payload-byte totals: entry ``[src, dst]``.
 
-    The diagonal is local (free) traffic.  The duplicate copies the
-    network injected are excluded, so the matrix matches the
-    receiver-side per-tag accounting.
+    The diagonal is local (free) traffic.  Every send is received once,
+    so the matrix matches the receiver-side per-tag accounting.
     """
     m = np.zeros((trace.size, trace.size), dtype=np.int64)
     for ev in trace.all_sends():
-        if not ev.duplicate:
-            m[ev.src, ev.dst] += ev.nbytes
+        m[ev.src, ev.dst] += ev.nbytes
     return m
 
 

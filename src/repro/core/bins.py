@@ -232,8 +232,8 @@ class BinManager:
             if src != comm.rank:
                 msgs = comm.collect_raw(src, TAG_REQUEST, is_sentinel)
                 # The mailbox matches by earliest *virtual arrival*, and a
-                # retransmitted or delayed bin can arrive after the
-                # sentinel that announces it — so trust the sentinel's
+                # delayed bin can arrive after the sentinel that
+                # announces it — so trust the sentinel's
                 # count, not the ordering, and keep collecting until every
                 # announced bin is in hand.
                 expected = next(m.payload for m in msgs

@@ -414,7 +414,8 @@ class ParallelBarnesHut:
         documents it.
     fault_plan:
         Optional :class:`~repro.machine.faults.FaultPlan` of injected
-        faults (drops, duplicates, delays, crashes, slowdowns).
+        faults (message delays, crashes, slowdowns, worker kills
+        and heartbeat stalls).
     checkpoint_every:
         Snapshot every rank's cross-step state at this step cadence; on
         a rank crash or worker loss the run rolls back to the newest

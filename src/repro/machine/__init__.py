@@ -34,7 +34,6 @@ from repro.machine.faults import (
     FaultInjector,
     FaultPlan,
     RankCrashedError,
-    ReliableDeliveryError,
 )
 from repro.machine.mailbox import MailboxClosedError
 from repro.machine.metrics import (
@@ -74,7 +73,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "RankCrashedError",
-    "ReliableDeliveryError",
     "MailboxClosedError",
     "Counter",
     "Gauge",

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.machine.clock import PhaseTimings, VirtualClock
 from repro.machine.costmodel import CostModel
-from repro.machine.faults import NO_FAULT, FaultInjector, ReliableDeliveryError
+from repro.machine.faults import FaultInjector
 from repro.machine.mailbox import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,13 +137,8 @@ class CommStats:
     bytes_received: int = 0
     bytes_by_tag: dict[int, int] = field(default_factory=dict)
     recv_bytes_by_tag: dict[int, int] = field(default_factory=dict)
-    # Fault-injection / recovery counters (all zero on a fault-free
-    # run, so existing accounting is unchanged).
-    drops_injected: int = 0          # transmissions the network ate
-    retransmissions: int = 0         # recovery resends of dropped packets
-    duplicates_injected: int = 0     # extra copies the network delivered
-    duplicates_suppressed: int = 0   # copies this rank's mailbox dropped
-    delays_injected: int = 0         # messages given extra latency
+    #: Messages given extra latency by a fault plan (0 without one).
+    delays_injected: int = 0
 
     def record_send(self, tag: int, nbytes: int) -> None:
         self.messages_sent += 1
@@ -198,18 +193,16 @@ class Comm:
         it: what a checkpoint needs to resume the rank, and what an
         engine reports when the rank ends.
 
-        ``comm_stats`` and ``metrics`` are copies with the endpoint's
-        counters folded in — the suppressed duplicates, and the queue
-        depth high-water mark as the ``mailbox.max_pending`` gauge — so
-        a boundary is self-contained.  The fold adds and max-merges
-        because a restored rank's accounting already holds what the
-        previous endpoint counted up to the boundary.  The clock's phase
-        dict and the trace's event lists are shared, not copied: a
-        checkpoint is pickled before the rank moves on.
+        ``comm_stats`` and ``metrics`` are copies, the metrics with the
+        endpoint's queue-depth high-water mark folded in as the
+        ``mailbox.max_pending`` gauge, so a boundary is self-contained.
+        The fold max-merges because a restored rank's gauge already
+        holds what the previous endpoint saw up to the boundary.  The
+        clock's phase dict and the trace's event lists are shared, not
+        copied: a checkpoint is pickled before the rank moves on.
         """
         stats = copy.deepcopy(self.stats)
         metrics = copy.deepcopy(self.metrics)
-        stats.duplicates_suppressed += self.endpoint.duplicates_suppressed
         g = metrics.gauge("mailbox.max_pending")
         g.set(max(g.value, self.endpoint.max_pending))
         trace = self.trace
@@ -279,13 +272,9 @@ class Comm:
         """Send ``payload`` to rank ``dst`` (non-blocking buffered send).
 
         The message takes this rank's next ``seq``.  A local send is
-        free and never faulted.  With a fault injector attached, each
-        transmission may be dropped, duplicated or delayed.  A drop
-        triggers retransmission with exponential backoff: every retry
-        costs the sender another channel charge and pushes the message's
-        virtual arrival out by the timeout wait.  A duplicate copy
-        shares its original's ``seq`` and is suppressed at the
-        destination mailbox.
+        free and never delayed.  With a fault injector attached, a
+        transmission may be delayed: the extra latency is added to its
+        virtual arrival.
         """
         if not 0 <= dst < self.size:
             raise ValueError(f"destination rank {dst} out of range")
@@ -293,60 +282,29 @@ class Comm:
             nbytes = estimate_nbytes(payload)
         self._m_msg_bytes.observe(nbytes)
         t_begin = arrival = self.clock.now
-        retries, fault = 0, NO_FAULT
+        delay = 0.0
         if dst != self.rank:
             p = self.cost.profile
-            inj = self._injector
-            penalty = 0.0      # timeout waits accumulated by retransmissions
-            while True:
-                if inj is not None:
-                    fault = inj.decide(self.rank, dst, tag)
-                self.clock.advance(p.t_s + nbytes * p.t_w)
-                if not fault.drop:
-                    break
-                self.stats.drops_injected += 1
-                self.metrics.counter("comm.drops").inc()
-                if retries >= inj.plan.max_retries:
-                    raise ReliableDeliveryError(
-                        f"rank {self.rank} -> {dst} tag {tag}: message "
-                        f"still undelivered after {retries} "
-                        f"retransmissions")
-                penalty += (inj.plan.retry_timeout
-                            * inj.plan.retry_backoff ** retries)
-                retries += 1
-                self.stats.retransmissions += 1
-                self.metrics.counter("comm.retransmissions").inc()
-            if fault.extra_delay > 0:
+            if self._injector is not None:
+                delay = self._injector.delay(self.rank, dst, tag)
+            self.clock.advance(p.t_s + nbytes * p.t_w)
+            if delay > 0:
                 self.stats.delays_injected += 1
             arrival = (self.clock.now
                        + self.cost.topology.hops(self.rank, dst) * p.t_h
-                       + penalty + fault.extra_delay)
+                       + delay)
         self.stats.record_send(tag, nbytes)
         seq = self._seq
         self._seq += 1
-        msg = Message(arrival=arrival, src=self.rank, seq=seq, tag=tag,
-                      payload=payload, nbytes=nbytes)
-        self.endpoint.deliver(dst, msg)
-        trace = self.trace
-        if trace is not None:
-            trace.sends.append(SendEvent(
+        self.endpoint.deliver(dst, Message(
+            arrival=arrival, src=self.rank, seq=seq, tag=tag,
+            payload=payload, nbytes=nbytes))
+        if self.trace is not None:
+            self.trace.sends.append(SendEvent(
                 seq=seq, src=self.rank, dst=dst, tag=tag, nbytes=nbytes,
                 t_begin=t_begin, t_end=self.clock.now, arrival=arrival,
-                drops=retries, retries=retries,
-                extra_delay=fault.extra_delay,
+                extra_delay=delay,
             ))
-        if fault.duplicate:
-            # The network delivered a second copy in flight: no extra
-            # sender charge; the same seq, so the receiver's mailbox
-            # suppresses it.
-            self.stats.duplicates_injected += 1
-            self.endpoint.deliver(dst, msg)
-            if trace is not None:
-                trace.sends.append(SendEvent(
-                    seq=seq, src=self.rank, dst=dst, tag=tag,
-                    nbytes=nbytes, t_begin=t_begin, t_end=self.clock.now,
-                    arrival=arrival, duplicate=True,
-                ))
 
     def recv_msg(self, src: int, tag: int = 0) -> Message:
         """Blocking receive of the next ``(src, tag)`` message, returning

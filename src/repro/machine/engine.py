@@ -115,30 +115,10 @@ class RunReport:
         mean = sum(times) / len(times)
         return max(times) / mean if mean > 0 else 1.0
 
-    # ---------------------------------------------- fault / recovery totals
-    @property
-    def total_retransmissions(self) -> int:
-        return sum(r.stats.retransmissions for r in self.ranks)
-
-    @property
-    def total_drops_injected(self) -> int:
-        return sum(r.stats.drops_injected for r in self.ranks)
-
-    @property
-    def total_duplicates_suppressed(self) -> int:
-        return sum(r.stats.duplicates_suppressed for r in self.ranks)
-
     def fault_summary(self) -> dict[str, int]:
-        """Machine-wide fault/recovery counters (all zero when clean)."""
-        return {
-            "drops_injected": self.total_drops_injected,
-            "retransmissions": self.total_retransmissions,
-            "duplicates_injected": sum(r.stats.duplicates_injected
-                                       for r in self.ranks),
-            "duplicates_suppressed": self.total_duplicates_suppressed,
-            "delays_injected": sum(r.stats.delays_injected
-                                   for r in self.ranks),
-        }
+        """Machine-wide fault counters (all zero when clean)."""
+        return {"delays_injected": sum(r.stats.delays_injected
+                                       for r in self.ranks)}
 
 
 @dataclass
@@ -243,9 +223,8 @@ class SPMDEngine:
         at once, so for them it bounds a rank stuck outside the machine.
     fault_plan:
         Optional :class:`~repro.machine.faults.FaultPlan` injecting
-        deterministic message drops/duplicates/delays, rank crashes and
-        rank slowdowns into the run.  Dropped messages are retransmitted
-        and duplicates suppressed as the plan's retry fields say.
+        deterministic message delays, rank crashes and rank slowdowns
+        into the run.
     """
 
     #: Failures a host driver recovers from by rolling every rank back

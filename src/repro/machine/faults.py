@@ -1,13 +1,10 @@
 """Deterministic fault injection for the virtual machine.
 
-The paper's machines (nCUBE2, CM5) are modelled as perfectly reliable;
-this module lets a run declare, up front, exactly which imperfections the
-virtual network and processors should exhibit:
+The paper's machines (nCUBE2, CM5) are modelled as perfectly reliable,
+and both transports deliver every message exactly once, in send order
+per source.  This module lets a run declare, up front, exactly which
+imperfections the virtual network and processors should exhibit:
 
-* **message drop** — a transmission is charged to the sender but never
-  deposited in the destination mailbox (the sender retransmits it);
-* **message duplication** — the network delivers a second copy of a
-  packet (no extra sender charge: duplication happens in flight);
 * **extra delay / jitter** — a deterministic extra latency is added to a
   message's virtual arrival time;
 * **rank crash** — a rank's virtual clock trips a deadline and the rank
@@ -21,21 +18,13 @@ virtual network and processors should exhibit:
   stops heartbeating at step ``k`` and hangs (``stall_heartbeat``),
   modelling a livelocked or swapping node.
 
-Every decision is a pure function of ``(plan.seed, src, dst, tag, n)``
+Every delay is a pure function of ``(plan.seed, src, dst, tag, n)``
 where ``n`` is a per-channel transmission counter kept by the *sender's*
 injector state.  Since each channel counter is touched only by its own
 sender thread, the decisions are bit-reproducible across runs regardless
-of real thread scheduling — the property all determinism tests pin.
-
-Recovery is part of the fault model, as delivery is part of the paper's
-machines: under any plan, :meth:`Comm.send` retransmits a dropped packet
-with exponential backoff (``retry_timeout``, ``retry_backoff``; each
-retry costs a full channel charge, and the accumulated timeout waits
-push the message's virtual arrival out) until ``max_retries`` is spent
-(:class:`ReliableDeliveryError`), and the destination mailbox suppresses
-a duplicate copy by its ``seq``, which it shares with its original.  A
-plan that injects no message fault performs no retry and so charges
-exactly the virtual times of a run without a plan.
+of real thread scheduling — the property all determinism tests pin.  A
+plan that injects no delay charges exactly the virtual times of a run
+without a plan.
 """
 
 from __future__ import annotations
@@ -57,10 +46,6 @@ class RankCrashedError(RuntimeError):
         )
 
 
-class ReliableDeliveryError(RuntimeError):
-    """The retransmission budget was exhausted without a delivery."""
-
-
 @dataclass
 class FaultPlan:
     """Declarative, seeded description of every fault a run injects.
@@ -70,14 +55,14 @@ class FaultPlan:
     seed:
         Root of the decision hash; two runs with equal plans make
         identical per-message decisions.
-    drop_rate, dup_rate, delay_rate:
-        Per-transmission probabilities (applied only to matching tags).
+    delay_rate:
+        Per-transmission probability of a delay (matching tags only).
     delay_seconds:
         Extra latency added to a delayed message's virtual arrival; the
         actual delay is jittered deterministically in
         ``[0.5, 1.5) * delay_seconds``.
     tags:
-        Restrict drop/dup/delay to these message tags (``None`` = all).
+        Restrict delays to these message tags (``None`` = all).
     crash:
         ``rank -> virtual time`` at which that rank dies.
     slowdown:
@@ -89,39 +74,21 @@ class FaultPlan:
     stall_heartbeat:
         ``rank -> step`` at which that rank's worker stops heartbeating
         and hangs (process backend only).
-    duplicate_first:
-        Optional ``(src, dst, tag)`` channel whose *first* transmission
-        is duplicated exactly once — the deterministic "one duplicated
-        message" scenario of the acceptance tests.
-    retry_timeout, retry_backoff, max_retries:
-        The retransmission protocol (virtual seconds).  The sender waits
-        ``retry_timeout`` before the first retransmission; each further
-        retry multiplies the wait by ``retry_backoff``.  The waits
-        accumulate into the message's arrival time (the sender's own
-        clock is only charged the channel time of each transmission,
-        modelling interrupt-driven retransmit hardware).
     """
 
     seed: int = 0
-    drop_rate: float = 0.0
-    dup_rate: float = 0.0
     delay_rate: float = 0.0
     delay_seconds: float = 0.0
     tags: frozenset[int] | None = None
     crash: dict[int, float] = field(default_factory=dict)
     slowdown: dict[int, float] = field(default_factory=dict)
-    duplicate_first: tuple[int, int, int] | None = None
     kill: dict[int, int] = field(default_factory=dict)
     stall_heartbeat: dict[int, int] = field(default_factory=dict)
-    retry_timeout: float = 1e-3
-    retry_backoff: float = 2.0
-    max_retries: int = 16
 
     def __post_init__(self):
-        for name in ("drop_rate", "dup_rate", "delay_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if not 0.0 <= self.delay_rate <= 1.0:
+            raise ValueError(
+                f"delay_rate must lie in [0, 1], got {self.delay_rate}")
         if self.delay_seconds < 0:
             raise ValueError("delay_seconds must be non-negative")
         if self.tags is not None:
@@ -137,10 +104,6 @@ class FaultPlan:
                 raise ValueError(
                     f"slowdown factor for rank {r} must be >= 1, got {f}"
                 )
-        if self.duplicate_first is not None:
-            self.duplicate_first = tuple(
-                int(x) for x in self.duplicate_first
-            )
         self.kill = {int(r): int(s) for r, s in self.kill.items()}
         self.stall_heartbeat = {int(r): int(s)
                                 for r, s in self.stall_heartbeat.items()}
@@ -150,20 +113,8 @@ class FaultPlan:
                     raise ValueError(
                         f"{name} step for rank {r} is negative"
                     )
-        if self.retry_timeout < 0:
-            raise ValueError("retry_timeout must be non-negative")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
-        if self.max_retries < 1:
-            raise ValueError("need at least one retry")
 
     # ------------------------------------------------------------- queries
-    @property
-    def any_message_faults(self) -> bool:
-        return (self.drop_rate > 0 or self.dup_rate > 0
-                or self.delay_rate > 0
-                or self.duplicate_first is not None)
-
     @property
     def any_process_faults(self) -> bool:
         """True if the plan demands real OS-process actions (process
@@ -193,8 +144,6 @@ class FaultPlan:
         def plain(v: Any) -> Any:
             if isinstance(v, frozenset):
                 return sorted(v)
-            if isinstance(v, tuple):
-                return list(v)
             if isinstance(v, dict):
                 return {str(k): x for k, x in v.items()}
             return v
@@ -209,8 +158,6 @@ class FaultPlan:
         kw = dict(d)
         if kw.get("tags") is not None:
             kw["tags"] = frozenset(kw["tags"])
-        if kw.get("duplicate_first") is not None:
-            kw["duplicate_first"] = tuple(kw["duplicate_first"])
         return cls(**kw)
 
     def to_json(self) -> str:
@@ -224,19 +171,6 @@ class FaultPlan:
     def load(cls, path: str) -> "FaultPlan":
         with open(path) as f:
             return cls.from_json(f.read())
-
-
-@dataclass(frozen=True)
-class SendDecision:
-    """The injector's verdict on one transmission attempt."""
-
-    drop: bool = False
-    duplicate: bool = False
-    extra_delay: float = 0.0
-
-
-#: The verdict on a transmission no fault touches.
-NO_FAULT = SendDecision()
 
 
 def _unit_hash(seed: int, salt: str, src: int, dst: int, tag: int,
@@ -266,33 +200,21 @@ class FaultInjector:
                 )
         self._counts: dict[tuple[int, int, int], int] = {}
 
-    def decide(self, src: int, dst: int, tag: int) -> SendDecision:
-        """Verdict for the next transmission on channel (src, dst, tag)."""
+    def delay(self, src: int, dst: int, tag: int) -> float:
+        """Extra latency of the next transmission on channel
+        ``(src, dst, tag)`` (0.0: on time)."""
         plan = self.plan
-        if not plan.any_message_faults:
-            return NO_FAULT
+        if plan.delay_rate == 0:
+            return 0.0
         key = (src, dst, tag)
         n = self._counts.get(key, 0)
         self._counts[key] = n + 1
-        if not plan.matches_tag(tag):
-            return NO_FAULT
-        drop = (plan.drop_rate > 0 and
-                _unit_hash(plan.seed, "drop", src, dst, tag, n)
-                < plan.drop_rate)
-        dup = (plan.dup_rate > 0 and
-               _unit_hash(plan.seed, "dup", src, dst, tag, n)
-               < plan.dup_rate)
-        if plan.duplicate_first == (src, dst, tag) and n == 0:
-            dup = True
-        delay = 0.0
-        if (plan.delay_rate > 0 and plan.delay_seconds > 0 and
-                _unit_hash(plan.seed, "delay", src, dst, tag, n)
+        if not (plan.matches_tag(tag) and plan.delay_seconds > 0
+                and _unit_hash(plan.seed, "delay", src, dst, tag, n)
                 < plan.delay_rate):
-            jitter = _unit_hash(plan.seed, "jitter", src, dst, tag, n)
-            delay = plan.delay_seconds * (0.5 + jitter)
-        if not (drop or dup or delay):
-            return NO_FAULT
-        return SendDecision(drop=drop, duplicate=dup, extra_delay=delay)
+            return 0.0
+        jitter = _unit_hash(plan.seed, "jitter", src, dst, tag, n)
+        return plan.delay_seconds * (0.5 + jitter)
 
     def crash_time(self, rank: int) -> float | None:
         return self.plan.crash.get(rank)

@@ -11,10 +11,8 @@ one dict lookup and O(log k) in the k messages of the stream, however
 many other messages are pending.
 
 A message's ``seq`` is its position in its sender's stream: each
-:class:`~repro.machine.comm.Comm` numbers its own sends from 0, and a
-duplicate copy the network delivers shares its original's ``seq``.
-Both transports deliver one sender's messages in send order, so a
-mailbox suppresses duplicates by remembering one number per source.
+:class:`~repro.machine.comm.Comm` numbers its own sends from 0, and
+both transports deliver every message exactly once.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ class Message:
     arrival: float
     src: int
     #: Stamped by the sending ``Comm``.  A message built by hand gets the
-    #: next value of one rising count, so it passes duplicate suppression.
+    #: next value of one rising count, so its ``seq`` is unique too.
     seq: int = field(default_factory=itertools.count().__next__)
     tag: int = field(compare=False, default=0)
     payload: Any = field(compare=False, default=None)
@@ -74,28 +72,11 @@ class Mailbox:
         self._heaps: dict[tuple[int, int],
                           list[tuple[float, int, int, Message]]] = {}
         self._pending = 0
-        #: Per source: the highest ``seq`` accepted so far.
-        self._last_seq: dict[int, int] = {}
-        #: Duplicate copies discarded on deposit.
-        self.duplicates_suppressed = 0
         #: Queue-depth high-water mark (surfaced as a metrics gauge).
         self.max_pending = 0
 
     def put(self, msg: Message) -> None:
-        """Deposit a message.
-
-        Precondition: each source's messages are put in send order
-        (both transports deliver per-source FIFO).  A message whose
-        ``seq`` is not above the highest already accepted from its
-        source is then a duplicate copy of one already here: it never
-        reaches the queues.  The receiver pays nothing for a suppressed
-        copy (a header-only discard); the sender already paid its
-        channel charge.
-        """
-        if msg.seq <= self._last_seq.get(msg.src, -1):
-            self.duplicates_suppressed += 1
-            return
-        self._last_seq[msg.src] = msg.seq
+        """Deposit a message."""
         # The key is spelled out in the entry: heap comparisons then stay
         # on plain tuples and never reach Message.__lt__ (a source's seqs
         # are unique).

@@ -18,8 +18,6 @@ Metric names used by the machine and the simulation driver:
 
 ``comm.msg_bytes``            histogram of sent payload sizes (bytes)
 ``comm.recv_wait_seconds``    histogram of virtual arrival waits
-``comm.retransmissions``      counter (resends of dropped packets)
-``comm.drops``                counter (transmissions eaten by the network)
 ``mailbox.max_pending``       gauge, queue depth high-water mark
 ``sim.step_seconds``          histogram of per-rank per-step virtual time
 ``sim.particles_shipped``     counter, particles sent to another owner

@@ -8,8 +8,7 @@ interval and every message of that rank into a structured event:
   nested spans; ``cat="step"`` spans mark whole time-steps).
 * :class:`SendEvent` — one ``Comm.send``: channel-charge begin/end on
   the sender's clock, the message's virtual arrival at the destination,
-  and its fault disposition (drops eaten by the network, retransmission
-  count, duplication, extra delay, or outright loss).
+  and the extra delay a fault plan added to it.
 * :class:`RecvEvent` — one matched receive: the receiver's clock before
   the arrival wait, the arrival itself, the clock after the copy-out
   charge, and whether the receive actually *waited* (i.e. the arrival
@@ -64,18 +63,15 @@ class PhaseSpan:
 class SendEvent:
     """One ``Comm.send`` as seen from the sender."""
 
-    seq: int                # Message.seq (a duplicate copy shares it)
+    seq: int                # Message.seq
     src: int
     dst: int
     tag: int
     nbytes: int
-    t_begin: float          # sender clock before the channel charge(s)
-    t_end: float            # sender clock after the charge(s)
+    t_begin: float          # sender clock before the channel charge
+    t_end: float            # sender clock after the charge
     arrival: float          # virtual arrival at dst (== t_end for local)
-    drops: int = 0          # transmissions the network ate before success
-    retries: int = 0        # retransmissions performed
-    duplicate: bool = False  # this event IS the extra network copy
-    extra_delay: float = 0.0
+    extra_delay: float = 0.0  # injected by a fault plan
 
 
 @dataclass
@@ -192,9 +188,8 @@ class Trace:
         return any(self.wall_phases)
 
     def sends_by_seq(self) -> dict[tuple[int, int], SendEvent]:
-        """Delivered-copy send events keyed by ``(src, seq)``."""
-        return {(ev.src, ev.seq): ev for ev in self.all_sends()
-                if not ev.duplicate}
+        """Send events keyed by ``(src, seq)``."""
+        return {(ev.src, ev.seq): ev for ev in self.all_sends()}
 
     def step_spans(self) -> dict[int, list[PhaseSpan]]:
         """``step index -> spans`` for the ``cat="step"`` markers."""
@@ -214,9 +209,8 @@ class Trace:
 
         One thread track per rank; phase blocks as complete ("X") slices,
         messages as flow arrows ("s"/"f", id ``seq * size + src``)
-        anchored on instant events, and fault dispositions as instant
-        events.  Timestamps are the virtual
-        times in microseconds.
+        anchored on instant events.  Timestamps are the virtual times in
+        microseconds.
 
         When wall spans were recorded, a second process (pid 1, "wall
         clock") carries one wall track per rank on the run-epoch
@@ -242,16 +236,14 @@ class Trace:
             })
         for ev in self.all_sends():
             name = f"send tag={ev.tag}"
-            args = {"dst": ev.dst, "nbytes": ev.nbytes,
-                    "drops": ev.drops, "retries": ev.retries}
+            args = {"dst": ev.dst, "nbytes": ev.nbytes}
             events.append({"name": name, "cat": "msg", "ph": "i", "s": "t",
                            "ts": ev.t_end * us, "pid": 0, "tid": ev.src,
                            "args": args})
-            if not ev.duplicate:
-                events.append({"name": f"msg tag={ev.tag}", "cat": "msg",
-                               "ph": "s", "id": ev.seq * self.size + ev.src,
-                               "ts": ev.t_end * us,
-                               "pid": 0, "tid": ev.src, "args": args})
+            events.append({"name": f"msg tag={ev.tag}", "cat": "msg",
+                           "ph": "s", "id": ev.seq * self.size + ev.src,
+                           "ts": ev.t_end * us,
+                           "pid": 0, "tid": ev.src, "args": args})
         for ev in self.all_recvs():
             events.append({"name": f"recv tag={ev.tag}", "cat": "msg",
                            "ph": "i", "s": "t", "ts": ev.t_end * us,

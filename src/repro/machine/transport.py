@@ -9,7 +9,8 @@ the seam between the two:
 
 * :class:`Endpoint` — the per-rank interface ``Comm`` talks to: deposit
   a message at a destination, a blocking ``(src, tag)`` receive on the
-  own queue, and the mailbox counters the engine reads after a run.
+  own queue, and the queue-depth high-water mark the engine reads after
+  a run.
 * :class:`LocalTransport` — the in-process backend: one
   :class:`~repro.machine.mailbox.Mailbox` per rank, and the scheduler
   that decides which thread rank runs.
@@ -34,8 +35,8 @@ class Endpoint(ABC):
 
     ``Comm`` is written against exactly this surface; any backend that
     implements it can run the rank programs unchanged, provided it
-    deposits each sender's messages at a receiver in send order, across
-    tags (the mailbox's duplicate suppression relies on it).
+    deposits each message at its receiver exactly once, and each
+    sender's messages in send order, across tags.
     """
 
     rank: int
@@ -60,11 +61,6 @@ class Endpoint(ABC):
         """
 
     # ------------------------------------------------------------ counters
-    @property
-    def duplicates_suppressed(self) -> int:
-        """Duplicate copies discarded on deposit."""
-        return self._box.duplicates_suppressed
-
     @property
     def max_pending(self) -> int:
         """Queue-depth high-water mark."""

@@ -189,9 +189,6 @@ def _worker_main(rank: int, size: int, transport: ProcessTransport,
         _sup.attach_comm(comm)
         envelope["kind"] = "ok"
         envelope["value"] = main(comm, *args, *extra)
-        # Clean return only: let copies still in flight to this rank
-        # land before its mailbox counters are read below.
-        endpoint.finish()
     except BaseException as exc:
         envelope["kind"] = "error"
         envelope["value"] = None

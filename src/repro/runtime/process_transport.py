@@ -5,16 +5,15 @@ One ``multiprocessing`` queue per rank carries
 payload included — by its sender at send time.  Each worker drains its
 queue into a private in-process
 :class:`~repro.machine.mailbox.Mailbox`, which supplies the matched
-``(src, tag)`` receive semantics, virtual-arrival ordering and
-duplicate suppression — exactly the structure the
-in-process :class:`~repro.machine.transport.LocalTransport` uses, with
-the pipe in front.
+``(src, tag)`` receive semantics and virtual-arrival ordering — exactly
+the structure the in-process
+:class:`~repro.machine.transport.LocalTransport` uses, with the pipe in
+front.
 
 Determinism: queues are FIFO per producer, so messages from one sender
 arrive in send order, across tags — the per-source FIFO guarantee the
-local transport gives, and the precondition of the mailbox's duplicate
-suppression — and every virtual-time decision was already priced into
-the message by the sender.  Which is why the two transports
+local transport gives — and every virtual-time decision was already
+priced into the message by the sender.  Which is why the two transports
 produce bitwise-identical virtual clocks for the same program.
 """
 
@@ -32,10 +31,6 @@ from repro.machine.transport import Endpoint
 #: How long one blocking queue read waits before re-checking the
 #: watchdog deadline (real seconds; never charges any virtual clock).
 _POLL_SECONDS = 0.05
-
-#: Wall bound on the end-of-run handshake (:meth:`ProcessEndpoint.finish`):
-#: a rank that returned long before a peer does not wait for it.
-_FIN_SECONDS = 1.0
 
 
 class ProcessTransport:
@@ -90,11 +85,9 @@ class ProcessEndpoint(Endpoint):
         self.size = size
         self._recv_timeout = recv_timeout
         self._queues = queues
-        #: Decoded-message store: supplies matching, ordering and
-        #: duplicate suppression, identical to the local transport.
+        #: Decoded-message store: supplies matching and ordering,
+        #: identical to the local transport.
         self._box = Mailbox(rank)
-        #: Peers whose fin marker has arrived (see :meth:`finish`).
-        self._fins: set[int] = set()
         #: The rank's :class:`~repro.machine.trace.RankTrace`, set by the
         #: worker body on a traced run: with wall tracing on, queue puts
         #: and blocking queue reads show up as ``wall:transport`` spans.
@@ -122,9 +115,6 @@ class ProcessEndpoint(Endpoint):
     # ----------------------------------------------------------- receiving
     def _accept(self, item: Any) -> None:
         src, data = item
-        if data is None:                # src's fin marker (see finish)
-            self._fins.add(src)
-            return
         arrival, seq, tag, nbytes, payload = pickle.loads(data)
         self._box.put(Message(arrival=arrival, src=src, seq=seq, tag=tag,
                               payload=payload, nbytes=nbytes))
@@ -172,29 +162,3 @@ class ProcessEndpoint(Endpoint):
             except _queue.Empty:
                 continue
             self._accept(item)
-
-    def finish(self) -> None:
-        """End-of-run handshake, after the rank program has returned and
-        before the mailbox counters are read: put a fin marker on every
-        peer's queue, then keep accepting until a fin from every peer is
-        in hand (or :data:`_FIN_SECONDS` pass).
-
-        A message the program never received — the second copy of a
-        duplicated transmission is the usual one — can still be in its
-        sender's queue feeder when the receiver returns.  Queues are
-        FIFO per producer, so a peer's fin proves everything that peer
-        put before it has been accepted, and the counters then read as
-        on the thread engine, where every ``put`` has completed by the
-        time they are read.  Transport-level only: no clock is charged.
-        """
-        for dst in range(self.size):
-            if dst != self.rank:
-                self._queues[dst].put((self.rank, None))
-        deadline = time.monotonic() + _FIN_SECONDS
-        q = self._queues[self.rank]
-        while len(self._fins) < self.size - 1:
-            try:
-                self._accept(q.get(
-                    timeout=max(deadline - time.monotonic(), 0.0)))
-            except _queue.Empty:
-                return

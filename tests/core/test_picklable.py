@@ -47,29 +47,16 @@ def test_scheme_config_roundtrip():
 
 
 def test_fault_plan_roundtrip():
-    plan = FaultPlan(seed=77, drop_rate=0.1, dup_rate=0.05,
-                     delay_rate=0.2, delay_seconds=1e-3,
+    plan = FaultPlan(seed=77, delay_rate=0.2, delay_seconds=1e-3,
                      crash={2: 0.5}, slowdown={1: 2.0})
     back = roundtrip(plan)
     assert back == plan
     # Decisions derive from the plan's hash seed: they must survive too.
     from repro.machine.faults import FaultInjector
     a, b = FaultInjector(plan, 4), FaultInjector(back, 4)
-    for _ in range(20):
-        da, db = a.decide(0, 1, 3), b.decide(0, 1, 3)
-        assert (da.drop, da.duplicate, da.extra_delay) == \
-               (db.drop, db.duplicate, db.extra_delay)
-
-
-def test_reliable_config_roundtrip():
-    """The retransmission parameters are plan fields: they survive the
-    JSON plan file and pickling alike."""
-    plan = FaultPlan(seed=3, drop_rate=0.1, retry_timeout=2e-3,
-                     retry_backoff=1.5, max_retries=9)
-    for back in (FaultPlan.from_json(plan.to_json()), roundtrip(plan)):
-        assert back == plan
-        assert (back.retry_timeout, back.retry_backoff,
-                back.max_retries) == (2e-3, 1.5, 9)
+    delays = [a.delay(0, 1, 3) for _ in range(20)]
+    assert delays == [b.delay(0, 1, 3) for _ in range(20)]
+    assert any(delays)
 
 
 def _step_result() -> StepResult:
@@ -135,7 +122,7 @@ def test_rank_checkpoint_accounting_fields_roundtrip(tmp_path):
 
     ps = plummer(10, seed=6)
     reg = MetricsRegistry()
-    reg.counter("comm.retransmissions").inc(4)
+    reg.counter("sim.particles_shipped").inc(4)
     reg.histogram("comm.recv_wait_seconds").observe(0.125)
     ckpt = RankCheckpoint(
         rank=2, step=5, particles=ps,
@@ -170,7 +157,7 @@ def test_rank_checkpoint_accounting_fields_roundtrip(tmp_path):
 def test_machine_accounting_objects_roundtrip():
     stats = CommStats(messages_sent=3, bytes_sent=100,
                       bytes_by_tag={1: 60, 2: 40},
-                      retransmissions=2)
+                      delays_injected=2)
     assert roundtrip(stats) == stats
     timings = PhaseTimings({"force computation": 1.5, "other": 0.25})
     assert roundtrip(timings) == timings

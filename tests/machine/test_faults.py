@@ -1,4 +1,4 @@
-"""Tests for deterministic fault injection and recovery from it."""
+"""Tests for deterministic fault injection."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.machine.faults import (
     FaultInjector,
     FaultPlan,
     RankCrashedError,
-    ReliableDeliveryError,
 )
 from repro.machine.profiles import ZERO_COST
 
@@ -19,30 +18,23 @@ TOY = MachineProfile(name="toy", topology_kind="hypercube",
 class TestFaultPlan:
     def test_defaults_are_fault_free(self):
         plan = FaultPlan()
-        assert not plan.any_message_faults
+        assert plan.delay_rate == 0.0
         assert plan.crash == {} and plan.slowdown == {}
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError, match="drop_rate"):
-            FaultPlan(drop_rate=1.5)
+        with pytest.raises(ValueError, match="delay_rate"):
+            FaultPlan(delay_rate=1.5)
+        with pytest.raises(ValueError, match="delay_seconds"):
+            FaultPlan(delay_seconds=-1.0)
         with pytest.raises(ValueError, match="negative"):
             FaultPlan(crash={0: -1.0})
         with pytest.raises(ValueError, match="slowdown"):
             FaultPlan(slowdown={0: 0.5})
-        with pytest.raises(ValueError, match="retry_timeout"):
-            FaultPlan(retry_timeout=-1e-3)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            FaultPlan(retry_backoff=0.5)
-        with pytest.raises(ValueError, match="retry"):
-            FaultPlan(max_retries=0)
 
     def test_json_round_trip(self):
-        plan = FaultPlan(seed=42, drop_rate=0.1, dup_rate=0.05,
-                         delay_rate=0.2, delay_seconds=1e-3,
+        plan = FaultPlan(seed=42, delay_rate=0.2, delay_seconds=1e-3,
                          tags={7001, 7002}, crash={2: 1.5},
-                         slowdown={0: 3.0},
-                         duplicate_first=(0, 1, 7001),
-                         retry_timeout=5e-4, max_retries=4)
+                         slowdown={0: 3.0})
         again = FaultPlan.from_json(plan.to_json())
         assert again == plan
         # Every field reaches the plan file.
@@ -51,6 +43,9 @@ class TestFaultPlan:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             FaultPlan.from_dict({"drop_probability": 0.1})
+        # Message drops and duplicates are not part of the fault model.
+        with pytest.raises(ValueError, match="drop_rate"):
+            FaultPlan.from_dict({"drop_rate": 0.05})
 
     def test_without_crash(self):
         plan = FaultPlan(crash={0: 1.0, 1: 2.0})
@@ -60,8 +55,8 @@ class TestFaultPlan:
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "plan.json"
-        p.write_text(FaultPlan(seed=9, drop_rate=0.25).to_json())
-        assert FaultPlan.load(str(p)) == FaultPlan(seed=9, drop_rate=0.25)
+        p.write_text(FaultPlan(seed=9, delay_rate=0.25).to_json())
+        assert FaultPlan.load(str(p)) == FaultPlan(seed=9, delay_rate=0.25)
 
     def test_process_faults_round_trip(self):
         plan = FaultPlan(seed=3, kill={1: 2}, stall_heartbeat={3: 0})
@@ -89,24 +84,46 @@ class TestFaultPlan:
 
 class TestInjectorDeterminism:
     def test_same_plan_same_decisions(self):
-        plan = FaultPlan(seed=3, drop_rate=0.3, dup_rate=0.2,
-                         delay_rate=0.5, delay_seconds=1.0)
+        plan = FaultPlan(seed=3, delay_rate=0.5, delay_seconds=1.0)
         a = FaultInjector(plan, 4)
         b = FaultInjector(plan, 4)
-        seq_a = [a.decide(0, 1, 5) for _ in range(50)]
-        seq_b = [b.decide(0, 1, 5) for _ in range(50)]
+        seq_a = [a.delay(0, 1, 5) for _ in range(50)]
+        seq_b = [b.delay(0, 1, 5) for _ in range(50)]
         assert seq_a == seq_b
+        assert 0.0 in seq_a and any(seq_a)
 
     def test_different_seeds_differ(self):
-        a = FaultInjector(FaultPlan(seed=1, drop_rate=0.5), 2)
-        b = FaultInjector(FaultPlan(seed=2, drop_rate=0.5), 2)
-        assert ([a.decide(0, 1, 0).drop for _ in range(64)]
-                != [b.decide(0, 1, 0).drop for _ in range(64)])
+        a = FaultInjector(FaultPlan(seed=1, delay_rate=0.5,
+                                    delay_seconds=1.0), 2)
+        b = FaultInjector(FaultPlan(seed=2, delay_rate=0.5,
+                                    delay_seconds=1.0), 2)
+        assert ([a.delay(0, 1, 0) for _ in range(64)]
+                != [b.delay(0, 1, 0) for _ in range(64)])
+
+    def test_delays_are_pinned(self):
+        """Each channel draws once per send from its own counter, so a
+        plan's delays are fixed numbers: these are the bits the
+        ``"delay"``/``"jitter"`` hash salts give for seed 7."""
+        inj = FaultInjector(FaultPlan(seed=7, delay_rate=0.5,
+                                      delay_seconds=2e-3, tags={3}), 4)
+        got = []
+        for _ in range(8):
+            got.append(inj.delay(0, 1, 3))
+            assert inj.delay(0, 1, 4) == 0.0    # not a planned tag
+            got.append(inj.delay(2, 1, 3))
+        assert [x.hex() for x in got] == [
+            "0x0.0p+0", "0x1.f65322c3ccde1p-10", "0x1.c75dfd54dd81fp-10",
+            "0x1.a0ef6f17cfc39p-10", "0x1.310b5a0757085p-9", "0x0.0p+0",
+            "0x1.227ede939c9c0p-9", "0x1.295ba8ef94b54p-9",
+            "0x1.044c78904ea2bp-9", "0x1.d9aa22e902aebp-10", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.74e8e1cd9b4ecp-9"]
 
     def test_tag_filter(self):
-        inj = FaultInjector(FaultPlan(drop_rate=1.0, tags={7}), 2)
-        assert not inj.decide(0, 1, 8).drop
-        assert inj.decide(0, 1, 7).drop
+        inj = FaultInjector(FaultPlan(delay_rate=1.0, delay_seconds=1.0,
+                                      tags={7}), 2)
+        assert inj.delay(0, 1, 8) == 0.0
+        assert inj.delay(0, 1, 7) > 0.0
 
     def test_unknown_rank_rejected(self):
         with pytest.raises(ValueError, match="rank 9"):
@@ -114,66 +131,6 @@ class TestInjectorDeterminism:
 
 
 class TestMessageFaults:
-    def test_reliable_layer_recovers_drops(self):
-        def main(comm):
-            if comm.rank == 0:
-                for i in range(20):
-                    comm.send(i, dst=1, tag=4)
-            else:
-                return [comm.recv(src=0, tag=4) for _ in range(20)]
-
-        plan = FaultPlan(seed=11, drop_rate=0.4)
-        rep = Engine(2, TOY, recv_timeout=30.0, fault_plan=plan).run(main)
-        assert rep.values[1] == list(range(20))
-        assert rep.total_drops_injected > 0
-        assert rep.total_retransmissions == rep.total_drops_injected
-
-    def test_retries_cost_virtual_time(self):
-        def main(comm):
-            if comm.rank == 0:
-                comm.send(b"xxxx", dst=1, tag=4)
-            else:
-                comm.recv(src=0, tag=4)
-            return comm.now
-
-        clean = Engine(2, TOY, fault_plan=FaultPlan(drop_rate=0.0)).run(main)
-        # seed chosen so the first transmission drops and the retry lands
-        plan = FaultPlan(seed=1, drop_rate=0.5)
-        faulty = Engine(2, TOY, fault_plan=plan).run(main)
-        assert faulty.total_retransmissions > 0
-        assert faulty.values[0] > clean.values[0]  # extra channel charges
-        assert faulty.values[1] > clean.values[1]  # timeout pushed arrival
-
-    def test_retry_budget_exhaustion(self):
-        def main(comm):
-            if comm.rank == 0:
-                comm.send(1, dst=1, tag=4)
-            else:
-                comm.recv(src=0, tag=4)
-
-        plan = FaultPlan(drop_rate=1.0, retry_timeout=1e-3, max_retries=3)
-        with pytest.raises(RuntimeError, match="undelivered") as ei:
-            Engine(2, ZERO_COST, recv_timeout=10.0,
-                   fault_plan=plan).run(main)
-        assert isinstance(ei.value.__cause__, ReliableDeliveryError)
-
-    def test_duplicate_suppressed_under_reliability(self):
-        def main(comm):
-            if comm.rank == 0:
-                comm.send("only-once", dst=1, tag=9)
-                comm.send("second", dst=1, tag=9)
-            else:
-                a = comm.recv(src=0, tag=9)
-                b = comm.recv(src=0, tag=9)
-                return (a, b)
-
-        plan = FaultPlan(duplicate_first=(0, 1, 9))
-        rep = Engine(2, ZERO_COST, recv_timeout=10.0,
-                     fault_plan=plan).run(main)
-        assert rep.values[1] == ("only-once", "second")
-        assert rep.fault_summary()["duplicates_injected"] == 1
-        assert rep.total_duplicates_suppressed == 1
-
     def test_delay_pushes_arrival(self):
         def main(comm):
             if comm.rank == 0:
@@ -233,7 +190,7 @@ class TestCrashAndSlowdown:
 
 class TestZeroFaultNeutrality:
     def test_reliable_layer_is_free_when_clean(self):
-        """Benchmark timings must be unchanged by the recovery machinery."""
+        """A plan that injects nothing leaves every timing unchanged."""
         def main(comm):
             comm.compute(float(comm.rank) * 3.0)
             comm.allgather(comm.rank)
@@ -259,8 +216,7 @@ class TestZeroFaultNeutrality:
             comm.barrier()
             return comm.now
 
-        plan = FaultPlan(seed=5, drop_rate=0.3, delay_rate=0.2,
-                         delay_seconds=7.0)
+        plan = FaultPlan(seed=5, delay_rate=0.3, delay_seconds=7.0)
         reps = [Engine(2, TOY, recv_timeout=30.0,
                        fault_plan=plan).run(main) for _ in range(3)]
         assert (reps[0].values == reps[1].values == reps[2].values)

@@ -94,14 +94,13 @@ class TestBlockingAndTimeout:
 
 _SOURCES, _TAGS = 8, 4
 _OPS = st.one_of(
-    # put: source, tag, arrival (few values, so ties are common), the
+    # put: source, tag, arrival (few values, so ties are common) and the
     # step to the source's next seq (its sends to other ranks fall in
-    # the gaps) and whether the network delivers a second copy of the
-    # source's last message instead (a duplicate the box suppresses)
+    # the gaps)
     st.tuples(st.just("put"), st.integers(0, _SOURCES - 1),
               st.integers(0, _TAGS - 1),
               st.sampled_from([0.0, 0.5, 1.0, 2.5]),
-              st.integers(1, 3), st.booleans()),
+              st.integers(1, 3)),
     st.tuples(st.sampled_from(["get", "poll"]),
               st.integers(0, _SOURCES - 1), st.integers(0, _TAGS - 1)),
 )
@@ -109,23 +108,18 @@ _OPS = st.one_of(
 
 def _play(box, ops):
     """Run a script, returning everything it observed.  Each source's
-    seqs rise in put order, as a sender's do on either transport, and a
-    duplicate re-sends the source's last message.  ``get`` is only
-    issued when its ``(src, tag)`` is queued (it raises otherwise).
-    After the script the box is drained stream by stream, and its
-    counters are read before and after."""
+    seqs rise in put order, as a sender's do on either transport.
+    ``get`` is only issued when its ``(src, tag)`` is queued (it raises
+    otherwise).  After the script the box is drained stream by stream,
+    and its high-water mark is read."""
     seen = []
-    last: dict[int, Message] = {}
+    last_seq: dict[int, int] = {}
     for k, op in enumerate(ops):
         if op[0] == "put":
             src = op[1]
-            if op[5] and src in last:
-                box.put(last[src])
-                continue
-            prev = last[src].seq if src in last else -1
-            last[src] = Message(arrival=op[3], src=src, seq=prev + op[4],
-                                tag=op[2], payload=k)
-            box.put(last[src])
+            last_seq[src] = last_seq.get(src, -1) + op[4]
+            box.put(Message(arrival=op[3], src=src, seq=last_seq[src],
+                            tag=op[2], payload=k))
         else:
             queued = op[0] == "get" and \
                 (op[1], op[2]) in box.pending_summary()
@@ -137,16 +131,14 @@ def _play(box, ops):
     for src, tag in sorted(left):
         while (m := box.poll(src, tag)) is not None:
             drained.append(m.payload)
-    return (seen, left, drained, box.pending_summary(), box.max_pending,
-            box.duplicates_suppressed)
+    return (seen, left, drained, box.pending_summary(), box.max_pending)
 
 
 class TestScanEqualsOracle:
     """The per-``(src, tag)`` heaps select what the list scan of
     ``ScanMailbox`` selected: same message for every get / poll, same
     queue left behind and drained in the same order, same high-water
-    mark and duplicate suppressions — arrival ties and reliable
-    duplicates included."""
+    mark — arrival ties included."""
 
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(_OPS, max_size=80))

@@ -76,7 +76,7 @@ class TestMessageEvents:
         # Channel charge t_s + nbytes * t_w = 10 + 2; one hop of t_h = 1.
         assert ev.t_end - ev.t_begin == pytest.approx(12.0)
         assert ev.arrival == pytest.approx(ev.t_end + 1.0)
-        assert not ev.duplicate
+        assert ev.extra_delay == 0.0
 
     def test_recv_event_waited_flag(self):
         rep = Engine(2, TOY).run(_pingpong, trace=True)
@@ -135,13 +135,14 @@ class TestMessageEvents:
 
 
 class TestFaultDispositions:
-    def test_drops_and_retries_recorded(self):
-        plan = FaultPlan(seed=7, drop_rate=0.5)
+    def test_delays_recorded(self):
+        plan = FaultPlan(seed=7, delay_rate=1.0, delay_seconds=4.0)
         rep = Engine(2, TOY, fault_plan=plan).run(_pingpong, trace=True)
-        total_drops = sum(ev.drops for ev in rep.trace.all_sends())
-        assert total_drops == sum(r.stats.drops_injected for r in rep.ranks)
-        retries = sum(ev.retries for ev in rep.trace.all_sends())
-        assert retries == rep.total_retransmissions
+        (ev,) = rep.trace.all_sends()
+        assert rep.fault_summary()["delays_injected"] == 1
+        # jitter keeps the delay within [0.5, 1.5) * delay_seconds
+        assert 2.0 <= ev.extra_delay < 6.0
+        assert ev.arrival == ev.t_end + 1.0 + ev.extra_delay
 
 
 class TestChromeExport:

@@ -3,8 +3,7 @@ kept (renamed ``ScanMailbox``, and without the wildcards, requeue,
 probe and the blocking wait the machine no longer offers) as the oracle
 of message selection: every queued message in one list, every ``get`` /
 ``poll`` a scan for the earliest ``(arrival, src, seq)`` of its
-``(src, tag)``.  Its duplicate suppression is the mailbox's high-water
-rule, kept as plainly: one highest accepted ``seq`` per source.
+``(src, tag)``.
 
 Install in a whole run with ``monkeypatch.setattr(
 repro.machine.transport, "Mailbox", ScanMailbox)``: ``LocalTransport``
@@ -21,25 +20,11 @@ class ScanMailbox:
     def __init__(self, rank: int):
         self.rank = rank
         self._messages: list[Message] = []
-        #: Per source: the highest ``seq`` accepted so far.
-        self._last_seq: dict[int, int] = {}
-        #: Duplicate copies discarded on deposit (reliable layer).
-        self.duplicates_suppressed = 0
         #: Queue-depth high-water mark (surfaced as a metrics gauge).
         self.max_pending = 0
 
     def put(self, msg: Message) -> None:
-        """Deposit a message.
-
-        Each source's messages arrive in send order, so one whose
-        ``seq`` is not above the highest accepted from its source is a
-        duplicate copy: the network may deliver several copies of one
-        logical message, but only the first reaches the matching queues.
-        """
-        if msg.seq <= self._last_seq.get(msg.src, -1):
-            self.duplicates_suppressed += 1
-            return
-        self._last_seq[msg.src] = msg.seq
+        """Deposit a message."""
         self._messages.append(msg)
         if len(self._messages) > self.max_pending:
             self.max_pending = len(self._messages)

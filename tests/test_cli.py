@@ -44,6 +44,24 @@ class TestParser:
         assert err.startswith("repro: error: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"seed": 7, "drop_rate": 0.05}', "unknown fault-plan keys"),
+        ('{"delay_rate": 2.0}', "delay_rate must lie in [0, 1]"),
+        ('{"delay_rate": ', "Expecting value"),
+        (None, "No such file"),
+    ], ids=["drop-rate", "rate-out-of-range", "bad-json", "missing-file"])
+    def test_bad_fault_plan_is_one_line(self, capsys, tmp_path, text,
+                                        message):
+        """A plan that does not load is refused like a bad option."""
+        plan = tmp_path / "plan.json"
+        if text is not None:
+            plan.write_text(text)
+        assert main(["run", "--scale", "0.001", "--procs", "2",
+                     "--fault-plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: fault plan {plan}: ")
+        assert message in err and err.count("\n") == 1
+
 
 class TestCommands:
     def test_instances(self, capsys):
