@@ -16,19 +16,20 @@ them:
 2. :func:`evaluate_interaction_lists` consumes the lists with fused,
    chunked kernels: a single grouped gather per evaluator over *all*
    accepted cluster interactions, and a lane-major particle-particle
-   pass — leaf visits grouped by source count ``ns``, source ``j`` of
-   every row in lane ``j``, read in place from tree-ordered
-   structure-of-arrays sources, so each ufunc runs down a long
-   contiguous axis of rows — in chunks of a fixed working-set size.
-   Those two passes (:func:`evaluate_pairs`) are every force path's,
-   data shipping's included.
+   pass — leaf visits grouped by source count ``ns``, each chunk one
+   call of the C kernel in ``_kernels.c`` (:mod:`repro.bh.native`),
+   which reads tree-ordered structure-of-arrays sources in place and
+   runs a visit's rows as the inner lanes of each source ``j`` — in
+   chunks of a fixed working-set size.  Those two passes
+   (:func:`evaluate_pairs`) are every force path's, data shipping's
+   included.
 
 Every pass reads targets as one C-contiguous ``(d, n)`` block of
 coordinate columns, which :meth:`TraversalEngine.compute` transposes
 once per batch: the walk carries ``(d, m)`` columns on its stack, the
 cluster kernels take ``(d, n)`` targets and return forces as ``(d, n)``
-columns, and the P2P pass gathers each leaf visit's sources once and
-repeats them over the visit's rows.  So every elementwise pass runs
+columns, and the P2P kernel gathers a leaf visit's target
+coordinates once per block of its rows.  So every elementwise pass runs
 down a long axis, not an inner loop three elements long.  The public
 entry points keep ``(n, d)`` targets and values.
 
@@ -57,23 +58,25 @@ perturbs values at the 1e-15 level.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro.bh import kernels
+from repro.bh.native import LIB
 from repro.bh.mac import BarnesHutMAC, sq_norm
 from repro.bh.tree import NO_CHILD, Tree
 
 #: Default bound on the fused kernels' working set (bytes of live
 #: floating-point temporaries per chunk).  Sized to stay cache-resident:
-#: every chunk is touched by several passes (gather, subtract, square,
-#: rsqrt, contract), and a chunk that fits in the last-level cache makes
-#: the later passes cache hits.  Measured on the serial n=10k benchmark
-#: (2-vCPU host, ``(d, n)`` column kernels), 16 MiB costs ~5 % more step
-#: wall than 4 MiB.  A different value regroups the partial sums.
+#: every cluster-pass chunk is touched by several passes (gather,
+#: subtract, square, rsqrt, contract), and a chunk that fits in the
+#: last-level cache makes the later passes cache hits.  Measured on the
+#: serial n=10k benchmark (2-vCPU host, ``(d, n)`` column kernels, numpy
+#: P2P), 16 MiB costs ~5 % more step wall than 4 MiB.  It also sets the
+#: P2P chunk rows (:func:`_p2p_pass`).  A different value regroups the
+#: partial sums.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
 
 #: Targets per streamed chunk of :meth:`TraversalEngine.compute`.
@@ -440,27 +443,6 @@ def _cluster_pass(values: np.ndarray, targets: np.ndarray,
                     batch(nodes[lo:lo + chunk], targets.take(t, axis=1)))
 
 
-#: One flat scratch buffer per thread: lazily allocated, grown on
-#: demand, never beyond the working set.  The thread backend runs one
-#: rank at a time and a P2P pass never blocks, but a thread-local needs
-#: no lock and stays correct for any caller that evaluates from
-#: threads of its own.
-_thread_scratch = threading.local()
-
-
-def _p2p_scratch(ns: int, chunk: int, d: int) -> tuple:
-    """Lane-major P2P chunk buffers (``(d, ns, chunk)`` separations and
-    ``(ns, chunk)`` squared distances and per-pair weights) carved out
-    of the thread's scratch; every view is contiguous and fully
-    overwritten before it is read within a chunk."""
-    rows = chunk * ns
-    buf = getattr(_thread_scratch, "buf", None)
-    if buf is None or buf.size < rows * (d + 2):
-        buf = _thread_scratch.buf = np.empty(rows * (d + 2))
-    flat = buf[rows * d:rows * (d + 2)].reshape(2, ns, chunk)
-    return (buf[:rows * d].reshape(d, ns, chunk), *flat)
-
-
 def source_layout(positions: np.ndarray, masses: np.ndarray) -> tuple:
     """Sources as the P2P kernel reads them: ``positions`` structure-of-
     arrays ``(d, n)`` (C-contiguous), ``masses`` in the same order
@@ -483,49 +465,48 @@ def _source_layout(tree: Tree, sources) -> tuple | None:
                          sources.masses[tree.order])
 
 
+def _strided(a: np.ndarray) -> tuple:
+    """``a`` as float64 for the C kernel: its address and its strides
+    in elements (copied when a stride is not a whole element)."""
+    a = np.asarray(a, dtype=np.float64)
+    if any(s % 8 for s in a.strides):
+        a = np.ascontiguousarray(a)
+    return (a, a.ctypes.data, *(s // 8 for s in a.strides))
+
+
 def _p2p_chunk(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
                runs: np.ndarray, ns: int, tp: np.ndarray, sp: np.ndarray,
                sm: np.ndarray | None, force: bool, soft2: float,
                scale: float) -> None:
-    """One fused lane-major P2P chunk of target rows ``tgt``: gather,
-    subtract, rsqrt, weight, reduce the ``ns`` lanes, scatter-add —
-    accumulated onto ``out``.  The rows come in runs, a leaf visit or
-    the part of one the chunk holds: ``runs[v]`` rows against the
-    sources from ``starts[v]`` on, gathered once and expanded over the
-    run's rows by ``np.repeat``.  ``tp`` / ``sp`` hold target and source
-    coordinates ``(d, .)``; every ufunc runs over a contiguous inner
-    axis of ``tgt.size`` rows."""
+    """One lane-major P2P chunk of target rows ``tgt``, accumulated onto
+    ``out``.  The rows come in runs, a leaf visit or the part of one the
+    chunk holds: ``runs[v]`` rows against the sources from ``starts[v]``
+    on.  ``tp`` / ``sp`` hold target and source coordinates ``(d, .)``,
+    any strides.  The C kernel (``_kernels.c``) writes each row's
+    contribution, bitwise what the numpy chunk of
+    ``tests/oracles/kernels.py`` computes, and the ``bincount`` scatter
+    adds them."""
     d, m = sp.shape[0], tgt.size
-    dv, r2, w = _p2p_scratch(ns, m, d)
-    ix = starts + np.arange(ns)[:, None]            # (ns, runs) sources
-    for k in range(d):          # mode="raise" would buffer ``w[0]``
-        np.take(tp[k], tgt, out=w[0], mode="clip")
-        np.subtract(w[0], np.repeat(sp[k].take(ix), runs, axis=1),
-                    out=dv[k])
-    np.multiply(dv[0], dv[0], out=r2)
-    for k in range(1, d):
-        np.multiply(dv[k], dv[k], out=w)
-        r2 += w
-    if soft2 != 0.0:
-        r2 += soft2
-    zero = r2 == 0.0
-    np.sqrt(r2, out=r2)
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, r2, out=r2)           # inv_r
-    r2[zero] = 0.0
-    if force:
-        np.multiply(r2, r2, out=w)
-        w *= r2                              # inv_r^3
-    else:
-        w = r2
-    if sm is not None:
-        w *= np.repeat(sm.take(ix), runs, axis=1)
-    if force:
-        dv *= w
-        contrib = np.add.reduce(dv, axis=1)
-    else:
-        contrib = np.add.reduce(w, axis=0)
-    contrib *= scale
+    contrib = np.empty((d, m) if force else m)
+    tgt, starts, runs = (np.ascontiguousarray(a, dtype=np.intp)
+                         for a in (tgt, starts, runs))
+    n_src = sp.shape[1] if sm is None else min(sp.shape[1], len(sm))
+    if m and (tp.shape[0] != d or tgt.min() < 0 or tgt.max() >= tp.shape[1]
+              or starts.min() < 0 or starts.max() + ns > n_src
+              or runs.sum() != m):      # C indexes them unchecked
+        raise IndexError("P2P chunk rows index past their targets or "
+                         "sources")
+    # the arrays stay bound (a copy must live through the call)
+    tp, *targets = _strided(tp)
+    sp, *sources = _strided(sp)
+    sm, *masses = (None, None, 0) if sm is None else _strided(sm)
+    rc = LIB.p2p_chunk(contrib.ctypes.data, m, tgt.ctypes.data,
+                       starts.ctypes.data, runs.ctypes.data, runs.size, ns,
+                       d, *targets, *sources, *masses, force, soft2, scale)
+    if rc == -1:
+        raise MemoryError("the P2P kernel could not allocate its terms")
+    if rc != 0:
+        raise ValueError(f"the P2P kernel takes d = 2 or 3, got {d}")
     _accumulate(out, tgt, contrib)
 
 
@@ -537,8 +518,10 @@ def _p2p_pass(values: np.ndarray, targets: np.ndarray, groups: list,
     sp, sm, scale = layout
     d = targets.shape[0]
     for tgt, starts, rows, ns in groups:
-        # live per target row: the scratch views and one repeated
-        # source or mass row
+        # The chunk rule fixes which rows one bincount scatter sums, so
+        # it is part of the values' bits (the numpy chunk it was sized
+        # for held d + 4 (ns, chunk) rows), not a memory bound: a
+        # different rule regroups the partial sums.
         chunk = max(1, chunk_bytes // (8 * ns * (d + 4)))
         ends = np.cumsum(rows)
         for lo in range(0, tgt.size, chunk):

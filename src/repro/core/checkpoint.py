@@ -172,7 +172,8 @@ class RankCheckpoint:
     ``step`` is the index of the *next* step to execute on restore; all
     ``results`` entries cover steps ``0 .. step-1``.  ``clock_now``,
     ``phase_seconds``, ``comm_stats``, ``metrics``, ``coll_seq``,
-    ``seq`` and ``trace_events`` are the machine half, as
+    ``seq``, ``fault_counts`` and ``trace_events`` are the machine
+    half, as
     :meth:`~repro.machine.comm.Comm.machine_state` yields it and
     :meth:`~repro.machine.comm.Comm.restore_machine_state` adopts it;
     the rest is simulation state.  ``comm_stats`` and ``metrics``
@@ -202,6 +203,11 @@ class RankCheckpoint:
     #: A checkpoint written before ``seq`` existed resumes from 0.
     coll_seq: int = 0
     seq: int = 0
+    #: The fault injector's transmission counters of this rank's
+    #: channels, ``{(rank, dst, tag): sends}`` (``None``: no fault plan,
+    #: or a checkpoint written before they were carried).  Restored so
+    #: the delays a re-executed step draws are the uninterrupted run's.
+    fault_counts: Any = None
     #: Trace events recorded up to the boundary — a ``(phases, sends,
     #: recvs)`` tuple of this rank's virtual-trace lists, or ``None``
     #: when the run was untraced.  Restored so a recovered traced run's

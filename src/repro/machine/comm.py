@@ -213,6 +213,8 @@ class Comm:
             "metrics": metrics,
             "coll_seq": self._coll_seq,
             "seq": self._seq,
+            "fault_counts": (None if self._injector is None else
+                             self._injector.channel_counts(self.rank)),
             "trace_events": (None if trace is None else
                              (trace.phases, trace.sends, trace.recvs)),
         }
@@ -221,10 +223,11 @@ class Comm:
         """Adopt the machine fields of checkpoint ``ckpt`` (rollback).
 
         The clock, the accounting (absent from pre-recovery-era
-        checkpoints), the collective-tag and message-seq streams and
-        this rank's trace events continue where the boundary left them,
-        so a re-executed step sends, counts and traces exactly what the
-        uninterrupted run did.
+        checkpoints), the collective-tag and message-seq streams, the
+        fault injector's counters of this rank's channels and this
+        rank's trace events continue where the boundary left them, so a
+        re-executed step sends, delays, counts and traces exactly what
+        the uninterrupted run did.
         """
         self.clock.now = ckpt.clock_now
         self.clock.timings = PhaseTimings(ckpt.phase_seconds)
@@ -237,6 +240,8 @@ class Comm:
             self._m_wait = self.metrics.histogram("comm.recv_wait_seconds")
         self._coll_seq = ckpt.coll_seq
         self._seq = ckpt.seq
+        if ckpt.fault_counts is not None and self._injector is not None:
+            self._injector.adopt_counts(ckpt.fault_counts)
         trace = self.trace
         if ckpt.trace_events is not None and trace is not None:
             trace.phases, trace.sends, trace.recvs = ckpt.trace_events

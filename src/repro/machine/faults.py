@@ -216,6 +216,18 @@ class FaultInjector:
         jitter = _unit_hash(plan.seed, "jitter", src, dst, tag, n)
         return plan.delay_seconds * (0.5 + jitter)
 
+    def channel_counts(self, src: int) -> dict[tuple[int, int, int], int]:
+        """A copy of the transmission counters of sender ``src``'s
+        channels: the part of the injector a checkpoint of rank ``src``
+        carries."""
+        return {key: n for key, n in self._counts.items() if key[0] == src}
+
+    def adopt_counts(self, counts: dict[tuple[int, int, int], int]) -> None:
+        """Continue the channels of ``counts`` from those counts
+        (rollback), so a re-executed step draws the delays the
+        uninterrupted run drew."""
+        self._counts.update(counts)
+
     def crash_time(self, rank: int) -> float | None:
         return self.plan.crash.get(rank)
 

@@ -8,7 +8,6 @@ element.  Plus the engine's streaming: target chunks equal one
 whole-batch walk in every observable.
 """
 
-import threading
 import warnings
 
 import numpy as np
@@ -677,60 +676,114 @@ class TestLaneMajorP2P:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-PS = plummer(600, seed=11)
-TREE = build_tree(PS, leaf_capacity=8)
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _engine():
-    return TraversalEngine(TREE, PS, BarnesHutMAC(0.67), softening=0.05)
+def _reference_values(tree, lists, ps, mode, softening, ws):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(il, "_p2p_chunk", p2p_chunk_reference)
+        return evaluate_interaction_lists(
+            tree, lists, ps, _NoClusters(), mode=mode, softening=softening,
+            working_set_bytes=ws).values
 
 
-def _monopole():
-    return MonopoleExpansion(TREE, softening=0.05)
+class TestCKernelEqualsOracle:
+    """The C P2P chunk (``_kernels.c`` behind ``_p2p_chunk``) writes,
+    bit for bit, what the numpy chunk of ``tests/oracles/kernels.py``
+    computes: compared as ``uint64`` views."""
 
+    @pytest.mark.parametrize("chunking", ["whole", "splitting", "rows"])
+    @pytest.mark.parametrize("softening", [0.0, 0.05])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "masses"])
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("mode", ["force", "potential"])
+    def test_every_configuration(self, mode, dims, uniform, softening,
+                                 chunking):
+        """Whole groups, chunks whose every boundary splits a leaf visit,
+        and one-row chunks (where numpy reduces the source axis
+        pairwise).  The targets are the sources, so every unsoftened
+        case has coincident pairs, whose guarded zero distance must
+        contribute what the oracle's does."""
+        ps, tree, lists = _p2p_case(dims, uniform, n=250)
+        ws = {"whole": il.DEFAULT_WORKING_SET_BYTES,
+              "splitting": _splitting_working_set(lists),
+              "rows": 1}[chunking]
+        got = evaluate_interaction_lists(
+            tree, lists, ps, _NoClusters(), mode=mode, softening=softening,
+            working_set_bytes=ws).values
+        want = _reference_values(tree, lists, ps, mode, softening, ws)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert np.isfinite(got).all()
 
-class TestScratchReuse:
-    """The P2P kernel scratch is one flat buffer per thread
-    (``interaction_lists._thread_scratch``), shared by every evaluation
-    and never attached to the lists."""
+    @pytest.mark.parametrize("ns", [1, 7, 8, 9, 16, 129, 300])
+    def test_one_row_folds_like_numpy(self, ns):
+        """A one-row chunk over ``ns`` sources follows numpy's pairwise
+        order, at every block size of it; two rows fold sequentially."""
+        rng = np.random.default_rng(ns)
+        sp = rng.normal(size=(3, ns)) * 10.0 ** rng.integers(-3, 3, ns)
+        sm = rng.uniform(0.5, 1.5, ns)
+        tp = rng.normal(size=(3, 2))
+        for force in (True, False):
+            for m in (1, 2):
+                args = (np.arange(m), np.array([0]), np.array([m]), ns, tp,
+                        sp, sm, force, 0.0, -1.0)
+                got = np.zeros((3, 2) if force else 2)
+                want = got.copy()
+                il._p2p_chunk(got, *args)
+                p2p_chunk_reference(want, *args)
+                np.testing.assert_array_equal(_bits(got), _bits(want))
 
-    def test_p2p_scratch_reused_across_evaluations(self):
-        """A second evaluation reuses the thread's P2P scratch buffer
-        instead of reallocating it."""
-        eng = _engine()
-        first = eng.compute(PS.positions, _monopole(), mode="force")
-        buf = il._thread_scratch.buf
-        assert buf.size, "the P2P pass should build scratch"
-        assert buf.nbytes <= il.DEFAULT_WORKING_SET_BYTES
-        second = eng.compute(PS.positions, _monopole(), mode="force")
-        assert il._thread_scratch.buf is buf
-        assert np.array_equal(first.values, second.values)
+    @pytest.mark.parametrize("force", [True, False])
+    def test_strided_inputs(self, force):
+        """A ``cols[:, lo:hi]`` target slice and the transposed ``(d, n)``
+        views data shipping passes (inner stride ``8 d``), sources and
+        masses strided too: the same bits as contiguous copies, and as
+        the oracle on the same views."""
+        rng = np.random.default_rng(5)
+        n, d, lo = 64, 3, 16
+        cols = rng.normal(size=(d, 3 * n))
+        rows = rng.normal(size=(2 * n, d))              # (n, d) positions
+        masses = rng.uniform(0.5, 1.5, 2 * n)
+        tgt = rng.integers(0, n, 40)
+        starts, runs, ns = np.array([0, 9, 30]), np.array([15, 1, 24]), 5
+        views = [(cols[:, lo:lo + n], rows.T, masses[::2]),
+                 (rows.T[:, :n], cols[:, ::2], masses[n:])]
+        for tp, sp, sm in views:
+            assert tp.strides[1] != 8 or sp.strides[1] != 8 \
+                or tp.strides[0] != 8 * tp.shape[1]
+            outs = []
+            for args in ((tp, sp, sm),
+                         tuple(np.ascontiguousarray(a) for a in
+                               (tp, sp, sm))):
+                out = np.zeros((d, n) if force else n)
+                il._p2p_chunk(out, tgt, starts, runs, ns, *args, force,
+                              0.01, -2.0)
+                outs.append(out)
+            want = np.zeros_like(outs[0])
+            p2p_chunk_reference(want, tgt, starts, runs, ns, tp, sp, sm,
+                                force, 0.01, -2.0)
+            for out in outs:
+                np.testing.assert_array_equal(_bits(out), _bits(want))
 
-    def test_serial_path_also_reuses_scratch(self):
-        eng = _engine()
-        eng.compute(PS.positions, _monopole(), mode="potential")
-        buf = il._thread_scratch.buf
-        traverse(TREE, PS, PS.positions, BarnesHutMAC(0.67), _monopole(),
-                 softening=0.05)
-        assert il._thread_scratch.buf is buf
-
-    def test_scratch_is_per_thread_and_lazy(self):
-        """Each thread that evaluates gets its own buffer, allocated by
-        its first P2P pass (none at import)."""
-        seen = {}
-
-        def worker():
-            seen["before"] = hasattr(il._thread_scratch, "buf")
-            _engine().compute(PS.positions, _monopole())
-            seen["buf"] = il._thread_scratch.buf
-
-        _engine().compute(PS.positions, _monopole())
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join(timeout=60)
-        assert not t.is_alive()
-        assert seen["before"] is False
-        assert seen["buf"] is not il._thread_scratch.buf
+    def test_rows_past_the_arrays_are_refused(self):
+        """The kernel indexes unchecked, so the wrapper refuses a target
+        or source index past its array and runs that miscount the
+        rows."""
+        tp, sp, sm = np.zeros((3, 4)), np.zeros((3, 6)), np.ones(6)
+        ok = (np.arange(4), np.array([0, 3]), np.array([2, 2]), 3)
+        il._p2p_chunk(np.zeros((3, 4)), *ok, tp, sp, sm, True, 0.0, 1.0)
+        bad = [(np.array([0, 1, 2, 4]), *ok[1:]),               # target
+               (ok[0], np.array([0, 4]), ok[2], 3),              # source
+               (ok[0], ok[1], np.array([2, 3]), 3)]              # runs
+        for args in bad:
+            with pytest.raises(IndexError):
+                il._p2p_chunk(np.zeros((3, 5)), *args, tp, sp, sm, True,
+                              0.0, 1.0)
+        with pytest.raises(IndexError):                          # masses
+            il._p2p_chunk(np.zeros((3, 4)), *ok, tp, sp, sm[:5], True,
+                          0.0, 1.0)
 
 
 class TestEvaluateDirect:

@@ -186,6 +186,31 @@ class TestCrashRecovery:
         assert hurt.trace.recvs == clean.trace.recvs
         assert hurt.trace.final_times == clean.trace.final_times
 
+    @pytest.mark.parametrize("backend", ["virtual", "process"])
+    def test_recovery_under_a_delay_plan_redraws_nothing(self, backend):
+        """Rank 1 crashes at 0.6 T_p under a delay plan: the rolled-back
+        ranks continue their channels' delay draws from the checkpoint,
+        so the recovered run injects the uninterrupted run's 502 delays
+        (not 522) and ends in its exact values."""
+        def run(**crash):
+            plan = FaultPlan(seed=3, delay_rate=0.2, delay_seconds=5e-4,
+                             **crash)
+            return ParallelBarnesHut(
+                plummer(1500, seed=3), SchemeConfig(scheme="spda"), p=4,
+                profile=NCUBE2, recv_timeout=120.0, fault_plan=plan,
+                checkpoint_every=1, backend=backend,
+            ).run(steps=3)
+
+        base = run()
+        hurt = run(crash={1: 0.6 * base.parallel_time})
+        assert hurt.recoveries == 1
+        assert base.fault_summary()["delays_injected"] == 502
+        assert hurt.fault_summary()["delays_injected"] == 502
+        assert hurt.parallel_time == base.parallel_time
+        assert np.array_equal(hurt.values, base.values)
+        assert np.array_equal(hurt.positions, base.positions)
+        assert np.array_equal(hurt.velocities, base.velocities)
+
     def test_crash_without_checkpoints_is_fatal(self):
         from repro.machine.faults import RankCrashedError
         plan = FaultPlan(crash={1: 1e-6})
