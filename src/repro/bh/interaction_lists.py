@@ -13,16 +13,16 @@ them:
    into bins, and the counters.  Its per-visit records stay as they
    are; the row-expanded MAC decisions and walk-order leaf rows are
    built only when read.  No kernel is evaluated during the walk.
-2. :func:`evaluate_interaction_lists` consumes the lists with fused,
-   chunked kernels: a single grouped gather per evaluator over *all*
-   accepted cluster interactions, and a lane-major particle-particle
-   pass — leaf visits grouped by source count ``ns``, each chunk one
-   call of the C kernel in ``_kernels.c`` (:mod:`repro.bh.native`),
-   which reads tree-ordered structure-of-arrays sources in place and
-   runs a visit's rows as the inner lanes of each source ``j`` — in
-   chunks of a fixed working-set size.  Those two passes
-   (:func:`evaluate_pairs`) are every force path's, data shipping's
-   included.
+2. :func:`evaluate_interaction_lists` consumes the lists with fused
+   kernels: a single grouped gather per evaluator over *all* accepted
+   cluster interactions, in chunks of a fixed working-set size, and a
+   lane-major particle-particle pass — leaf visits grouped by source
+   count ``ns``, each group one call of the C kernel in ``_kernels.c``
+   (:mod:`repro.bh.native`), which reads tree-ordered structure-of-
+   arrays sources in place, runs a visit's rows as the inner lanes of
+   each source ``j`` and adds each row into the values itself.  Those
+   two passes (:func:`evaluate_pairs`) are every force path's, data
+   shipping's included.
 
 Every pass reads targets as one C-contiguous ``(d, n)`` block of
 coordinate columns, which :meth:`TraversalEngine.compute` transposes
@@ -63,6 +63,8 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.analysis.flops import FLOPS_PER_MAC, interaction_flops, \
+    traversal_flops
 from repro.bh import kernels
 from repro.bh.native import LIB
 from repro.bh.mac import BarnesHutMAC, sq_norm
@@ -74,9 +76,10 @@ from repro.bh.tree import NO_CHILD, Tree
 #: subtract, square, rsqrt, contract), and a chunk that fits in the
 #: last-level cache makes the later passes cache hits.  Measured on the
 #: serial n=10k benchmark (2-vCPU host, ``(d, n)`` column kernels, numpy
-#: P2P), 16 MiB costs ~5 % more step wall than 4 MiB.  It also sets the
-#: P2P chunk rows (:func:`_p2p_pass`).  A different value regroups the
-#: partial sums.
+#: P2P), 16 MiB costs ~5 % more step wall than 4 MiB.  It bounds the
+#: cluster pass only: the P2P pass is one kernel call per leaf-size
+#: group and holds no temporaries.  A different value regroups the
+#: cluster pass's partial sums.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
 
 #: Targets per streamed chunk of :meth:`TraversalEngine.compute`.
@@ -105,15 +108,10 @@ class TraversalResult:
     remote_targets: dict[int, np.ndarray] = field(default_factory=dict)
 
     def flops(self, degree: int) -> float:
-        """Virtual flop count per the paper's model (Section 5.2):
-        ``13 + 16 k^2`` per particle-cluster interaction, 14 per MAC.
-        Monopole (degree 0) interactions and leaf particle-particle
-        interactions are charged as the k = 1 case."""
-        per_cluster = 13.0 + 16.0 * max(degree, 1) ** 2
-        per_p2p = 13.0 + 16.0
-        return (14.0 * self.mac_tests
-                + per_cluster * self.cluster_interactions
-                + per_p2p * self.p2p_interactions)
+        """Virtual flop count per the paper's model (Section 5.2.1,
+        :func:`~repro.analysis.flops.traversal_flops`)."""
+        return traversal_flops(self.mac_tests, self.cluster_interactions,
+                               self.p2p_interactions, degree)
 
     def merge_counters(self, other: "TraversalResult") -> None:
         """Fold another traversal's work counters into this one (values
@@ -474,66 +472,60 @@ def _strided(a: np.ndarray) -> tuple:
     return (a, a.ctypes.data, *(s // 8 for s in a.strides))
 
 
-def _p2p_chunk(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
-               runs: np.ndarray, ns: int, tp: np.ndarray, sp: np.ndarray,
+def _p2p_group(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
+               rows: np.ndarray, ns: int, tp: np.ndarray, sp: np.ndarray,
                sm: np.ndarray | None, force: bool, soft2: float,
                scale: float) -> None:
-    """One lane-major P2P chunk of target rows ``tgt``, accumulated onto
-    ``out``.  The rows come in runs, a leaf visit or the part of one the
-    chunk holds: ``runs[v]`` rows against the sources from ``starts[v]``
-    on.  ``tp`` / ``sp`` hold target and source coordinates ``(d, .)``,
-    any strides.  The C kernel (``_kernels.c``) writes each row's
-    contribution, bitwise what the numpy chunk of
-    ``tests/oracles/kernels.py`` computes, and the ``bincount`` scatter
-    adds them."""
-    d, m = sp.shape[0], tgt.size
-    contrib = np.empty((d, m) if force else m)
-    tgt, starts, runs = (np.ascontiguousarray(a, dtype=np.intp)
-                         for a in (tgt, starts, runs))
+    """One leaf-size group of the P2P pass, added into ``out``
+    (potentials, or ``(d, n)`` force columns) in place by the C kernel
+    (``_kernels.c``).  The group's rows come in visits: ``rows[v]`` rows
+    against the ``ns`` sources from ``starts[v]`` on.  ``tp`` / ``sp``
+    hold target and source coordinates ``(d, .)``, any strides; ``sm``
+    the source masses (``None``: uniform)."""
+    d = sp.shape[0]
+    # C writes out unchecked, so it is never a copy: refused, not fixed
+    if (out.dtype != np.float64 or not out.flags.writeable
+            or any(s % 8 for s in out.strides)
+            or out.ndim != (2 if force else 1)
+            or force and out.shape[0] != d):
+        raise ValueError("the P2P kernel adds into a writable float64 "
+                         f"{'(d, n)' if force else '(n,)'} array with "
+                         "whole-element strides")
+    tgt, starts, rows = (np.ascontiguousarray(a, dtype=np.intp)
+                         for a in (tgt, starts, rows))
     n_src = sp.shape[1] if sm is None else min(sp.shape[1], len(sm))
-    if m and (tp.shape[0] != d or tgt.min() < 0 or tgt.max() >= tp.shape[1]
-              or starts.min() < 0 or starts.max() + ns > n_src
-              or runs.sum() != m):      # C indexes them unchecked
-        raise IndexError("P2P chunk rows index past their targets or "
-                         "sources")
+    if tgt.size and (tp.shape[0] != d or tgt.min() < 0
+                     or tgt.max() >= min(tp.shape[1], out.shape[-1])
+                     or starts.size != rows.size or starts.min() < 0
+                     or starts.max() + ns > n_src
+                     or rows.sum() != tgt.size):    # C indexes unchecked
+        raise IndexError("P2P group rows index past their targets, "
+                         "sources or values")
     # the arrays stay bound (a copy must live through the call)
     tp, *targets = _strided(tp)
     sp, *sources = _strided(sp)
-    sm, *masses = (None, None, 0) if sm is None else _strided(sm)
-    rc = LIB.p2p_chunk(contrib.ctypes.data, m, tgt.ctypes.data,
-                       starts.ctypes.data, runs.ctypes.data, runs.size, ns,
-                       d, *targets, *sources, *masses, force, soft2, scale)
-    if rc == -1:
-        raise MemoryError("the P2P kernel could not allocate its terms")
+    if sm is not None:          # contiguous on every path: no stride
+        sm = np.ascontiguousarray(sm, dtype=np.float64)
+    out_s0, out_s1 = (0, *out.strides)[-2:]     # potentials: one row
+    rc = LIB.p2p_group(out.ctypes.data, out_s0 // 8, out_s1 // 8,
+                       tgt.ctypes.data, starts.ctypes.data, rows.ctypes.data,
+                       rows.size, ns, d, *targets, *sources,
+                       None if sm is None else sm.ctypes.data, force, soft2,
+                       scale)
     if rc != 0:
         raise ValueError(f"the P2P kernel takes d = 2 or 3, got {d}")
-    _accumulate(out, tgt, contrib)
 
 
 def _p2p_pass(values: np.ndarray, targets: np.ndarray, groups: list,
-              layout: tuple | None, mode: str, softening: float,
-              chunk_bytes: int) -> None:
+              layout: tuple | None, mode: str, softening: float) -> None:
+    """Every leaf-size group, one kernel call each, added into
+    ``values`` in group order."""
     if not groups:
         return
     sp, sm, scale = layout
-    d = targets.shape[0]
     for tgt, starts, rows, ns in groups:
-        # The chunk rule fixes which rows one bincount scatter sums, so
-        # it is part of the values' bits (the numpy chunk it was sized
-        # for held d + 4 (ns, chunk) rows), not a memory bound: a
-        # different rule regroups the partial sums.
-        chunk = max(1, chunk_bytes // (8 * ns * (d + 4)))
-        ends = np.cumsum(rows)
-        for lo in range(0, tgt.size, chunk):
-            hi = min(lo + chunk, tgt.size)
-            # the visits with rows in [lo, hi), the end ones cut there
-            a = np.searchsorted(ends, lo, side="right")
-            b = np.searchsorted(ends, hi) + 1
-            runs = rows[a:b].copy()
-            runs[0] -= lo - (ends[a] - rows[a])     # rows before lo
-            runs[-1] -= ends[b - 1] - hi            # rows from hi on
-            _p2p_chunk(values, tgt[lo:hi], starts[a:b], runs, ns, targets,
-                       sp, sm, mode == "force", softening ** 2, scale)
+        _p2p_group(values, tgt, starts, rows, ns, targets, sp, sm,
+                   mode == "force", softening ** 2, scale)
 
 
 def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
@@ -551,8 +543,7 @@ def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
     ``layout``."""
     _cluster_pass(values, targets, cluster_node, cluster_tgt, evaluator,
                   mode, working_set_bytes)
-    _p2p_pass(values, targets, groups, layout, mode, softening,
-              working_set_bytes)
+    _p2p_pass(values, targets, groups, layout, mode, softening)
 
 
 def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
@@ -617,17 +608,16 @@ def _evaluate(values: np.ndarray, tree: Tree, lists: InteractionLists,
         np.add.at(tree.interactions, lists.leaf_nodes,
                   lists.leaf_rows * lists.leaf_ns)
     if target_weights is not None:
-        degree = getattr(evaluator, "degree", 0)
-        per_cluster = 13.0 + 16.0 * max(degree, 1) ** 2
+        per_cluster = interaction_flops(getattr(evaluator, "degree", 0))
         p2p_sources = np.zeros(nt, dtype=np.int64)
         for tgt, *_, ns in lists.p2p_groups:
             p2p_sources += ns * np.bincount(tgt, minlength=nt)
         # All three contributions are integer-valued floats, so this is
         # exactly equal to the classical per-visit accumulation.
-        target_weights += (14.0 * lists.mac_per_target
+        target_weights += (FLOPS_PER_MAC * lists.mac_per_target
                            + per_cluster * np.bincount(lists.cluster_tgt,
                                                        minlength=nt)
-                           + 29.0 * p2p_sources)
+                           + interaction_flops(0) * p2p_sources)
     return result
 
 

@@ -72,7 +72,3 @@ class BarnesHutMAC:
             np.abs(targets - tree.center[node]) < tree.half[node], axis=1
         )
         return ok & ~inside
-
-    def flops_per_test(self) -> int:
-        """The paper's instruction count: 14 flops per MAC evaluation."""
-        return 14

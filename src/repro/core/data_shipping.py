@@ -42,6 +42,7 @@ from itertools import repeat
 
 import numpy as np
 
+from repro.analysis.flops import FLOPS_PER_MAC, interaction_flops
 from repro.bh.interaction_lists import evaluate_pairs, group_leaf_visits, \
     source_layout
 from repro.bh.mac import BarnesHutMAC, sq_norm
@@ -300,7 +301,8 @@ class DataShippingEngine:
         seed = (np.arange(cols.shape[1]) if tidx is None
                 else np.asarray(tidx, dtype=np.int64))
         stack: list[tuple[int, np.ndarray, int]] = [(1, seed, self.comm.rank)]
-        degree = self.config.degree
+        per_cluster = interaction_flops(self.config.degree)
+        per_p2p = interaction_flops(0)
         flops = 0.0
         lookups = 0
         accepted: list[tuple[int, np.ndarray]] = []
@@ -329,7 +331,7 @@ class DataShippingEngine:
                 inside = np.all(np.abs(at - center[row][:, None])
                                 < half[row], axis=0)
                 ok = (2.0 * half[row] < alpha * dist) & ~inside
-                flops += 14.0 * idx.size
+                flops += FLOPS_PER_MAC * idx.size
                 far = idx[ok]
                 near = idx[~ok]
             if far.size:
@@ -337,7 +339,7 @@ class DataShippingEngine:
                 if pair_key not in done_pairs:
                     done_pairs.add(pair_key)
                     accepted.append((row, far))
-                    flops += (13.0 + 16.0 * max(degree, 1) ** 2) * far.size
+                    flops += per_cluster * far.size
             if near.size == 0:
                 continue
             if leaf:
@@ -346,7 +348,7 @@ class DataShippingEngine:
                 if leaf_key not in done_pairs:
                     done_pairs.add(leaf_key)
                     visited.append((row, near))
-                    flops += 29.0 * near.size * count[row]
+                    flops += per_p2p * near.size * count[row]
                 continue
             children = kids[row]
             children = children[children != 0].tolist()

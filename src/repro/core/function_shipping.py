@@ -21,7 +21,7 @@ The bin is the wire and flow-control unit, the drain the compute unit:
 the walk's accept/open decisions are per target, so how targets are
 batched moves no interaction counter and no virtual clock.  All
 treecode work is charged to the virtual clock with the paper's own
-instruction counts (13 + 16 k^2 per interaction, 14 per MAC).
+instruction counts (:mod:`repro.analysis.flops`).
 
 Interaction lists are single-use: every walk here streams through
 ``TraversalEngine.compute`` (build a chunk's lists, evaluate, drop) and

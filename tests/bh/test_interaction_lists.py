@@ -8,6 +8,7 @@ element.  Plus the engine's streaming: target chunks equal one
 whole-batch walk in every observable.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import NO_CHILD, build_tree
 from repro.bh.tree_repair import repair_tree
 from tests.oracles.grouping import group_p2p_rows
-from tests.oracles.kernels import p2p_chunk_reference
+from tests.oracles.kernels import p2p_group_reference
 from tests.oracles.traversal import traverse_reference
 from tests.oracles.walk import walk_dfs_reference
 
@@ -540,25 +541,6 @@ def _p2p_case(dims, uniform, n=400, capacity=8):
     return ps, tree, lists
 
 
-def _splitting_working_set(lists):
-    """The smallest working set at which every P2P chunk boundary falls
-    between two rows of one leaf visit, by ``_p2p_pass``'s chunk rule."""
-    unit = 8 * (lists.d + 4)        # chunk rows = working set // (unit ns)
-    for ws in range(unit, 2 ** 20, unit):
-        bounds = 0
-        for tgt, _, rows, ns in lists.p2p_groups:
-            ends = np.cumsum(rows)
-            chunk = max(1, ws // (unit * ns))
-            cuts = np.arange(chunk, tgt.size, chunk)
-            if np.isin(cuts, ends).any():
-                break
-            bounds += cuts.size
-        else:
-            if bounds:
-                return ws
-    raise AssertionError("no working set splits every boundary")
-
-
 class TestLaneMajorP2P:
     @pytest.mark.parametrize("softening", [0.0, 0.05])
     @pytest.mark.parametrize("uniform", [True, False],
@@ -598,37 +580,23 @@ class TestLaneMajorP2P:
                              ids=["uniform", "masses"])
     @pytest.mark.parametrize("mode", ["force", "potential"])
     def test_many_chunks_equal_one(self, mode, uniform):
-        """One row per chunk, then chunks whose every boundary splits a
-        leaf visit (the kernel shares a visit's source gather between
-        its rows): bit for bit the per-row index take of
-        ``tests/oracles/kernels.py`` at the same chunking, and one
-        whole-batch chunk to rounding."""
+        """Any working set gives the same bits: one byte (which cuts the
+        cluster pass into one-row chunks) equals the default.  The P2P
+        pass is one kernel call per leaf-size group whatever the working
+        set, so its sums never regroup."""
         ps, tree, lists = _p2p_case(3, uniform, n=250)
-        assert min(g[0].size for g in lists.p2p_groups) >= 3
         one = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
                                          mode=mode)
-        for ws in (1, _splitting_working_set(lists)):
-            calls = []
-            with pytest.MonkeyPatch.context() as patch:
-                chunk = il._p2p_chunk
-                patch.setattr(il, "_p2p_chunk",
-                              lambda *a: calls.append(a[1].size) or chunk(*a))
-                many = evaluate_interaction_lists(
-                    tree, lists, ps, _NoClusters(), mode=mode,
-                    working_set_bytes=ws)
-                patch.setattr(il, "_p2p_chunk", p2p_chunk_reference)
-                want = evaluate_interaction_lists(
-                    tree, lists, ps, _NoClusters(), mode=mode,
-                    working_set_bytes=ws)
-            if ws == 1:                     # one row per chunk
-                assert set(calls) == {1} \
-                    and len(calls) == lists.p2p_tgt.size
-            else:
-                assert len(calls) > 4 * len(lists.p2p_groups)
-            np.testing.assert_array_equal(many.values.view(np.uint64),
-                                          want.values.view(np.uint64))
-            assert np.abs(many.values - one.values).max() \
-                <= 1e-13 * np.abs(one.values).max()
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            group = il._p2p_group
+            patch.setattr(il, "_p2p_group",
+                          lambda *a: calls.append(a[4]) or group(*a))
+            many = evaluate_interaction_lists(
+                tree, lists, ps, _NoClusters(), mode=mode,
+                working_set_bytes=1)
+        assert calls == [ns for *_, ns in lists.p2p_groups]
+        np.testing.assert_array_equal(_bits(many.values), _bits(one.values))
 
     def test_groups_hold_no_positions(self):
         ps, tree, lists = _p2p_case(3, False)
@@ -680,47 +648,74 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _reference_values(tree, lists, ps, mode, softening, ws):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(il, "_p2p_chunk", p2p_chunk_reference)
-        return evaluate_interaction_lists(
-            tree, lists, ps, _NoClusters(), mode=mode, softening=softening,
-            working_set_bytes=ws).values
+def _random_group(rng, nt, n_src, ns, nvisits, max_rows):
+    """A group of ``nvisits`` visits of 1 .. ``max_rows`` rows each over
+    ``ns`` sources from random starts; targets drawn with repeats, so a
+    target recurs across the visits of the group."""
+    rows = rng.integers(1, max_rows + 1, nvisits)
+    starts = rng.integers(0, n_src - ns + 1, nvisits)
+    tgt = rng.integers(0, nt, rows.sum())
+    return tgt, starts, rows
 
 
 class TestCKernelEqualsOracle:
-    """The C P2P chunk (``_kernels.c`` behind ``_p2p_chunk``) writes,
-    bit for bit, what the numpy chunk of ``tests/oracles/kernels.py``
-    computes: compared as ``uint64`` views."""
+    """The C P2P kernel (``_kernels.c`` behind ``_p2p_group``) adds,
+    bit for bit, what ``tests/oracles/kernels.py::p2p_group_reference``
+    adds: compared as ``uint64`` views."""
 
-    @pytest.mark.parametrize("chunking", ["whole", "splitting", "rows"])
     @pytest.mark.parametrize("softening", [0.0, 0.05])
     @pytest.mark.parametrize("uniform", [True, False],
                              ids=["uniform", "masses"])
     @pytest.mark.parametrize("dims", [2, 3])
     @pytest.mark.parametrize("mode", ["force", "potential"])
-    def test_every_configuration(self, mode, dims, uniform, softening,
-                                 chunking):
-        """Whole groups, chunks whose every boundary splits a leaf visit,
-        and one-row chunks (where numpy reduces the source axis
-        pairwise).  The targets are the sources, so every unsoftened
-        case has coincident pairs, whose guarded zero distance must
-        contribute what the oracle's does."""
+    def test_every_configuration(self, mode, dims, uniform, softening):
+        """Whole walks: every leaf size 1 .. 8 a group, each target
+        repeated across the visits of one group.  The targets are the
+        sources, so every unsoftened case has coincident pairs, whose
+        guarded zero distance must contribute what the oracle's does."""
         ps, tree, lists = _p2p_case(dims, uniform, n=250)
-        ws = {"whole": il.DEFAULT_WORKING_SET_BYTES,
-              "splitting": _splitting_working_set(lists),
-              "rows": 1}[chunking]
         got = evaluate_interaction_lists(
-            tree, lists, ps, _NoClusters(), mode=mode, softening=softening,
-            working_set_bytes=ws).values
-        want = _reference_values(tree, lists, ps, mode, softening, ws)
+            tree, lists, ps, _NoClusters(), mode=mode,
+            softening=softening).values
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(il, "_p2p_group", p2p_group_reference)
+            want = evaluate_interaction_lists(
+                tree, lists, ps, _NoClusters(), mode=mode,
+                softening=softening).values
         np.testing.assert_array_equal(_bits(got), _bits(want))
         assert np.isfinite(got).all()
 
-    @pytest.mark.parametrize("ns", [1, 7, 8, 9, 16, 129, 300])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_groups(self, seed):
+        """Groups of 1 .. 300 sources and of one row up to visits past
+        the kernel's 256-row block, added onto values already there, in
+        every configuration; a quarter of the targets sit on a source."""
+        rng = np.random.default_rng(seed)
+        nt, n_src = 64, 400
+        for dims, force, uniform, soft2 in itertools.product(
+                (2, 3), (True, False), (True, False), (0.0, 0.05 ** 2)):
+            sp = rng.normal(size=(dims, n_src)) \
+                * 10.0 ** rng.integers(-3, 3, n_src)
+            tp = rng.normal(size=(dims, nt))
+            on = rng.choice(nt, nt // 4, replace=False)
+            tp[:, on] = sp[:, rng.choice(n_src, on.size, replace=False)]
+            sm = None if uniform else rng.uniform(0.5, 1.5, n_src)
+            for ns in (1, 2, 7, 8, 9, 16, 129, 300):
+                for nvisits, max_rows in ((1, 1), (3, 5), (2, 300)):
+                    group = _random_group(rng, nt, n_src, ns, nvisits,
+                                          max_rows)
+                    got = rng.normal(size=(dims, nt) if force else nt)
+                    want = got.copy()
+                    args = (*group, ns, tp, sp, sm, force, soft2, -1.5)
+                    il._p2p_group(got, *args)
+                    p2p_group_reference(want, *args)
+                    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("ns", [1, 7, 9])
     def test_one_row_folds_like_numpy(self, ns):
-        """A one-row chunk over ``ns`` sources follows numpy's pairwise
-        order, at every block size of it; two rows fold sequentially."""
+        """A one-row group folds its ``ns`` sources one at a time, like
+        the numpy oracle's loop over ``j`` and like a group of two rows,
+        not by numpy's pairwise sum."""
         rng = np.random.default_rng(ns)
         sp = rng.normal(size=(3, ns)) * 10.0 ** rng.integers(-3, 3, ns)
         sm = rng.uniform(0.5, 1.5, ns)
@@ -731,59 +726,88 @@ class TestCKernelEqualsOracle:
                         sp, sm, force, 0.0, -1.0)
                 got = np.zeros((3, 2) if force else 2)
                 want = got.copy()
-                il._p2p_chunk(got, *args)
-                p2p_chunk_reference(want, *args)
+                il._p2p_group(got, *args)
+                p2p_group_reference(want, *args)
                 np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("force", [True, False])
     def test_strided_inputs(self, force):
-        """A ``cols[:, lo:hi]`` target slice and the transposed ``(d, n)``
-        views data shipping passes (inner stride ``8 d``), sources and
-        masses strided too: the same bits as contiguous copies, and as
-        the oracle on the same views."""
+        """A ``values[:, lo:hi]`` slice as ``out``, a ``cols[:, lo:hi]``
+        target slice and the transposed ``(d, n)`` views data shipping
+        passes (inner stride ``8 d``), sources and masses strided too:
+        the same bits as contiguous copies, and as the oracle on the
+        same views; values outside the slice are left alone."""
         rng = np.random.default_rng(5)
         n, d, lo = 64, 3, 16
         cols = rng.normal(size=(d, 3 * n))
         rows = rng.normal(size=(2 * n, d))              # (n, d) positions
         masses = rng.uniform(0.5, 1.5, 2 * n)
         tgt = rng.integers(0, n, 40)
-        starts, runs, ns = np.array([0, 9, 30]), np.array([15, 1, 24]), 5
+        starts, visits, ns = np.array([0, 9, 30]), np.array([15, 1, 24]), 5
         views = [(cols[:, lo:lo + n], rows.T, masses[::2]),
                  (rows.T[:, :n], cols[:, ::2], masses[n:])]
         for tp, sp, sm in views:
             assert tp.strides[1] != 8 or sp.strides[1] != 8 \
                 or tp.strides[0] != 8 * tp.shape[1]
-            outs = []
-            for args in ((tp, sp, sm),
-                         tuple(np.ascontiguousarray(a) for a in
-                               (tp, sp, sm))):
-                out = np.zeros((d, n) if force else n)
-                il._p2p_chunk(out, tgt, starts, runs, ns, *args, force,
-                              0.01, -2.0)
-                outs.append(out)
-            want = np.zeros_like(outs[0])
-            p2p_chunk_reference(want, tgt, starts, runs, ns, tp, sp, sm,
-                                force, 0.01, -2.0)
-            for out in outs:
-                np.testing.assert_array_equal(_bits(out), _bits(want))
+            args = (tgt, starts, visits, ns, tp, sp, sm, force, 0.01, -2.0)
+            values = rng.normal(size=(d, 3 * n) if force else 3 * n)
+            sliced = values.copy()
+            il._p2p_group(sliced[..., lo:lo + n], *args)
+            dense = values[..., lo:lo + n].copy()
+            il._p2p_group(dense, tgt, starts, visits, ns,
+                          *(np.ascontiguousarray(a) for a in (tp, sp, sm)),
+                          force, 0.01, -2.0)
+            want = values.copy()
+            p2p_group_reference(want[..., lo:lo + n], *args)
+            np.testing.assert_array_equal(_bits(sliced), _bits(want))
+            np.testing.assert_array_equal(_bits(dense),
+                                          _bits(want[..., lo:lo + n]))
 
     def test_rows_past_the_arrays_are_refused(self):
         """The kernel indexes unchecked, so the wrapper refuses a target
-        or source index past its array and runs that miscount the
-        rows."""
+        index past its coordinates or its values, a source index past
+        its array, and visits that miscount the rows."""
         tp, sp, sm = np.zeros((3, 4)), np.zeros((3, 6)), np.ones(6)
         ok = (np.arange(4), np.array([0, 3]), np.array([2, 2]), 3)
-        il._p2p_chunk(np.zeros((3, 4)), *ok, tp, sp, sm, True, 0.0, 1.0)
+        il._p2p_group(np.zeros((3, 4)), *ok, tp, sp, sm, True, 0.0, 1.0)
         bad = [(np.array([0, 1, 2, 4]), *ok[1:]),               # target
                (ok[0], np.array([0, 4]), ok[2], 3),              # source
-               (ok[0], ok[1], np.array([2, 3]), 3)]              # runs
+               (ok[0], ok[1], np.array([2, 3]), 3),              # rows
+               (ok[0], np.array([0]), ok[2], 3)]                 # visits
         for args in bad:
             with pytest.raises(IndexError):
-                il._p2p_chunk(np.zeros((3, 5)), *args, tp, sp, sm, True,
+                il._p2p_group(np.zeros((3, 5)), *args, tp, sp, sm, True,
                               0.0, 1.0)
         with pytest.raises(IndexError):                          # masses
-            il._p2p_chunk(np.zeros((3, 4)), *ok, tp, sp, sm[:5], True,
+            il._p2p_group(np.zeros((3, 4)), *ok, tp, sp, sm[:5], True,
                           0.0, 1.0)
+        with pytest.raises(IndexError):                          # values
+            il._p2p_group(np.zeros((3, 3)), *ok, tp, sp, sm, True, 0.0,
+                          1.0)
+
+    def test_out_is_written_in_place_or_refused(self):
+        """The kernel adds into ``out`` itself, so an ``out`` it cannot
+        write in place — read-only, not float64, a stride that is not
+        a whole element, or the wrong shape for the mode — is refused,
+        never copied, and left as it was."""
+        tp, sp = np.ones((3, 4)), np.zeros((3, 6))
+        args = (np.arange(4), np.array([0]), np.array([4]), 3, tp, sp,
+                None)
+        frozen = np.zeros((3, 4))
+        frozen.flags.writeable = False
+        odd = np.lib.stride_tricks.as_strided(np.zeros(64), shape=(3, 4),
+                                              strides=(48, 12))
+        cases = [(frozen, True), (np.zeros((3, 4), np.float32), True),
+                 (odd, True), (np.zeros((2, 4)), True), (np.zeros(4), True),
+                 (np.zeros((3, 4)), False)]
+        for out, force in cases:
+            before = out.copy()
+            with pytest.raises(ValueError, match="P2P kernel"):
+                il._p2p_group(out, *args, force, 0.0, 1.0)
+            np.testing.assert_array_equal(out, before)
+        out = np.zeros((3, 4))
+        il._p2p_group(out, *args, True, 0.0, 1.0)
+        assert (out != 0).all()
 
 
 class TestEvaluateDirect:

@@ -88,9 +88,6 @@ class TestMAC:
         with pytest.raises(ValueError):
             BarnesHutMAC(0.0)
 
-    def test_flop_count_matches_paper(self):
-        assert BarnesHutMAC(0.67).flops_per_test() == 14
-
 
 class TestTraversal:
     def test_monopole_force_approximates_direct(self):

@@ -40,7 +40,7 @@ def test_cold_cache_compiles_and_warm_cache_does_not(cache, monkeypatch):
     assert len(calls) == 1 and path.parent == cache
     assert _libraries(cache) == [path.name]
     lib = native.load()
-    assert lib.p2p_chunk is not None
+    assert lib.p2p_group is not None
     assert len(calls) == 1            # load found the library: no cc
     monkeypatch.setenv("CC", str(cache / "no-such-cc"))
     assert native.build() == path and len(calls) == 1
@@ -52,7 +52,7 @@ def test_racing_processes_both_load_and_one_library_remains(cache):
     env = dict(os.environ, XDG_CACHE_HOME=str(cache.parent),
                PYTHONPATH=str(Path(native.__file__).parents[2]))
     code = ("from repro.bh import native; "
-            "assert native.LIB.p2p_chunk; print(native.build())")
+            "assert native.LIB.p2p_group; print(native.build())")
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
                               stdout=subprocess.PIPE, text=True)
              for _ in range(2)]

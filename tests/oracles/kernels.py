@@ -3,11 +3,11 @@ per-row source indices, kept as the oracles of the column kernels that
 replaced them in ``repro.bh.multipole`` / ``repro.bh.interaction_lists``.
 
 ``point_masses_reference`` is the point-mass cluster formula verbatim on
-``(n, d)`` targets, its ``r^2`` from ``einsum``; ``p2p_chunk_reference``
-is the lane-major P2P chunk with one ``(ns, rows)`` index take per
-coordinate, where the kernel now gathers each leaf visit's sources once
-and repeats them over the visit's rows.  Both must agree with their
-replacements bit for bit.
+``(n, d)`` targets, its ``r^2`` from ``einsum``; ``p2p_group_reference``
+is one P2P leaf-size group with one ``(ns, rows)`` index take per
+coordinate, where the C kernel gathers each leaf visit's targets once
+and runs its rows as the lanes of each source.  Both must agree with
+their replacements bit for bit.
 """
 
 from __future__ import annotations
@@ -40,24 +40,25 @@ def point_masses_reference(com: np.ndarray, mass: np.ndarray,
     return w[:, None] * diff
 
 
-def p2p_chunk_reference(out: np.ndarray, tgt: np.ndarray,
-                        starts: np.ndarray, runs: np.ndarray, ns: int,
+def p2p_group_reference(out: np.ndarray, tgt: np.ndarray,
+                        starts: np.ndarray, rows: np.ndarray, ns: int,
                         tp: np.ndarray, sp: np.ndarray,
                         sm: np.ndarray | None, force: bool, soft2: float,
                         scale: float) -> None:
-    """One P2P chunk with the signature of
-    ``interaction_lists._p2p_chunk``: the runs' slice starts expanded to
-    one per row, source ``j`` of row ``i`` taken by index ``starts[i] +
-    j``, accumulated onto ``out`` (potentials, or ``(d, nt)`` force
-    columns)."""
+    """One P2P group with the signature of
+    ``interaction_lists._p2p_group``: the visits' slice starts expanded
+    to one per row, source ``j`` of row ``i`` taken by index
+    ``starts[i] + j``; each row's terms folded over ``j`` one source at
+    a time (assigned at ``j = 0``), times ``scale``, and added onto
+    ``out`` (potentials, or ``(d, nt)`` force columns) by ``np.add.at``
+    in row order."""
     d = sp.shape[0]
-    ix = np.repeat(starts, runs) + np.arange(ns)[:, None]
+    ix = np.repeat(starts, rows) + np.arange(ns)[:, None]      # (ns, m)
     dv = np.stack([tp[k].take(tgt) - sp[k].take(ix) for k in range(d)])
     r2 = dv[0] * dv[0]
     for k in range(1, d):
         r2 += dv[k] * dv[k]
-    if soft2 != 0.0:
-        r2 += soft2
+    r2 += soft2
     zero = r2 == 0.0
     np.sqrt(r2, out=r2)
     with np.errstate(divide="ignore"):
@@ -66,12 +67,13 @@ def p2p_chunk_reference(out: np.ndarray, tgt: np.ndarray,
     w = r2 * r2 * r2 if force else r2
     if sm is not None:
         w = w * sm.take(ix)
-    contrib = (np.add.reduce(dv * w, axis=1) if force
-               else np.add.reduce(w, axis=0))
-    contrib *= scale
-    nt = out.shape[-1]
+    terms = dv * w if force else w[None]     # (components, ns, m)
+    row = terms[:, 0].copy()
+    for j in range(1, ns):
+        row += terms[:, j]
+    row *= scale
     if out.ndim == 1:
-        out += np.bincount(tgt, weights=contrib, minlength=nt)
+        np.add.at(out, tgt, row[0])
     else:
         for k in range(d):
-            out[k] += np.bincount(tgt, weights=contrib[k], minlength=nt)
+            np.add.at(out[k], tgt, row[k])
