@@ -31,14 +31,12 @@ from repro.bh import (
     Box,
     ParticleSet,
     build_tree,
-    compute_forces,
     compute_potentials,
     direct_forces,
     direct_potentials,
     gaussian_blobs,
     make_instance,
     plummer,
-    uniform_cube,
 )
 from repro.core import ParallelBarnesHut, SchemeConfig
 from repro.machine import CM5, NCUBE2, T3E, ZERO_COST, Engine, get_profile
@@ -56,14 +54,12 @@ __all__ = [
     "Box",
     "ParticleSet",
     "build_tree",
-    "compute_forces",
     "compute_potentials",
     "direct_forces",
     "direct_potentials",
     "gaussian_blobs",
     "make_instance",
     "plummer",
-    "uniform_cube",
     "ParallelBarnesHut",
     "SchemeConfig",
     "CM5",

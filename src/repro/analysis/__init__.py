@@ -29,7 +29,6 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.kruskal_weiss import (
     expected_completion_time,
-    imbalance_overhead,
     min_clusters,
 )
 from repro.analysis.tables import format_table
@@ -63,7 +62,6 @@ __all__ = [
     "speedup",
     "phase_table",
     "expected_completion_time",
-    "imbalance_overhead",
     "min_clusters",
     "format_table",
     "CriticalPath",

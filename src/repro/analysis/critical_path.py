@@ -69,16 +69,6 @@ class CriticalPath:
             out[s.kind] = out.get(s.kind, 0.0) + s.duration
         return out
 
-    def by_phase(self) -> dict[str, float]:
-        """Compute time on the chain per phase ("(untracked)" outside any
-        phase block); network time under the "(network)" key."""
-        out: dict[str, float] = {}
-        for s in self.segments:
-            key = ("(network)" if s.kind == "network"
-                   else s.phase or "(untracked)")
-            out[key] = out.get(key, 0.0) + s.duration
-        return out
-
     def hops(self) -> int:
         """Number of cross-rank message edges on the chain."""
         return sum(1 for s in self.segments if s.kind == "network")

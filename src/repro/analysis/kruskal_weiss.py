@@ -28,18 +28,6 @@ def expected_completion_time(r: int, p: int, mean: float,
     return work + overhead
 
 
-def imbalance_overhead(r: int, p: int, mean: float, std: float) -> float:
-    """Ratio of the imbalance term to the essential-work term."""
-    if r <= 0 or p <= 0:
-        raise ValueError("r and p must be positive")
-    if mean <= 0:
-        raise ValueError("mean must be positive to form the ratio")
-    log_p = math.log(p) if p > 1 else 0.0
-    work = r * mean / p
-    overhead = std * math.sqrt(2.0 * (r / p) * log_p)
-    return overhead / work
-
-
 def min_clusters(p: int) -> int:
     """The paper's rule of thumb: r >= p log p clusters keep the
     imbalance term asymptotically below the work term."""

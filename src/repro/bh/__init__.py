@@ -3,7 +3,7 @@
 Everything the parallel formulations (:mod:`repro.core`) are built from:
 
 * :mod:`~repro.bh.particles` — structure-of-arrays particle sets and boxes
-* :mod:`~repro.bh.morton` — Morton keys and Peano-Hilbert ordering
+* :mod:`~repro.bh.morton` — Morton keys
 * :mod:`~repro.bh.distributions` — Plummer / Gaussian generators and the
   paper's named instances
 * :mod:`~repro.bh.tree` — quad/oct trees with leaf capacity ``s`` and
@@ -11,9 +11,9 @@ Everything the parallel formulations (:mod:`repro.core`) are built from:
 * :mod:`~repro.bh.multipole` — monopole and spherical-harmonic multipole
   expansions (P2M / M2M / M2P)
 * :mod:`~repro.bh.mac` — the Barnes-Hut alpha acceptance criterion
-* :mod:`~repro.bh.traversal` — per-particle and vectorized batch traversal
+* :mod:`~repro.bh.traversal` — serial Barnes-Hut potentials
 * :mod:`~repro.bh.direct` — the O(n^2) reference
-* :mod:`~repro.bh.integrator` — leapfrog particle advance
+* :mod:`~repro.bh.integrator` — energy diagnostics
 """
 
 from repro.bh.particles import Box, ParticleSet
@@ -23,12 +23,10 @@ from repro.bh.morton import (
     morton_key_3d,
     morton_decode_2d,
     morton_decode_3d,
-    hilbert_keys_2d,
 )
 from repro.bh.distributions import (
     plummer,
     gaussian_blobs,
-    uniform_cube,
     make_instance,
     INSTANCES,
 )
@@ -38,9 +36,8 @@ from repro.bh.multipole import (
     MultipoleExpansion3D,
 )
 from repro.bh.mac import BarnesHutMAC
-from repro.bh.traversal import TraversalResult, compute_forces, compute_potentials
+from repro.bh.traversal import TraversalResult, compute_potentials
 from repro.bh.direct import direct_forces, direct_potentials
-from repro.bh.integrator import leapfrog_step, total_energy
 
 __all__ = [
     "Box",
@@ -50,10 +47,8 @@ __all__ = [
     "morton_key_3d",
     "morton_decode_2d",
     "morton_decode_3d",
-    "hilbert_keys_2d",
     "plummer",
     "gaussian_blobs",
-    "uniform_cube",
     "make_instance",
     "INSTANCES",
     "Tree",
@@ -62,10 +57,7 @@ __all__ = [
     "MultipoleExpansion3D",
     "BarnesHutMAC",
     "TraversalResult",
-    "compute_forces",
     "compute_potentials",
     "direct_forces",
     "direct_potentials",
-    "leapfrog_step",
-    "total_energy",
 ]

@@ -31,8 +31,9 @@ recovery relies on when it restores checkpointed bin state.
 ``tree_mode="rebuild"`` keeps the full per-substep rebuild as the
 oracle/baseline; ``"repair"`` must produce bitwise-identical
 trajectories (repaired trees are bitwise-equal to rebuilds, and either
-way each force evaluation is one :func:`~repro.bh.traversal.traverse`
-over the current tree).  ``max_rungs=1`` degenerates to plain global-dt
+way each force evaluation is one
+:meth:`~repro.bh.interaction_lists.TraversalEngine.compute` over the
+current tree).  ``max_rungs=1`` degenerates to plain global-dt
 KDK.
 """
 
@@ -40,12 +41,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bh.interaction_lists import TraversalEngine
 from repro.bh.mac import BarnesHutMAC
 from repro.bh import morton
 from repro.bh.morton import morton_keys
 from repro.bh.multipole import MonopoleExpansion
 from repro.bh.particles import Box, ParticleSet
-from repro.bh.traversal import traverse
 from repro.bh.tree import build_tree
 from repro.bh.tree_repair import repair_tree
 
@@ -182,10 +183,12 @@ class BlockTimestepper:
 
     def _forces(self, idx: np.ndarray) -> np.ndarray:
         """Accelerations at the current positions of particles ``idx``."""
-        res = traverse(self.tree, self.particles,
-                       self.particles.positions[idx], self.mac,
-                       MonopoleExpansion(self.tree, softening=self.softening),
-                       mode="force", softening=self.softening)
+        res = TraversalEngine(
+            self.tree, self.particles, self.mac,
+            softening=self.softening).compute(
+            self.particles.positions[idx],
+            MonopoleExpansion(self.tree, softening=self.softening),
+            mode="force")
         self.stats["timestep.force_targets"] += int(idx.size)
         return res.values
 

@@ -1,8 +1,9 @@
-"""Chunked O(n^2) direct summation — the accuracy reference.
+"""O(n^2) direct summation — the accuracy reference.
 
 The paper's fractional percentage error (Section 5.2.2) compares treecode
 potentials against the exact all-pairs result; these routines provide it
-without ever materialising the full n x n distance matrix.
+without ever materialising the full n x n distance matrix (the pair
+kernels chunk the targets by their working set).
 """
 
 from __future__ import annotations
@@ -12,66 +13,26 @@ import numpy as np
 from repro.bh import kernels
 from repro.bh.particles import ParticleSet
 
-#: Targets processed per chunk; keeps the (chunk, n) work arrays in cache.
-DEFAULT_CHUNK = 1024
-
 
 def direct_potentials(particles: ParticleSet,
                       target_positions: np.ndarray | None = None,
-                      softening: float = 0.0,
-                      chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+                      softening: float = 0.0) -> np.ndarray:
     """Exact potential at each target (default: at every particle).
 
     When targets are the particles themselves, the self-term vanishes via
     the kernels' coincident-pair handling.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     targets = (particles.positions if target_positions is None
                else np.atleast_2d(target_positions))
-    out = np.empty(targets.shape[0])
-    for lo in range(0, targets.shape[0], chunk):
-        hi = min(lo + chunk, targets.shape[0])
-        out[lo:hi] = kernels.pair_potential(
-            targets[lo:hi], particles.positions, particles.masses,
-            softening=softening,
-        )
-    return out
+    return kernels.pair_potential(targets, particles.positions,
+                                  particles.masses, softening=softening)
 
 
 def direct_forces(particles: ParticleSet,
                   target_positions: np.ndarray | None = None,
-                  softening: float = 0.0,
-                  chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+                  softening: float = 0.0) -> np.ndarray:
     """Exact acceleration at each target (default: at every particle)."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     targets = (particles.positions if target_positions is None
                else np.atleast_2d(target_positions))
-    out = np.empty_like(targets, dtype=np.float64)
-    for lo in range(0, targets.shape[0], chunk):
-        hi = min(lo + chunk, targets.shape[0])
-        out[lo:hi] = kernels.pair_force(
-            targets[lo:hi], particles.positions, particles.masses,
-            softening=softening,
-        )
-    return out
-
-
-def sample_direct_potentials(particles: ParticleSet, n_sample: int,
-                             seed: int = 0, softening: float = 0.0
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact potentials at a random sample of the particles.
-
-    Returns ``(indices, potentials)``.  For large n the full O(n^2)
-    reference is too slow even chunked; the fractional-error estimate
-    over a sample converges quickly (the error norm is an average).
-    """
-    if n_sample < 1:
-        raise ValueError(f"need at least one sample, got {n_sample}")
-    rng = np.random.default_rng(seed)
-    n_sample = min(n_sample, particles.n)
-    idx = rng.choice(particles.n, size=n_sample, replace=False)
-    phi = direct_potentials(particles, particles.positions[idx],
-                            softening=softening)
-    return idx, phi
+    return kernels.pair_force(targets, particles.positions,
+                              particles.masses, softening=softening)

@@ -28,17 +28,6 @@ from repro.bh.particles import ParticleSet
 DOMAIN_SIDE = 100.0
 
 
-def uniform_cube(n: int, dims: int = 3, side: float = 1.0,
-                 seed: int | None = 0) -> ParticleSet:
-    """Uniform random particles in a cube of the given side, unit total
-    mass."""
-    if n <= 0:
-        raise ValueError(f"need a positive particle count, got {n}")
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(0.0, side, size=(n, dims))
-    return ParticleSet(positions=pos, masses=np.full(n, 1.0 / n))
-
-
 def plummer(n: int, dims: int = 3, total_mass: float = 1.0,
             scale_radius: float = 1.0, seed: int | None = 0,
             max_radius: float | None = None,

@@ -1,59 +1,16 @@
-"""Leapfrog time integration and energy diagnostics.
+"""Energy diagnostics.
 
-The paper's simulation loop is: tree construction, force computation,
-particle advance (Section 3).  The advance here is kick-drift-kick
-leapfrog, the standard symplectic integrator for collisionless n-body
-work.
+The simulation's particle advance (Euler or kick-drift-kick leapfrog,
+Section 3's last phase) lives in :mod:`repro.core.stepping`; these are
+the exact energies its runs are checked against.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.bh import kernels
-from repro.bh.direct import direct_forces, direct_potentials
+from repro.bh.direct import direct_potentials
 from repro.bh.particles import ParticleSet
-
-AccelFn = Callable[[ParticleSet], np.ndarray]
-
-
-def leapfrog_step(particles: ParticleSet, accel: AccelFn, dt: float,
-                  accel_now: np.ndarray | None = None, *,
-                  force_input: bool = False) -> np.ndarray:
-    """Advance ``particles`` in place by one KDK leapfrog step.
-
-    The ``accel`` callback must return **accelerations** — which is what
-    every kernel in this package produces (``direct_forces`` and the
-    tree evaluators compute ``-G m_src r / r^3`` per unit *target* mass,
-    so target masses never enter).  A callback returning true forces
-    (``m_i a_i``) would silently integrate wrongly for non-uniform
-    masses; pass ``force_input=True`` and each evaluation is divided by
-    the particle masses before kicking.
-
-    ``accel_now`` optionally reuses the accelerations already computed at
-    the current positions (saves one force evaluation per step in a
-    loop).  Returns the accelerations at the *new* positions so callers
-    can chain steps.
-    """
-    if dt <= 0:
-        raise ValueError(f"time-step must be positive, got {dt}")
-
-    def to_accel(a: np.ndarray) -> np.ndarray:
-        if a.shape != particles.positions.shape:
-            raise ValueError(
-                f"acceleration shape {a.shape} does not match positions "
-                f"{particles.positions.shape}"
-            )
-        return a / particles.masses[:, None] if force_input else a
-
-    a0 = to_accel(accel(particles) if accel_now is None else accel_now)
-    particles.velocities += 0.5 * dt * a0
-    particles.positions += dt * particles.velocities
-    raw1 = accel(particles)             # returned as-is: accel_now takes
-    particles.velocities += 0.5 * dt * to_accel(raw1)   # the raw value
-    return raw1
 
 
 def kinetic_energy(particles: ParticleSet) -> float:
@@ -65,14 +22,3 @@ def potential_energy(particles: ParticleSet, softening: float = 0.0) -> float:
     """Exact pairwise potential energy (counts each pair once)."""
     phi = direct_potentials(particles, softening=softening)
     return float(0.5 * (particles.masses * phi).sum())
-
-
-def total_energy(particles: ParticleSet, softening: float = 0.0) -> float:
-    return kinetic_energy(particles) + potential_energy(particles, softening)
-
-
-def direct_accelerations(softening: float = 0.0) -> AccelFn:
-    """An ``accel`` callback computing exact forces (for tests/examples)."""
-    def accel(ps: ParticleSet) -> np.ndarray:
-        return direct_forces(ps, softening=softening)
-    return accel

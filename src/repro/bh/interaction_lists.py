@@ -79,7 +79,7 @@ from repro.bh.tree import NO_CHILD, Tree
 #: P2P), 16 MiB costs ~5 % more step wall than 4 MiB.  It bounds the
 #: cluster pass only: the P2P pass is one kernel call per leaf-size
 #: group and holds no temporaries.  A different value regroups the
-#: cluster pass's partial sums.
+#: cluster pass's partial sums.  Read at call time.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
 
 #: Targets per streamed chunk of :meth:`TraversalEngine.compute`.
@@ -264,7 +264,7 @@ def _walk_nodes(tree: Tree) -> tuple:
             tree.children)
 
 
-def _walk_dfs(cols: np.ndarray, alpha: float, nodes: tuple, start: int):
+def _walk_dfs(cols: np.ndarray, alpha: float, nodes: tuple):
     """The classical batched depth-first descent: a Python stack of
     (node, target indices, their ``(d, m)`` coordinate columns) triples,
     node data read as scalars from :func:`_walk_nodes`.  The children of
@@ -283,7 +283,7 @@ def _walk_dfs(cols: np.ndarray, alpha: float, nodes: tuple, start: int):
     mac_ok: list[np.ndarray] = []
 
     stack: list[tuple[int, np.ndarray, np.ndarray]] = [
-        (start, np.arange(cols.shape[1]), cols)]
+        (Tree.ROOT, np.arange(cols.shape[1]), cols)]
     while stack:
         node, idx, t = stack.pop()
         c = cls[node]
@@ -336,8 +336,7 @@ def _node_classes(tree: Tree) -> np.ndarray:
 
 
 def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
-                            mac, root: int | None = None
-                            ) -> InteractionLists:
+                            mac) -> InteractionLists:
     """The list-building pass over ``(n, d)`` targets: one MAC walk, no
     kernel evaluation.
 
@@ -353,7 +352,7 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     _check_mac(mac)
     targets = np.atleast_2d(np.asarray(target_positions, dtype=np.float64))
     return _build_lists(tree, np.ascontiguousarray(targets.T), mac.alpha,
-                        _walk_nodes(tree), root)
+                        _walk_nodes(tree))
 
 
 def _check_mac(mac) -> None:
@@ -363,16 +362,15 @@ def _check_mac(mac) -> None:
             f"criterion; got {type(mac).__name__}")
 
 
-def _build_lists(tree: Tree, cols: np.ndarray, alpha: float, nodes: tuple,
-                 root: int | None) -> InteractionLists:
+def _build_lists(tree: Tree, cols: np.ndarray, alpha: float,
+                 nodes: tuple) -> InteractionLists:
     """:func:`build_interaction_lists` over ``(d, nt)`` target columns
     and the batch's :func:`_walk_nodes`."""
     d, nt = cols.shape
     if nt == 0 or tree.nnodes == 0:
         walk = [], [], [], [], {}, [], [], []
     else:
-        walk = _walk_dfs(cols, alpha, nodes,
-                         tree.ROOT if root is None else root)
+        walk = _walk_dfs(cols, alpha, nodes)
     (cl_nodes, cl_idx, leaf_nodes, leaf_idx, remote,
      mac_nodes, mac_idx, mac_ok) = walk
 
@@ -422,8 +420,8 @@ def _accumulate(values: np.ndarray, tgt: np.ndarray,
 
 
 def _cluster_pass(values: np.ndarray, targets: np.ndarray,
-                  nodes: np.ndarray, tgt: np.ndarray, evaluator, mode: str,
-                  chunk_bytes: int) -> None:
+                  nodes: np.ndarray, tgt: np.ndarray, evaluator,
+                  mode: str) -> None:
     n = tgt.size
     if n == 0:
         return
@@ -434,7 +432,7 @@ def _cluster_pass(values: np.ndarray, targets: np.ndarray,
                         f"evaluator interface ({name})")
     row = int(getattr(evaluator, "batch_row_bytes",
                       8 * (6 * targets.shape[0] + 8)))
-    chunk = max(1, chunk_bytes // max(row, 1))
+    chunk = max(1, DEFAULT_WORKING_SET_BYTES // max(row, 1))
     for lo in range(0, n, chunk):
         t = tgt[lo:lo + chunk]
         _accumulate(values, t,
@@ -531,9 +529,7 @@ def _p2p_pass(values: np.ndarray, targets: np.ndarray, groups: list,
 def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
                    cluster_node: np.ndarray, cluster_tgt: np.ndarray,
                    evaluator, groups: list, layout: tuple | None,
-                   mode: str, softening: float,
-                   working_set_bytes: int = DEFAULT_WORKING_SET_BYTES
-                   ) -> None:
+                   mode: str, softening: float) -> None:
     """Both fused passes of every force path, accumulated onto
     ``values`` — potentials ``(n,)`` or force columns ``(d, n)`` — for
     the ``(d, n)`` target columns ``targets``: ``evaluator`` over pairs
@@ -542,7 +538,7 @@ def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
     is element ``starts[v] + j`` of the :func:`source_layout`
     ``layout``."""
     _cluster_pass(values, targets, cluster_node, cluster_tgt, evaluator,
-                  mode, working_set_bytes)
+                  mode)
     _p2p_pass(values, targets, groups, layout, mode, softening)
 
 
@@ -551,8 +547,7 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
                                mode: str = "potential",
                                softening: float = 0.0,
                                count_node_interactions: bool = False,
-                               target_weights: np.ndarray | None = None,
-                               working_set_bytes: int | None = None
+                               target_weights: np.ndarray | None = None
                                ) -> TraversalResult:
     """The evaluation pass: fused kernels over prebuilt lists.
 
@@ -567,8 +562,7 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
     """
     values = _zeros(mode, lists.d, lists.nt)
     result = _evaluate(values, tree, lists, sources, evaluator, mode,
-                       softening, count_node_interactions, target_weights,
-                       working_set_bytes)
+                       softening, count_node_interactions, target_weights)
     result.values = values if values.ndim == 1 else values.T.copy()
     return result
 
@@ -576,8 +570,7 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
 def _evaluate(values: np.ndarray, tree: Tree, lists: InteractionLists,
               sources, evaluator, mode: str, softening: float,
               count_node_interactions: bool,
-              target_weights: np.ndarray | None,
-              working_set_bytes: int | None) -> TraversalResult:
+              target_weights: np.ndarray | None) -> TraversalResult:
     """:func:`evaluate_interaction_lists` accumulating onto ``values``
     (potentials, or ``(d, nt)`` force columns); the result carries the
     counters and the remote map."""
@@ -590,8 +583,6 @@ def _evaluate(values: np.ndarray, tree: Tree, lists: InteractionLists,
     )
     if nt == 0:
         return result
-    ws = (DEFAULT_WORKING_SET_BYTES if working_set_bytes is None
-          else int(working_set_bytes))
     layout = None
     if lists.p2p_groups:
         if sources is None:
@@ -600,7 +591,7 @@ def _evaluate(values: np.ndarray, tree: Tree, lists: InteractionLists,
         layout = _source_layout(tree, sources)
     evaluate_pairs(values, lists.target_cols, lists.cluster_node,
                    lists.cluster_tgt, evaluator, lists.p2p_groups, layout,
-                   mode, softening, ws)
+                   mode, softening)
 
     if count_node_interactions:
         # A leaf visited by m targets costs m * leaf_count pairs.
@@ -631,11 +622,10 @@ class TraversalEngine:
     """
 
     def __init__(self, tree: Tree, sources=None, mac=None,
-                 root: int | None = None, softening: float = 0.0):
+                 softening: float = 0.0):
         self.tree = tree
         self.sources = sources
         self.mac = mac
-        self.root = root
         self.softening = softening
         self.walks_built = 0
         self.stream_chunks = 0
@@ -652,7 +642,16 @@ class TraversalEngine:
         ``(d, n)`` columns every pass reads.  Per-target decisions are
         independent, so chunks merge exactly (remote indices re-based,
         chunks ascending); only fp summation order differs from one
-        whole-batch walk."""
+        whole-batch walk.
+
+        ``evaluator`` is the tree's far field through ``batch_potential``
+        / ``batch_force`` (:class:`~repro.bh.multipole.MonopoleExpansion`
+        or :class:`~repro.bh.multipole.TreeMultipoles`);
+        ``count_node_interactions`` adds per-node interaction counts
+        into ``tree.interactions`` (the DPDA load measure);
+        ``target_weights`` accumulates each target's share of the
+        traversal cost in model flops (the balancers' requester-side
+        load)."""
         _check_mac(self.mac)
         targets = np.atleast_2d(
             np.asarray(target_positions, dtype=np.float64))
@@ -668,12 +667,11 @@ class TraversalEngine:
         for lo in range(0, max(nt, 1), STREAM_CHUNK_TARGETS):
             chunk = slice(lo, lo + STREAM_CHUNK_TARGETS)
             lists = _build_lists(self.tree, cols[:, chunk], self.mac.alpha,
-                                 nodes, self.root)
+                                 nodes)
             res = _evaluate(
                 values[..., chunk], self.tree, lists, layout, evaluator,
                 mode, self.softening, count_node_interactions,
-                None if target_weights is None else target_weights[chunk],
-                None)
+                None if target_weights is None else target_weights[chunk])
             self.stream_chunks += 1
             self.lists_peak_bytes = max(self.lists_peak_bytes, lists.nbytes())
             result.merge_counters(res)

@@ -14,21 +14,19 @@ import numpy as np
 #: Gravitational constant in simulation units (G = 1, the n-body custom).
 G = 1.0
 
-#: Default bound on the pair kernels' (chunk, ns, d) temporaries, bytes.
+#: Bound on the pair kernels' (chunk, ns, d) temporaries, bytes.  Read
+#: at call time.
 DEFAULT_WORKING_SET_BYTES = 16 * 2 ** 20
 
 
-def _target_chunk(nt: int, ns: int, d: int,
-                  working_set_bytes: int | None) -> int:
+def _target_chunk(ns: int, d: int) -> int:
     """Targets per chunk so live temporaries stay inside the working set.
 
     The widest pass holds the (chunk, ns, d) difference tensor plus a
     few (chunk, ns) scalars — about ``(d + 3)`` float64 per pair.
     """
-    ws = (DEFAULT_WORKING_SET_BYTES if working_set_bytes is None
-          else int(working_set_bytes))
     row_bytes = max(1, ns) * 8 * (d + 3)
-    return max(1, ws // row_bytes)
+    return max(1, DEFAULT_WORKING_SET_BYTES // row_bytes)
 
 
 def _pair_potential_block(t: np.ndarray, s: np.ndarray,
@@ -56,20 +54,19 @@ def _pair_force_block(t: np.ndarray, s: np.ndarray,
 
 def pair_potential(targets: np.ndarray, sources: np.ndarray,
                    source_masses: np.ndarray,
-                   softening: float = 0.0,
-                   working_set_bytes: int | None = None) -> np.ndarray:
+                   softening: float = 0.0) -> np.ndarray:
     """Potential at each target from every source: shape (ntargets,).
 
     Coincident target/source pairs contribute nothing (they are the
     self-interaction case; the softened kernel also makes them finite).
     Targets are processed in chunks so peak temporary memory is bounded
-    by ``working_set_bytes`` (default 16 MB) instead of O(nt·ns·d);
-    each target row is computed with identical arithmetic either way.
+    by :data:`DEFAULT_WORKING_SET_BYTES` instead of O(nt·ns·d); each
+    target row is computed with identical arithmetic either way.
     """
     t = np.atleast_2d(targets)
     s = np.atleast_2d(sources)
     nt, ns = t.shape[0], s.shape[0]
-    chunk = _target_chunk(nt, ns, t.shape[1], working_set_bytes)
+    chunk = _target_chunk(ns, t.shape[1])
     if nt <= chunk:
         return _pair_potential_block(t, s, source_masses, softening)
     out = np.empty(nt)
@@ -82,8 +79,7 @@ def pair_potential(targets: np.ndarray, sources: np.ndarray,
 
 def pair_force(targets: np.ndarray, sources: np.ndarray,
                source_masses: np.ndarray,
-               softening: float = 0.0,
-               working_set_bytes: int | None = None) -> np.ndarray:
+               softening: float = 0.0) -> np.ndarray:
     """Acceleration at each target from every source: shape (nt, d).
 
     Chunked over targets like :func:`pair_potential`.
@@ -91,7 +87,7 @@ def pair_force(targets: np.ndarray, sources: np.ndarray,
     t = np.atleast_2d(targets)
     s = np.atleast_2d(sources)
     nt, ns = t.shape[0], s.shape[0]
-    chunk = _target_chunk(nt, ns, t.shape[1], working_set_bytes)
+    chunk = _target_chunk(ns, t.shape[1])
     if nt <= chunk:
         return _pair_force_block(t, s, source_masses, softening)
     out = np.empty((nt, t.shape[1]))

@@ -1,10 +1,8 @@
-"""Morton (Z-order) keys and Peano-Hilbert ordering.
+"""Morton (Z-order) keys.
 
 Morton keys drive two things in the paper: the SPDA scheme orders its
 static clusters "by interleaving the bits of the row and column" (Fig. 6a),
-and the distributed tree uses keys to label branch nodes.  The
-Peano-Hilbert curve is the alternative used by the Costzones scheme of
-Singh et al.; we provide it for comparison benches.
+and the distributed tree uses keys to label branch nodes.
 
 All key functions are vectorized over numpy integer arrays and support up
 to 21 bits per coordinate in 3-D / 31 bits in 2-D (keys fit in int64).
@@ -131,33 +129,3 @@ def morton_keys(positions: np.ndarray, lo: np.ndarray, side: float,
         g = quantize(pos, np.asarray(lo), side, bits)
         return morton_key_3d(g[:, 0], g[:, 1], g[:, 2])
     raise ValueError(f"positions must be 2-D or 3-D, got {d} columns")
-
-
-# --------------------------------------------------------------- Hilbert
-# Iterative 2-D Hilbert curve (Wikipedia xy2d algorithm), vectorized.
-
-def hilbert_keys_2d(ix, iy, bits: int) -> np.ndarray:
-    """Peano-Hilbert index of 2-D grid coordinates on a 2^bits grid."""
-    if not 0 < bits <= MAX_BITS_2D:
-        raise ValueError(f"bits must be in (0, {MAX_BITS_2D}]")
-    x = np.asarray(ix, dtype=np.int64).copy()
-    y = np.asarray(iy, dtype=np.int64).copy()
-    if np.any(x < 0) or np.any(y < 0) or \
-            np.any(x >= (1 << bits)) or np.any(y >= (1 << bits)):
-        raise ValueError("grid coordinates out of range for given bits")
-    d = np.zeros_like(x)
-    s = np.int64(1) << (bits - 1)
-    while s > 0:
-        rx = ((x & s) > 0).astype(np.int64)
-        ry = ((y & s) > 0).astype(np.int64)
-        d += s * s * ((3 * rx) ^ ry)
-        # rotate quadrant
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        x_f = np.where(flip, s - 1 - x, x)
-        y_f = np.where(flip, s - 1 - y, y)
-        x_new = np.where(swap, y_f, x_f)
-        y_new = np.where(swap, x_f, y_f)
-        x, y = x_new, y_new
-        s >>= 1
-    return d

@@ -317,11 +317,6 @@ class MultipoleExpansion3D:
         self.degree = degree
         self.nterms = n_terms(degree)
 
-    def p2m(self, rel_positions: np.ndarray, charges: np.ndarray) -> np.ndarray:
-        """Moments of point charges about the origin of ``rel_positions``."""
-        R = regular_terms(rel_positions, self.degree)
-        return np.asarray(charges) @ R
-
     def m2m(self, coeffs: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Shift moments; ``shift`` = old center relative to new center."""
         return m2m_shift(coeffs, shift, self.degree)
@@ -331,11 +326,6 @@ class MultipoleExpansion3D:
         rel = np.atleast_2d(rel_targets)
         return m2p(m2p_table(coeffs[None, :], self.degree),
                    np.zeros(rel.shape[0], dtype=np.intp), rel.T, self.degree)
-
-    @property
-    def wire_floats(self) -> int:
-        """Floats on the wire for one expansion (complex coeffs)."""
-        return 2 * self.nterms
 
 
 @dataclass

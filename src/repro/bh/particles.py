@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class Box:
             [(1.0 if (octant >> i) & 1 else -1.0) for i in range(d)]
         )
         return Box(self.center + 0.5 * self.half * offsets, 0.5 * self.half)
-
-    def octant_of(self, positions: np.ndarray) -> np.ndarray:
-        """Child index for each position (vectorized)."""
-        pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-        bits = (pos >= self.center).astype(np.int64)
-        return (bits << np.arange(self.dims)).sum(axis=1)
 
     @staticmethod
     def bounding(positions: np.ndarray, pad: float = 1e-9) -> "Box":

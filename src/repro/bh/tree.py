@@ -166,9 +166,6 @@ class Tree:
     def is_remote(self, node: int) -> bool:
         return bool(self.remote_owner[node] >= 0)
 
-    def node_box(self, node: int) -> Box:
-        return Box(self.center[node], float(self.half[node]))
-
     def particle_indices(self, node: int) -> np.ndarray:
         """Original indices of the particles under ``node``."""
         return self.order[self.start[node]:self.end[node]]
@@ -274,24 +271,6 @@ class Tree:
             self.com[nodes] = np.where(positive[:, None],
                                        weighted / safe[:, None],
                                        self.center[nodes])
-
-    def sum_interactions_up(self) -> None:
-        """Propagate per-node interaction counts to ancestors (DPDA:
-        "this variable is summed up along the tree").
-
-        Level-batched child→parent scatters, deepest level first, so
-        every node's count already includes its whole subtree when its
-        parent reads it.  Counters are integers, so the result is
-        exactly that of a per-node reverse scan.
-        """
-        for _, ids in reversed(self.nodes_by_level()):
-            kids = self.children[ids]
-            valid = kids != NO_CHILD
-            if not valid.any():
-                continue
-            vals = np.where(valid, self.interactions[np.where(valid, kids, 0)],
-                            0)
-            self.interactions[ids] += vals.sum(axis=1)
 
 
 def _emit_levels(keys: np.ndarray, dims: int, leaf_capacity: int,

@@ -27,7 +27,6 @@ Entry point: :class:`~repro.core.simulation.ParallelBarnesHut`.
 from repro.core.config import SchemeConfig
 from repro.core.partition import (
     cluster_keys,
-    cluster_grid_size,
     cover_cells,
     Cell,
 )
@@ -50,7 +49,6 @@ from repro.core.simulation import (
 __all__ = [
     "SchemeConfig",
     "cluster_keys",
-    "cluster_grid_size",
     "cover_cells",
     "Cell",
     "spsa_assignment",

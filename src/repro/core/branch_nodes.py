@@ -15,7 +15,7 @@ because each lookup amortises over a whole subtree evaluation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,6 @@ def anchored_keys(depth: np.ndarray, path_key: np.ndarray,
     ``uint64``: at depth 21 in 3-D the anchor is bit 63."""
     shift = np.uint64(dims) * depth.astype(np.uint64)
     return (np.uint64(1) << shift) | path_key.astype(np.uint64)
-
-
-def cell_of_branch_key(key: int, dims: int) -> Cell:
-    """Inverse of :func:`branch_key`."""
-    if key < 1:
-        raise ValueError(f"invalid branch key {key}")
-    depth, probe = 0, key
-    while probe > 1:
-        probe >>= dims
-        depth += 1
-    anchor = 1 << (dims * depth)
-    return Cell(depth, key ^ anchor)
 
 
 @dataclass
@@ -150,10 +138,6 @@ class HashedBranchIndex:
 
     def __len__(self) -> int:
         return len(self._all)
-
-    @property
-    def max_chain(self) -> int:
-        return max((len(b) for b in self._buckets), default=0)
 
     def lookup(self, key: int) -> BranchInfo:
         chain = self._buckets[self._hash(key)]

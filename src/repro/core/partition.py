@@ -45,20 +45,6 @@ class Cell:
         lo = self.path_key * span
         return lo, lo + span
 
-    def contains_cell(self, other: "Cell", dims: int) -> bool:
-        """True when ``other`` is this cell or a descendant of it."""
-        if other.depth < self.depth:
-            return False
-        return (other.path_key >> (dims * (other.depth - self.depth))) \
-            == self.path_key
-
-
-def cluster_grid_size(grid_level: int, dims: int) -> int:
-    """Number of clusters r at the given grid level."""
-    if grid_level < 0:
-        raise ValueError("grid_level must be >= 0")
-    return 1 << (dims * grid_level)
-
 
 def cluster_keys(positions: np.ndarray, root: Box,
                  grid_level: int) -> np.ndarray:
@@ -119,9 +105,3 @@ def cover_cells(key_lo: int, key_hi: int, bits: int,
         cells.append(Cell(depth, pos // size))
         pos += size
     return cells
-
-
-def owned_cells_grid(rank_clusters: np.ndarray,
-                     grid_level: int) -> list[Cell]:
-    """Cells for a set of static-grid cluster indices (SPSA/SPDA)."""
-    return [Cell(grid_level, int(k)) for k in np.sort(rank_clusters)]

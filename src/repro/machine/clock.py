@@ -32,12 +32,6 @@ class PhaseTimings:
     def total(self) -> float:
         return sum(self.seconds.values())
 
-    def merged_with(self, other: "PhaseTimings") -> "PhaseTimings":
-        out = PhaseTimings(dict(self.seconds))
-        for phase, dt in other.seconds.items():
-            out.add(phase, dt)
-        return out
-
 
 class VirtualClock:
     """Deterministic virtual clock for one rank.
@@ -79,12 +73,12 @@ class VirtualClock:
     def current_phase(self) -> str:
         return self._phase_stack[-1] if self._phase_stack else self.DEFAULT_PHASE
 
-    def advance(self, dt: float, phase: str | None = None) -> None:
+    def advance(self, dt: float) -> None:
         """Move the clock forward by ``dt`` virtual seconds."""
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative dt {dt}")
         self.now += dt
-        name = phase or self.current_phase
+        name = self.current_phase
         if self._deadline is not None and self.now >= self._deadline:
             # The rank dies mid-charge: clamp the clock to the deadline so
             # the reported crash time is exact, drop the overshoot from
@@ -97,10 +91,10 @@ class VirtualClock:
             raise factory()
         self.timings.add(name, dt)
 
-    def wait_until(self, t: float, phase: str | None = None) -> None:
+    def wait_until(self, t: float) -> None:
         """Move the clock to absolute virtual time ``t`` if it is behind."""
         if t > self.now:
-            self.advance(t - self.now, phase=phase)
+            self.advance(t - self.now)
 
     @contextmanager
     def phase(self, name: str):

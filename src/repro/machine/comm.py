@@ -247,7 +247,7 @@ class Comm:
             trace.phases, trace.sends, trace.recvs = ckpt.trace_events
 
     # ----------------------------------------------------------------- time
-    def compute(self, flops: float, phase: str | None = None) -> None:
+    def compute(self, flops: float) -> None:
         """Charge ``flops`` floating-point operations of local work.
 
         A rank under an injected slowdown pays ``slowdown`` times the
@@ -255,13 +255,7 @@ class Comm:
         degraded, which the load balancers observe and respond to.
         """
         self.clock.advance(
-            self.cost.compute_time(flops, slowdown=self.slowdown),
-            phase=phase,
-        )
-
-    def effective_flops_per_second(self) -> float:
-        """This rank's measured effective compute rate (faults included)."""
-        return self.cost.profile.flops_per_second / self.slowdown
+            self.cost.compute_time(flops, slowdown=self.slowdown))
 
     def phase(self, name: str):
         """Context manager attributing virtual time to phase ``name``."""

@@ -82,16 +82,6 @@ class CostModel:
         self.topology = profile.make_topology(size)
         self.size = size
 
-    def message_time(self, src: int, dst: int, nbytes: int) -> float:
-        """End-to-end latency of one ``nbytes`` message from src to dst."""
-        if nbytes < 0:
-            raise ValueError(f"negative message size {nbytes}")
-        if src == dst:
-            return 0.0
-        hops = self.topology.hops(src, dst)
-        p = self.profile
-        return p.t_s + hops * p.t_h + nbytes * p.t_w
-
     def compute_time(self, flops: float, slowdown: float = 1.0) -> float:
         """Virtual seconds for ``flops`` floating-point operations.
 

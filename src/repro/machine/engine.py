@@ -84,13 +84,6 @@ class RunReport:
                 out[phase] = max(out.get(phase, 0.0), dt)
         return out
 
-    def phase_mean(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for r in self.ranks:
-            for phase, dt in r.timings.seconds.items():
-                out[phase] = out.get(phase, 0.0) + dt
-        return {k: v / self.size for k, v in out.items()}
-
     @property
     def total_messages(self) -> int:
         return sum(r.stats.messages_sent for r in self.ranks)

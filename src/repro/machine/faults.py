@@ -30,7 +30,7 @@ without a plan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 from typing import Any
 
@@ -140,15 +140,6 @@ class FaultPlan:
         )
 
     # ------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        def plain(v: Any) -> Any:
-            if isinstance(v, frozenset):
-                return sorted(v)
-            if isinstance(v, dict):
-                return {str(k): x for k, x in v.items()}
-            return v
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FaultPlan":
         known = {f for f in cls.__dataclass_fields__}
@@ -159,9 +150,6 @@ class FaultPlan:
         if kw.get("tags") is not None:
             kw["tags"] = frozenset(kw["tags"])
         return cls(**kw)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

@@ -89,12 +89,6 @@ class HypercubeTopology(Topology):
     def diameter(self) -> int:
         return self.dim
 
-    def subcube_partner(self, rank: int, dimension: int) -> int:
-        """Partner of ``rank`` across hypercube ``dimension``."""
-        if not 0 <= dimension < self.dim:
-            raise ValueError(f"dimension {dimension} out of range")
-        return rank ^ (1 << dimension)
-
 
 class MeshTopology(Topology):
     """A 2-D ``rows x cols`` mesh (no wraparound links)."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bh.blockstep import BlockTimestepper, assign_rungs
 from repro.bh.distributions import plummer
-from repro.bh.integrator import total_energy
+from repro.bh.integrator import kinetic_energy, potential_energy
 from repro.bh.particles import Box, ParticleSet
 
 
@@ -144,7 +144,10 @@ class TestEnergyDrift:
         drift stays bounded and comparable to the fixed-dt run."""
         ps, box = make_plummer(192, seed=2)
         soft = 0.05
-        e0 = total_energy(ps, softening=soft)
+        def total_energy(ps):
+            return kinetic_energy(ps) + potential_energy(ps, soft)
+
+        e0 = total_energy(ps)
         assert e0 < 0  # bound system
 
         fixed = BlockTimestepper(clone(ps), 0.01, softening=soft,
@@ -155,10 +158,8 @@ class TestEnergyDrift:
                                  tree_mode="repair")
         fixed.run(100)
         block.run(100)
-        drift_f = abs(total_energy(fixed.particles, softening=soft)
-                      - e0) / abs(e0)
-        drift_b = abs(total_energy(block.particles, softening=soft)
-                      - e0) / abs(e0)
+        drift_f = abs(total_energy(fixed.particles) - e0) / abs(e0)
+        drift_b = abs(total_energy(block.particles) - e0) / abs(e0)
         assert drift_f < 0.05, f"fixed-dt drift {drift_f:.2e}"
         assert drift_b < 0.05, f"block drift {drift_b:.2e}"
         # comparable: block no worse than a small multiple of fixed

@@ -10,11 +10,13 @@ from repro.bh.distributions import (
     make_instance,
     plummer,
     random_centers,
-    uniform_cube,
 )
+from tests.helpers import uniform_cube
 
 
 class TestUniform:
+    """The uniform cube the tests build their particle sets from."""
+
     def test_count_and_bounds(self):
         ps = uniform_cube(500, side=2.0, seed=1)
         assert ps.n == 500

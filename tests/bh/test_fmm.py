@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bh.direct import direct_potentials
-from repro.bh.distributions import plummer, uniform_cube
-from repro.bh.multipole import MultipoleExpansion3D
+from repro.bh.distributions import plummer
+from repro.bh.multipole import regular_terms
 from repro.bh.particles import ParticleSet
+from tests.helpers import uniform_cube
 
 _PKG = Path(__file__).resolve().parents[2] / "examples" / "fmm"
 _spec = importlib.util.spec_from_file_location(
@@ -42,8 +43,7 @@ def direct_sum(targets, src, q):
 class TestM2L:
     def test_converts_far_multipole_to_local(self):
         src, q = cloud()
-        exp = MultipoleExpansion3D(8)
-        M = exp.p2m(src, q)                      # about the origin
+        M = q @ regular_terms(src, 8)            # about the origin
         center = np.array([4.0, 1.0, -2.0])      # local center, far away
         L = m2l(M, -center, 8)                   # multipole rel. to local
         rng = np.random.default_rng(1)
@@ -60,8 +60,7 @@ class TestM2L:
         exact = direct_sum(targets, src, q)
         errs = []
         for deg in (2, 4, 8):
-            exp = MultipoleExpansion3D(deg)
-            L = m2l(exp.p2m(src, q), -center, deg)
+            L = m2l(q @ regular_terms(src, deg), -center, deg)
             errs.append(np.abs(l2p(L, targets - center, deg)
                                - exact).max())
         assert errs[0] > errs[1] > errs[2]

@@ -1,16 +1,14 @@
-"""Tests for the leapfrog integrator and energy diagnostics."""
+"""Tests for the energy diagnostics and the simulation's kick-drift-kick
+leapfrog advance."""
 
 import numpy as np
 import pytest
 
-from repro.bh.integrator import (
-    direct_accelerations,
-    kinetic_energy,
-    leapfrog_step,
-    potential_energy,
-    total_energy,
-)
-from repro.bh.particles import ParticleSet
+from repro import ParallelBarnesHut, SchemeConfig
+from repro.bh.direct import direct_forces
+from repro.bh.integrator import kinetic_energy, potential_energy
+from repro.bh.particles import Box, ParticleSet
+from repro.machine.profiles import ZERO_COST
 
 
 def circular_binary():
@@ -27,6 +25,22 @@ def circular_binary():
     return ps
 
 
+def total_energy(ps: ParticleSet) -> float:
+    return kinetic_energy(ps) + potential_energy(ps)
+
+
+def kdk(ps: ParticleSet, steps: int, dt: float,
+        softening: float = 0.0) -> ParticleSet:
+    """``steps`` KDK leapfrog steps of one rank; every pair is a
+    particle-particle interaction (the MAC accepts no cell)."""
+    cfg = SchemeConfig(scheme="spda", mode="force", integrator="kdk",
+                       alpha=1e-9, softening=softening)
+    res = ParallelBarnesHut(ps, cfg, p=1, profile=ZERO_COST,
+                            root=Box(np.zeros(3), 8.0)).run(steps=steps,
+                                                            dt=dt)
+    return ParticleSet(res.positions, ps.masses, res.velocities)
+
+
 class TestEnergies:
     def test_kinetic(self):
         ps = circular_binary()
@@ -37,27 +51,18 @@ class TestEnergies:
         assert potential_energy(ps) == pytest.approx(-0.5)
 
     def test_total(self):
-        ps = circular_binary()
-        assert total_energy(ps) == pytest.approx(0.25 - 0.5)
+        assert total_energy(circular_binary()) == pytest.approx(0.25 - 0.5)
 
 
 class TestLeapfrog:
     def test_energy_conservation_binary(self):
         ps = circular_binary()
-        e0 = total_energy(ps)
-        accel = direct_accelerations()
-        a = None
-        for _ in range(200):
-            a = leapfrog_step(ps, accel, dt=0.01, accel_now=a)
-        assert total_energy(ps) == pytest.approx(e0, abs=1e-5)
+        end = kdk(ps, 200, dt=0.01)
+        assert total_energy(end) == pytest.approx(total_energy(ps), abs=1e-5)
 
     def test_circular_orbit_radius_stable(self):
-        ps = circular_binary()
-        accel = direct_accelerations()
-        a = None
-        for _ in range(500):
-            a = leapfrog_step(ps, accel, dt=0.01, accel_now=a)
-        sep = np.linalg.norm(ps.positions[1] - ps.positions[0])
+        end = kdk(circular_binary(), 250, dt=0.02)
+        sep = np.linalg.norm(end.positions[1] - end.positions[0])
         assert sep == pytest.approx(2.0, rel=1e-3)
 
     def test_momentum_conserved(self):
@@ -66,37 +71,28 @@ class TestLeapfrog:
                          masses=rng.uniform(0.5, 1.5, 20),
                          velocities=rng.normal(0, 0.1, (20, 3)))
         p0 = (ps.masses[:, None] * ps.velocities).sum(axis=0)
-        accel = direct_accelerations(softening=0.05)
-        a = None
-        for _ in range(20):
-            a = leapfrog_step(ps, accel, dt=0.01, accel_now=a)
-        p1 = (ps.masses[:, None] * ps.velocities).sum(axis=0)
+        end = kdk(ps, 20, dt=0.01, softening=0.05)
+        p1 = (end.masses[:, None] * end.velocities).sum(axis=0)
         np.testing.assert_allclose(p1, p0, atol=1e-10)
 
     def test_time_reversibility(self):
         """Leapfrog is symmetric: integrating forward then backward with
         negated velocities returns to the start."""
         ps = circular_binary()
-        accel = direct_accelerations()
-        x0 = ps.positions.copy()
-        for _ in range(50):
-            leapfrog_step(ps, accel, dt=0.02)
-        ps.velocities *= -1.0
-        for _ in range(50):
-            leapfrog_step(ps, accel, dt=0.02)
-        np.testing.assert_allclose(ps.positions, x0, atol=1e-9)
-
-    def test_invalid_dt(self):
-        with pytest.raises(ValueError):
-            leapfrog_step(circular_binary(), direct_accelerations(), dt=0.0)
-
-    def test_accel_shape_checked(self):
-        ps = circular_binary()
-        with pytest.raises(ValueError):
-            leapfrog_step(ps, lambda p: np.zeros((1, 3)), dt=0.1)
+        mid = kdk(ps, 50, dt=0.02)
+        mid.velocities *= -1.0
+        end = kdk(mid, 50, dt=0.02)
+        np.testing.assert_allclose(end.positions, ps.positions, atol=1e-9)
 
     def test_returns_new_accelerations(self):
+        """A KDK run's values are the accelerations at its final
+        positions (the next step's opening kick)."""
         ps = circular_binary()
-        accel = direct_accelerations()
-        a1 = leapfrog_step(ps, accel, dt=0.01)
-        np.testing.assert_allclose(a1, accel(ps))
+        cfg = SchemeConfig(scheme="spda", mode="force", integrator="kdk",
+                           alpha=1e-9)
+        res = ParallelBarnesHut(ps, cfg, p=1, profile=ZERO_COST,
+                                root=Box(np.zeros(3), 8.0)).run(steps=1,
+                                                                dt=0.01)
+        end = ParticleSet(res.positions, ps.masses, res.velocities)
+        assert not np.allclose(end.positions, ps.positions)
+        np.testing.assert_allclose(res.values, direct_forces(end))

@@ -22,7 +22,6 @@ from repro.bh.distributions import (
     gaussian_blobs,
     plummer,
     random_centers,
-    uniform_cube,
 )
 from repro.bh.interaction_lists import (
     TraversalEngine,
@@ -32,10 +31,10 @@ from repro.bh.interaction_lists import (
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.morton import morton_keys
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
-from repro.bh.traversal import traverse
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import NO_CHILD, build_tree
 from repro.bh.tree_repair import repair_tree
+from tests.helpers import uniform_cube
 from tests.oracles.grouping import group_p2p_rows
 from tests.oracles.kernels import p2p_group_reference
 from tests.oracles.traversal import traverse_reference
@@ -81,7 +80,8 @@ class TestMatchesReference:
         ev = _evaluator(tree, ps, degree)
         ref = traverse_reference(tree, ps, ps.positions, mac, ev,
                                  mode=mode)
-        res = traverse(tree, ps, ps.positions, mac, ev, mode=mode)
+        res = TraversalEngine(tree, ps, mac).compute(
+            ps.positions, ev, mode=mode)
         assert np.max(np.abs(res.values - ref.values)) < 1e-12
         assert res.mac_tests == ref.mac_tests
         assert res.cluster_interactions == ref.cluster_interactions
@@ -95,8 +95,9 @@ class TestMatchesReference:
         traverse_reference(t1, ps, ps.positions, mac,
                            MonopoleExpansion(t1), mode="force",
                            count_node_interactions=True)
-        traverse(t2, ps, ps.positions, mac, MonopoleExpansion(t2),
-                 mode="force", count_node_interactions=True)
+        TraversalEngine(t2, ps, mac).compute(
+            ps.positions, MonopoleExpansion(t2), mode="force",
+            count_node_interactions=True)
         np.testing.assert_array_equal(t1.interactions, t2.interactions)
 
     def test_target_weights_exact(self):
@@ -108,8 +109,8 @@ class TestMatchesReference:
         w_eng = np.zeros(ps.n)
         traverse_reference(tree, ps, ps.positions, mac, ev,
                            mode="potential", target_weights=w_ref)
-        traverse(tree, ps, ps.positions, mac, ev, mode="potential",
-                 target_weights=w_eng)
+        TraversalEngine(tree, ps, mac).compute(
+            ps.positions, ev, mode="potential", target_weights=w_eng)
         # Per-target flop shares are sums of integer-valued terms, so
         # equality is exact, not approximate.
         np.testing.assert_array_equal(w_ref, w_eng)
@@ -121,8 +122,8 @@ class TestMatchesReference:
         ev = MonopoleExpansion(tree, softening=0.05)
         ref = traverse_reference(tree, ps, ps.positions, mac, ev,
                                  mode="force", softening=0.05)
-        res = traverse(tree, ps, ps.positions, mac, ev, mode="force",
-                       softening=0.05)
+        res = TraversalEngine(tree, ps, mac, softening=0.05).compute(
+            ps.positions, ev, mode="force")
         assert np.max(np.abs(res.values - ref.values)) < 1e-12
 
     @pytest.mark.parametrize("dims,alpha", [(2, 0.5), (3, 0.67), (3, 1.2)])
@@ -179,7 +180,7 @@ class TestRemoteTargets:
         mac = BarnesHutMAC(1e-9)          # force descent everywhere
         ev = MonopoleExpansion(tree)
         ref = traverse_reference(tree, ps, ps.positions, mac, ev)
-        res = traverse(tree, ps, ps.positions, mac, ev)
+        res = TraversalEngine(tree, ps, mac).compute(ps.positions, ev)
         assert sorted(res.remote_targets) == sorted(ref.remote_targets)
         for node, idx in res.remote_targets.items():
             np.testing.assert_array_equal(np.sort(ref.remote_targets[node]),
@@ -324,18 +325,16 @@ class TestBuildsOnlyWhatTheStepReads:
             assert rows.size and lists.nbytes() - held == rows.nbytes, name
 
 
-def _assert_walk_equals_oracle(tree, targets, alpha, root=None):
+def _assert_walk_equals_oracle(tree, targets, alpha):
     """``build_interaction_lists`` against the earlier walk kept verbatim
     in ``tests/oracles/walk.py``: every list array equal element for
     element, dtype included (the on-demand ones read through their
     properties), and the P2P groups the walk emits equal to
     ``group_p2p_rows`` of the oracle's rows."""
-    got = build_interaction_lists(tree, targets, BarnesHutMAC(alpha),
-                                  root=root)
+    got = build_interaction_lists(tree, targets, BarnesHutMAC(alpha))
     (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote, mac_tests,
      mac_per_target, tested) = walk_dfs_reference(
-        tree, got.target_cols.T, alpha, il._node_classes(tree),
-        tree.ROOT if root is None else root)
+        tree, got.target_cols.T, alpha, il._node_classes(tree), tree.ROOT)
     counts = (tree.end - tree.start).astype(np.int64)
     want = dict(cluster_node=cluster_node, cluster_tgt=cluster_tgt,
                 p2p_leaf=p2p_leaf, p2p_tgt=p2p_tgt,
@@ -388,25 +387,25 @@ def test_grouped_visits_equal_grouped_rows(seed):
 
 class TestWalkEqualsOracle:
     def test_plummer_subtree_with_outside_targets(self):
-        """A branch subtree serving requesters that live elsewhere."""
+        """A branch subtree serving requesters that live elsewhere: its
+        own tree over one root child's particles, rooted at that cell."""
         ps = INSTANCES["plummer"]
-        tree = build_tree(ps, leaf_capacity=8)
-        kid = int(tree.children[0][tree.children[0] != NO_CHILD][0])
-        lo, hi = tree.center[kid] - tree.half[kid], \
-            tree.center[kid] + tree.half[kid]
-        outside = ~np.all((ps.positions > lo) & (ps.positions < hi), axis=1)
-        lists = _assert_walk_equals_oracle(tree, ps.positions[outside],
-                                           0.67, root=kid)
+        full = build_tree(ps, leaf_capacity=8)
+        kid = int(full.children[0][full.children[0] != NO_CHILD][0])
+        inside = full.particle_indices(kid)
+        tree = build_tree(ParticleSet(ps.positions[inside], ps.masses[inside]),
+                          box=Box(full.center[kid], float(full.half[kid])),
+                          leaf_capacity=8)
+        outside = np.setdiff1d(np.arange(ps.n), inside)
+        lists = _assert_walk_equals_oracle(tree, ps.positions[outside], 0.67)
         assert lists.cluster_interactions and lists.p2p_interactions
 
     def test_top_tree_with_remote_leaves(self):
         ps = INSTANCES["gaussian"]
         tree = build_tree(ps, leaf_capacity=8)
         _mark_two_remote(tree)
-        for root in (None, tree.ROOT):
-            lists = _assert_walk_equals_oracle(tree, ps.positions, 0.67,
-                                               root=root)
-            assert len(lists.remote_targets) == 2
+        lists = _assert_walk_equals_oracle(tree, ps.positions, 0.67)
+        assert len(lists.remote_targets) == 2
 
     @pytest.mark.parametrize("capacity", [1, 8])
     @pytest.mark.parametrize("dims", [2, 3])
@@ -592,9 +591,9 @@ class TestLaneMajorP2P:
             group = il._p2p_group
             patch.setattr(il, "_p2p_group",
                           lambda *a: calls.append(a[4]) or group(*a))
+            patch.setattr(il, "DEFAULT_WORKING_SET_BYTES", 1)
             many = evaluate_interaction_lists(
-                tree, lists, ps, _NoClusters(), mode=mode,
-                working_set_bytes=1)
+                tree, lists, ps, _NoClusters(), mode=mode)
         assert calls == [ns for *_, ns in lists.p2p_groups]
         np.testing.assert_array_equal(_bits(many.values), _bits(one.values))
 
@@ -825,16 +824,15 @@ class TestEvaluateDirect:
                                      mode="potential")
             assert np.max(np.abs(res.values - ref.values)) < 1e-12
 
-    def test_working_set_does_not_change_results(self):
+    def test_working_set_does_not_change_results(self, monkeypatch):
         ps = INSTANCES["gaussian"]
         tree = build_tree(ps, leaf_capacity=8)
         mac = BarnesHutMAC(0.67)
         lists = build_interaction_lists(tree, ps.positions, mac)
         ev = MonopoleExpansion(tree)
         big = evaluate_interaction_lists(tree, lists, ps, ev, mode="force")
-        tiny = evaluate_interaction_lists(tree, lists, ps, ev,
-                                          mode="force",
-                                          working_set_bytes=4096)
+        monkeypatch.setattr(il, "DEFAULT_WORKING_SET_BYTES", 4096)
+        tiny = evaluate_interaction_lists(tree, lists, ps, ev, mode="force")
         # Chunk boundaries reorder the accumulation, so agreement is to
         # the engine's 1e-12 contract, not bitwise.
         assert np.max(np.abs(big.values - tiny.values)) < 1e-12
@@ -873,19 +871,20 @@ class TestOnePath:
 
 
 class TestKernelChunking:
-    def test_chunked_matches_unchunked(self):
+    def test_chunked_matches_unchunked(self, monkeypatch):
         rng = np.random.default_rng(17)
         t = rng.normal(size=(500, 3))
         s = rng.normal(size=(40, 3))
         m = rng.uniform(0.5, 1.5, size=40)
-        full_p = kernels.pair_potential(t, s, m, working_set_bytes=1 << 30)
-        full_f = kernels.pair_force(t, s, m, working_set_bytes=1 << 30)
-        # Small working set forces many chunks; rows are computed with
-        # identical arithmetic, so equality is exact.
-        np.testing.assert_array_equal(
-            kernels.pair_potential(t, s, m, working_set_bytes=8192), full_p)
-        np.testing.assert_array_equal(
-            kernels.pair_force(t, s, m, working_set_bytes=8192), full_f)
+        monkeypatch.setattr(kernels, "DEFAULT_WORKING_SET_BYTES", 1 << 30)
+        full_p = kernels.pair_potential(t, s, m)
+        full_f = kernels.pair_force(t, s, m)
+        # Small working set forces many chunks (of four rows); rows are
+        # computed with identical arithmetic, so equality is exact.
+        monkeypatch.setattr(kernels, "DEFAULT_WORKING_SET_BYTES", 8192)
+        np.testing.assert_array_equal(kernels.pair_potential(t, s, m),
+                                      full_p)
+        np.testing.assert_array_equal(kernels.pair_force(t, s, m), full_f)
 
     def test_direct_sum_memory_bounded(self):
         """A 20k x 20k direct sum must not allocate the O(n^2 d) pair

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.bh.distributions import plummer, uniform_cube
+from repro.bh.distributions import plummer
 from repro.bh.direct import direct_forces, direct_potentials
+from repro.bh.interaction_lists import TraversalEngine
 from repro.bh.mac import BarnesHutMAC, sq_norm
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.particles import ParticleSet
-from repro.bh.traversal import (
-    TraversalResult,
-    compute_forces,
-    compute_potentials,
-    traverse,
-)
+from repro.bh.traversal import TraversalResult, compute_potentials
 from repro.bh.tree import build_tree
+from tests.helpers import uniform_cube
 
 
 class TestSqNorm:
@@ -92,7 +89,9 @@ class TestMAC:
 class TestTraversal:
     def test_monopole_force_approximates_direct(self):
         ps = plummer(800, seed=1)
-        res = compute_forces(ps, alpha=0.5)
+        tree = build_tree(ps)
+        res = TraversalEngine(tree, ps, BarnesHutMAC(0.5)).compute(
+            ps.positions, MonopoleExpansion(tree), mode="force")
         fd = direct_forces(ps)
         rel = (np.linalg.norm(res.values - fd, axis=1)
                / np.linalg.norm(fd, axis=1))
@@ -164,14 +163,11 @@ class TestTraversal:
         tree = build_tree(ps, leaf_capacity=8)
         mac = BarnesHutMAC(0.7)
         ev = MonopoleExpansion(tree)
-        res = traverse(tree, ps, ps.positions, mac, ev,
-                       count_node_interactions=True)
-        total = res.cluster_interactions + \
-            sum(res.values.shape[0] for _ in ())  # placeholder no-op
-        # every accepted cluster interaction and every leaf visit counted
-        assert tree.interactions.sum() > 0
-        tree.sum_interactions_up()
-        assert tree.interactions[0] >= res.cluster_interactions
+        res = TraversalEngine(tree, ps, mac).compute(
+            ps.positions, ev, count_node_interactions=True)
+        # every accepted cluster interaction and every leaf pair counted
+        assert tree.interactions.sum() \
+            == res.cluster_interactions + res.p2p_interactions > 0
 
     def test_external_targets(self):
         ps = plummer(300, seed=8)
@@ -179,7 +175,8 @@ class TestTraversal:
         mac = BarnesHutMAC(0.6)
         ev = MonopoleExpansion(tree)
         targets = np.array([[50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
-        res = traverse(tree, ps, targets, mac, ev, mode="potential")
+        res = TraversalEngine(tree, ps, mac).compute(
+            targets, ev, mode="potential")
         exact = direct_potentials(ps, targets)
         np.testing.assert_allclose(res.values, exact, rtol=1e-3)
 
@@ -196,16 +193,16 @@ class TestTraversal:
     def test_empty_targets(self):
         ps = plummer(50, seed=10)
         tree = build_tree(ps)
-        res = traverse(tree, ps, np.zeros((0, 3)), BarnesHutMAC(0.7),
-                       MonopoleExpansion(tree))
+        res = TraversalEngine(tree, ps, BarnesHutMAC(0.7)).compute(
+            np.zeros((0, 3)), MonopoleExpansion(tree))
         assert res.values.shape == (0,)
 
     def test_invalid_mode(self):
         ps = plummer(20, seed=11)
         tree = build_tree(ps)
         with pytest.raises(ValueError):
-            traverse(tree, ps, ps.positions, BarnesHutMAC(0.7),
-                     MonopoleExpansion(tree), mode="energy")
+            TraversalEngine(tree, ps, BarnesHutMAC(0.7)).compute(
+                ps.positions, MonopoleExpansion(tree), mode="energy")
 
     def test_remote_leaf_collects_targets(self):
         ps = plummer(100, seed=12)
@@ -215,8 +212,8 @@ class TestTraversal:
         tree.remote_owner[child] = 3
         tree.remote_key[child] = 42
         # force descent everywhere so the remote leaf is reached
-        res = traverse(tree, ps, ps.positions, BarnesHutMAC(1e-9),
-                       MonopoleExpansion(tree))
+        res = TraversalEngine(tree, ps, BarnesHutMAC(1e-9)).compute(
+            ps.positions, MonopoleExpansion(tree))
         assert child in res.remote_targets
         assert res.remote_targets[child].size > 0
 
@@ -225,7 +222,7 @@ class TestTraversal:
         ps = ParticleSet(positions=rng.uniform(0, 1, (200, 2)),
                          masses=np.ones(200) / 200)
         tree = build_tree(ps, leaf_capacity=8)
-        res = traverse(tree, ps, ps.positions, BarnesHutMAC(0.6),
-                       MonopoleExpansion(tree), mode="force")
+        res = TraversalEngine(tree, ps, BarnesHutMAC(0.6)).compute(
+            ps.positions, MonopoleExpansion(tree), mode="force")
         assert res.values.shape == (200, 2)
         assert np.isfinite(res.values).all()

@@ -1,4 +1,4 @@
-"""Tests for Morton keys and the Hilbert curve."""
+"""Tests for Morton keys."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.bh.morton import (
     MAX_BITS_2D,
     MAX_BITS_3D,
-    hilbert_keys_2d,
     morton_decode_2d,
     morton_decode_3d,
     morton_key_2d,
@@ -117,40 +116,3 @@ class TestMortonKeysOfPositions:
         k4 = morton_keys(pts, np.zeros(3), 1.0, bits=4)
         k5 = morton_keys(pts, np.zeros(3), 1.0, bits=5)
         np.testing.assert_array_equal(k4, k5 >> 3)
-
-
-class TestHilbert:
-    def test_first_order_curve(self):
-        # 2x2 Hilbert curve visits (0,0), (0,1), (1,1), (1,0)
-        xs = np.array([0, 0, 1, 1])
-        ys = np.array([0, 1, 1, 0])
-        np.testing.assert_array_equal(hilbert_keys_2d(xs, ys, 1),
-                                      [0, 1, 2, 3])
-
-    def test_bijective_on_grid(self):
-        n = 16
-        xx, yy = np.meshgrid(np.arange(n), np.arange(n))
-        d = hilbert_keys_2d(xx.ravel(), yy.ravel(), 4)
-        assert sorted(d.tolist()) == list(range(n * n))
-
-    def test_consecutive_cells_are_adjacent(self):
-        """The defining Hilbert property Morton lacks: curve-consecutive
-        cells are always grid neighbours."""
-        n = 32
-        xx, yy = np.meshgrid(np.arange(n), np.arange(n))
-        xs, ys = xx.ravel(), yy.ravel()
-        d = hilbert_keys_2d(xs, ys, 5)
-        order = np.argsort(d)
-        dx = np.abs(np.diff(xs[order]))
-        dy = np.abs(np.diff(ys[order]))
-        assert np.all(dx + dy == 1)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            hilbert_keys_2d(np.array([4]), np.array([0]), 2)
-        with pytest.raises(ValueError):
-            hilbert_keys_2d(np.array([-1]), np.array([0]), 2)
-
-    def test_bits_validated(self):
-        with pytest.raises(ValueError):
-            hilbert_keys_2d(np.array([0]), np.array([0]), 0)

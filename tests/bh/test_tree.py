@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bh.distributions import plummer, uniform_cube
+from repro.bh.distributions import plummer
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import NO_CHILD, Tree, build_tree, cell_box
+from tests.helpers import uniform_cube
 
 
 def simple_ps(n=200, d=3, seed=0):
@@ -83,7 +84,7 @@ class TestBuildTree:
         tree = build_tree(ps, leaf_capacity=4, collapse_chains=False)
         for node in range(tree.nnodes):
             idx = tree.particle_indices(node)
-            box = tree.node_box(node)
+            box = Box(tree.center[node], float(tree.half[node]))
             # half-open boundary effects: allow tiny tolerance
             assert np.all(ps.positions[idx] >= box.lo - 1e-12)
             assert np.all(ps.positions[idx] <= box.hi + 1e-12)
@@ -167,7 +168,8 @@ class TestBuildTree:
         assert len(seen) == 200
 
     def test_children_appended_after_parent(self):
-        """The invariant sum_interactions_up relies on."""
+        """The invariant the per-node reverse scans in
+        ``tests/oracles/upward.py`` rely on."""
         ps = simple_ps(500)
         tree = build_tree(ps, leaf_capacity=4)
         for node in range(tree.nnodes):
@@ -189,14 +191,6 @@ class TestBuildTree:
 
 
 class TestTreeQueries:
-    def test_interactions_sum_up(self):
-        ps = simple_ps(100)
-        tree = build_tree(ps, leaf_capacity=4)
-        leaves = tree.leaves()
-        tree.interactions[leaves] = 1
-        tree.sum_interactions_up()
-        assert tree.interactions[tree.ROOT] == leaves.size
-
     def test_is_leaf_and_count(self):
         ps = simple_ps(50)
         tree = build_tree(ps, leaf_capacity=100)

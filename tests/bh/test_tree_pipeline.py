@@ -13,19 +13,16 @@ from repro.bh.distributions import (
     gaussian_blobs,
     plummer,
     random_centers,
-    uniform_cube,
 )
 from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, build_tree, cell_box, cell_boxes
+from tests.helpers import uniform_cube
 from tests.oracles.tree import (
     build_tree_reference,
     compute_monopoles_reference,
 )
-from tests.oracles.upward import (
-    build_multipoles_reference,
-    sum_interactions_up_reference,
-)
+from tests.oracles.upward import build_multipoles_reference
 
 N = 400
 
@@ -106,14 +103,6 @@ class TestUpwardPasses:
         tree.compute_monopoles(ps)
         np.testing.assert_array_equal(tree.mass, mass)
         np.testing.assert_array_equal(tree.com, com)
-
-        base = (np.arange(tree.nnodes, dtype=np.int64) * 7919) % 1013
-        tree.interactions[:] = base
-        sum_interactions_up_reference(tree)
-        ref = tree.interactions.copy()
-        tree.interactions[:] = base
-        tree.sum_interactions_up()
-        np.testing.assert_array_equal(tree.interactions, ref)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_multipole_coeffs(self, degree):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ParallelBarnesHut, SchemeConfig
-from repro.bh.distributions import plummer, uniform_cube
+from repro.bh.distributions import plummer
 from repro.bh.morton import MAX_BITS_3D, morton_keys
 from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import Box, ParticleSet
@@ -25,6 +25,7 @@ from repro.core.simulation import _RankState
 from repro.core.tree_build import assign_to_cells, build_local_trees
 from repro.machine.engine import Engine
 from repro.machine.profiles import NCUBE2
+from tests.helpers import uniform_cube
 from tests.oracles.tree import build_tree_reference
 from tests.oracles.upward import build_multipoles_reference
 

@@ -4,17 +4,18 @@ weights."""
 import numpy as np
 import pytest
 
-from repro.bh.distributions import plummer, uniform_cube
+from repro.bh.distributions import plummer
+from repro.bh.interaction_lists import TraversalEngine
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion
 from repro.bh.particles import Box, ParticleSet
-from repro.bh.traversal import traverse
 from repro.bh.tree import build_tree
 from repro.core.config import SchemeConfig
 from repro.core.costzones import particle_loads_from_tree
 from repro.core.load_model import cluster_loads, particle_loads
 from repro.core.partition import Cell
 from repro.core.tree_build import build_local_trees
+from tests.helpers import uniform_cube
 
 ROOT = Box(np.array([0.5, 0.5, 0.5]), 0.5)
 
@@ -25,8 +26,9 @@ def traversed_subtrees(n=400, seed=0):
                              SchemeConfig(), 8)
     mac = BarnesHutMAC(0.7)
     for st in subs:
-        traverse(st.tree, st.particles, ps.positions, mac,
-                 MonopoleExpansion(st.tree), count_node_interactions=True)
+        TraversalEngine(st.tree, st.particles, mac).compute(
+            ps.positions, MonopoleExpansion(st.tree),
+            count_node_interactions=True)
     return ps, subs
 
 
@@ -49,9 +51,9 @@ class TestClusterLoads:
                                  SchemeConfig(), 8)
         mac = BarnesHutMAC(0.7)
         for st in subs:
-            traverse(st.tree, st.particles, ps.positions, mac,
-                     MonopoleExpansion(st.tree),
-                     count_node_interactions=True)
+            TraversalEngine(st.tree, st.particles, mac).compute(
+                ps.positions, MonopoleExpansion(st.tree),
+                count_node_interactions=True)
         loads = cluster_loads(subs)
         assert loads[0] > loads[7]
 
@@ -87,8 +89,8 @@ class TestRequesterWeights:
         tree = build_tree(ps, leaf_capacity=8)
         mac = BarnesHutMAC(0.7)
         weights = np.zeros(ps.n)
-        res = traverse(tree, ps, ps.positions, mac,
-                       MonopoleExpansion(tree), target_weights=weights)
+        res = TraversalEngine(tree, ps, mac).compute(
+            ps.positions, MonopoleExpansion(tree), target_weights=weights)
         assert weights.sum() == pytest.approx(res.flops(0))
 
     def test_central_particles_cost_more(self):
@@ -97,8 +99,8 @@ class TestRequesterWeights:
         tree = build_tree(ps, leaf_capacity=8)
         mac = BarnesHutMAC(0.7)
         weights = np.zeros(ps.n)
-        traverse(tree, ps, ps.positions, mac, MonopoleExpansion(tree),
-                 target_weights=weights)
+        TraversalEngine(tree, ps, mac).compute(
+            ps.positions, MonopoleExpansion(tree), target_weights=weights)
         r = np.linalg.norm(ps.positions - ps.center_of_mass(), axis=1)
         inner = weights[r < np.median(r)].mean()
         outer = weights[r >= np.median(r)].mean()
@@ -107,6 +109,6 @@ class TestRequesterWeights:
     def test_weights_optional(self):
         ps = plummer(50, seed=5)
         tree = build_tree(ps)
-        res = traverse(tree, ps, ps.positions, BarnesHutMAC(0.7),
-                       MonopoleExpansion(tree))
+        res = TraversalEngine(tree, ps, BarnesHutMAC(0.7)).compute(
+            ps.positions, MonopoleExpansion(tree))
         assert res.values.shape == (50,)

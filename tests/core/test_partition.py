@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bh.particles import Box
+from repro.core.assignment import clusters_of_rank
+from repro.core.config import SchemeConfig
 from repro.core.partition import (
     Cell,
     cluster_coords,
-    cluster_grid_size,
     cluster_keys,
     cover_cells,
-    owned_cells_grid,
 )
+from tests.oracles.merge import contains_cell
 
 ROOT2 = Box(np.array([0.5, 0.5]), 0.5)
 ROOT3 = Box(np.array([0.5, 0.5, 0.5]), 0.5)
@@ -40,10 +41,10 @@ class TestCell:
 
     def test_contains_cell(self):
         parent = Cell(1, 2)
-        assert parent.contains_cell(Cell(2, 2 * 4 + 1), 2)
-        assert parent.contains_cell(parent, 2)
-        assert not parent.contains_cell(Cell(2, 3 * 4), 2)
-        assert not parent.contains_cell(Cell(0, 0), 2)
+        assert contains_cell(parent, Cell(2, 2 * 4 + 1), 2)
+        assert contains_cell(parent, parent, 2)
+        assert not contains_cell(parent, Cell(2, 3 * 4), 2)
+        assert not contains_cell(parent, Cell(0, 0), 2)
 
     def test_box(self):
         b = Cell(1, 0b11).box(ROOT2)
@@ -52,10 +53,10 @@ class TestCell:
 
 class TestClusterKeys:
     def test_grid_size(self):
-        assert cluster_grid_size(2, 2) == 16
-        assert cluster_grid_size(2, 3) == 64
+        assert SchemeConfig(grid_level=2).clusters(2) == 16
+        assert SchemeConfig(grid_level=2).clusters(3) == 64
         with pytest.raises(ValueError):
-            cluster_grid_size(-1, 2)
+            SchemeConfig(grid_level=-1)
 
     def test_level_zero_single_cluster(self):
         pos = np.random.default_rng(0).uniform(0, 1, (10, 3))
@@ -82,9 +83,10 @@ class TestClusterKeys:
             cluster_coords(np.zeros(1, dtype=np.int64), 4)
 
     def test_owned_cells_grid_sorted(self):
-        cells = owned_cells_grid(np.array([5, 2, 9]), 2)
-        assert [c.path_key for c in cells] == [2, 5, 9]
-        assert all(c.depth == 2 for c in cells)
+        """A rank's static clusters come in Morton (path key) order."""
+        owners = np.zeros(16, dtype=np.int64)
+        owners[[9, 2, 5]] = 3
+        np.testing.assert_array_equal(clusters_of_rank(owners, 3), [2, 5, 9])
 
 
 class TestCoverCells:

@@ -7,15 +7,17 @@ reproduction; see DESIGN.md section 6 for the narrative.
 import numpy as np
 import pytest
 
-from repro.bh.distributions import plummer, uniform_cube
+from repro.bh.distributions import plummer
 from repro.bh.particles import Box, ParticleSet
 from repro.core.config import SchemeConfig
-from repro.core.branch_nodes import branch_key, cell_of_branch_key
+from repro.core.branch_nodes import branch_key
 from repro.core.data_shipping import node_keys
 from repro.core.partition import Cell
 from repro.core.simulation import ParallelBarnesHut
 from repro.core.tree_build import build_local_trees
 from repro.machine.profiles import NCUBE2, ZERO_COST
+from tests.helpers import uniform_cube
+from tests.oracles.merge import cell_of_branch_key, contains_cell
 
 
 class TestDuplicateSlotAccumulation:
@@ -51,7 +53,7 @@ class TestLocalTreeGlobalAddressing:
         # collapsing pushed it down)
         for key in node_keys(subs[0], 3).tolist():
             cell = cell_of_branch_key(key, 3)
-            assert Cell(1, 5).contains_cell(cell, 3), (key, cell)
+            assert contains_cell(Cell(1, 5), cell, 3), (key, cell)
 
     def test_distinct_subtrees_distinct_keys(self):
         root = Box(np.array([0.5, 0.5, 0.5]), 0.5)
@@ -87,16 +89,16 @@ class TestLeafLoadUnits:
     dense clusters and made SPDA's balancer diverge."""
 
     def test_leaf_counter_counts_pairs(self):
+        from repro.bh.interaction_lists import TraversalEngine
         from repro.bh.mac import BarnesHutMAC
         from repro.bh.multipole import MonopoleExpansion
-        from repro.bh.traversal import traverse
         from repro.bh.tree import build_tree
 
         ps = uniform_cube(64, seed=104)
         tree = build_tree(ps, leaf_capacity=64)  # single leaf node
-        res = traverse(tree, ps, ps.positions, BarnesHutMAC(0.7),
-                       MonopoleExpansion(tree),
-                       count_node_interactions=True)
+        res = TraversalEngine(tree, ps, BarnesHutMAC(0.7)).compute(
+            ps.positions, MonopoleExpansion(tree),
+            count_node_interactions=True)
         # 64 targets x 64 particles in the one leaf
         assert tree.interactions[0] == 64 * 64
         assert res.p2p_interactions == 64 * 64

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.bh.direct import direct_forces, direct_potentials
-from repro.bh.distributions import make_instance, plummer, uniform_cube
+from repro.bh.distributions import make_instance, plummer
 from repro.core.config import SchemeConfig
 from repro.core.simulation import ParallelBarnesHut
 from repro.machine.profiles import CM5, NCUBE2, ZERO_COST
+from tests.helpers import uniform_cube
 
 PS = plummer(800, seed=42)
 PD = direct_potentials(PS)

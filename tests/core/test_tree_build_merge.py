@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bh.distributions import plummer, uniform_cube
+from repro.bh.distributions import plummer
 from repro.bh.morton import morton_keys
-from repro.bh.multipole import MultipoleExpansion3D, n_terms
+from repro.bh.multipole import n_terms, regular_terms
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import Tree
 from repro.core.branch_nodes import BranchInfo, branch_key
@@ -28,9 +28,11 @@ from repro.core.tree_merge import (
 )
 from repro.machine.engine import Engine
 from repro.machine.profiles import ZERO_COST
+from tests.helpers import uniform_cube
 from tests.oracles.merge import (
     build_top_tree_reference,
     check_disjoint_reference,
+    contains_cell,
 )
 from tests.oracles.upward import top_tree_coeffs_reference
 
@@ -139,9 +141,8 @@ class TestBranchInfos:
         cfg = SchemeConfig(mode="potential", degree=4)
         subs = build_local_trees(ps, level1_cells(), ROOT, cfg, BITS)
         infos = local_branch_infos(subs, rank=0, root=ROOT, degree=4)
-        exp = MultipoleExpansion3D(4)
         cell_center = Cell(1, 0).box(ROOT).center
-        direct = exp.p2m(pos - cell_center, ps.masses)
+        direct = ps.masses @ regular_terms(pos - cell_center, 4)
         np.testing.assert_allclose(infos[0].coeffs, direct, atol=1e-9)
 
 
@@ -177,8 +178,7 @@ class TestBuildTopTree:
     def test_multipole_root_matches_direct(self):
         ps = uniform_cube(200, seed=9)
         top = build_top_tree(self._infos(ps, degree=4), ROOT, degree=4)
-        exp = MultipoleExpansion3D(4)
-        direct = exp.p2m(ps.positions - ROOT.center, ps.masses)
+        direct = ps.masses @ regular_terms(ps.positions - ROOT.center, 4)
         np.testing.assert_allclose(top.multipoles.coeffs[0], direct,
                                    atol=1e-8)
 
@@ -408,7 +408,7 @@ class TestCheckDisjoint:
         # the pair it names really overlaps
         named = [b for b in branches
                  if f"{b.cell} (rank {b.owner})" in str(err.value)]
-        assert any(a is not b and a.cell.contains_cell(b.cell, dims)
+        assert any(a is not b and contains_cell(a.cell, b.cell, dims)
                    for a in named for b in named)
 
 

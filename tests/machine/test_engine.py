@@ -90,8 +90,9 @@ class TestRunReport:
         assert rep.phase_max()["force"] == pytest.approx(100.0)
 
     def test_phase_mean(self):
+        """The balance ratio divides by the mean over all ranks."""
         rep = self._report()
-        assert rep.phase_mean()["tree"] == pytest.approx(25.0)
+        assert rep.load_imbalance("tree") == pytest.approx(40.0 / 25.0)
 
     def test_traffic_totals(self):
         rep = self._report()
@@ -131,9 +132,9 @@ class TestDeterminism:
 
 
 class TestReportEdgeCases:
-    """phase_mean / load_imbalance on degenerate reports (satellite of
-    the observability PR): missing phases, single ranks, zero-time
-    phases must all come back well-defined, never raise."""
+    """phase_max / load_imbalance on degenerate reports: missing
+    phases, single ranks, zero-time phases must all come back
+    well-defined, never raise."""
 
     def test_phase_mean_missing_on_some_ranks(self):
         """A phase only some ranks enter still averages over ALL ranks —
@@ -144,11 +145,11 @@ class TestReportEdgeCases:
                     comm.compute(8.0)
 
         rep = Engine(4, TOY).run(main)
-        assert rep.phase_mean()["solo"] == pytest.approx(2.0)
+        assert rep.load_imbalance("solo") == pytest.approx(8.0 / 2.0)
 
     def test_phase_mean_unknown_phase_absent(self):
         rep = Engine(2, TOY).run(lambda comm: comm.compute(1.0))
-        assert "no such phase" not in rep.phase_mean()
+        assert "no such phase" not in rep.phase_max()
 
     def test_load_imbalance_missing_phase_is_balanced(self):
         """Asking about a phase nobody recorded: every rank reports 0,
@@ -159,7 +160,7 @@ class TestReportEdgeCases:
     def test_single_rank_never_imbalanced(self):
         rep = Engine(1, TOY).run(lambda comm: comm.compute(37.0))
         assert rep.load_imbalance() == 1.0
-        assert rep.phase_mean()["other"] == pytest.approx(37.0)
+        assert rep.phase_max()["other"] == pytest.approx(37.0)
 
     def test_zero_time_phase(self):
         """A phase entered but charged nothing (all ranks): ratio 1.0."""
@@ -170,7 +171,7 @@ class TestReportEdgeCases:
 
         rep = Engine(4, TOY).run(main)
         assert rep.load_imbalance("empty") == 1.0
-        assert rep.phase_mean().get("empty", 0.0) == 0.0
+        assert rep.phase_max().get("empty", 0.0) == 0.0
 
     def test_partial_phase_imbalance_ratio(self):
         """One rank works 4 s in a phase the rest skip: max/mean = 4."""

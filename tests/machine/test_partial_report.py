@@ -11,7 +11,8 @@ def _early_death(comm):
     # that such a rank used to be indistinguishable from a missing one.
     if comm.rank == 1:
         raise KeyError("dead before the first tick")
-    comm.compute(1000.0, phase="work")
+    with comm.phase("work"):
+        comm.compute(1000.0)
     return "ok"
 
 
@@ -37,7 +38,8 @@ def test_rank_failing_before_first_tick_is_reported():
 
 
 def _late_death(comm):
-    comm.compute(5000.0, phase="work")
+    with comm.phase("work"):
+        comm.compute(5000.0)
     if comm.rank == 0:
         raise ValueError("died mid-run")
     return comm.rank

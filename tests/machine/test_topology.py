@@ -81,13 +81,6 @@ class TestHypercube:
     def test_diameter_is_dimension(self):
         assert HypercubeTopology(256).diameter == 8
 
-    def test_subcube_partner(self):
-        t = HypercubeTopology(8)
-        assert t.subcube_partner(0b010, 0) == 0b011
-        assert t.subcube_partner(0b010, 1) == 0b000
-        with pytest.raises(ValueError):
-            t.subcube_partner(0, 3)
-
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     def test_hops_triangle_inequality(self, a, b, c):
         t = HypercubeTopology(256)

@@ -1,7 +1,8 @@
 """Oracles of the top-tree merge, kept verbatim from
 ``repro.core.tree_merge``: the quadratic branch-disjointness scan, the
 sorted adjacent-pair scan that replaced it, and the ``set[Cell]`` build
-the anchored-key arrays replaced."""
+the anchored-key arrays replaced; with the cell arithmetic they read
+(containment, and the inverse of ``branch_key``)."""
 
 from __future__ import annotations
 
@@ -16,11 +17,31 @@ from repro.core.branch_nodes import BranchInfo, make_branch_index
 from repro.core.partition import Cell
 
 
+def contains_cell(cell: Cell, other: Cell, dims: int) -> bool:
+    """True when ``other`` is ``cell`` or a descendant of it."""
+    if other.depth < cell.depth:
+        return False
+    return (other.path_key >> (dims * (other.depth - cell.depth))) \
+        == cell.path_key
+
+
+def cell_of_branch_key(key: int, dims: int) -> Cell:
+    """Inverse of :func:`repro.core.branch_nodes.branch_key`."""
+    if key < 1:
+        raise ValueError(f"invalid branch key {key}")
+    depth, probe = 0, key
+    while probe > 1:
+        probe >>= dims
+        depth += 1
+    anchor = 1 << (dims * depth)
+    return Cell(depth, key ^ anchor)
+
+
 def check_disjoint_reference(branches: list[BranchInfo], dims: int) -> None:
     for i, a in enumerate(branches):
         for b in branches[i + 1:]:
-            if a.cell.contains_cell(b.cell, dims) or \
-                    b.cell.contains_cell(a.cell, dims):
+            if contains_cell(a.cell, b.cell, dims) or \
+                    contains_cell(b.cell, a.cell, dims):
                 raise ValueError(
                     f"branch cells overlap: {a.cell} (rank {a.owner}) and "
                     f"{b.cell} (rank {b.owner})"
@@ -41,7 +62,7 @@ def check_disjoint_sorted_reference(branches: list[BranchInfo],
     ordered = sorted(branches, key=lambda b: (
         b.cell.key_range(bits, dims)[0], b.cell.depth))
     for a, b in zip(ordered, ordered[1:]):
-        if a.cell.contains_cell(b.cell, dims):
+        if contains_cell(a.cell, b.cell, dims):
             raise ValueError(
                 f"branch cells overlap: {a.cell} (rank {a.owner}) and "
                 f"{b.cell} (rank {b.owner})"

@@ -1,25 +1,14 @@
 """Per-node reverse-scan upward passes, kept verbatim from
-``repro.bh.tree``, ``repro.bh.multipole`` and ``repro.core.tree_merge``
-as the oracles for :meth:`Tree.sum_interactions_up`,
+``repro.bh.multipole`` and ``repro.core.tree_merge`` as the oracles for
 :meth:`TreeMultipoles._build` and the top tree's merged expansions."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bh.multipole import TreeMultipoles
+from repro.bh.multipole import TreeMultipoles, regular_terms
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, Tree
-
-
-def sum_interactions_up_reference(tree: Tree) -> None:
-    """Per-node reverse scan (relies on every child id being greater
-    than its parent id) — the oracle for the level-batched pass."""
-    for node in range(tree.nnodes - 1, -1, -1):
-        kids = tree.children[node]
-        kids = kids[kids != NO_CHILD]
-        if kids.size:
-            tree.interactions[node] += tree.interactions[kids].sum()
 
 
 def build_multipoles_reference(multipoles: TreeMultipoles,
@@ -34,7 +23,8 @@ def build_multipoles_reference(multipoles: TreeMultipoles,
             idx = tree.particle_indices(node)
             if idx.size:
                 rel = particles.positions[idx] - tree.center[node]
-                multipoles.coeffs[node] = exp.p2m(rel, particles.masses[idx])
+                multipoles.coeffs[node] = (particles.masses[idx]
+                                           @ regular_terms(rel, exp.degree))
         else:
             kids = tree.children[node]
             kids = kids[kids != NO_CHILD]

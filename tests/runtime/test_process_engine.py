@@ -21,7 +21,8 @@ from repro.runtime.supervision import notify_step
 
 
 def _work(comm, n):
-    comm.compute(n * 10.0, phase="work")
+    with comm.phase("work"):
+        comm.compute(n * 10.0)
     return comm.allreduce(comm.rank, lambda a, b: a + b)
 
 

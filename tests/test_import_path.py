@@ -2,10 +2,13 @@
 live in ``tests/oracles``, demos in ``examples/``; and no force path
 keeps a private copy of the arithmetic."""
 
+import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,55 @@ def test_no_reference_implementation_in_the_package():
             if isinstance(cls, type) and cls.__module__ == info.name:
                 assert not [name for name in vars(cls)
                             if name.endswith("_reference")], cls
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _uses(path: Path) -> dict[str, list[int]]:
+    """Line numbers of every word in ``path``, except in ``__all__``
+    lists and, in an ``__init__.py``, its imports (re-exports)."""
+    text = path.read_text()
+    skip = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)) \
+                or (path.name == "__init__.py"
+                    and isinstance(node, (ast.Import, ast.ImportFrom))):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+    uses: dict[str, list[int]] = {}
+    for i, line in enumerate(text.splitlines(), 1):
+        if i not in skip:
+            for word in re.findall(r"\w+", line):
+                uses.setdefault(word, []).append(i)
+    return uses
+
+
+def test_every_definition_is_used_outside_the_tests():
+    """Every function, method and class in ``src/repro`` is named in
+    ``src/``, ``benchmarks/`` or ``examples/`` outside its own
+    definition: nothing on the import path exists only for the tests."""
+    uses = {path: _uses(path)
+            for top in ("src", "benchmarks", "examples")
+            for path in sorted((REPO / top).rglob("*.py"))}
+    unused = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) \
+                    or re.fullmatch(r"__\w+__", node.name):
+                continue
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            if not any(other != path
+                       or not first <= line <= node.end_lineno
+                       for other, words in uses.items()
+                       for line in words.get(node.name, ())):
+                unused.append(f"{path.relative_to(REPO)}:{node.lineno} "
+                              f"{node.name}")
+    assert not unused, "defined in src/ but used only by the tests:\n" \
+        + "\n".join(unused)
 
 
 def test_build_tree_has_no_size_dispatch_constant():
@@ -140,7 +192,7 @@ def test_one_traversal_path():
     with pytest.raises(TypeError):
         interaction_lists.TraversalEngine(tree, ps, cache_size=8)
     with pytest.raises(TypeError):
-        traversal.compute_forces(ps, engine=None)
+        traversal.compute_potentials(ps, engine=None)
     assert [f.name for f in dataclasses.fields(tree_repair.RepairResult)] \
         == ["tree", "rebuilt", "n_changed_keys", "nodes_reused",
             "nodes_rebuilt"]
