@@ -37,8 +37,15 @@ def two_cluster_encounter(n: int, seed: int = 7) -> ParticleSet:
                        velocities=vel)
 
 
+def separation(positions: np.ndarray, n: int) -> float:
+    """Distance between the two clusters' centroids."""
+    return float(np.linalg.norm(positions[: n // 2].mean(axis=0)
+                                - positions[n // 2:].mean(axis=0)))
+
+
 def main(n: int = 4000, steps: int = 3) -> None:
     particles = two_cluster_encounter(n)
+    start = separation(particles.positions, n)
     from repro.bh.particles import Box
     root = Box(np.full(3, 50.0), 50.0)
 
@@ -60,13 +67,10 @@ def main(n: int = 4000, steps: int = 3) -> None:
         print(f"  step {s}: min={min(counts):5d} max={max(counts):5d} "
               f"shipped records={shipped}")
 
-    sep = np.linalg.norm(
-        result.positions[: n // 2].mean(axis=0)
-        - result.positions[n // 2:].mean(axis=0)
-    )
-    print(f"\ncluster separation after {steps} steps: {sep:.1f} "
-          f"(started at 41.2)")
-    assert sep < 41.2, "clusters should be approaching"
+    sep = separation(result.positions, n)
+    print(f"\ncluster separation after {steps} steps: {sep:.2f} "
+          f"(started at {start:.2f})")
+    assert sep < start, "clusters should be approaching"
     print("phase breakdown (max over processors):")
     for phase, t in sorted(result.phase_breakdown().items(),
                            key=lambda kv: -kv[1]):

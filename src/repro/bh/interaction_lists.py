@@ -13,23 +13,24 @@ them:
    into bins, and the counters.  Its per-visit records stay as they
    are; the row-expanded MAC decisions and walk-order leaf rows are
    built only when read.  No kernel is evaluated during the walk.
-2. :func:`evaluate_interaction_lists` consumes the lists with fused
-   kernels: a single grouped gather per evaluator over *all* accepted
-   cluster interactions, in chunks of a fixed working-set size, and a
-   lane-major particle-particle pass — leaf visits grouped by source
-   count ``ns``, each group one call of the C kernel in ``_kernels.c``
-   (:mod:`repro.bh.native`), which reads tree-ordered structure-of-
-   arrays sources in place, runs a visit's rows as the inner lanes of
-   each source ``j`` and adds each row into the values itself.  Those
-   two passes (:func:`evaluate_pairs`) are every force path's, data
-   shipping's included.
+2. :func:`evaluate_interaction_lists` consumes the lists with the
+   compiled kernels of ``_kernels.c`` (:mod:`repro.bh.native`), each of
+   which adds into the values itself.  The cluster pass is one call of
+   the point-mass kernel over *all* accepted cluster interactions of a
+   walk chunk, adding each pair in list order; only degree >= 1
+   potentials evaluate the series in numpy, in chunks of a fixed
+   working-set size.  The particle-particle pass is lane-major: leaf
+   visits grouped by source count ``ns``, each group one call of the
+   P2P kernel, which reads tree-ordered structure-of-arrays sources in
+   place and runs a visit's rows as the inner lanes of each source
+   ``j``.  Those two passes (:func:`evaluate_pairs`) are every force
+   path's, data shipping's included.
 
 Every pass reads targets as one C-contiguous ``(d, n)`` block of
 coordinate columns, which :meth:`TraversalEngine.compute` transposes
 once per batch: the walk carries ``(d, m)`` columns on its stack, the
-cluster kernels take ``(d, n)`` targets and return forces as ``(d, n)``
-columns, and the P2P kernel gathers a leaf visit's target
-coordinates once per block of its rows.  So every elementwise pass runs
+series takes ``(d, n)`` targets, and the kernels read and write
+columns through their element strides.  So every elementwise pass runs
 down a long axis, not an inner loop three elements long.  The public
 entry points keep ``(n, d)`` targets and values.
 
@@ -70,16 +71,14 @@ from repro.bh.native import LIB
 from repro.bh.mac import BarnesHutMAC, sq_norm
 from repro.bh.tree import NO_CHILD, Tree
 
-#: Default bound on the fused kernels' working set (bytes of live
-#: floating-point temporaries per chunk).  Sized to stay cache-resident:
-#: every cluster-pass chunk is touched by several passes (gather,
-#: subtract, square, rsqrt, contract), and a chunk that fits in the
-#: last-level cache makes the later passes cache hits.  Measured on the
-#: serial n=10k benchmark (2-vCPU host, ``(d, n)`` column kernels, numpy
-#: P2P), 16 MiB costs ~5 % more step wall than 4 MiB.  It bounds the
-#: cluster pass only: the P2P pass is one kernel call per leaf-size
-#: group and holds no temporaries.  A different value regroups the
-#: cluster pass's partial sums.  Read at call time.
+#: Bound on the working set of the degree >= 1 potential pass, the one
+#: chunked pass (bytes of live temporaries per chunk of
+#: :func:`~repro.bh.multipole.m2p` pairs; the point-mass and P2P kernels
+#: hold none).  A chunk that fits in the last-level cache makes the later
+#: passes over it cache hits.  4 MiB was chosen on a numpy point-mass
+#: pass (16 MiB cost ~5 % more serial n=10k step wall) and has not been
+#: re-measured on the series.  A different value regroups the series
+#: pass's partial sums.  Read at call time.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
 
 #: Targets per streamed chunk of :meth:`TraversalEngine.compute`.
@@ -407,36 +406,31 @@ def _zeros(mode: str, d: int, nt: int) -> np.ndarray:
     return np.zeros(nt) if mode == "potential" else np.zeros((d, nt))
 
 
-def _accumulate(values: np.ndarray, tgt: np.ndarray,
-                contrib: np.ndarray) -> None:
-    """Scatter-add per-pair contributions, potentials ``(n,)`` or force
-    columns ``(d, n)``, onto the target axis of ``values``."""
-    nt = values.shape[-1]
-    if values.ndim == 1:
-        values += np.bincount(tgt, weights=contrib, minlength=nt)
-    else:
-        for k in range(values.shape[0]):
-            values[k] += np.bincount(tgt, weights=contrib[k], minlength=nt)
-
-
 def _cluster_pass(values: np.ndarray, targets: np.ndarray,
                   nodes: np.ndarray, tgt: np.ndarray, evaluator,
                   mode: str) -> None:
-    n = tgt.size
-    if n == 0:
+    """The pairs ``(nodes[i], tgt[i])`` added into ``values``: the
+    evaluator's ``point_masses(mode)`` by one :func:`_point_masses`
+    call, or, where that is ``None`` (degree >= 1 potentials), its
+    ``batch_potential`` in chunks of :data:`DEFAULT_WORKING_SET_BYTES`."""
+    if tgt.size == 0:
         return
-    name = "batch_potential" if mode == "potential" else "batch_force"
-    batch = getattr(evaluator, name, None)
-    if batch is None:
-        raise TypeError(f"{type(evaluator).__name__} lacks the batch "
-                        f"evaluator interface ({name})")
-    row = int(getattr(evaluator, "batch_row_bytes",
-                      8 * (6 * targets.shape[0] + 8)))
-    chunk = max(1, DEFAULT_WORKING_SET_BYTES // max(row, 1))
-    for lo in range(0, n, chunk):
+    point = getattr(evaluator, "point_masses", None)
+    if point is None:
+        raise TypeError(f"{type(evaluator).__name__} lacks the cluster "
+                        "interface (point_masses)")
+    masses = point(mode)
+    if masses is not None:
+        com, mass, softening = masses
+        _point_masses(values, nodes, tgt, targets, com, mass,
+                      mode == "force", softening ** 2)
+        return
+    chunk = max(1, DEFAULT_WORKING_SET_BYTES // evaluator.batch_row_bytes)
+    for lo in range(0, tgt.size, chunk):
         t = tgt[lo:lo + chunk]
-        _accumulate(values, t,
-                    batch(nodes[lo:lo + chunk], targets.take(t, axis=1)))
+        values += np.bincount(t, minlength=values.size, weights=(
+            evaluator.batch_potential(nodes[lo:lo + chunk],
+                                      targets.take(t, axis=1))))
 
 
 def source_layout(positions: np.ndarray, masses: np.ndarray) -> tuple:
@@ -470,6 +464,48 @@ def _strided(a: np.ndarray) -> tuple:
     return (a, a.ctypes.data, *(s // 8 for s in a.strides))
 
 
+def _check_out(out: np.ndarray, force: bool, d: int, kernel: str) -> None:
+    """C writes ``out`` unchecked, so it is never a copy: an ``out`` the
+    kernel cannot add into in place is refused, not fixed."""
+    if (out.dtype != np.float64 or not out.flags.writeable
+            or any(s % 8 for s in out.strides)
+            or out.ndim != (2 if force else 1)
+            or force and out.shape[0] != d):
+        raise ValueError(f"the {kernel} kernel adds into a writable float64 "
+                         f"{'(d, n)' if force else '(n,)'} array with "
+                         "whole-element strides")
+
+
+def _point_masses(out: np.ndarray, nodes: np.ndarray, tgt: np.ndarray,
+                  tp: np.ndarray, com: np.ndarray, mass: np.ndarray,
+                  force: bool, soft2: float) -> None:
+    """Point masses ``com[nodes[i]]`` (``(nnodes, d)``, any strides) of
+    mass ``mass[nodes[i]]`` at targets ``tp[:, tgt[i]]`` (``(d, .)``,
+    any strides), added into ``out`` (potentials, or ``(d, n)`` force
+    columns) in list order by the C kernel (``_kernels.c``)."""
+    d = tp.shape[0]
+    _check_out(out, force, d, "point-mass")
+    nodes, tgt = (np.ascontiguousarray(a, dtype=np.intp) for a in (nodes, tgt))
+    mass = np.ascontiguousarray(mass, dtype=np.float64)
+    if nodes.size != tgt.size or tgt.size and (
+            com.shape[1] != d or nodes.min() < 0
+            or nodes.max() >= min(com.shape[0], mass.size)
+            or tgt.min() < 0
+            or tgt.max() >= min(tp.shape[1], out.shape[-1])):
+        raise IndexError("point-mass pairs index past their nodes, "
+                         "targets or values")       # C indexes unchecked
+    # the arrays stay bound (a copy must live through the call)
+    tp, *targets = _strided(tp)
+    com, *coms = _strided(com)
+    out_s0, out_s1 = (0, *out.strides)[-2:]     # potentials: one row
+    rc = LIB.point_masses(out.ctypes.data, out_s0 // 8, out_s1 // 8,
+                          nodes.ctypes.data, tgt.ctypes.data, tgt.size, d,
+                          *targets, *coms, mass.ctypes.data, force, soft2,
+                          -kernels.G)
+    if rc != 0:
+        raise ValueError(f"the point-mass kernel takes d = 2 or 3, got {d}")
+
+
 def _p2p_group(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
                rows: np.ndarray, ns: int, tp: np.ndarray, sp: np.ndarray,
                sm: np.ndarray | None, force: bool, soft2: float,
@@ -481,14 +517,7 @@ def _p2p_group(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
     hold target and source coordinates ``(d, .)``, any strides; ``sm``
     the source masses (``None``: uniform)."""
     d = sp.shape[0]
-    # C writes out unchecked, so it is never a copy: refused, not fixed
-    if (out.dtype != np.float64 or not out.flags.writeable
-            or any(s % 8 for s in out.strides)
-            or out.ndim != (2 if force else 1)
-            or force and out.shape[0] != d):
-        raise ValueError("the P2P kernel adds into a writable float64 "
-                         f"{'(d, n)' if force else '(n,)'} array with "
-                         "whole-element strides")
+    _check_out(out, force, d, "P2P")
     tgt, starts, rows = (np.ascontiguousarray(a, dtype=np.intp)
                          for a in (tgt, starts, rows))
     n_src = sp.shape[1] if sm is None else min(sp.shape[1], len(sm))
@@ -644,8 +673,8 @@ class TraversalEngine:
         chunks ascending); only fp summation order differs from one
         whole-batch walk.
 
-        ``evaluator`` is the tree's far field through ``batch_potential``
-        / ``batch_force`` (:class:`~repro.bh.multipole.MonopoleExpansion`
+        ``evaluator`` is the tree's far field through ``point_masses``
+        or ``batch_potential`` (:class:`~repro.bh.multipole.MonopoleExpansion`
         or :class:`~repro.bh.multipole.TreeMultipoles`);
         ``count_node_interactions`` adds per-node interaction counts
         into ``tree.interactions`` (the DPDA load measure);

@@ -7,11 +7,11 @@ be computed".  Targets lying inside the box never accept (their distance
 to the COM says nothing about separation).
 
 Every MAC distance in the package — :meth:`BarnesHutMAC.accept`, the
-list-building walk, data shipping's mirror walk — and the point-mass
-cluster kernel's ``r^2`` come from :func:`sq_norm`, over offsets laid
-out as ``d`` coordinate columns.  Its pairing is that of numpy's
-``einsum("ij,ij->i")`` on ``(n, d)`` rows, so decisions, counters and
-values do not depend on the layout an offset arrives in.
+list-building walk, data shipping's mirror walk — comes from
+:func:`sq_norm`, over offsets laid out as ``d`` coordinate columns; the
+C point-mass cluster kernel pairs its ``r^2`` the same way.  That is
+``einsum("ij,ij->i")``'s pairing on ``(n, d)`` rows, so decisions,
+counters and values do not depend on the layout an offset arrives in.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def sq_norm(diff) -> np.ndarray:
     dy*dy`` in 3-D, ``dx*dx + dy*dy`` in 2-D.  That pairing is the one
     ``np.einsum("ij,ij->i", rows, rows)`` uses on ``(n, d)`` rows, so
     the two agree bit for bit (the left-to-right 3-D sum does not); a
-    test pins it."""
+    test pins it.  The C point-mass kernel restates it for its ``r^2``."""
     dx, dy, *dz = diff
     out = dx * dx
     if dz:

@@ -15,12 +15,12 @@ with the Condon-Shortley phase in the associated Legendre functions; the
 solid harmonics ``rho^l Y`` and ``Y / r^{l+1}`` come from Cartesian
 recurrences (:func:`_solid_rows`), never from the angles.
 
-The cluster interface the evaluation pass calls — ``batch_potential`` /
-``batch_force`` of :class:`MonopoleExpansion` and :class:`TreeMultipoles`,
-and :func:`point_masses` and :func:`m2p` under them — takes targets and
-offsets as C-contiguous ``(d, n)`` coordinate columns and returns forces
-the same way, so every elementwise pass runs down a long axis; the
-``regular_terms`` / ``irregular_terms`` blocks keep ``(npts, 3)``.  The
+The cluster interface: ``point_masses(mode)`` hands the C point-mass
+kernel COMs, masses and softening (every :class:`MonopoleExpansion`
+pair and :class:`TreeMultipoles` force); ``batch_potential`` of
+:class:`TreeMultipoles`, and :func:`m2p` under it, takes C-contiguous
+``(d, n)`` columns, so every elementwise pass runs down a long axis;
+``regular_terms`` / ``irregular_terms`` keep ``(npts, 3)``.  The
 M2M operator is what lets the distributed tree merge compute top-level
 expansions from branch-node expansions without access to remote particles.
 
@@ -39,7 +39,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.bh import kernels
-from repro.bh.mac import sq_norm
 from repro.bh.tree import NO_CHILD, Tree
 from repro.bh.particles import ParticleSet
 
@@ -282,32 +281,6 @@ def m2p(table: np.ndarray, nodes: np.ndarray, rel: np.ndarray,
     return T.sum(axis=0)
 
 
-def point_masses(com: np.ndarray, mass: np.ndarray, softening: float,
-                 nodes: np.ndarray, targets: np.ndarray,
-                 force: bool) -> np.ndarray:
-    """Potential ``-G m / r`` (or acceleration ``-G m dr / r^3``, as
-    ``(d, n)`` columns, with ``force``) of point mass ``nodes[i]`` at
-    ``targets[:, i]`` of the ``(d, n)`` columns ``targets``, with ``r^2``
-    (:func:`~repro.bh.mac.sq_norm`) softened by ``softening^2`` and a
-    zero distance contributing exactly zero: the one point-mass cluster
-    formula of every force path."""
-    diff = targets - com.take(nodes, axis=0).T
-    r2 = sq_norm(diff) + softening ** 2
-    zero = r2 == 0.0
-    np.sqrt(r2, out=r2)
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, r2, out=r2)                 # inv_r
-    r2[zero] = 0.0
-    if not force:
-        return -kernels.G * mass.take(nodes) * r2
-    inv_r3 = r2 * r2
-    inv_r3 *= r2
-    w = mass.take(nodes) * inv_r3
-    w *= -kernels.G
-    diff *= w
-    return diff
-
-
 class MultipoleExpansion3D:
     """Spherical-harmonic expansion machinery of a fixed degree."""
 
@@ -331,28 +304,16 @@ class MultipoleExpansion3D:
 @dataclass
 class MonopoleExpansion:
     """Degree-0 evaluator: the node is its center of mass (Section 5.1),
-    softened; it reads only ``com``, ``mass`` and ``dims`` of ``tree``."""
+    softened; it reads only ``com`` and ``mass`` of ``tree``."""
 
     tree: Tree
     softening: float = 0.0
     degree: int = 0
 
-    # Cluster interface of the evaluation pass: :func:`point_masses`
-    # over all accepted (node, target) pairs of a chunk, targets as
-    # ``(d, n)`` columns.
-    @property
-    def batch_row_bytes(self) -> int:
-        return 8 * (6 * self.tree.dims + 8)
-
-    def batch_potential(self, nodes: np.ndarray,
-                        targets: np.ndarray) -> np.ndarray:
-        return point_masses(self.tree.com, self.tree.mass, self.softening,
-                            nodes, targets, False)
-
-    def batch_force(self, nodes: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-        return point_masses(self.tree.com, self.tree.mass, self.softening,
-                            nodes, targets, True)
+    def point_masses(self, mode: str) -> tuple:
+        """Cluster interface: every node a point mass in either mode, as
+        the C kernel's COMs, masses and softening."""
+        return self.tree.com, self.tree.mass, self.softening
 
 
 class TreeMultipoles:
@@ -427,8 +388,9 @@ class TreeMultipoles:
         rel = targets - self.tree.center.take(nodes, axis=0).T
         return -kernels.G * m2p(self._table, nodes, rel, self.degree)
 
-    def batch_force(self, nodes: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-        """Unsoftened monopole forces (vector forces are degree 0)."""
-        return point_masses(self.tree.com, self.tree.mass, 0.0, nodes,
-                            targets, True)
+    def point_masses(self, mode: str) -> tuple | None:
+        """Forces are degree 0 (unsoftened point masses, the C kernel's);
+        potentials are the series (``None``: :meth:`batch_potential`)."""
+        if mode == "force":
+            return self.tree.com, self.tree.mass, 0.0
+        return None

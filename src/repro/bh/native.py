@@ -103,11 +103,16 @@ def load() -> ctypes.CDLL:
         raise KernelBuildError(f"cannot load {path}: {exc}") from exc
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.p2p_group.restype = ctypes.c_int
-    # 19 arguments: under CPython 3.11 each 20-argument ctypes call kept
-    # ~190 B resident, up to ~380 KB (19 and 21 arguments kept none)
+    # At most 19 arguments: under CPython 3.11 each 20-argument ctypes
+    # call kept ~190 B resident, up to ~380 KB (19 and 21 kept none)
     lib.p2p_group.argtypes = (
         ptr, i64, i64, ptr, ptr, ptr, i64, i64, ctypes.c_int,  # out .. d
         ptr, i64, i64, ptr, i64, i64, ptr,                     # tp, sp, sm
+        ctypes.c_int, f64, f64)                                # force ..
+    lib.point_masses.restype = ctypes.c_int
+    lib.point_masses.argtypes = (
+        ptr, i64, i64, ptr, ptr, i64, ctypes.c_int,            # out .. d
+        ptr, i64, i64, ptr, i64, i64, ptr,                     # tp, com, m
         ctypes.c_int, f64, f64)                                # force ..
     return lib
 

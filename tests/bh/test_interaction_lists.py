@@ -506,14 +506,15 @@ class TestReachGatedVeto:
 
 
 class _NoClusters:
-    """An evaluator whose cluster terms vanish: what
-    ``evaluate_interaction_lists`` returns is its P2P pass alone."""
+    """An evaluator whose cluster terms vanish (massless point masses
+    add signed zeros onto zeros): what ``evaluate_interaction_lists``
+    returns is its P2P pass alone."""
 
-    def batch_force(self, nodes, targets):
-        return np.zeros_like(targets)
+    def __init__(self, tree):
+        self.com, self.mass = tree.com, np.zeros(tree.nnodes)
 
-    def batch_potential(self, nodes, targets):
-        return np.zeros(targets.shape[1])
+    def point_masses(self, mode):
+        return self.com, self.mass, 0.0
 
 
 def _listed_pairs_reference(tree, ps, lists, mode, softening):
@@ -552,7 +553,7 @@ class TestLaneMajorP2P:
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # zero distance is guarded
             got = evaluate_interaction_lists(
-                tree, lists, ps, _NoClusters(), mode=mode,
+                tree, lists, ps, _NoClusters(tree), mode=mode,
                 softening=softening).values
         want = _listed_pairs_reference(tree, ps, lists, mode, softening)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -569,8 +570,8 @@ class TestLaneMajorP2P:
         assert lists.p2p_sizes.tolist() == [2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
-                                             mode=mode).values
+            got = evaluate_interaction_lists(
+                tree, lists, ps, _NoClusters(tree), mode=mode).values
         want = -kernels.G * 3.0 * (np.array([[-0.5, 0.0, 0.0]]) / 0.125
                                    if mode == "force" else np.array([2.0]))
         np.testing.assert_array_equal(got, want)
@@ -579,12 +580,11 @@ class TestLaneMajorP2P:
                              ids=["uniform", "masses"])
     @pytest.mark.parametrize("mode", ["force", "potential"])
     def test_many_chunks_equal_one(self, mode, uniform):
-        """Any working set gives the same bits: one byte (which cuts the
-        cluster pass into one-row chunks) equals the default.  The P2P
-        pass is one kernel call per leaf-size group whatever the working
-        set, so its sums never regroup."""
+        """Any working set gives the same bits: one byte equals the
+        default.  The P2P pass is one kernel call per leaf-size group
+        whatever the working set, so its sums never regroup."""
         ps, tree, lists = _p2p_case(3, uniform, n=250)
-        one = evaluate_interaction_lists(tree, lists, ps, _NoClusters(),
+        one = evaluate_interaction_lists(tree, lists, ps, _NoClusters(tree),
                                          mode=mode)
         calls = []
         with pytest.MonkeyPatch.context() as patch:
@@ -593,7 +593,7 @@ class TestLaneMajorP2P:
                           lambda *a: calls.append(a[4]) or group(*a))
             patch.setattr(il, "DEFAULT_WORKING_SET_BYTES", 1)
             many = evaluate_interaction_lists(
-                tree, lists, ps, _NoClusters(), mode=mode)
+                tree, lists, ps, _NoClusters(tree), mode=mode)
         assert calls == [ns for *_, ns in lists.p2p_groups]
         np.testing.assert_array_equal(_bits(many.values), _bits(one.values))
 
@@ -610,10 +610,11 @@ class TestLaneMajorP2P:
         """Block stepping moves sources under a reused tree: nothing
         about a source may be cached on the lists."""
         ps, tree, lists = _p2p_case(3, False)
-        evaluate_interaction_lists(tree, lists, ps, _NoClusters(), "force")
+        evaluate_interaction_lists(tree, lists, ps, _NoClusters(tree),
+                                   "force")
         moved = ParticleSet(ps.positions + 1e-3, ps.masses)
-        got = evaluate_interaction_lists(tree, lists, moved, _NoClusters(),
-                                         mode="force").values
+        got = evaluate_interaction_lists(
+            tree, lists, moved, _NoClusters(tree), mode="force").values
         want = _listed_pairs_reference(tree, moved, lists, "force", 0.0)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -638,7 +639,8 @@ class TestLaneMajorP2P:
         lists = build_interaction_lists(repair.tree, targets,
                                         BarnesHutMAC(1.2))
         got = evaluate_interaction_lists(repair.tree, lists, ps2,
-                                         _NoClusters(), mode="force").values
+                                         _NoClusters(repair.tree),
+                                         mode="force").values
         want = _listed_pairs_reference(repair.tree, ps2, lists, "force", 0.0)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -674,12 +676,12 @@ class TestCKernelEqualsOracle:
         guarded zero distance must contribute what the oracle's does."""
         ps, tree, lists = _p2p_case(dims, uniform, n=250)
         got = evaluate_interaction_lists(
-            tree, lists, ps, _NoClusters(), mode=mode,
+            tree, lists, ps, _NoClusters(tree), mode=mode,
             softening=softening).values
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(il, "_p2p_group", p2p_group_reference)
             want = evaluate_interaction_lists(
-                tree, lists, ps, _NoClusters(), mode=mode,
+                tree, lists, ps, _NoClusters(tree), mode=mode,
                 softening=softening).values
         np.testing.assert_array_equal(_bits(got), _bits(want))
         assert np.isfinite(got).all()
@@ -833,9 +835,8 @@ class TestEvaluateDirect:
         big = evaluate_interaction_lists(tree, lists, ps, ev, mode="force")
         monkeypatch.setattr(il, "DEFAULT_WORKING_SET_BYTES", 4096)
         tiny = evaluate_interaction_lists(tree, lists, ps, ev, mode="force")
-        # Chunk boundaries reorder the accumulation, so agreement is to
-        # the engine's 1e-12 contract, not bitwise.
-        assert np.max(np.abs(big.values - tiny.values)) < 1e-12
+        # The point-mass pass is one kernel call: nothing to regroup.
+        np.testing.assert_array_equal(_bits(big.values), _bits(tiny.values))
         assert big.mac_tests == tiny.mac_tests
         assert big.cluster_interactions == tiny.cluster_interactions
         assert big.p2p_interactions == tiny.p2p_interactions
@@ -843,7 +844,8 @@ class TestEvaluateDirect:
 
 class TestOnePath:
     """The walk inlines the stock MAC and the cluster pass needs the
-    batch interface; anything else is refused, not walked differently."""
+    cluster interface; anything else is refused, not walked
+    differently."""
 
     def test_custom_mac_rejected(self):
         class EagerMAC(BarnesHutMAC):
@@ -865,7 +867,7 @@ class TestOnePath:
         tree = build_tree(ps, leaf_capacity=8)
         lists = build_interaction_lists(tree, ps.positions,
                                         BarnesHutMAC(0.67))
-        with pytest.raises(TypeError, match="batch_force"):
+        with pytest.raises(TypeError, match="point_masses"):
             evaluate_interaction_lists(tree, lists, ps, PerNodeOnly(),
                                        mode="force")
 

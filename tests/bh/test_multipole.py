@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bh.distributions import plummer
+from repro.bh.interaction_lists import evaluate_pairs
 from repro.bh.multipole import (
     MonopoleExpansion,
     MultipoleExpansion3D,
@@ -236,9 +237,12 @@ class TestTreeMultipoles:
             t[0] - tree.com[0]
         )
         root = np.array([0])
-        assert mono.batch_potential(root, t.T)[0] == pytest.approx(expected)
-        f = mono.batch_force(root, t.T)[:, 0]
-        assert f[0] < 0  # attraction toward the cluster
+        phi, f = np.zeros(1), np.zeros((3, 1))
+        evaluate_pairs(phi, t.T, root, root, mono, [], None, "potential",
+                       0.0)
+        evaluate_pairs(f, t.T, root, root, mono, [], None, "force", 0.0)
+        assert phi[0] == pytest.approx(expected)
+        assert f[0, 0] < 0  # attraction toward the cluster
 
 
 def oracle_terms(rel, degree, irregular):

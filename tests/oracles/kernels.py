@@ -1,13 +1,13 @@
-"""The cluster and P2P kernels as they stood on ``(n, d)`` rows and
-per-row source indices, kept as the oracles of the column kernels that
-replaced them in ``repro.bh.multipole`` / ``repro.bh.interaction_lists``.
+"""Numpy statements of the compiled force kernels in
+``repro/bh/_kernels.c``, kept as their oracles.
 
 ``point_masses_reference`` is the point-mass cluster formula verbatim on
-``(n, d)`` targets, its ``r^2`` from ``einsum``; ``p2p_group_reference``
-is one P2P leaf-size group with one ``(ns, rows)`` index take per
-coordinate, where the C kernel gathers each leaf visit's targets once
-and runs its rows as the lanes of each source.  Both must agree with
-their replacements bit for bit.
+``(n, d)`` rows, its ``r^2`` from ``einsum``: the C kernel adds these
+terms into the values as ``np.add.at`` would, in list order.
+``p2p_group_reference`` is one P2P leaf-size group with one ``(ns,
+rows)`` index take per coordinate, where the C kernel gathers each leaf
+visit's targets once and runs its rows as the lanes of each source.
+Both must agree with the kernels bit for bit.
 """
 
 from __future__ import annotations

@@ -94,17 +94,21 @@ def test_angle_form_harmonics_live_with_the_fmm_example():
 
 def test_one_far_field_evaluator_and_one_p2p_kernel():
     """The top tree and data shipping hold no private copy of the
-    cluster or P2P arithmetic, and per-node evaluators (the traversal
-    oracle's business) are off the import path."""
-    from repro.bh import kernels
+    cluster or P2P arithmetic, point masses have no numpy kernel beside
+    the C one, and per-node evaluators (the traversal oracle's
+    business) are off the import path."""
+    from repro.bh import kernels, multipole
     from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
     from repro.core.data_shipping import DataShippingEngine
     from repro.core.tree_merge import TopTree
 
     gone = {
         kernels: ("point_mass_potential", "point_mass_force"),
-        MonopoleExpansion: ("node_potential", "node_force"),
-        TreeMultipoles: ("node_potential", "node_force"),
+        multipole: ("point_masses",),
+        MonopoleExpansion: ("node_potential", "node_force",
+                            "batch_potential", "batch_force",
+                            "batch_row_bytes"),
+        TreeMultipoles: ("node_potential", "node_force", "batch_force"),
         TopTree: ("node_potential", "node_force", "batch_potential",
                   "batch_force", "batch_row_bytes", "_table"),
         DataShippingEngine: ("_eval_far", "_eval_leaves"),
@@ -150,8 +154,9 @@ def test_data_shipping_is_rows_not_node_objects():
 
 
 def test_one_arithmetic_backend():
-    """The evaluation passes are numpy only: no second backend module,
-    no option that selects one, no evaluator hook that feeds one."""
+    """The evaluation passes have one backend each: no second backend
+    module, no option that selects one, no evaluator hook that feeds
+    one."""
     from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
     from repro.core.config import SchemeConfig
 
