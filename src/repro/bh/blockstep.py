@@ -5,9 +5,8 @@ timesteps (Valdarnini's parallel treecode, Dubinski's hierarchical
 scheme) each particle integrates on its own power-of-two subdivision of
 the macro step, so most substeps touch only a small *active bin-set* —
 and the tree work shrinks to match via :mod:`repro.bh.tree_repair`.
-Force walks are streamed: a substep's finishers have always just
-drifted, so no target batch is ever presented twice and there is no
-walk worth keeping.
+A substep's finishers have always just drifted, so no target batch is
+presented twice and no walk is worth keeping.
 
 Scheme (standard block-KDK):
 

@@ -1,64 +1,47 @@
-"""Interaction-list traversal engine: build, evaluate, drop.
+"""The traversal engine: one C walk that decides and evaluates.
 
-The classical Barnes-Hut hot loop interleaves two very different kinds
-of work: *deciding* which (node, target) pairs interact (the MAC walk)
-and *computing* those interactions (the arithmetic).  This module splits
-them:
+:meth:`TraversalEngine.compute`, every force path's traversal but data
+shipping's, is one call of ``walk`` in ``_kernels.c``
+(:mod:`repro.bh.native`) over the whole target batch: a batched
+depth-first descent over (node, target list) pairs, the lists held in
+one index arena.  At each node it does the MAC on the node's targets,
+adds the point-mass term of each that accepts, runs the lane-major P2P
+rows of a leaf visit, and records the targets of a remote leaf; it
+counts MAC tests, clusters and P2P sources per target and per node.
+Only a degree >= 1 potential leaves the walk: its cluster pairs come
+back in list order for the numpy series (:func:`_series_pass`), a
+bounded buffer at a time.  Each target sums its terms in visit order,
+which does not depend on the rest of the batch, and a call over targets
+``[lo, hi)`` writes only their values and counts.
 
-1. :func:`build_interaction_lists` walks the tree exactly once per
-   target batch and emits what the evaluation reads: one entry per
-   accepted cluster interaction, the leaf visits already grouped by
-   leaf size for the particle-particle pass (one sort of the visits,
-   not of their rows), the remote-target map the parallel engines turn
-   into bins, and the counters.  Its per-visit records stay as they
-   are; the row-expanded MAC decisions and walk-order leaf rows are
-   built only when read.  No kernel is evaluated during the walk.
-2. :func:`evaluate_interaction_lists` consumes the lists with the
-   compiled kernels of ``_kernels.c`` (:mod:`repro.bh.native`), each of
-   which adds into the values itself.  The cluster pass is one call of
-   the point-mass kernel over *all* accepted cluster interactions of a
-   walk chunk, adding each pair in list order; only degree >= 1
-   potentials evaluate the series in numpy, in chunks of a fixed
-   working-set size.  The particle-particle pass is lane-major: leaf
-   visits grouped by source count ``ns``, each group one call of the
-   P2P kernel, which reads tree-ordered structure-of-arrays sources in
-   place and runs a visit's rows as the inner lanes of each source
-   ``j``.  Those two passes (:func:`evaluate_pairs`) are every force
-   path's, data shipping's included.
+:func:`evaluate_pairs` — the point-mass and P2P kernels over listed
+pairs and leaf-size groups of leaf visits (:func:`group_leaf_visits`) —
+is data shipping's evaluation.  :func:`build_interaction_lists` (the
+same walk in numpy, its records kept as :class:`InteractionLists`) and
+:func:`evaluate_interaction_lists` remain for the benchmark's list
+probes only.
 
 Every pass reads targets as one C-contiguous ``(d, n)`` block of
-coordinate columns, which :meth:`TraversalEngine.compute` transposes
-once per batch: the walk carries ``(d, m)`` columns on its stack, the
-series takes ``(d, n)`` targets, and the kernels read and write
-columns through their element strides.  So every elementwise pass runs
-down a long axis, not an inner loop three elements long.  The public
-entry points keep ``(n, d)`` targets and values.
-
-:class:`TraversalEngine` pairs the two over one tree and *streams*:
-:meth:`~TraversalEngine.compute` walks, evaluates and drops each chunk
-of :data:`STREAM_CHUNK_TARGETS` targets before the next is walked, so a
-batch holds one chunk's lists whatever its size.  Nothing is cached:
-no caller presents one target batch twice (a block substep's targets
-have just drifted, a served drain is whatever arrived), so no walk
-would be reused.
+coordinate columns, transposed once per batch; the kernels read and
+write columns through their element strides.  The public entry points
+keep ``(n, d)`` targets and values.
 
 Exactness contract: the walk applies the MAC with the same
 floating-point operations as :class:`~repro.bh.mac.BarnesHutMAC.accept`
 (its squared distance is :func:`~repro.bh.mac.sq_norm`'s, whose pairing
 is that of ``einsum`` on ``(n, d)`` rows, and its inside-the-cell veto
 runs only on targets within reach of the node's COM — no other target
-can be inside), and per-target decisions
-are independent of how targets are batched, so the interaction *sets*
-— and therefore ``mac_tests``, ``cluster_interactions``,
-``p2p_interactions``, the per-node DPDA counters, and the per-target
-weight attribution — are identical to the classical traversal, streamed
-or not.  Only the accumulation order of floating-point sums differs
-(fused kernels sum per-pair contributions in list order), which
-perturbs values at the 1e-15 level.
+can be inside), and per-target decisions are independent of how targets
+are batched, so the interaction *sets* — and therefore ``mac_tests``,
+``cluster_interactions``, ``p2p_interactions``, the per-node DPDA
+counters, and the per-target weight attribution — are identical to the
+classical traversal.  Only the order of floating-point sums differs,
+which perturbs values at the 1e-15 level.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,27 +50,17 @@ import numpy as np
 from repro.analysis.flops import FLOPS_PER_MAC, interaction_flops, \
     traversal_flops
 from repro.bh import kernels
-from repro.bh.native import LIB
+from repro.bh.native import LIB, Walk
 from repro.bh.mac import BarnesHutMAC, sq_norm
 from repro.bh.tree import NO_CHILD, Tree
 
 #: Bound on the working set of the degree >= 1 potential pass, the one
-#: chunked pass (bytes of live temporaries per chunk of
-#: :func:`~repro.bh.multipole.m2p` pairs; the point-mass and P2P kernels
-#: hold none).  A chunk that fits in the last-level cache makes the later
-#: passes over it cache hits.  4 MiB was chosen on a numpy point-mass
-#: pass (16 MiB cost ~5 % more serial n=10k step wall) and has not been
-#: re-measured on the series.  A different value regroups the series
+#: numpy pass (bytes of live temporaries per chunk of
+#: :func:`~repro.bh.multipole.m2p` pairs); it also sizes the walk's pair
+#: buffer.  A chunk that fits in the last-level cache makes the later
+#: passes over it cache hits.  A different value regroups the series
 #: pass's partial sums.  Read at call time.
 DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
-
-#: Targets per streamed chunk of :meth:`TraversalEngine.compute`.
-#: Measured on the serial n=10k benchmark (same host and kernels): 512
-#: costs +70-80 % step wall over whole-batch walks (the Python descent is
-#: paid per chunk), 2048 +12-18 %, 4096 +5-11 %; at n=100k chunks
-#: cost no wall and hold 186 MiB where whole-batch lists peak at 309 MiB
-#: (7.1 s/step both).  A different value regroups the partial sums.
-STREAM_CHUNK_TARGETS = 4096
 
 
 @dataclass
@@ -112,13 +85,6 @@ class TraversalResult:
         return traversal_flops(self.mac_tests, self.cluster_interactions,
                                self.p2p_interactions, degree)
 
-    def merge_counters(self, other: "TraversalResult") -> None:
-        """Fold another traversal's work counters into this one (values
-        are left alone — callers combine those explicitly)."""
-        self.mac_tests += other.mac_tests
-        self.cluster_interactions += other.cluster_interactions
-        self.p2p_interactions += other.p2p_interactions
-
 
 @dataclass
 class InteractionLists:
@@ -134,9 +100,7 @@ class InteractionLists:
     The walk's per-visit records stay as it made them; the row arrays
     expanded from them — ``p2p_leaf`` / ``p2p_tgt`` / ``p2p_sizes`` in
     walk order, ``mac_per_target`` and ``tested_node`` / ``tested_tgt`` /
-    ``tested_ok`` — are built when first read.  A force step reads
-    ``mac_per_target`` when it attributes target weights, and nothing
-    else of them.
+    ``tested_ok`` — are built when first read.
     """
 
     target_cols: np.ndarray        # (d, nt) target columns the walk used
@@ -147,14 +111,9 @@ class InteractionLists:
     remote_targets: dict[int, np.ndarray]
     mac_tests: int
     p2p_interactions: int
-    # P2P rows grouped by leaf source count for dense evaluation
-    # (:func:`group_leaf_visits`): all rows whose leaf holds ``ns``
-    # sources, stacked in walk order, as one ``(tgt, starts, rows, ns)``
-    # tuple — per row its target, per visit its slice start and row
-    # count.  A leaf's particles are contiguous in tree order, so source
-    # ``j`` of visit ``v`` is element ``starts[v] + j`` of the
-    # tree-ordered source arrays and no position, of a target or a
-    # source, is stored.
+    # leaf visits as one ``(tgt, starts, rows, ns)`` group per source
+    # count (:func:`group_leaf_visits`): per row its target, per visit
+    # its slice start in the tree-ordered sources and its row count
     p2p_groups: list
     # per visit: accepting node and its target count; visited leaf, its
     # particle count and targets; MAC-tested node, targets, decisions
@@ -171,18 +130,6 @@ class InteractionLists:
     @property
     def cluster_interactions(self) -> int:
         return int(self.cluster_tgt.size)
-
-    def nbytes(self) -> int:
-        """Bytes of the distinct arrays held: the cluster pairs, the
-        groups' per-row target indices and slice starts, the remote map,
-        the per-visit records and whichever row arrays were read."""
-        held = [a for name, a in vars(self).items()
-                if isinstance(a, np.ndarray) and name != "target_cols"]
-        held += [*self.remote_targets.values(), *self.leaf_idx,
-                 *self.mac_idx, *self.mac_ok]
-        for tgt, starts, rows, _ in self.p2p_groups:
-            held += (tgt, starts, rows)
-        return sum({id(a): a.nbytes for a in held}.values())
 
     # ------------------------------------------- row arrays, on demand
     @cached_property
@@ -247,30 +194,28 @@ def _concat(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _walk_nodes(tree: Tree) -> tuple:
-    """The node data one walk reads: class codes (:func:`_node_classes`),
-    half sides and the inside-the-cell veto's reach as Python lists, so
-    the descent reads scalars; COM and cell centre as ``(d, 1)`` columns
-    that broadcast against ``(d, m)`` targets; the child array.  Built
-    per target batch, never kept: the monopole pass rewrites COMs in
-    place under a reused tree."""
-    # How far from its COM a point inside a node's cell can lie (the
-    # factor covers rounding): the inside-the-cell veto's reach.
-    reach = (tree.half * np.sqrt(tree.center.shape[1])
-             + np.linalg.norm(tree.com - tree.center, axis=1)) * (1 + 1e-9)
-    return (_node_classes(tree).tolist(), tree.com[:, :, None],
-            tree.center[:, :, None], tree.half.tolist(), reach.tolist(),
-            tree.children)
+def _reach(tree: Tree) -> np.ndarray:
+    """How far from its COM a point inside a node's cell can lie (the
+    factor covers rounding): the inside-the-cell veto's reach.  Computed
+    per walk, never kept: the monopole pass rewrites COMs in place under
+    a reused tree."""
+    return (tree.half * np.sqrt(tree.center.shape[1])
+            + np.linalg.norm(tree.com - tree.center, axis=1)) * (1 + 1e-9)
 
 
-def _walk_dfs(cols: np.ndarray, alpha: float, nodes: tuple):
-    """The classical batched depth-first descent: a Python stack of
-    (node, target indices, their ``(d, m)`` coordinate columns) triples,
-    node data read as scalars from :func:`_walk_nodes`.  The children of
-    an opened node share one gather.  Returns the per-visit records:
-    accepting nodes and their targets, visited leaves and theirs, remote
-    visits by node, MAC-tested nodes, their targets and decisions."""
-    cls, com, center, half, reach, children = nodes
+def _walk_dfs(tree: Tree, cols: np.ndarray, alpha: float):
+    """The batched depth-first descent in numpy, the list probes' walk
+    (the C walk's decisions and visit order): a Python stack of (node,
+    target indices, their ``(d, m)`` coordinate columns) triples, node
+    data read as scalars, COM and cell centre as ``(d, 1)`` columns.
+    The children of an opened node share one gather.  Returns the
+    per-visit records: accepting nodes and their targets, visited leaves
+    and theirs, remote visits by node, MAC-tested nodes, their targets
+    and decisions."""
+    cls, half, reach = (a.tolist() for a in (
+        _node_classes(tree), tree.half, _reach(tree)))
+    com, center = tree.com[:, :, None], tree.center[:, :, None]
+    children = tree.children
 
     cl_nodes: list[int] = []
     cl_idx: list[np.ndarray] = []
@@ -336,40 +281,20 @@ def _node_classes(tree: Tree) -> np.ndarray:
 
 def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
                             mac) -> InteractionLists:
-    """The list-building pass over ``(n, d)`` targets: one MAC walk, no
-    kernel evaluation.
-
-    The walk is the classical batched depth-first descent with the
-    stock :class:`BarnesHutMAC` criterion inlined, using the identical
-    floating-point expressions as the classical traversal, so every
-    accept/refine decision — and hence all interaction counters,
-    per-node DPDA counts, and remote bins — match it exactly; only the
-    fp accumulation order of the fused kernels differs.  Any other MAC
-    object (a subclass included: its ``accept`` would never be called)
-    is a ``TypeError``.
-    """
+    """The numpy walk (:func:`_walk_dfs`) over ``(n, d)`` targets, its
+    records kept as :class:`InteractionLists`, no kernel evaluated: the
+    C walk's decisions, counters and remote bins, for the benchmark's
+    list probes.  Any other MAC object than the stock
+    :class:`BarnesHutMAC` (a subclass included: its ``accept`` would
+    never be called) is a ``TypeError``."""
     _check_mac(mac)
     targets = np.atleast_2d(np.asarray(target_positions, dtype=np.float64))
-    return _build_lists(tree, np.ascontiguousarray(targets.T), mac.alpha,
-                        _walk_nodes(tree))
-
-
-def _check_mac(mac) -> None:
-    if type(mac) is not BarnesHutMAC:
-        raise TypeError(
-            "the list-building walk inlines the stock BarnesHutMAC "
-            f"criterion; got {type(mac).__name__}")
-
-
-def _build_lists(tree: Tree, cols: np.ndarray, alpha: float,
-                 nodes: tuple) -> InteractionLists:
-    """:func:`build_interaction_lists` over ``(d, nt)`` target columns
-    and the batch's :func:`_walk_nodes`."""
+    cols = np.ascontiguousarray(targets.T)
     d, nt = cols.shape
     if nt == 0 or tree.nnodes == 0:
         walk = [], [], [], [], {}, [], [], []
     else:
-        walk = _walk_dfs(cols, alpha, nodes)
+        walk = _walk_dfs(tree, cols, mac.alpha)
     (cl_nodes, cl_idx, leaf_nodes, leaf_idx, remote,
      mac_nodes, mac_idx, mac_ok) = walk
 
@@ -397,6 +322,13 @@ def _build_lists(tree: Tree, cols: np.ndarray, alpha: float,
         mac_nodes=mac_nodes, mac_idx=mac_idx, mac_ok=mac_ok)
 
 
+def _check_mac(mac) -> None:
+    if type(mac) is not BarnesHutMAC:
+        raise TypeError(
+            "the walk inlines the stock BarnesHutMAC criterion; got "
+            f"{type(mac).__name__}")
+
+
 # -------------------------------------------------------------- evaluation
 def _zeros(mode: str, d: int, nt: int) -> np.ndarray:
     """The accumulator of ``nt`` potentials, or of forces as ``(d, nt)``
@@ -406,25 +338,20 @@ def _zeros(mode: str, d: int, nt: int) -> np.ndarray:
     return np.zeros(nt) if mode == "potential" else np.zeros((d, nt))
 
 
-def _cluster_pass(values: np.ndarray, targets: np.ndarray,
-                  nodes: np.ndarray, tgt: np.ndarray, evaluator,
-                  mode: str) -> None:
-    """The pairs ``(nodes[i], tgt[i])`` added into ``values``: the
-    evaluator's ``point_masses(mode)`` by one :func:`_point_masses`
-    call, or, where that is ``None`` (degree >= 1 potentials), its
-    ``batch_potential`` in chunks of :data:`DEFAULT_WORKING_SET_BYTES`."""
-    if tgt.size == 0:
-        return
+def _point_masses_of(evaluator, mode: str) -> tuple | None:
+    """``(com, mass, softening)`` of the evaluator, ``None``: a series."""
     point = getattr(evaluator, "point_masses", None)
     if point is None:
         raise TypeError(f"{type(evaluator).__name__} lacks the cluster "
                         "interface (point_masses)")
-    masses = point(mode)
-    if masses is not None:
-        com, mass, softening = masses
-        _point_masses(values, nodes, tgt, targets, com, mass,
-                      mode == "force", softening ** 2)
-        return
+    return point(mode)
+
+
+def _series_pass(values: np.ndarray, targets: np.ndarray, nodes: np.ndarray,
+                 tgt: np.ndarray, evaluator) -> None:
+    """The degree >= 1 potential of pairs ``(nodes[i], tgt[i])``, the
+    evaluator's ``batch_potential`` series, added into ``values`` in
+    chunks of :data:`DEFAULT_WORKING_SET_BYTES`."""
     chunk = max(1, DEFAULT_WORKING_SET_BYTES // evaluator.batch_row_bytes)
     for lo in range(0, tgt.size, chunk):
         t = tgt[lo:lo + chunk]
@@ -447,10 +374,10 @@ def source_layout(positions: np.ndarray, masses: np.ndarray) -> tuple:
 def _source_layout(tree: Tree, sources) -> tuple | None:
     """The tree's sources laid out tree-ordered, so a leaf's particles
     are the contiguous run from ``tree.start[leaf]``.  Built per
-    evaluation call (a layout passes through) and never kept: block
-    stepping moves sources under a reused tree."""
-    if sources is None or isinstance(sources, tuple):
-        return sources
+    evaluation call and never kept: block stepping moves sources under a
+    reused tree."""
+    if sources is None:
+        return None
     return source_layout(np.take(sources.positions.T, tree.order, axis=1),
                          sources.masses[tree.order])
 
@@ -543,32 +470,41 @@ def _p2p_group(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
         raise ValueError(f"the P2P kernel takes d = 2 or 3, got {d}")
 
 
-def _p2p_pass(values: np.ndarray, targets: np.ndarray, groups: list,
-              layout: tuple | None, mode: str, softening: float) -> None:
-    """Every leaf-size group, one kernel call each, added into
-    ``values`` in group order."""
-    if not groups:
-        return
-    sp, sm, scale = layout
-    for tgt, starts, rows, ns in groups:
-        _p2p_group(values, tgt, starts, rows, ns, targets, sp, sm,
-                   mode == "force", softening ** 2, scale)
-
-
 def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
                    cluster_node: np.ndarray, cluster_tgt: np.ndarray,
                    evaluator, groups: list, layout: tuple | None,
                    mode: str, softening: float) -> None:
-    """Both fused passes of every force path, accumulated onto
-    ``values`` — potentials ``(n,)`` or force columns ``(d, n)`` — for
-    the ``(d, n)`` target columns ``targets``: ``evaluator`` over pairs
-    ``(cluster_node[i], cluster_tgt[i])``, and the
-    :func:`group_leaf_visits` groups, whose source ``j`` of visit ``v``
-    is element ``starts[v] + j`` of the :func:`source_layout`
-    ``layout``."""
-    _cluster_pass(values, targets, cluster_node, cluster_tgt, evaluator,
-                  mode)
-    _p2p_pass(values, targets, groups, layout, mode, softening)
+    """Data shipping's evaluation onto ``values`` (potentials, or ``(d,
+    n)`` force columns) at the ``(d, n)`` columns ``targets``: the pairs
+    ``(cluster_node[i], cluster_tgt[i])`` by one :func:`_point_masses`
+    call (:func:`_series_pass` without point masses), then one
+    :func:`_p2p_group` call per :func:`group_leaf_visits` group over the
+    :func:`source_layout` ``layout``."""
+    force = mode == "force"
+    if cluster_tgt.size:
+        masses = _point_masses_of(evaluator, mode)
+        if masses is None:
+            _series_pass(values, targets, cluster_node, cluster_tgt,
+                         evaluator)
+        else:
+            com, mass, pm_softening = masses
+            _point_masses(values, cluster_node, cluster_tgt, targets, com,
+                          mass, force, pm_softening ** 2)
+    for tgt, starts, rows, ns in groups:
+        sp, sm, scale = layout
+        _p2p_group(values, tgt, starts, rows, ns, targets, sp, sm, force,
+                   softening ** 2, scale)
+
+
+def _weights(mac: np.ndarray, clusters: np.ndarray, sources: np.ndarray,
+             evaluator) -> np.ndarray:
+    """Each target's share of the traversal cost in model flops, from its
+    MAC tests, cluster interactions and P2P sources.  All three terms
+    are integer-valued floats, so this is exactly the classical
+    per-visit accumulation."""
+    return (FLOPS_PER_MAC * mac
+            + interaction_flops(getattr(evaluator, "degree", 0)) * clusters
+            + interaction_flops(0) * sources)
 
 
 def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
@@ -578,40 +514,20 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
                                count_node_interactions: bool = False,
                                target_weights: np.ndarray | None = None
                                ) -> TraversalResult:
-    """The evaluation pass: fused kernels over prebuilt lists.
+    """The evaluation pass over prebuilt lists (:func:`evaluate_pairs`).
 
-    Produces a :class:`TraversalResult` with the same values (to fp
-    accumulation order), the identical counters, the identical per-node
-    DPDA interaction counts, and the identical per-target weight
-    attribution as the classical traversal would; forces come back as
-    ``(nt, d)`` rows.
-
-    ``sources`` is the particle set, or its :func:`_source_layout` (a
-    streamed batch lays its sources out once, not once per chunk).
-    """
-    values = _zeros(mode, lists.d, lists.nt)
-    result = _evaluate(values, tree, lists, sources, evaluator, mode,
-                       softening, count_node_interactions, target_weights)
-    result.values = values if values.ndim == 1 else values.T.copy()
-    return result
-
-
-def _evaluate(values: np.ndarray, tree: Tree, lists: InteractionLists,
-              sources, evaluator, mode: str, softening: float,
-              count_node_interactions: bool,
-              target_weights: np.ndarray | None) -> TraversalResult:
-    """:func:`evaluate_interaction_lists` accumulating onto ``values``
-    (potentials, or ``(d, nt)`` force columns); the result carries the
-    counters and the remote map."""
+    The :class:`TraversalResult`, per-node counts and target weights of
+    :meth:`TraversalEngine.compute`, values to summation order; forces
+    as ``(nt, d)`` rows.  ``sources`` is the particle set.  Kept for
+    the benchmark's list probes."""
     nt = lists.nt
+    values = _zeros(mode, lists.d, nt)
     result = TraversalResult(
         values=values, mac_tests=lists.mac_tests,
         cluster_interactions=lists.cluster_interactions,
         p2p_interactions=lists.p2p_interactions,
         remote_targets=dict(lists.remote_targets),
     )
-    if nt == 0:
-        return result
     layout = None
     if lists.p2p_groups:
         if sources is None:
@@ -621,34 +537,122 @@ def _evaluate(values: np.ndarray, tree: Tree, lists: InteractionLists,
     evaluate_pairs(values, lists.target_cols, lists.cluster_node,
                    lists.cluster_tgt, evaluator, lists.p2p_groups, layout,
                    mode, softening)
-
     if count_node_interactions:
         # A leaf visited by m targets costs m * leaf_count pairs.
         np.add.at(tree.interactions, lists.cl_nodes, lists.cl_rows)
         np.add.at(tree.interactions, lists.leaf_nodes,
                   lists.leaf_rows * lists.leaf_ns)
     if target_weights is not None:
-        per_cluster = interaction_flops(getattr(evaluator, "degree", 0))
         p2p_sources = np.zeros(nt, dtype=np.int64)
         for tgt, *_, ns in lists.p2p_groups:
             p2p_sources += ns * np.bincount(tgt, minlength=nt)
-        # All three contributions are integer-valued floats, so this is
-        # exactly equal to the classical per-visit accumulation.
-        target_weights += (FLOPS_PER_MAC * lists.mac_per_target
-                           + per_cluster * np.bincount(lists.cluster_tgt,
-                                                       minlength=nt)
-                           + interaction_flops(0) * p2p_sources)
+        target_weights += _weights(
+            lists.mac_per_target, np.bincount(lists.cluster_tgt,
+                                              minlength=nt),
+            p2p_sources, evaluator)
+    if values.ndim == 2:
+        result.values = values.T.copy()
     return result
 
 
 # ------------------------------------------------------------------ engine
-class TraversalEngine:
-    """Streamed traversal over one tree: walk, evaluate, drop.
+def _counts(a: np.ndarray, shape: tuple) -> bool:
+    """Whether C can add counts into ``a`` in place."""
+    return a.shape == shape and a.dtype == np.int64 and a.flags.carray
 
-    ``walks_built`` counts :meth:`compute` calls, ``stream_chunks`` the
-    chunks they evaluated, ``lists_peak_bytes`` the most list bytes one
-    chunk held.
-    """
+
+def _walk(tree: Tree, cols: np.ndarray, alpha: float, values: np.ndarray,
+          counts: np.ndarray, layout: tuple | None, evaluator, mode: str,
+          softening: float, node_count: np.ndarray | None, lo: int,
+          hi: int) -> TraversalResult:
+    """Targets ``lo:hi`` of the ``(d, nt)`` columns ``cols`` through the
+    C ``walk``: terms into ``values`` (potentials, or ``(d, nt)`` force
+    columns), MAC tests, clusters and P2P sources per target into the
+    ``(3, nt)`` ``counts``, in columns ``lo:hi`` only, and per-node
+    counts into ``node_count`` unless ``None``.  Without point masses the
+    pairs go to :func:`_series_pass` in list order, a buffer at a time."""
+    d, nt = cols.shape
+    force = mode == "force"
+    _check_out(values, force, d, "walk")
+    masses = _point_masses_of(evaluator, mode)
+    if (not 0 <= lo <= hi <= nt or values.shape[-1] != nt
+            or tree.com.shape[1] != d or tree.center.shape[1] != d
+            or {len(a) for a in (tree.com, tree.center, tree.half, tree.start,
+                                 tree.end)} != {tree.nnodes}
+            or not _counts(counts, (3, nt)) or node_count is not None
+            and not _counts(node_count, (tree.nnodes,))):
+        raise IndexError("walk targets, counts or nodes index past their "
+                         "arrays")
+    m, cls = hi - lo, _node_classes(tree)
+    # a live target list per level of the current path, each <= m long
+    levels = int(tree.depth.max() - tree.depth[Tree.ROOT]) + 1 \
+        if tree.nnodes else 1
+    nchild, nremote = tree.children.shape[1], int(np.sum(cls == 2))
+    index = dict(children=tree.children, start=tree.start, end=tree.end,
+                 node_count=node_count, counts=counts,
+                 arena=np.empty(m * levels, np.intp),
+                 stack=np.empty(3 * (nchild * levels + 1), np.intp),
+                 rem_node=np.empty(nremote, np.intp),
+                 rem_len=np.empty(nremote, np.intp),
+                 rem_tgt=np.empty(nremote * m, np.intp))
+    floats = dict(half=tree.half, reach=_reach(tree))
+    strided = dict(com=tree.com, center=tree.center, tp=cols, out=values)
+    fields = dict(cls=cls.ctypes.data, nnodes=tree.nnodes, nchild=nchild,
+                  d=d, alpha=alpha, lo=lo, hi=hi, force=force, counts_s0=nt,
+                  neg_g=-kernels.G, soft2=softening ** 2)
+    if layout is not None:
+        strided["sp"], floats["sm"], fields["scale"] = layout
+        fields["nsrc"] = min(len(a) for a in (layout[0][0], layout[1])
+                             if a is not None)
+        if layout[0].shape[0] != d:
+            raise IndexError("walk sources and targets differ in dimension")
+    if masses is not None:
+        strided["pm_com"], floats["pm_mass"], pm_softening = masses
+        fields["pm_soft2"] = pm_softening ** 2
+        if min(len(masses[0]), len(masses[1])) < tree.nnodes \
+                or masses[0].shape[1] != d:
+            raise IndexError("point masses index past their nodes")
+    else:
+        cap = max(m, DEFAULT_WORKING_SET_BYTES // evaluator.batch_row_bytes)
+        index.update(pair_node=np.empty(cap, np.intp),
+                     pair_tgt=np.empty(cap, np.intp))
+    arrays = {name: np.ascontiguousarray(a, dtype=np.intp)
+              for name, a in index.items() if a is not None}
+    arrays.update((name, np.ascontiguousarray(a, dtype=np.float64))
+                  for name, a in floats.items() if a is not None)
+    fields.update((name, a.ctypes.data) for name, a in arrays.items())
+    fields.update((name + "_cap", arrays[name].size) for name in (
+        "arena", "stack", "rem_node", "rem_tgt", "pair_tgt") if name in arrays)
+    for name, a in strided.items():
+        arrays[name], fields[name], *strides = _strided(a)
+        fields[name + "_s0"], fields[name + "_s1"] = (0, *strides)[-2:]
+    w = Walk(**fields)
+    while (rc := LIB.walk(ctypes.byref(w))) == 1 or w.npairs:
+        _series_pass(values, cols, arrays["pair_node"][:w.npairs],
+                     arrays["pair_tgt"][:w.npairs], evaluator)
+        w.npairs = 0
+        if rc != 1:
+            break
+    if rc == -4:
+        raise ValueError("tree has local leaves but no source particles "
+                         "were provided")
+    if rc != 0:
+        raise RuntimeError(f"the walk refused its tree or overran its "
+                           f"arena (code {rc})")
+    # One visit per remote node, its targets ascending: sorted keys,
+    # sorted contents, whatever the visit order.
+    visits = np.split(arrays["rem_tgt"][:w.nrem_tgt],
+                      np.cumsum(arrays["rem_len"][:w.nrem])[:-1])
+    return TraversalResult(
+        values=values, mac_tests=w.mac_tests,
+        cluster_interactions=w.clusters, p2p_interactions=w.p2p,
+        remote_targets=dict(sorted(zip(arrays["rem_node"][:w.nrem].tolist(),
+                                       visits))))
+
+
+class TraversalEngine:
+    """One tree's traversal: :meth:`compute` walks and evaluates a
+    target batch in one C call.  ``walks_built`` counts the calls."""
 
     def __init__(self, tree: Tree, sources=None, mac=None,
                  softening: float = 0.0):
@@ -657,58 +661,36 @@ class TraversalEngine:
         self.mac = mac
         self.softening = softening
         self.walks_built = 0
-        self.stream_chunks = 0
-        self.lists_peak_bytes = 0
 
     def compute(self, target_positions: np.ndarray, evaluator,
                 mode: str = "potential",
                 count_node_interactions: bool = False,
                 target_weights: np.ndarray | None = None
                 ) -> TraversalResult:
-        """Per chunk of :data:`STREAM_CHUNK_TARGETS` of the ``(n, d)``
-        targets, walk, evaluate, drop the lists; the batch counts once
-        in ``walks_built``.  The targets are transposed once into the
-        ``(d, n)`` columns every pass reads.  Per-target decisions are
-        independent, so chunks merge exactly (remote indices re-based,
-        chunks ascending); only fp summation order differs from one
-        whole-batch walk.
+        """The ``(n, d)`` targets, transposed once into ``(d, n)``
+        columns, walked and evaluated by one :func:`_walk`.
 
         ``evaluator`` is the tree's far field through ``point_masses``
-        or ``batch_potential`` (:class:`~repro.bh.multipole.MonopoleExpansion`
-        or :class:`~repro.bh.multipole.TreeMultipoles`);
+        (:class:`~repro.bh.multipole.MonopoleExpansion` or
+        :class:`~repro.bh.multipole.TreeMultipoles`);
         ``count_node_interactions`` adds per-node interaction counts
         into ``tree.interactions`` (the DPDA load measure);
         ``target_weights`` accumulates each target's share of the
         traversal cost in model flops (the balancers' requester-side
         load)."""
         _check_mac(self.mac)
-        targets = np.atleast_2d(
-            np.asarray(target_positions, dtype=np.float64))
+        targets = np.atleast_2d(np.asarray(target_positions, dtype=float))
         nt, d = targets.shape
         cols = np.ascontiguousarray(targets.T)
         values = _zeros(mode, d, nt)
-        result = TraversalResult(values=values)
-        remote: dict[int, list[np.ndarray]] = {}
-        # once per batch: the sources' layout, the walk's node scalars
-        layout = _source_layout(self.tree, self.sources)
-        nodes = _walk_nodes(self.tree)
-        # an empty batch still makes one (empty) pass: same validation
-        for lo in range(0, max(nt, 1), STREAM_CHUNK_TARGETS):
-            chunk = slice(lo, lo + STREAM_CHUNK_TARGETS)
-            lists = _build_lists(self.tree, cols[:, chunk], self.mac.alpha,
-                                 nodes)
-            res = _evaluate(
-                values[..., chunk], self.tree, lists, layout, evaluator,
-                mode, self.softening, count_node_interactions,
-                None if target_weights is None else target_weights[chunk])
-            self.stream_chunks += 1
-            self.lists_peak_bytes = max(self.lists_peak_bytes, lists.nbytes())
-            result.merge_counters(res)
-            for node, tgts in res.remote_targets.items():
-                remote.setdefault(node, []).append(tgts + lo)
-            del lists, res      # dropped before the next chunk is walked
-        result.remote_targets = {n: np.concatenate(remote[n])
-                                 for n in sorted(remote)}
+        counts = np.zeros((3, nt), dtype=np.int64)
+        result = _walk(self.tree, cols, self.mac.alpha, values, counts,
+                       _source_layout(self.tree, self.sources), evaluator,
+                       mode, self.softening,
+                       self.tree.interactions if count_node_interactions
+                       else None, 0, nt)
+        if target_weights is not None:
+            target_weights += _weights(*counts, evaluator)
         if values.ndim == 2:
             result.values = values.T.copy()
         self.walks_built += 1

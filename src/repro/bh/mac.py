@@ -7,9 +7,9 @@ be computed".  Targets lying inside the box never accept (their distance
 to the COM says nothing about separation).
 
 Every MAC distance in the package — :meth:`BarnesHutMAC.accept`, the
-list-building walk, data shipping's mirror walk — comes from
+numpy list walk, data shipping's mirror walk — comes from
 :func:`sq_norm`, over offsets laid out as ``d`` coordinate columns; the
-C point-mass cluster kernel pairs its ``r^2`` the same way.  That is
+C walk and point-mass kernel pair their distances the same way.  That is
 ``einsum("ij,ij->i")``'s pairing on ``(n, d)`` rows, so decisions,
 counters and values do not depend on the layout an offset arrives in.
 """
@@ -57,8 +57,8 @@ class BarnesHutMAC:
         """Boolean mask over ``(n, d)`` targets: True = interaction
         allowed.
 
-        The list-building walk (:mod:`repro.bh.interaction_lists`)
-        inlines these expressions on target columns, running the
+        The walks (:mod:`repro.bh.interaction_lists`, the C one in
+        ``_kernels.c``) inline these expressions on targets, running the
         inside-the-box veto only on targets that passed the distance
         test within ``half * sqrt(d) + |com - center|`` (plus a rounding
         margin) of the COM: no target farther away is inside the box."""

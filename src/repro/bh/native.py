@@ -93,6 +93,31 @@ def build(source: Path = SOURCE) -> Path:
     return path
 
 
+_i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+
+class Walk(ctypes.Structure):
+    """``struct walk`` of ``_kernels.c``, field for field: the ``walk``
+    entry takes one pointer, not 60 arguments (see :func:`load`).
+    Pointers are addresses, strides are in elements."""
+
+    _fields_ = [(name, kind) for names, kind in (
+        ("nnodes nchild d", _i64), ("cls children com", _ptr),
+        ("com_s0 com_s1", _i64), ("center", _ptr),
+        ("center_s0 center_s1", _i64), ("half reach start end", _ptr),
+        ("alpha", _f64), ("tp", _ptr), ("tp_s0 tp_s1 lo hi", _i64),
+        ("pm_com", _ptr), ("pm_com_s0 pm_com_s1", _i64), ("pm_mass", _ptr),
+        ("pm_soft2 neg_g", _f64), ("sp", _ptr), ("sp_s0 sp_s1", _i64),
+        ("sm", _ptr), ("nsrc", _i64), ("soft2 scale", _f64),
+        ("force", _i64), ("out", _ptr), ("out_s0 out_s1", _i64),
+        ("counts", _ptr), ("counts_s0", _i64), ("node_count", _ptr),
+        ("mac_tests clusters p2p", _i64), ("pair_node pair_tgt", _ptr),
+        ("npairs pair_tgt_cap", _i64), ("rem_node rem_len rem_tgt", _ptr),
+        ("nrem nrem_tgt rem_node_cap rem_tgt_cap", _i64), ("arena", _ptr),
+        ("arena_cap", _i64), ("stack", _ptr),
+        ("stack_cap nstack started", _i64)) for name in names.split()]
+
+
 def load() -> ctypes.CDLL:
     """Build (if needed) and load the library of :data:`SOURCE`, its
     entry points typed."""
@@ -101,7 +126,7 @@ def load() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelBuildError(f"cannot load {path}: {exc}") from exc
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    i64, f64, ptr = _i64, _f64, _ptr
     lib.p2p_group.restype = ctypes.c_int
     # At most 19 arguments: under CPython 3.11 each 20-argument ctypes
     # call kept ~190 B resident, up to ~380 KB (19 and 21 kept none)
@@ -114,6 +139,8 @@ def load() -> ctypes.CDLL:
         ptr, i64, i64, ptr, ptr, i64, ctypes.c_int,            # out .. d
         ptr, i64, i64, ptr, i64, i64, ptr,                     # tp, com, m
         ctypes.c_int, f64, f64)                                # force ..
+    lib.walk.restype = ctypes.c_int
+    lib.walk.argtypes = (ctypes.POINTER(Walk),)
     return lib
 
 

@@ -1,22 +1,20 @@
 """Serial Barnes-Hut potentials: the force-computation phase on one
 processor.
 
-The traversal is *batched*: a whole array of target points walks the tree
-together, the MAC is applied to all of them at once per node, and the
-accepted subset gets a vectorized particle-cluster interaction while the
-rest descends.  This is how a pure-numpy treecode stays tractable, and it
-maps one-to-one onto the paper's function-shipping protocol: the
-particle coordinates an owner received for one branch key, in however
-many ~100-particle bins, are exactly such a batch evaluated against the
+The traversal is *batched*: a whole array of target points walks the
+tree together, the MAC is applied to all of them per node, the accepted
+ones get their particle-cluster term and the rest descend.  That maps
+one-to-one onto the paper's function-shipping protocol: the particle
+coordinates an owner received for one branch key, in however many
+~100-particle bins, are exactly such a batch evaluated against the
 subtree rooted at that branch node.
 
 :func:`compute_potentials` is one :meth:`TraversalEngine.compute
-<repro.bh.interaction_lists.TraversalEngine.compute>`: per chunk of
-targets, a list-building walk, a fused evaluation pass, and the lists
-dropped — the one walk-then-evaluate sequence of every force path.  The
-counters, remote-target sets, per-node interaction counts and per-target
-weights are identical to the classical single-pass loop, which the
-tests keep as their cross-check oracle (``tests/oracles/traversal.py``).
+<repro.bh.interaction_lists.TraversalEngine.compute>`, the one C walk
+that decides and evaluates on every force path.  The counters,
+remote-target sets, per-node interaction counts and per-target weights
+are identical to the classical single-pass loop, which the tests keep
+as their cross-check oracle (``tests/oracles/traversal.py``).
 """
 
 from __future__ import annotations

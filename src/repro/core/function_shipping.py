@@ -23,10 +23,9 @@ batched moves no interaction counter and no virtual clock.  All
 treecode work is charged to the virtual clock with the paper's own
 instruction counts (:mod:`repro.analysis.flops`).
 
-Interaction lists are single-use: every walk here streams through
-``TraversalEngine.compute`` (build a chunk's lists, evaluate, drop) and
-none outlives ``run`` — Section 4.2.4's working-set argument: an owner
-caches no remote data and a requester keeps nothing but its bins.
+Every walk here is one ``TraversalEngine.compute``, a C call that keeps
+nothing — Section 4.2.4's working-set argument: an owner caches no
+remote data and a requester keeps nothing but its bins.
 """
 
 from __future__ import annotations
@@ -96,12 +95,10 @@ class FunctionShippingEngine:
                 st.tree, st.particles, self.mac, softening=config.softening)
             for st in subtrees}
 
-    def _walk_stats(self) -> tuple[int, int, int]:
-        """Walks built, chunks streamed, most list bytes one chunk held."""
-        engines = (self._top_engine, *self.subtree_engines.values())
-        return (sum(eng.walks_built for eng in engines),
-                sum(eng.stream_chunks for eng in engines),
-                max(eng.lists_peak_bytes for eng in engines))
+    def _walks_built(self) -> int:
+        return sum(eng.walks_built
+                   for eng in (self._top_engine,
+                               *self.subtree_engines.values()))
 
     # ----------------------------------------------------------- evaluators
     def _evaluator(self, tree: Tree, multipoles: TreeMultipoles | None):
@@ -220,7 +217,7 @@ class FunctionShippingEngine:
         nt = tidx.size
         values = np.zeros(n) if self._mode == "potential" else np.zeros((n, d))
         self._result = ForceResult(values=values)
-        built0, chunks0, _ = self._walk_stats()
+        built0 = self._walks_built()
 
         returned: list[tuple[np.ndarray, np.ndarray]] = []
         bins = BinManager(
@@ -275,10 +272,7 @@ class FunctionShippingEngine:
         self._result.records_shipped = bins.stats.request_records_sent
         self._result.records_served = bins.records_served
         self._result.ship = bins.stats
-        built, chunks, peak = self._walk_stats()
-        self._result.walks_built = built - built0
-        comm.metrics.counter("force.walks_built").inc(built - built0)
-        comm.metrics.counter("force.stream_chunks").inc(chunks - chunks0)
-        held = comm.metrics.gauge("force.lists_peak_bytes")
-        held.set(max(held.value, peak))
+        self._result.walks_built = self._walks_built() - built0
+        comm.metrics.counter("force.walks_built").inc(
+            self._result.walks_built)
         return self._result

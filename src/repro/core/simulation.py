@@ -132,10 +132,10 @@ class SimulationResult:
         )
 
     def walk_reuse(self) -> tuple[int, int]:
-        """Interaction-list traffic: total (walks_built, walks_reused)
-        across all steps and ranks.  The second is always 0: the force
-        phase streams its lists and drops them, so no walk is reused;
-        the pair shape stays for callers that read both."""
+        """Walk traffic: total (walks_built, walks_reused) across all
+        steps and ranks.  The second is always 0: the force phase keeps
+        no walk, so none is reused; the pair shape stays for callers
+        that read both."""
         return sum(sr.force.walks_built
                    for step in self.steps for sr in step), 0
 

@@ -4,8 +4,9 @@ The engine must be *observationally identical* to the classical
 single-pass traversal (``tests/oracles``' ``traverse_reference``): values to
 1e-12, interaction counters exactly, per-node interaction counts
 exactly, per-target weights exactly, remote-target sets element-for-
-element.  Plus the engine's streaming: target chunks equal one
-whole-batch walk in every observable.
+element.  The engine's C walk restates, bit for bit, the oracle in
+``tests/oracles/kernels.py::fused_walk_reference``, and a target's
+values and counts do not depend on the batch it is walked in.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.flops import FLOPS_PER_MAC, interaction_flops
 from repro.bh import interaction_lists as il
 from repro.bh import kernels
 from repro.bh.direct import direct_forces, direct_potentials
@@ -36,7 +38,8 @@ from repro.bh.tree import NO_CHILD, build_tree
 from repro.bh.tree_repair import repair_tree
 from tests.helpers import uniform_cube
 from tests.oracles.grouping import group_p2p_rows
-from tests.oracles.kernels import p2p_group_reference
+from tests.oracles.kernels import fused_walk_reference, \
+    p2p_group_reference
 from tests.oracles.traversal import traverse_reference
 from tests.oracles.walk import walk_dfs_reference
 
@@ -208,9 +211,10 @@ STREAM_CASES = {
 
 
 def _assert_streamed_equals_whole_batch(case, remote, nt, chunk):
-    """``compute`` in chunks of ``chunk`` targets against
-    ``build_interaction_lists`` + ``evaluate_interaction_lists`` over
-    the whole batch: everything equal, values to summation order."""
+    """``compute`` called on consecutive chunks of ``chunk`` targets
+    against ``build_interaction_lists`` + ``evaluate_interaction_lists``
+    over the whole batch: everything equal, values to summation order;
+    and, for point masses, bit for bit the engine's whole-batch walk."""
     ps, degree, mode = STREAM_CASES[case]
     mac = BarnesHutMAC(0.67)
     targets = ps.positions[np.random.default_rng(nt).permutation(ps.n)[:nt]]
@@ -224,31 +228,39 @@ def _assert_streamed_equals_whole_batch(case, remote, nt, chunk):
         trees[0], lists, ps, _evaluator(trees[0], ps, degree), mode=mode,
         count_node_interactions=True, target_weights=weights[0])
     engine = TraversalEngine(trees[1], ps, mac)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(il, "STREAM_CHUNK_TARGETS", chunk)
-        streamed = engine.compute(
-            targets, _evaluator(trees[1], ps, degree), mode=mode,
-            count_node_interactions=True, target_weights=weights[1])
+    ev = _evaluator(trees[1], ps, degree)
+    parts = [engine.compute(targets[lo:lo + chunk], ev, mode=mode,
+                            count_node_interactions=True,
+                            target_weights=weights[1][lo:lo + chunk])
+             for lo in range(0, max(nt, 1), chunk)]
 
-    assert engine.walks_built == 1
-    assert engine.stream_chunks == max(1, -(-nt // chunk))
+    assert engine.walks_built == len(parts) == max(1, -(-nt // chunk))
     for name in ("mac_tests", "cluster_interactions", "p2p_interactions"):
-        assert getattr(streamed, name) == getattr(whole, name), name
-    assert streamed.flops(degree) == whole.flops(degree)
+        assert sum(getattr(p, name) for p in parts) \
+            == getattr(whole, name), name
     # integer-valued floats: bitwise
     np.testing.assert_array_equal(weights[1], weights[0])
     np.testing.assert_array_equal(trees[1].interactions,
                                   trees[0].interactions)
-    assert list(streamed.remote_targets) == list(whole.remote_targets)
-    assert bool(streamed.remote_targets) == (remote and nt > 0)
+    streamed = {}
+    for lo, part in zip(range(0, nt, chunk), parts):
+        for node, idx in part.remote_targets.items():
+            streamed.setdefault(node, []).append(idx + lo)
+    assert sorted(streamed) == list(whole.remote_targets)
+    assert bool(streamed) == (remote and nt > 0)
     for node, idx in whole.remote_targets.items():
-        assert streamed.remote_targets[node].dtype == idx.dtype
-        np.testing.assert_array_equal(streamed.remote_targets[node], idx)
-    assert streamed.values.shape == whole.values.shape
-    assert streamed.values.dtype == whole.values.dtype
+        got = np.concatenate(streamed[node])
+        assert got.dtype == idx.dtype
+        np.testing.assert_array_equal(got, idx)
+    values = np.concatenate([p.values for p in parts])
+    assert values.shape == whole.values.shape
+    assert values.dtype == whole.values.dtype
     if nt:
         scale = np.abs(whole.values).max()
-        assert np.abs(streamed.values - whole.values).max() <= 1e-12 * scale
+        assert np.abs(values - whole.values).max() <= 1e-12 * scale
+    if degree == 0:
+        one = TraversalEngine(trees[1], ps, mac).compute(targets, ev, mode)
+        np.testing.assert_array_equal(_bits(values), _bits(one.values))
 
 
 class TestStreamedEqualsWholeBatch:
@@ -270,14 +282,10 @@ class TestStreamedEqualsWholeBatch:
         ps, _, _ = STREAM_CASES["force-monopole-3d"]
         tree = build_tree(ps, leaf_capacity=8)
         engine = TraversalEngine(tree, ps, BarnesHutMAC(0.67))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(il, "STREAM_CHUNK_TARGETS", 64)
-            for calls, nt in enumerate((0, 65, 300), start=1):
-                engine.compute(ps.positions[:nt], MonopoleExpansion(tree),
-                               "force")
-                assert engine.walks_built == calls
-        assert engine.stream_chunks == 1 + 2 + 5
-        assert engine.lists_peak_bytes > 0
+        for calls, nt in enumerate((0, 65, 300), start=1):
+            engine.compute(ps.positions[:nt], MonopoleExpansion(tree),
+                           "force")
+            assert engine.walks_built == calls
 
 
 #: the list arrays a walk builds only when one is read
@@ -287,42 +295,28 @@ LIST_ARRAYS = ("cluster_node", "cluster_tgt", *ON_DEMAND)
 
 
 class TestBuildsOnlyWhatTheStepReads:
-    def _walks_of_compute(self, monkeypatch, **kwargs):
-        """The lists of every chunk one ``compute`` walks."""
-        built, build = [], il._build_lists
-        monkeypatch.setattr(il, "_build_lists",
-                            lambda *a, **k: built.append(build(*a, **k))
-                            or built[-1])
-        monkeypatch.setattr(il, "STREAM_CHUNK_TARGETS", 256)
-        ps = INSTANCES["plummer"]
-        tree = build_tree(ps, leaf_capacity=8)
-        TraversalEngine(tree, ps, BarnesHutMAC(0.67)).compute(
-            ps.positions, MonopoleExpansion(tree), "force",
-            count_node_interactions=True, **kwargs)
-        assert len(built) == 4 and all(b.p2p_groups for b in built)
-        return built
+    """The list path (the benchmark's probes) keeps its row arrays
+    unbuilt until read."""
 
-    def test_no_mac_records_or_walk_order_rows(self, monkeypatch):
-        for lists in self._walks_of_compute(monkeypatch):
-            assert not set(ON_DEMAND) & set(vars(lists))
-
-    def test_target_weights_read_the_mac_counts_alone(self, monkeypatch):
-        weights = np.zeros(INSTANCES["plummer"].n)
-        for lists in self._walks_of_compute(monkeypatch,
-                                            target_weights=weights):
-            assert set(ON_DEMAND) & set(vars(lists)) \
-                == {"mac_per_target"}
-        assert weights.min() > 0
-
-    def test_nbytes_counts_a_row_array_once_read(self):
+    def _evaluated_lists(self, **kwargs):
         ps = INSTANCES["plummer"]
         tree = build_tree(ps, leaf_capacity=8)
         lists = build_interaction_lists(tree, ps.positions,
                                         BarnesHutMAC(0.67))
-        for name in ON_DEMAND:
-            held = lists.nbytes()
-            rows = getattr(lists, name)
-            assert rows.size and lists.nbytes() - held == rows.nbytes, name
+        evaluate_interaction_lists(tree, lists, ps, MonopoleExpansion(tree),
+                                   "force", count_node_interactions=True,
+                                   **kwargs)
+        assert lists.p2p_groups
+        return lists
+
+    def test_no_mac_records_or_walk_order_rows(self):
+        assert not set(ON_DEMAND) & set(vars(self._evaluated_lists()))
+
+    def test_target_weights_read_the_mac_counts_alone(self):
+        weights = np.zeros(INSTANCES["plummer"].n)
+        lists = self._evaluated_lists(target_weights=weights)
+        assert set(ON_DEMAND) & set(vars(lists)) == {"mac_per_target"}
+        assert weights.min() > 0
 
 
 def _assert_walk_equals_oracle(tree, targets, alpha):
@@ -809,6 +803,218 @@ class TestCKernelEqualsOracle:
         out = np.zeros((3, 4))
         il._p2p_group(out, *args, True, 0.0, 1.0)
         assert (out != 0).all()
+
+
+def _c_walk(tree, sources, targets, alpha, evaluator, mode, softening=0.0,
+            ranges=None):
+    """``interaction_lists._walk`` over ``(nt, d)`` targets, one call
+    per ``(lo, hi)`` of ``ranges`` (default: one whole range) into the
+    same arrays: values (``(d, nt)`` force columns), ``(3, nt)`` counts,
+    per-node counts, the remote map of each call."""
+    nt, d = targets.shape
+    cols = np.ascontiguousarray(targets.T)
+    values = np.zeros((d, nt) if mode == "force" else nt)
+    counts = np.zeros((3, nt), dtype=np.int64)
+    node_count = np.zeros(tree.nnodes, dtype=np.int64)
+    results = [il._walk(tree, cols, alpha, values, counts,
+                        il._source_layout(tree, sources), evaluator, mode,
+                        softening, node_count, lo, hi)
+               for lo, hi in ranges or [(0, nt)]]
+    return values, counts, node_count, results
+
+
+def _weights(counts, evaluator):
+    """Target weights from ``(3, nt)`` counts: the flop model's terms."""
+    per_cluster = interaction_flops(getattr(evaluator, "degree", 0))
+    return (FLOPS_PER_MAC * counts[0] + per_cluster * counts[1]
+            + interaction_flops(0) * counts[2])
+
+
+def _assert_c_walk_equals_oracle(tree, sources, targets, alpha, evaluator,
+                                 mode, softening=0.0):
+    """The C walk against ``fused_walk_reference``: values as ``uint64``
+    views, per-target and per-node counts, counters, the remote map and
+    the engine's target weights all equal."""
+    values, counts, node_count, (res,) = _c_walk(
+        tree, sources, targets, alpha, evaluator, mode, softening)
+    layout = il._source_layout(tree, sources)
+    pair_cap = max(targets.shape[0], il.DEFAULT_WORKING_SET_BYTES
+                   // getattr(evaluator, "batch_row_bytes", 1))
+    want, want_counts, want_nodes, remote, _ = fused_walk_reference(
+        tree, targets, alpha, evaluator, layout, mode, softening, pair_cap)
+    np.testing.assert_array_equal(_bits(values), _bits(want))
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(node_count, want_nodes)
+    assert (res.mac_tests, res.cluster_interactions, res.p2p_interactions) \
+        == tuple(int(c) for c in want_counts.sum(axis=1))
+    assert list(res.remote_targets) == list(remote)
+    for node, idx in remote.items():
+        got = res.remote_targets[node]
+        assert got.dtype == idx.dtype and np.array_equal(got, idx)
+    weights = np.zeros(targets.shape[0])
+    TraversalEngine(tree, sources, BarnesHutMAC(alpha), softening).compute(
+        targets, evaluator, mode, target_weights=weights)
+    np.testing.assert_array_equal(weights, _weights(want_counts, evaluator))
+    return counts
+
+
+def _walk_case(dims, uniform, seed, n=300, capacity=8):
+    rng = np.random.default_rng([dims, uniform, seed])
+    ps = ParticleSet(rng.normal(size=(n, dims)),
+                     np.full(n, 1.0 / n) if uniform
+                     else rng.uniform(0.5, 1.5, n))
+    tree = build_tree(ps, leaf_capacity=capacity)
+    # the sources themselves, and points in, around, on the faces of
+    # and at the COMs of random cells
+    targets = np.concatenate([ps.positions,
+                              _targets_in_and_around_cells(tree, rng)])
+    return ps, tree, targets
+
+
+class TestCWalkEqualsOracle:
+    """The C walk (``_kernels.c``'s ``walk`` behind ``_walk``) adds and
+    counts, bit for bit, what ``fused_walk_reference`` does."""
+
+    @pytest.mark.parametrize("softening", [0.0, 0.05])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "masses"])
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("mode", ["force", "potential"])
+    def test_every_configuration(self, mode, dims, uniform, softening):
+        ps, tree, targets = _walk_case(dims, uniform, 0)
+        for alpha in (0.67, 2.5):           # 2.5: the veto decides pairs
+            counts = _assert_c_walk_equals_oracle(
+                tree, ps, targets, alpha,
+                MonopoleExpansion(tree, softening=softening), mode,
+                softening)
+            assert counts[1].any() and counts[2].any()
+
+    def test_targets_on_the_mac_boundary(self):
+        """Targets at 2h / alpha from the root's COM, where the pairing
+        of the squared distance decides: for hundreds of them the
+        left-to-right sum would flip the root's decision."""
+        ps, tree, _ = _walk_case(3, False, 8)
+        alpha, edge = 0.5, 2.0 * tree.half[0]
+        u = np.random.default_rng(8).normal(size=(4000, 3))
+        targets = tree.com[0] + u / np.linalg.norm(u, axis=1)[:, None] \
+            * (edge / alpha)
+        x, y, z = (targets - tree.com[0]).T
+        paired = edge < alpha * np.sqrt((x * x + z * z) + y * y)
+        assert np.sum(paired != (edge < alpha * np.sqrt((x * x + y * y)
+                                                        + z * z))) > 100
+        counts = _assert_c_walk_equals_oracle(
+            tree, ps, targets, alpha, MonopoleExpansion(tree), "force")
+        np.testing.assert_array_equal(counts[0] == 1, paired)
+
+    def test_tree_multipoles_force(self):
+        ps, tree, targets = _walk_case(3, False, 1)
+        _assert_c_walk_equals_oracle(tree, ps, targets, 0.67,
+                                     TreeMultipoles(tree, ps, 3), "force")
+
+    def test_series_pairs_drain_in_list_order(self, monkeypatch):
+        """No point masses (a degree 3 potential): the walk's pairs go
+        to the series in list order, drained whenever the next node's
+        targets might not fit the buffer."""
+        ps, tree, targets = _walk_case(3, False, 2)
+        ev = TreeMultipoles(tree, ps, 3)
+        monkeypatch.setattr(il, "DEFAULT_WORKING_SET_BYTES",
+                            ev.batch_row_bytes * 700)
+        _, _, _, _, pairs = fused_walk_reference(
+            tree, targets, 0.67, ev, il._source_layout(tree, ps),
+            "potential", 0.0)
+        assert sum(i.size for _, i in pairs) > 3 * 700     # drains
+        _assert_c_walk_equals_oracle(tree, ps, targets, 0.67, ev,
+                                     "potential")
+
+    def test_top_tree_with_remote_leaves_and_no_sources(self):
+        """Every root child a remote leaf, no local leaf: no sources are
+        needed, and the remote map is the walk's."""
+        ps, tree, targets = _walk_case(3, False, 3)
+        kids = tree.children[0][tree.children[0] != NO_CHILD]
+        tree.remote_owner[kids] = 1
+        _assert_c_walk_equals_oracle(tree, None, targets, 0.67,
+                                     MonopoleExpansion(tree), "force")
+        _mark_two_remote(tree)
+        tree.remote_owner[kids[2:]] = -1
+        with pytest.raises(ValueError, match="no source particles"):
+            _c_walk(tree, None, targets, 0.67, MonopoleExpansion(tree),
+                    "force")
+        _assert_c_walk_equals_oracle(tree, ps, targets, 0.67,
+                                     MonopoleExpansion(tree), "potential")
+
+    def test_empty_nodes(self):
+        ps, tree, targets = _walk_case(2, True, 4)
+        leaves = np.flatnonzero((tree.children == NO_CHILD).all(axis=1))
+        tree.end[leaves[::3]] = tree.start[leaves[::3]]
+        _assert_c_walk_equals_oracle(tree, ps, targets, 0.67,
+                                     MonopoleExpansion(tree), "force")
+
+    def test_one_leaf_tree(self):
+        ps = ParticleSet(np.random.default_rng(5).normal(size=(5, 3)),
+                         np.arange(1.0, 6.0))
+        tree = build_tree(ps, leaf_capacity=8)
+        assert tree.nnodes == 1
+        counts = _assert_c_walk_equals_oracle(
+            tree, ps, ps.positions, 0.67, MonopoleExpansion(tree), "force")
+        assert (counts[2] == 5).all() and not counts[:2].any()
+
+    @pytest.mark.parametrize("mode", ["force", "potential"])
+    def test_no_targets(self, mode):
+        ps, tree, _ = _walk_case(3, False, 6)
+        _assert_c_walk_equals_oracle(tree, ps, np.zeros((0, 3)), 0.67,
+                                     MonopoleExpansion(tree), mode)
+
+
+class TestBatchIndependence:
+    """With point masses, a target's values and counts are bitwise the
+    same alone, in a random subset, in the whole batch, or walked in
+    any ranges ``[lo, hi)`` of one batch; a range writes only its own
+    targets' columns."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), dims=st.sampled_from([2, 3]),
+           mode=st.sampled_from(["force", "potential"]),
+           softening=st.sampled_from([0.0, 0.05]),
+           cuts=st.lists(st.integers(0, 400), max_size=6))
+    def test_alone_subset_whole_and_ranges(self, seed, dims, mode,
+                                           softening, cuts):
+        ps, tree, targets = _walk_case(dims, seed % 2 == 0, seed, n=200)
+        ev = MonopoleExpansion(tree, softening=softening)
+        nt = targets.shape[0]
+
+        def walk(tg, ranges=None):
+            values, counts, _, _ = _c_walk(tree, ps, tg, 0.8, ev, mode,
+                                           softening, ranges)
+            return _bits(values), counts
+
+        whole, whole_counts = walk(targets)
+        bounds = sorted({0, nt, *(c for c in cuts if c < nt)})
+        ranged, ranged_counts = walk(targets, list(zip(bounds[:-1],
+                                                       bounds[1:])))
+        np.testing.assert_array_equal(ranged, whole)
+        np.testing.assert_array_equal(ranged_counts, whole_counts)
+        rng = np.random.default_rng(seed)
+        subset = np.sort(rng.choice(nt, size=nt // 3, replace=False))
+        got, got_counts = walk(targets[subset])
+        np.testing.assert_array_equal(got, whole[..., subset])
+        np.testing.assert_array_equal(got_counts, whole_counts[:, subset])
+        for t in rng.choice(nt, size=5, replace=False):
+            got, got_counts = walk(targets[t:t + 1])
+            np.testing.assert_array_equal(got, whole[..., t:t + 1])
+            np.testing.assert_array_equal(got_counts,
+                                          whole_counts[:, t:t + 1])
+
+    def test_a_range_writes_only_its_columns(self):
+        ps, tree, targets = _walk_case(3, False, 7)
+        nt = targets.shape[0]
+        lo, hi = nt // 3, 2 * nt // 3
+        values, counts, node_count, (res,) = _c_walk(
+            tree, ps, targets, 0.67, MonopoleExpansion(tree), "force",
+            ranges=[(lo, hi)])
+        assert not values[:, :lo].any() and not values[:, hi:].any()
+        assert not counts[:, :lo].any() and not counts[:, hi:].any()
+        assert counts[:, lo:hi].all() and node_count.sum() > 0
+        assert res.mac_tests == counts[0].sum()
 
 
 class TestEvaluateDirect:

@@ -149,15 +149,6 @@ class TestTraversal:
         # degree 0 charges clusters as k=1
         assert r.flops(0) == pytest.approx(28 + 29 * 3 + 145)
 
-    def test_merge_counters(self):
-        a = TraversalResult(values=np.zeros(1), mac_tests=1,
-                            cluster_interactions=2, p2p_interactions=3)
-        b = TraversalResult(values=np.zeros(1), mac_tests=10,
-                            cluster_interactions=20, p2p_interactions=30)
-        a.merge_counters(b)
-        assert (a.mac_tests, a.cluster_interactions, a.p2p_interactions) \
-            == (11, 22, 33)
-
     def test_interaction_counting_for_dpda(self):
         ps = plummer(200, seed=7)
         tree = build_tree(ps, leaf_capacity=8)

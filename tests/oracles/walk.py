@@ -5,7 +5,10 @@ visited node, the inside-the-cell test on every node, a fancy ``+= 1``
 per node for ``mac_per_target``.  Call it directly with the tree, the
 targets, ``alpha``, ``il._node_classes(tree)`` and the root, as
 ``_assert_walk_equals_oracle`` in ``tests/bh/test_interaction_lists.py``
-does, and compare its row arrays with the lists'."""
+does, and compare its row arrays with the lists'.  ``on_visit``, when
+given, sees the walk's events in visit order (the only change since):
+``("test", node, idx)`` before a MAC test, ``("cluster", node, far)``
+for the targets a node accepts, ``("leaf", node, idx)`` at a leaf."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ def _concat(chunks: list[np.ndarray]) -> np.ndarray:
 
 
 def walk_dfs_reference(tree: Tree, targets: np.ndarray, alpha: float,
-              cls: np.ndarray, start: int):
+              cls: np.ndarray, start: int, on_visit=None):
     """The classical batched depth-first descent: a Python stack of
     (node, target-index-array) pairs, node data kept scalar."""
     nt = targets.shape[0]
@@ -47,9 +50,13 @@ def walk_dfs_reference(tree: Tree, targets: np.ndarray, alpha: float,
             if c == 1:
                 leaf_nodes.append(node)
                 leaf_idx.append(idx)
+                if on_visit:
+                    on_visit("leaf", node, idx)
             elif c == 2:
                 remote.setdefault(node, []).append(idx)
             continue
+        if on_visit:
+            on_visit("test", node, idx)
         mac_tests += idx.size
         mac_per_target[idx] += 1
         t = targets[idx]
@@ -65,6 +72,8 @@ def walk_dfs_reference(tree: Tree, targets: np.ndarray, alpha: float,
         if far.size:
             cl_nodes.append(node)
             cl_idx.append(far)
+            if on_visit:
+                on_visit("cluster", node, far)
         near = idx[~ok]
         if near.size:
             row = children[node]
