@@ -105,7 +105,8 @@ class Walk(ctypes.Structure):
         ("nnodes nchild d", _i64), ("cls children com", _ptr),
         ("com_s0 com_s1", _i64), ("center", _ptr),
         ("center_s0 center_s1", _i64), ("half reach start end", _ptr),
-        ("alpha", _f64), ("tp", _ptr), ("tp_s0 tp_s1 lo hi", _i64),
+        ("alpha", _f64), ("tp", _ptr),
+        ("tp_s0 tp_s1 lo hi chunk stride offset", _i64),
         ("pm_com", _ptr), ("pm_com_s0 pm_com_s1", _i64), ("pm_mass", _ptr),
         ("pm_soft2 neg_g", _f64), ("sp", _ptr), ("sp_s0 sp_s1", _i64),
         ("sm", _ptr), ("nsrc", _i64), ("soft2 scale", _f64),
@@ -115,7 +116,7 @@ class Walk(ctypes.Structure):
         ("npairs pair_tgt_cap", _i64), ("rem_node rem_len rem_tgt", _ptr),
         ("nrem nrem_tgt rem_node_cap rem_tgt_cap", _i64), ("arena", _ptr),
         ("arena_cap", _i64), ("stack", _ptr),
-        ("stack_cap nstack started", _i64)) for name in names.split()]
+        ("stack_cap nstack started next", _i64)) for name in names.split()]
 
 
 def load() -> ctypes.CDLL:

@@ -46,7 +46,7 @@ def merged_forest(rank, subtrees: list[LocalSubtree], branches,
     top = merge(rank.comm, branches, rank.root, cfg.degree,
                 cfg.branch_lookup)
     fs = FunctionShippingEngine(rank.comm, cfg, top, subtrees,
-                                rank.particles)
+                                rank.particles, rank.cpus)
     return Forest(subtrees=subtrees, fs=fs, keys=keys.copy())
 
 
