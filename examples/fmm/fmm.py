@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bh import kernels
+from repro.bh.direct import direct_potentials
+from repro.bh.interaction_lists import G
 from repro.bh.multipole import TreeMultipoles, n_terms
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, Tree, build_tree
@@ -146,12 +147,12 @@ def fmm_potentials(particles: ParticleSet, degree: int = 6,
     for a, sources in p2p_partners.items():
         ia = tree.particle_indices(a)
         ib = np.concatenate([tree.particle_indices(b) for b in sources])
-        # pair_potential returns the gravity sign (-G q / r); phi here
-        # accumulates the raw series sum (+q / r) until the final flip.
-        phi[ia] -= kernels.pair_potential(
-            particles.positions[ia], particles.positions[ib],
-            particles.masses[ib],
-        ) / kernels.G
+        # direct_potentials returns the gravity sign (-G q / r); phi
+        # here accumulates the raw series sum (+q / r) until the final
+        # flip.
+        phi[ia] -= direct_potentials(
+            ParticleSet(particles.positions[ib], particles.masses[ib]),
+            particles.positions[ia]) / G
 
     # ---- downward pass: L2L to children, L2P at leaves
     order = np.argsort(tree.depth, kind="stable")
@@ -168,7 +169,7 @@ def fmm_potentials(particles: ParticleSet, degree: int = 6,
                 rel = particles.positions[idx] - tree.center[node]
                 phi[idx] += l2p(locals_[node], rel, degree)
 
-    phi *= -kernels.G
+    phi *= -G
     if return_stats:
         return phi, stats
     return phi

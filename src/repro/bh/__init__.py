@@ -31,10 +31,7 @@ from repro.bh.distributions import (
     INSTANCES,
 )
 from repro.bh.tree import Tree, build_tree
-from repro.bh.multipole import (
-    MonopoleExpansion,
-    MultipoleExpansion3D,
-)
+from repro.bh.multipole import MonopoleExpansion
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.traversal import TraversalResult, compute_potentials
 from repro.bh.direct import direct_forces, direct_potentials
@@ -54,7 +51,6 @@ __all__ = [
     "Tree",
     "build_tree",
     "MonopoleExpansion",
-    "MultipoleExpansion3D",
     "BarnesHutMAC",
     "TraversalResult",
     "compute_potentials",

@@ -1,23 +1,36 @@
 /* The force kernels of repro.bh.interaction_lists: the walk that
- * decides and evaluates, and the point-mass cluster and
- * particle-particle (P2P) passes it and data shipping run.  Each call
- * adds its terms into out itself, force columns (d, .) or potentials
- * (.), for d = 2 or 3.  Every array but the masses and the index arrays
- * (contiguous) is read, and out written, through its element strides.
+ * decides and evaluates, and the listed-pairs far-field and
+ * particle-particle (P2P) passes that data shipping and the direct sum
+ * run.  Each call adds its terms into out itself, force columns (d, .)
+ * or potentials (.), for d = 2 or 3.  Every array but the masses, the
+ * series tables and the index arrays (contiguous) is read, and out
+ * written, through its element strides.
  *
  * The order of every floating-point operation is fixed, and restated
  * by tests/oracles/kernels.py, which must agree bit for bit.
  *
- * point_masses: n (node, target) pairs, the node's COM a point mass
- * (point_masses_reference, added by np.add.at):
+ * The far field of an accepted (node, target) pair (struct far) is the
+ * node's point mass (point_masses_reference):
  *
- *   dv   = target - com[node], per coordinate
+ *   dv   = target - x[node] (the COM), per coordinate
  *   r2   = ((dx*dx + dz*dz) + dy*dy) + soft2  (dx*dx + dy*dy in 2-D:
  *          repro.bh.mac.sq_norm's pairing)
  *   inv  = r2 == 0 ? 0 : 1 / sqrt(r2)
  *   c    = dv * ((mass * ((inv*inv)*inv)) * neg_g)  (force)
  *          (neg_g * mass) * inv                     (potential)
- *   out[:, tgt[i]] += c                   (in list order)
+ *
+ * or, without masses, its degree-k series, a 3-D potential
+ * (m2p_reference): T = the irregular solid-harmonic rows of
+ * repro.bh.multipole._solid_rows at target - x[node] (the expansion
+ * centre; an error if 0), operation for operation, and
+ *
+ *   c    = neg_g * (((T[0]*tab[0] + T[1]*tab[1]) + T[2]*tab[2]) ...)
+ *
+ * a left fold over the (k+1)^2 rows in term_index order, tab the node's
+ * row of multipole.m2p_table.
+ *
+ * point_masses: n listed (node, target) pairs, each one's far-field
+ * term added as out[:, tgt[i]] += c in list order (np.add.at).
  *
  * p2p_group: one leaf-size group, its rows in visits: rows[v] rows
  * against the ns sources from starts[v] on (p2p_group_reference):
@@ -34,7 +47,8 @@
  * uniform and folded into scale.
  *
  * The adds into out are np.add.at's on the terms or rows, so a target
- * repeated in a call sums in list order.
+ * repeated in a call sums in list order.  Both entries test each index
+ * as their gather reads it.
  *
  * walk: targets lo .. hi-1 in chunks of chunk targets (the last one
  * shorter), each a batched depth-first walk from the root
@@ -58,29 +72,32 @@
  *              ok   = 0 if ok, 2h < alpha * reach, dist <= reach and
  *                     |target - center| < h in every coordinate
  *            +1 MAC test per target; each ok target +1 cluster and its
- *            point-mass term (point_masses' order above) added at once,
- *            or, without point masses, (node, target) emitted; the
- *            rest, in order, form the list pushed with children 0, 1,
- *            ..., so the last child is walked first.
+ *            far-field term added at once; the rest, in order, form the
+ *            list pushed with children 0, 1, ..., so the last child is
+ *            walked first.
  *
  * So a target sums its terms in visit order, whatever else the batch
  * or its chunk holds: its bits do not depend on the chunk schedule.
  * Per-node counts add the accepted targets of a node and m * ns at a
- * leaf.  Emitted pairs fill a buffer: before a node whose targets
- * might not fit, the call returns 1 with its state kept, the caller
- * drains the pairs and calls again.
+ * leaf.
  *
  * Build flags matter: no -ffast-math, and -ffp-contract=off, or gcc
  * fuses multiply-adds (it does by default on aarch64) and the bits
  * change.  No -march: the same bits on every x86-64.
  *
- * Loop order: the cluster pass gathers BLOCK pairs' offsets and masses,
- * computes their terms as independent lanes, then adds them in order.
- * The P2P pass, for each visit, runs sources j outer and the visit's
- * rows as the inner lanes, so the inner loop is independent per row
- * and vectorises; a visit's target coordinates are gathered once per
- * block of rows.  The walk runs a node's MAC on BLOCK targets as lanes,
- * then their point-mass terms as the cluster pass does.
+ * Loop order: the listed-pairs pass gathers BLOCK pairs' offsets and
+ * masses, computes their terms as independent lanes, then adds them in
+ * order.  The P2P pass, for each visit, runs sources j outer and the
+ * visit's rows as the inner lanes, so the inner loop is independent per
+ * row and vectorises; a visit's target coordinates are gathered once
+ * per block of rows.  The walk runs a node's MAC on BLOCK targets as
+ * lanes, then their far-field terms as the listed-pairs pass does; a
+ * series holds three levels of rows per lane.
+ *
+ * Error codes: -1 an index out of range, -2 d not 2 or 3 (a series: not
+ * a 3-D potential), -3 a walk buffer would overrun, -4 a leaf with no
+ * sources, -5 a chunk or stride below 1 or a negative offset, -6 a
+ * series evaluated at its own centre.
  */
 
 #include <math.h>
@@ -90,10 +107,15 @@
 
 typedef int64_t idx_t;
 
+/* 0 <= i < n, one compare */
+#define IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
+
 struct group {
     const idx_t *tgt;               /* target column of each row */
     const idx_t *starts, *rows;     /* (nvisits,) */
-    idx_t nvisits, ns;
+    /* rows in tgt, visits, sources per visit; targets lie below nt
+     * (in tp and out), sources below nsrc */
+    idx_t ntgt, nvisits, ns, nt, nsrc;
     const double *tp;               /* targets (d, .), element strides */
     idx_t tp_s0, tp_s1;
     const double *sp;               /* sources (d, .) */
@@ -147,7 +169,7 @@ lanes(double acc[3][BLOCK], double tb[3][BLOCK], idx_t nb,
 }
 
 /* Every visit of the group, BLOCK rows of a visit at a time. */
-static inline __attribute__((always_inline)) void
+static inline __attribute__((always_inline)) int
 group_pass(const struct group *g, int d, int force, int has_mass)
 {
     double tb[3][BLOCK], acc[3][BLOCK];
@@ -155,9 +177,17 @@ group_pass(const struct group *g, int d, int force, int has_mass)
     idx_t row = 0;
     for (idx_t v = 0; v < g->nvisits; row += g->rows[v], v++) {
         idx_t s0 = g->starts[v], len = g->rows[v];
+        if (s0 < 0 || s0 > g->nsrc - g->ns || len < 0
+            || len > g->ntgt - row)
+            return -1;
+        if (g->ns < 1)              /* no sources: nothing to add */
+            continue;
         for (idx_t b = 0; b < len; b += BLOCK) {
             idx_t nb = len - b < BLOCK ? len - b : BLOCK;
             const idx_t *tgt = g->tgt + row + b;
+            for (idx_t i = 0; i < nb; i++)
+                if (!IN(tgt[i], g->nt))
+                    return -1;
             for (int q = 0; q < d; q++)
                 for (idx_t i = 0; i < nb; i++)
                     tb[q][i] = g->tp[q * g->tp_s0 + tgt[i] * g->tp_s1];
@@ -178,54 +208,43 @@ group_pass(const struct group *g, int d, int force, int has_mass)
                         += acc[q][i] * scale;
         }
     }
+    return row == g->ntgt ? 0 : -1;
 }
 
 /* One specialisation per (d, force, per-source masses), so the inner
  * loop carries no branch on them.  Not inlined: the walk calls it once
  * per leaf visit. */
-#define GROUP(D, F)                                                     \
-    do {                                                                \
-        if (g->sm) group_pass(g, D, F, 1); else group_pass(g, D, F, 0); \
-    } while (0)
+#define GROUP(D, F) (g->sm ? group_pass(g, D, F, 1) : group_pass(g, D, F, 0))
 
-static __attribute__((noinline)) void
+static __attribute__((noinline)) int
 group_run(const struct group *g, int d, int force)
 {
-    if (d == 3) {
-        if (force) GROUP(3, 1); else GROUP(3, 0);
-    } else {
-        if (force) GROUP(2, 1); else GROUP(2, 0);
-    }
+    if (d == 3)
+        return force ? GROUP(3, 1) : GROUP(3, 0);
+    return force ? GROUP(2, 1) : GROUP(2, 0);
 }
 
 int
-p2p_group(double *out, idx_t out_s0, idx_t out_s1, const idx_t *tgt,
-          const idx_t *starts, const idx_t *rows, idx_t nvisits, idx_t ns,
-          int d, const double *tp, idx_t tp_s0, idx_t tp_s1,
-          const double *sp, idx_t sp_s0, idx_t sp_s1, const double *sm,
-          int force, double soft2, double scale)
+p2p_group(const struct group *g, int d, int force)
 {
-    struct group g = {tgt, starts, rows, nvisits, ns, tp, tp_s0, tp_s1,
-                      sp, sp_s0, sp_s1, sm, soft2, scale, out,
-                      out_s0, out_s1};
     if (d != 2 && d != 3)
         return -2;
-    if (ns >= 1)                    /* no sources: nothing to add */
-        group_run(&g, d, force);
-    return 0;
+    return group_run(g, d, force);
 }
 
-struct cluster {
-    const idx_t *node, *tgt;        /* (n,) pairs */
-    idx_t n;
-    const double *tp;               /* targets (d, .), element strides */
-    idx_t tp_s0, tp_s1;
-    const double *com;              /* COMs (., d) */
-    idx_t com_s0, com_s1;
-    const double *mass;             /* per node, contiguous */
+/* The far field of accepted pairs, typed by repro.bh.native.Far: point
+ * masses at the COMs x, or, mass NULL, the degree >= 1 series about the
+ * centres x. */
+struct far {
+    const double *x;                /* (nnodes, d), element strides */
+    idx_t x_s0, x_s1, nnodes;
+    const double *mass;             /* per node, contiguous; NULL: series */
+    const double *table;            /* (nnodes, (degree + 1)^2) */
+    const double *factors;          /* level 1's s, then per level l >= 2
+                                     * its 2l-1 z and 2l-3 rho^2 factors
+                                     * and its s */
+    idx_t degree;
     double soft2, neg_g;
-    double *out;                    /* (d, .) or (.), element strides */
-    idx_t out_s0, out_s1;
 };
 
 /* The point-mass terms of nb pairs held as lanes: dv[q][i] is target
@@ -254,46 +273,127 @@ pm_lanes(double dv[3][BLOCK], const double *m, idx_t nb, double soft2,
     }
 }
 
+/* The series terms of nb pairs held as lanes: dv[q][i] is target minus
+ * centre on entry, the potential in dv[0][i] on return.  Lane i reads
+ * the table row of node[i], or, node NULL, of node0.  Three levels of
+ * rows live at a time, each folded into the sum once made.  -6 if an
+ * offset is zero.  Not inlined: one call per block of lanes. */
+static __attribute__((noinline)) int
+series_lanes(double dv[3][BLOCK], idx_t nb, const struct far *f,
+             const idx_t *node, idx_t node0)
+{
+    const idx_t k = f->degree, nterms = (k + 1) * (k + 1), w = 2 * k + 1;
+    const double *c = f->factors;
+    /* 3 (2k + 1) BLOCK doubles of stack: 78 KiB at degree 6 */
+    double q[BLOCK], acc[BLOCK], lv[3 * w][BLOCK];
+    double (*pp)[BLOCK] = lv, (*p)[BLOCK] = lv + w, (*b)[BLOCK] = lv + 2 * w;
+    double (*t)[BLOCK];
+    int zero = 0;
+#define TAB(i, j) f->table[(node ? node[i] : node0) * nterms + (j)]
+    for (idx_t i = 0; i < nb; i++) {
+        double r2 = (dv[0][i] * dv[0][i] + dv[1][i] * dv[1][i])
+                    + dv[2][i] * dv[2][i];
+        zero |= r2 == 0.0;
+        q[i] = 1.0 / r2;
+        for (int a = 0; a < 3; a++)
+            dv[a][i] = dv[a][i] * q[i];
+        p[0][i] = sqrt(q[i]);
+        acc[i] = p[0][i] * TAB(i, 0);
+    }
+    if (zero)
+        return -6;
+    for (idx_t l = 1; l <= k; l++) {
+        if (l == 1) {
+            for (idx_t i = 0; i < nb; i++) {
+                b[0][i] = (c[0] * dv[1][i]) * p[0][i];
+                b[1][i] = dv[2][i] * p[0][i];
+                b[2][i] = (c[0] * dv[0][i]) * p[0][i];
+            }
+            c += 1;
+        } else {
+            const double *cz = c, *cr = c + 2 * l - 1;
+            const double s = c[4 * l - 4];
+            for (idx_t j = 1; j < 2 * l; j++)
+                for (idx_t i = 0; i < nb; i++)
+                    b[j][i] = (cz[j - 1] * dv[2][i]) * p[j - 1][i];
+            for (idx_t j = 2; j < 2 * l - 1; j++)
+                for (idx_t i = 0; i < nb; i++)
+                    b[j][i] = b[j][i] - (cr[j - 2] * q[i]) * pp[j - 2][i];
+            for (idx_t i = 0; i < nb; i++) {
+                double sx = s * dv[0][i], sy = s * dv[1][i];
+                b[2 * l][i] = sx * p[2 * l - 2][i] - sy * p[0][i];
+                b[0][i] = sx * p[0][i] + sy * p[2 * l - 2][i];
+            }
+            c += 4 * l - 3;
+        }
+        for (idx_t j = 0; j <= 2 * l; j++)
+            for (idx_t i = 0; i < nb; i++)
+                acc[i] = acc[i] + b[j][i] * TAB(i, l * l + j);
+        t = pp;
+        pp = p;
+        p = b;
+        b = t;
+    }
+#undef TAB
+    for (idx_t i = 0; i < nb; i++)
+        dv[0][i] = f->neg_g * acc[i];
+    return 0;
+}
+
+struct cluster {
+    const idx_t *node, *tgt;        /* (n,) pairs */
+    idx_t n, nt;                    /* targets lie below nt */
+    const double *tp;               /* targets (d, .), element strides */
+    idx_t tp_s0, tp_s1;
+    double *out;                    /* (d, .) or (.), element strides */
+    idx_t out_s0, out_s1;
+};
+
 /* Every pair, BLOCK at a time: gather, terms as lanes, then the adds in
  * list order. */
-static inline __attribute__((always_inline)) void
-cluster_pass(const struct cluster *c, int d, int force)
+static inline __attribute__((always_inline)) int
+cluster_pass(const struct cluster *c, const struct far *f, int d,
+             int force)
 {
     double dv[3][BLOCK], m[BLOCK];
     for (idx_t b = 0; b < c->n; b += BLOCK) {
         idx_t nb = c->n - b < BLOCK ? c->n - b : BLOCK;
         const idx_t *node = c->node + b, *tgt = c->tgt + b;
         for (idx_t i = 0; i < nb; i++) {
-            const double *t = c->tp + tgt[i] * c->tp_s1;
-            const double *x = c->com + node[i] * c->com_s0;
+            if (!IN(node[i], f->nnodes) || !IN(tgt[i], c->nt))
+                return -1;
             for (int q = 0; q < d; q++)
-                dv[q][i] = t[q * c->tp_s0] - x[q * c->com_s1];
-            m[i] = c->mass[node[i]];
+                dv[q][i] = c->tp[q * c->tp_s0 + tgt[i] * c->tp_s1]
+                           - f->x[node[i] * f->x_s0 + q * f->x_s1];
+            m[i] = f->mass ? f->mass[node[i]] : 0.0;
         }
-        pm_lanes(dv, m, nb, c->soft2, c->neg_g, d, force);
+        if (f->mass)
+            pm_lanes(dv, m, nb, f->soft2, f->neg_g, d, force);
+        else if (series_lanes(dv, nb, f, node, 0))
+            return -6;
         for (idx_t i = 0; i < nb; i++)
             for (int q = 0; q < (force ? d : 1); q++)
                 c->out[q * c->out_s0 + tgt[i] * c->out_s1] += dv[q][i];
     }
+    return 0;
 }
+
+/* d not 2 or 3, or a series that is not a 3-D potential */
+#define BAD_FAR(f, d, force) \
+    (((d) != 2 && (d) != 3) || (!(f)->mass && ((d) != 3 || (force))))
 
 int
 point_masses(double *out, idx_t out_s0, idx_t out_s1, const idx_t *node,
-             const idx_t *tgt, idx_t n, int d, const double *tp,
-             idx_t tp_s0, idx_t tp_s1, const double *com, idx_t com_s0,
-             idx_t com_s1, const double *mass, int force, double soft2,
-             double neg_g)
+             const idx_t *tgt, idx_t n, idx_t nt, int d, const double *tp,
+             idx_t tp_s0, idx_t tp_s1, const struct far *f, int force)
 {
-    struct cluster c = {node, tgt, n, tp, tp_s0, tp_s1, com, com_s0,
-                        com_s1, mass, soft2, neg_g, out, out_s0, out_s1};
-    if (d != 2 && d != 3)
+    struct cluster c = {node, tgt, n, nt, tp, tp_s0, tp_s1, out, out_s0,
+                        out_s1};
+    if (BAD_FAR(f, d, force))
         return -2;
-    if (d == 3) {
-        if (force) cluster_pass(&c, 3, 1); else cluster_pass(&c, 3, 0);
-    } else {
-        if (force) cluster_pass(&c, 2, 1); else cluster_pass(&c, 2, 0);
-    }
-    return 0;
+    if (d == 3)
+        return force ? cluster_pass(&c, f, 3, 1) : cluster_pass(&c, f, 3, 0);
+    return force ? cluster_pass(&c, f, 2, 1) : cluster_pass(&c, f, 2, 0);
 }
 
 /* The walk's argument block, typed field for field by
@@ -315,11 +415,8 @@ struct walk {
      * from chunk offset on, every stride-th */
     const double *tp;
     idx_t tp_s0, tp_s1, lo, hi, chunk, stride, offset;
-    /* the far field: point masses, or NULL pm_com to emit the pairs */
-    const double *pm_com;
-    idx_t pm_com_s0, pm_com_s1;
-    const double *pm_mass;
-    double pm_soft2, neg_g;
+    /* the far field of accepted pairs */
+    struct far far;
     /* the near field: sources (d, nsrc) (NULL: none), masses or NULL */
     const double *sp;
     idx_t sp_s0, sp_s1;
@@ -335,18 +432,15 @@ struct walk {
     idx_t counts_s0;
     idx_t *node_count;
     idx_t mac_tests, clusters, p2p;
-    /* emitted: cluster pairs (point masses absent), remote visits */
-    idx_t *pair_node, *pair_tgt;
-    idx_t npairs, pair_tgt_cap;
+    /* remote visits */
     idx_t *rem_node, *rem_len, *rem_tgt;
     idx_t nrem, nrem_tgt, rem_node_cap, rem_tgt_cap;
-    /* the walk's state: target index arena, stack of (node, off, len)
-     * triples, the next chunk's first target; every cap counts
-     * indices */
+    /* the walk's target index arena and stack of (node, off, len)
+     * triples; every cap counts indices */
     idx_t *arena;
     idx_t arena_cap;
     idx_t *stack;
-    idx_t stack_cap, nstack, started, next;
+    idx_t stack_cap;
 };
 
 /* The tree arrays the walk follows, checked once per walk: O(nnodes). */
@@ -370,16 +464,18 @@ check_tree(const struct walk *w)
 }
 
 /* One opened node: the MAC on its m targets ti, BLOCK at a time; the
- * accepted get their point-mass term (or are emitted), the rest are
- * written to near, in order.  Returns how many are near. */
+ * accepted get their far-field term, the rest are written to near, in
+ * order.  Returns how many are near, or -6 from the series. */
 static inline __attribute__((always_inline)) idx_t
 open_node(struct walk *w, idx_t node, const idx_t *ti, idx_t m,
           idx_t *near, int d, int force)
 {
     double dist[BLOCK], dv[3][BLOCK], pm[BLOCK];
     idx_t acc[BLOCK], nnear = 0, nacc = 0;
+    const struct far *f = &w->far;
     const double *x = w->com + node * w->com_s0;
     const double *c = w->center + node * w->center_s0;
+    const double *fx = f->x + node * f->x_s0;
     const double h = w->half[node], r = w->reach[node];
     const double twoh = 2.0 * h, alpha = w->alpha;
     const int gate = twoh < alpha * r;
@@ -418,23 +514,16 @@ open_node(struct walk *w, idx_t node, const idx_t *ti, idx_t m,
         nacc += na;
         if (!na)
             continue;
-        if (!w->pm_com) {
-            for (idx_t i = 0; i < na; i++) {
-                w->pair_node[w->npairs] = node;
-                w->pair_tgt[w->npairs++] = acc[i];
-            }
-            continue;
+        for (idx_t i = 0; i < na; i++) {
+            for (int q = 0; q < d; q++)
+                dv[q][i] = w->tp[q * w->tp_s0 + acc[i] * w->tp_s1]
+                           - fx[q * f->x_s1];
+            pm[i] = f->mass ? f->mass[node] : 0.0;
         }
-        {
-            const double *px = w->pm_com + node * w->pm_com_s0;
-            for (idx_t i = 0; i < na; i++) {
-                for (int q = 0; q < d; q++)
-                    dv[q][i] = w->tp[q * w->tp_s0 + acc[i] * w->tp_s1]
-                               - px[q * w->pm_com_s1];
-                pm[i] = w->pm_mass[node];
-            }
-        }
-        pm_lanes(dv, pm, na, w->pm_soft2, w->neg_g, d, force);
+        if (f->mass)
+            pm_lanes(dv, pm, na, f->soft2, f->neg_g, d, force);
+        else if (series_lanes(dv, na, f, 0, node))
+            return -6;
         for (idx_t i = 0; i < na; i++)
             for (int q = 0; q < (force ? d : 1); q++)
                 w->out[q * w->out_s0 + acc[i] * w->out_s1] += dv[q][i];
@@ -446,18 +535,17 @@ open_node(struct walk *w, idx_t node, const idx_t *ti, idx_t m,
     return nnear;
 }
 
-/* The batched depth-first walk from the stack as it stands. */
+/* The batched depth-first walk of one chunk from the root entry on the
+ * stack. */
 static inline __attribute__((always_inline)) int
 walk_pass(struct walk *w, int d, int force)
 {
-    while (w->nstack) {
-        idx_t *e = w->stack + 3 * (w->nstack - 1);
+    idx_t nstack = 1;
+    while (nstack) {
+        idx_t *e = w->stack + 3 * --nstack;
         idx_t node = e[0], off = e[1], m = e[2], top = off + m;
         const idx_t *ti = w->arena + off;
         int c = w->cls[node];
-        if (c == 0 && !w->pm_com && w->npairs + m > w->pair_tgt_cap)
-            return w->npairs ? 1 : -3;  /* 1: the caller drains them */
-        w->nstack--;
         if (c == 3)
             continue;
         if (c == 2) {
@@ -473,13 +561,15 @@ walk_pass(struct walk *w, int d, int force)
         if (c == 1) {
             idx_t ns = w->end[node] - w->start[node];
             idx_t *nsrc = w->counts + 2 * w->counts_s0;
-            struct group g = {ti, w->start + node, &m, 1, ns, w->tp,
-                              w->tp_s0, w->tp_s1, w->sp, w->sp_s0,
-                              w->sp_s1, w->sm, w->soft2, w->scale, w->out,
-                              w->out_s0, w->out_s1};
+            struct group g = {ti, w->start + node, &m, m, 1, ns, w->hi,
+                              w->nsrc, w->tp, w->tp_s0, w->tp_s1, w->sp,
+                              w->sp_s0, w->sp_s1, w->sm, w->soft2,
+                              w->scale, w->out, w->out_s0, w->out_s1};
+            int rc;
             if (!w->sp)
                 return -4;
-            group_run(&g, d, force);
+            if ((rc = group_run(&g, d, force)))
+                return rc;
             for (idx_t i = 0; i < m; i++)
                 nsrc[ti[i]] += ns;
             w->p2p += m * ns;
@@ -490,15 +580,15 @@ walk_pass(struct walk *w, int d, int force)
         if (top + m > w->arena_cap)
             return -3;
         m = open_node(w, node, ti, m, w->arena + top, d, force);
-        if (!m)
-            continue;
-        for (idx_t k = 0; k < w->nchild; k++) {
+        if (m < 0)
+            return (int)m;
+        for (idx_t k = 0; k < w->nchild && m; k++) {
             idx_t ch = w->children[node * w->nchild + k];
             if (ch == -1)
                 continue;
-            if (3 * (w->nstack + 1) > w->stack_cap)
+            if (3 * (nstack + 1) > w->stack_cap)
                 return -3;
-            e = w->stack + 3 * w->nstack++;
+            e = w->stack + 3 * nstack++;
             e[0] = ch;
             e[1] = top;
             e[2] = m;
@@ -507,44 +597,27 @@ walk_pass(struct walk *w, int d, int force)
     return 0;
 }
 
-/* 0: walked; 1: the pair buffer is full, drain it and call again;
- * -1: a tree array out of range; -2: d not 2 or 3; -3: a buffer would
- * overrun; -4: a leaf with no sources; -5: a chunk or stride below 1,
- * or a negative offset. */
+/* 0: walked; otherwise an error code (see the top). */
 int
 walk(struct walk *w)
 {
-    if (w->d != 2 && w->d != 3)
+    int rc;
+    if (BAD_FAR(&w->far, w->d, w->force))
         return -2;
     if (w->chunk < 1 || w->stride < 1 || w->offset < 0)
         return -5;
-    if (!w->started) {
-        int rc = check_tree(w);
-        if (rc)
-            return rc;
-        w->started = 1;
-        w->nstack = 0;
-        w->next = w->lo + w->offset * w->chunk;
-    }
-    if (w->nnodes == 0 || w->hi <= w->lo)
-        return 0;
-    for (;;) {
-        int rc;
-        if (!w->nstack) {           /* the next chunk, from the root */
-            idx_t a = w->next, b;
-            if (a >= w->hi)
-                return 0;
-            b = w->hi - a < w->chunk ? w->hi : a + w->chunk;
-            w->next = a + w->stride * w->chunk;
-            if (b - a > w->arena_cap || w->stack_cap < 3)
-                return -3;
-            for (idx_t i = a; i < b; i++)
-                w->arena[i - a] = i;
-            w->stack[0] = 0;        /* the root */
-            w->stack[1] = 0;
-            w->stack[2] = b - a;
-            w->nstack = 1;
-        }
+    if ((rc = check_tree(w)) || w->nnodes == 0)
+        return rc;
+    for (idx_t a = w->lo + w->offset * w->chunk; a < w->hi;
+         a += w->stride * w->chunk) {
+        idx_t b = w->hi - a < w->chunk ? w->hi : a + w->chunk;
+        if (b - a > w->arena_cap || w->stack_cap < 3)
+            return -3;
+        for (idx_t i = a; i < b; i++)
+            w->arena[i - a] = i;
+        w->stack[0] = 0;            /* the root */
+        w->stack[1] = 0;
+        w->stack[2] = b - a;
         if (w->d == 3)
             rc = w->force ? walk_pass(w, 3, 1) : walk_pass(w, 3, 0);
         else
@@ -552,4 +625,5 @@ walk(struct walk *w)
         if (rc)
             return rc;
     }
+    return 0;
 }

@@ -6,18 +6,17 @@ shipping's, is one call of ``walk`` in ``_kernels.c``
 over interleaved chunks of it (:func:`_walk`): a batched
 depth-first descent over (node, target list) pairs, the lists held in
 one index arena.  At each node it does the MAC on the node's targets,
-adds the point-mass term of each that accepts, runs the lane-major P2P
-rows of a leaf visit, and records the targets of a remote leaf; it
-counts MAC tests, clusters and P2P sources per target and per node.
-Only a degree >= 1 potential leaves the walk: its cluster pairs come
-back in list order for the numpy series (:func:`_series_pass`), a
-bounded buffer at a time.  Each target sums its terms in visit order,
-which does not depend on the rest of the batch, and a call over targets
-``[lo, hi)`` writes only their values and counts.
+adds the far-field term of each that accepts (its point mass, or its
+degree >= 1 series), runs the lane-major P2P rows of a leaf visit, and
+records the targets of a remote leaf; it counts MAC tests, clusters and
+P2P sources per target and per node.  Each target sums its terms in
+visit order, which does not depend on the rest of the batch, and a call
+over targets ``[lo, hi)`` writes only their values and counts.
 
-:func:`evaluate_pairs` — the point-mass and P2P kernels over listed
+:func:`evaluate_pairs` — the far-field and P2P kernels over listed
 pairs and leaf-size groups of leaf visits (:func:`group_leaf_visits`) —
-is data shipping's evaluation.  :func:`build_interaction_lists` (the
+is data shipping's evaluation; the direct sum (:mod:`repro.bh.direct`)
+is one P2P visit of every source.  :func:`build_interaction_lists` (the
 same walk in numpy, its records kept as :class:`InteractionLists`) and
 :func:`evaluate_interaction_lists` remain for the benchmark's list
 probes only.
@@ -51,18 +50,13 @@ import numpy as np
 
 from repro.analysis.flops import FLOPS_PER_MAC, interaction_flops, \
     traversal_flops
-from repro.bh import kernels, pool
-from repro.bh.native import LIB, Walk
+from repro.bh import pool
+from repro.bh.native import LIB, Far, Group, Walk
 from repro.bh.mac import BarnesHutMAC, sq_norm
 from repro.bh.tree import NO_CHILD, Tree
 
-#: Bound on the working set of the degree >= 1 potential pass, the one
-#: numpy pass (bytes of live temporaries per chunk of
-#: :func:`~repro.bh.multipole.m2p` pairs); it also sizes the walk's pair
-#: buffer.  A chunk that fits in the last-level cache makes the later
-#: passes over it cache hits.  A different value regroups the series
-#: pass's partial sums.  Read at call time.
-DEFAULT_WORKING_SET_BYTES = 4 * 2 ** 20
+#: Gravitational constant in simulation units (G = 1, the n-body custom).
+G = 1.0
 
 
 @dataclass
@@ -341,26 +335,60 @@ def _zeros(mode: str, d: int, nt: int) -> np.ndarray:
     return np.zeros(nt) if mode == "potential" else np.zeros((nt, d)).T
 
 
-def _point_masses_of(evaluator, mode: str) -> tuple | None:
-    """``(com, mass, softening)`` of the evaluator, ``None``: a series."""
+def _far_field(evaluator, mode: str) -> tuple:
+    """The evaluator's far field as ``(x, mass, soft2, series)``: point
+    masses at the COMs ``x``, or, where its ``point_masses(mode)`` is
+    ``None``, the ``(table, factors, degree)`` series about the centres
+    ``x`` (:meth:`~repro.bh.multipole.TreeMultipoles.series`)."""
     point = getattr(evaluator, "point_masses", None)
     if point is None:
         raise TypeError(f"{type(evaluator).__name__} lacks the cluster "
                         "interface (point_masses)")
-    return point(mode)
+    masses = point(mode)
+    if masses is None:
+        centres, *series = evaluator.series()
+        return centres, None, 0.0, series
+    com, mass, softening = masses
+    return com, mass, softening ** 2, None
 
 
-def _series_pass(values: np.ndarray, targets: np.ndarray, nodes: np.ndarray,
-                 tgt: np.ndarray, evaluator) -> None:
-    """The degree >= 1 potential of pairs ``(nodes[i], tgt[i])``, the
-    evaluator's ``batch_potential`` series, added into ``values`` in
-    chunks of :data:`DEFAULT_WORKING_SET_BYTES`."""
-    chunk = max(1, DEFAULT_WORKING_SET_BYTES // evaluator.batch_row_bytes)
-    for lo in range(0, tgt.size, chunk):
-        t = tgt[lo:lo + chunk]
-        values += np.bincount(t, minlength=values.size, weights=(
-            evaluator.batch_potential(nodes[lo:lo + chunk],
-                                      targets.take(t, axis=1))))
+def _far(x: np.ndarray, mass: np.ndarray | None, soft2: float,
+         series: tuple | None, d: int) -> tuple:
+    """``struct far`` of a far field (see :func:`_far_field`), and the
+    arrays it points into, which stay bound until the call returns."""
+    if x.shape[1] != d:
+        raise IndexError("far-field nodes and targets differ in dimension")
+    table, factors, degree = series or (None, None, 0)
+    x, addr, x_s0, x_s1 = _strided(x)
+    arrays = {name: np.ascontiguousarray(a, np.float64) for name, a in (
+        ("mass", mass), ("table", table), ("factors", factors))
+        if a is not None}
+    nodes = arrays["mass" if series is None else "table"]
+    far = Far(x=addr, x_s0=x_s0, x_s1=x_s1, nnodes=min(len(x), len(nodes)),
+              degree=degree, soft2=soft2, neg_g=-G,
+              **{name: a.ctypes.data for name, a in arrays.items()})
+    return far, (x, arrays)
+
+
+#: The C kernels' error codes (``_kernels.c``) as exceptions; any other
+#: nonzero code is a walk buffer or chunk schedule gone wrong.
+_ERRORS = {
+    -1: (IndexError, "the {kernel} kernel's indices run past their nodes, "
+         "targets, sources or values"),
+    -2: (ValueError, "the {kernel} kernel takes d = 2 or 3, and a series "
+         "3-D potentials; got d = {d}"),
+    -4: (ValueError, "tree has local leaves but no source particles were "
+         "provided"),
+    -6: (ValueError, "cannot evaluate a multipole expansion at its own "
+         "center")}
+
+
+def _check(rc: int, kernel: str, d: int) -> None:
+    """Raise for a C kernel's nonzero return code."""
+    if rc:
+        kind, msg = _ERRORS.get(rc, (RuntimeError, "the {kernel} kernel "
+                                     "overran its buffers (code {rc})"))
+        raise kind(msg.format(kernel=kernel, d=d, rc=rc))
 
 
 def source_layout(positions: np.ndarray, masses: np.ndarray) -> tuple:
@@ -371,7 +399,7 @@ def source_layout(positions: np.ndarray, masses: np.ndarray) -> tuple:
     # With uniform masses the scalar factor moves outside the row sums
     # (per-pair values differ only in rounding, ~1e-16 relative).
     return (positions, None if uniform else masses,
-            -kernels.G * (float(masses[0]) if uniform else 1.0))
+            -G * (float(masses[0]) if uniform else 1.0))
 
 
 def _source_layout(tree: Tree, sources) -> tuple | None:
@@ -407,33 +435,27 @@ def _check_out(out: np.ndarray, force: bool, d: int, kernel: str) -> None:
 
 
 def _point_masses(out: np.ndarray, nodes: np.ndarray, tgt: np.ndarray,
-                  tp: np.ndarray, com: np.ndarray, mass: np.ndarray,
-                  force: bool, soft2: float) -> None:
-    """Point masses ``com[nodes[i]]`` (``(nnodes, d)``, any strides) of
-    mass ``mass[nodes[i]]`` at targets ``tp[:, tgt[i]]`` (``(d, .)``,
-    any strides), added into ``out`` (potentials, or ``(d, n)`` force
-    columns) in list order by the C kernel (``_kernels.c``)."""
+                  tp: np.ndarray, x: np.ndarray, mass: np.ndarray | None,
+                  force: bool, soft2: float, series: tuple | None = None
+                  ) -> None:
+    """The far-field terms of the pairs ``(nodes[i], tgt[i])`` at
+    targets ``tp[:, tgt[i]]`` (``(d, .)``, any strides), added into
+    ``out`` (potentials, or ``(d, n)`` force columns) in list order by
+    the C listed-pairs kernel (``_kernels.c``): point masses at ``x``
+    (``(nnodes, d)``, any strides) of mass ``mass``, or, given
+    ``series``, that series about the centres ``x`` (:func:`_far`)."""
     d = tp.shape[0]
     _check_out(out, force, d, "point-mass")
     nodes, tgt = (np.ascontiguousarray(a, dtype=np.intp) for a in (nodes, tgt))
-    mass = np.ascontiguousarray(mass, dtype=np.float64)
-    if nodes.size != tgt.size or tgt.size and (
-            com.shape[1] != d or nodes.min() < 0
-            or nodes.max() >= min(com.shape[0], mass.size)
-            or tgt.min() < 0
-            or tgt.max() >= min(tp.shape[1], out.shape[-1])):
-        raise IndexError("point-mass pairs index past their nodes, "
-                         "targets or values")       # C indexes unchecked
-    # the arrays stay bound (a copy must live through the call)
-    tp, *targets = _strided(tp)
-    com, *coms = _strided(com)
+    if nodes.size != tgt.size:
+        raise IndexError("point-mass node and target lists differ in length")
+    far, held = _far(x, mass, soft2, series, d)
+    tp, *targets = _strided(tp)     # bound: a copy lives through the call
     out_s0, out_s1 = (0, *out.strides)[-2:]     # potentials: one row
-    rc = LIB.point_masses(out.ctypes.data, out_s0 // 8, out_s1 // 8,
-                          nodes.ctypes.data, tgt.ctypes.data, tgt.size, d,
-                          *targets, *coms, mass.ctypes.data, force, soft2,
-                          -kernels.G)
-    if rc != 0:
-        raise ValueError(f"the point-mass kernel takes d = 2 or 3, got {d}")
+    _check(LIB.point_masses(out.ctypes.data, out_s0 // 8, out_s1 // 8,
+                            nodes.ctypes.data, tgt.ctypes.data, tgt.size,
+                            min(tp.shape[1], out.shape[-1]), d, *targets,
+                            ctypes.byref(far), force), "point-mass", d)
 
 
 def _p2p_group(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
@@ -450,27 +472,22 @@ def _p2p_group(out: np.ndarray, tgt: np.ndarray, starts: np.ndarray,
     _check_out(out, force, d, "P2P")
     tgt, starts, rows = (np.ascontiguousarray(a, dtype=np.intp)
                          for a in (tgt, starts, rows))
-    n_src = sp.shape[1] if sm is None else min(sp.shape[1], len(sm))
-    if tgt.size and (tp.shape[0] != d or tgt.min() < 0
-                     or tgt.max() >= min(tp.shape[1], out.shape[-1])
-                     or starts.size != rows.size or starts.min() < 0
-                     or starts.max() + ns > n_src
-                     or rows.sum() != tgt.size):    # C indexes unchecked
-        raise IndexError("P2P group rows index past their targets, "
-                         "sources or values")
+    if tp.shape[0] != d or starts.size != rows.size:
+        raise IndexError("P2P group targets or visits do not match")
     # the arrays stay bound (a copy must live through the call)
     tp, *targets = _strided(tp)
     sp, *sources = _strided(sp)
+    nsrc = sp.shape[1]
     if sm is not None:          # contiguous on every path: no stride
         sm = np.ascontiguousarray(sm, dtype=np.float64)
+        nsrc = min(nsrc, sm.size)
     out_s0, out_s1 = (0, *out.strides)[-2:]     # potentials: one row
-    rc = LIB.p2p_group(out.ctypes.data, out_s0 // 8, out_s1 // 8,
-                       tgt.ctypes.data, starts.ctypes.data, rows.ctypes.data,
-                       rows.size, ns, d, *targets, *sources,
-                       None if sm is None else sm.ctypes.data, force, soft2,
-                       scale)
-    if rc != 0:
-        raise ValueError(f"the P2P kernel takes d = 2 or 3, got {d}")
+    group = Group(tgt.ctypes.data, starts.ctypes.data, rows.ctypes.data,
+                  tgt.size, rows.size, ns, min(tp.shape[1], out.shape[-1]),
+                  nsrc, *targets, *sources,
+                  None if sm is None else sm.ctypes.data, soft2, scale,
+                  out.ctypes.data, out_s0 // 8, out_s1 // 8)
+    _check(LIB.p2p_group(ctypes.byref(group), d, force), "P2P", d)
 
 
 def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
@@ -480,19 +497,14 @@ def evaluate_pairs(values: np.ndarray, targets: np.ndarray,
     """Data shipping's evaluation onto ``values`` (potentials, or ``(d,
     n)`` force columns) at the ``(d, n)`` columns ``targets``: the pairs
     ``(cluster_node[i], cluster_tgt[i])`` by one :func:`_point_masses`
-    call (:func:`_series_pass` without point masses), then one
-    :func:`_p2p_group` call per :func:`group_leaf_visits` group over the
+    call over the evaluator's far field, then one :func:`_p2p_group`
+    call per :func:`group_leaf_visits` group over the
     :func:`source_layout` ``layout``."""
     force = mode == "force"
     if cluster_tgt.size:
-        masses = _point_masses_of(evaluator, mode)
-        if masses is None:
-            _series_pass(values, targets, cluster_node, cluster_tgt,
-                         evaluator)
-        else:
-            com, mass, pm_softening = masses
-            _point_masses(values, cluster_node, cluster_tgt, targets, com,
-                          mass, force, pm_softening ** 2)
+        x, mass, soft2, series = _far_field(evaluator, mode)
+        _point_masses(values, cluster_node, cluster_tgt, targets, x, mass,
+                      force, soft2, series)
     for tgt, starts, rows, ns in groups:
         sp, sm, scale = layout
         _p2p_group(values, tgt, starts, rows, ns, targets, sp, sm, force,
@@ -617,22 +629,18 @@ def _walk(wt: _WalkTree, cols: np.ndarray, alpha: float, values: np.ndarray,
     target into the ``(3, nt)`` ``counts``, in columns ``lo:hi`` only,
     and per-node counts into ``node_count`` unless ``None``.
 
-    With point masses, no remote leaves and two or more ``cpus`` the
-    range is shared by that many threads (:mod:`repro.bh.pool`), one
-    ``walk`` call each over interleaved chunks of :data:`WALK_CHUNK`
-    targets, with its own arena, stack and per-node counts; every
-    target's bits are those of the one-range walk.  A tree with remote
-    leaves keeps one range: each chunk would record its own visit of
-    every remote leaf, and regathering those visits per node cost more
-    than the second thread saved (DESIGN.md section 9).  Without point
-    masses the pairs go to :func:`_series_pass` in list order, a buffer
-    at a time, on one range: the series regroups its sums with the
-    buffer."""
+    With no remote leaves and two or more ``cpus`` the range is shared
+    by that many threads (:mod:`repro.bh.pool`), one ``walk`` call each
+    over interleaved chunks of :data:`WALK_CHUNK` targets, with its own
+    arena, stack and per-node counts; every target's bits are those of
+    the one-range walk.  A tree with remote leaves keeps one range: each
+    chunk would record its own visit of every remote leaf, and
+    regathering those visits per node cost more than the second thread
+    saved (DESIGN.md section 9)."""
     tree = wt.tree
     d, nt = cols.shape
     force = mode == "force"
     _check_out(values, force, d, "walk")
-    masses = _point_masses_of(evaluator, mode)
     if (not 0 <= lo <= hi <= nt or values.shape[-1] != nt
             or tree.com.shape != (tree.nnodes, d)
             or tree.center.shape[1] != d
@@ -640,9 +648,12 @@ def _walk(wt: _WalkTree, cols: np.ndarray, alpha: float, values: np.ndarray,
             and not _counts(node_count, (tree.nnodes,))):
         raise IndexError("walk targets, counts or nodes index past their "
                          "arrays")
+    far, held = _far(*_far_field(evaluator, mode), d)
+    if far.nnodes < tree.nnodes:
+        raise IndexError("the far field indexes past its nodes")
     m = hi - lo
     fields = dict(wt.fields, d=d, alpha=alpha, lo=lo, hi=hi, force=force,
-                  counts=counts.ctypes.data, counts_s0=nt, neg_g=-kernels.G,
+                  far=far, counts=counts.ctypes.data, counts_s0=nt,
                   soft2=softening ** 2)
     floats = dict(reach=_reach(tree))
     strided = dict(com=tree.com, tp=cols, out=values)
@@ -652,13 +663,8 @@ def _walk(wt: _WalkTree, cols: np.ndarray, alpha: float, values: np.ndarray,
                              if a is not None)
         if layout[0].shape[0] != d:
             raise IndexError("walk sources and targets differ in dimension")
-    if masses is not None:
-        strided["pm_com"], floats["pm_mass"], pm_softening = masses
-        fields["pm_soft2"] = pm_softening ** 2
-        if min(len(masses[0]), len(masses[1])) < tree.nnodes \
-                or masses[0].shape[1] != d:
-            raise IndexError("point masses index past their nodes")
-    # every thread's walk reads these; bound until the calls return
+    # every thread's walk reads these and ``held``: bound until the
+    # calls return
     shared = {name: np.ascontiguousarray(a, dtype=np.float64)
               for name, a in floats.items() if a is not None}
     fields.update((name, a.ctypes.data) for name, a in shared.items())
@@ -667,8 +673,7 @@ def _walk(wt: _WalkTree, cols: np.ndarray, alpha: float, values: np.ndarray,
         fields[name + "_s0"], fields[name + "_s1"] = (0, *strides)[-2:]
 
     span = WALK_CHUNK
-    threads = (min(len(cpus), -(-m // span))
-               if masses is not None and not wt.nremote else 1)
+    threads = 1 if wt.nremote else min(len(cpus), -(-m // span))
     if threads < 2:                 # one range: one chunk of all m
         threads, span = 1, max(m, 1)
     walks = []
@@ -683,16 +688,10 @@ def _walk(wt: _WalkTree, cols: np.ndarray, alpha: float, values: np.ndarray,
         if node_count is not None:
             index["node_count"] = (node_count if threads == 1
                                    else np.zeros(tree.nnodes, np.int64))
-        if masses is None:
-            cap = max(m, DEFAULT_WORKING_SET_BYTES
-                      // evaluator.batch_row_bytes)
-            index.update(pair_node=np.empty(cap, np.intp),
-                         pair_tgt=np.empty(cap, np.intp))
         w = Walk(**fields, chunk=span, stride=threads, offset=k,
                  **{name: a.ctypes.data for name, a in index.items()},
                  **{name + "_cap": index[name].size for name in (
-                     "arena", "stack", "rem_node", "rem_tgt", "pair_tgt")
-                    if name in index})
+                     "arena", "stack", "rem_node", "rem_tgt")})
         walks.append((w, index))
 
     if threads > 1:
@@ -700,21 +699,8 @@ def _walk(wt: _WalkTree, cols: np.ndarray, alpha: float, values: np.ndarray,
             functools.partial(LIB.walk, ctypes.byref(w)) for w, _ in walks])
         rc = next((rc for rc in rcs if rc), 0)
     else:
-        (w, index), = walks
-        if masses is None:      # the series takes columns: one copy, here
-            cols = np.ascontiguousarray(cols)
-        while (rc := LIB.walk(ctypes.byref(w))) == 1 or w.npairs:
-            _series_pass(values, cols, index["pair_node"][:w.npairs],
-                         index["pair_tgt"][:w.npairs], evaluator)
-            w.npairs = 0
-            if rc != 1:
-                break
-    if rc == -4:
-        raise ValueError("tree has local leaves but no source particles "
-                         "were provided")
-    if rc != 0:
-        raise RuntimeError(f"the walk refused its tree or overran its "
-                           f"arena (code {rc})")
+        rc = LIB.walk(ctypes.byref(walks[0][0]))
+    _check(rc, "walk", d)
     if threads > 1 and node_count is not None:
         for _, index in walks:
             node_count += index["node_count"]
@@ -763,7 +749,8 @@ class TraversalEngine:
         ``(d, n)`` views' strides: no transposed copy either way.
 
         ``evaluator`` is the tree's far field through ``point_masses``
-        (:class:`~repro.bh.multipole.MonopoleExpansion` or
+        and, for a series, ``series`` (:func:`_far_field`:
+        :class:`~repro.bh.multipole.MonopoleExpansion` or
         :class:`~repro.bh.multipole.TreeMultipoles`);
         ``count_node_interactions`` adds per-node interaction counts
         into ``tree.interactions`` (the DPDA load measure);

@@ -15,14 +15,16 @@ with the Condon-Shortley phase in the associated Legendre functions; the
 solid harmonics ``rho^l Y`` and ``Y / r^{l+1}`` come from Cartesian
 recurrences (:func:`_solid_rows`), never from the angles.
 
-The cluster interface: ``point_masses(mode)`` hands the C point-mass
-kernel COMs, masses and softening (every :class:`MonopoleExpansion`
-pair and :class:`TreeMultipoles` force); ``batch_potential`` of
-:class:`TreeMultipoles`, and :func:`m2p` under it, takes C-contiguous
-``(d, n)`` columns, so every elementwise pass runs down a long axis;
-``regular_terms`` / ``irregular_terms`` keep ``(npts, 3)``.  The
-M2M operator is what lets the distributed tree merge compute top-level
-expansions from branch-node expansions without access to remote particles.
+The cluster interface: ``point_masses(mode)`` hands the C kernels
+COMs, masses and softening (every :class:`MonopoleExpansion` pair and
+:class:`TreeMultipoles` force); a :class:`TreeMultipoles` potential is
+its series instead (:meth:`TreeMultipoles.series`): the centres, the
+real :func:`m2p_table` and the recurrence factors, which the C walk and
+listed-pairs kernel evaluate with :func:`_solid_rows`' operations
+(``_kernels.c``).  ``regular_terms`` / ``irregular_terms`` keep
+``(npts, 3)``.  The M2M operator is what lets the distributed tree
+merge compute top-level expansions from branch-node expansions without
+access to remote particles.
 
 Degree >= 1 series are 3-D only; 2-D runs use monopoles.
 
@@ -34,11 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from repro.bh import kernels
 from repro.bh.tree import NO_CHILD, Tree
 from repro.bh.particles import ParticleSet
 
@@ -69,6 +70,18 @@ def _recurrence_factors(degree: int) -> list[tuple]:
         out.append(((2 * l - 1) / den,
                     (np.sqrt((l - 1) ** 2 - m * m) / den)[1:-1],
                     -math.sqrt(1 - 0.5 / l)))
+    return out
+
+
+@lru_cache(maxsize=32)
+def _series_factors(degree: int) -> np.ndarray:
+    """:func:`_solid_rows`' factors flat, as the C series reads them:
+    level 1's ``s``, then per level ``l >= 2`` its ``2l - 1`` z factors,
+    its ``2l - 3`` rho^2 factors and its ``s``."""
+    out = np.concatenate([[-math.sqrt(0.5)]] + [
+        np.r_[cz.ravel(), cr.ravel(), s]
+        for cz, cr, s in _recurrence_factors(degree)])
+    out.flags.writeable = False         # shared by every caller
     return out
 
 
@@ -247,9 +260,9 @@ def m2m_upward(tree: Tree, coeffs: np.ndarray, degree: int) -> None:
 
 
 def m2p_table(coeffs: np.ndarray, degree: int) -> np.ndarray:
-    """Real ``(nterms, nnodes)`` table :func:`m2p` contracts with the
-    rows of :func:`_solid_rows`.  With ``I = A + iB`` and
-    ``I_l^{-m} = conj I_l^m``,
+    """Real ``(nnodes, nterms)`` table whose row ``node`` the series
+    contracts with the rows of :func:`_solid_rows`.  With ``I = A + iB``
+    and ``I_l^{-m} = conj I_l^m``,
 
         Re sum_m I_l^m M_l^m = A_l^0 Re M_l^0 + sum_{m>0}
             [A_l^m (Re M_l^m + Re M_l^{-m}) + B_l^m (Im M_l^{-m} - Im M_l^m)]
@@ -257,48 +270,9 @@ def m2p_table(coeffs: np.ndarray, degree: int) -> np.ndarray:
     term for term the real part of the complex series: no conjugate
     symmetry of ``M`` is assumed."""
     flip, sign = _term_maps(degree)
-    C = coeffs.T
-    F = C[flip]
-    return np.where(sign > 0, C.real + F.real,
-                    np.where(sign < 0, C.imag - F.imag, C.real))
-
-
-def m2p_row_bytes(degree: int) -> int:
-    """Bytes :func:`m2p` holds per (node, target) pair at its peak: the
-    harmonic rows and as many gathered table columns, the offset, its
-    scaled copy with ``1/r^2``, the result (a level's recurrence
-    temporaries are fewer rows than the columns not yet gathered)."""
-    return 8 * (2 * n_terms(degree) + 8)
-
-
-def m2p(table: np.ndarray, nodes: np.ndarray, rel: np.ndarray,
-        degree: int) -> np.ndarray:
-    """``sum q / r`` of expansion ``nodes[i]`` of an :func:`m2p_table` at
-    offset ``rel[:, i]`` (``(3, n)`` columns) from its center (all
-    offsets nonzero)."""
-    T = _solid_rows(rel, degree, True)
-    T *= table.take(nodes, axis=1)
-    return T.sum(axis=0)
-
-
-class MultipoleExpansion3D:
-    """Spherical-harmonic expansion machinery of a fixed degree."""
-
-    def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError(f"negative multipole degree {degree}")
-        self.degree = degree
-        self.nterms = n_terms(degree)
-
-    def m2m(self, coeffs: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """Shift moments; ``shift`` = old center relative to new center."""
-        return m2m_shift(coeffs, shift, self.degree)
-
-    def evaluate(self, coeffs: np.ndarray, rel_targets: np.ndarray) -> np.ndarray:
-        """Potential sum ``q/r`` at targets relative to the center (real)."""
-        rel = np.atleast_2d(rel_targets)
-        return m2p(m2p_table(coeffs[None, :], self.degree),
-                   np.zeros(rel.shape[0], dtype=np.intp), rel.T, self.degree)
+    F, sign = coeffs[:, flip], sign.T
+    return np.where(sign > 0, coeffs.real + F.real,
+                    np.where(sign < 0, coeffs.imag - F.imag, coeffs.real))
 
 
 @dataclass
@@ -333,13 +307,9 @@ class TreeMultipoles:
         if tree.dims != 3:
             raise ValueError("TreeMultipoles requires a 3-D tree")
         self.tree = tree
-        self.expansion = MultipoleExpansion3D(degree)
         self.degree = degree
-        self.coeffs = np.zeros((tree.nnodes, self.expansion.nterms),
+        self.coeffs = np.zeros((tree.nnodes, n_terms(degree)),
                                dtype=np.complex128)
-        #: :func:`m2p_table` of ``coeffs``: derived, built on first use
-        #: (the coefficients are final by then)
-        self._table: np.ndarray | None = None
         if particles is not None:
             self._build(particles)
 
@@ -374,23 +344,22 @@ class TreeMultipoles:
                 R[rows].reshape(b - a, L, -1))[:, 0, :]
         m2m_upward(tree, self.coeffs, self.degree)
 
-    # Cluster interface of the evaluation pass: the multipole series of
-    # every accepted (node, target) pair of a chunk in one :func:`m2p`,
-    # targets as ``(3, n)`` columns.
-    @property
-    def batch_row_bytes(self) -> int:
-        return m2p_row_bytes(self.degree)
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """:func:`m2p_table` of ``coeffs``, built on first use (the
+        coefficients are final by then)."""
+        return m2p_table(self.coeffs, self.degree)
 
-    def batch_potential(self, nodes: np.ndarray,
-                        targets: np.ndarray) -> np.ndarray:
-        if self._table is None:
-            self._table = m2p_table(self.coeffs, self.degree)
-        rel = targets - self.tree.center.take(nodes, axis=0).T
-        return -kernels.G * m2p(self._table, nodes, rel, self.degree)
+    def series(self) -> tuple:
+        """The potential's far field as the C kernels read it: the
+        expansion centres, the :func:`m2p_table`, the recurrence factors
+        and the degree."""
+        return (self.tree.center, self._table,
+                _series_factors(self.degree), self.degree)
 
     def point_masses(self, mode: str) -> tuple | None:
         """Forces are degree 0 (unsoftened point masses, the C kernel's);
-        potentials are the series (``None``: :meth:`batch_potential`)."""
+        potentials are the series (``None``: :meth:`series`)."""
         if mode == "force":
             return self.tree.com, self.tree.mass, 0.0
         return None

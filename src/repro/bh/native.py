@@ -96,27 +96,51 @@ def build(source: Path = SOURCE) -> Path:
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
+def _fields(*groups) -> list:
+    """ctypes fields from ``(names, type)`` groups, names space-separated."""
+    return [(name, kind) for names, kind in groups for name in names.split()]
+
+
+class Far(ctypes.Structure):
+    """``struct far`` of ``_kernels.c``: the far field of accepted
+    pairs, point masses or (``mass`` NULL) a degree >= 1 series."""
+
+    _fields_ = _fields(("x", _ptr), ("x_s0 x_s1 nnodes", _i64),
+                       ("mass table factors", _ptr), ("degree", _i64),
+                       ("soft2 neg_g", _f64))
+
+
+class Group(ctypes.Structure):
+    """``struct group`` of ``_kernels.c``: one P2P leaf-size group,
+    passed by pointer (as 21 arguments it would pass the 19 under which
+    CPython 3.11's ``ctypes`` calls kept nothing resident)."""
+
+    _fields_ = _fields(("tgt starts rows", _ptr),
+                       ("ntgt nvisits ns nt nsrc", _i64), ("tp", _ptr),
+                       ("tp_s0 tp_s1", _i64), ("sp", _ptr),
+                       ("sp_s0 sp_s1", _i64), ("sm", _ptr),
+                       ("soft2 scale", _f64), ("out", _ptr),
+                       ("out_s0 out_s1", _i64))
+
+
 class Walk(ctypes.Structure):
     """``struct walk`` of ``_kernels.c``, field for field: the ``walk``
     entry takes one pointer, not 60 arguments (see :func:`load`).
     Pointers are addresses, strides are in elements."""
 
-    _fields_ = [(name, kind) for names, kind in (
+    _fields_ = _fields(
         ("nnodes nchild d", _i64), ("cls children com", _ptr),
         ("com_s0 com_s1", _i64), ("center", _ptr),
         ("center_s0 center_s1", _i64), ("half reach start end", _ptr),
         ("alpha", _f64), ("tp", _ptr),
-        ("tp_s0 tp_s1 lo hi chunk stride offset", _i64),
-        ("pm_com", _ptr), ("pm_com_s0 pm_com_s1", _i64), ("pm_mass", _ptr),
-        ("pm_soft2 neg_g", _f64), ("sp", _ptr), ("sp_s0 sp_s1", _i64),
-        ("sm", _ptr), ("nsrc", _i64), ("soft2 scale", _f64),
-        ("force", _i64), ("out", _ptr), ("out_s0 out_s1", _i64),
-        ("counts", _ptr), ("counts_s0", _i64), ("node_count", _ptr),
-        ("mac_tests clusters p2p", _i64), ("pair_node pair_tgt", _ptr),
-        ("npairs pair_tgt_cap", _i64), ("rem_node rem_len rem_tgt", _ptr),
+        ("tp_s0 tp_s1 lo hi chunk stride offset", _i64), ("far", Far),
+        ("sp", _ptr), ("sp_s0 sp_s1", _i64), ("sm", _ptr), ("nsrc", _i64),
+        ("soft2 scale", _f64), ("force", _i64), ("out", _ptr),
+        ("out_s0 out_s1", _i64), ("counts", _ptr), ("counts_s0", _i64),
+        ("node_count", _ptr), ("mac_tests clusters p2p", _i64),
+        ("rem_node rem_len rem_tgt", _ptr),
         ("nrem nrem_tgt rem_node_cap rem_tgt_cap", _i64), ("arena", _ptr),
-        ("arena_cap", _i64), ("stack", _ptr),
-        ("stack_cap nstack started next", _i64)) for name in names.split()]
+        ("arena_cap", _i64), ("stack", _ptr), ("stack_cap", _i64))
 
 
 def load() -> ctypes.CDLL:
@@ -127,19 +151,14 @@ def load() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelBuildError(f"cannot load {path}: {exc}") from exc
-    i64, f64, ptr = _i64, _f64, _ptr
+    i64, ptr = _i64, _ptr
     lib.p2p_group.restype = ctypes.c_int
-    # At most 19 arguments: under CPython 3.11 each 20-argument ctypes
-    # call kept ~190 B resident, up to ~380 KB (19 and 21 kept none)
-    lib.p2p_group.argtypes = (
-        ptr, i64, i64, ptr, ptr, ptr, i64, i64, ctypes.c_int,  # out .. d
-        ptr, i64, i64, ptr, i64, i64, ptr,                     # tp, sp, sm
-        ctypes.c_int, f64, f64)                                # force ..
+    lib.p2p_group.argtypes = (ctypes.POINTER(Group), ctypes.c_int,
+                              ctypes.c_int)                    # d, force
     lib.point_masses.restype = ctypes.c_int
     lib.point_masses.argtypes = (
-        ptr, i64, i64, ptr, ptr, i64, ctypes.c_int,            # out .. d
-        ptr, i64, i64, ptr, i64, i64, ptr,                     # tp, com, m
-        ctypes.c_int, f64, f64)                                # force ..
+        ptr, i64, i64, ptr, ptr, i64, i64, ctypes.c_int,       # out .. d
+        ptr, i64, i64, ctypes.POINTER(Far), ctypes.c_int)      # tp, far ..
     lib.walk.restype = ctypes.c_int
     lib.walk.argtypes = (ctypes.POINTER(Walk),)
     return lib

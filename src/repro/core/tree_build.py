@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bh.morton import morton_keys
-from repro.bh.multipole import TreeMultipoles
+from repro.bh.multipole import TreeMultipoles, m2m_shift
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import Tree, build_forest, build_tree, cell_boxes
 from repro.core.branch_nodes import BranchInfo, branch_key
@@ -211,8 +211,8 @@ def local_branch_infos(subtrees: list[LocalSubtree], rank: int,
         coeffs = None
         if st.multipoles is not None:
             shift = st.tree.center[0] - cell_center
-            coeffs = st.multipoles.expansion.m2m(st.multipoles.coeffs[0],
-                                                 shift)
+            coeffs = m2m_shift(st.multipoles.coeffs[0], shift,
+                               st.multipoles.degree)
         out.append(BranchInfo(
             key=st.key, owner=rank, cell=st.cell, count=st.count,
             mass=float(st.tree.mass[0]), com=st.tree.com[0].copy(),

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.flops import FLOPS_PER_MAC, interaction_flops
 from repro.bh import interaction_lists as il
-from repro.bh import kernels
 from repro.bh.direct import direct_forces, direct_potentials
 from repro.bh.distributions import (
     gaussian_blobs,
@@ -566,7 +565,7 @@ class TestLaneMajorP2P:
             warnings.simplefilter("error")
             got = evaluate_interaction_lists(
                 tree, lists, ps, _NoClusters(tree), mode=mode).values
-        want = -kernels.G * 3.0 * (np.array([[-0.5, 0.0, 0.0]]) / 0.125
+        want = -il.G * 3.0 * (np.array([[-0.5, 0.0, 0.0]]) / 0.125
                                    if mode == "force" else np.array([2.0]))
         np.testing.assert_array_equal(got, want)
 
@@ -574,9 +573,9 @@ class TestLaneMajorP2P:
                              ids=["uniform", "masses"])
     @pytest.mark.parametrize("mode", ["force", "potential"])
     def test_many_chunks_equal_one(self, mode, uniform):
-        """Any working set gives the same bits: one byte equals the
-        default.  The P2P pass is one kernel call per leaf-size group
-        whatever the working set, so its sums never regroup."""
+        """The P2P pass is one kernel call per leaf-size group, however
+        many rows and visits the group holds, so its sums never regroup:
+        counted calls give the uncounted bits."""
         ps, tree, lists = _p2p_case(3, uniform, n=250)
         one = evaluate_interaction_lists(tree, lists, ps, _NoClusters(tree),
                                          mode=mode)
@@ -585,7 +584,6 @@ class TestLaneMajorP2P:
             group = il._p2p_group
             patch.setattr(il, "_p2p_group",
                           lambda *a: calls.append(a[4]) or group(*a))
-            patch.setattr(il, "DEFAULT_WORKING_SET_BYTES", 1)
             many = evaluate_interaction_lists(
                 tree, lists, ps, _NoClusters(tree), mode=mode)
         assert calls == [ns for *_, ns in lists.p2p_groups]
@@ -839,10 +837,8 @@ def _assert_c_walk_equals_oracle(tree, sources, targets, alpha, evaluator,
     values, counts, node_count, (res,) = _c_walk(
         tree, sources, targets, alpha, evaluator, mode, softening)
     layout = il._source_layout(tree, sources)
-    pair_cap = max(targets.shape[0], il.DEFAULT_WORKING_SET_BYTES
-                   // getattr(evaluator, "batch_row_bytes", 1))
-    want, want_counts, want_nodes, remote, _ = fused_walk_reference(
-        tree, targets, alpha, evaluator, layout, mode, softening, pair_cap)
+    want, want_counts, want_nodes, remote = fused_walk_reference(
+        tree, targets, alpha, evaluator, layout, mode, softening)
     np.testing.assert_array_equal(_bits(values), _bits(want))
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(node_count, want_nodes)
@@ -912,20 +908,15 @@ class TestCWalkEqualsOracle:
         _assert_c_walk_equals_oracle(tree, ps, targets, 0.67,
                                      TreeMultipoles(tree, ps, 3), "force")
 
-    def test_series_pairs_drain_in_list_order(self, monkeypatch):
-        """No point masses (a degree 3 potential): the walk's pairs go
-        to the series in list order, drained whenever the next node's
-        targets might not fit the buffer."""
+    def test_tree_multipoles_potential(self):
+        """A degree 1 .. 6 potential: each accepting node adds its
+        series terms at its visit, as the oracle's ``m2p_reference``."""
         ps, tree, targets = _walk_case(3, False, 2)
-        ev = TreeMultipoles(tree, ps, 3)
-        monkeypatch.setattr(il, "DEFAULT_WORKING_SET_BYTES",
-                            ev.batch_row_bytes * 700)
-        _, _, _, _, pairs = fused_walk_reference(
-            tree, targets, 0.67, ev, il._source_layout(tree, ps),
-            "potential", 0.0)
-        assert sum(i.size for _, i in pairs) > 3 * 700     # drains
-        _assert_c_walk_equals_oracle(tree, ps, targets, 0.67, ev,
-                                     "potential")
+        for degree in range(1, 7):
+            counts = _assert_c_walk_equals_oracle(
+                tree, ps, targets, 0.67, TreeMultipoles(tree, ps, degree),
+                "potential")
+            assert counts[1].any()
 
     def test_top_tree_with_remote_leaves_and_no_sources(self):
         """Every root child a remote leaf, no local leaf: no sources are
@@ -1074,17 +1065,24 @@ class TestBatchIndependence:
         assert res.remote_targets and list(res.remote_targets) == list(
             want.remote_targets)
 
-    def test_threads_over_a_series_walk_one_range(self, monkeypatch):
-        """Without point masses (a degree >= 1 potential) the walk keeps
-        one range: the series regroups its sums with the pair buffer."""
+    def test_threads_split_a_series_walk(self, monkeypatch):
+        """A degree >= 1 potential walks on threads like point masses:
+        two threads over interleaved chunks give the one-range bits and
+        counts."""
         ps, tree, targets = _walk_case(3, False, 8)
         monkeypatch.setattr(il, "WALK_CHUNK", 16)
-        monkeypatch.setattr(il.pool, "run", _refuse_threads)
+        runs = []
+        real = il.pool.run
+        monkeypatch.setattr(il.pool, "run", lambda cpus, tasks: runs.append(
+            len(tasks)) or real(cpus, tasks))
         ev = TreeMultipoles(tree, ps, 3)
         one = _c_walk(tree, ps, targets, 0.67, ev, "potential")
         split = _c_walk(tree, ps, targets, 0.67, ev, "potential",
                         cpus=(0, 1))
+        assert runs == [2]
         np.testing.assert_array_equal(_bits(split[0]), _bits(one[0]))
+        for got, want in zip(split[1:3], one[1:3]):
+            np.testing.assert_array_equal(got, want)
 
 
 def _refuse_threads(cpus, tasks):
@@ -1105,21 +1103,6 @@ class TestEvaluateDirect:
             ref = traverse_reference(tree, ps, ps.positions, mac, ev,
                                      mode="potential")
             assert np.max(np.abs(res.values - ref.values)) < 1e-12
-
-    def test_working_set_does_not_change_results(self, monkeypatch):
-        ps = INSTANCES["gaussian"]
-        tree = build_tree(ps, leaf_capacity=8)
-        mac = BarnesHutMAC(0.67)
-        lists = build_interaction_lists(tree, ps.positions, mac)
-        ev = MonopoleExpansion(tree)
-        big = evaluate_interaction_lists(tree, lists, ps, ev, mode="force")
-        monkeypatch.setattr(il, "DEFAULT_WORKING_SET_BYTES", 4096)
-        tiny = evaluate_interaction_lists(tree, lists, ps, ev, mode="force")
-        # The point-mass pass is one kernel call: nothing to regroup.
-        np.testing.assert_array_equal(_bits(big.values), _bits(tiny.values))
-        assert big.mac_tests == tiny.mac_tests
-        assert big.cluster_interactions == tiny.cluster_interactions
-        assert big.p2p_interactions == tiny.p2p_interactions
 
 
 class TestOnePath:
@@ -1153,34 +1136,36 @@ class TestOnePath:
 
 
 class TestKernelChunking:
-    def test_chunked_matches_unchunked(self, monkeypatch):
+    def test_chunked_matches_unchunked(self):
+        """The direct sum's P2P kernel holds 256 target rows per block;
+        rows are computed with identical arithmetic in any block, so
+        targets summed one, seven or 300 at a time equal the whole
+        batch exactly."""
         rng = np.random.default_rng(17)
         t = rng.normal(size=(500, 3))
-        s = rng.normal(size=(40, 3))
-        m = rng.uniform(0.5, 1.5, size=40)
-        monkeypatch.setattr(kernels, "DEFAULT_WORKING_SET_BYTES", 1 << 30)
-        full_p = kernels.pair_potential(t, s, m)
-        full_f = kernels.pair_force(t, s, m)
-        # Small working set forces many chunks (of four rows); rows are
-        # computed with identical arithmetic, so equality is exact.
-        monkeypatch.setattr(kernels, "DEFAULT_WORKING_SET_BYTES", 8192)
-        np.testing.assert_array_equal(kernels.pair_potential(t, s, m),
-                                      full_p)
-        np.testing.assert_array_equal(kernels.pair_force(t, s, m), full_f)
+        ps = ParticleSet(rng.normal(size=(40, 3)),
+                         rng.uniform(0.5, 1.5, size=40))
+        full_p, full_f = direct_potentials(ps, t), direct_forces(ps, t)
+        for size in (1, 7, 300):
+            for lo in range(0, 500, size * 13):
+                np.testing.assert_array_equal(
+                    direct_potentials(ps, t[lo:lo + size]),
+                    full_p[lo:lo + size])
+                np.testing.assert_array_equal(
+                    direct_forces(ps, t[lo:lo + size]), full_f[lo:lo + size])
 
     def test_direct_sum_memory_bounded(self):
         """A 20k x 20k direct sum must not allocate the O(n^2 d) pair
-        tensor (9.6 GB unchunked); peak temporary memory stays within a
-        small multiple of the 16 MB default working set."""
+        tensor (9.6 GB at once): its peak temporary memory stays under
+        64 MiB."""
         import tracemalloc
 
         n = 20_000
         rng = np.random.default_rng(23)
-        t = rng.normal(size=(n, 3))
-        m = np.ones(n)
+        ps = ParticleSet(rng.normal(size=(n, 3)), np.ones(n))
         tracemalloc.start()
         before, _ = tracemalloc.get_traced_memory()
-        kernels.pair_potential(t, t, m)
+        direct_potentials(ps)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak - before < 4 * kernels.DEFAULT_WORKING_SET_BYTES
+        assert peak - before < 64 * 2 ** 20

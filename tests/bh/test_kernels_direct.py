@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bh import interaction_lists as il
-from repro.bh import kernels
 from repro.bh.direct import direct_forces, direct_potentials
-from repro.bh.interaction_lists import (build_interaction_lists,
-                                        evaluate_interaction_lists)
-from repro.bh.mac import BarnesHutMAC
-from repro.bh.multipole import MonopoleExpansion
+from repro.bh.interaction_lists import evaluate_pairs
+from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import build_tree
-from tests.oracles.kernels import point_masses_reference
+from repro.bh.distributions import plummer
+from tests.oracles.kernels import m2p_reference, point_masses_reference
 
 
 def two_body():
@@ -174,55 +172,156 @@ class TestPointMassesEqualsOracle:
             with pytest.raises(IndexError):
                 il._point_masses(*case, True, 0.0)
 
-    @pytest.mark.parametrize("mode", ["force", "potential"])
-    def test_monopole_values_ignore_the_working_set(self, mode,
-                                                    monkeypatch):
-        """The monopole cluster pass is one kernel call per walk chunk:
-        no working-set chunking regroups its sums (a numpy pass in 3 or
-        10 chunks, at 208 bytes a pair, summed a target's pairs per
-        chunk first)."""
-        rng = np.random.default_rng(3)
-        ps = ParticleSet(rng.normal(size=(600, 3)),
-                         rng.uniform(0.5, 1.5, 600))
-        tree = build_tree(ps, leaf_capacity=8)
-        lists = build_interaction_lists(tree, ps.positions,
-                                        BarnesHutMAC(0.67))
-        ev = MonopoleExpansion(tree, softening=0.01)
-        one = evaluate_interaction_lists(tree, lists, ps, ev, mode)
-        for chunks in (3, 10):
-            monkeypatch.setattr(il, "DEFAULT_WORKING_SET_BYTES",
-                                lists.cluster_interactions // chunks * 208)
-            many = evaluate_interaction_lists(tree, lists, ps, ev, mode)
-            np.testing.assert_array_equal(_bits(many.values),
-                                          _bits(one.values))
+
+def _series_case(degree, seed=0, npairs=3000, nt=500):
+    """A tree's degree-k series with random complex coefficients (no
+    conjugate symmetry), pairs whose targets repeat, offsets across
+    1e-2 .. 1e2 of the node's size, and every 50th target on its node's
+    pole axis (x = y = 0 from the centre)."""
+    rng = np.random.default_rng([degree, seed])
+    tree = build_tree(plummer(200, seed=seed), leaf_capacity=4)
+    tm = TreeMultipoles(tree, None, degree)
+    tm.coeffs[:] = rng.normal(size=tm.coeffs.shape) \
+        + 1j * rng.normal(size=tm.coeffs.shape)
+    nodes = rng.integers(0, tree.nnodes, npairs)
+    tgt = rng.integers(0, nt, npairs)
+    targets = rng.normal(size=(3, nt))
+    first = np.unique(tgt, return_index=True)
+    off = rng.normal(size=(3, first[0].size)) * 10.0 ** rng.uniform(
+        -2, 2, first[0].size)
+    off[:2, ::50] = 0.0
+    targets[:, first[0]] = tree.center[nodes[first[1]]].T + off
+    return tm, nodes, tgt, targets
+
+
+def _series_added(out, tm, nodes, tgt, targets):
+    """``out`` plus the oracle's series terms, by ``np.add.at`` in list
+    order."""
+    want = out.copy()
+    centres, table, _, degree = tm.series()
+    np.add.at(want, tgt, -il.G * m2p_reference(
+        table, nodes, targets[:, tgt] - centres[nodes].T, degree))
+    return want
+
+
+class TestSeriesEqualsOracle:
+    """The degree >= 1 series through the C listed-pairs kernel
+    (``interaction_lists._point_masses`` given a series) adds, bit for
+    bit, what ``np.add.at`` of ``-G * m2p_reference`` adds: each term
+    folded over its harmonic rows one at a time."""
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_bitwise(self, degree):
+        """Onto values already there; targets repeat (summed in list
+        order), pole offsets included, without an FP warning; and
+        one-pair lists."""
+        tm, nodes, tgt, targets = _series_case(degree)
+        centres, *series = tm.series()
+        lists = [slice(None)] + [slice(i, i + 1) for i in range(0, 3000, 97)]
+        for pairs in lists:
+            got = np.random.default_rng(degree).normal(size=targets.shape[1])
+            want = _series_added(got, tm, nodes[pairs], tgt[pairs], targets)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                il._point_masses(got, nodes[pairs], tgt[pairs], targets,
+                                 centres, None, False, 0.0, series)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("degree", [1, 3, 6])
+    def test_one_pair_equals_its_place_in_a_list(self, degree):
+        """A term's bits do not depend on the rest of the call: one
+        series pair alone through ``evaluate_pairs`` adds what it adds
+        inside the whole list (a numpy sum over the harmonic rows
+        reduced a one-pair batch pairwise, a longer one left to
+        right)."""
+        tm, nodes, tgt, targets = _series_case(degree, npairs=500, nt=500)
+        tgt = np.arange(500)             # one pair per target
+        whole = np.zeros(500)
+        evaluate_pairs(whole, targets, nodes, tgt, tm, [], None,
+                       "potential", 0.0)
+        for i in range(0, 500, 7):
+            alone = np.zeros(500)
+            evaluate_pairs(alone, targets, nodes[i:i + 1], tgt[i:i + 1], tm,
+                           [], None, "potential", 0.0)
+            assert _bits(alone)[i] == _bits(whole)[i], i
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_strided_views(self, degree):
+        """A ``values[lo:hi]`` slice as ``out``, and as targets a column
+        slice and a transposed ``(n, 3)`` view: the same bits as
+        contiguous copies and as the oracle; values outside the slice
+        are left alone."""
+        tm, nodes, tgt, targets = _series_case(degree, npairs=600, nt=64)
+        centres, *series = tm.series()
+        lo, nt = 16, 64
+        wide = np.zeros((3, 3 * nt))
+        wide[:, lo:lo + nt] = targets
+        rows = np.zeros((2 * nt, 3))
+        rows[::2] = targets.T
+        for view in (wide[:, lo:lo + nt], rows.T[:, ::2]):
+            values = np.random.default_rng(degree).normal(size=3 * nt)
+            want = values.copy()
+            want[lo:lo + nt] = _series_added(values[lo:lo + nt], tm, nodes,
+                                             tgt, targets)
+            il._point_masses(values[lo:lo + nt], nodes, tgt, view, centres,
+                             None, False, 0.0, series)
+            np.testing.assert_array_equal(_bits(values), _bits(want))
+
+    def test_own_centre_refused(self):
+        tm, nodes, tgt, targets = _series_case(3, npairs=40, nt=40)
+        targets[:, tgt[17]] = tm.tree.center[nodes[17]]
+        centres, *series = tm.series()
+        with pytest.raises(ValueError, match="own center"):
+            il._point_masses(np.zeros(40), nodes, tgt, targets, centres,
+                             None, False, 0.0, series)
+
+    def test_only_3d_potentials(self):
+        """A series is a 3-D potential: 2-D targets or a force is a
+        ``ValueError``, and a node past the table an ``IndexError``."""
+        tm, nodes, tgt, targets = _series_case(3, npairs=40, nt=40)
+        centres, table, factors, degree = tm.series()
+        for out, tp, x, force in (
+                (np.zeros(40), targets[:2], centres[:, :2], False),
+                (np.zeros((3, 40)), targets, centres, True)):
+            with pytest.raises(ValueError, match="series 3-D"):
+                il._point_masses(out, nodes, tgt, tp, x, None, force, 0.0,
+                                 (table, factors, degree))
+        with pytest.raises(IndexError):
+            il._point_masses(np.zeros(40), nodes, tgt, targets, centres,
+                             None, False, 0.0,
+                             (table[:nodes.max()], factors, degree))
+
+
+def _direct_of(sources, masses, softening=0.0):
+    """The direct sums at ``(n, d)`` targets from ``sources`` of mass
+    ``masses``: potentials, forces."""
+    ps = ParticleSet(sources, masses)
+    return (lambda t: direct_potentials(ps, t, softening=softening),
+            lambda t: direct_forces(ps, t, softening=softening))
 
 
 class TestKernels:
+    """The direct sum's pair physics, through the P2P kernel."""
+
     def test_pair_potential_value(self):
-        phi = kernels.pair_potential(
-            np.array([[0.0, 0.0, 0.0]]),
-            np.array([[3.0, 4.0, 0.0]]), np.array([2.0])
-        )
-        assert phi[0] == pytest.approx(-2.0 / 5.0)
+        phi, _ = _direct_of(np.array([[3.0, 4.0, 0.0]]), np.array([2.0]))
+        assert phi(np.array([[0.0, 0.0, 0.0]]))[0] == pytest.approx(-0.4)
 
     def test_pair_force_newtons_law(self):
-        t = np.array([[0.0, 0.0, 0.0]])
-        s = np.array([[2.0, 0.0, 0.0]])
-        f = kernels.pair_force(t, s, np.array([4.0]))
+        _, f = _direct_of(np.array([[2.0, 0.0, 0.0]]), np.array([4.0]))
         # attraction toward +x with magnitude Gm/r^2 = 4/4 = 1
-        np.testing.assert_allclose(f[0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(f(np.zeros((1, 3)))[0], [1.0, 0.0, 0.0])
 
     def test_self_pair_contributes_zero(self):
         p = np.array([[1.0, 2.0, 3.0]])
-        assert kernels.pair_potential(p, p, np.ones(1))[0] == 0.0
-        np.testing.assert_array_equal(kernels.pair_force(p, p, np.ones(1)),
-                                      np.zeros((1, 3)))
+        phi, f = _direct_of(p, np.ones(1))
+        assert phi(p)[0] == 0.0
+        np.testing.assert_array_equal(f(p), np.zeros((1, 3)))
 
     def test_softening_caps_close_interactions(self):
-        t = np.zeros((1, 3))
-        s = np.array([[1e-9, 0.0, 0.0]])
-        f_soft = kernels.pair_force(t, s, np.ones(1), softening=0.1)
-        assert np.linalg.norm(f_soft) < 1.0 / 0.1 ** 2 + 1e-9
+        _, f = _direct_of(np.array([[1e-9, 0.0, 0.0]]), np.ones(1),
+                          softening=0.1)
+        assert np.linalg.norm(f(np.zeros((1, 3)))) < 1.0 / 0.1 ** 2 + 1e-9
 
     def test_point_mass_matches_pair(self):
         """The one point-mass cluster formula is the pair kernel against
@@ -233,30 +332,28 @@ class TestKernels:
         m = np.array([2.5])
         node = np.zeros(5, dtype=np.int64)
         for soft in (0.0, 0.3):
-            for force, pair in ((False, kernels.pair_potential),
-                                (True, kernels.pair_force)):
+            for force, pair in zip((False, True),
+                                   _direct_of(c, m, softening=soft)):
                 got = np.zeros((3, 5) if force else 5)
                 il._point_masses(got, node, np.arange(5), t.T, c, m, force,
                                  soft ** 2)
-                np.testing.assert_allclose(got.T,
-                                           pair(t, c, m, softening=soft))
+                np.testing.assert_allclose(got.T, pair(t))
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 10**6))
     def test_force_is_gradient_of_potential(self, seed):
         """Numerical gradient check ties force and potential kernels."""
         rng = np.random.default_rng(seed)
-        src = rng.uniform(-1, 1, (4, 3))
-        q = rng.uniform(0.5, 2.0, 4)
+        phi, f = _direct_of(rng.uniform(-1, 1, (4, 3)),
+                            rng.uniform(0.5, 2.0, 4))
         t = rng.uniform(2.0, 3.0, (1, 3))
-        f = kernels.pair_force(t, src, q)[0]
+        a = f(t)[0]
         h = 1e-6
         for axis in range(3):
             tp = t.copy(); tp[0, axis] += h
             tm = t.copy(); tm[0, axis] -= h
-            dphi = (kernels.pair_potential(tp, src, q)[0]
-                    - kernels.pair_potential(tm, src, q)[0]) / (2 * h)
-            assert f[axis] == pytest.approx(-dphi, rel=1e-4, abs=1e-8)
+            dphi = (phi(tp)[0] - phi(tm)[0]) / (2 * h)
+            assert a[axis] == pytest.approx(-dphi, rel=1e-4, abs=1e-8)
 
 
 class TestDirect:
@@ -272,22 +369,20 @@ class TestDirect:
         np.testing.assert_allclose(ps.masses[0] * f[0] + ps.masses[1] * f[1],
                                    np.zeros(3), atol=1e-12)
 
-    def test_chunking_invariance(self, monkeypatch):
-        """The pair kernels chunk the targets by their working set; a
-        row's bits do not depend on the chunk it lands in (no BLAS
-        product, which may block rows differently by row count)."""
+    def test_chunking_invariance(self):
+        """The direct sum runs its targets through the P2P kernel in
+        blocks of rows; a row's bits do not depend on the block it lands
+        in or on the other targets of the call."""
         rng = np.random.default_rng(1)
         ps = ParticleSet(positions=rng.uniform(0, 1, (37, 3)),
                          masses=rng.uniform(0.5, 1.5, 37))
         whole = direct_potentials(ps), direct_forces(ps)
-        # 37 sources * 8 bytes * (d + 3): 1 776 bytes per target row
         for rows in (1, 2, 5, 36):
-            monkeypatch.setattr(kernels, "DEFAULT_WORKING_SET_BYTES",
-                                rows * 1776)
-            np.testing.assert_array_equal(_bits(direct_potentials(ps)),
-                                          _bits(whole[0]))
-            np.testing.assert_array_equal(_bits(direct_forces(ps)),
-                                          _bits(whole[1]))
+            t = ps.positions[:rows]
+            np.testing.assert_array_equal(_bits(direct_potentials(ps, t)),
+                                          _bits(whole[0][:rows]))
+            np.testing.assert_array_equal(_bits(direct_forces(ps, t)),
+                                          _bits(whole[1][:rows]))
 
     def test_explicit_targets(self):
         ps = two_body()

@@ -16,15 +16,16 @@ from repro.bh.distributions import plummer
 from repro.bh.interaction_lists import evaluate_pairs
 from repro.bh.multipole import (
     MonopoleExpansion,
-    MultipoleExpansion3D,
     TreeMultipoles,
     irregular_terms,
+    m2m_shift,
     n_terms,
     regular_terms,
     term_index,
 )
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import build_tree
+from tests.oracles.kernels import series_reference
 
 _spec = importlib.util.spec_from_file_location(
     "fmm_harmonics", Path(__file__).resolve().parents[2]
@@ -126,8 +127,7 @@ class TestExpansion3D:
         direct = direct_sum(targets, src, q)
         prev_err = np.inf
         for k in (1, 3, 5, 8):
-            exp = MultipoleExpansion3D(k)
-            approx = exp.evaluate(q @ regular_terms(src, k), targets)
+            approx = series_reference(q @ regular_terms(src, k), targets, k)
             err = np.abs(approx - direct).max()
             assert err < prev_err
             prev_err = err
@@ -135,21 +135,21 @@ class TestExpansion3D:
 
     def test_degree_zero_is_total_charge_over_r(self):
         src, q = cloud()
-        exp = MultipoleExpansion3D(0)
         M = q @ regular_terms(src, 0)
         t = np.array([[0.0, 0.0, 4.0]])
-        assert exp.evaluate(M, t)[0] == pytest.approx(q.sum() / 4.0, rel=0.05)
+        assert series_reference(M, t, 0)[0] == pytest.approx(q.sum() / 4.0,
+                                                             rel=0.05)
 
     def test_error_scales_like_ratio_power(self):
         """Truncation error ~ (a/r)^{k+1}: doubling the distance cuts the
         degree-3 error by about 2^4."""
         src, q = cloud(radius=0.5)
-        exp = MultipoleExpansion3D(3)
         M = q @ regular_terms(src, 3)
         errs = []
         for dist in (3.0, 6.0):
             t = far_targets(30, seed=4, dist=dist)
-            err = np.abs(exp.evaluate(M, t) - direct_sum(t, src, q)).max()
+            err = np.abs(series_reference(M, t, 3)
+                         - direct_sum(t, src, q)).max()
             errs.append(err)
         ratio = errs[0] / errs[1]
         assert 6.0 < ratio < 50.0
@@ -163,33 +163,35 @@ class TestExpansion3D:
         src = rng.uniform(-1, 1, (12, 3))
         q = rng.uniform(0.1, 1.0, 12)
         shift_target = rng.uniform(-1, 1, 3)
-        exp = MultipoleExpansion3D(5)
         child = q @ regular_terms(src, 5)
-        moved = exp.m2m(child, -shift_target)
+        moved = m2m_shift(child, -shift_target, 5)
         direct = q @ regular_terms(src - shift_target, 5)
         np.testing.assert_allclose(moved, direct, atol=1e-10)
 
     def test_m2m_chain_composes(self):
         src, q = cloud(20, seed=5)
-        exp = MultipoleExpansion3D(4)
         M0 = q @ regular_terms(src, 4)
         step = np.array([0.2, -0.1, 0.3])
         # two shifts of `step` = one shift of `2*step` (shift argument is
         # old center relative to new center)
-        two_steps = exp.m2m(exp.m2m(M0, step), step)
-        one_jump = exp.m2m(M0, 2 * step)
+        two_steps = m2m_shift(m2m_shift(M0, step, 4), step, 4)
+        one_jump = m2m_shift(M0, 2 * step, 4)
         np.testing.assert_allclose(two_steps, one_jump, atol=1e-10)
 
     def test_evaluate_at_center_rejected(self):
-        exp = MultipoleExpansion3D(2)
-        src, q = cloud(5)
-        M = q @ regular_terms(src, 2)
-        with pytest.raises(ValueError):
-            exp.evaluate(M, np.zeros((1, 3)))
+        """A tree's series at a node's own centre, through the C
+        listed-pairs kernel."""
+        ps = plummer(20, seed=6)
+        tm = TreeMultipoles(build_tree(ps, leaf_capacity=8), ps, 2)
+        root = np.array([0])
+        with pytest.raises(ValueError, match="own center"):
+            evaluate_pairs(np.zeros(1), tm.tree.center[:1].T, root, root, tm,
+                           [], None, "potential", 0.0)
 
     def test_negative_degree(self):
+        ps = plummer(20, seed=6)
         with pytest.raises(ValueError):
-            MultipoleExpansion3D(-1)
+            TreeMultipoles(build_tree(ps, leaf_capacity=8), ps, -1)
 
     def test_regular_terms_at_origin(self):
         R = regular_terms(np.zeros((1, 3)), 3)
@@ -216,7 +218,10 @@ class TestTreeMultipoles:
         tree = build_tree(ps, leaf_capacity=8)
         tm = TreeMultipoles(tree, ps, degree=6)
         far = ps.center_of_mass()[None, :] + np.array([[30.0, 0.0, 0.0]])
-        phi = tm.batch_potential(np.array([0]), far.T)[0]
+        root, phi = np.array([0]), np.zeros(1)
+        evaluate_pairs(phi, far.T, root, root, tm, [], None, "potential",
+                       0.0)
+        phi = phi[0]
         exact = -np.sum(ps.masses / np.linalg.norm(far - ps.positions, axis=1))
         assert phi == pytest.approx(exact, rel=1e-6)
 
@@ -351,12 +356,12 @@ class TestM2PFromRealTable:
     @staticmethod
     def _call_sites(degree, tree, coeffs):
         """``(name, f(nodes, targets) -> sum q/r)`` per call site: a
-        tree's series (the merged top tree's is one too), data
-        shipping's round of fetched nodes through the shared passes,
-        and ``MultipoleExpansion3D.evaluate``."""
+        tree's series as listed pairs (the merged top tree's is one
+        too), data shipping's round of fetched nodes through the shared
+        passes, and the oracle's ``series_reference``."""
         from repro.core.config import SchemeConfig
         from repro.core.data_shipping import DataShippingEngine, tree_rows
-        from repro.bh.kernels import G
+        from repro.bh.interaction_lists import G
 
         centers = tree.center
         tm = TreeMultipoles(tree, None, degree)
@@ -374,12 +379,18 @@ class TestM2PFromRealTable:
                                  for i in range(n)], [])
             return values / -G
 
+        def listed(nodes, targets):
+            values = np.zeros(len(targets))
+            evaluate_pairs(values, targets.T, nodes, np.arange(len(nodes)),
+                           tm, [], None, "potential", 0.0)
+            return values / -G
+
         def one_by_one(nodes, targets):
-            exp = MultipoleExpansion3D(degree)
-            return np.array([exp.evaluate(coeffs[n], (t - centers[n])[None])[0]
+            return np.array([series_reference(coeffs[n], t - centers[n],
+                                              degree)[0]
                              for n, t in zip(nodes, targets)])
 
-        return [("tree", lambda n, t: tm.batch_potential(n, t.T) / -G),
+        return [("tree", listed),
                 ("shipping", shipped), ("evaluate", one_by_one)]
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])

@@ -2,7 +2,7 @@
 
 Every walk of these small runs is split (``THREAD_WORK`` at 0, chunks of
 8 targets), so T = 2, 3 and 8 threads each walk interleaved chunks of
-every batch.  T is set through the affinity mask the pool reads
+every batch: monopole forces and degree-3 potential series alike.  T is set through the affinity mask the pool reads
 (``pool.host_cpus``), the host's CPUs repeated round robin: T = 8 on a
 2-CPU host shares them.  Final states, clocks, phase timings, comm
 counters and force counts must equal T = 1's bit for bit, on both
@@ -22,7 +22,7 @@ from repro import ParallelBarnesHut, SchemeConfig, plummer
 from repro.bh import interaction_lists as il
 from repro.bh import pool
 from repro.bh.mac import BarnesHutMAC
-from repro.bh.multipole import MonopoleExpansion
+from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.tree import build_tree
 from repro.machine.profiles import NCUBE2
 from tests.core.test_block_sim import DT, N, P, block_config
@@ -39,8 +39,7 @@ def _mask(monkeypatch, cpus: int) -> None:
 
 @pytest.fixture
 def split_every_walk(monkeypatch):
-    """Every walk with point masses split over the engine's CPUs; the
-    pool's runs counted (in this process: forked ranks count their
+    """Every walk split over the engine's CPUs; the pool's runs counted (in this process: forked ranks count their
     own)."""
     monkeypatch.setattr(il, "THREAD_WORK", 0)
     monkeypatch.setattr(il, "WALK_CHUNK", 8)
@@ -87,30 +86,60 @@ class TestThreadCountInvariance:
         if backend == "virtual":
             assert max(split_every_walk) == 8       # the walks were split
 
+    @pytest.mark.parametrize("backend", ["virtual", "process"])
+    def test_degree3_potentials_same_bits(self, monkeypatch,
+                                          split_every_walk, backend):
+        """The paper's Section 5.2 shape: DPDA degree-3 potentials, the
+        series evaluated inside the split walks."""
+        cfg = SchemeConfig(scheme="dpda", mode="potential", degree=3,
+                           alpha=0.8)
+        prints = []
+        for t in THREADS:
+            _mask(monkeypatch, t * P if backend == "process" else t)
+            prints.append(_fingerprint(ParallelBarnesHut(
+                plummer(N, seed=5), cfg, p=P, profile=NCUBE2,
+                backend=backend).run(steps=2)))
+        for t, got in zip(THREADS[1:], prints[1:]):
+            assert got == prints[0], t
+        if backend == "virtual":
+            assert max(split_every_walk) == 8
+
     def test_engine_counts_and_weights(self, split_every_walk):
-        ps = plummer(1500, seed=3)
-        tree = build_tree(ps, leaf_capacity=8)
-        targets = np.vstack([ps.positions, ps.positions[::7] * 0.5])
-        got = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)     # hand the GIL over at every chance
-        try:
-            for t in THREADS:
-                tree.interactions[:] = 0
-                weights = np.zeros(len(targets))
-                res = il.TraversalEngine(
-                    tree, ps, BarnesHutMAC(0.67), cpus=(0,) * t).compute(
-                    targets, MonopoleExpansion(tree), mode="force",
-                    count_node_interactions=True, target_weights=weights)
-                got.append((res.values.tobytes(),
-                            tree.interactions.tobytes(), weights.tobytes(),
-                            res.mac_tests, res.cluster_interactions,
-                            res.p2p_interactions))
-        finally:
-            sys.setswitchinterval(interval)
-        assert tree.interactions.any()
-        assert all(g == got[0] for g in got[1:])
+        _assert_engine_runs_agree(0)
         assert split_every_walk == [2, 3, 8]
+
+    def test_engine_series_counts_and_weights(self, split_every_walk):
+        _assert_engine_runs_agree(3)
+        assert split_every_walk == [2, 3, 8]
+
+
+def _assert_engine_runs_agree(degree: int) -> None:
+    """One engine walk at T = 1, 2, 3, 8 (monopole forces, or a
+    degree-``degree`` potential): values, per-node counts, target
+    weights and totals bit for bit."""
+    ps = plummer(1500, seed=3)
+    tree = build_tree(ps, leaf_capacity=8)
+    targets = np.vstack([ps.positions, ps.positions[::7] * 0.5])
+    evaluator, mode = ((TreeMultipoles(tree, ps, degree), "potential")
+                       if degree else (MonopoleExpansion(tree), "force"))
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # hand the GIL over at every chance
+    try:
+        for t in THREADS:
+            tree.interactions[:] = 0
+            weights = np.zeros(len(targets))
+            res = il.TraversalEngine(
+                tree, ps, BarnesHutMAC(0.67), cpus=(0,) * t).compute(
+                targets, evaluator, mode=mode,
+                count_node_interactions=True, target_weights=weights)
+            got.append((res.values.tobytes(), tree.interactions.tobytes(),
+                        weights.tobytes(), res.mac_tests,
+                        res.cluster_interactions, res.p2p_interactions))
+    finally:
+        sys.setswitchinterval(interval)
+    assert tree.interactions.any()
+    assert all(g == got[0] for g in got[1:])
 
 
 class TestPool:

@@ -7,18 +7,28 @@ terms into the values as ``np.add.at`` would, in list order.
 ``p2p_group_reference`` is one P2P leaf-size group with one ``(ns,
 rows)`` index take per coordinate, where the C kernel gathers each leaf
 visit's targets once and runs its rows as the lanes of each source.
+``m2p_reference`` is the degree >= 1 series: the harmonic rows of
+``repro.bh.multipole._solid_rows`` times the node's ``m2p_table`` row,
+folded over the rows one at a time.
 ``fused_walk_reference`` is the C ``walk``: the visit order of
 ``tests/oracles/walk.py::walk_dfs_reference``, ``point_masses_reference``
-added at each accepting node and ``p2p_group_reference`` at each leaf
-visit, so every target sums its terms in visit order.
+or ``m2p_reference`` added at each accepting node and
+``p2p_group_reference`` at each leaf visit, so every target sums its
+terms in visit order.
 All must agree with the kernels bit for bit.
+
+``pair_potential_reference`` / ``pair_force_reference`` (the direct
+sums the classical traversal oracle adds at its leaves) and
+``series_reference`` (one expansion at many offsets) are independent
+numpy statements of the same physics, compared to a tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bh import kernels
+from repro.bh.interaction_lists import G
+from repro.bh.multipole import _solid_rows, m2p_table
 from repro.bh.tree import NO_CHILD
 from tests.oracles.walk import walk_dfs_reference
 
@@ -38,12 +48,62 @@ def point_masses_reference(com: np.ndarray, mass: np.ndarray,
         np.divide(1.0, r2, out=r2)                 # inv_r
     r2[zero] = 0.0
     if not force:
-        return -kernels.G * mass.take(nodes) * r2
+        return -G * mass.take(nodes) * r2
     inv_r3 = r2 * r2
     inv_r3 *= r2
     w = mass.take(nodes) * inv_r3
-    w *= -kernels.G
+    w *= -G
     return w[:, None] * diff
+
+
+def m2p_reference(table: np.ndarray, nodes: np.ndarray, rel: np.ndarray,
+                  degree: int) -> np.ndarray:
+    """``sum q / r`` of expansion ``nodes[i]`` of an ``(nnodes, nterms)``
+    ``m2p_table`` at offset ``rel[:, i]`` (``(3, n)`` columns) from its
+    centre: the irregular rows of ``_solid_rows`` (a zero offset is its
+    ``ValueError``) times the node's table row, folded over the rows
+    left to right in ``term_index`` order, one row at a time."""
+    T = _solid_rows(rel, degree, True)
+    tab = table[nodes]
+    acc = T[0] * tab[:, 0]
+    for k in range(1, T.shape[0]):
+        acc = acc + T[k] * tab[:, k]
+    return acc
+
+
+def series_reference(coeffs: np.ndarray, rel: np.ndarray,
+                     degree: int) -> np.ndarray:
+    """Potential ``sum q / r`` of one expansion ``coeffs`` at the
+    ``(n, 3)`` offsets ``rel`` from its centre."""
+    rel = np.atleast_2d(rel)
+    return m2p_reference(m2p_table(coeffs[None, :], degree),
+                         np.zeros(rel.shape[0], dtype=np.intp), rel.T,
+                         degree)
+
+
+def pair_potential_reference(targets: np.ndarray, sources: np.ndarray,
+                             source_masses: np.ndarray,
+                             softening: float = 0.0) -> np.ndarray:
+    """Potential ``-G sum m / r`` at each ``(nt, d)`` target from every
+    source; a coincident unsoftened pair contributes nothing."""
+    diff = targets[:, None, :] - sources[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff) + softening ** 2
+    with np.errstate(divide="ignore"):
+        inv_r = 1.0 / np.sqrt(r2)
+    inv_r[r2 == 0.0] = 0.0
+    return -G * (inv_r * source_masses).sum(axis=1)
+
+
+def pair_force_reference(targets: np.ndarray, sources: np.ndarray,
+                         source_masses: np.ndarray,
+                         softening: float = 0.0) -> np.ndarray:
+    """Acceleration ``-G sum m dr / r^3`` at each ``(nt, d)`` target."""
+    diff = targets[:, None, :] - sources[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff) + softening ** 2
+    with np.errstate(divide="ignore"):
+        inv_r3 = r2 ** -1.5
+    inv_r3[r2 == 0.0] = 0.0
+    return -G * np.einsum("ij,ijk->ik", source_masses * inv_r3, diff)
 
 
 def p2p_group_reference(out: np.ndarray, tgt: np.ndarray,
@@ -87,19 +147,15 @@ def p2p_group_reference(out: np.ndarray, tgt: np.ndarray,
 
 def fused_walk_reference(tree, targets: np.ndarray, alpha: float,
                          evaluator, layout: tuple | None, mode: str,
-                         softening: float, pair_cap: int = 0):
+                         softening: float):
     """The C walk over ``(nt, d)`` targets, event by event: per accepted
-    node its point-mass terms (the evaluator's ``point_masses(mode)``),
-    or, where that is ``None``, its pairs, handed to the evaluator's
-    ``batch_potential`` in chunks of the working set whenever ``pair_cap``
-    would overflow before a MAC test and at the end; per leaf visit one
-    P2P group of that visit over the ``(sp, sm, scale)`` ``layout``.
-    Returns the values (potentials, or ``(d, nt)`` force columns),
-    ``(3, nt)`` MAC tests, clusters and P2P sources per target, the
-    per-node counts, the remote map (sorted keys and contents) and the
-    emitted pairs in list order."""
-    from repro.bh import interaction_lists as il
-
+    node its far-field terms — point masses (the evaluator's
+    ``point_masses(mode)``) or, where that is ``None``, its series
+    (``series()``, by ``m2p_reference``); per leaf visit one P2P group
+    of that visit over the ``(sp, sm, scale)`` ``layout``.  Returns the
+    values (potentials, or ``(d, nt)`` force columns), ``(3, nt)`` MAC
+    tests, clusters and P2P sources per target, the per-node counts and
+    the remote map (sorted keys and contents)."""
     nt, d = targets.shape
     force = mode == "force"
     cols = np.ascontiguousarray(targets.T)
@@ -107,40 +163,23 @@ def fused_walk_reference(tree, targets: np.ndarray, alpha: float,
     counts = np.zeros((3, nt), dtype=np.int64)
     node_count = np.zeros(tree.nnodes, dtype=np.int64)
     masses = evaluator.point_masses(mode)
-    pairs: list[tuple[int, np.ndarray]] = []
-    held: list[tuple[int, np.ndarray]] = []
-
-    def drain():
-        if not held:
-            return
-        nodes = np.concatenate([np.full(i.size, n) for n, i in held])
-        tgt = np.concatenate([i for _, i in held])
-        chunk = max(1, il.DEFAULT_WORKING_SET_BYTES
-                    // evaluator.batch_row_bytes)
-        for lo in range(0, tgt.size, chunk):
-            t = tgt[lo:lo + chunk]
-            np.add(values, np.bincount(t, minlength=nt, weights=(
-                evaluator.batch_potential(nodes[lo:lo + chunk],
-                                          cols.take(t, axis=1)))),
-                   out=values)
-        held.clear()
 
     def visit(kind, node, idx):
         if kind == "test":
-            if masses is None and sum(i.size for _, i in held) \
-                    + idx.size > pair_cap:
-                drain()
-        elif kind == "cluster":
+            return
+        if kind == "cluster":
             counts[1, idx] += 1
             node_count[node] += idx.size
+            nodes = np.full(idx.size, node)
             if masses is None:
-                pairs.append((node, idx))
-                held.append((node, idx))
-                return
-            com, mass, soft = masses
-            term = point_masses_reference(com, mass, soft,
-                                          np.full(idx.size, node),
-                                          targets[idx], force)
+                centres, table, _, degree = evaluator.series()
+                term = -G * m2p_reference(table, nodes,
+                                          cols[:, idx] - centres[node][:, None],
+                                          degree)
+            else:
+                com, mass, soft = masses
+                term = point_masses_reference(com, mass, soft, nodes,
+                                              targets[idx], force)
             if force:
                 values[:, idx] += term.T
             else:
@@ -164,6 +203,5 @@ def fused_walk_reference(tree, targets: np.ndarray, alpha: float,
         remote, counts[0] = walk[4], walk[6]
     else:
         remote = {}
-    drain()
     return (values, counts, node_count,
-            {n: np.sort(remote[n]) for n in sorted(remote)}, pairs)
+            {n: np.sort(remote[n]) for n in sorted(remote)})

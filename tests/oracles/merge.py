@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bh.multipole import MultipoleExpansion3D, m2m_upward
+from repro.bh.multipole import m2m_upward, n_terms
 from repro.bh.particles import Box
 from repro.bh.tree import NO_CHILD, Tree, cell_boxes
 from repro.core.branch_nodes import BranchInfo, make_branch_index
@@ -81,7 +81,6 @@ class TopTreeReference:
     node_of_branch: dict[int, int]
     branch_index: object
     coeffs: np.ndarray | None = None
-    expansion: MultipoleExpansion3D | None = None
 
 
 def build_top_tree_reference(branches: list[BranchInfo], root: Box,
@@ -165,10 +164,8 @@ def build_top_tree_reference(branches: list[BranchInfo], root: Box,
     )
 
     coeffs = None
-    expansion = None
     if degree > 0:
-        expansion = MultipoleExpansion3D(degree)
-        coeffs = np.zeros((n, expansion.nterms), dtype=np.complex128)
+        coeffs = np.zeros((n, n_terms(degree)), dtype=np.complex128)
         for b in branches:
             if b.coeffs is None:
                 raise ValueError(
@@ -181,5 +178,5 @@ def build_top_tree_reference(branches: list[BranchInfo], root: Box,
     return TopTreeReference(
         tree=tree, node_of_branch=branch_node_ids,
         branch_index=make_branch_index(branches, lookup_kind),
-        coeffs=coeffs, expansion=expansion,
+        coeffs=coeffs,
     )

@@ -9,25 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bh import kernels
-from repro.bh.interaction_lists import TraversalResult
+from repro.bh.interaction_lists import G, TraversalResult
 from repro.bh.mac import BarnesHutMAC
-from repro.bh.multipole import MultipoleExpansion3D
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, Tree
+from tests.oracles.kernels import (pair_force_reference,
+                                   pair_potential_reference,
+                                   series_reference)
 
 
 def node_value(evaluator, tree: Tree, node: int, targets: np.ndarray,
                mode: str) -> np.ndarray:
     """One node's cluster term at ``targets``: its degree-k series
-    (``MultipoleExpansion3D.evaluate``) for a potential of an evaluator
+    (``series_reference``) for a potential of an evaluator
     with coefficients, else its center of mass as a point mass softened
     by the evaluator's ``softening`` (none for a series evaluator)."""
     coeffs = getattr(evaluator, "coeffs", None)
     if mode == "potential" and coeffs is not None:
         rel = targets - tree.center[node]
-        return -kernels.G * MultipoleExpansion3D(evaluator.degree).evaluate(
-            coeffs[node], rel)
+        return -G * series_reference(coeffs[node], rel, evaluator.degree)
     diff = targets - tree.com[node]
     r2 = np.einsum("ij,ij->i", diff, diff) \
         + getattr(evaluator, "softening", 0.0) ** 2
@@ -35,8 +35,8 @@ def node_value(evaluator, tree: Tree, node: int, targets: np.ndarray,
         inv_r = 1.0 / np.sqrt(r2)
     inv_r[r2 == 0.0] = 0.0
     if mode == "potential":
-        return -kernels.G * tree.mass[node] * inv_r
-    return -kernels.G * tree.mass[node] * diff * (inv_r ** 3)[:, None]
+        return -G * tree.mass[node] * inv_r
+    return -G * tree.mass[node] * diff * (inv_r ** 3)[:, None]
 
 
 def traverse_reference(tree: Tree, sources: ParticleSet | None,
@@ -78,12 +78,12 @@ def traverse_reference(tree: Tree, sources: ParticleSet | None,
                                  "particles were provided")
             p_idx = tree.particle_indices(node)
             if mode == "potential":
-                values[idx] += kernels.pair_potential(
+                values[idx] += pair_potential_reference(
                     targets[idx], sources.positions[p_idx],
                     sources.masses[p_idx], softening=softening,
                 )
             else:
-                values[idx] += kernels.pair_force(
+                values[idx] += pair_force_reference(
                     targets[idx], sources.positions[p_idx],
                     sources.masses[p_idx], softening=softening,
                 )

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bh.multipole import TreeMultipoles, regular_terms
+from repro.bh.multipole import TreeMultipoles, m2m_shift, regular_terms
 from repro.bh.particles import ParticleSet
 from repro.bh.tree import NO_CHILD, Tree
 
@@ -15,7 +15,7 @@ def build_multipoles_reference(multipoles: TreeMultipoles,
                                particles: ParticleSet) -> None:
     """Per-node reverse-scan P2M/M2M pass — the oracle
     :meth:`TreeMultipoles._build` is validated against."""
-    tree, exp = multipoles.tree, multipoles.expansion
+    tree, degree = multipoles.tree, multipoles.degree
     for node in range(tree.nnodes - 1, -1, -1):
         if tree.is_remote(node):
             continue
@@ -24,13 +24,14 @@ def build_multipoles_reference(multipoles: TreeMultipoles,
             if idx.size:
                 rel = particles.positions[idx] - tree.center[node]
                 multipoles.coeffs[node] = (particles.masses[idx]
-                                           @ regular_terms(rel, exp.degree))
+                                           @ regular_terms(rel, degree))
         else:
             kids = tree.children[node]
             kids = kids[kids != NO_CHILD]
             for c in kids:
                 shift = tree.center[c] - tree.center[node]
-                multipoles.coeffs[node] += exp.m2m(multipoles.coeffs[c], shift)
+                multipoles.coeffs[node] += m2m_shift(multipoles.coeffs[c],
+                                                     shift, degree)
 
 
 def top_tree_coeffs_reference(top) -> np.ndarray:
@@ -38,7 +39,7 @@ def top_tree_coeffs_reference(top) -> np.ndarray:
     verbatim from ``build_top_tree`` — the oracle for its use of
     :func:`repro.bh.multipole.m2m_upward`.  Branch leaves keep the
     coefficients they were published with."""
-    tree, exp = top.tree, top.multipoles.expansion
+    tree, degree = top.tree, top.multipoles.degree
     remote = tree.remote_owner >= 0
     coeffs = np.where(remote[:, None], top.multipoles.coeffs, 0.0)
     for i in range(tree.nnodes - 1, -1, -1):
@@ -47,5 +48,5 @@ def top_tree_coeffs_reference(top) -> np.ndarray:
         kids = tree.children[i][tree.children[i] != NO_CHILD]
         for c in kids:
             shift = tree.center[c] - tree.center[i]
-            coeffs[i] += exp.m2m(coeffs[c], shift)
+            coeffs[i] += m2m_shift(coeffs[c], shift, degree)
     return coeffs

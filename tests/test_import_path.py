@@ -94,21 +94,28 @@ def test_angle_form_harmonics_live_with_the_fmm_example():
 
 def test_one_far_field_evaluator_and_one_p2p_kernel():
     """The top tree and data shipping hold no private copy of the
-    cluster or P2P arithmetic, point masses have no numpy kernel beside
-    the C one, and per-node evaluators (the traversal oracle's
-    business) are off the import path."""
-    from repro.bh import kernels, multipole
+    cluster or P2P arithmetic, neither point masses, the series nor the
+    direct sum has a numpy kernel beside the C ones (``repro.bh.kernels``
+    and the working-set constants are gone), and per-node evaluators
+    (the traversal oracle's business) are off the import path."""
+    import repro.bh
+    from repro.bh import interaction_lists, multipole
     from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
     from repro.core.data_shipping import DataShippingEngine
     from repro.core.tree_merge import TopTree
 
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.bh.kernels")
     gone = {
-        kernels: ("point_mass_potential", "point_mass_force"),
-        multipole: ("point_masses",),
+        repro.bh: ("MultipoleExpansion3D", "kernels"),
+        interaction_lists: ("DEFAULT_WORKING_SET_BYTES", "_series_pass"),
+        multipole: ("point_masses", "m2p", "m2p_row_bytes",
+                    "MultipoleExpansion3D"),
         MonopoleExpansion: ("node_potential", "node_force",
                             "batch_potential", "batch_force",
                             "batch_row_bytes"),
-        TreeMultipoles: ("node_potential", "node_force", "batch_force"),
+        TreeMultipoles: ("node_potential", "node_force", "batch_force",
+                         "batch_potential", "batch_row_bytes"),
         TopTree: ("node_potential", "node_force", "batch_potential",
                   "batch_force", "batch_row_bytes", "_table"),
         DataShippingEngine: ("_eval_far", "_eval_leaves"),
